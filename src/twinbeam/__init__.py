@@ -19,8 +19,7 @@ from .analytic import (
 )
 from .blochmessiah import (
     BlochMessiahResult, Decomposition, SchmidtMode, bloch_messiah, decompose,
-    mean_photons_from_spectrum, pair_mixer, squeezing_spectrum, tune_gain,
-    two_mode_rearrange,
+    mean_photons_from_spectrum, pair_mixer, tune_gain, two_mode_rearrange,
 )
 from .errors import (
     ConfigError, ContractError, DecompositionError, RegimeError, TwinbeamError,
@@ -32,9 +31,9 @@ from .model import (
     pmf, pump_amplitude, qpm_poling, save_poling,
 )
 from .propagator import (
-    Propagator, SegmentCache, compose, double_pass, free_propagator,
-    load_matrix, mean_photons, save_matrix, segment_propagator,
-    sgvm_split_basis, symplectic_form, symplectic_residual,
+    Propagator, compose, double_pass, free_propagator, load_matrix,
+    mean_photons, save_matrix, segment_propagator, symplectic_form,
+    symplectic_residual,
 )
 
 __version__ = "0.1.0"
@@ -48,7 +47,7 @@ __all__ = [
     "svd_route", "symmetrized_eig_route",
     "BlochMessiahResult", "Decomposition", "SchmidtMode", "bloch_messiah",
     "decompose", "mean_photons_from_spectrum", "pair_mixer",
-    "squeezing_spectrum", "tune_gain", "two_mode_rearrange",
+    "tune_gain", "two_mode_rearrange",
     "ConfigError", "ContractError", "DecompositionError", "RegimeError",
     "TwinbeamError",
     "CoupledMatrices", "FrequencyGrid", "MediumSpec", "Poling", "PumpSpec",
@@ -56,8 +55,8 @@ __all__ = [
     "build_generator", "build_grid", "default_half_width", "demodulate_poling",
     "flip_matrix", "load_poling", "pmf", "pump_amplitude", "qpm_poling",
     "save_poling",
-    "Propagator", "SegmentCache", "compose", "double_pass", "free_propagator",
+    "Propagator", "compose", "double_pass", "free_propagator",
     "load_matrix", "mean_photons", "save_matrix", "segment_propagator",
-    "sgvm_split_basis", "symplectic_form", "symplectic_residual",
+    "symplectic_form", "symplectic_residual",
     "__version__",
 ]

@@ -14,10 +14,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics
-from .blochmessiah import SchmidtMode, decompose, mean_photons_from_spectrum, tune_gain
+from .blochmessiah import SchmidtMode, bisect_increasing, decompose, tune_gain
 from .errors import ConfigError, ContractError
 from .model import pmf, pump_amplitude
-from .propagator import double_pass, mean_photons
+from .propagator import double_pass
 
 __all__ = [
     "mode_fidelity", "flip_overlap", "SweepPoint", "SweepResult",
@@ -113,27 +113,6 @@ def _first_pair_fidelity(decomp):
     return mode_fidelity(sig_out, sig_in)
 
 
-def _bisect_monotone(fn, target, lo, hi, f_lo, f_hi, tol=1e-6, max_iter=80):
-    """Root of fn(x) = target for increasing fn on [lo, hi]."""
-    if not (f_lo <= target <= f_hi):
-        raise ContractError(
-            "target %g outside bracket values [%g, %g]" % (target, f_lo, f_hi)
-        )
-    x, fx = hi, f_hi
-    for _ in range(max_iter):
-        if abs(fx - target) <= tol:
-            return x
-        x = 0.5 * (lo + hi)
-        fx = fn(x)
-        if fx < target:
-            lo = x
-        else:
-            hi = x
-    if abs(fx - target) > tol:
-        raise ContractError("bisection stalled at %g (target %g)" % (fx, target))
-    return x
-
-
 def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
                          span=(0.5, 1.5), points=21, jobs=1):
     """Sweep the second-pass gain around the matched double pass.
@@ -152,15 +131,15 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     pump_base = replace(pump, g0=g0)
 
     def ns_at(scale):
-        prop = double_pass(grid, pump_base, medium, poling, gain2_scale=scale)
-        return mean_photons(prop.matrix, grid.n)[0]
+        return double_pass(grid, pump_base, medium, poling,
+                           gain2_scale=scale).mean_photons()[0]
 
     lo_target = span[0] * base_target
     hi_target = span[1] * base_target
     ns_zero = ns_at(0.0)
     ns_one = ns_at(1.0)
     tol = 1e-6 * max(1.0, base_target)
-    s_lo = _bisect_monotone(ns_at, lo_target, 0.0, 1.0, ns_zero, ns_one, tol=tol)
+    s_lo, _ = bisect_increasing(ns_at, lo_target, 0.0, 1.0, ns_zero, ns_one, tol)
     hi = 1.0
     f_hi = ns_one
     grow = 0
@@ -170,7 +149,7 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         grow += 1
         if grow > 40:
             raise ContractError("second-pass scale bracket did not reach the target")
-    s_hi = _bisect_monotone(ns_at, hi_target, 1.0, hi, ns_one, f_hi, tol=tol)
+    s_hi, _ = bisect_increasing(ns_at, hi_target, 1.0, hi, ns_one, f_hi, tol)
     # The equal-gain point is the reference (identical passes), so for an odd
     # point count the ladder is built as two half-ramps meeting at scale 1.
     if points == 1:
@@ -186,7 +165,7 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
 
     def run_point(scale):
         prop = double_pass(grid, pump_base, medium, poling, gain2_scale=scale)
-        ns, _ = mean_photons(prop.matrix, grid.n)
+        ns, _ = prop.mean_photons()
         decomp = decompose(prop, grid)
         return SweepPoint(
             gain2_scale=float(scale), mean_ns=float(ns),

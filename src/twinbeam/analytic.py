@@ -28,15 +28,12 @@ import numpy as np
 
 from . import numerics
 from .blochmessiah import (
-    BlochMessiahResult, FACTOR_TOL, PAIR_RTOL, RECON_RTOL, _complex_rep_avg,
-    _polish_unitary, embed_unitary,
+    BlochMessiahResult, _complex_rep_avg, _polish_unitary, checked_factors,
+    embed_unitary,
 )
 from .errors import ConfigError, DecompositionError, RegimeError
-from .model import build_coupled_matrices, flip_matrix
-from .propagator import (
-    assemble_from_block, compose, sgvm_block, sgvm_split_basis,
-    symplectic_residual,
-)
+from .model import build_coupled_matrices, build_generator, flip_matrix
+from .propagator import Propagator, compose
 
 __all__ = [
     "BlockReduction", "block_reduce", "general_split_basis",
@@ -45,6 +42,22 @@ __all__ = [
 ]
 
 BLOCK_TOL = 1e-9
+
+
+def _sgvm_split_basis(n):
+    """Orthogonal 4N basis that block-diagonalizes every SGVM generator.
+
+    B = (1/sqrt 2) [[I,0,0,I],[0,I,I,0],[0,-I,I,0],[-I,0,0,I]] in the
+    (X_S, X_I, P_S, P_I) ordering; B^T Q B = diag(A, -A^T) whenever H = -G.
+    """
+    i = np.eye(n)
+    z = np.zeros((n, n))
+    return np.block([
+        [i, z, z, i],
+        [z, i, i, z],
+        [z, -i, i, z],
+        [-i, z, z, i],
+    ]) / np.sqrt(2.0)
 
 
 def general_split_basis(n):
@@ -85,10 +98,9 @@ def block_reduce(matrices):
     """
     n = matrices.G.shape[0]
     if matrices.sgvm:
-        return BlockReduction(basis=sgvm_split_basis(n), block=sgvm_block(matrices),
-                              kind="sgvm")
-    from .model import build_generator
-
+        F, G = matrices.F, matrices.G
+        return BlockReduction(basis=_sgvm_split_basis(n),
+                              block=np.block([[-F, G], [-G, -F]]), kind="sgvm")
     Q = build_generator(matrices)
     B2 = general_split_basis(n)
     T = B2.T @ Q @ B2
@@ -141,24 +153,6 @@ def canonical_factors(O_raw, lam_raw, O_tilde_raw):
     )
 
 
-def _verify_route(result, S, context):
-    dim = S.shape[0]
-    smax = float(np.max(np.abs(S)))
-    for name, M in (("O", result.O), ("O_tilde", result.O_tilde)):
-        orth = float(np.max(np.abs(M.T @ M - np.eye(dim))))
-        if orth > FACTOR_TOL or symplectic_residual(M) > FACTOR_TOL:
-            raise DecompositionError(
-                "%s: %s fails orthogonal-symplectic residuals (%.3e)"
-                % (context, name, orth)
-            )
-    recon = float(np.max(np.abs(result.reconstruct() - S)))
-    if recon > RECON_RTOL * max(1.0, smax):
-        raise DecompositionError(
-            "%s: reconstruction residual %.3e too large" % (context, recon)
-        )
-    return result
-
-
 def _require_sgvm(medium, route):
     if not medium.sgvm():
         ks, ki = medium.kappa_signal, medium.kappa_idler
@@ -209,11 +203,11 @@ def symmetrized_eig_route(grid, pump, medium, poling):
         raise DecompositionError("singular block propagator")
     signs = np.sign(w)
     left = (X @ Gamma) * signs
-    B = sgvm_split_basis(grid.n)
+    B = _sgvm_split_basis(grid.n)
     O_raw = B @ _doubled(left)
     O_tilde_raw = B @ _doubled(Gamma)
     result = canonical_factors(O_raw, np.abs(w), O_tilde_raw)
-    return _verify_route(result, prop.matrix, "symmetrized eigenproblem route")
+    return checked_factors(result, prop.matrix, "symmetrized eigenproblem route")
 
 
 def _doubled(M):
@@ -235,19 +229,20 @@ def svd_route(grid, pump, medium, poling, double=False):
     _require_sgvm(medium, "SVD route")
     prop = compose(grid, pump, medium, poling)
     A_hat = prop.block
-    B = sgvm_split_basis(grid.n)
+    B = _sgvm_split_basis(grid.n)
     left, s, right = numerics.svd(A_hat)
     if double:
         O_raw = O_tilde_raw = B @ _doubled(right)
         lam_raw = s**2
-        S_full = assemble_from_block(A_hat.T @ A_hat, grid.n)
+        M = prop.bogoliubov
+        S_full = Propagator(M.conj().T @ M, grid.n).matrix
     else:
         O_raw = B @ _doubled(left)
         O_tilde_raw = B @ _doubled(right)
         lam_raw = s
         S_full = prop.matrix
     result = canonical_factors(O_raw, lam_raw, O_tilde_raw)
-    return _verify_route(result, S_full, "SVD route")
+    return checked_factors(result, S_full, "SVD route")
 
 
 def general_block_route(grid, pump, medium, poling):
@@ -259,26 +254,13 @@ def general_block_route(grid, pump, medium, poling):
     pairs; the shared canonicalization folds them into the degenerate pairs
     of the final spectrum.
     """
-    matrices = {}
-    for _, sign in poling.domains:
-        if sign not in matrices:
-            matrices[sign] = build_coupled_matrices(grid, pump, medium, sign=sign)
-    reductions = {s: block_reduce(m) for s, m in matrices.items()}
-    kinds = {r.kind for r in reductions.values()}
-    if kinds == {"sgvm"}:
+    if medium.sgvm():
         raise RegimeError(
             "medium is SGVM; use the SGVM routes for the reduced comparison",
             residual=0.0,
         )
-    C_hat = np.eye(2 * grid.n)
-    for width, sign in poling.domains:
-        C_hat = numerics.expm(width * reductions[sign].block) @ C_hat
-    n = grid.n
-    j = flip_matrix(n)
-    J_tilde = np.zeros((2 * n, 2 * n))
-    J_tilde[:n, :n] = j
-    J_tilde[n:, n:] = j
-    M = J_tilde @ C_hat
+    J_tilde = _doubled(flip_matrix(grid.n))
+    M = J_tilde @ _reduced_product(grid, pump, medium, poling)
     asym = float(np.max(np.abs(M - M.T)))
     if asym > BLOCK_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise RegimeError(
@@ -290,12 +272,25 @@ def general_block_route(grid, pump, medium, poling):
         raise DecompositionError("singular block propagator")
     signs = np.sign(w)
     left = (J_tilde @ Gamma) * signs
-    B2 = reductions[next(iter(reductions))].basis
+    B2 = general_split_basis(grid.n)
     O_raw = B2 @ _doubled(left)
     O_tilde_raw = B2 @ _doubled(Gamma)
     S_full = compose(grid, pump, medium, poling).matrix
     result = canonical_factors(O_raw, np.abs(w), O_tilde_raw)
-    return _verify_route(result, S_full, "general block route")
+    return checked_factors(result, S_full, "general block route")
+
+
+def _reduced_product(grid, pump, medium, poling):
+    """Ordered product C-hat of the exchange-basis domain exponentials (non-SGVM).
+
+    Raises RegimeError when a domain generator does not reduce.
+    """
+    blocks = {s: block_reduce(build_coupled_matrices(grid, pump, medium, sign=s)).block
+              for s in {s for _, s in poling.domains}}
+    C_hat = np.eye(2 * grid.n)
+    for width, sign in poling.domains:
+        C_hat = numerics.expm(width * blocks[sign]) @ C_hat
+    return C_hat
 
 
 def _flip_classes(w, V, K, rtol=1e-8):
@@ -347,16 +342,10 @@ def structure_checks(grid, pump, medium, poling):
         K = _exchange_pair(grid.n)
     else:
         try:
-            red = {s: block_reduce(build_coupled_matrices(grid, pump, medium, sign=s))
-                   for s in set(int(s) for _, s in poling.domains)}
+            M = _doubled(j) @ _reduced_product(grid, pump, medium, poling)
         except RegimeError as exc:
             report["block_symmetry_residual"] = exc.residual
             return report
-        C_hat = np.eye(2 * grid.n)
-        for width, sign in poling.domains:
-            C_hat = numerics.expm(width * red[sign].block) @ C_hat
-        J_tilde = _doubled(j)
-        M = J_tilde @ C_hat
         K = None
     asym = float(np.max(np.abs(M - M.T)))
     report["block_symmetry_residual"] = asym

@@ -20,22 +20,20 @@ residuals.
 """
 
 from dataclasses import dataclass, replace
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 from scipy.linalg import qr as _qr
 
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
-from .propagator import (
-    Propagator, compose, double_pass, free_propagator, mean_photons,
-    symplectic_residual,
-)
+from .propagator import compose, double_pass, free_propagator, symplectic_residual
 
 __all__ = [
     "BlochMessiahResult", "SchmidtMode", "Decomposition", "bloch_messiah",
     "two_mode_rearrange", "embed_unitary", "pair_mixer", "decompose",
-    "squeezing_spectrum", "mean_photons_from_spectrum", "tune_gain",
+    "checked_factors", "mean_photons_from_spectrum", "tune_gain",
+    "bisect_increasing",
 ]
 
 # Relative symplectic-defect allowance on inputs, scaled by max|S|^2.
@@ -57,11 +55,16 @@ MIX_TOL = 1e-6
 
 @dataclass(frozen=True)
 class BlochMessiahResult:
-    """S = O diag(lam, 1/lam) O_tilde^T, lam descending, lam >= 1."""
+    """S = O diag(lam, 1/lam) O_tilde^T, lam descending, lam >= 1.
+
+    residuals is filled in by checked_factors once the factors are checked
+    against S.
+    """
 
     O: np.ndarray
     lam: np.ndarray
     O_tilde: np.ndarray
+    residuals: Optional[dict] = None
 
     @property
     def half(self):
@@ -72,6 +75,28 @@ class BlochMessiahResult:
 
     def reconstruct(self):
         return self.O @ self.D() @ self.O_tilde.T
+
+
+def checked_factors(result, S, context):
+    """Attach and enforce the factor residuals of S = O D O_tilde^T.
+
+    residuals holds the reconstruction residual relative to max(1, max|S|),
+    then the orthogonality and symplectic residual of O and of O_tilde.
+    Raises DecompositionError when one exceeds RECON_RTOL or FACTOR_TOL.
+    """
+    eye = np.eye(S.shape[0])
+    residuals = {"reconstruction": float(np.max(np.abs(result.reconstruct() - S)))
+                 / max(1.0, float(np.max(np.abs(S))))}
+    for name, M in (("O", result.O), ("O_tilde", result.O_tilde)):
+        residuals[name + "_orthogonal"] = float(np.max(np.abs(M.T @ M - eye)))
+        residuals[name + "_symplectic"] = symplectic_residual(M)
+    for name, value in residuals.items():
+        limit = RECON_RTOL if name == "reconstruction" else FACTOR_TOL
+        if value > limit:
+            raise DecompositionError(
+                "%s: %s residual %.3e exceeds %.1e" % (context, name, value, limit)
+            )
+    return replace(result, residuals=residuals)
 
 
 def embed_unitary(Z):
@@ -185,20 +210,8 @@ def bloch_messiah(S):
         )
     O_tilde = embed_unitary(_polish_unitary(_complex_rep_avg(O_tilde_raw, h), "passive factor"))
 
-    result = BlochMessiahResult(O=O, lam=lam, O_tilde=O_tilde)
-    for name, M in (("O", O), ("O_tilde", O_tilde)):
-        orth = float(np.max(np.abs(M.T @ M - np.eye(dim))))
-        if orth > FACTOR_TOL or symplectic_residual(M) > FACTOR_TOL:
-            raise DecompositionError(
-                "%s fails orthogonal-symplectic residuals (orthogonality %.3e)"
-                % (name, orth)
-            )
-    recon = float(np.max(np.abs(result.reconstruct() - S)))
-    if recon > RECON_RTOL * max(1.0, smax):
-        raise DecompositionError(
-            "reconstruction residual %.3e exceeds %.1e relative" % (recon, RECON_RTOL)
-        )
-    return result
+    return checked_factors(BlochMessiahResult(O=O, lam=lam, O_tilde=O_tilde), S,
+                           "generic route")
 
 
 def pair_mixer(n_pairs):
@@ -275,6 +288,7 @@ class Decomposition:
     U_in: np.ndarray
     modes: List[SchmidtMode]
     mixed_pairs: List[int]
+    residuals: dict           # checked_factors residuals of the factorized matrix
 
     @property
     def n_pairs(self):
@@ -346,40 +360,30 @@ def _extract_modes(U_out, U_in, r, n):
 
 
 def decompose(prop, grid, medium=None, double=False, remove_free_phase=False):
-    """Squeezer structure of a propagator built on the given grid.
+    """Squeezer structure of a Propagator built on the given grid.
 
     remove_free_phase strips the walk-off phases each beam accumulates over
     the pass path from the output side before factorizing (input modes are
     untouched); this needs the medium.  The double flag must match how the
     propagator was built, since the return pass swaps the beam velocities.
     """
-    if isinstance(prop, Propagator):
-        S = prop.matrix
-        n = prop.n
-    else:
-        S = np.asarray(prop, dtype=float)
-        n = S.shape[0] // 4
+    n = prop.n
     if grid.n != n:
         raise ConfigError("grid size %d does not match propagator bins %d" % (grid.n, n))
     if remove_free_phase:
         if medium is None:
             raise ConfigError("remove_free_phase needs the medium")
-        F = free_propagator(grid, medium, medium.length).matrix
+        prop = free_propagator(grid, medium, -medium.length).after(prop)
         if double:
-            F = free_propagator(grid, medium.swapped(), medium.length).matrix @ F
-        S = F.T @ S
-    bm = bloch_messiah(S)
+            prop = free_propagator(grid, medium.swapped(), -medium.length).after(prop)
+    bm = bloch_messiah(prop.matrix)
     U_out, U_in, r = two_mode_rearrange(bm)
     modes, mixed_pairs = _extract_modes(U_out, U_in, r, n)
     return Decomposition(
         grid=grid, lam=bm.lam, r=r, O=bm.O, O_tilde=bm.O_tilde,
         U_out=U_out, U_in=U_in, modes=modes, mixed_pairs=mixed_pairs,
+        residuals=bm.residuals,
     )
-
-
-def squeezing_spectrum(decomp):
-    """Per-squeezer parameters r_k, descending."""
-    return decomp.r.copy()
 
 
 def mean_photons_from_spectrum(r):
@@ -406,32 +410,40 @@ def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
             prop = double_pass(grid, p, medium, poling, gain2_scale=gain2_scale)
         else:
             prop = compose(grid, p, medium, poling)
-        ns, _ = mean_photons(prop.matrix, grid.n)
-        return ns
+        return prop.mean_photons()[0]
 
     lo, hi = 0.0, max(abs(pump.g0), 1.0)
-    f_hi = photons(hi)
+    f_lo, f_hi = 0.0, photons(hi)
     grow = 0
     while f_hi < target:
-        lo, hi = hi, hi * 2.0
+        lo, hi, f_lo = hi, hi * 2.0, f_hi
         f_hi = photons(hi)
         grow += 1
         if grow > 60:
             raise ContractError("gain bracket did not reach the target photon number")
-    g, f_g = hi, f_hi
+    return bisect_increasing(photons, target, lo, hi, f_lo, f_hi, tol, max_iter)
+
+
+def bisect_increasing(fn, target, lo, hi, f_lo, f_hi, tol, max_iter=80):
+    """Bisection root of fn(x) = target for fn increasing on [lo, hi].
+
+    f_lo and f_hi are fn at the bracket ends.  Returns (x, fn(x)) for the
+    first iterate within tol of the target, starting from hi.
+    """
+    if not (f_lo <= target <= f_hi):
+        raise ContractError(
+            "target %g outside bracket values [%g, %g]" % (target, f_lo, f_hi)
+        )
+    x, fx = hi, f_hi
     for _ in range(max_iter):
-        if abs(f_g - target) <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = photons(mid)
-        if f_mid < target:
-            lo = mid
+        if abs(fx - target) <= tol:
+            return x, fx
+        x = 0.5 * (lo + hi)
+        fx = fn(x)
+        if fx < target:
+            lo = x
         else:
-            hi = mid
-        g, f_g = mid, f_mid
-    else:
-        if abs(f_g - target) > tol:
-            raise ContractError(
-                "gain tuning stalled at %.6g photons (target %.6g)" % (f_g, target)
-            )
-    return g, f_g
+            hi = x
+    if abs(fx - target) > tol:
+        raise ContractError("bisection stalled at %g (target %g)" % (fx, target))
+    return x, fx

@@ -1,21 +1,30 @@
-"""Symplectic propagation through piecewise-constant poling.
+"""Bogoliubov propagation through piecewise-constant poling.
 
-Each poling domain has z-independent coupling matrices, so its propagator is
-a single matrix exponential S = expm(dz * Q).  A full device is the ordered
-(left-multiplied) product of its domain propagators; a double pass appends
-the return trip with signal/idler velocities exchanged and the domain order
-reversed.
+Signal couples only to the idler's conjugate.  On the complex amplitudes
+a_S = X_S + i P_S and a_I^+ = X_I - i P_I of each frequency bin the
+equations of motion read
 
-In the SGVM regime (H = -G) the generator block-diagonalizes in a fixed
-orthogonal basis into a 2N x 2N block A and its companion -A^T, and every
-domain, hence every product, is tracked in that 2N space.  The full 4N
-matrix is assembled once at the end.  Both routes agree to tight tolerance;
-the block route exists for speed and because downstream spectral analysis
-works on the 2N block directly.
+    d a_S / dz   =  i G a_S + i F a_I^+
+    d a_I^+ / dz = -i F a_S - i H a_I^+
+
+so a uniform domain of width dz propagates by expm(dz * K) with the 2N x 2N
+complex generator K = i [[G, F], [-F, -H]].  In the SGVM regime (H = -G)
+this splits further: a_S - i a_I^+ evolves under the N x N generator -F + iG
+and a_S + i a_I^+ under F + iG, so one N x N complex matrix
+M = expm(dz (-F - iG)) holds the whole domain (the first combination
+evolves by conj(M), the second by M^{-T}).  Each poling domain has
+z-independent coupling matrices, a device is the ordered (left-multiplied)
+product of its domain matrices, and a double pass appends the return trip
+with signal/idler velocities exchanged and the domain order reversed.
+
+Only these complex matrices are built and multiplied.  The 4N x 4N real
+symplectic matrix on the quadratures (X_S, X_I, P_S, P_I) is an export view
+assembled from the real and imaginary parts of the N x N blocks; it feeds
+the generic factorization, the symplectic residual and the matrix files.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -24,13 +33,10 @@ from .errors import ConfigError, ContractError
 from .model import build_coupled_matrices
 
 __all__ = [
-    "Propagator", "SegmentCache", "segment_propagator", "compose",
-    "double_pass", "free_propagator", "symplectic_form",
-    "symplectic_residual", "mean_photons", "sgvm_split_basis", "sgvm_block",
-    "assemble_from_block", "save_matrix", "load_matrix",
+    "Propagator", "segment_propagator", "compose", "double_pass",
+    "free_propagator", "symplectic_form", "symplectic_residual",
+    "mean_photons", "save_matrix", "load_matrix",
 ]
-
-SYMPLECTIC_TOL = 1e-9
 
 # Relative agreement required between poling total width and medium length.
 LENGTH_MATCH_RTOL = 1e-9
@@ -55,23 +61,63 @@ def symplectic_residual(S):
 
 @dataclass(frozen=True)
 class Propagator:
-    """A symplectic propagator on the 4N quadrature space.
+    """Complex Bogoliubov propagator of one device.
 
-    block, when present, is the 2N x 2N matrix A such that
-    matrix = B diag(A, A^{-T}) B^T in the fixed SGVM splitting basis B; it is
-    carried only while every composed segment admits that reduction.
+    bogoliubov is the N x N matrix M (SGVM media) or the 2N x 2N matrix on
+    (a_S, a_I^+) (all other media); see the module docstring.  Propagators
+    compose by multiplying these complex matrices (`after`).  matrix is the
+    4N x 4N real symplectic export, built on first use; block is the 2N real
+    representation of M that the SGVM oracles in analytic work on.
     """
 
-    matrix: np.ndarray
+    bogoliubov: np.ndarray
     n: int
-    block: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.matrix.shape != (4 * self.n, 4 * self.n):
+        if self.bogoliubov.shape not in ((self.n, self.n), (2 * self.n, 2 * self.n)):
             raise ContractError(
-                "propagator matrix shape %r does not match n=%d"
-                % (self.matrix.shape, self.n)
+                "Bogoliubov matrix shape %r does not match n=%d"
+                % (self.bogoliubov.shape, self.n)
             )
+
+    @property
+    def sgvm(self):
+        return self.bogoliubov.shape[0] == self.n
+
+    def after(self, earlier):
+        """The propagator of `earlier` followed by this one."""
+        return Propagator(self.bogoliubov @ earlier.bogoliubov, self.n)
+
+    @property
+    def block(self):
+        """SGVM only: the 2N real representation [[Re M, -Im M], [Im M, Re M]]."""
+        if not self.sgvm:
+            return None
+        M = self.bogoliubov
+        return np.block([[M.real, -M.imag], [M.imag, M.real]])
+
+    @cached_property
+    def matrix(self):
+        """The 4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I).
+
+        Built from the N x N complex blocks of a_S -> A a_S + B a_I^+ and
+        a_I^+ -> C a_S + D a_I^+.
+        """
+        n, T = self.n, self.bogoliubov
+        if self.sgvm:
+            # a_S - i a_I^+ evolves by conj(M), a_S + i a_I^+ by M^{-T}.
+            down, up = T.conj(), np.linalg.inv(T).T
+            A = D = 0.5 * (up + down)
+            B = 0.5j * (up - down)
+            C = -B
+        else:
+            A, B, C, D = T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
+        return np.block([
+            [A.real, B.real, -A.imag, B.imag],
+            [C.real, D.real, -C.imag, D.imag],
+            [A.imag, B.imag, A.real, -B.real],
+            [-C.imag, -D.imag, -C.real, D.real],
+        ])
 
     def mean_photons(self):
         return mean_photons(self.matrix, self.n)
@@ -89,100 +135,23 @@ def mean_photons(S, n):
     return sig / 4.0 - n / 2.0, idl / 4.0 - n / 2.0
 
 
-def sgvm_split_basis(n):
-    """Orthogonal 4N basis that block-diagonalizes every SGVM generator.
-
-    B = (1/sqrt 2) [[I,0,0,I],[0,I,I,0],[0,-I,I,0],[-I,0,0,I]] in the
-    (X_S, X_I, P_S, P_I) ordering; B^T Q B = diag(A, -A^T) whenever H = -G.
-    """
-    i = np.eye(n)
-    z = np.zeros((n, n))
-    return np.block([
-        [i, z, z, i],
-        [z, i, i, z],
-        [z, -i, i, z],
-        [-i, z, z, i],
-    ]) / np.sqrt(2.0)
-
-
-def sgvm_block(matrices):
-    """The reduced generator block A = [[-F, G], [-G, -F]] (requires H = -G)."""
-    if not matrices.sgvm:
-        raise ContractError("block reduction requires the SGVM regime (H = -G)")
-    return np.block([
-        [-matrices.F, matrices.G],
-        [-matrices.G, -matrices.F],
-    ])
-
-
-def assemble_from_block(A, n):
-    """Reassemble the 4N propagator B diag(A, A^{-T}) B^T from its 2N block."""
-    B = sgvm_split_basis(n)
-    lower = np.linalg.inv(A).T
-    core = np.zeros((4 * n, 4 * n))
-    core[:2 * n, :2 * n] = A
-    core[2 * n:, 2 * n:] = lower
-    return B @ core @ B.T
-
-
 def segment_propagator(matrices, dz):
-    """Propagator of one uniform domain of width dz.
-
-    SGVM input takes the 2N block-exponential route; otherwise the full 4N
-    exponential is formed.  Both return the same Propagator contract.
-    """
+    """Propagator of one uniform domain of width dz: expm(dz * generator)."""
     if not (dz > 0):
         raise ConfigError("segment width must be positive")
-    n = matrices.G.shape[0]
-    if matrices.sgvm:
-        A = numerics.expm(dz * sgvm_block(matrices))
-        return Propagator(matrix=assemble_from_block(A, n), n=n, block=A)
-    Z = np.zeros((n, n))
     G, H, F = matrices.G, matrices.H, matrices.F
-    Q = np.block([
-        [Z, Z, -G, F],
-        [Z, Z, F, -H],
-        [G, F, Z, Z],
-        [F, H, Z, Z],
-    ])
-    return Propagator(matrix=numerics.expm(dz * Q), n=n, block=None)
+    if matrices.sgvm:
+        generator = -F - 1j * G
+    else:
+        generator = 1j * np.block([[G, F], [-F, -H]])
+    return Propagator(numerics.expm(dz * generator), G.shape[0])
 
 
-class SegmentCache:
-    """Memo for domain propagators, keyed by (width, sign, tag).
-
-    Width is folded to 15 significant digits so regenerated-but-equal domain
-    widths hit.  The tag separates contexts that must not share entries
-    (forward vs return pass, rescaled pump).
-    """
-
-    def __init__(self):
-        self._store = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def key(width, sign, tag):
-        return ("%.15e" % width, int(sign), tag)
-
-    def fetch(self, width, sign, tag, builder):
-        k = self.key(width, sign, tag)
-        try:
-            value = self._store[k]
-        except KeyError:
-            self.misses += 1
-            value = self._store[k] = builder()
-            return value
-        self.hits += 1
-        return value
-
-
-def compose(grid, pump, medium, poling, cache=None, cache_tag=""):
+def compose(grid, pump, medium, poling):
     """Total propagator of one pass through the poled medium.
 
     Segments are composed left to right (later domains multiply from the
-    left).  In the SGVM regime the product is accumulated in the 2N block
-    space and assembled once.
+    left); domains of equal width and sign share one exponential.
     """
     if abs(poling.length - medium.length) > LENGTH_MATCH_RTOL * max(
         poling.length, medium.length
@@ -191,80 +160,45 @@ def compose(grid, pump, medium, poling, cache=None, cache_tag=""):
             "poling spans %g but medium length is %g"
             % (poling.length, medium.length)
         )
-    if cache is None:
-        cache = SegmentCache()
-    by_sign = {}
-
-    def matrices_for(sign):
-        if sign not in by_sign:
-            by_sign[sign] = build_coupled_matrices(grid, pump, medium, sign=sign)
-        return by_sign[sign]
-
-    use_block = medium.sgvm()
-    n = grid.n
-    if use_block:
-        total = np.eye(2 * n)
-        for width, sign in poling.domains:
-            seg = cache.fetch(
-                width, sign, cache_tag,
-                lambda: numerics.expm(width * sgvm_block(matrices_for(sign))),
-            )
-            total = seg @ total
-        return Propagator(matrix=assemble_from_block(total, n), n=n, block=total)
-    total = np.eye(4 * n)
+    matrices = {}
+    segments = {}
+    total = np.eye(grid.n if medium.sgvm() else 2 * grid.n)
     for width, sign in poling.domains:
-        seg = cache.fetch(
-            width, sign, cache_tag,
-            lambda: segment_propagator(matrices_for(sign), width).matrix,
-        )
-        total = seg @ total
-    return Propagator(matrix=total, n=n, block=None)
+        if (width, sign) not in segments:
+            if sign not in matrices:
+                matrices[sign] = build_coupled_matrices(grid, pump, medium, sign=sign)
+            segments[width, sign] = segment_propagator(matrices[sign], width).bogoliubov
+        total = segments[width, sign] @ total
+    return Propagator(total, grid.n)
 
 
-def double_pass(grid, pump, medium, poling, gain2_scale=1.0, cache=None):
+def double_pass(grid, pump, medium, poling, gain2_scale=1.0):
     """Forward pass followed by a return pass with v_S and v_I exchanged.
 
     The return pass traverses the domains in reverse order; gain2_scale
     multiplies the pump amplitude of the second pass only (imperfect
     double-pass modeling).
     """
-    if cache is None:
-        cache = SegmentCache()
-    first = compose(grid, pump, medium, poling, cache=cache, cache_tag="fwd")
-    second = compose(
-        grid,
-        pump.scaled(gain2_scale),
-        medium.swapped(),
-        poling.reversed_(),
-        cache=cache,
-        cache_tag="rev",
-    )
-    matrix = second.matrix @ first.matrix
-    block = None
-    if first.block is not None and second.block is not None:
-        block = second.block @ first.block
-    return Propagator(matrix=matrix, n=grid.n, block=block)
+    first = compose(grid, pump, medium, poling)
+    second = compose(grid, pump.scaled(gain2_scale), medium.swapped(),
+                     poling.reversed_())
+    return second.after(first)
 
 
 def free_propagator(grid, medium, length):
-    """Propagator with the pump off: pure walk-off phase rotation.
+    """Propagator with the pump off: a diagonal walk-off phase per bin.
 
-    Each signal bin rotates by kappa_S d_n length in its (X, P) plane, each
-    idler bin by kappa_I d_n length.  Negative lengths are allowed (used to
-    strip accumulated phases).
+    a_S of bin n picks up exp(i kappa_S d_n length) and a_I^+ picks up
+    exp(-i kappa_I d_n length).  Negative lengths are allowed (used to strip
+    accumulated phases).
     """
-    n = grid.n
     d = grid.detunings
-    out = np.zeros((4 * n, 4 * n))
-    for offset, kappa in ((0, medium.kappa_signal), (n, medium.kappa_idler)):
-        theta = kappa * d * length
-        c, s = np.cos(theta), np.sin(theta)
-        rows = np.arange(n) + offset
-        out[rows, rows] = c
-        out[rows, rows + 2 * n] = -s
-        out[rows + 2 * n, rows] = s
-        out[rows + 2 * n, rows + 2 * n] = c
-    return Propagator(matrix=out, n=n, block=None)
+    if medium.sgvm():
+        return Propagator(np.diag(np.exp(-1j * medium.kappa_signal * d * length)), grid.n)
+    return Propagator(np.diag(np.concatenate([
+        np.exp(1j * medium.kappa_signal * d * length),
+        np.exp(-1j * medium.kappa_idler * d * length),
+    ])), grid.n)
 
 
 def save_matrix(M, path):

@@ -1,13 +1,14 @@
-"""Segment exponentials, chronological composition, double pass, caching."""
+"""Segment exponentials, chronological composition, double pass, segment reuse."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (
     MediumSpec,
     Poling,
     PumpSpec,
-    SegmentCache,
     build_coupled_matrices,
     build_generator,
     build_grid,
@@ -22,9 +23,9 @@ from twinbeam import (
     symplectic_form,
     symplectic_residual,
 )
-from twinbeam.errors import ConfigError, ContractError
+from twinbeam import numerics
+from twinbeam.errors import ConfigError
 from twinbeam.numerics import expm
-from twinbeam.propagator import assemble_from_block, sgvm_block, sgvm_split_basis
 
 N = 11
 L = 1.0
@@ -58,9 +59,8 @@ def test_segment_block_route_agrees_with_full_exponential(sgvm):
     S = segment_propagator(m, 0.3)
     full = expm(0.3 * build_generator(m))
     assert np.max(np.abs(S.matrix - full)) < 1e-10
-    assert S.block is not None
     np.testing.assert_allclose(
-        S.matrix, assemble_from_block(S.block, grid.n), atol=1e-12
+        S.block, expm(0.3 * np.block([[-m.F, m.G], [-m.G, -m.F]])), atol=1e-12
     )
 
 
@@ -126,22 +126,44 @@ def test_compose_rejects_length_mismatch(sgvm):
         compose(grid, pump, medium, Poling.unpoled(0.5 * L))
 
 
-def test_compose_cache_reuse(sgvm):
+def test_compose_cache_reuse(sgvm, monkeypatch):
+    # 1001 domains of two distinct (width, sign) kinds need two exponentials
     grid, pump, medium = sgvm
-    cache = SegmentCache()
-    poling = qpm_poling(L, 2.0 * L / 1001)
-    compose(grid, pump, medium, poling, cache=cache)
-    assert cache.misses == 2
-    assert cache.hits == 999
+    calls = []
+
+    def counting_expm(M):
+        calls.append(M.shape)
+        return expm(M)
+
+    monkeypatch.setattr(numerics, "expm", counting_expm)
+    compose(grid, pump, medium, qpm_poling(L, 2.0 * L / 1001))
+    assert calls == [(N, N), (N, N)]
 
 
-def test_cache_tag_separates_contexts(sgvm):
-    grid, pump, medium = sgvm
-    cache = SegmentCache()
-    compose(grid, pump, medium, Poling.unpoled(L), cache=cache, cache_tag="a")
-    compose(grid, pump.scaled(2.0), medium, Poling.unpoled(L), cache=cache,
-            cache_tag="b")
-    assert cache.misses == 2 and cache.hits == 0
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(3, 9),
+    kappa_s=st.floats(1.0, 8.0),
+    mismatch=st.one_of(st.just(0.0), st.floats(0.1, 0.6)),
+    g0=st.floats(0.0, 2.0),
+    domains=st.lists(
+        st.tuples(st.floats(0.05, 0.5), st.sampled_from([-1, 0, 1])),
+        min_size=1, max_size=5,
+    ),
+)
+def test_compose_matches_product_of_quadrature_exponentials(
+        n, kappa_s, mismatch, g0, domains):
+    medium = MediumSpec.from_walkoffs(
+        kappa_s, -kappa_s * (1.0 - mismatch), sum(w for w, _ in domains))
+    assert medium.sgvm() == (mismatch == 0.0)
+    grid = build_grid(n, 0.0, 5.0)
+    pump = PumpSpec(g0=g0)
+    expected = np.eye(4 * n)
+    for width, sign in domains:
+        m = build_coupled_matrices(grid, pump, medium, sign=sign)
+        expected = expm(width * build_generator(m)) @ expected
+    S = compose(grid, pump, medium, Poling(domains)).matrix
+    np.testing.assert_allclose(S, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
 
 
 def test_long_product_stays_symplectic_and_unimodular(sgvm):
@@ -168,10 +190,13 @@ def test_free_propagator_contracts(sgvm):
 
 def test_double_pass_zero_gain_is_two_free_passes(sgvm):
     grid, _, medium = sgvm
-    S = double_pass(grid, PumpSpec(g0=0.0), medium, Poling.unpoled(L))
-    expected = free_propagator(grid, medium.swapped(), L).matrix @ \
-        free_propagator(grid, medium, L).matrix
-    np.testing.assert_allclose(S.matrix, expected, atol=1e-12)
+    cases = [(grid, Poling.unpoled(L)),
+             (build_grid(201, 0.0, 5.0), qpm_poling(L, 2.0 * L / 9.0))]
+    for grid, poling in cases:
+        S = double_pass(grid, PumpSpec(g0=0.0), medium, poling)
+        expected = free_propagator(grid, medium.swapped(), L).matrix @ \
+            free_propagator(grid, medium, L).matrix
+        np.testing.assert_allclose(S.matrix, expected, atol=1e-12)
 
 
 def test_double_pass_gain2_zero_turns_second_pass_free(sgvm):
@@ -185,10 +210,12 @@ def test_double_pass_gain2_zero_turns_second_pass_free(sgvm):
 
 def test_double_pass_block_product(sgvm):
     grid, pump, medium = sgvm
-    S = double_pass(grid, pump, medium, Poling.unpoled(L))
-    assert S.block is not None
-    np.testing.assert_allclose(S.matrix, assemble_from_block(S.block, grid.n),
-                               atol=1e-10)
+    poling = Poling.unpoled(L)
+    S = double_pass(grid, pump, medium, poling)
+    first = compose(grid, pump, medium, poling)
+    second = compose(grid, pump, medium.swapped(), poling)
+    np.testing.assert_allclose(S.block, second.block @ first.block, atol=1e-10)
+    np.testing.assert_allclose(S.matrix, second.matrix @ first.matrix, atol=1e-10)
     assert symplectic_residual(S.matrix) < 1e-9
 
 
@@ -206,17 +233,6 @@ def test_mean_photons_zero_and_known_squeezer():
     ns, ni = mean_photons(S, 1)
     assert ns == pytest.approx(np.sinh(r) ** 2, rel=1e-12)
     assert ni == pytest.approx(np.sinh(r) ** 2, rel=1e-12)
-
-
-def test_sgvm_block_requires_regime(skew):
-    grid, pump, medium = skew
-    with pytest.raises(ContractError):
-        sgvm_block(build_coupled_matrices(grid, pump, medium))
-
-
-def test_sgvm_split_basis_is_orthogonal():
-    B = sgvm_split_basis(5)
-    assert np.max(np.abs(B.T @ B - np.eye(20))) < 1e-14
 
 
 def test_matrix_file_round_trip(tmp_path):
