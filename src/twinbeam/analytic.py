@@ -1,19 +1,26 @@
 """Structure-exploiting decomposition routes and symmetry diagnostics.
 
 The generic factorization in blochmessiah works for any symplectic input.
-The routes here instead use the block structure of the twin-beam generator:
+The routes here instead use the block structure of the twin-beam generator.
+A fixed orthogonal 4N basis B splits every domain generator into
+diag(block, -block^T), so the composed propagator S splits the same way and
+its upper-left 2N block is a reduced propagator.  Reduced blocks are views of
+the one propagator that propagator.compose builds:
 
-* In the SGVM regime (H = -G) the 4N generator reduces to a 2N block A, and
-  for polings whose block propagator has X A-hat symmetric (a single domain,
-  or an odd-count alternating grating) the factorization drops out of one
-  real symmetric eigenproblem.  For any SGVM poling the SVD of the block
-  propagator gives the factors directly; for the matched double pass the
-  block is symmetric positive definite and input equals output modes.
+* In the SGVM regime (H = -G) B is the walk-off splitting basis and the
+  reduced propagator A-hat is Propagator.block.  For any poling the SVD of
+  A-hat gives the factors directly; for the matched double pass the total
+  block A-hat^T A-hat is symmetric positive definite and input equals output
+  modes.
 
-* Away from SGVM, a second fixed basis reduces the generator whenever the
-  pump coupling is centrosymmetric (even pump on a mirror grid); there the
-  symmetric eigenproblem involves the bin-exchange matrix and produces the
-  (lam, 1/lam) ladder directly.
+* Away from SGVM, the exchange basis (general_split_basis) splits the
+  generator whenever the pump coupling is centrosymmetric (even pump on a
+  mirror grid); C-hat is the upper-left 2N block of B^T S B.
+
+When the poling reads the same reversed, X times the reduced propagator is
+symmetric (X the half-swap for SGVM, diag(J, J) with J the bin exchange
+otherwise), and the factorization drops out of one real symmetric
+eigenproblem whose eigenvalues give the (lam, 1/lam) ladder directly.
 
 All routes return the same BlochMessiahResult contract as the generic
 factorization after a shared canonicalization step, so they can be compared
@@ -22,7 +29,6 @@ RegimeError carrying the violated residual.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -163,59 +169,82 @@ def _require_sgvm(medium, route):
         )
 
 
-def _exchange_pair(n):
-    """The flip that commutes with X A-hat on the SGVM block space."""
-    j = flip_matrix(n)
-    z = np.zeros((n, n))
-    return np.block([[z, j], [j, z]])
-
-
-def _swap_blocks(n):
-    i = np.eye(n)
-    z = np.zeros((n, n))
-    return np.block([[z, i], [i, z]])
-
-
-def symmetrized_eig_route(grid, pump, medium, poling):
-    """Factorization through one real symmetric eigenproblem (SGVM).
-
-    Valid whenever X A-hat is symmetric, A-hat the 2N block propagator and X
-    the half-swap; this covers a single uniform domain and odd-count
-    alternating gratings.  Eigenvalues come in (w, -w) pairs; the left factor
-    absorbs the signs, giving A-hat = (X Gamma Sigma) |W| Gamma^T, and each
-    |w| appears twice, once per sign, which is exactly the two-mode
-    degeneracy of the final spectrum.
-    """
-    _require_sgvm(medium, "symmetrized eigenproblem route")
-    prop = compose(grid, pump, medium, poling)
-    A_hat = prop.block
-    X = _swap_blocks(grid.n)
-    M = X @ A_hat
-    asym = float(np.max(np.abs(M - M.T)))
-    if asym > BLOCK_TOL * max(1.0, float(np.max(np.abs(M)))):
-        raise RegimeError(
-            "X A-hat is not symmetric (residual %.3e); the poling sequence "
-            "must be palindromic under orientation flip" % asym,
-            residual=asym,
-        )
-    w, Gamma = numerics.sym_eig(M)
-    if np.min(np.abs(w)) == 0.0:
-        raise DecompositionError("singular block propagator")
-    signs = np.sign(w)
-    left = (X @ Gamma) * signs
-    B = _sgvm_split_basis(grid.n)
-    O_raw = B @ _doubled(left)
-    O_tilde_raw = B @ _doubled(Gamma)
-    result = canonical_factors(O_raw, np.abs(w), O_tilde_raw)
-    return checked_factors(result, prop.matrix, "symmetrized eigenproblem route")
-
-
 def _doubled(M):
     h = M.shape[0]
     out = np.zeros((2 * h, 2 * h))
     out[:h, :h] = M
     out[h:, h:] = M
     return out
+
+
+def _reduced(prop, grid, pump, medium, poling):
+    """(X, B, M = X block, K) of a composed propagator in its regime's basis.
+
+    SGVM: X the half-swap, B the walk-off splitting basis, block A-hat =
+    prop.block and K the exchange pair, which commutes with M.  Otherwise:
+    X = diag(J, J), B the exchange basis, block C-hat the upper-left 2N block
+    of B^T S B and K None; raises RegimeError (with the residual) when a
+    domain generator of the poling does not split in the exchange basis.
+    """
+    n = grid.n
+    if prop.sgvm:
+        i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
+        X = np.block([[z, i], [i, z]])
+        return X, _sgvm_split_basis(n), X @ prop.block, np.block([[z, j], [j, z]])
+    for sign in {s for _, s in poling.domains}:
+        block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign))
+    B2 = general_split_basis(n)
+    half = B2[:, :2 * n]
+    X = _doubled(flip_matrix(n))
+    return X, B2, X @ (half.T @ prop.matrix @ half), None
+
+
+def _asymmetry(M):
+    """max |M - M^T|, and whether it is within BLOCK_TOL of max(1, max |M|)."""
+    asym = float(np.max(np.abs(M - M.T)))
+    return asym, asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M))))
+
+
+def _factors(B, left, lam_raw, right, S, context):
+    """Checked canonical factors of S; when right is left they share one array."""
+    O_raw = B @ _doubled(left)
+    O_tilde_raw = O_raw if right is left else B @ _doubled(right)
+    return checked_factors(canonical_factors(O_raw, lam_raw, O_tilde_raw), S, context)
+
+
+def _symmetric_factors(X, B, M, S, context):
+    """Factor S through the real symmetric eigenproblem of M = X block.
+
+    Eigenvalues come in (w, -w) pairs; the left factor absorbs the signs,
+    giving block = (X Gamma Sigma) |W| Gamma^T, and each |w| appears twice,
+    once per sign, which is exactly the two-mode degeneracy of the final
+    spectrum.
+    """
+    asym, symmetric = _asymmetry(M)
+    if not symmetric:
+        raise RegimeError(
+            "%s: X times the reduced propagator is not symmetric (residual "
+            "%.3e); the poling sequence must read the same reversed"
+            % (context, asym),
+            residual=asym,
+        )
+    w, Gamma = numerics.sym_eig(M)
+    if np.min(np.abs(w)) == 0.0:
+        raise DecompositionError("singular block propagator")
+    return _factors(B, (X @ Gamma) * np.sign(w), np.abs(w), Gamma, S, context)
+
+
+def symmetrized_eig_route(grid, pump, medium, poling):
+    """Factorization through one real symmetric eigenproblem (SGVM).
+
+    Valid whenever X A-hat is symmetric, A-hat the 2N block propagator and X
+    the half-swap; this holds for palindromic polings such as a single
+    uniform domain or an odd-count alternating grating.
+    """
+    _require_sgvm(medium, "symmetrized eigenproblem route")
+    prop = compose(grid, pump, medium, poling)
+    X, B, M, _ = _reduced(prop, grid, pump, medium, poling)
+    return _symmetric_factors(X, B, M, prop.matrix, "symmetrized eigenproblem route")
 
 
 def svd_route(grid, pump, medium, poling, double=False):
@@ -228,69 +257,34 @@ def svd_route(grid, pump, medium, poling, double=False):
     """
     _require_sgvm(medium, "SVD route")
     prop = compose(grid, pump, medium, poling)
-    A_hat = prop.block
     B = _sgvm_split_basis(grid.n)
-    left, s, right = numerics.svd(A_hat)
+    left, s, right = numerics.svd(prop.block)
     if double:
-        O_raw = O_tilde_raw = B @ _doubled(right)
-        lam_raw = s**2
         M = prop.bogoliubov
-        S_full = Propagator(M.conj().T @ M, grid.n).matrix
-    else:
-        O_raw = B @ _doubled(left)
-        O_tilde_raw = B @ _doubled(right)
-        lam_raw = s
-        S_full = prop.matrix
-    result = canonical_factors(O_raw, lam_raw, O_tilde_raw)
-    return checked_factors(result, S_full, "SVD route")
+        S = Propagator(M.conj().T @ M, grid.n).matrix
+        return _factors(B, right, s**2, right, S, "SVD route")
+    return _factors(B, left, s, right, prop.matrix, "SVD route")
 
 
 def general_block_route(grid, pump, medium, poling):
     """Factorization in the exchange basis, no SGVM assumption.
 
-    Requires J-tilde C-hat symmetric (J-tilde = diag(J, J), C-hat the reduced
-    propagator), which holds for a single uniform domain with an even pump.
-    C-hat = (J-tilde Gamma Sigma) |W| Gamma^T and the |w| come in (lam, 1/lam)
-    pairs; the shared canonicalization folds them into the degenerate pairs
-    of the final spectrum.
+    Needs an even pump on a mirror grid, so that every domain generator
+    splits in the exchange basis, and a palindromic poling, so that J-tilde
+    C-hat is symmetric (J-tilde = diag(J, J), C-hat the reduced propagator
+    read off the composed one).  Then C-hat = (J-tilde Gamma Sigma) |W|
+    Gamma^T and the |w| come in (lam, 1/lam) pairs; the shared
+    canonicalization folds them into the degenerate pairs of the final
+    spectrum.
     """
     if medium.sgvm():
         raise RegimeError(
             "medium is SGVM; use the SGVM routes for the reduced comparison",
             residual=0.0,
         )
-    J_tilde = _doubled(flip_matrix(grid.n))
-    M = J_tilde @ _reduced_product(grid, pump, medium, poling)
-    asym = float(np.max(np.abs(M - M.T)))
-    if asym > BLOCK_TOL * max(1.0, float(np.max(np.abs(M)))):
-        raise RegimeError(
-            "J-tilde C-hat is not symmetric (residual %.3e)" % asym,
-            residual=asym,
-        )
-    w, Gamma = numerics.sym_eig(M)
-    if np.min(np.abs(w)) == 0.0:
-        raise DecompositionError("singular block propagator")
-    signs = np.sign(w)
-    left = (J_tilde @ Gamma) * signs
-    B2 = general_split_basis(grid.n)
-    O_raw = B2 @ _doubled(left)
-    O_tilde_raw = B2 @ _doubled(Gamma)
-    S_full = compose(grid, pump, medium, poling).matrix
-    result = canonical_factors(O_raw, np.abs(w), O_tilde_raw)
-    return checked_factors(result, S_full, "general block route")
-
-
-def _reduced_product(grid, pump, medium, poling):
-    """Ordered product C-hat of the exchange-basis domain exponentials (non-SGVM).
-
-    Raises RegimeError when a domain generator does not reduce.
-    """
-    blocks = {s: block_reduce(build_coupled_matrices(grid, pump, medium, sign=s)).block
-              for s in {s for _, s in poling.domains}}
-    C_hat = np.eye(2 * grid.n)
-    for width, sign in poling.domains:
-        C_hat = numerics.expm(width * blocks[sign]) @ C_hat
-    return C_hat
+    prop = compose(grid, pump, medium, poling)
+    X, B, M, _ = _reduced(prop, grid, pump, medium, poling)
+    return _symmetric_factors(X, B, M, prop.matrix, "general block route")
 
 
 def _flip_classes(w, V, K, rtol=1e-8):
@@ -337,22 +331,14 @@ def structure_checks(grid, pump, medium, poling):
         "flip_odd": None,
     }
     prop = compose(grid, pump, medium, poling)
-    if prop.block is not None:
-        M = _swap_blocks(grid.n) @ prop.block
-        K = _exchange_pair(grid.n)
-    else:
-        try:
-            M = _doubled(j) @ _reduced_product(grid, pump, medium, poling)
-        except RegimeError as exc:
-            report["block_symmetry_residual"] = exc.residual
-            return report
-        K = None
-    asym = float(np.max(np.abs(M - M.T)))
+    try:
+        _, _, M, K = _reduced(prop, grid, pump, medium, poling)
+    except RegimeError as exc:
+        report["block_symmetry_residual"] = exc.residual
+        return report
+    asym, symmetric = _asymmetry(M)
     report["block_symmetry_residual"] = asym
-    if asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M)))):
+    if symmetric and K is not None:
         w, V = numerics.sym_eig(M)
-        if K is not None:
-            even, odd = _flip_classes(w, V, K)
-            report["flip_even"] = even
-            report["flip_odd"] = odd
+        report["flip_even"], report["flip_odd"] = _flip_classes(w, V, K)
     return report

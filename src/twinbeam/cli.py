@@ -467,32 +467,31 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
         decomp_err = str(exc)
         _check(checks, "bm_decomposition", decomp_err, None, ok=False)
 
-    if medium.sgvm() and decomp is not None:
-        route = svd_route(grid, pump, medium, cfg.sim_poling, double=False) \
-            if not cfg.double else None
-        if cfg.double and cfg.gain2_scale == 1.0:
-            route = svd_route(grid, pump, medium, cfg.sim_poling, double=True)
-        if route is not None:
-            r_gen = np.log(decomp.lam)
-            r_route = np.log(route.lam)
-            _check(checks, "route_r_agreement",
-                   float(np.max(np.abs(r_gen - r_route))), 1e-8)
-            U_gen = decomp.U_out
-            U_route, _, _ = two_mode_rearrange(route)
-            active = np.repeat(np.log(route.lam[0::2]) > 1e-6, 2)
-            worst = 1.0
-            for _, overlap in subspace_overlaps(
-                U_gen, U_route, np.repeat(r_gen[0::2], 2), active=active
-            ):
-                worst = min(worst, overlap)
-            _check(checks, "route_mode_overlap", 1.0 - worst, 1e-8)
+    if medium.sgvm() and decomp is not None and (
+            not cfg.double or cfg.gain2_scale == 1.0):
+        route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double)
+        r_gen = np.log(decomp.lam)
+        r_route = np.log(route.lam)
+        _check(checks, "route_r_agreement",
+               float(np.max(np.abs(r_gen - r_route))), 1e-8)
+        U_gen = decomp.U_out
+        U_route, _, _ = two_mode_rearrange(route)
+        active = np.repeat(np.log(route.lam[0::2]) > 1e-6, 2)
+        worst = 1.0
+        for _, overlap in subspace_overlaps(
+            U_gen, U_route, np.repeat(r_gen[0::2], 2), active=active
+        ):
+            worst = min(worst, overlap)
+        _check(checks, "route_mode_overlap", 1.0 - worst, 1e-8)
 
     report_struct = structure_checks(grid, pump, medium, cfg.sim_poling)
     if pump.frequency_symmetric:
         _check(checks, "structure_f_centrosymmetry",
                report_struct["f_centrosymmetry_residual"],
                1e-14 * max(report_struct["f_max"], 1e-300))
-    if report_struct["block_symmetry_residual"] is not None and medium.sgvm():
+    # X A-hat is symmetric only when the propagation poling reads the same
+    # reversed; other polings keep the residual under "structure" only.
+    if medium.sgvm() and cfg.sim_poling == cfg.sim_poling.reversed_():
         _check(checks, "block_propagator_symmetry",
                report_struct["block_symmetry_residual"],
                1e-9 * max(1.0, smax))

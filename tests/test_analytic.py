@@ -3,6 +3,8 @@ the generic factorization on small grids."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinbeam import (
     MediumSpec,
@@ -19,6 +21,7 @@ from twinbeam import (
     demodulate_poling,
     flip_matrix,
     general_block_route,
+    general_split_basis,
     qpm_poling,
     structure_checks,
     subspace_overlaps,
@@ -26,10 +29,10 @@ from twinbeam import (
     symmetrized_eig_route,
     two_mode_rearrange,
 )
-from twinbeam.analytic import canonical_factors
+from twinbeam.analytic import _reduced, canonical_factors
 from twinbeam.blochmessiah import embed_unitary
 from twinbeam.errors import RegimeError
-from twinbeam.numerics import sym_eig
+from twinbeam.numerics import expm, sym_eig
 
 N = 9
 L = 1.0
@@ -194,11 +197,64 @@ def test_block_propagator_centrosymmetric(sgvm):
     assert np.max(np.abs(K @ A_hat @ K - A_hat)) <= 1e-10 * scale
 
 
-def test_general_block_route(skew):
+@pytest.mark.parametrize("poling", [Poling.unpoled(L), qpm_poling(L, 2 * L / 9)],
+                         ids=["unpoled", "qpm"])
+def test_general_block_route(skew, poling):
     grid, pump, medium = skew
-    poling = Poling.unpoled(L)
     result = general_block_route(grid, pump, medium, poling)
     compare_routes(result, decompose(compose(grid, pump, medium, poling), grid))
+
+
+def test_general_block_route_rejects_nonpalindromic(skew):
+    grid, pump, medium = skew
+    poling = demodulate_poling(apodized_poling(L, L / 12, pmf_width=4.0))
+    assert poling != poling.reversed_()
+    with pytest.raises(RegimeError):
+        general_block_route(grid, pump, medium, poling)
+
+
+def test_general_block_route_needs_even_pump(skew):
+    grid, _, medium = skew
+    report = structure_checks(grid, skewed_pump(), medium, Poling.unpoled(L))
+    assert report["block_symmetry_residual"] > 1e-3
+    assert report["flip_even"] is None
+    with pytest.raises(RegimeError) as err:
+        general_block_route(grid, skewed_pump(), medium, Poling.unpoled(L))
+    assert err.value.residual == report["block_symmetry_residual"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([3, 5, 7, 9]),
+    sigma=st.floats(0.5, 2.0),
+    g0=st.floats(0.0, 1.5),
+    mismatch=st.floats(0.1, 0.6),
+    domains=st.lists(
+        st.tuples(st.floats(0.02, 0.3), st.sampled_from([-1, 0, 1])),
+        min_size=1, max_size=12,
+    ),
+)
+def test_exchange_block_is_the_reduced_domain_product(n, sigma, g0, mismatch, domains):
+    # The oracles read C-hat off the composed propagator; the reference is the
+    # ordered product of the per-domain exchange-basis exponentials.
+    medium = MediumSpec.from_walkoffs(8.0, -8.0 * (1.0 - mismatch),
+                                      sum(w for w, _ in domains))
+    grid = build_grid(n, 0.0, 5.0)
+    pump = PumpSpec(sigma=sigma, g0=g0)
+    poling = Poling(domains)
+    expected = np.eye(2 * n)
+    for width, sign in domains:
+        block = block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign)).block
+        expected = expm(width * block) @ expected
+    prop = compose(grid, pump, medium, poling)
+    X, B, M, K = _reduced(prop, grid, pump, medium, poling)
+    assert K is None
+    np.testing.assert_array_equal(B, general_split_basis(n))
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(X @ M - expected)) <= 1e-12 * scale
+    T = B.T @ prop.matrix @ B
+    h = 2 * n
+    assert max(np.max(np.abs(T[:h, h:])), np.max(np.abs(T[h:, :h]))) <= 1e-12 * scale
 
 
 def test_general_block_route_rejects_sgvm(sgvm):

@@ -10,6 +10,8 @@ from twinbeam.cli import main
 
 # velocities matching walk-offs (+8, -8) at pump velocity 0.1
 SGVM_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 0.5, "L": 1.0}
+# walk-offs (+8, -4.8): a 40% mismatch, outside the SGVM regime
+SKEW_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 1.0 / 5.2, "L": 1.0}
 
 
 def base_config(**over):
@@ -55,11 +57,18 @@ def test_simulate_writes_summary_and_modes(tmp_path):
     assert header == "k,beam,direction,bin,omega_detuning,re,im,r_k"
 
 
-def test_simulate_is_deterministic(tmp_path):
-    cfg = base_config()
-    _, out_a = run(tmp_path, cfg, "simulate", outname="a")
-    _, out_b = run(tmp_path, cfg, "simulate", outname="b")
-    for name in ("summary.json", "modes.csv"):
+@pytest.mark.parametrize("command,cfg,files", [
+    ("simulate", base_config(), ("summary.json", "modes.csv")),
+    ("verify", base_config(pump={"g0": 0.8}, pass_mode="double",
+                           poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
+                                   "pmf_width": 4.0}), ("verify.json",)),
+    ("verify", base_config(medium=dict(SKEW_MEDIUM)), ("verify.json",)),
+], ids=["simulate-sgvm", "verify-sgvm-double", "verify-skew"])
+def test_outputs_are_deterministic(tmp_path, command, cfg, files):
+    rc_a, out_a = run(tmp_path, cfg, command, outname="a")
+    rc_b, out_b = run(tmp_path, cfg, command, outname="b")
+    assert rc_a == rc_b == 0
+    for name in files:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
@@ -178,8 +187,21 @@ def test_verify_passes_on_sound_config(tmp_path):
     assert "propagator_symplectic" in names
     assert "bm_reconstruction" in names
     assert "route_r_agreement" in names
+    assert "block_propagator_symmetry" in names
     assert all(c["pass"] for c in report["checks"])
     assert report["structure"]["sgvm"] is True
+
+
+@pytest.mark.parametrize("pass_mode", ["single", "double"])
+def test_verify_nonpalindromic_sgvm_poling(tmp_path, pass_mode):
+    # period 0.3 on L = 1: seven domains, the last one widened, so the
+    # sequence does not read the same reversed and X A-hat is not symmetric
+    cfg = base_config(poling={"kind": "qpm", "period": 0.3}, pass_mode=pass_mode)
+    rc, out = run(tmp_path, cfg, "verify")
+    assert rc == 0
+    report = json.loads((out / "verify.json").read_text())
+    assert "block_propagator_symmetry" not in [c["name"] for c in report["checks"]]
+    assert report["structure"]["block_symmetry_residual"] > 1e-3
 
 
 def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
