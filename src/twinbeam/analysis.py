@@ -7,6 +7,7 @@ alone (no propagation, no factorization), used to cross-check the full
 route in the weak-pump limit.
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
@@ -14,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import numerics
-from .blochmessiah import SchmidtMode, bisect_increasing, decompose, tune_gain
+from .blochmessiah import SchmidtMode, decompose, solve_increasing, tune_gain
 from .errors import ConfigError, ContractError
 from .model import pmf, pump_amplitude
 from .propagator import double_pass
@@ -118,38 +119,26 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     """Sweep the second-pass gain around the matched double pass.
 
     The base gain is tuned so the equal-gain double pass reaches base_target
-    signal photons; the sweep endpoints are then located by bisection so the
-    photon number hits span[0] * base_target and span[1] * base_target, and
-    the scale axis is sampled linearly in between.  Each point records the
-    photon number, the first-squeezer input/output fidelity, and the top of
-    the r spectrum.
+    signal photons.  solve_increasing then finds the sweep endpoints, the
+    second-pass scales at which the photon number hits span[0] * base_target
+    and span[1] * base_target, searching up from [0, 1].  The scale axis is
+    sampled linearly in between.  Each point records the photon number, the
+    first-squeezer input/output fidelity, and the top of the r spectrum.
     """
     if points < 1:
         raise ConfigError("sweep needs at least one point")
-    g0, _ = tune_gain(grid, pump, medium, poling, base_target, double=True,
-                      tol=1e-6 * max(1.0, base_target))
+    tol = 1e-6 * max(1.0, base_target)
+    g0, _ = tune_gain(grid, pump, medium, poling, base_target, double=True, tol=tol)
     pump_base = replace(pump, g0=g0)
 
+    @functools.lru_cache(maxsize=None)
     def ns_at(scale):
         return double_pass(grid, pump_base, medium, poling,
                            gain2_scale=scale).mean_photons()[0]
 
-    lo_target = span[0] * base_target
-    hi_target = span[1] * base_target
-    ns_zero = ns_at(0.0)
-    ns_one = ns_at(1.0)
-    tol = 1e-6 * max(1.0, base_target)
-    s_lo, _ = bisect_increasing(ns_at, lo_target, 0.0, 1.0, ns_zero, ns_one, tol)
-    hi = 1.0
-    f_hi = ns_one
-    grow = 0
-    while f_hi < hi_target:
-        hi *= 1.5
-        f_hi = ns_at(hi)
-        grow += 1
-        if grow > 40:
-            raise ContractError("second-pass scale bracket did not reach the target")
-    s_hi, _ = bisect_increasing(ns_at, hi_target, 1.0, hi, ns_one, f_hi, tol)
+    # Both searches evaluate scales 0 and 1 first; the cache shares them.
+    s_lo, _ = solve_increasing(ns_at, span[0] * base_target, 0.0, 1.0, tol)
+    s_hi, _ = solve_increasing(ns_at, span[1] * base_target, 0.0, 1.0, tol)
     # The equal-gain point is the reference (identical passes), so for an odd
     # point count the ladder is built as two half-ramps meeting at scale 1.
     if points == 1:

@@ -27,13 +27,15 @@ from scipy.linalg import qr as _qr
 
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
-from .propagator import compose, double_pass, free_propagator, symplectic_residual
+from .propagator import (
+    Propagator, compose, double_pass, free_path, symplectic_residual,
+)
 
 __all__ = [
     "BlochMessiahResult", "SchmidtMode", "Decomposition", "bloch_messiah",
     "two_mode_rearrange", "embed_unitary", "pair_mixer", "decompose",
     "checked_factors", "mean_photons_from_spectrum", "tune_gain",
-    "bisect_increasing",
+    "solve_increasing",
 ]
 
 # Relative symplectic-defect allowance on inputs, scaled by max|S|^2.
@@ -51,6 +53,8 @@ RECON_RTOL = 1e-8
 R_CLAMP = 1e-12
 # Beam-support leakage above this marks a mode pair as mixed.
 MIX_TOL = 1e-6
+# Doublings of the upper end allowed while bracketing a target.
+BRACKET_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -299,16 +303,10 @@ class Decomposition:
 
     def pair_modes(self, k, direction):
         """(signal_mode, idler_mode) of squeezer k for one direction."""
-        sig = idl = None
-        for m in self.modes:
-            if m.k == k and m.direction == direction:
-                if m.beam == "signal":
-                    sig = m
-                else:
-                    idl = m
-        if sig is None or idl is None:
+        found = {m.beam: m for m in self.modes if m.k == k and m.direction == direction}
+        if len(found) != 2:
             raise ConfigError("no such squeezer: k=%r direction=%r" % (k, direction))
-        return sig, idl
+        return found["signal"], found["idler"]
 
     def mean_photons(self):
         return mean_photons_from_spectrum(self.r)
@@ -346,14 +344,11 @@ def _extract_modes(U_out, U_in, r, n):
             leak = max(1.0 - s_sig, s_idl)
             if leak > MIX_TOL:
                 pair_mixed = True
-            modes.append(SchmidtMode(
-                k=k, beam="signal", direction=direction, r=float(r[k]),
-                amplitudes=_gauge_fix(sig, n, "signal"), mixed=leak > MIX_TOL,
-            ))
-            modes.append(SchmidtMode(
-                k=k, beam="idler", direction=direction, r=float(r[k]),
-                amplitudes=_gauge_fix(idl, n, "idler"), mixed=leak > MIX_TOL,
-            ))
+            for beam, u in (("signal", sig), ("idler", idl)):
+                modes.append(SchmidtMode(
+                    k=k, beam=beam, direction=direction, r=float(r[k]),
+                    amplitudes=_gauge_fix(u, n, beam), mixed=leak > MIX_TOL,
+                ))
         if pair_mixed:
             mixed_pairs.append(k)
     return modes, mixed_pairs
@@ -373,9 +368,8 @@ def decompose(prop, grid, medium=None, double=False, remove_free_phase=False):
     if remove_free_phase:
         if medium is None:
             raise ConfigError("remove_free_phase needs the medium")
-        prop = free_propagator(grid, medium, -medium.length).after(prop)
-        if double:
-            prop = free_propagator(grid, medium.swapped(), -medium.length).after(prop)
+        # the path is diagonal and passive: its inverse is its conjugate
+        prop = Propagator(free_path(grid, medium, double).bogoliubov.conj(), n).after(prop)
     bm = bloch_messiah(prop.matrix)
     U_out, U_in, r = two_mode_rearrange(bm)
     modes, mixed_pairs = _extract_modes(U_out, U_in, r, n)
@@ -392,58 +386,64 @@ def mean_photons_from_spectrum(r):
 
 
 def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
-              tol=1e-4, max_iter=80):
+              tol=1e-4):
     """Find g0 such that the mean signal photon number hits the target.
 
-    Bisection on the pump amplitude; the photon number is monotone in g0.
-    Returns (g0, achieved).  Uses the trace of S S^T, so no mode
-    decomposition is performed per evaluation.
+    The photon number is increasing in g0 and exactly 0 at g0 = 0, so
+    solve_increasing searches up from [0, max(|g0|, 1)] without building a
+    propagator at zero gain.  Returns (g0, achieved); a zero target gives
+    (0.0, 0.0).  Uses the trace of S S^T, so no mode decomposition is
+    performed per evaluation.
     """
     if not (target >= 0):
         raise ConfigError("target photon number must be nonnegative")
-    if target == 0:
-        return 0.0, 0.0
 
     def photons(g0):
+        if g0 == 0.0:
+            return 0.0
         p = replace(pump, g0=g0)
-        if double:
-            prop = double_pass(grid, p, medium, poling, gain2_scale=gain2_scale)
-        else:
-            prop = compose(grid, p, medium, poling)
+        prop = (double_pass(grid, p, medium, poling, gain2_scale=gain2_scale)
+                if double else compose(grid, p, medium, poling))
         return prop.mean_photons()[0]
 
-    lo, hi = 0.0, max(abs(pump.g0), 1.0)
-    f_lo, f_hi = 0.0, photons(hi)
-    grow = 0
-    while f_hi < target:
-        lo, hi, f_lo = hi, hi * 2.0, f_hi
-        f_hi = photons(hi)
-        grow += 1
-        if grow > 60:
-            raise ContractError("gain bracket did not reach the target photon number")
-    return bisect_increasing(photons, target, lo, hi, f_lo, f_hi, tol, max_iter)
+    return solve_increasing(photons, target, 0.0, max(abs(pump.g0), 1.0), tol)
 
 
-def bisect_increasing(fn, target, lo, hi, f_lo, f_hi, tol, max_iter=80):
-    """Bisection root of fn(x) = target for fn increasing on [lo, hi].
+def solve_increasing(fn, target, lo, hi, tol):
+    """Root of fn(x) = target for fn increasing on [lo, infinity).
 
-    f_lo and f_hi are fn at the bracket ends.  Returns (x, fn(x)) for the
-    first iterate within tol of the target, starting from hi.
+    Doubles hi, moving lo up behind it, until fn(hi) >= target, then narrows
+    the bracket by false position with the Illinois rule: an end that stays
+    put for two steps in a row has its value halved.  Returns (x, fn(x))
+    for the first point within tol of the target.  Raises ContractError
+    when the target lies below fn(lo), when BRACKET_DOUBLINGS doublings do
+    not reach it, or when the next point does not fall strictly inside the
+    bracket (a stall).
     """
-    if not (f_lo <= target <= f_hi):
-        raise ContractError(
-            "target %g outside bracket values [%g, %g]" % (target, f_lo, f_hi)
-        )
-    x, fx = hi, f_hi
-    for _ in range(max_iter):
-        if abs(fx - target) <= tol:
-            return x, fx
-        x = 0.5 * (lo + hi)
+    f_lo, f_hi = fn(lo), fn(hi)
+    if f_lo > target:
+        raise ContractError("target %g below the value %g at %g" % (target, f_lo, lo))
+    for _ in range(BRACKET_DOUBLINGS):
+        if f_hi >= target:
+            break
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
+        f_hi = fn(hi)
+    if not f_hi >= target:
+        raise ContractError("bracket end %g stays below the target %g" % (hi, target))
+    x, fx = (lo, f_lo) if abs(f_lo - target) <= tol else (hi, f_hi)
+    # d_prev is the previous step's residual: same sign twice halves the
+    # value at the end that stayed.  Each step moves one end strictly
+    # inside the bracket, so the loop ends.
+    d_lo, d_hi, d_prev = f_lo - target, f_hi - target, 0.0
+    while abs(fx - target) > tol:
+        x = hi - d_hi * (hi - lo) / (d_hi - d_lo)
+        if not lo < x < hi:
+            raise ContractError("search stalled in [%r, %r] (target %g)" % (lo, hi, target))
         fx = fn(x)
-        if fx < target:
-            lo = x
+        d = fx - target
+        if d < 0:
+            lo, d_lo, d_hi = x, d, d_hi * (0.5 if d_prev < 0 else 1.0)
         else:
-            hi = x
-    if abs(fx - target) > tol:
-        raise ContractError("bisection stalled at %g (target %g)" % (fx, target))
+            hi, d_hi, d_lo = x, d, d_lo * (0.5 if d_prev > 0 else 1.0)
+        d_prev = d
     return x, fx

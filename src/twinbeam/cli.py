@@ -33,7 +33,7 @@ from .model import (
     qpm_poling, save_poling,
 )
 from .propagator import (
-    compose, double_pass, free_propagator, load_matrix, symplectic_form,
+    compose, double_pass, free_path, load_matrix, symplectic_form,
     symplectic_residual,
 )
 
@@ -284,24 +284,26 @@ def cmd_simulate(cfg, out_dir):
     ns, ni = prop.mean_photons()
     decomp = decompose(prop, cfg.grid, medium=cfg.medium, double=cfg.double,
                        remove_free_phase=cfg.remove_free_phase)
-    if cfg.remove_free_phase:
-        raw = decompose(prop, cfg.grid)
-    else:
-        raw = decomp
     recon_rel = decomp.residuals["reconstruction"]
+    # The raw output modes are the stripped ones carried back through the
+    # free path (diagonal and passive); the input modes are the same.
+    carry = np.ones(2 * cfg.grid.n)
+    if cfg.remove_free_phase:
+        free = free_path(cfg.grid, cfg.medium, cfg.double).matrix
+        carry = np.diag(free[:2 * cfg.grid.n, :2 * cfg.grid.n]
+                        + 1j * free[2 * cfg.grid.n:, :2 * cfg.grid.n])
 
     squeezers = []
     for k in decomp.active_pairs():
         sig_out, idl_out = decomp.pair_modes(k, "out")
         sig_in, idl_in = decomp.pair_modes(k, "in")
-        raw_sig_out, _ = raw.pair_modes(k, "out")
-        raw_sig_in, _ = raw.pair_modes(k, "in")
+        raw_sig_out = replace(sig_out, amplitudes=carry * sig_out.amplitudes)
         squeezers.append({
             "k": k + 1,
             "r": float(decomp.r[k]),
             "fidelity_signal": mode_fidelity(sig_out, sig_in),
             "fidelity_idler": mode_fidelity(idl_out, idl_in),
-            "flip_overlap_signal": flip_overlap(raw_sig_in, raw_sig_out),
+            "flip_overlap_signal": flip_overlap(sig_in, raw_sig_out),
             "mixed": k in decomp.mixed_pairs,
         })
     summary = {
@@ -503,10 +505,8 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
     if cfg.double:
         zero = double_pass(grid, replace(pump, g0=0.0), medium, cfg.sim_poling,
                            gain2_scale=cfg.gain2_scale)
-        ff = free_propagator(grid, medium.swapped(), medium.length).after(
-            free_propagator(grid, medium, medium.length))
-        _check(checks, "double_pass_zero_gain_free",
-               float(np.max(np.abs(zero.matrix - ff.matrix))), 1e-12)
+        _check(checks, "double_pass_zero_gain_free", float(np.max(np.abs(
+            zero.matrix - free_path(grid, medium, double=True).matrix))), 1e-12)
 
     if propagator_path is not None:
         M = load_matrix(propagator_path)

@@ -34,7 +34,7 @@ from .model import build_coupled_matrices
 
 __all__ = [
     "Propagator", "segment_propagator", "compose", "double_pass",
-    "free_propagator", "symplectic_form", "symplectic_residual",
+    "free_propagator", "free_path", "symplectic_form", "symplectic_residual",
     "mean_photons", "save_matrix", "load_matrix",
 ]
 
@@ -199,6 +199,14 @@ def free_propagator(grid, medium, length):
         np.exp(1j * medium.kappa_signal * d * length),
         np.exp(-1j * medium.kappa_idler * d * length),
     ])), grid.n)
+
+
+def free_path(grid, medium, double=False):
+    """Free propagator over one pass, or over both passes of a double pass."""
+    path = free_propagator(grid, medium, medium.length)
+    if double:
+        path = free_propagator(grid, medium.swapped(), medium.length).after(path)
+    return path
 
 
 def save_matrix(M, path):

@@ -1,5 +1,9 @@
 """Generic decomposition: factors, pairing, mode extraction, gain tuning."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,21 +14,26 @@ from twinbeam import (
     Poling,
     PumpSpec,
     bloch_messiah,
+    apodized_poling,
     build_grid,
     compose,
     decompose,
+    default_half_width,
+    demodulate_poling,
     free_propagator,
     mean_photons,
     qpm_poling,
     tune_gain,
     two_mode_rearrange,
 )
+from twinbeam import blochmessiah
 from twinbeam.blochmessiah import (
     R_CLAMP,
     _extract_modes,
     embed_unitary,
     mean_photons_from_spectrum,
     pair_mixer,
+    solve_increasing,
 )
 from twinbeam.errors import ConfigError, ContractError, DecompositionError
 
@@ -280,3 +289,87 @@ def test_tune_gain_double_pass(setup):
     # two passes reach the same photon number at lower pump amplitude
     g_single, _ = tune_gain(grid, pump, medium, Poling.unpoled(L), 0.5)
     assert g < g_single
+
+
+def counted(fn):
+    """fn with a call counter in .calls."""
+    def wrapped(*args, **kwargs):
+        wrapped.calls += 1
+        return fn(*args, **kwargs)
+    wrapped.calls = 0
+    return wrapped
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(0.1, 10.0), b=st.floats(0.1, 3.0), c=st.floats(0.0, 2.0),
+    lo=st.floats(0.0, 1.0), width=st.floats(1e-3, 2.0),
+    rise=st.floats(0.0, 1e4), rtol=st.floats(1e-9, 1e-3),
+)
+def test_solve_increasing_meets_tolerance(a, b, c, lo, width, rise, rtol):
+    fn = counted(lambda x: a * np.sinh(b * x) ** 2 + c * x)
+    target = fn(lo) + rise
+    tol = rtol * max(1.0, target)
+    fn.calls = 0
+    x, fx = solve_increasing(fn, target, lo, lo + width, tol)
+    assert abs(fx - target) <= tol
+    assert fx == fn(x)
+    assert x >= lo
+    assert fn.calls <= 40
+
+
+@given(a=st.floats(0.1, 10.0), b=st.floats(0.1, 3.0), lo=st.floats(0.1, 1.0),
+       drop=st.floats(1e-6, 1.0))
+def test_solve_increasing_rejects_target_below_start(a, b, lo, drop):
+    fn = lambda x: a * np.sinh(b * x) ** 2
+    with pytest.raises(ContractError, match="below"):
+        solve_increasing(fn, (1.0 - drop) * fn(lo), lo, lo + 1.0, 1e-12)
+
+
+@given(a=st.floats(0.1, 10.0), b=st.floats(1e-3, 3.0), excess=st.floats(1e-6, 10.0))
+def test_solve_increasing_rejects_unreachable_target(a, b, excess):
+    # increasing towards the asymptote a, which it never passes
+    fn = counted(lambda x: a * -np.expm1(-b * x))
+    with pytest.raises(ContractError, match="stays below"):
+        solve_increasing(fn, a * (1.0 + excess), 0.0, 1.0, 1e-6)
+    assert fn.calls == blochmessiah.BRACKET_DOUBLINGS + 2
+
+
+def test_solve_increasing_reports_a_stall():
+    # a jump across the target: the bracket shrinks onto x = 1 and no point
+    # ever lands within tol
+    with pytest.raises(ContractError, match="stalled"):
+        solve_increasing(lambda x: 2.0 * (x >= 1.0), 1.0, 0.0, 3.0, 0.5)
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("poling", [
+    Poling.unpoled(L),
+    demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0)),
+], ids=["unpoled", "apodized"])
+def test_tune_gain_evaluation_count(monkeypatch, poling, double):
+    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
+    grid = build_grid(21, 0.0, default_half_width(medium))
+    for name in ("compose", "double_pass"):
+        monkeypatch.setattr(blochmessiah, name,
+                            counted(getattr(blochmessiah, name)))
+    _, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
+                            double=double, tol=5e-6)
+    assert abs(achieved - 5.0) <= 5e-6
+    assert blochmessiah.compose.calls + blochmessiah.double_pass.calls <= 14
+
+
+def test_tuning_does_not_import_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blochmessiah.__file__)))
+    code = (
+        "import sys, twinbeam\n"
+        "from twinbeam import MediumSpec, Poling, PumpSpec, build_grid, tune_gain\n"
+        "medium = MediumSpec.from_walkoffs(8.0, -8.0, 1.0)\n"
+        "tune_gain(build_grid(9, 0.0, 5.0), PumpSpec(g0=1.0), medium,\n"
+        "          Poling.unpoled(1.0), 1.0, double=True)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from twinbeam import apodized_poling, load_poling, qpm_poling, save_matrix
-from twinbeam.cli import main
+from twinbeam import (
+    apodized_poling, compose, decompose, double_pass, flip_overlap, load_poling,
+    qpm_poling, save_matrix,
+)
+from twinbeam.cli import load_config, main
 
 # velocities matching walk-offs (+8, -8) at pump velocity 0.1
 SGVM_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 0.5, "L": 1.0}
@@ -63,7 +66,11 @@ def test_simulate_writes_summary_and_modes(tmp_path):
                            poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
                                    "pmf_width": 4.0}), ("verify.json",)),
     ("verify", base_config(medium=dict(SKEW_MEDIUM)), ("verify.json",)),
-], ids=["simulate-sgvm", "verify-sgvm-double", "verify-skew"])
+    ("simulate", base_config(medium=dict(SKEW_MEDIUM), pass_mode="double",
+                             options={"remove_free_phase": True}),
+     ("summary.json", "modes.csv")),
+], ids=["simulate-sgvm", "verify-sgvm-double", "verify-skew",
+        "simulate-skew-free-phase"])
 def test_outputs_are_deterministic(tmp_path, command, cfg, files):
     rc_a, out_a = run(tmp_path, cfg, command, outname="a")
     rc_b, out_b = run(tmp_path, cfg, command, outname="b")
@@ -112,6 +119,35 @@ def test_simulate_reads_poling_from_file(tmp_path):
                        outname="ref")
     assert (out / "summary.json").read_bytes() == \
         (out_ref / "summary.json").read_bytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    base_config(grid={"N": 21, "half_width": 5.0}, pump={"g0": 0.8},
+                pass_mode="double",
+                poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
+                        "pmf_width": 4.0}),
+    base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM)),
+    base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
+                pass_mode="double"),
+], ids=["sgvm-double", "skew-single", "skew-double"])
+def test_flip_overlap_matches_raw_decomposition(tmp_path, cfg):
+    # with remove_free_phase the flip overlaps still describe the raw
+    # propagator; a second factorization of it is the reference
+    cfg["options"] = {"remove_free_phase": True}
+    rc, out = run(tmp_path, cfg, "simulate")
+    assert rc == 0
+    squeezers = read_summary(out)["squeezers"]
+    assert squeezers
+    run_cfg = load_config(tmp_path / "run.json")
+    prop = double_pass(run_cfg.grid, run_cfg.pump, run_cfg.medium, run_cfg.sim_poling) \
+        if run_cfg.double else \
+        compose(run_cfg.grid, run_cfg.pump, run_cfg.medium, run_cfg.sim_poling)
+    raw = decompose(prop, run_cfg.grid)
+    for sq in squeezers:
+        sig_out, _ = raw.pair_modes(sq["k"] - 1, "out")
+        sig_in, _ = raw.pair_modes(sq["k"] - 1, "in")
+        assert sq["flip_overlap_signal"] == pytest.approx(
+            flip_overlap(sig_in, sig_out), abs=1e-10)
 
 
 # ---------------------------------------------------------------- config errors
