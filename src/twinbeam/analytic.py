@@ -9,9 +9,9 @@ the one propagator that propagator.compose builds:
 
 * In the SGVM regime (H = -G) B is the walk-off splitting basis and the
   reduced propagator A-hat is Propagator.block.  For any poling the SVD of
-  A-hat gives the factors directly; for the matched double pass the total
-  block A-hat^T A-hat is symmetric positive definite and input equals output
-  modes.
+  A-hat gives the factors directly.  The return trip is the adjoint of the
+  pass, so the matched double pass has block A-hat^T A-hat, symmetric
+  positive definite: input equals output modes.
 
 * Away from SGVM, the exchange basis (general_split_basis) splits the
   generator whenever the pump coupling is centrosymmetric (even pump on a
@@ -39,7 +39,7 @@ from .blochmessiah import (
 )
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices, build_generator, flip_matrix
-from .propagator import Propagator, compose
+from .propagator import compose
 
 __all__ = [
     "BlockReduction", "block_reduce", "general_split_basis",
@@ -251,17 +251,16 @@ def svd_route(grid, pump, medium, poling, double=False):
     """Factorization through the SVD of the 2N block propagator (SGVM, any poling).
 
     Single pass: A-hat = M D V^T maps directly onto the factors with raw
-    spectrum (D, 1/D).  Matched double pass: the total block is A-hat^T A-hat
-    = V D^2 V^T, symmetric positive definite, so the input and output factors
-    coincide, which is the perfect inline-squeezer property.
+    spectrum (D, 1/D).  Matched double pass: the return trip is the adjoint,
+    so the total block is A-hat^T A-hat = V D^2 V^T, symmetric positive
+    definite, and input and output factors coincide (perfect inline squeezer).
     """
     _require_sgvm(medium, "SVD route")
     prop = compose(grid, pump, medium, poling)
     B = _sgvm_split_basis(grid.n)
     left, s, right = numerics.svd(prop.block)
     if double:
-        M = prop.bogoliubov
-        S = Propagator(M.conj().T @ M, grid.n).matrix
+        S = prop.return_trip().after(prop).matrix
         return _factors(B, right, s**2, right, S, "SVD route")
     return _factors(B, left, s, right, prop.matrix, "SVD route")
 

@@ -20,8 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import (
-    SweepResult, flip_overlap, gain_variation_sweep, lowgain_jsa_oracle,
-    mode_fidelity, subspace_overlaps,
+    flip_overlap, gain_variation_sweep, mode_fidelity, subspace_overlaps,
 )
 from .analytic import structure_checks, svd_route
 from .blochmessiah import decompose, tune_gain, two_mode_rearrange
@@ -503,8 +502,7 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
                    None, ok=report_struct["flip_even"] == report_struct["flip_odd"] == n)
 
     if cfg.double:
-        zero = double_pass(grid, replace(pump, g0=0.0), medium, cfg.sim_poling,
-                           gain2_scale=cfg.gain2_scale)
+        zero = double_pass(grid, replace(pump, g0=0.0), medium, cfg.sim_poling)
         _check(checks, "double_pass_zero_gain_free", float(np.max(np.abs(
             zero.matrix - free_path(grid, medium, double=True).matrix))), 1e-12)
 

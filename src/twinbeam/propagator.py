@@ -13,9 +13,12 @@ this splits further: a_S - i a_I^+ evolves under the N x N generator -F + iG
 and a_S + i a_I^+ under F + iG, so one N x N complex matrix
 M = expm(dz (-F - iG)) holds the whole domain (the first combination
 evolves by conj(M), the second by M^{-T}).  Each poling domain has
-z-independent coupling matrices, a device is the ordered (left-multiplied)
-product of its domain matrices, and a double pass appends the return trip
-with signal/idler velocities exchanged and the domain order reversed.
+z-independent coupling matrices and a device is the ordered (left-multiplied)
+product of its domain matrices.  The return trip (domains reversed, v_S and
+v_I exchanged) is the adjoint of the forward pass: M^H for SGVM media, and
+otherwise T^-1 = Sigma T^H Sigma (Sigma = diag(I, -I)) with the beams
+exchanged.  So a double pass costs one domain product, and for SGVM it is
+the Hermitian M^H M, whose input and output modes coincide.
 
 Only these complex matrices are built and multiplied.  The 4N x 4N real
 symplectic matrix on the quadratures (X_S, X_I, P_S, P_I) is an export view
@@ -87,6 +90,14 @@ class Propagator:
     def after(self, earlier):
         """The propagator of `earlier` followed by this one."""
         return Propagator(self.bogoliubov @ earlier.bogoliubov, self.n)
+
+    def return_trip(self):
+        """This pass traversed backwards: domains reversed, v_S and v_I exchanged."""
+        n, T = self.n, self.bogoliubov.conj().T
+        if self.sgvm:
+            return Propagator(T, n)
+        # [[A, B], [C, D]] -> [[D^H, -B^H], [-C^H, A^H]]
+        return Propagator(np.block([[T[n:, n:], -T[n:, :n]], [-T[:n, n:], T[:n, :n]]]), n)
 
     @property
     def block(self):
@@ -173,16 +184,15 @@ def compose(grid, pump, medium, poling):
 
 
 def double_pass(grid, pump, medium, poling, gain2_scale=1.0):
-    """Forward pass followed by a return pass with v_S and v_I exchanged.
+    """Forward pass followed by its return trip (`Propagator.return_trip`).
 
-    The return pass traverses the domains in reverse order; gain2_scale
-    multiplies the pump amplitude of the second pass only (imperfect
-    double-pass modeling).
+    gain2_scale multiplies the pump amplitude of the second pass only
+    (imperfect double-pass modeling); at 1.0 both passes share one product.
     """
     first = compose(grid, pump, medium, poling)
-    second = compose(grid, pump.scaled(gain2_scale), medium.swapped(),
-                     poling.reversed_())
-    return second.after(first)
+    back = first if gain2_scale == 1.0 else compose(
+        grid, pump.scaled(gain2_scale), medium, poling)
+    return back.return_trip().after(first)
 
 
 def free_propagator(grid, medium, length):

@@ -26,7 +26,7 @@ from twinbeam import (
     tune_gain,
     two_mode_rearrange,
 )
-from twinbeam import blochmessiah
+from twinbeam import blochmessiah, propagator
 from twinbeam.blochmessiah import (
     R_CLAMP,
     _extract_modes,
@@ -353,10 +353,14 @@ def test_tune_gain_evaluation_count(monkeypatch, poling, double):
     for name in ("compose", "double_pass"):
         monkeypatch.setattr(blochmessiah, name,
                             counted(getattr(blochmessiah, name)))
+    # the domain products double_pass builds inside the propagator module
+    monkeypatch.setattr(propagator, "compose", counted(propagator.compose))
     _, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
                             double=double, tol=5e-6)
     assert abs(achieved - 5.0) <= 5e-6
     assert blochmessiah.compose.calls + blochmessiah.double_pass.calls <= 14
+    # one domain product per evaluation, single or double pass
+    assert blochmessiah.compose.calls + propagator.compose.calls <= 14
 
 
 def test_tuning_does_not_import_scipy_optimize():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twinbeam import (
@@ -23,7 +23,7 @@ from twinbeam import (
     symplectic_form,
     symplectic_residual,
 )
-from twinbeam import numerics
+from twinbeam import numerics, propagator
 from twinbeam.errors import ConfigError
 from twinbeam.numerics import expm
 
@@ -217,6 +217,56 @@ def test_double_pass_block_product(sgvm):
     np.testing.assert_allclose(S.block, second.block @ first.block, atol=1e-10)
     np.testing.assert_allclose(S.matrix, second.matrix @ first.matrix, atol=1e-10)
     assert symplectic_residual(S.matrix) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([3, 5, 7, 9]),
+    kappa_s=st.floats(1.0, 8.0),
+    mismatch=st.one_of(st.just(0.0), st.floats(0.1, 0.6)),
+    g0=st.floats(0.0, 2.0),
+    scale=st.floats(0.0, 2.0),
+    domains=st.lists(
+        st.tuples(st.floats(0.05, 0.5), st.sampled_from([-1, 0, 1])),
+        min_size=2, max_size=6,
+    ),
+)
+@example(n=9, kappa_s=8.0, mismatch=0.0, g0=1.5, scale=0.7,
+         domains=[(0.3, 1), (0.2, -1), (0.1, 0)])
+@example(n=9, kappa_s=8.0, mismatch=0.4, g0=1.5, scale=1.3,
+         domains=[(0.3, 1), (0.2, -1), (0.1, 0)])
+def test_return_trip_is_the_reversed_swapped_pass(n, kappa_s, mismatch, g0, scale,
+                                                  domains):
+    # the return trip of a forward pass equals the pass simulated backwards:
+    # domains reversed, signal and idler velocities exchanged
+    poling = Poling(domains)
+    assume(poling != poling.reversed_())
+    medium = MediumSpec.from_walkoffs(
+        kappa_s, -kappa_s * (1.0 - mismatch), poling.length)
+    grid = build_grid(n, 0.0, 5.0)
+    pump = PumpSpec(g0=g0).scaled(scale)
+    back = compose(grid, pump, medium, poling).return_trip()
+    expected = compose(grid, pump, medium.swapped(), poling.reversed_())
+    assert back.sgvm == expected.sgvm == (mismatch == 0.0)
+    ref = expected.bogoliubov
+    assert np.max(np.abs(back.bogoliubov - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+@pytest.mark.parametrize("gain2_scale, pumps", [(1.0, [1.0]), (0.7, [1.0, 0.7])],
+                         ids=["matched", "detuned"])
+def test_double_pass_domain_products(monkeypatch, request, regime, gain2_scale, pumps):
+    # a matched double pass reuses its forward product for the return trip
+    grid, pump, medium = request.getfixturevalue(regime)
+    built = []
+
+    def counting_compose(grid, pump, medium, poling):
+        built.append(pump.g0)
+        return compose(grid, pump, medium, poling)
+
+    monkeypatch.setattr(propagator, "compose", counting_compose)
+    double_pass(grid, pump, medium, qpm_poling(L, 2.0 * L / 9.0), gain2_scale=gain2_scale)
+    assert built == pumps
 
 
 def test_mean_photons_zero_and_known_squeezer():
