@@ -49,8 +49,11 @@ PAIR_RTOL = 1e-8
 # Residual allowances on the recovered factors and the reconstruction.
 FACTOR_TOL = 1e-9
 RECON_RTOL = 1e-8
-# Squeezing below this is reported as exactly passive.
-R_CLAMP = 1e-12
+# Squeezing below this is reported as exactly passive.  A squeezer's mode
+# vectors carry roundoff of about 3e-16 / r (reordering the domain product
+# moves the flip overlaps of r ~ 1e-9 squeezers by 4e-7), so at this floor
+# every reported mode stays within about FACTOR_TOL of the exact one.
+R_CLAMP = 1e-6
 # Beam-support leakage above this marks a mode pair as mixed.
 MIX_TOL = 1e-6
 # Doublings of the upper end allowed while bracketing a target.

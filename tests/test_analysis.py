@@ -20,6 +20,7 @@ from twinbeam import (
     mode_fidelity,
     subspace_overlaps,
 )
+from twinbeam import analysis, propagator
 from twinbeam.blochmessiah import SchmidtMode
 from twinbeam.errors import ConfigError, ContractError
 
@@ -242,6 +243,23 @@ def test_gain_variation_sweep_small():
     # identical passes: the first squeezer reenters its own input mode
     assert sweep.points[2].fidelity_k1 > 1.0 - 1e-8
     assert all(p.fidelity_k1 <= 1.0 + 1e-12 for p in sweep.points)
+
+
+def test_gain_variation_sweep_builds_the_forward_pass_once(monkeypatch):
+    # each sweep point pairs the one tuned forward pass with its return trip
+    grid, pump, medium = small_setup()
+    g0s = []
+
+    def counting_compose(grid, pump, medium, poling):
+        g0s.append(pump.g0)
+        return compose(grid, pump, medium, poling)
+
+    monkeypatch.setattr(propagator, "compose", counting_compose)
+    monkeypatch.setattr(analysis, "compose", counting_compose)
+    sweep = gain_variation_sweep(grid, pump, medium, Poling.unpoled(L),
+                                 base_target=0.5, span=(0.5, 1.5), points=5)
+    # at most one tuning evaluation lands on the tuned gain, plus the sweep's
+    assert g0s.count(sweep.base_g0) <= 2
 
 
 def test_gain_variation_sweep_threaded_matches_serial():

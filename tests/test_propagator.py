@@ -1,4 +1,4 @@
-"""Segment exponentials, chronological composition, double pass, segment reuse."""
+"""Segment exponentials, chronological composition, double pass, segment and block reuse."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 from twinbeam import (
     MediumSpec,
     Poling,
+    Propagator,
     PumpSpec,
+    apodized_poling,
     build_coupled_matrices,
     build_generator,
     build_grid,
     compose,
+    decompose,
+    default_half_width,
+    demodulate_poling,
     double_pass,
+    flip_overlap,
     free_propagator,
     load_matrix,
     mean_photons,
@@ -45,6 +51,23 @@ def skew():
     grid = build_grid(N, 0.0, 5.0)
     pump = PumpSpec(g0=1.0)
     return grid, pump, medium
+
+
+def readme_grating():
+    """The 169-domain apodized grating of the README, demodulated."""
+    return demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+
+
+def plain_product(grid, pump, medium, poling):
+    """The ordered loop: one left-multiplied product per domain."""
+    segments = {}
+    total = np.eye(grid.n if medium.sgvm() else 2 * grid.n)
+    for width, sign in poling.domains:
+        if (width, sign) not in segments:
+            m = build_coupled_matrices(grid, pump, medium, sign=sign)
+            segments[width, sign] = segment_propagator(m, width).bogoliubov
+        total = segments[width, sign] @ total
+    return Propagator(total, grid.n)
 
 
 def test_symplectic_form():
@@ -140,17 +163,32 @@ def test_compose_cache_reuse(sgvm, monkeypatch):
     assert calls == [(N, N), (N, N)]
 
 
-@settings(max_examples=40, deadline=None)
+# Words of 1-40 domains over 2-3 (width, sign) kinds: aligned blocks repeat,
+# so the pairwise reduction in compose reuses products.
+_words = st.lists(
+    st.tuples(st.floats(0.01, 0.1), st.sampled_from([-1, 0, 1])),
+    min_size=2, max_size=3, unique=True,
+).flatmap(lambda kinds: st.lists(st.sampled_from(kinds), min_size=1, max_size=40))
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 9),
     kappa_s=st.floats(1.0, 8.0),
     mismatch=st.one_of(st.just(0.0), st.floats(0.1, 0.6)),
     g0=st.floats(0.0, 2.0),
-    domains=st.lists(
-        st.tuples(st.floats(0.05, 0.5), st.sampled_from([-1, 0, 1])),
-        min_size=1, max_size=5,
+    domains=st.one_of(
+        st.lists(
+            st.tuples(st.floats(0.05, 0.5), st.sampled_from([-1, 0, 1])),
+            min_size=1, max_size=5,
+        ),
+        _words,
     ),
 )
+@example(n=7, kappa_s=8.0, mismatch=0.0, g0=1.5,
+         domains=[(0.05, 1), (0.05, -1)] * 9 + [(0.02, 0)])
+@example(n=7, kappa_s=8.0, mismatch=0.4, g0=1.5,
+         domains=[(0.05, 1), (0.05, -1), (0.05, 1), (0.02, 0)] * 5)
 def test_compose_matches_product_of_quadrature_exponentials(
         n, kappa_s, mismatch, g0, domains):
     medium = MediumSpec.from_walkoffs(
@@ -158,12 +196,74 @@ def test_compose_matches_product_of_quadrature_exponentials(
     assert medium.sgvm() == (mismatch == 0.0)
     grid = build_grid(n, 0.0, 5.0)
     pump = PumpSpec(g0=g0)
+    poling = Poling(domains)
+    prop = compose(grid, pump, medium, poling)
+    ref = plain_product(grid, pump, medium, poling).bogoliubov
+    assert np.max(np.abs(prop.bogoliubov - ref)) <= 1e-12 * np.max(np.abs(ref))
+    exponentials = {}
     expected = np.eye(4 * n)
     for width, sign in domains:
-        m = build_coupled_matrices(grid, pump, medium, sign=sign)
-        expected = expm(width * build_generator(m)) @ expected
-    S = compose(grid, pump, medium, Poling(domains)).matrix
-    np.testing.assert_allclose(S, expected, rtol=0, atol=1e-10 * np.max(np.abs(expected)))
+        if (width, sign) not in exponentials:
+            m = build_coupled_matrices(grid, pump, medium, sign=sign)
+            exponentials[width, sign] = expm(width * build_generator(m))
+        expected = exponentials[width, sign] @ expected
+    np.testing.assert_allclose(prop.matrix, expected, rtol=0,
+                               atol=1e-10 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+def test_compose_matches_plain_loop_at_high_gain(request, regime):
+    # roundoff of the pairwise reduction stays relative at N_S ~ 1e3
+    medium = request.getfixturevalue(regime)[2]
+    grid = build_grid(21, 0.0, default_half_width(medium))
+    pump = PumpSpec(center=0.0, sigma=1.0, g0=25.0)
+    prop = compose(grid, pump, medium, readme_grating())
+    assert 3e2 < prop.mean_photons()[0] < 3e4
+    ref = plain_product(grid, pump, medium, readme_grating()).bogoliubov
+    assert np.max(np.abs(prop.bogoliubov - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class _CountingMatrix(np.ndarray):
+    """An ndarray that counts its matrix products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingMatrix.products += 1
+        return (np.asarray(self) @ np.asarray(other)).view(_CountingMatrix)
+
+
+@pytest.mark.parametrize("poling, bound", [
+    (readme_grating(), 36),
+    (qpm_poling(L, 2.0 * L / 9.0), 4),
+    (qpm_poling(L, 2.0 * L / 1001), 15),
+], ids=["apodized-169", "qpm-9", "qpm-1001"])
+def test_compose_products_follow_the_poling_structure(sgvm, monkeypatch, poling, bound):
+    # the plain loop takes one product per domain after the first: 168, 8, 1000
+    grid, pump, medium = sgvm
+    monkeypatch.setattr(numerics, "expm", lambda M: expm(M).view(_CountingMatrix))
+    monkeypatch.setattr(_CountingMatrix, "products", 0)
+    compose(grid, pump, medium, poling)
+    assert _CountingMatrix.products <= bound
+
+
+def test_squeezer_floor_hides_product_order(skew):
+    # Below the floor a squeezer's modes are roundoff; at or above it,
+    # reordering the domain product leaves the reported squeezers unchanged.
+    _, _, medium = skew
+    grid = build_grid(31, 0.0, default_half_width(medium))
+    pump = PumpSpec(center=0.0, sigma=1.0, g0=5.0)
+    flips = []
+    for single in (compose(grid, pump, medium, readme_grating()),
+                   plain_product(grid, pump, medium, readme_grating())):
+        d = decompose(single.return_trip().after(single), grid)
+        raw_r = 0.5 * np.log(d.lam[0::2] * d.lam[1::2])
+        assert np.any((raw_r > 1e-12) & (raw_r < 1e-6))
+        flips.append({k: flip_overlap(d.pair_modes(k, "in")[0], d.pair_modes(k, "out")[0])
+                      for k in d.active_pairs()})
+    pairwise, plain = flips
+    assert list(pairwise) == list(plain)
+    assert max(abs(pairwise[k] - plain[k]) for k in pairwise) <= 1e-8
 
 
 def test_long_product_stays_symplectic_and_unimodular(sgvm):
