@@ -9,9 +9,8 @@ squeezes and unsqueezes the same modes.
 """
 
 from .analysis import (
-    JsaOracle, SweepPoint, SweepResult, alignment_unitary, flip_overlap,
-    gain_variation_sweep, inline_mismatch, lowgain_jsa_oracle, mode_fidelity,
-    subspace_overlaps,
+    JsaOracle, SweepPoint, SweepResult, flip_overlap, gain_variation_sweep,
+    lowgain_jsa_oracle, mode_fidelity, subspace_overlaps,
 )
 from .analytic import (
     BlockReduction, block_reduce, canonical_factors, general_block_route,
@@ -19,7 +18,7 @@ from .analytic import (
 )
 from .blochmessiah import (
     BlochMessiahResult, Decomposition, SchmidtMode, bloch_messiah, decompose,
-    mean_photons_from_spectrum, pair_mixer, tune_gain, two_mode_rearrange,
+    pair_mixer, tune_gain, two_mode_rearrange,
 )
 from .errors import (
     ConfigError, ContractError, DecompositionError, RegimeError, TwinbeamError,
@@ -39,15 +38,14 @@ from .propagator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "JsaOracle", "SweepPoint", "SweepResult", "alignment_unitary",
-    "flip_overlap", "gain_variation_sweep", "inline_mismatch",
-    "lowgain_jsa_oracle", "mode_fidelity", "subspace_overlaps",
+    "JsaOracle", "SweepPoint", "SweepResult", "flip_overlap",
+    "gain_variation_sweep", "lowgain_jsa_oracle", "mode_fidelity",
+    "subspace_overlaps",
     "BlockReduction", "block_reduce", "canonical_factors",
     "general_block_route", "general_split_basis", "structure_checks",
     "svd_route", "symmetrized_eig_route",
     "BlochMessiahResult", "Decomposition", "SchmidtMode", "bloch_messiah",
-    "decompose", "mean_photons_from_spectrum", "pair_mixer",
-    "tune_gain", "two_mode_rearrange",
+    "decompose", "pair_mixer", "tune_gain", "two_mode_rearrange",
     "ConfigError", "ContractError", "DecompositionError", "RegimeError",
     "TwinbeamError",
     "CoupledMatrices", "FrequencyGrid", "MediumSpec", "Poling", "PumpSpec",

@@ -1,32 +1,29 @@
 """Physics-level diagnostics on decomposed propagators.
 
 Mode fidelities and flip overlaps, the second-pass gain-robustness sweep,
-inline-seeding mismatch coefficients, and an independent low-gain oracle
-that predicts the Schmidt structure from the pump-times-PMF pair amplitude
-alone (no propagation, no factorization), used to cross-check the full
-route in the weak-pump limit.
+and an independent low-gain oracle that predicts the Schmidt structure from
+the pump-times-PMF pair amplitude alone (no propagation, no factorization),
+used to cross-check the full route in the weak-pump limit.
 """
 
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
 from . import numerics
 from .blochmessiah import SchmidtMode, decompose, solve_increasing, tune_gain
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .model import pmf, pump_amplitude
 from .propagator import compose
 
 __all__ = [
     "mode_fidelity", "flip_overlap", "SweepPoint", "SweepResult",
-    "gain_variation_sweep", "alignment_unitary", "inline_mismatch",
-    "JsaOracle", "lowgain_jsa_oracle", "subspace_overlaps",
+    "gain_variation_sweep", "JsaOracle", "lowgain_jsa_oracle",
+    "subspace_overlaps",
 ]
-
-UNITARY_TOL = 1e-9
 
 
 def _as_vector(u):
@@ -176,43 +173,6 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     return SweepResult(base_g0=g0, base_target=float(base_target), points=results)
 
 
-def alignment_unitary(decomp):
-    """Overlap matrix A_{ij} = <u_out_i, u_in_j> between mode bases.
-
-    Unitary because both bases are; its diagonal phases measure how each
-    squeezer's input mode sits in the output basis.
-    """
-    A = decomp.U_out.conj().T @ decomp.U_in
-    defect = float(np.max(np.abs(A.conj().T @ A - np.eye(A.shape[0]))))
-    if defect > UNITARY_TOL:
-        raise ContractError("alignment matrix is not unitary (defect %.3e)" % defect)
-    return A
-
-
-def inline_mismatch(U, phases, k):
-    """Coefficients of the state seeded in mode k after the phased mode mixing.
-
-    Returns row k of U e^{i Phi} U^H with Phi = diag(phases): the coefficient
-    on output mode m.  The row has unit norm since the product is unitary.
-    When only phases[0] differs from zero this reduces to
-    delta_{k,m} + (e^{i phi_1} - 1) U_{k,1} U^*_{m,1}.
-    """
-    U = np.asarray(U, dtype=complex)
-    m = U.shape[0]
-    if U.shape != (m, m):
-        raise ConfigError("mode mixing matrix must be square")
-    defect = float(np.max(np.abs(U.conj().T @ U - np.eye(m))))
-    if defect > UNITARY_TOL:
-        raise ContractError("mode mixing matrix is not unitary (defect %.3e)" % defect)
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (m,):
-        raise ConfigError("need one phase per mode")
-    if not (0 <= k < m):
-        raise ConfigError("seeded index %r out of range" % (k,))
-    T = (U * np.exp(1j * phases)) @ U.conj().T
-    return T[k, :].copy()
-
-
 def subspace_overlaps(U_a, U_b, values, value_rtol=1e-6, active=None):
     """Worst-case column overlaps between two bases, degeneracy aware.
 
@@ -257,15 +217,6 @@ class JsaOracle:
     def purity(self):
         """sum c_k^4: heralded-state purity of the normalized coefficients."""
         return float(np.sum(self.schmidt_coeffs**4))
-
-    def save(self, jsa_path, coeff_path):
-        with open(jsa_path, "w") as fh:
-            for row in self.jsa:
-                fh.write(",".join(repr(complex(z)) for z in row))
-                fh.write("\n")
-        with open(coeff_path, "w") as fh:
-            for c in self.schmidt_coeffs:
-                fh.write("%s\n" % repr(float(c)))
 
 
 def lowgain_jsa_oracle(grid, pump, medium, poling):

@@ -34,8 +34,7 @@ from .propagator import (
 __all__ = [
     "BlochMessiahResult", "SchmidtMode", "Decomposition", "bloch_messiah",
     "two_mode_rearrange", "embed_unitary", "pair_mixer", "decompose",
-    "checked_factors", "mean_photons_from_spectrum", "tune_gain",
-    "solve_increasing",
+    "checked_factors", "tune_gain", "solve_increasing",
 ]
 
 # Relative symplectic-defect allowance on inputs, scaled by max|S|^2.
@@ -72,10 +71,6 @@ class BlochMessiahResult:
     lam: np.ndarray
     O_tilde: np.ndarray
     residuals: Optional[dict] = None
-
-    @property
-    def half(self):
-        return self.lam.size
 
     def D(self):
         return np.diag(np.concatenate([self.lam, 1.0 / self.lam]))
@@ -277,10 +272,6 @@ class SchmidtMode:
         """The N amplitudes on this mode's own beam."""
         return self.amplitudes[:n] if self.beam == "signal" else self.amplitudes[n:]
 
-    @property
-    def passive(self):
-        return self.r <= R_CLAMP
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -297,12 +288,9 @@ class Decomposition:
     mixed_pairs: List[int]
     residuals: dict           # checked_factors residuals of the factorized matrix
 
-    @property
-    def n_pairs(self):
-        return self.r.size
-
     def active_pairs(self):
-        return [k for k in range(self.n_pairs) if self.r[k] > R_CLAMP]
+        """Squeezers with r > 0; two_mode_rearrange sets every r < R_CLAMP to 0."""
+        return [k for k, r in enumerate(self.r) if r > 0.0]
 
     def pair_modes(self, k, direction):
         """(signal_mode, idler_mode) of squeezer k for one direction."""
@@ -310,9 +298,6 @@ class Decomposition:
         if len(found) != 2:
             raise ConfigError("no such squeezer: k=%r direction=%r" % (k, direction))
         return found["signal"], found["idler"]
-
-    def mean_photons(self):
-        return mean_photons_from_spectrum(self.r)
 
 
 def _beam_support(u, n):
@@ -381,11 +366,6 @@ def decompose(prop, grid, medium=None, double=False, remove_free_phase=False):
         U_out=U_out, U_in=U_in, modes=modes, mixed_pairs=mixed_pairs,
         residuals=bm.residuals,
     )
-
-
-def mean_photons_from_spectrum(r):
-    """Mean photons per beam, sum_k sinh^2 r_k."""
-    return float(np.sum(np.sinh(np.asarray(r)) ** 2))
 
 
 def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,

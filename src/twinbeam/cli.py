@@ -23,7 +23,10 @@ from .analysis import (
     flip_overlap, gain_variation_sweep, mode_fidelity, subspace_overlaps,
 )
 from .analytic import structure_checks, svd_route
-from .blochmessiah import decompose, tune_gain, two_mode_rearrange
+from .blochmessiah import (
+    FACTOR_TOL, INPUT_SYMPLECTIC_TOL, PAIR_RTOL, RECON_RTOL, decompose, tune_gain,
+    two_mode_rearrange,
+)
 from .errors import ConfigError, ContractError, TwinbeamError
 from .model import (
     FrequencyGrid, MediumSpec, Poling, PumpSpec, TabulatedEnvelope,
@@ -38,13 +41,8 @@ from .propagator import (
 
 __all__ = ["RunConfig", "load_config", "main"]
 
-DEFAULT_TOLERANCES = {
-    "symplectic": 1e-9,
-    "reconstruction": 1e-8,
-    "pair_degeneracy": 1e-8,
-    "factor": 1e-9,
-    "photon_balance": 1e-8,
-}
+# Relative signal/idler photon-number imbalance allowed by verify.
+PHOTON_BALANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,6 @@ class RunConfig:
     double: bool
     gain2_scale: float
     remove_free_phase: bool
-    tolerances: dict
     output_dir: Optional[str]
 
 
@@ -163,11 +160,11 @@ def load_config(path):
     if isinstance(envelope, dict):
         _check_keys(envelope, {"frequencies", "values", "frequency_symmetric"},
                     {"frequencies", "values"}, "pump.envelope")
-        envelope = TabulatedEnvelope(
-            envelope["frequencies"], envelope["values"],
-            frequency_symmetric=bool(envelope.get("frequency_symmetric", False)),
-            center=0.0,
-        )
+        symmetric = envelope.get("frequency_symmetric", False)
+        if not isinstance(symmetric, bool):
+            raise ConfigError("pump.envelope.frequency_symmetric must be a boolean")
+        envelope = TabulatedEnvelope(envelope["frequencies"], envelope["values"],
+                                     frequency_symmetric=symmetric, center=0.0)
     elif envelope != "gaussian":
         raise ConfigError("pump.envelope must be \"gaussian\" or a table object")
     target_ns = None
@@ -210,18 +207,10 @@ def load_config(path):
             raise ConfigError("pass_mode: gain2_scale only applies to double")
 
     ocfg = raw.get("options", {})
-    _check_keys(ocfg, {"remove_free_phase", "tolerances", "output_dir"}, set(),
-                "options")
+    _check_keys(ocfg, {"remove_free_phase", "output_dir"}, set(), "options")
     remove_free_phase = ocfg.get("remove_free_phase", False)
     if not isinstance(remove_free_phase, bool):
         raise ConfigError("options.remove_free_phase must be a boolean")
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tcfg = ocfg.get("tolerances", {})
-    _check_keys(tcfg, set(DEFAULT_TOLERANCES), set(), "options.tolerances")
-    for key, val in tcfg.items():
-        if isinstance(val, bool) or not isinstance(val, (int, float)) or val <= 0:
-            raise ConfigError("options.tolerances.%s must be a positive number" % key)
-        tolerances[key] = float(val)
     output_dir = ocfg.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("options.output_dir must be a string")
@@ -230,7 +219,7 @@ def load_config(path):
         grid=grid, pump=pump, target_ns=target_ns, medium=medium,
         device_poling=device, sim_poling=sim, double=double,
         gain2_scale=gain2_scale, remove_free_phase=remove_free_phase,
-        tolerances=tolerances, output_dir=output_dir,
+        output_dir=output_dir,
     )
 
 
@@ -283,7 +272,6 @@ def cmd_simulate(cfg, out_dir):
     ns, ni = prop.mean_photons()
     decomp = decompose(prop, cfg.grid, medium=cfg.medium, double=cfg.double,
                        remove_free_phase=cfg.remove_free_phase)
-    recon_rel = decomp.residuals["reconstruction"]
     # The raw output modes are the stripped ones carried back through the
     # free path (diagonal and passive); the input modes are the same.
     carry = np.ones(2 * cfg.grid.n)
@@ -309,8 +297,8 @@ def cmd_simulate(cfg, out_dir):
         "mean_NS": float(ns),
         "mean_NI": float(ni),
         "symplectic_residual": symplectic_residual(prop.matrix),
-        "reconstruction_residual": recon_rel,
-        "r": [float(x) for x in decomp.r[decomp.r > 0.0]],
+        "reconstruction_residual": decomp.residuals["reconstruction"],
+        "r": [sq["r"] for sq in squeezers],
         "squeezers": squeezers,
         "passive": not squeezers,
         "gain": {
@@ -323,13 +311,10 @@ def cmd_simulate(cfg, out_dir):
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     _modes_csv(os.path.join(out_dir, "modes.csv"), decomp)
-    tol = cfg.tolerances
-    if summary["symplectic_residual"] > tol["symplectic"] * max(
+    if summary["symplectic_residual"] > INPUT_SYMPLECTIC_TOL * max(
         1.0, float(np.max(np.abs(prop.matrix))) ** 2
     ):
         raise ContractError("symplectic residual above tolerance")
-    if recon_rel > tol["reconstruction"]:
-        raise ContractError("reconstruction residual above tolerance")
     return summary
 
 
@@ -421,7 +406,6 @@ def _check(checks, name, value, threshold, ok=None):
 
 def cmd_verify(cfg, out_dir, propagator_path=None):
     checks = []
-    tol = cfg.tolerances
     grid, medium = cfg.grid, cfg.medium
     pump, _ = _resolve_pump(cfg)
     n = grid.n
@@ -447,21 +431,21 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
     S = prop.matrix
     smax = float(np.max(np.abs(S)))
     _check(checks, "propagator_symplectic", symplectic_residual(S),
-           tol["symplectic"] * max(1.0, smax**2))
+           INPUT_SYMPLECTIC_TOL * max(1.0, smax**2))
 
     ns, ni = prop.mean_photons()
     balance = abs(ns - ni) / max(1.0, abs(ns))
-    _check(checks, "photon_balance", balance, tol["photon_balance"])
+    _check(checks, "photon_balance", balance, PHOTON_BALANCE_TOL)
 
     try:
         decomp = decompose(prop, grid)
         for name, value in decomp.residuals.items():
-            _check(checks, "bm_" + name, value, tol[
-                "reconstruction" if name == "reconstruction" else "factor"])
+            _check(checks, "bm_" + name, value,
+                   RECON_RTOL if name == "reconstruction" else FACTOR_TOL)
         lam = decomp.lam
         pair_defect = float(np.max(np.abs(lam[0::2] - lam[1::2])
                                    / np.maximum(1.0, lam[0::2])))
-        _check(checks, "lam_pair_degeneracy", pair_defect, tol["pair_degeneracy"])
+        _check(checks, "lam_pair_degeneracy", pair_defect, PAIR_RTOL)
         decomp_err = None
     except ContractError as exc:
         decomp = None
@@ -513,7 +497,7 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
         else:
             resid = symplectic_residual(M)
             _check(checks, "file_propagator_symplectic", resid,
-                   tol["symplectic"] * max(1.0, float(np.max(np.abs(M))) ** 2))
+                   INPUT_SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(M))) ** 2))
 
     report = {
         "checks": checks,

@@ -112,10 +112,15 @@ class TabulatedEnvelope:
     frequency_symmetric: bool = False
 
     def __init__(self, frequencies, values, frequency_symmetric=False, center=None):
-        f = np.asarray(frequencies, dtype=float)
-        v = np.asarray(values, dtype=float)
+        try:
+            f = np.asarray(frequencies, dtype=float)
+            v = np.asarray(values, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError("tabulated envelope samples must be numbers: %s" % exc) from exc
         if f.ndim != 1 or f.shape != v.shape or f.size < 2:
             raise ConfigError("tabulated envelope needs matching 1-d frequency/value arrays")
+        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
+            raise ConfigError("tabulated envelope samples must be finite")
         if np.any(np.diff(f) <= 0):
             raise ConfigError("tabulated envelope frequencies must be strictly increasing")
         if frequency_symmetric:
@@ -485,8 +490,12 @@ def save_poling(poling, path):
 
 def load_poling(path):
     """Read a poling file written by save_poling."""
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError("cannot read poling file %s: %s" % (path, exc)) from exc
     domains = []
-    with open(path) as fh:
+    with fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

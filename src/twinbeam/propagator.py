@@ -248,12 +248,16 @@ def save_matrix(M, path):
 
 
 def load_matrix(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ConfigError("%s: expected `rows cols` header" % path)
-        rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(fh, ndmin=2)
+    """Read a matrix file written by save_matrix."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            if len(header) != 2:
+                raise ConfigError("%s: expected `rows cols` header" % path)
+            rows, cols = int(header[0]), int(header[1])
+            data = np.loadtxt(fh, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError("cannot read matrix file %s: %s" % (path, exc)) from exc
     if data.shape != (rows, cols):
         raise ConfigError(
             "%s: header promises %dx%d but body is %r" % (path, rows, cols, data.shape)

@@ -9,20 +9,17 @@ from twinbeam import (
     MediumSpec,
     Poling,
     PumpSpec,
-    alignment_unitary,
     build_grid,
     compose,
-    decompose,
     flip_overlap,
     gain_variation_sweep,
-    inline_mismatch,
     lowgain_jsa_oracle,
     mode_fidelity,
     subspace_overlaps,
 )
 from twinbeam import analysis, propagator
 from twinbeam.blochmessiah import SchmidtMode
-from twinbeam.errors import ConfigError, ContractError
+from twinbeam.errors import ConfigError
 
 N = 9
 L = 1.0
@@ -118,69 +115,6 @@ def test_flip_overlap_rejects_beam_mismatch():
     b = np.concatenate([np.zeros(N), rand_vec(rng, N)])
     with pytest.raises(ConfigError):
         flip_overlap(make_mode(a, beam="signal"), make_mode(b, beam="idler"))
-
-
-# ---------------------------------------------------------------- inline mismatch
-
-def test_inline_mismatch_identity_mixing():
-    phases = np.array([0.3, -1.2, 2.0])
-    row = inline_mismatch(np.eye(3), phases, 1)
-    np.testing.assert_allclose(row, [0.0, np.exp(-1.2j), 0.0], atol=1e-15)
-
-
-def test_inline_mismatch_zero_phases_is_delta():
-    rng = np.random.default_rng(23)
-    U = haar(rng, 5)
-    row = inline_mismatch(U, np.zeros(5), 3)
-    expect = np.zeros(5)
-    expect[3] = 1.0
-    np.testing.assert_allclose(row, expect, atol=1e-12)
-
-
-def test_inline_mismatch_balanced_mixer_swaps_everything():
-    # equal mixer, pi phase on the first mode: the seed ends up entirely in
-    # the other mode
-    U = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    row = inline_mismatch(U, np.array([np.pi, 0.0]), 0)
-    np.testing.assert_allclose(np.abs(row), [0.0, 1.0], atol=1e-15)
-
-
-def test_inline_mismatch_single_phase_closed_form():
-    rng = np.random.default_rng(29)
-    U = haar(rng, 6)
-    phi = 0.77
-    k = 2
-    row = inline_mismatch(U, np.array([phi, 0, 0, 0, 0, 0]), k)
-    expect = (np.exp(1j * phi) - 1.0) * U[k, 0] * np.conj(U[:, 0])
-    expect[k] += 1.0
-    np.testing.assert_allclose(row, expect, atol=1e-13)
-
-
-def test_inline_mismatch_row_has_unit_norm():
-    rng = np.random.default_rng(31)
-    U = haar(rng, 7)
-    row = inline_mismatch(U, rng.normal(size=7), 4)
-    assert abs(np.linalg.norm(row) - 1.0) < 1e-12
-
-
-def test_inline_mismatch_bad_inputs():
-    with pytest.raises(ContractError):
-        inline_mismatch(np.eye(3) * 1.01, np.zeros(3), 0)
-    with pytest.raises(ConfigError):
-        inline_mismatch(np.eye(3), np.zeros(4), 0)
-    with pytest.raises(ConfigError):
-        inline_mismatch(np.eye(3), np.zeros(3), 3)
-    with pytest.raises(ConfigError):
-        inline_mismatch(np.ones((2, 3)), np.zeros(3), 0)
-
-
-def test_alignment_unitary_on_a_real_decomposition():
-    grid, pump, medium = small_setup()
-    decomp = decompose(compose(grid, pump, medium, Poling.unpoled(L)), grid)
-    A = alignment_unitary(decomp)
-    dim = 2 * N
-    assert A.shape == (dim, dim)
-    assert np.max(np.abs(A.conj().T @ A - np.eye(dim))) < 1e-9
 
 
 # ---------------------------------------------------------------- subspace overlaps
@@ -325,16 +259,3 @@ def test_jsa_oracle_rejects_dark_pump():
     grid, _, medium = small_setup()
     with pytest.raises(ConfigError):
         lowgain_jsa_oracle(grid, PumpSpec(g0=0.0), medium, Poling.unpoled(L))
-
-
-def test_jsa_oracle_save_files_parse_back(tmp_path):
-    grid, pump, medium = small_setup()
-    oracle = lowgain_jsa_oracle(grid, pump, medium, Poling.unpoled(L))
-    jsa_path = tmp_path / "jsa.csv"
-    coeff_path = tmp_path / "coeffs.txt"
-    oracle.save(jsa_path, coeff_path)
-    rows = [line.split(",") for line in jsa_path.read_text().splitlines()]
-    J = np.array([[complex(z) for z in row] for row in rows])
-    np.testing.assert_array_equal(J, oracle.jsa)
-    c = np.array([float(line) for line in coeff_path.read_text().split()])
-    np.testing.assert_array_equal(c, oracle.schmidt_coeffs)

@@ -9,12 +9,15 @@ from twinbeam import (
     apodized_poling, compose, decompose, double_pass, flip_overlap, load_poling,
     qpm_poling, save_matrix,
 )
-from twinbeam.cli import load_config, main
+from twinbeam.blochmessiah import FACTOR_TOL, PAIR_RTOL, RECON_RTOL
+from twinbeam.cli import PHOTON_BALANCE_TOL, load_config, main
 
 # velocities matching walk-offs (+8, -8) at pump velocity 0.1
 SGVM_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 0.5, "L": 1.0}
 # walk-offs (+8, -4.8): a 40% mismatch, outside the SGVM regime
 SKEW_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 1.0 / 5.2, "L": 1.0}
+# a tabulated pump spectrum, even about the pump center
+EVEN_TABLE = {"frequencies": [-2.0, 0.0, 2.0], "values": [0.5, 1.0, 0.5]}
 
 
 def base_config(**over):
@@ -166,6 +169,11 @@ def test_flip_overlap_matches_raw_decomposition(tmp_path, cfg):
     base_config(medium={"vP": 0.1, "vS": -1.0, "vI": 0.5, "L": 1.0}),
     base_config(options={"tolerances": {"bogus": 1e-9}}),
     base_config(options={"remove_free_phase": "yes"}),
+    base_config(poling={"kind": "file", "path": "no-such-grating.txt"}),
+    base_config(pump={"g0": 1.0, "envelope": dict(EVEN_TABLE, frequencies=["a", "b", "c"])}),
+    base_config(pump={"g0": 1.0, "envelope": dict(EVEN_TABLE, values=[0.5, None, 0.5])}),
+    base_config(pump={"g0": 1.0, "envelope": dict(EVEN_TABLE, frequency_symmetric="no")}),
+    base_config(options={"tolerances": {"reconstruction": 1e-6}}),
 ])
 def test_bad_configs_exit_2(tmp_path, cfg):
     rc, _ = run(tmp_path, cfg, "simulate")
@@ -226,6 +234,12 @@ def test_verify_passes_on_sound_config(tmp_path):
     assert "block_propagator_symmetry" in names
     assert all(c["pass"] for c in report["checks"])
     assert report["structure"]["sgvm"] is True
+    # the thresholds are the ones the decomposition itself enforces
+    thresholds = {c["name"]: c["threshold"] for c in report["checks"]}
+    assert thresholds["bm_reconstruction"] == RECON_RTOL
+    assert thresholds["bm_O_orthogonal"] == FACTOR_TOL
+    assert thresholds["lam_pair_degeneracy"] == PAIR_RTOL
+    assert thresholds["photon_balance"] == PHOTON_BALANCE_TOL
 
 
 @pytest.mark.parametrize("pass_mode", ["single", "double"])
@@ -260,6 +274,15 @@ def test_verify_rejects_tampered_propagator(tmp_path):
     assert rc == 3
     report = json.loads((out / "verify.json").read_text())
     assert "file_propagator_symplectic" in report["failed"]
+
+
+@pytest.mark.parametrize("body", [None, "4 4\n1 0 0 x\n"], ids=["missing", "non-numeric"])
+def test_verify_unreadable_propagator_exit_2(tmp_path, body):
+    prop = tmp_path / "prop.txt"
+    if body is not None:
+        prop.write_text(body)
+    rc, _ = run(tmp_path, base_config(), "verify", "--propagator", str(prop))
+    assert rc == 2
 
 
 # ---------------------------------------------------------------- poling
