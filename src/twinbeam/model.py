@@ -113,10 +113,13 @@ class TabulatedEnvelope:
 
     def __init__(self, frequencies, values, frequency_symmetric=False, center=None):
         try:
-            f = np.asarray(frequencies, dtype=float)
-            v = np.asarray(values, dtype=float)
-        except (TypeError, ValueError) as exc:
+            f, v = np.asarray(frequencies), np.asarray(values)
+        except ValueError as exc:
             raise ConfigError("tabulated envelope samples must be numbers: %s" % exc) from exc
+        # strings, booleans and None are not numbers, though float() takes some
+        if f.dtype.kind not in "iuf" or v.dtype.kind not in "iuf":
+            raise ConfigError("tabulated envelope samples must be numbers")
+        f, v = f.astype(float), v.astype(float)
         if f.ndim != 1 or f.shape != v.shape or f.size < 2:
             raise ConfigError("tabulated envelope needs matching 1-d frequency/value arrays")
         if not (np.all(np.isfinite(f)) and np.all(np.isfinite(v))):
@@ -295,9 +298,10 @@ class CoupledMatrices:
     """Discretized coupling matrices of the equations of motion.
 
     G, H are the diagonal walk-off phase matrices of signal and idler; F is
-    the (signed) pump-mediated coupling.  sign records the poling orientation
-    the F entries were built with; sgvm records whether H = -G holds by
-    construction so downstream code can take the block fast path.
+    the (signed) pump-mediated coupling.  sign and g0 record the poling
+    orientation and peak gain the F entries were built with; sgvm records
+    whether H = -G holds by construction so downstream code can take the
+    block fast path.
     """
 
     G: np.ndarray
@@ -305,6 +309,7 @@ class CoupledMatrices:
     F: np.ndarray
     sign: int
     sgvm: bool
+    g0: float
 
 
 def build_coupled_matrices(grid, pump, medium, sign=1):
@@ -342,7 +347,7 @@ def build_coupled_matrices(grid, pump, medium, sign=1):
             pump, pump.center + sums
         )
         F = np.asarray(F)
-    return CoupledMatrices(G=G, H=H, F=F, sign=sign, sgvm=is_sgvm)
+    return CoupledMatrices(G=G, H=H, F=F, sign=sign, sgvm=is_sgvm, g0=float(pump.g0))
 
 
 def build_generator(matrices):
@@ -491,22 +496,24 @@ def save_poling(poling, path):
 def load_poling(path):
     """Read a poling file written by save_poling."""
     try:
-        fh = open(path)
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError("cannot read poling file %s: %s" % (path, exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("poling file %s is not UTF-8 text: %s" % (path, exc)) from exc
     domains = []
-    with fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError("%s:%d: expected `width sign`" % (path, lineno))
-            try:
-                width = float(parts[0])
-                sign = int(parts[1])
-            except ValueError as exc:
-                raise ConfigError("%s:%d: %s" % (path, lineno, exc)) from exc
-            domains.append((width, sign))
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigError("%s:%d: expected `width sign`" % (path, lineno))
+        try:
+            width = float(parts[0])
+            sign = int(parts[1])
+        except ValueError as exc:
+            raise ConfigError("%s:%d: %s" % (path, lineno, exc)) from exc
+        domains.append((width, sign))
     return Poling(domains)

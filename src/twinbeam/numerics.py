@@ -6,14 +6,29 @@ pin down the conventions the rest of the package relies on -- finite input
 only, ascending eigenvalues, descending singular values, ``V`` returned such
 that ``M = U @ diag(s) @ V.T`` -- and enforce the symmetry tolerance for
 eigendecompositions of analytically-symmetric matrices that carry roundoff.
+
+``one_blas_thread`` runs a block with every loaded OpenBLAS pool on one
+thread; the command line enters it around each command.
 """
+
+import contextlib
+import ctypes
+import os
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ContractError
 
-__all__ = ["expm", "sym_eig", "svd", "require_finite"]
+__all__ = ["expm", "sym_eig", "svd", "require_finite", "blas_pools", "one_blas_thread"]
+
+# Thread-count (setter, getter) names an OpenBLAS build may export: the
+# ILP64 wheel build numpy ships, the LP64 one scipy ships, a plain build.
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
 
 # Input to sym_eig may deviate from exact symmetry by this much (relative to
 # max(1, ||M||_max)); larger deviations indicate a bug upstream, not roundoff.
@@ -30,13 +45,17 @@ def expm(M):
     """Matrix exponential e^M of a square real or complex matrix.
 
     Delegates to scipy's scaling-and-squaring Pade implementation; double
-    precision throughout.
+    precision throughout.  An exponential that overflows raises
+    ContractError rather than passing Inf or NaN on.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ContractError("expm requires a square matrix, got shape %s" % (M.shape,))
     require_finite(M, "expm input")
-    return scipy.linalg.expm(M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = scipy.linalg.expm(M)
+    require_finite(E, "expm output")
+    return E
 
 
 def sym_eig(M):
@@ -81,3 +100,54 @@ def svd(M):
     require_finite(M, "svd input")
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     return U, s, Vh.conj().T
+
+
+def blas_pools():
+    """The OpenBLAS libraries mapped into this process, with thread controls.
+
+    Returns (path, set_num_threads, get_num_threads) per library, found from
+    /proc/self/maps; empty where that file or OpenBLAS is absent.
+    """
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(None, 5)
+                if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower():
+                    paths.add(fields[5].strip())
+    except OSError:
+        return []
+    pools = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_API:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                pools.append((path, setter, getter))
+                break
+    return pools
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS pool on one thread.
+
+    The kernels here are products, exponentials and factorizations of
+    matrices of order 10-800, where threading costs more than it saves, and
+    a threaded product sums in a different order, so one thread also keeps
+    outputs the same across machines.  Each pool's earlier count is restored
+    on exit, error exits included.  Without OpenBLAS this does nothing.
+    """
+    saved = [(setter, getter()) for _, setter, getter in blas_pools()]
+    for setter, _ in saved:
+        setter(1)
+    try:
+        yield
+    finally:
+        for setter, count in saved:
+            setter(count)

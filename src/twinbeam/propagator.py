@@ -157,7 +157,12 @@ def segment_propagator(matrices, dz):
         generator = -F - 1j * G
     else:
         generator = 1j * np.block([[G, F], [-F, -H]])
-    return Propagator(numerics.expm(dz * generator), G.shape[0])
+    try:
+        E = numerics.expm(dz * generator)
+    except ContractError as exc:
+        raise ContractError("domain exponential (width %g, g0 = %g): %s"
+                            % (dz, matrices.g0, exc)) from exc
+    return Propagator(E, G.shape[0])
 
 
 def compose(grid, pump, medium, poling):

@@ -1,13 +1,17 @@
 """End-to-end runs of the command line driver, in process via main()."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import twinbeam
 from twinbeam import (
     apodized_poling, compose, decompose, double_pass, flip_overlap, load_poling,
-    qpm_poling, save_matrix,
+    numerics, qpm_poling, save_matrix,
 )
 from twinbeam.blochmessiah import FACTOR_TOL, PAIR_RTOL, RECON_RTOL
 from twinbeam.cli import PHOTON_BALANCE_TOL, load_config, main
@@ -18,6 +22,8 @@ SGVM_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 0.5, "L": 1.0}
 SKEW_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 1.0 / 5.2, "L": 1.0}
 # a tabulated pump spectrum, even about the pump center
 EVEN_TABLE = {"frequencies": [-2.0, 0.0, 2.0], "values": [0.5, 1.0, 0.5]}
+# starts with a UTF-16 byte order mark, which is not UTF-8
+NOT_UTF8 = b"\xff\xfe1.0 1\n"
 
 
 def base_config(**over):
@@ -174,10 +180,21 @@ def test_flip_overlap_matches_raw_decomposition(tmp_path, cfg):
     base_config(pump={"g0": 1.0, "envelope": dict(EVEN_TABLE, values=[0.5, None, 0.5])}),
     base_config(pump={"g0": 1.0, "envelope": dict(EVEN_TABLE, frequency_symmetric="no")}),
     base_config(options={"tolerances": {"reconstruction": 1e-6}}),
+    base_config(pump={"g0": 1.0, "envelope": dict(EVEN_TABLE, frequencies=["-2", "0", "2"])}),
+    pytest.param(NOT_UTF8, id="config-not-utf8"),
+    pytest.param(base_config(poling={"kind": "file", "path": "not-utf8.txt"}),
+                 id="poling-not-utf8"),
 ])
-def test_bad_configs_exit_2(tmp_path, cfg):
-    rc, _ = run(tmp_path, cfg, "simulate")
+def test_bad_configs_exit_2(tmp_path, capsys, cfg):
+    (tmp_path / "not-utf8.txt").write_bytes(NOT_UTF8)
+    if isinstance(cfg, bytes):
+        path = tmp_path / "run.json"
+        path.write_bytes(cfg)
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    else:
+        rc, _ = run(tmp_path, cfg, "simulate")
     assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_unreadable_configs_exit_2(tmp_path):
@@ -195,6 +212,87 @@ def test_poling_file_length_mismatch_exit_2(tmp_path):
     cfg = base_config(poling={"kind": "file", "path": "long.txt"})
     rc, _ = run(tmp_path, cfg, "simulate")
     assert rc == 2
+
+
+def test_overflowing_domain_exponential_names_its_stage(tmp_path, capsys):
+    rc, _ = run(tmp_path, base_config(pump={"g0": 1e6}), "simulate")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "domain exponential (width 1, g0 = 1e+06)" in err
+    assert "expm output contains non-finite entries" in err
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+def _thread_counts():
+    return [get() for _, _, get in numerics.blas_pools()]
+
+
+@pytest.mark.parametrize("cfg,code", [
+    (base_config(), 0),
+    (base_config(pump={"g0": -1.0}), 2),
+], ids=["exit-0", "exit-2"])
+def test_cli_runs_on_one_blas_thread_and_restores_the_pools(
+        tmp_path, monkeypatch, cfg, code):
+    pools = numerics.blas_pools()
+    if not pools:
+        pytest.skip("no OpenBLAS library loaded")
+    before = _thread_counts()
+    seen = []
+    simulate = twinbeam.cli.cmd_simulate
+
+    def spy(*args):
+        seen.append(_thread_counts())
+        return simulate(*args)
+
+    monkeypatch.setattr(twinbeam.cli, "cmd_simulate", spy)
+    for _, set_threads, _ in pools:
+        set_threads(3)
+    try:
+        rc, _ = run(tmp_path, cfg, "simulate")
+        after = _thread_counts()
+    finally:
+        for (_, set_threads, _), count in zip(pools, before):
+            set_threads(count)
+    assert rc == code
+    assert after == [3] * len(pools)
+    assert seen == ([[1] * len(pools)] if code == 0 else [])
+
+
+def test_cli_runs_when_no_blas_pool_is_found(tmp_path, monkeypatch):
+    monkeypatch.setattr(numerics, "blas_pools", lambda: [])
+    rc, out = run(tmp_path, base_config(), "simulate")
+    assert rc == 0
+    assert read_summary(out)["mean_NS"] > 0.1
+
+
+@pytest.mark.parametrize("command,cfg,files", [
+    ("simulate", base_config(grid={"N": 21, "half_width": 5.0},
+                             pump={"target_NS": 2.0}, pass_mode="double",
+                             poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
+                                     "pmf_width": 4.0}),
+     ("summary.json", "modes.csv")),
+    ("verify", base_config(grid={"N": 21, "half_width": 5.0}, medium=dict(SKEW_MEDIUM)),
+     ("verify.json",)),
+], ids=["simulate-sgvm-double-tuned", "verify-skew"])
+def test_outputs_identical_across_blas_thread_settings(tmp_path, command, cfg, files):
+    # at N = 21 a two-thread OpenBLAS product sums in another order, so these
+    # files differ unless the command runs its kernels on one thread
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinbeam.__file__)))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = tmp_path / ("threads" + threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "twinbeam.cli", command, "--config", str(path),
+             "--out", str(out)], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        outputs[threads] = [(out / name).read_bytes() for name in files]
+    assert outputs["1"] == outputs["2"]
 
 
 # ---------------------------------------------------------------- sweep-gain

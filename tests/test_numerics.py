@@ -40,6 +40,8 @@ def test_expm_rejects_nonsquare_and_nonfinite():
     bad[0, 1] = np.nan
     with pytest.raises(ContractError):
         numerics.expm(bad)
+    with pytest.raises(ContractError, match="expm output"):
+        numerics.expm(np.diag([1e3, 0.0]))  # e^1000 overflows
 
 
 @settings(max_examples=60, deadline=None)
