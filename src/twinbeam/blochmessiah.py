@@ -12,18 +12,17 @@ the unitary representation Z = X + iY), and the passive remainder K = P^{-1} S
 supplies O-tilde = K^T O.  Eigenvector bases returned by a dense symmetric
 solver mix freely inside numerically degenerate clusters; away from lam = 1
 that mixing is harmless (the isotropy of each cluster subspace is basis
-independent), at lam = 1 the cluster contains symplectic partners and a
-complex pivoted QR on the whole cluster is used to pull out a proper unitary
-half.  A final unitary polish (Lowdin orthogonalization) scrubs the
-remaining roundoff so both factors meet tight orthogonality and symplectic
-residuals.
+independent), at lam = 1 the cluster contains symplectic partners and the
+leading left singular vectors of the whole cluster's complex form pull out a
+proper unitary half.  A final unitary polish (Lowdin orthogonalization)
+scrubs the remaining roundoff so both factors meet tight orthogonality and
+symplectic residuals.
 """
 
 from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
-from scipy.linalg import qr as _qr
 
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
@@ -76,7 +75,8 @@ class BlochMessiahResult:
         return np.diag(np.concatenate([self.lam, 1.0 / self.lam]))
 
     def reconstruct(self):
-        return self.O @ self.D() @ self.O_tilde.T
+        d = np.concatenate([self.lam, 1.0 / self.lam])
+        return (self.O * d) @ self.O_tilde.T
 
 
 def checked_factors(result, S, context):
@@ -176,8 +176,10 @@ def bloch_messiah(S):
     if m_unit:
         cluster = V_desc[:, n_above:n_above + n_unit]
         Wc = cluster[:h, :] + 1j * cluster[h:, :]
-        Q, R, _ = _qr(Wc, mode="economic", pivoting=True)
-        if abs(R[m_unit - 1, m_unit - 1]) < 1e-6:
+        # Wc has rank m_unit (the cluster holds a unitary half and its
+        # symplectic partners); its leading left singular vectors span it.
+        Q, sv, _ = np.linalg.svd(Wc, full_matrices=False)
+        if sv[m_unit - 1] < 1e-6:
             raise DecompositionError(
                 "failed to extract a unitary half of the passive cluster"
             )

@@ -256,6 +256,8 @@ def _write_json(path, obj):
 
 def _modes_csv(path, decomp):
     grid = decomp.grid
+    # "bin,omega_detuning" is the same for every mode; format it once.
+    bins = ["%d,%r" % (b + 1, x) for b, x in enumerate(grid.detunings.tolist())]
     with open(path, "w") as fh:
         fh.write("k,beam,direction,bin,omega_detuning,re,im,r_k\n")
         for k in decomp.active_pairs():
@@ -263,13 +265,12 @@ def _modes_csv(path, decomp):
                 sig, idl = decomp.pair_modes(k, direction)
                 for mode in (sig, idl):
                     amps = mode.beam_amplitudes(grid.n)
-                    for b in range(grid.n):
-                        fh.write("%d,%s,%s,%d,%s,%s,%s,%s\n" % (
-                            k + 1, mode.beam, direction, b + 1,
-                            repr(float(grid.detunings[b])),
-                            repr(float(amps[b].real)), repr(float(amps[b].imag)),
-                            repr(float(mode.r)),
-                        ))
+                    head = "%d,%s,%s," % (k + 1, mode.beam, direction)
+                    tail = ",%r\n" % float(mode.r)
+                    fh.write("".join(
+                        "%s%s,%r,%r%s" % (head, b, re, im, tail)
+                        for b, re, im in zip(bins, amps.real.tolist(), amps.imag.tolist())
+                    ))
 
 
 def cmd_simulate(cfg, out_dir):

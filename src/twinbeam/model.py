@@ -16,11 +16,11 @@ single real scalar g0.
 Quadrature ordering is (X_S, X_I, P_S, P_I), each block of length N.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError
 
@@ -438,8 +438,8 @@ def apodized_poling(length, domain_width, pmf_width=None):
         mid = 0.5 * length
 
         def cumulative(z):
-            a = erf((z - mid) / (np.sqrt(2.0) * sigma_z))
-            b = erf((0.0 - mid) / (np.sqrt(2.0) * sigma_z))
+            a = math.erf((z - mid) / (np.sqrt(2.0) * sigma_z))
+            b = math.erf((0.0 - mid) / (np.sqrt(2.0) * sigma_z))
             return 1j * (2.0 / np.pi) * sigma_z * np.sqrt(np.pi / 2.0) * (a - b)
 
     if abs(cumulative(length)) == 0.0:

@@ -1,7 +1,8 @@
 """Dense linear-algebra kernels used by every other module.
 
-Thin contracts over scipy/numpy: the matrix exponential (scaling-and-squaring
-with Pade approximants), symmetric eigendecomposition and SVD.  The wrappers
+Thin contracts over numpy: the matrix exponential (Higham's
+scaling-and-squaring Pade method, written out here so that numpy is the only
+runtime dependency), symmetric eigendecomposition and SVD.  The wrappers
 pin down the conventions the rest of the package relies on -- finite input
 only, ascending eigenvalues, descending singular values, ``V`` returned such
 that ``M = U @ diag(s) @ V.T`` -- and enforce the symmetry tolerance for
@@ -13,10 +14,10 @@ thread; the command line enters it around each command.
 
 import contextlib
 import ctypes
+import math
 import os
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ContractError
 
@@ -34,6 +35,13 @@ _OPENBLAS_THREAD_API = (
 # max(1, ||M||_max)); larger deviations indicate a bug upstream, not roundoff.
 SYM_TOL = 1e-9
 
+# Higham (2005), Table 2.3: the [m/m] Pade approximant of e^A is accurate to
+# double precision for ||A||_1 <= theta_m.  Above theta_13, A is scaled by
+# 2^-s into range and the result squared s times.
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 5.371920351148152
+
 
 def require_finite(M, name="matrix"):
     """Raise ContractError if M contains NaN or Inf."""
@@ -41,19 +49,61 @@ def require_finite(M, name="matrix"):
         raise ContractError("%s contains non-finite entries" % name)
 
 
+def _pade(A, m):
+    """Odd and even parts (U, V) of the degree-m Pade numerator p(A) = V + U.
+
+    p has the coefficients b_j = (2m - j)! / (j! (m - j)!) (so b_m = 1), and
+    the denominator is p(-A) = V - U.  The identity terms b_1 I and b_0 I are
+    added on the diagonal in place.
+    """
+    f = math.factorial
+    b = [float(f(2 * m - j) // (f(j) * f(m - j))) for j in range(m + 1)]
+    diag = np.s_[::A.shape[0] + 1]
+    A2 = A @ A
+    if m == 13:
+        A4 = A2 @ A2
+        A6 = A4 @ A2
+        odd = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
+    else:
+        powers = [A2]  # A^2, A^4, ..., A^(m-1)
+        while len(powers) < m // 2:
+            powers.append(powers[-1] @ A2)
+        odd = sum(b[2 * k + 3] * P for k, P in enumerate(powers))
+        V = sum(b[2 * k + 2] * P for k, P in enumerate(powers))
+    odd.flat[diag] += b[1]
+    V.flat[diag] += b[0]
+    return A @ odd, V
+
+
 def expm(M):
     """Matrix exponential e^M of a square real or complex matrix.
 
-    Delegates to scipy's scaling-and-squaring Pade implementation; double
-    precision throughout.  An exponential that overflows raises
-    ContractError rather than passing Inf or NaN on.
+    Scaling and squaring with Pade approximants (N. J. Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005), Algorithm 2.3): the lowest degree
+    m in 3, 5, 7, 9 whose theta_m bounds ||M||_1, otherwise degree 13 on
+    M / 2^s with the result squared s times.  Double precision throughout.
+    An exponential that overflows raises ContractError rather than passing
+    Inf or NaN on.
     """
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ContractError("expm requires a square matrix, got shape %s" % (M.shape,))
     require_finite(M, "expm input")
+    A = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     with np.errstate(over="ignore", invalid="ignore"):
-        E = scipy.linalg.expm(M)
+        norm = float(np.max(np.sum(np.abs(A), axis=0), initial=0.0))
+        if not math.isfinite(norm):
+            raise ContractError("expm input 1-norm overflows")
+        degree = next((m for m, theta in _PADE_THETA if norm <= theta), 13)
+        squarings = 0
+        if degree == 13 and norm > _THETA_13:
+            squarings = math.ceil(math.log2(norm / _THETA_13))
+            A = A * 2.0 ** -squarings
+        U, V = _pade(A, degree)
+        E = np.linalg.solve(V - U, V + U)
+        for _ in range(squarings):
+            E = E @ E
     require_finite(E, "expm output")
     return E
 

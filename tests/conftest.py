@@ -4,6 +4,10 @@ Gain tuning and 4N x 4N decompositions at N = 101 are the expensive steps,
 so they are computed lazily and cached for the whole session in BenchLab.
 The individual unit-test modules build their own small (N <= 21) setups and
 do not touch the lab; the acceptance module leans on it heavily.
+
+The whole session runs on one OpenBLAS thread, as every command-line run
+does: at these matrix orders threading costs more than it saves.  Tests of
+the thread controls themselves set their own counts or use subprocesses.
 """
 
 from dataclasses import replace
@@ -24,6 +28,7 @@ from twinbeam import (
     qpm_poling,
     tune_gain,
 )
+from twinbeam.numerics import one_blas_thread
 
 BENCH_N = 101
 BENCH_L = 1.0
@@ -94,6 +99,12 @@ class BenchLab:
                 remove_free_phase=remove_free_phase,
             )
         return self._decomp[key]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _one_blas_thread():
+    with one_blas_thread():
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -65,10 +65,23 @@ def setup():
 
 
 def test_identity_decomposes_to_identity():
-    bm = bloch_messiah(np.eye(8))
-    np.testing.assert_array_equal(bm.O, np.eye(8))
-    np.testing.assert_array_equal(bm.O_tilde, np.eye(8))
-    np.testing.assert_array_equal(bm.lam, np.ones(4))
+    # the whole spectrum is the passive cluster; its aligned unitary half is
+    # the bin basis itself
+    for n in (1, 2, 9, 21):
+        bm = bloch_messiah(np.eye(4 * n))
+        np.testing.assert_array_equal(bm.O, np.eye(4 * n))
+        np.testing.assert_array_equal(bm.O_tilde, np.eye(4 * n))
+        np.testing.assert_array_equal(bm.lam, np.ones(2 * n))
+
+
+def test_reconstruct_matches_the_dense_diagonal_product_bitwise(setup):
+    grid, pump, _ = setup
+    skew = MediumSpec.from_walkoffs(8.0, -4.8, L)
+    poling = demodulate_poling(apodized_poling(L, L / 12, pmf_width=4.0))
+    for S in (paired_symplectic([0.7, 0.2], np.random.default_rng(5))[0],
+              compose(grid, pump, skew, poling).matrix):
+        bm = bloch_messiah(S)
+        assert np.array_equal(bm.reconstruct(), bm.O @ bm.D() @ bm.O_tilde.T)
 
 
 def test_known_squeezer_recovered():
@@ -361,7 +374,7 @@ def test_tune_gain_evaluation_count(monkeypatch, poling, double):
     assert blochmessiah.compose.calls + propagator.compose.calls <= 14
 
 
-def test_tuning_does_not_import_scipy_optimize():
+def test_tuning_does_not_import_scipy_optimize(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(blochmessiah.__file__)))
     code = (
         "import sys, twinbeam\n"
@@ -370,8 +383,19 @@ def test_tuning_does_not_import_scipy_optimize():
         "tune_gain(build_grid(9, 0.0, 5.0), PumpSpec(g0=1.0), medium,\n"
         "          Poling.unpoled(1.0), 1.0, double=True)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
-    )
+        "import json\n"
+        "from twinbeam.cli import main\n"
+        "tmp = %r\n"
+        "cfg = {'grid': {'N': 9, 'half_width': 5.0}, 'pump': {'target_NS': 1.0},\n"
+        "       'medium': {'vP': 0.1, 'vS': 1 / 18, 'vI': 0.5, 'L': 1.0},\n"
+        "       'poling': {'kind': 'apodized', 'domain_width': 1 / 12, 'pmf_width': 4.0}}\n"
+        "json.dump(cfg, open(tmp + '/run.json', 'w'))\n"
+        "assert main(['simulate', '--config', tmp + '/run.json', '--out', tmp]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    ) % str(tmp_path)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    # numpy is the only runtime dependency: tuning, the apodized grating and a
+    # whole simulate run load no scipy module at all
+    assert out.split() == ["[]", "[]"]

@@ -69,6 +69,31 @@ def test_simulate_writes_summary_and_modes(tmp_path):
     assert header == "k,beam,direction,bin,omega_detuning,re,im,r_k"
 
 
+def test_modes_csv_bytes_match_per_element_formatting(tmp_path):
+    # the writer formats whole columns from lists; the file must be the one
+    # a repr(float(x)) per element gives
+    cfg = base_config(medium=dict(SKEW_MEDIUM), pump={"g0": 1.5})
+    rc, out = run(tmp_path, cfg, "simulate")
+    assert rc == 0
+    run_cfg = load_config(tmp_path / "run.json")
+    grid = run_cfg.grid
+    decomp = decompose(compose(grid, run_cfg.pump, run_cfg.medium, run_cfg.sim_poling),
+                       grid, medium=run_cfg.medium)
+    rows = ["k,beam,direction,bin,omega_detuning,re,im,r_k\n"]
+    for k in decomp.active_pairs():
+        for direction in ("in", "out"):
+            for mode in decomp.pair_modes(k, direction):
+                amps = mode.beam_amplitudes(grid.n)
+                for b in range(grid.n):
+                    rows.append("%d,%s,%s,%d,%s,%s,%s,%s\n" % (
+                        k + 1, mode.beam, direction, b + 1,
+                        repr(float(grid.detunings[b])),
+                        repr(float(amps[b].real)), repr(float(amps[b].imag)),
+                        repr(float(mode.r))))
+    assert len(rows) > 1
+    assert (out / "modes.csv").read_bytes() == "".join(rows).encode()
+
+
 @pytest.mark.parametrize("command,cfg,files", [
     ("simulate", base_config(), ("summary.json", "modes.csv")),
     ("verify", base_config(pump={"g0": 0.8}, pass_mode="double",

@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from twinbeam import numerics
+# scipy is a test-only oracle: the package computes e^M with numpy alone.
+import scipy.linalg
+
+from twinbeam import (
+    MediumSpec, PumpSpec, build_coupled_matrices, build_grid, default_half_width, numerics,
+)
 from twinbeam.errors import ContractError
 
 square = arrays(np.float64, (4, 4), elements=st.floats(-2.0, 2.0))
@@ -42,6 +47,47 @@ def test_expm_rejects_nonsquare_and_nonfinite():
         numerics.expm(bad)
     with pytest.raises(ContractError, match="expm output"):
         numerics.expm(np.diag([1e3, 0.0]))  # e^1000 overflows
+    with pytest.raises(ContractError, match="expm input"):
+        numerics.expm(np.full((2, 2), 1e308))  # finite entries, 1-norm overflows
+
+
+# Higham (2005), Table 2.3: largest 1-norm each Pade degree 3, 5, 7, 9, 13
+# serves without scaling.
+PADE_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+              2.097847961257068, 5.371920351148152)
+
+
+def expm_rel_to_scipy(A):
+    ref = scipy.linalg.expm(A)
+    return np.max(np.abs(numerics.expm(A) - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("norm", [0.99 * t for t in PADE_THETA] + [50.0],
+                         ids=["deg3", "deg5", "deg7", "deg9", "deg13", "scaled"])
+def test_expm_matches_scipy(norm, dtype):
+    # 12 x 12: scipy special-cases 1 x 1 and 2 x 2 inputs
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(12, 12)).astype(dtype)
+    if dtype is complex:
+        A += 1j * rng.normal(size=(12, 12))
+    A *= norm / np.max(np.sum(np.abs(A), axis=0))
+    E = numerics.expm(A)
+    assert E.dtype == np.dtype(dtype)
+    assert expm_rel_to_scipy(A) <= 1e-13
+
+
+@pytest.mark.parametrize("walkoff_idler,n,g0,width", [
+    (-8.0, 101, 6.28, 1.0 / 169),  # README grating, SGVM: N x N generator
+    (-4.8, 101, 2.5, 1.0 / 169),   # 40% walk-off mismatch: 2N x 2N generator
+    (-8.0, 201, 1.5, 1.0 / 9),     # QPM domain at N = 201, 1-norm ~4.6
+], ids=["readme-sgvm", "skew-2n", "qpm-n201"])
+def test_expm_matches_scipy_on_domain_generators(walkoff_idler, n, g0, width):
+    medium = MediumSpec.from_walkoffs(8.0, walkoff_idler, 1.0)
+    grid = build_grid(n, 0.0, default_half_width(medium))
+    m = build_coupled_matrices(grid, PumpSpec(g0=g0), medium)
+    K = -m.F - 1j * m.G if m.sgvm else 1j * np.block([[m.G, m.F], [-m.F, -m.H]])
+    assert expm_rel_to_scipy(width * K) <= 1e-13
 
 
 @settings(max_examples=60, deadline=None)

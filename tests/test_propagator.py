@@ -76,6 +76,18 @@ def test_symplectic_form():
     assert symplectic_residual(np.eye(8)) == 0.0
 
 
+def test_symplectic_residual_matches_the_dense_omega_product_bitwise(sgvm, skew):
+    # S Omega is formed by swapping column halves; the residual must be the
+    # very float the product with the dense Omega gives
+    mats = [compose(*sgvm, readme_grating()).matrix,
+            double_pass(*skew, readme_grating()).matrix,
+            np.random.default_rng(2).normal(size=(12, 12))]
+    for S in mats:
+        omega = symplectic_form(S.shape[0])
+        dense = float(np.max(np.abs(S @ omega @ S.T - omega)))
+        assert np.array_equal(symplectic_residual(S), dense)
+
+
 def test_segment_block_route_agrees_with_full_exponential(sgvm):
     grid, pump, medium = sgvm
     m = build_coupled_matrices(grid, pump, medium)
