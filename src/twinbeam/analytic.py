@@ -134,7 +134,8 @@ def canonical_factors(O_raw, lam_raw, O_tilde_raw):
     plane applied to both factors (multiplying the complex mode column by i),
     which swaps the mode's lam and 1/lam slots without changing the product;
     modes are then stably sorted by descending lam.  Factors are polished to
-    exact embedded unitaries on the way out.
+    exact embedded unitaries on the way out; when O_tilde_raw is O_raw, once,
+    and the result's O_tilde is its O.
     """
     lam = np.asarray(lam_raw, dtype=float).copy()
     h = lam.size
@@ -142,21 +143,18 @@ def canonical_factors(O_raw, lam_raw, O_tilde_raw):
         raise ConfigError("factor shapes do not match the lam vector")
     if np.any(lam <= 0):
         raise DecompositionError("raw lam values must be positive")
-    U = _complex_rep_avg(O_raw, h)
-    Ut = _complex_rep_avg(O_tilde_raw, h)
     flip = lam < 1.0
     lam[flip] = 1.0 / lam[flip]
-    U[:, flip] *= 1j
-    Ut[:, flip] *= 1j
     order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    U = U[:, order]
-    Ut = Ut[:, order]
-    return BlochMessiahResult(
-        O=embed_unitary(_polish_unitary(U, "active factor")),
-        lam=lam,
-        O_tilde=embed_unitary(_polish_unitary(Ut, "passive factor")),
-    )
+
+    def factor(raw, context):
+        U = _complex_rep_avg(raw, h)
+        U[:, flip] *= 1j
+        return embed_unitary(_polish_unitary(U[:, order], context))
+
+    O = factor(O_raw, "active factor")
+    O_tilde = O if O_tilde_raw is O_raw else factor(O_tilde_raw, "passive factor")
+    return BlochMessiahResult(O=O, lam=lam[order], O_tilde=O_tilde)
 
 
 def _require_sgvm(medium, route):

@@ -7,15 +7,16 @@ mode paired with one idler mode each, and extracts the complex input/output
 mode functions.
 
 The factorization route is polar: P = (S S^T)^{1/2} is diagonalized by an
-orthogonal symplectic O (built from the upper half of the spectrum through
-the unitary representation Z = X + iY), and the passive remainder K = P^{-1} S
-supplies O-tilde = K^T O.  Eigenvector bases returned by a dense symmetric
-solver mix freely inside numerically degenerate clusters; away from lam = 1
-that mixing is harmless (the isotropy of each cluster subspace is basis
-independent), at lam = 1 the cluster contains symplectic partners and the
-leading left singular vectors of the whole cluster's complex form pull out a
-proper unitary half.  A final unitary polish (Lowdin orthogonalization)
-scrubs the remaining roundoff so both factors meet tight orthogonality and
+orthogonal symplectic O = [[X, -Y], [Y, X]] built from the unitary Z = X + iY,
+and the passive remainder K = P^{-1} S supplies O-tilde = K^T O.  The
+eigenvectors of S S^T above lam = 1 give the active columns z_k of Z; a
+dense symmetric solver mixes them freely inside degenerate clusters, which is
+harmless because each cluster subspace is isotropic in any basis.  Their
+partners below lam = 1 are i z_k, so the unit cluster's unitary half is the
+complex complement of span{z_k}: Z is completed by a QR of its active
+columns, with no factorization of the cluster itself.  A thin unitary polish
+(Lowdin orthogonalization) of the active columns and a full one of O-tilde
+scrub the remaining roundoff so both factors meet tight orthogonality and
 symplectic residuals.
 """
 
@@ -83,15 +84,17 @@ def checked_factors(result, S, context):
     """Attach and enforce the factor residuals of S = O D O_tilde^T.
 
     residuals holds the reconstruction residual relative to max(1, max|S|),
-    then the orthogonality and symplectic residual of O and of O_tilde.
+    then the orthogonality and symplectic residual of O and of O_tilde (one
+    computation, reported under both names, when O_tilde is O).
     Raises DecompositionError when one exceeds RECON_RTOL or FACTOR_TOL.
     """
     eye = np.eye(S.shape[0])
     residuals = {"reconstruction": float(np.max(np.abs(result.reconstruct() - S)))
                  / max(1.0, float(np.max(np.abs(S))))}
     for name, M in (("O", result.O), ("O_tilde", result.O_tilde)):
-        residuals[name + "_orthogonal"] = float(np.max(np.abs(M.T @ M - eye)))
-        residuals[name + "_symplectic"] = symplectic_residual(M)
+        if name == "O" or M is not result.O:  # else O_tilde reuses O's pair
+            pair = float(np.max(np.abs(M.T @ M - eye))), symplectic_residual(M)
+        residuals[name + "_orthogonal"], residuals[name + "_symplectic"] = pair
     for name, value in residuals.items():
         limit = RECON_RTOL if name == "reconstruction" else FACTOR_TOL
         if value > limit:
@@ -120,9 +123,9 @@ def _complex_rep_avg(M, h):
 
 
 def _polish_unitary(Z, context):
-    """Lowdin orthogonalization Z (Z^H Z)^{-1/2} via SVD."""
-    u, s, vh = np.linalg.svd(Z)
-    if s[-1] < 0.5:
+    """Lowdin orthogonalization Z (Z^H Z)^{-1/2} via a thin SVD (any tall Z)."""
+    u, s, vh = np.linalg.svd(Z, full_matrices=False)
+    if s.size and s[-1] < 0.5:
         raise DecompositionError(
             "%s: candidate unitary is singular (smallest singular value %.3e)"
             % (context, s[-1])
@@ -170,33 +173,18 @@ def bloch_messiah(S):
     n_unit = dim - n_above - n_below
     m_unit = n_unit // 2
 
-    # Active directions: eigenvectors are isotropic per cluster automatically.
+    # Active directions: eigenvectors are isotropic per cluster, so their
+    # complex forms z_k are orthonormal up to roundoff; a thin polish scrubs it.
     top = V_desc[:, :n_above]
-    Z_cols = [top[:h, :] + 1j * top[h:, :]]
+    Z = _polish_unitary(top[:h, :] + 1j * top[h:, :], "active factor")
     if m_unit:
-        cluster = V_desc[:, n_above:n_above + n_unit]
-        Wc = cluster[:h, :] + 1j * cluster[h:, :]
-        # Wc has rank m_unit (the cluster holds a unitary half and its
-        # symplectic partners); its leading left singular vectors span it.
-        Q, sv, _ = np.linalg.svd(Wc, full_matrices=False)
-        if sv[m_unit - 1] < 1e-6:
-            raise DecompositionError(
-                "failed to extract a unitary half of the passive cluster"
-            )
-        Q = Q[:, :m_unit]
-        # The passive subspace comes out of the eigensolver in an arbitrary
-        # rotation; align it to the best-covered bin basis columns (orthogonal
-        # Procrustes) for a deterministic representative.  S = I then yields
-        # O = O_tilde = I instead of some random passive basis.
-        cover = np.sum(np.abs(Q) ** 2, axis=1)
-        cols = np.sort(np.argsort(-cover, kind="stable")[:m_unit])
-        try:
-            Q = Q @ _polish_unitary(Q.conj().T[:, cols], "passive alignment")
-        except DecompositionError:
-            pass  # ill-covered target; the unaligned basis is still valid
-        Z_cols.append(Q)
-    Z = np.hstack(Z_cols)
-    Z = _polish_unitary(Z, "active factor")
+        # The lam < 1 partners of the active directions are i z_k, so the
+        # unit cluster's unitary half is exactly the complex complement of
+        # span{z_k}: the trailing columns of a complete QR of Z.  It depends
+        # on the active columns alone, not on how the eigensolver rotated the
+        # cluster, and with no active columns it is the bin basis (S = I
+        # yields O = O_tilde = I).
+        Z = np.hstack([Z, np.linalg.qr(Z, mode="complete")[0][:, n_above:]])
     O = embed_unitary(Z)
     lam = np.concatenate([np.sqrt(w_desc[:n_above]), np.ones(m_unit)])
 
@@ -204,15 +192,14 @@ def bloch_messiah(S):
     P_inv = (V * (1.0 / np.sqrt(w))) @ V.T
     K = P_inv @ S
     O_tilde_raw = K.T @ O
-    embed_defect = float(
-        np.max(np.abs(O_tilde_raw - embed_unitary(_complex_rep_avg(O_tilde_raw, h))))
-    )
+    Z_tilde = _complex_rep_avg(O_tilde_raw, h)
+    embed_defect = float(np.max(np.abs(O_tilde_raw - embed_unitary(Z_tilde))))
     if embed_defect > 1e-6:
         raise DecompositionError(
             "passive factor is far from orthogonal symplectic (defect %.3e)"
             % embed_defect
         )
-    O_tilde = embed_unitary(_polish_unitary(_complex_rep_avg(O_tilde_raw, h), "passive factor"))
+    O_tilde = embed_unitary(_polish_unitary(Z_tilde, "passive factor"))
 
     return checked_factors(BlochMessiahResult(O=O, lam=lam, O_tilde=O_tilde), S,
                            "generic route")
@@ -223,12 +210,19 @@ def pair_mixer(n_pairs):
 
     Applied on the right of the active complex basis, it turns each
     degenerate lam pair of single-mode squeezers into one two-mode squeezer.
+    two_mode_rearrange applies it column pair by column pair (_mix_pairs).
     """
     w = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
     B = np.zeros((2 * n_pairs, 2 * n_pairs), dtype=complex)
     for k in range(n_pairs):
         B[2 * k:2 * k + 2, 2 * k:2 * k + 2] = w
     return B
+
+
+def _mix_pairs(U):
+    """U @ pair_mixer(U.shape[1] // 2), mixing each column pair (a, b) directly."""
+    a, b = U[:, 0::2], U[:, 1::2]
+    return np.stack([a + 1j * b, 1j * a + b], axis=2).reshape(U.shape) / np.sqrt(2.0)
 
 
 def two_mode_rearrange(bm):
@@ -251,9 +245,8 @@ def two_mode_rearrange(bm):
             "lam spectrum is not doubly degenerate at pair %d: %r vs %r"
             % (k, a[k], b[k])
         )
-    B = pair_mixer(h // 2)
-    U_out = _complex_rep(bm.O, h) @ B
-    U_in = _complex_rep(bm.O_tilde, h) @ B
+    U_out = _mix_pairs(_complex_rep(bm.O, h))
+    U_in = _mix_pairs(_complex_rep(bm.O_tilde, h))
     r = 0.5 * (np.log(a) + np.log(b))
     r[r < R_CLAMP] = 0.0
     return U_out, U_in, r

@@ -186,6 +186,13 @@ def test_svd_route_double_pass_factors_coincide(sgvm):
     poling = demodulate_poling(apodized_poling(L, L / 12, pmf_width=4.0))
     result = svd_route(grid, pump, medium, poling, double=True)
     np.testing.assert_array_equal(result.O, result.O_tilde)
+    # one polished factor, its residuals computed once and reported twice
+    assert list(result.residuals) == [
+        "reconstruction", "O_orthogonal", "O_symplectic",
+        "O_tilde_orthogonal", "O_tilde_symplectic",
+    ]
+    assert result.residuals["O_tilde_orthogonal"] == result.residuals["O_orthogonal"]
+    assert result.residuals["O_tilde_symplectic"] == result.residuals["O_symplectic"]
 
 
 def test_block_propagator_centrosymmetric(sgvm):

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbeam import (
@@ -28,7 +28,10 @@ from twinbeam import (
 )
 from twinbeam import blochmessiah, propagator
 from twinbeam.blochmessiah import (
+    FACTOR_TOL,
     R_CLAMP,
+    RECON_RTOL,
+    _complex_rep,
     _extract_modes,
     embed_unitary,
     pair_mixer,
@@ -92,20 +95,29 @@ def test_known_squeezer_recovered():
     np.testing.assert_allclose(bm.reconstruct(), S, atol=1e-10)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(
-    st.integers(0, 2**32 - 1),
-    st.lists(st.floats(0.05, 1.5), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    active=st.lists(st.one_of(st.floats(0.05, 4.0), st.sampled_from([0.5, 4.0])),
+                    min_size=1, max_size=4),
+    n_passive=st.integers(0, 20),
 )
-def test_construct_then_decompose_round_trip(seed, r_values):
+# mostly passive: one active pair out of 21
+@example(seed=1, active=[0.9], n_passive=20)
+# exactly degenerate active pairs, with and without a passive cluster
+@example(seed=2, active=[0.7, 0.7, 0.2], n_passive=0)
+@example(seed=3, active=[4.0, 4.0], n_passive=3)
+# the top of the range, no passive cluster at all
+@example(seed=4, active=[4.0, 1.5, 0.05], n_passive=0)
+def test_construct_then_decompose_round_trip(seed, active, n_passive):
     rng = np.random.default_rng(seed)
-    S, lam = paired_symplectic(np.asarray(r_values), rng)
+    r_values = np.concatenate([active, np.zeros(n_passive)])
+    S, _ = paired_symplectic(r_values, rng)
     bm = bloch_messiah(S)
-    np.testing.assert_allclose(bm.lam, lam, atol=1e-9)
-    np.testing.assert_allclose(bm.reconstruct(), S, atol=1e-8)
-    dim = S.shape[0]
-    for M in (bm.O, bm.O_tilde):
-        assert np.max(np.abs(M.T @ M - np.eye(dim))) < 1e-9
+    _, _, r = two_mode_rearrange(bm)
+    np.testing.assert_allclose(r, np.sort(r_values)[::-1], rtol=0, atol=1e-12)
+    assert bm.residuals["reconstruction"] <= RECON_RTOL
+    assert max(v for k, v in bm.residuals.items() if k != "reconstruction") <= FACTOR_TOL
 
 
 def test_spectrum_is_doubly_degenerate(setup):
@@ -154,7 +166,16 @@ def test_two_mode_squeezer_core():
     np.testing.assert_allclose(M, expected, atol=1e-15)
 
 
-def test_rearrange_preserves_product():
+def test_rearrange_preserves_product(setup):
+    grid, pump, medium = setup
+    # the column-pair mixing equals the dense product with pair_mixer
+    bm = bloch_messiah(compose(grid, pump, medium, qpm_poling(L, 2 * L / 9)).matrix)
+    h = bm.lam.size
+    U_out, U_in, _ = two_mode_rearrange(bm)
+    B = pair_mixer(h // 2)
+    np.testing.assert_allclose(U_out, _complex_rep(bm.O, h) @ B, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(U_in, _complex_rep(bm.O_tilde, h) @ B, rtol=0, atol=1e-15)
+
     rng = np.random.default_rng(5)
     S, _ = paired_symplectic([0.8, 0.3], rng)
     bm = bloch_messiah(S)

@@ -382,7 +382,16 @@ def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
     rc, out = run(tmp_path, cfg, "verify")
     assert rc == 0
     report = json.loads((out / "verify.json").read_text())
-    assert "double_pass_zero_gain_free" in [c["name"] for c in report["checks"]]
+    # every check of an SGVM double pass, in report order
+    assert [c["name"] for c in report["checks"]] == [
+        "F_symmetric", "F_centrosymmetric", "G_anticentrosymmetric",
+        "generator_hamiltonian", "propagator_symplectic", "photon_balance",
+        "bm_reconstruction", "bm_O_orthogonal", "bm_O_symplectic",
+        "bm_O_tilde_orthogonal", "bm_O_tilde_symplectic", "lam_pair_degeneracy",
+        "route_r_agreement", "route_mode_overlap", "structure_f_centrosymmetry",
+        "block_propagator_symmetry", "flip_classes_balanced",
+        "double_pass_zero_gain_free",
+    ]
 
 
 def test_verify_rejects_tampered_propagator(tmp_path):
