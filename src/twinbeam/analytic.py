@@ -245,16 +245,17 @@ def symmetrized_eig_route(grid, pump, medium, poling):
     return _symmetric_factors(X, B, M, prop.matrix, "symmetrized eigenproblem route")
 
 
-def svd_route(grid, pump, medium, poling, double=False):
+def svd_route(grid, pump, medium, poling, double=False, prop=None):
     """Factorization through the SVD of the 2N block propagator (SGVM, any poling).
 
     Single pass: A-hat = M D V^T maps directly onto the factors with raw
     spectrum (D, 1/D).  Matched double pass: the return trip is the adjoint,
     so the total block is A-hat^T A-hat = V D^2 V^T, symmetric positive
     definite, and input and output factors coincide (perfect inline squeezer).
+    prop is the forward pass when the caller has already composed it.
     """
     _require_sgvm(medium, "SVD route")
-    prop = compose(grid, pump, medium, poling)
+    prop = prop or compose(grid, pump, medium, poling)
     B = _sgvm_split_basis(grid.n)
     left, s, right = numerics.svd(prop.block)
     if double:
@@ -308,12 +309,13 @@ def _flip_classes(w, V, K, rtol=1e-8):
     return n_even, n_odd
 
 
-def structure_checks(grid, pump, medium, poling):
+def structure_checks(grid, pump, medium, poling, prop=None):
     """Symmetry diagnostics of the model, returned as a JSON-able dict.
 
     Reports the centrosymmetry residual of F, the symmetry residual of the
     block propagator in the applicable reduced basis, and the flip-parity
     class sizes of the symmetric block spectrum (expected to split evenly).
+    prop is the forward pass when the caller has already composed it.
     """
     matrices = build_coupled_matrices(grid, pump, medium, sign=1)
     j = flip_matrix(grid.n)
@@ -327,7 +329,7 @@ def structure_checks(grid, pump, medium, poling):
         "flip_even": None,
         "flip_odd": None,
     }
-    prop = compose(grid, pump, medium, poling)
+    prop = prop or compose(grid, pump, medium, poling)
     try:
         _, _, M, K = _reduced(prop, grid, pump, medium, poling)
     except RegimeError as exc:

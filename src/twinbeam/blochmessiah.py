@@ -15,9 +15,11 @@ harmless because each cluster subspace is isotropic in any basis.  Their
 partners below lam = 1 are i z_k, so the unit cluster's unitary half is the
 complex complement of span{z_k}: Z is completed by a QR of its active
 columns, with no factorization of the cluster itself.  A thin unitary polish
-(Lowdin orthogonalization) of the active columns and a full one of O-tilde
-scrub the remaining roundoff so both factors meet tight orthogonality and
-symplectic residuals.
+of the active columns and a full one of O-tilde scrub the remaining roundoff
+so both factors meet tight orthogonality and symplectic residuals.  The
+polish is a Newton-Schulz iteration to the polar (Lowdin) factor, two
+products a step, in place of an SVD; it refuses an input with ||Z^H Z - I||_F
+>= 0.75, beyond which the steps need not converge.
 """
 
 from dataclasses import dataclass, replace
@@ -53,6 +55,9 @@ RECON_RTOL = 1e-8
 # moves the flip overlaps of r ~ 1e-9 squeezers by 4e-7), so at this floor
 # every reported mode stays within about FACTOR_TOL of the exact one.
 R_CLAMP = 1e-6
+# Unitary polish target max|Z^H Z - I|, and its step cap (seven suffice).
+POLISH_TOL = 1e-14
+POLISH_STEPS = 8
 # Beam-support leakage above this marks a mode pair as mixed.
 MIX_TOL = 1e-6
 # Doublings of the upper end allowed while bracketing a target.
@@ -123,14 +128,26 @@ def _complex_rep_avg(M, h):
 
 
 def _polish_unitary(Z, context):
-    """Lowdin orthogonalization Z (Z^H Z)^{-1/2} via a thin SVD (any tall Z)."""
-    u, s, vh = np.linalg.svd(Z, full_matrices=False)
-    if s.size and s[-1] < 0.5:
-        raise DecompositionError(
-            "%s: candidate unitary is singular (smallest singular value %.3e)"
-            % (context, s[-1])
-        )
-    return u @ vh
+    """Polar (Lowdin) factor Z (Z^H Z)^{-1/2} of a nearly unitary Z, tall or square.
+
+    Newton-Schulz steps Z <- Z - Z E / 2, E = Z^H Z - I (two products, the
+    error squared), until max|E| <= POLISH_TOL; an input already there comes
+    back unchanged.  Raises DecompositionError when ||E||_F >= 0.75 on entry
+    (below it every singular value lies in (0.5, sqrt 1.75), where the steps
+    converge) or when POLISH_STEPS steps do not reach POLISH_TOL.
+    """
+    eye = np.eye(Z.shape[1])
+    E = Z.conj().T @ Z - eye
+    defect = float(np.linalg.norm(E))
+    for step in range(POLISH_STEPS + 1):
+        if np.max(np.abs(E), initial=0.0) <= POLISH_TOL:
+            return Z
+        if defect >= 0.75 or step == POLISH_STEPS:
+            raise DecompositionError(
+                "%s: candidate unitary does not polish (||Z^H Z - I||_F = %.3e on "
+                "entry, %d steps)" % (context, defect, step))
+        Z = Z - 0.5 * (Z @ E)
+        E = Z.conj().T @ Z - eye
 
 
 def bloch_messiah(S):
@@ -195,10 +212,8 @@ def bloch_messiah(S):
     Z_tilde = _complex_rep_avg(O_tilde_raw, h)
     embed_defect = float(np.max(np.abs(O_tilde_raw - embed_unitary(Z_tilde))))
     if embed_defect > 1e-6:
-        raise DecompositionError(
-            "passive factor is far from orthogonal symplectic (defect %.3e)"
-            % embed_defect
-        )
+        raise DecompositionError("passive factor is far from orthogonal symplectic "
+                                 "(defect %.3e)" % embed_defect)
     O_tilde = embed_unitary(_polish_unitary(Z_tilde, "passive factor"))
 
     return checked_factors(BlochMessiahResult(O=O, lam=lam, O_tilde=O_tilde), S,

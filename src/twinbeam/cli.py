@@ -241,11 +241,11 @@ def _resolve_pump(cfg):
     return replace(cfg.pump, g0=g0), achieved
 
 
-def _build_propagator(cfg, pump):
+def _build_propagator(cfg, pump, first=None):
     if cfg.double:
         return double_pass(cfg.grid, pump, cfg.medium, cfg.sim_poling,
-                           gain2_scale=cfg.gain2_scale)
-    return compose(cfg.grid, pump, cfg.medium, cfg.sim_poling)
+                           gain2_scale=cfg.gain2_scale, first=first)
+    return first or compose(cfg.grid, pump, cfg.medium, cfg.sim_poling)
 
 
 def _write_json(path, obj):
@@ -434,7 +434,9 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
     _check(checks, "generator_hamiltonian", float(np.max(np.abs(oq - oq.T))),
            1e-14 * max(1.0, float(np.max(np.abs(Q)))))
 
-    prop = _build_propagator(cfg, pump)
+    # one forward pass for the double pass, the SVD route and structure_checks
+    first = compose(grid, pump, medium, cfg.sim_poling)
+    prop = _build_propagator(cfg, pump, first)
     S = prop.matrix
     smax = float(np.max(np.abs(S)))
     _check(checks, "propagator_symplectic", symplectic_residual(S),
@@ -461,7 +463,8 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
 
     if medium.sgvm() and decomp is not None and (
             not cfg.double or cfg.gain2_scale == 1.0):
-        route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double)
+        route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double,
+                          prop=first)
         r_gen = np.log(decomp.lam)
         r_route = np.log(route.lam)
         _check(checks, "route_r_agreement",
@@ -476,7 +479,7 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
             worst = min(worst, overlap)
         _check(checks, "route_mode_overlap", 1.0 - worst, 1e-8)
 
-    report_struct = structure_checks(grid, pump, medium, cfg.sim_poling)
+    report_struct = structure_checks(grid, pump, medium, cfg.sim_poling, prop=first)
     if pump.frequency_symmetric:
         _check(checks, "structure_f_centrosymmetry",
                report_struct["f_centrosymmetry_residual"],

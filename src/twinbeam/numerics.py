@@ -109,22 +109,11 @@ def expm(M):
 
 
 def sym_eig(M):
-    """Eigendecomposition of a (numerically) symmetric matrix.
+    """(w, V) with M = V diag(w) V^T, w ascending, V orthonormal columns.
 
-    Parameters
-    ----------
-    M : (n, n) array
-        Symmetric up to roundoff: ``max|M - M.T| <= 1e-9 * max(1, max|M|)``.
-        Matrices such as X e^{dz A} are symmetric analytically but carry
-        floating-point asymmetry; the kernel symmetrizes via (M + M.T)/2
-        before decomposing.
-
-    Returns
-    -------
-    w : (n,) ndarray
-        Eigenvalues in ascending order.
-    V : (n, n) ndarray
-        Orthonormal eigenvectors as columns, ``M = V diag(w) V.T``.
+    M must be symmetric up to roundoff, max|M - M^T| <= SYM_TOL max(1,
+    max|M|): matrices such as X e^{dz A} are symmetric analytically but carry
+    floating-point asymmetry, so (M + M^T)/2 is decomposed.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

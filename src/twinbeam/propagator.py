@@ -60,11 +60,14 @@ def symplectic_form(dim):
 
 def symplectic_residual(S):
     """max |S Omega S^T - Omega|, zero for an exact symplectic matrix."""
-    omega = symplectic_form(S.shape[0])
-    h = S.shape[0] // 2
-    # S Omega only swaps the column halves and negates one: no dense product.
-    S_omega = np.hstack([-S[:, h:], S[:, :h]])
-    return float(np.max(np.abs(S_omega @ S.T - omega)))
+    h, odd = divmod(S.shape[0], 2)
+    if odd:
+        raise ConfigError("symplectic dimension must be even, got %d" % S.shape[0])
+    # S Omega swaps the column halves, negating one; Omega comes off in place.
+    P = np.hstack([-S[:, h:], S[:, :h]]) @ S.T
+    P[:h, h:].flat[::h + 1] -= 1.0
+    P[h:, :h].flat[::h + 1] += 1.0
+    return float(max(P.max(), -P.min()))
 
 
 @dataclass(frozen=True)
@@ -209,13 +212,14 @@ def compose(grid, pump, medium, poling):
     return Propagator(level[0], grid.n)
 
 
-def double_pass(grid, pump, medium, poling, gain2_scale=1.0):
+def double_pass(grid, pump, medium, poling, gain2_scale=1.0, first=None):
     """Forward pass followed by its return trip (`Propagator.return_trip`).
 
     gain2_scale multiplies the pump amplitude of the second pass only
     (imperfect double-pass modeling); at 1.0 both passes share one product.
+    first is the forward pass when the caller has already composed it.
     """
-    first = compose(grid, pump, medium, poling)
+    first = first or compose(grid, pump, medium, poling)
     back = first if gain2_scale == 1.0 else compose(
         grid, pump.scaled(gain2_scale), medium, poling)
     return back.return_trip().after(first)

@@ -195,6 +195,18 @@ def test_svd_route_double_pass_factors_coincide(sgvm):
     assert result.residuals["O_tilde_symplectic"] == result.residuals["O_symplectic"]
 
 
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+def test_svd_route_takes_the_composed_forward_pass(sgvm, double):
+    grid, pump, medium = sgvm
+    poling = demodulate_poling(apodized_poling(L, L / 12, pmf_width=4.0))
+    own = svd_route(grid, pump, medium, poling, double=double)
+    handed = svd_route(grid, pump, medium, poling, double=double,
+                       prop=compose(grid, pump, medium, poling))
+    for name in ("O", "lam", "O_tilde"):
+        np.testing.assert_array_equal(getattr(handed, name), getattr(own, name))
+    assert handed.residuals == own.residuals
+
+
 def test_block_propagator_centrosymmetric(sgvm):
     grid, pump, medium = sgvm
     A_hat = compose(grid, pump, medium, Poling.unpoled(L)).block
@@ -314,6 +326,15 @@ def test_structure_checks_skew_medium(skew):
     assert report["sgvm"] is False
     assert report["flip_even"] is None
     assert report["block_symmetry_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["sgvm", "skew"])
+def test_structure_checks_take_the_composed_forward_pass(request, case):
+    grid, pump, medium = request.getfixturevalue(case)
+    poling = qpm_poling(L, 2 * L / 9)
+    handed = structure_checks(grid, pump, medium, poling,
+                              prop=compose(grid, pump, medium, poling))
+    assert handed == structure_checks(grid, pump, medium, poling)
 
 
 def test_structure_checks_flags_asymmetric_pump(sgvm):

@@ -33,6 +33,7 @@ from twinbeam.blochmessiah import (
     RECON_RTOL,
     _complex_rep,
     _extract_modes,
+    _polish_unitary,
     embed_unitary,
     pair_mixer,
     solve_increasing,
@@ -75,6 +76,61 @@ def test_identity_decomposes_to_identity():
         np.testing.assert_array_equal(bm.O, np.eye(4 * n))
         np.testing.assert_array_equal(bm.O_tilde, np.eye(4 * n))
         np.testing.assert_array_equal(bm.lam, np.ones(2 * n))
+
+
+def near_unitary(shape, defect, rng):
+    """A Haar unitary's leading columns plus a complex perturbation of max size defect."""
+    Q = haar_unitary(shape[0], rng)[:, :shape[1]]
+    P = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return Q + defect * P / np.max(np.abs(P))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (24, 6)], ids=["square", "tall"])
+@pytest.mark.parametrize("defect", [1e-15, 1e-12, 1e-9, 1e-6, 1e-4, 1e-2])
+def test_polish_unitary_matches_the_svd_lowdin_factor(shape, defect):
+    Z = near_unitary(shape, defect, np.random.default_rng(int(-np.log10(defect))))
+    E = Z.conj().T @ Z - np.eye(shape[1])
+    assert 0.1 * defect < np.max(np.abs(E)) < 10 * defect
+    u, _, vh = np.linalg.svd(Z, full_matrices=False)
+    polished = _polish_unitary(Z, "test factor")
+    assert np.max(np.abs(polished - u @ vh)) <= 1e-13
+    assert np.max(np.abs(polished.conj().T @ polished - np.eye(shape[1]))) <= 1e-14
+
+
+@pytest.mark.parametrize("e", [0.74, -0.74])
+def test_polish_unitary_converges_at_the_edge_of_its_guard(e):
+    # one singular value sqrt(1 + e), so ||Z^H Z - I||_F = |e| just below 0.75;
+    # e < 0 is the slowest case and needs seven steps
+    rng = np.random.default_rng(3)
+    Q1, Q2 = haar_unitary(10, rng), haar_unitary(10, rng)
+    s = np.ones(10)
+    s[0] = np.sqrt(1.0 + e)
+    polished = _polish_unitary((Q1 * s) @ Q2, "edge factor")
+    assert np.max(np.abs(polished - Q1 @ Q2)) <= 1e-13
+
+
+def test_polish_unitary_rejects_far_inputs(monkeypatch):
+    rng = np.random.default_rng(4)
+    Q = haar_unitary(8, rng)
+    rank_deficient = Q.copy()
+    rank_deficient[:, 3] = rank_deficient[:, 2]
+    s = np.ones(8)
+    s[0] = np.sqrt(1.76)  # ||Z^H Z - I||_F = 0.76
+    for Z in (rank_deficient, Q[:, :5] * s[:5], Q * s):
+        with pytest.raises(DecompositionError, match="far factor"):
+            _polish_unitary(Z, "far factor")
+    # an accepted input that the step cap cannot finish
+    monkeypatch.setattr(blochmessiah, "POLISH_STEPS", 1)
+    with pytest.raises(DecompositionError, match="slow factor.*1 steps"):
+        _polish_unitary(near_unitary((8, 8), 1e-2, rng), "slow factor")
+
+
+def test_polish_unitary_returns_an_exactly_unitary_input_unchanged():
+    phases = np.array([1.0, 1j, -1.0, -1j, 1.0])
+    for Z in (np.eye(5, dtype=complex), np.eye(5)[:, ::-1] * phases,
+              np.eye(7, 3, dtype=complex), np.zeros((4, 0), dtype=complex)):
+        polished = _polish_unitary(Z, "exact factor")
+        assert polished is Z
 
 
 def test_reconstruct_matches_the_dense_diagonal_product_bitwise(setup):

@@ -394,6 +394,30 @@ def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("pass_mode, composed", [
+    ("double", 2),
+    ({"kind": "double", "gain2_scale": 1.3}, 3),
+], ids=["matched", "detuned"])
+def test_verify_composes_the_forward_pass_once(tmp_path, monkeypatch, pass_mode, composed):
+    # the forward pass serves the double pass, the SVD route and the
+    # structure checks; the zero-gain check and a detuned return pass add one
+    # each (4 and 4 when each step composed its own)
+    original = twinbeam.propagator.compose
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].g0)
+        return original(*args, **kwargs)
+
+    for module in (twinbeam.propagator, twinbeam.cli, twinbeam.analytic,
+                   twinbeam.blochmessiah):
+        monkeypatch.setattr(module, "compose", counting)
+    rc, _ = run(tmp_path, base_config(pump={"g0": 0.8}, pass_mode=pass_mode), "verify")
+    assert rc == 0
+    assert len(calls) == composed
+    assert calls[0] == 0.8 and calls[-1] == 0.0
+
+
 def test_verify_rejects_tampered_propagator(tmp_path):
     M = np.diag([2.0] * 4 + [1.0] * 4)  # not symplectic
     save_matrix(M, tmp_path / "prop.txt")
