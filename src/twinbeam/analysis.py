@@ -17,7 +17,7 @@ from . import numerics
 from .blochmessiah import SchmidtMode, decompose, solve_increasing, tune_gain
 from .errors import ConfigError
 from .model import pmf, pump_amplitude
-from .propagator import compose
+from .propagator import compose, double_pass
 
 __all__ = [
     "mode_fidelity", "flip_overlap", "SweepPoint", "SweepResult",
@@ -128,17 +128,13 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     g0, _ = tune_gain(grid, pump, medium, poling, base_target, double=True, tol=tol)
     pump_base = replace(pump, g0=g0)
     # Only the return pass depends on the scale: the tuned forward pass is
-    # built once and paired with each scaled return trip (as in double_pass).
+    # built once and paired with each scaled return trip.
     first = compose(grid, pump_base, medium, poling)
-
-    def double_at(scale):
-        back = first if scale == 1.0 else compose(
-            grid, pump_base.scaled(scale), medium, poling)
-        return back.return_trip().after(first)
 
     @functools.lru_cache(maxsize=None)
     def ns_at(scale):
-        return double_at(scale).mean_photons()[0]
+        return double_pass(grid, pump_base, medium, poling, gain2_scale=scale,
+                           first=first).mean_photons()[0]
 
     # Both searches evaluate scales 0 and 1 first; the cache shares them.
     s_lo, _ = solve_increasing(ns_at, span[0] * base_target, 0.0, 1.0, tol)
@@ -157,7 +153,8 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         scales = np.linspace(s_lo, s_hi, points)
 
     def run_point(scale):
-        prop = double_at(scale)
+        prop = double_pass(grid, pump_base, medium, poling, gain2_scale=scale,
+                           first=first)
         ns, _ = prop.mean_photons()
         decomp = decompose(prop, grid)
         return SweepPoint(

@@ -3,8 +3,9 @@
 Factors a symplectic propagator as S = O D O-tilde^T with O, O-tilde
 orthogonal symplectic and D = diag(lam, 1/lam), then rearranges the
 doubly-degenerate spectrum into independent two-mode squeezers, one signal
-mode paired with one idler mode each, and extracts the complex input/output
-mode functions.
+mode paired with one idler mode each.  A Decomposition stores only lam, r and
+the complex mode matrices U_out, U_in; the 4N real factors and each
+squeezer's gauged input/output modes are derived from them on demand.
 
 The factorization route is polar: P = (S S^T)^{1/2} is diagonalized by an
 orthogonal symplectic O = [[X, -Y], [Y, X]] built from the unitary Z = X + iY,
@@ -23,7 +24,7 @@ products a step, in place of an SVD; it refuses an input with ||Z^H Z - I||_F
 """
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -50,10 +51,10 @@ PAIR_RTOL = 1e-8
 # Residual allowances on the recovered factors and the reconstruction.
 FACTOR_TOL = 1e-9
 RECON_RTOL = 1e-8
-# Squeezing below this is reported as exactly passive.  A squeezer's mode
-# vectors carry roundoff of about 3e-16 / r (reordering the domain product
-# moves the flip overlaps of r ~ 1e-9 squeezers by 4e-7), so at this floor
-# every reported mode stays within about FACTOR_TOL of the exact one.
+# Squeezing below this is reported as exactly passive (reordering the domain
+# product moved the flip overlaps of r ~ 1e-9 squeezers by 4e-7).  Modes above
+# it still carry roundoff: a 1e-16 relative change of the domain exponentials
+# moved those of r = 2.9e-6 (N = 201 QPM) by 2.2e-5, while r_k agreed to 2e-14.
 R_CLAMP = 1e-6
 # Unitary polish target max|Z^H Z - I|, and its step cap (seven suffice).
 POLISH_TOL = 1e-14
@@ -285,33 +286,51 @@ class SchmidtMode:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Full two-mode squeezer structure of one propagator."""
+    """Two-mode squeezer structure of one propagator, stored once.
+
+    O, O_tilde and pair_modes are derived from U_out and U_in on each access.
+    """
 
     grid: object
     lam: np.ndarray
     r: np.ndarray
-    O: np.ndarray
-    O_tilde: np.ndarray
     U_out: np.ndarray
     U_in: np.ndarray
-    modes: List[SchmidtMode]
-    mixed_pairs: List[int]
     residuals: dict           # checked_factors residuals of the factorized matrix
+
+    @property
+    def O(self):
+        """Output factor of S = O D O_tilde^T: U_out times pair_mixer^-1 = its conjugate."""
+        return embed_unitary(_mix_pairs(self.U_out.conj()).conj())
+
+    @property
+    def O_tilde(self):
+        """Input factor of S = O D O_tilde^T, from U_in as O is from U_out."""
+        return embed_unitary(_mix_pairs(self.U_in.conj()).conj())
 
     def active_pairs(self):
         """Squeezers with r > 0; two_mode_rearrange sets every r < R_CLAMP to 0."""
         return [k for k, r in enumerate(self.r) if r > 0.0]
 
     def pair_modes(self, k, direction):
-        """(signal_mode, idler_mode) of squeezer k for one direction."""
-        found = {m.beam: m for m in self.modes if m.k == k and m.direction == direction}
-        if len(found) != 2:
+        """(signal_mode, idler_mode) of squeezer k, direction "out" or "in".
+
+        The column heavier on the signal bins is the signal mode; both are
+        mixed when either column leaks more than MIX_TOL onto the other beam.
+        """
+        if direction not in ("out", "in") or not 0 <= k < self.r.size:
             raise ConfigError("no such squeezer: k=%r direction=%r" % (k, direction))
-        return found["signal"], found["idler"]
-
-
-def _beam_support(u, n):
-    return float(np.sum(np.abs(u[:n]) ** 2))
+        n = self.grid.n
+        U = self.U_out if direction == "out" else self.U_in
+        sig, idl = U[:, 2 * k].copy(), U[:, 2 * k + 1].copy()
+        s_sig, s_idl = (float(np.sum(np.abs(u[:n]) ** 2)) for u in (sig, idl))
+        if s_sig < s_idl:
+            sig, idl, s_sig, s_idl = idl, sig, s_idl, s_sig
+        mixed = max(1.0 - s_sig, s_idl) > MIX_TOL
+        return tuple(
+            SchmidtMode(k=k, beam=beam, direction=direction, r=float(self.r[k]),
+                        amplitudes=_gauge_fix(u, n, beam), mixed=mixed)
+            for beam, u in (("signal", sig), ("idler", idl)))
 
 
 def _gauge_fix(u, n, beam):
@@ -324,32 +343,6 @@ def _gauge_fix(u, n, beam):
     if abs(anchor) == 0.0:
         return u
     return u * (abs(anchor) / anchor)
-
-
-def _extract_modes(U_out, U_in, r, n):
-    """Classify each squeezer's columns by beam and gauge them for reporting."""
-    modes = []
-    mixed_pairs = []
-    for k in range(r.size):
-        pair_mixed = False
-        for direction, U in (("out", U_out), ("in", U_in)):
-            ua, ub = U[:, 2 * k].copy(), U[:, 2 * k + 1].copy()
-            sa, sb = _beam_support(ua, n), _beam_support(ub, n)
-            if sa >= sb:
-                sig, idl, s_sig, s_idl = ua, ub, sa, sb
-            else:
-                sig, idl, s_sig, s_idl = ub, ua, sb, sa
-            leak = max(1.0 - s_sig, s_idl)
-            if leak > MIX_TOL:
-                pair_mixed = True
-            for beam, u in (("signal", sig), ("idler", idl)):
-                modes.append(SchmidtMode(
-                    k=k, beam=beam, direction=direction, r=float(r[k]),
-                    amplitudes=_gauge_fix(u, n, beam), mixed=leak > MIX_TOL,
-                ))
-        if pair_mixed:
-            mixed_pairs.append(k)
-    return modes, mixed_pairs
 
 
 def decompose(prop, grid, medium=None, double=False, remove_free_phase=False):
@@ -370,12 +363,8 @@ def decompose(prop, grid, medium=None, double=False, remove_free_phase=False):
         prop = Propagator(free_path(grid, medium, double).bogoliubov.conj(), n).after(prop)
     bm = bloch_messiah(prop.matrix)
     U_out, U_in, r = two_mode_rearrange(bm)
-    modes, mixed_pairs = _extract_modes(U_out, U_in, r, n)
-    return Decomposition(
-        grid=grid, lam=bm.lam, r=r, O=bm.O, O_tilde=bm.O_tilde,
-        U_out=U_out, U_in=U_in, modes=modes, mixed_pairs=mixed_pairs,
-        residuals=bm.residuals,
-    )
+    return Decomposition(grid=grid, lam=bm.lam, r=r, U_out=U_out, U_in=U_in,
+                         residuals=bm.residuals)
 
 
 def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,

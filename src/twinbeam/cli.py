@@ -39,8 +39,7 @@ from .model import (
 )
 from .numerics import one_blas_thread
 from .propagator import (
-    compose, double_pass, free_path, load_matrix, symplectic_form,
-    symplectic_residual,
+    compose, double_pass, free_path, load_matrix, symplectic_residual,
 )
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -298,7 +297,7 @@ def cmd_simulate(cfg, out_dir):
             "fidelity_signal": mode_fidelity(sig_out, sig_in),
             "fidelity_idler": mode_fidelity(idl_out, idl_in),
             "flip_overlap_signal": flip_overlap(sig_in, raw_sig_out),
-            "mixed": k in decomp.mixed_pairs,
+            "mixed": sig_out.mixed or sig_in.mixed,
         })
     summary = {
         "mean_NS": float(ns),
@@ -429,8 +428,7 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
     _check(checks, "G_anticentrosymmetric", float(np.max(np.abs(j @ G @ j + G))), 0.0,
            ok=np.array_equal(j @ G @ j, -G))
     Q = build_generator(matrices)
-    omega = symplectic_form(4 * n)
-    oq = omega @ Q
+    oq = np.vstack([Q[2 * n:], -Q[:2 * n]])  # Omega Q, Omega = [[0, I], [-I, 0]]
     _check(checks, "generator_hamiltonian", float(np.max(np.abs(oq - oq.T))),
            1e-14 * max(1.0, float(np.max(np.abs(Q)))))
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinbeam import (
+    Decomposition,
     MediumSpec,
     Poling,
     PumpSpec,
@@ -32,7 +33,6 @@ from twinbeam.blochmessiah import (
     R_CLAMP,
     RECON_RTOL,
     _complex_rep,
-    _extract_modes,
     _polish_unitary,
     embed_unitary,
     pair_mixer,
@@ -250,24 +250,33 @@ def test_zero_squeezing_pairs_are_clamped(setup):
     d = decompose(free_propagator(grid, medium, L), grid)
     assert np.all(d.r == 0.0)
     assert d.active_pairs() == []
-    assert all(m.r == 0.0 for m in d.modes)
+    for k in range(d.r.size):
+        for direction in ("out", "in"):
+            assert all(m.r == 0.0 for m in d.pair_modes(k, direction))
     # with all r zero the factor product alone reconstructs the propagator
     np.testing.assert_allclose(
         d.O @ d.O_tilde.T, free_propagator(grid, medium, L).matrix, atol=1e-9
     )
 
 
-def test_extract_modes_identity_factor_gives_bin_basis():
-    U = np.eye(6, dtype=complex)
+def three_bin_decomposition(U):
+    """Three squeezers on a 3-bin grid with U as both mode matrices."""
     r = np.array([1.0, 0.5, 0.2])
-    modes, _ = _extract_modes(U, U, r, 3)
-    for m in modes:
-        one_hot = np.zeros(6)
-        one_hot[np.argmax(np.abs(m.amplitudes))] = 1.0
-        np.testing.assert_allclose(m.amplitudes, one_hot, atol=1e-15)
+    return Decomposition(grid=build_grid(3, 0.0, 5.0), lam=np.repeat(np.exp(r), 2),
+                         r=r, U_out=U, U_in=U, residuals={})
 
 
-def test_extract_modes_flags_cross_beam_support():
+def test_pair_modes_identity_factor_gives_bin_basis():
+    d = three_bin_decomposition(np.eye(6, dtype=complex))
+    for k in range(3):
+        for direction in ("out", "in"):
+            for m in d.pair_modes(k, direction):
+                one_hot = np.zeros(6)
+                one_hot[np.argmax(np.abs(m.amplitudes))] = 1.0
+                np.testing.assert_allclose(m.amplitudes, one_hot, atol=1e-15)
+
+
+def test_pair_modes_flags_cross_beam_support():
     n = 3
     U = np.eye(2 * n, dtype=complex)
     # squeezer 0's first column straddles the beams equally
@@ -275,8 +284,25 @@ def test_extract_modes_flags_cross_beam_support():
     U[0, 0] = U[n, 0] = 1.0 / np.sqrt(2.0)
     U[:, 1] = 0.0
     U[1, 1] = 1.0
-    _, mixed = _extract_modes(U, U, np.array([1.0, 0.5, 0.2]), n)
-    assert 0 in mixed
+    d = three_bin_decomposition(U)
+    for direction in ("out", "in"):
+        assert all(m.mixed for m in d.pair_modes(0, direction))
+
+
+def test_pair_modes_rejects_unknown_squeezer():
+    d = three_bin_decomposition(np.eye(6, dtype=complex))
+    for k, direction in ((-1, "out"), (d.r.size, "in"), (0, "both")):
+        with pytest.raises(ConfigError):
+            d.pair_modes(k, direction)
+
+
+def test_decomposition_factors_undo_the_pair_mixing(setup):
+    grid, pump, medium = setup
+    S = compose(grid, pump, medium, qpm_poling(L, 2 * L / 9))
+    d = decompose(S, grid)
+    bm = bloch_messiah(S.matrix)
+    np.testing.assert_allclose(d.O, bm.O, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(d.O_tilde, bm.O_tilde, rtol=0, atol=1e-15)
 
 
 def test_decompose_modes_unitary_and_single_beam(setup):
@@ -286,9 +312,9 @@ def test_decompose_modes_unitary_and_single_beam(setup):
     np.testing.assert_allclose(d.U_out.conj().T @ d.U_out, np.eye(2 * N), atol=1e-9)
     np.testing.assert_allclose(d.U_in.conj().T @ d.U_in, np.eye(2 * N), atol=1e-9)
     for k in d.active_pairs():
-        assert k not in d.mixed_pairs
         for direction in ("out", "in"):
             sig, idl = d.pair_modes(k, direction)
+            assert not (sig.mixed or idl.mixed)
             assert np.sum(np.abs(sig.beam_amplitudes(N)) ** 2) > 1.0 - 1e-6
             assert np.sum(np.abs(idl.beam_amplitudes(N)) ** 2) > 1.0 - 1e-6
             np.testing.assert_allclose(np.linalg.norm(sig.amplitudes), 1.0,
