@@ -65,12 +65,8 @@ def flip_overlap(u_in, u_out):
                 "flip overlap compares modes of one beam, got %s vs %s"
                 % (u_in.beam, u_out.beam)
             )
-    a, b = u_in, u_out
-    if isinstance(a, SchmidtMode):
-        a = a.beam_amplitudes(a.amplitudes.size // 2)
-    if isinstance(b, SchmidtMode):
-        b = b.beam_amplitudes(b.amplitudes.size // 2)
-    a, b = np.asarray(a), np.asarray(b)
+    a, b = (np.asarray(u.beam_amplitudes(u.amplitudes.size // 2)
+                       if isinstance(u, SchmidtMode) else u) for u in (u_in, u_out))
     if a.shape != b.shape:
         raise ConfigError("mode shapes differ: %r vs %r" % (a.shape, b.shape))
     a, b = _unit(a, "input mode"), _unit(b, "output mode")

@@ -30,9 +30,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
-from .propagator import (
-    Propagator, compose, double_pass, free_path, symplectic_residual,
-)
+from .propagator import compose, double_pass, free_path, symplectic_residual
 
 __all__ = [
     "BlochMessiahResult", "SchmidtMode", "Decomposition", "bloch_messiah",
@@ -308,6 +306,17 @@ class Decomposition:
         """Input factor of S = O D O_tilde^T, from U_in as O is from U_out."""
         return embed_unitary(_mix_pairs(self.U_in.conj()).conj())
 
+    def without_free_phase(self, medium, double=False):
+        """This structure with the free walk-off phases stripped from the output.
+
+        The free path P (over both passes when double) is diagonal and passive,
+        so P^H S = (P^H O) D O_tilde^T: only each bin's row of U_out turns back.
+        """
+        n, p = self.grid.n, np.diag(free_path(self.grid, medium, double).bogoliubov)
+        # (a_S, a_I) turn by (conj M, M) for SGVM media, else by (p_S, conj p_I+)
+        phase = np.concatenate([p.conj(), p] if p.size == n else [p[:n], p[n:].conj()])
+        return replace(self, U_out=phase.conj()[:, None] * self.U_out)
+
     def active_pairs(self):
         """Squeezers with r > 0; two_mode_rearrange sets every r < R_CLAMP to 0."""
         return [k for k, r in enumerate(self.r) if r > 0.0]
@@ -345,22 +354,11 @@ def _gauge_fix(u, n, beam):
     return u * (abs(anchor) / anchor)
 
 
-def decompose(prop, grid, medium=None, double=False, remove_free_phase=False):
-    """Squeezer structure of a Propagator built on the given grid.
-
-    remove_free_phase strips the walk-off phases each beam accumulates over
-    the pass path from the output side before factorizing (input modes are
-    untouched); this needs the medium.  The double flag must match how the
-    propagator was built, since the return pass swaps the beam velocities.
-    """
-    n = prop.n
-    if grid.n != n:
-        raise ConfigError("grid size %d does not match propagator bins %d" % (grid.n, n))
-    if remove_free_phase:
-        if medium is None:
-            raise ConfigError("remove_free_phase needs the medium")
-        # the path is diagonal and passive: its inverse is its conjugate
-        prop = Propagator(free_path(grid, medium, double).bogoliubov.conj(), n).after(prop)
+def decompose(prop, grid):
+    """Squeezer structure of a Propagator built on the given grid."""
+    if grid.n != prop.n:
+        raise ConfigError("grid size %d does not match propagator bins %d"
+                          % (grid.n, prop.n))
     bm = bloch_messiah(prop.matrix)
     U_out, U_in, r = two_mode_rearrange(bm)
     return Decomposition(grid=grid, lam=bm.lam, r=r, U_out=U_out, U_in=U_in,
@@ -374,8 +372,9 @@ def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
     The photon number is increasing in g0 and exactly 0 at g0 = 0, so
     solve_increasing searches up from [0, max(|g0|, 1)] without building a
     propagator at zero gain.  Returns (g0, achieved); a zero target gives
-    (0.0, 0.0).  Uses the trace of S S^T, so no mode decomposition is
-    performed per evaluation.
+    (0.0, 0.0).  Each evaluation reads the photon number off the complex
+    Bogoliubov matrix (Propagator.mean_photons): no 4N matrix and no mode
+    decomposition is built.
     """
     if not (target >= 0):
         raise ConfigError("target photon number must be nonnegative")

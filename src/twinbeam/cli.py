@@ -39,7 +39,7 @@ from .model import (
 )
 from .numerics import one_blas_thread
 from .propagator import (
-    compose, double_pass, free_path, load_matrix, symplectic_residual,
+    compose, double_pass, free_path, load_matrix, mean_photons, symplectic_residual,
 )
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -276,27 +276,21 @@ def cmd_simulate(cfg, out_dir):
     pump, achieved = _resolve_pump(cfg)
     prop = _build_propagator(cfg, pump)
     ns, ni = prop.mean_photons()
-    decomp = decompose(prop, cfg.grid, medium=cfg.medium, double=cfg.double,
-                       remove_free_phase=cfg.remove_free_phase)
-    # The raw output modes are the stripped ones carried back through the
-    # free path (diagonal and passive); the input modes are the same.
-    carry = np.ones(2 * cfg.grid.n)
-    if cfg.remove_free_phase:
-        free = free_path(cfg.grid, cfg.medium, cfg.double).matrix
-        carry = np.diag(free[:2 * cfg.grid.n, :2 * cfg.grid.n]
-                        + 1j * free[2 * cfg.grid.n:, :2 * cfg.grid.n])
+    # flip overlaps read the raw modes, fidelities and modes.csv the stripped ones
+    raw = decompose(prop, cfg.grid)
+    decomp = raw.without_free_phase(cfg.medium, cfg.double) \
+        if cfg.remove_free_phase else raw
 
     squeezers = []
     for k in decomp.active_pairs():
         sig_out, idl_out = decomp.pair_modes(k, "out")
         sig_in, idl_in = decomp.pair_modes(k, "in")
-        raw_sig_out = replace(sig_out, amplitudes=carry * sig_out.amplitudes)
         squeezers.append({
             "k": k + 1,
             "r": float(decomp.r[k]),
             "fidelity_signal": mode_fidelity(sig_out, sig_in),
             "fidelity_idler": mode_fidelity(idl_out, idl_in),
-            "flip_overlap_signal": flip_overlap(sig_in, raw_sig_out),
+            "flip_overlap_signal": flip_overlap(sig_in, raw.pair_modes(k, "out")[0]),
             "mixed": sig_out.mixed or sig_in.mixed,
         })
     summary = {
@@ -383,6 +377,8 @@ def _svg_plot(points, path, xlabel, ylabel):
 def cmd_sweep_gain(cfg, out_dir, jobs=1, points=21):
     if not cfg.double:
         raise ConfigError("sweep-gain needs a double-pass configuration")
+    if jobs < 1:
+        raise ConfigError("--jobs must be at least 1, got %d" % jobs)
     base = cfg.target_ns
     if base is None:
         base, _ = _build_propagator(cfg, cfg.pump).mean_photons()
@@ -440,7 +436,7 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
     _check(checks, "propagator_symplectic", symplectic_residual(S),
            INPUT_SYMPLECTIC_TOL * max(1.0, smax**2))
 
-    ns, ni = prop.mean_photons()
+    ns, ni = mean_photons(S, n)  # the 4N form, independent of prop.mean_photons
     balance = abs(ns - ni) / max(1.0, abs(ns))
     _check(checks, "photon_balance", balance, PHOTON_BALANCE_TOL)
 
@@ -526,20 +522,20 @@ def cmd_poling(cfg, out_dir, action, dk_max=None, dk_points=801):
         save_poling(device, path)
         return path
     if action == "eval":
-        widths = device.widths
-        w_min = float(np.min(widths))
         if dk_max is None:
-            dk_max = max(1.5 * np.pi / w_min, 40.0 / device.length)
+            dk_max = max(1.5 * np.pi / float(np.min(device.widths)), 40.0 / device.length)
+        if not (np.isfinite(dk_max) and dk_max > 0):
+            raise ConfigError("--dk-max must be positive and finite, got %r" % dk_max)
+        if dk_points < 2:
+            raise ConfigError("--dk-points must be at least 2, got %d" % dk_points)
         dk = np.linspace(-dk_max, dk_max, dk_points)
         phi = pmf(device, dk)
         path = os.path.join(out_dir, "pmf.csv")
         with open(path, "w") as fh:
             fh.write("dk,re,im,abs\n")
             for x, z in zip(dk, phi):
-                fh.write("%s,%s,%s,%s\n" % (
-                    repr(float(x)), repr(float(z.real)), repr(float(z.imag)),
-                    repr(float(abs(z))),
-                ))
+                fh.write("%r,%r,%r,%r\n" % (float(x), float(z.real), float(z.imag),
+                                            float(abs(z))))
         return path
     raise ConfigError("poling action must be gen or eval")
 

@@ -335,10 +335,8 @@ def build_coupled_matrices(grid, pump, medium, sign=1):
     d = grid.detunings
     G = np.diag(medium.kappa_signal * d)
     is_sgvm = medium.sgvm()
-    if is_sgvm:
-        H = -G  # exact, so the SGVM block structure holds bitwise
-    else:
-        H = np.diag(medium.kappa_idler * d)
+    # -G exactly for SGVM media, so their block structure holds bitwise
+    H = -G if is_sgvm else np.diag(medium.kappa_idler * d)
     if sign == 0 or pump.g0 == 0.0:
         F = np.zeros((grid.n, grid.n))
     else:
@@ -346,7 +344,6 @@ def build_coupled_matrices(grid, pump, medium, sign=1):
         F = sign * (grid.spacing / np.sqrt(2.0 * np.pi)) * pump_amplitude(
             pump, pump.center + sums
         )
-        F = np.asarray(F)
     return CoupledMatrices(G=G, H=H, F=F, sign=sign, sgvm=is_sgvm, g0=float(pump.g0))
 
 
@@ -386,8 +383,7 @@ def qpm_poling(length, period):
     if rem > 1e-12 * length:
         widths.append(rem)
     if len(widths) % 2 == 0:
-        tail = widths.pop()
-        widths[-1] += tail
+        widths[-2:] = [widths[-2] + widths[-1]]
     signs = [1 if p % 2 == 0 else -1 for p in range(len(widths))]
     return Poling(list(zip(widths, signs)))
 

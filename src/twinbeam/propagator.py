@@ -22,10 +22,11 @@ otherwise T^-1 = Sigma T^H Sigma (Sigma = diag(I, -I)) with the beams
 exchanged.  So a double pass costs one domain product, and for SGVM it is
 the Hermitian M^H M, whose input and output modes coincide.
 
-Only these complex matrices are built and multiplied.  The 4N x 4N real
-symplectic matrix on the quadratures (X_S, X_I, P_S, P_I) is an export view
-assembled from the real and imaginary parts of the N x N blocks; it feeds
-the generic factorization, the symplectic residual and the matrix files.
+Only these complex matrices are built and multiplied, and photon numbers
+are read off them.  The 4N x 4N real symplectic matrix on the quadratures
+(X_S, X_I, P_S, P_I) is an export view assembled from the real and imaginary
+parts of the N x N blocks; it feeds the generic factorization, the
+symplectic residual and the matrix files.
 """
 
 from dataclasses import dataclass
@@ -76,9 +77,11 @@ class Propagator:
 
     bogoliubov is the N x N matrix M (SGVM media) or the 2N x 2N matrix on
     (a_S, a_I^+) (all other media); see the module docstring.  Propagators
-    compose by multiplying these complex matrices (`after`).  matrix is the
-    4N x 4N real symplectic export, built on first use; block is the 2N real
-    representation of M that the SGVM oracles in analytic work on.
+    compose by multiplying these complex matrices (`after`) and count
+    photons on them (`mean_photons`).  matrix is the 4N x 4N real symplectic
+    export, built on first use for the generic factorization and the
+    symplectic checks; block is the 2N real representation of M that the
+    SGVM oracles in analytic work on.
     """
 
     bogoliubov: np.ndarray
@@ -139,7 +142,17 @@ class Propagator:
         ])
 
     def mean_photons(self):
-        return mean_photons(self.matrix, self.n)
+        """mean_photons(self.matrix, n), read off the complex matrix.
+
+        A beam with rows [A B] holds (||A||_F^2 + ||B||_F^2 - N) / 2.  For SGVM
+        media (A, B from M as in matrix) Re tr(M^-1 M) = N turns that into
+        ||M^-T - conj M||_F^2 / 4, which subtracts no N.
+        """
+        n, T = self.n, self.bogoliubov
+        if self.sgvm:
+            ns = float(np.linalg.norm(np.linalg.inv(T).T - T.conj()) ** 2) / 4.0
+            return ns, ns
+        return tuple(float(np.linalg.norm(rows) ** 2 - n) / 2.0 for rows in (T[:n], T[n:]))
 
 
 def mean_photons(S, n):

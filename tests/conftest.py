@@ -11,12 +11,14 @@ the thread controls themselves set their own counts or use subprocesses.
 """
 
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
 from twinbeam import (
     MediumSpec,
     Poling,
+    Propagator,
     PumpSpec,
     apodized_poling,
     build_grid,
@@ -93,11 +95,12 @@ class BenchLab:
     def decomp(self, name, double=False, target=5.0, remove_free_phase=False):
         key = (name, double, target, remove_free_phase)
         if key not in self._decomp:
-            self._decomp[key] = decompose(
-                self.propagator(name, double, target), self.grid,
-                medium=self.medium_for(name), double=double,
-                remove_free_phase=remove_free_phase,
-            )
+            if remove_free_phase:
+                self._decomp[key] = self.decomp(name, double, target).without_free_phase(
+                    self.medium_for(name), double)
+            else:
+                self._decomp[key] = decompose(self.propagator(name, double, target),
+                                              self.grid)
         return self._decomp[key]
 
 
@@ -110,3 +113,19 @@ def _one_blas_thread():
 @pytest.fixture(scope="session")
 def lab():
     return BenchLab()
+
+
+@pytest.fixture()
+def matrix_builds(monkeypatch):
+    """A list that grows by one entry (the bin count) per Propagator.matrix build."""
+    builds = []
+    build = Propagator.matrix.func
+
+    def counted(prop):
+        builds.append(prop.n)
+        return build(prop)
+
+    cached = cached_property(counted)
+    cached.__set_name__(Propagator, "matrix")
+    monkeypatch.setattr(Propagator, "matrix", cached)
+    return builds

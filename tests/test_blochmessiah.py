@@ -21,6 +21,7 @@ from twinbeam import (
     decompose,
     default_half_width,
     demodulate_poling,
+    double_pass,
     free_propagator,
     mean_photons,
     qpm_poling,
@@ -39,6 +40,7 @@ from twinbeam.blochmessiah import (
     solve_increasing,
 )
 from twinbeam.errors import ConfigError, ContractError, DecompositionError
+from twinbeam.propagator import free_path
 
 N = 9
 L = 1.0
@@ -334,25 +336,27 @@ def test_gauge_anchor_is_real_nonnegative(setup):
                 assert anchor.real >= 0.0
 
 
-def test_remove_free_phase_keeps_spectrum(setup):
-    grid, pump, medium = setup
-    S = compose(grid, pump, medium, Poling.unpoled(L))
-    raw = decompose(S, grid)
-    degauged = decompose(S, grid, medium=medium, remove_free_phase=True)
-    np.testing.assert_allclose(raw.r, degauged.r, atol=1e-10)
-    F = free_propagator(grid, medium, L).matrix
-    np.testing.assert_allclose(
-        degauged.O @ np.diag(np.concatenate([np.exp(degauged.r).repeat(2),
-                                             np.exp(-degauged.r).repeat(2)]))
-        @ degauged.O_tilde.T,
-        F.T @ S.matrix, atol=1e-8)
-
-
-def test_remove_free_phase_needs_medium(setup):
-    grid, pump, medium = setup
-    S = compose(grid, pump, medium, Poling.unpoled(L))
-    with pytest.raises(ConfigError):
-        decompose(S, grid, remove_free_phase=True)
+def test_remove_free_phase_keeps_spectrum():
+    # stripping the free path P only turns the rows of U_out: the spectrum,
+    # the input modes and the residuals of the raw factorization stay bitwise,
+    # and the factors now reconstruct P^-1 S = F^T S
+    grid, pump, poling = build_grid(N, 0.0, 5.0), PumpSpec(g0=1.0), Poling.unpoled(L)
+    for walkoff_i, double in ((-8.0, False), (-8.0, True), (-4.8, False), (-4.8, True)):
+        medium = MediumSpec.from_walkoffs(8.0, walkoff_i, L)
+        S = double_pass(grid, pump, medium, poling) if double \
+            else compose(grid, pump, medium, poling)
+        raw = decompose(S, grid)
+        stripped = raw.without_free_phase(medium, double)
+        for name in ("lam", "r", "U_in"):
+            np.testing.assert_array_equal(getattr(stripped, name), getattr(raw, name))
+        assert stripped.residuals == raw.residuals
+        # a matched SGVM double pass has (to roundoff) no free phase
+        moved = np.max(np.abs(stripped.U_out - raw.U_out))
+        assert moved < 1e-14 if double and walkoff_i == -8.0 else moved > 1e-3
+        F = free_path(grid, medium, double).matrix
+        d = np.concatenate([stripped.lam, 1.0 / stripped.lam])
+        np.testing.assert_allclose((stripped.O * d) @ stripped.O_tilde.T,
+                                   F.T @ S.matrix, atol=1e-12)
 
 
 def test_decompose_grid_mismatch(setup):
@@ -461,7 +465,7 @@ def test_solve_increasing_reports_a_stall():
     Poling.unpoled(L),
     demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0)),
 ], ids=["unpoled", "apodized"])
-def test_tune_gain_evaluation_count(monkeypatch, poling, double):
+def test_tune_gain_evaluation_count(monkeypatch, matrix_builds, poling, double):
     medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
     grid = build_grid(21, 0.0, default_half_width(medium))
     for name in ("compose", "double_pass"):
@@ -475,6 +479,8 @@ def test_tune_gain_evaluation_count(monkeypatch, poling, double):
     assert blochmessiah.compose.calls + blochmessiah.double_pass.calls <= 14
     # one domain product per evaluation, single or double pass
     assert blochmessiah.compose.calls + propagator.compose.calls <= 14
+    # photons are read off the complex matrix: no 4N view is built
+    assert matrix_builds == []
 
 
 def test_tuning_does_not_import_scipy_optimize(tmp_path):
@@ -495,10 +501,18 @@ def test_tuning_does_not_import_scipy_optimize(tmp_path):
         "json.dump(cfg, open(tmp + '/run.json', 'w'))\n"
         "assert main(['simulate', '--config', tmp + '/run.json', '--out', tmp]) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        "cfg['pass_mode'] = 'double'\n"
+        "json.dump(cfg, open(tmp + '/run.json', 'w'))\n"
+        "import contextlib, io\n"
+        "for args in (['verify'], ['sweep-gain', '--points', '3'], ['poling', 'eval']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(args + ['--config', tmp + '/run.json', '--out', tmp]) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     ) % str(tmp_path)
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    # numpy is the only runtime dependency: tuning, the apodized grating and a
-    # whole simulate run load no scipy module at all
-    assert out.split() == ["[]", "[]"]
+    # numpy is the only runtime dependency: tuning, the apodized grating, a
+    # whole simulate run, and verify, sweep-gain and poling eval after it
+    # load no scipy module at all
+    assert out.split() == ["[]", "[]", "[]"]

@@ -78,7 +78,7 @@ def test_modes_csv_bytes_match_per_element_formatting(tmp_path):
     run_cfg = load_config(tmp_path / "run.json")
     grid = run_cfg.grid
     decomp = decompose(compose(grid, run_cfg.pump, run_cfg.medium, run_cfg.sim_poling),
-                       grid, medium=run_cfg.medium)
+                       grid)
     rows = ["k,beam,direction,bin,omega_detuning,re,im,r_k\n"]
     for k in decomp.active_pairs():
         for direction in ("in", "out"):
@@ -184,6 +184,26 @@ def test_flip_overlap_matches_raw_decomposition(tmp_path, cfg):
             flip_overlap(sig_in, sig_out), abs=1e-10)
 
 
+@pytest.mark.parametrize("command,cfg,builds", [
+    ("simulate", base_config(grid={"N": 21, "half_width": 5.0},
+                             pump={"target_NS": 2.0}, pass_mode="double",
+                             poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
+                                     "pmf_width": 4.0}), 1),
+    ("simulate", base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
+                             options={"remove_free_phase": True}), 1),
+    ("sweep-gain", base_config(pump={"target_NS": 0.5}, pass_mode="double"), 3),
+], ids=["simulate-sgvm-double-tuned", "simulate-skew-free-phase", "sweep-gain-3"])
+def test_the_4n_matrix_is_built_once_per_decomposition(
+        tmp_path, matrix_builds, command, cfg, builds):
+    # tuning, photon counts and free-phase stripping read the complex
+    # matrix; only the factorization of each decomposed propagator (and the
+    # symplectic residual of the same one) needs the 4N view
+    rc, _ = run(tmp_path, cfg, command, "--points", "3") if command == "sweep-gain" \
+        else run(tmp_path, cfg, command)
+    assert rc == 0
+    assert len(matrix_builds) == builds
+
+
 # ---------------------------------------------------------------- config errors
 
 @pytest.mark.parametrize("cfg", [
@@ -220,6 +240,27 @@ def test_bad_configs_exit_2(tmp_path, capsys, cfg):
         rc, _ = run(tmp_path, cfg, "simulate")
     assert rc == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("args,flag", [
+    (["poling", "eval", "--dk-points", "-5"], "--dk-points"),
+    (["poling", "eval", "--dk-points", "0"], "--dk-points"),
+    (["poling", "eval", "--dk-points", "1"], "--dk-points"),
+    (["poling", "eval", "--dk-max", "nan"], "--dk-max"),
+    (["poling", "eval", "--dk-max", "inf"], "--dk-max"),
+    (["poling", "eval", "--dk-max", "0"], "--dk-max"),
+    (["poling", "eval", "--dk-max", "-3"], "--dk-max"),
+    (["sweep-gain", "--jobs", "0"], "--jobs"),
+    (["sweep-gain", "--jobs", "-3"], "--jobs"),
+], ids=["dk-points--5", "dk-points-0", "dk-points-1", "dk-max-nan", "dk-max-inf",
+        "dk-max-0", "dk-max--3", "jobs-0", "jobs--3"])
+def test_bad_flags_exit_2(tmp_path, capsys, args, flag):
+    cfg = base_config(pump={"target_NS": 0.5}, pass_mode="double")
+    rc, out = run(tmp_path, cfg, *args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: " + flag)
+    assert not (out / "pmf.csv").exists() and not (out / "sweep.csv").exists()
 
 
 def test_unreadable_configs_exit_2(tmp_path):

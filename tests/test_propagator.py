@@ -397,6 +397,25 @@ def test_mean_photons_zero_and_known_squeezer():
     assert ni == pytest.approx(np.sinh(r) ** 2, rel=1e-12)
 
 
+@settings(max_examples=40, deadline=None)
+@given(g0=st.floats(1.0, 4.0), walkoff_i=st.sampled_from([-8.0, -4.8]),
+       double=st.booleans())
+@example(g0=4.0, walkoff_i=-8.0, double=True)
+def test_propagator_photons_match_the_4n_count(g0, walkoff_i, double):
+    # the photon numbers read off the complex matrix are those of its 4N
+    # view; the 4N count subtracts N/2 from sums of order N, so it carries
+    # ~N eps absolute error, and g0 >= 1 keeps that below 1e-12 relative
+    medium = MediumSpec.from_walkoffs(8.0, walkoff_i, L)
+    grid, pump = build_grid(N, 0.0, 5.0), PumpSpec(g0=g0)
+    poling = qpm_poling(L, 2.0 * L / 9.0)
+    prop = double_pass(grid, pump, medium, poling) if double \
+        else compose(grid, pump, medium, poling)
+    ns, ni = prop.mean_photons()
+    ref_s, ref_i = mean_photons(prop.matrix, N)
+    assert ns == pytest.approx(ref_s, rel=1e-12)
+    assert ni == pytest.approx(ref_i, rel=1e-12)
+
+
 def test_matrix_file_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     M = rng.normal(size=(6, 4))
