@@ -13,8 +13,8 @@ from .analysis import (
     lowgain_jsa_oracle, mode_fidelity, subspace_overlaps,
 )
 from .analytic import (
-    BlockReduction, block_reduce, canonical_factors, general_block_route,
-    general_split_basis, structure_checks, svd_route, symmetrized_eig_route,
+    block_reduce, canonical_factors, general_block_route, structure_checks,
+    svd_route, symmetrized_eig_route,
 )
 from .blochmessiah import (
     BlochMessiahResult, Decomposition, SchmidtMode, bloch_messiah, decompose,
@@ -41,9 +41,8 @@ __all__ = [
     "JsaOracle", "SweepPoint", "SweepResult", "flip_overlap",
     "gain_variation_sweep", "lowgain_jsa_oracle", "mode_fidelity",
     "subspace_overlaps",
-    "BlockReduction", "block_reduce", "canonical_factors",
-    "general_block_route", "general_split_basis", "structure_checks",
-    "svd_route", "symmetrized_eig_route",
+    "block_reduce", "canonical_factors", "general_block_route",
+    "structure_checks", "svd_route", "symmetrized_eig_route",
     "BlochMessiahResult", "Decomposition", "SchmidtMode", "bloch_messiah",
     "decompose", "pair_mixer", "tune_gain", "two_mode_rearrange",
     "ConfigError", "ContractError", "DecompositionError", "RegimeError",

@@ -2,144 +2,115 @@
 
 The generic factorization in blochmessiah works for any symplectic input.
 The routes here instead use the block structure of the twin-beam generator.
-A fixed orthogonal 4N basis B splits every domain generator into
-diag(block, -block^T), so the composed propagator S splits the same way and
-its upper-left 2N block is a reduced propagator.  Reduced blocks are views of
-the one propagator that propagator.compose builds:
+A fixed 2N unitary W on the complex amplitudes (a_S, a_I) embeds as an
+orthogonal symplectic 4N basis B = embed_unitary(W) that splits every domain
+generator Q into B^T Q B = diag(C, -C^T), so the composed propagator splits
+the same way and its upper-left 2N block is a reduced propagator.  The
+blocks C have closed forms in the coupling matrices, and the reduced
+propagators are read off the complex Bogoliubov matrix that
+propagator.compose builds:
 
-* In the SGVM regime (H = -G) B is the walk-off splitting basis and the
-  reduced propagator A-hat is Propagator.block.  For any poling the SVD of
-  A-hat gives the factors directly.  The return trip is the adjoint of the
-  pass, so the matched double pass has block A-hat^T A-hat, symmetric
-  positive definite: input equals output modes.
+* In the SGVM regime (H = -G), W = (1/sqrt 2) [[I, -iI], [-iI, I]] is the
+  walk-off basis, C = [[-F, G], [-G, -F]] and the reduced propagator A-hat
+  is Propagator.block.  For any poling the SVD of A-hat gives the factors
+  directly.  The return trip is the adjoint of the pass, so the matched
+  double pass has block A-hat^T A-hat, symmetric positive definite: input
+  equals output modes.
 
-* Away from SGVM, the exchange basis (general_split_basis) splits the
-  generator whenever the pump coupling is centrosymmetric (even pump on a
-  mirror grid); C-hat is the upper-left 2N block of B^T S B.
+* Away from SGVM, W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]] (J the bin
+  exchange) is the exchange basis.  It splits the generator, with
+  C = [[H J, -F J], [-F J, G J]], whenever F is centrosymmetric and G, H
+  anticentrosymmetric (an even pump on a mirror grid).  The reduced
+  propagator is C-hat = Re(V^H T V), T the 2N Bogoliubov matrix on
+  (a_S, a_I^+) and V the rows of W with the idler rows conjugated.
 
 When the poling reads the same reversed, X times the reduced propagator is
-symmetric (X the half-swap for SGVM, diag(J, J) with J the bin exchange
-otherwise), and the factorization drops out of one real symmetric
-eigenproblem whose eigenvalues give the (lam, 1/lam) ladder directly.
+symmetric (X the half-swap for SGVM, diag(J, J) otherwise), and the
+factorization drops out of one real symmetric eigenproblem whose
+eigenvalues give the (lam, 1/lam) ladder directly.  A real 2N factor R of
+the reduced block is the complex factor W R of the full propagator.
 
 All routes return the same BlochMessiahResult contract as the generic
-factorization after a shared canonicalization step, so they can be compared
-against it mode by mode.  A route applied outside its regime raises
+factorization after a shared canonicalization step, and each checks its
+factors against the 4N Propagator.matrix, so they can be compared against
+the generic route mode by mode.  A route applied outside its regime raises
 RegimeError carrying the violated residual.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
 from .blochmessiah import (
-    BlochMessiahResult, _complex_rep_avg, _polish_unitary, checked_factors,
-    embed_unitary,
+    BlochMessiahResult, _polish_unitary, checked_factors, embed_unitary,
 )
 from .errors import ConfigError, DecompositionError, RegimeError
-from .model import build_coupled_matrices, build_generator, flip_matrix
+from .model import build_coupled_matrices, flip_matrix
 from .propagator import compose
 
 __all__ = [
-    "BlockReduction", "block_reduce", "general_split_basis",
-    "canonical_factors", "symmetrized_eig_route", "svd_route",
+    "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
     "general_block_route", "structure_checks",
 ]
 
 BLOCK_TOL = 1e-9
 
 
-def _sgvm_split_basis(n):
-    """Orthogonal 4N basis that block-diagonalizes every SGVM generator.
-
-    B = (1/sqrt 2) [[I,0,0,I],[0,I,I,0],[0,-I,I,0],[-I,0,0,I]] in the
-    (X_S, X_I, P_S, P_I) ordering; B^T Q B = diag(A, -A^T) whenever H = -G.
-    """
+def _walkoff_unitary(n):
+    """W = (1/sqrt 2) [[I, -iI], [-iI, I]]: embed_unitary(W) splits SGVM generators."""
     i = np.eye(n)
+    return np.block([[i, -1j * i], [-1j * i, i]]) / np.sqrt(2.0)
+
+
+def _exchange_unitary(n):
+    """W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]]: embed_unitary(W) splits even-pump generators."""
+    a = np.eye(n) - 1j * flip_matrix(n)
     z = np.zeros((n, n))
-    return np.block([
-        [i, z, z, i],
-        [z, i, i, z],
-        [z, -i, i, z],
-        [-i, z, z, i],
-    ]) / np.sqrt(2.0)
-
-
-def general_split_basis(n):
-    """Orthogonal 4N basis reducing the generator when F is centrosymmetric.
-
-    B2 = (1/sqrt 2) [[0,I,0,J],[I,0,J,0],[0,-J,0,I],[-J,0,I,0]] with J the
-    bin-exchange matrix; B2^T Q B2 = diag(C, -C^T) for mirror grids with an
-    even pump, with no SGVM requirement.
-    """
-    i = np.eye(n)
-    z = np.zeros((n, n))
-    j = flip_matrix(n)
-    return np.block([
-        [z, i, z, j],
-        [i, z, j, z],
-        [z, -j, z, i],
-        [-j, z, i, z],
-    ]) / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class BlockReduction:
-    """B^T Q B = diag(block, -block^T) for an orthogonal splitting basis B."""
-
-    basis: np.ndarray
-    block: np.ndarray
-    kind: str  # "sgvm" or "general"
+    return np.block([[z, a], [a, z]]) / np.sqrt(2.0)
 
 
 def block_reduce(matrices):
-    """Reduce a generator to its 2N block, picking the basis by regime.
+    """Real 2N block C of a generator Q in its regime's splitting basis W.
 
-    SGVM input uses the walk-off splitting basis with the closed-form block;
-    otherwise the exchange-symmetric basis is tried and the reduction is
-    verified numerically, raising RegimeError (with the residual) when the
-    generator does not actually block-diagonalize, e.g. for a pump without
-    frequency symmetry.
+    embed_unitary(W)^T Q embed_unitary(W) = diag(C, -C^T).  SGVM input gives
+    [[-F, G], [-G, -F]] in the walk-off basis; otherwise [[H J, -F J],
+    [-F J, G J]] in the exchange basis, which needs J F J = F, J G J = -G and
+    J H J = -H.  Half the largest violation is the generator's off-block
+    residual in that basis; above BLOCK_TOL * max(1, max|F|, |G|, |H|)
+    RegimeError is raised with it, e.g. for a pump without frequency symmetry.
     """
-    n = matrices.G.shape[0]
+    F, G, H = matrices.F, matrices.G, matrices.H
     if matrices.sgvm:
-        F, G = matrices.F, matrices.G
-        return BlockReduction(basis=_sgvm_split_basis(n),
-                              block=np.block([[-F, G], [-G, -F]]), kind="sgvm")
-    Q = build_generator(matrices)
-    B2 = general_split_basis(n)
-    T = B2.T @ Q @ B2
-    h = 2 * n
-    C = T[:h, :h]
-    scale = max(1.0, float(np.max(np.abs(Q))))
-    off = max(
-        float(np.max(np.abs(T[:h, h:]))),
-        float(np.max(np.abs(T[h:, :h]))),
-        float(np.max(np.abs(T[h:, h:] + C.T))),
-    )
+        return np.block([[-F, G], [-G, -F]])
+    # J M J reverses rows and columns, M J reverses columns: both exact.
+    off = 0.5 * max(float(np.max(np.abs(F[::-1, ::-1] - F))),
+                    float(np.max(np.abs(G[::-1, ::-1] + G))),
+                    float(np.max(np.abs(H[::-1, ::-1] + H))))
+    scale = max(1.0, *(float(np.max(np.abs(M))) for M in (F, G, H)))
     if off > BLOCK_TOL * scale:
         raise RegimeError(
             "generator does not block-diagonalize in the exchange basis "
             "(residual %.3e); needs a mirror grid and an even pump" % off,
             residual=off,
         )
-    return BlockReduction(basis=B2, block=C, kind="general")
+    FJ = -F[:, ::-1]
+    return np.block([[H[:, ::-1], FJ], [FJ, G[:, ::-1]]])
 
 
-def canonical_factors(O_raw, lam_raw, O_tilde_raw):
-    """Normalize raw factors to the descending, lam >= 1 convention.
+def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
+    """Normalize raw complex factors to the descending, lam >= 1 convention.
 
-    Modes with lam < 1 are inverted by a quarter rotation in their (X, P)
-    plane applied to both factors (multiplying the complex mode column by i),
-    which swaps the mode's lam and 1/lam slots without changing the product;
-    modes are then stably sorted by descending lam.  Factors are polished to
-    exact embedded unitaries on the way out; when O_tilde_raw is O_raw, once,
-    and the result's O_tilde is its O.
+    Z_raw and Z_tilde_raw are nearly unitary complex matrices whose
+    embeddings give S = O diag(lam_raw, 1/lam_raw) O_tilde^T.  Modes with
+    lam < 1 are inverted by multiplying their complex column by i in both
+    factors (a quarter rotation in the mode's (X, P) plane), which swaps the
+    mode's lam and 1/lam slots without changing the product; modes are then
+    stably sorted by descending lam.  Factors are polished to exact unitaries
+    and embedded on the way out; when Z_tilde_raw is Z_raw, once, and the
+    result's O_tilde is its O.
     """
     lam = np.asarray(lam_raw, dtype=float).copy()
     h = lam.size
-    if O_raw.shape != (2 * h, 2 * h) or O_tilde_raw.shape != (2 * h, 2 * h):
+    if Z_raw.shape != (h, h) or Z_tilde_raw.shape != (h, h):
         raise ConfigError("factor shapes do not match the lam vector")
     if np.any(lam <= 0):
         raise DecompositionError("raw lam values must be positive")
@@ -148,12 +119,12 @@ def canonical_factors(O_raw, lam_raw, O_tilde_raw):
     order = np.argsort(-lam, kind="stable")
 
     def factor(raw, context):
-        U = _complex_rep_avg(raw, h)
+        U = np.array(raw, dtype=complex)
         U[:, flip] *= 1j
         return embed_unitary(_polish_unitary(U[:, order], context))
 
-    O = factor(O_raw, "active factor")
-    O_tilde = O if O_tilde_raw is O_raw else factor(O_tilde_raw, "passive factor")
+    O = factor(Z_raw, "active factor")
+    O_tilde = O if Z_tilde_raw is Z_raw else factor(Z_tilde_raw, "passive factor")
     return BlochMessiahResult(O=O, lam=lam[order], O_tilde=O_tilde)
 
 
@@ -167,34 +138,26 @@ def _require_sgvm(medium, route):
         )
 
 
-def _doubled(M):
-    h = M.shape[0]
-    out = np.zeros((2 * h, 2 * h))
-    out[:h, :h] = M
-    out[h:, h:] = M
-    return out
-
-
 def _reduced(prop, grid, pump, medium, poling):
-    """(X, B, M = X block, K) of a composed propagator in its regime's basis.
+    """(X, W, M = X block, K) of a composed propagator in its regime's basis W.
 
-    SGVM: X the half-swap, B the walk-off splitting basis, block A-hat =
-    prop.block and K the exchange pair, which commutes with M.  Otherwise:
-    X = diag(J, J), B the exchange basis, block C-hat the upper-left 2N block
-    of B^T S B and K None; raises RegimeError (with the residual) when a
-    domain generator of the poling does not split in the exchange basis.
+    SGVM: X the half-swap, W the walk-off basis, block A-hat = prop.block and
+    K the exchange pair, which commutes with M.  Otherwise: X = diag(J, J),
+    W the exchange basis, block C-hat = Re(V^H T V) and K None; raises
+    RegimeError (with the residual) when a domain generator of the poling
+    does not split in the exchange basis.
     """
     n = grid.n
+    i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
     if prop.sgvm:
-        i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
         X = np.block([[z, i], [i, z]])
-        return X, _sgvm_split_basis(n), X @ prop.block, np.block([[z, j], [j, z]])
+        return X, _walkoff_unitary(n), X @ prop.block, np.block([[z, j], [j, z]])
     for sign in {s for _, s in poling.domains}:
         block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign))
-    B2 = general_split_basis(n)
-    half = B2[:, :2 * n]
-    X = _doubled(flip_matrix(n))
-    return X, B2, X @ (half.T @ prop.matrix @ half), None
+    W = _exchange_unitary(n)
+    V = np.vstack([W[:n], W[n:].conj()])  # T acts on a_I^+, not a_I
+    X = np.block([[j, z], [z, j]])
+    return X, W, X @ (V.conj().T @ prop.bogoliubov @ V).real, None
 
 
 def _asymmetry(M):
@@ -203,18 +166,19 @@ def _asymmetry(M):
     return asym, asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M))))
 
 
-def _factors(B, left, lam_raw, right, S, context):
-    """Checked canonical factors of S; when right is left they share one array."""
-    O_raw = B @ _doubled(left)
-    O_tilde_raw = O_raw if right is left else B @ _doubled(right)
-    return checked_factors(canonical_factors(O_raw, lam_raw, O_tilde_raw), S, context)
+def _factors(W, left, lam_raw, right, S, context):
+    """Checked canonical factors of S from real block factors in the basis W;
+    when right is left they share one array."""
+    Z_raw = W @ left
+    Z_tilde_raw = Z_raw if right is left else W @ right
+    return checked_factors(canonical_factors(Z_raw, lam_raw, Z_tilde_raw), S, context)
 
 
-def _symmetric_factors(X, B, M, S, context):
+def _symmetric_factors(X, W, M, S, context):
     """Factor S through the real symmetric eigenproblem of M = X block.
 
     Eigenvalues come in (w, -w) pairs; the left factor absorbs the signs,
-    giving block = (X Gamma Sigma) |W| Gamma^T, and each |w| appears twice,
+    giving block = (X Gamma Sigma) diag|w| Gamma^T, and each |w| appears twice,
     once per sign, which is exactly the two-mode degeneracy of the final
     spectrum.
     """
@@ -229,7 +193,7 @@ def _symmetric_factors(X, B, M, S, context):
     w, Gamma = numerics.sym_eig(M)
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
-    return _factors(B, (X @ Gamma) * np.sign(w), np.abs(w), Gamma, S, context)
+    return _factors(W, (X @ Gamma) * np.sign(w), np.abs(w), Gamma, S, context)
 
 
 def symmetrized_eig_route(grid, pump, medium, poling):
@@ -241,8 +205,8 @@ def symmetrized_eig_route(grid, pump, medium, poling):
     """
     _require_sgvm(medium, "symmetrized eigenproblem route")
     prop = compose(grid, pump, medium, poling)
-    X, B, M, _ = _reduced(prop, grid, pump, medium, poling)
-    return _symmetric_factors(X, B, M, prop.matrix, "symmetrized eigenproblem route")
+    X, W, M, _ = _reduced(prop, grid, pump, medium, poling)
+    return _symmetric_factors(X, W, M, prop.matrix, "symmetrized eigenproblem route")
 
 
 def svd_route(grid, pump, medium, poling, double=False, prop=None):
@@ -256,12 +220,12 @@ def svd_route(grid, pump, medium, poling, double=False, prop=None):
     """
     _require_sgvm(medium, "SVD route")
     prop = prop or compose(grid, pump, medium, poling)
-    B = _sgvm_split_basis(grid.n)
+    W = _walkoff_unitary(grid.n)
     left, s, right = numerics.svd(prop.block)
     if double:
         S = prop.return_trip().after(prop).matrix
-        return _factors(B, right, s**2, right, S, "SVD route")
-    return _factors(B, left, s, right, prop.matrix, "SVD route")
+        return _factors(W, right, s**2, right, S, "SVD route")
+    return _factors(W, left, s, right, prop.matrix, "SVD route")
 
 
 def general_block_route(grid, pump, medium, poling):
@@ -270,8 +234,8 @@ def general_block_route(grid, pump, medium, poling):
     Needs an even pump on a mirror grid, so that every domain generator
     splits in the exchange basis, and a palindromic poling, so that J-tilde
     C-hat is symmetric (J-tilde = diag(J, J), C-hat the reduced propagator
-    read off the composed one).  Then C-hat = (J-tilde Gamma Sigma) |W|
-    Gamma^T and the |w| come in (lam, 1/lam) pairs; the shared
+    read off the composed one).  Then C-hat = (J-tilde Gamma Sigma)
+    diag|w| Gamma^T and the |w| come in (lam, 1/lam) pairs; the shared
     canonicalization folds them into the degenerate pairs of the final
     spectrum.
     """
@@ -281,8 +245,8 @@ def general_block_route(grid, pump, medium, poling):
             residual=0.0,
         )
     prop = compose(grid, pump, medium, poling)
-    X, B, M, _ = _reduced(prop, grid, pump, medium, poling)
-    return _symmetric_factors(X, B, M, prop.matrix, "general block route")
+    X, W, M, _ = _reduced(prop, grid, pump, medium, poling)
+    return _symmetric_factors(X, W, M, prop.matrix, "general block route")
 
 
 def _flip_classes(w, V, K, rtol=1e-8):

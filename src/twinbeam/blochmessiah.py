@@ -9,7 +9,7 @@ squeezer's gauged input/output modes are derived from them on demand.
 
 The factorization route is polar: P = (S S^T)^{1/2} is diagonalized by an
 orthogonal symplectic O = [[X, -Y], [Y, X]] built from the unitary Z = X + iY,
-and the passive remainder K = P^{-1} S supplies O-tilde = K^T O.  The
+and since O is orthogonal the input factor is O-tilde = S^T O D^{-1}.  The
 eigenvectors of S S^T above lam = 1 give the active columns z_k of Z; a
 dense symmetric solver mixes them freely inside degenerate clusters, which is
 harmless because each cluster subspace is isotropic in any basis.  Their
@@ -204,10 +204,8 @@ def bloch_messiah(S):
     O = embed_unitary(Z)
     lam = np.concatenate([np.sqrt(w_desc[:n_above]), np.ones(m_unit)])
 
-    # Passive remainder via the exact (uncluttered) spectral data of P.
-    P_inv = (V * (1.0 / np.sqrt(w))) @ V.T
-    K = P_inv @ S
-    O_tilde_raw = K.T @ O
+    # S = O D O_tilde^T with O orthogonal, so O_tilde = S^T O D^-1.
+    O_tilde_raw = (S.T @ O) / np.concatenate([lam, 1.0 / lam])
     Z_tilde = _complex_rep_avg(O_tilde_raw, h)
     embed_defect = float(np.max(np.abs(O_tilde_raw - embed_unitary(Z_tilde))))
     if embed_defect > 1e-6:

@@ -311,10 +311,6 @@ def cmd_simulate(cfg, out_dir):
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
     _modes_csv(os.path.join(out_dir, "modes.csv"), decomp)
-    if summary["symplectic_residual"] > INPUT_SYMPLECTIC_TOL * max(
-        1.0, float(np.max(np.abs(prop.matrix))) ** 2
-    ):
-        raise ContractError("symplectic residual above tolerance")
     return summary
 
 
@@ -492,7 +488,7 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
     if cfg.double:
         zero = double_pass(grid, replace(pump, g0=0.0), medium, cfg.sim_poling)
         _check(checks, "double_pass_zero_gain_free", float(np.max(np.abs(
-            zero.matrix - free_path(grid, medium, double=True).matrix))), 1e-12)
+            zero.bogoliubov - free_path(grid, medium, double=True).bogoliubov))), 1e-12)
 
     if propagator_path is not None:
         M = load_matrix(propagator_path)

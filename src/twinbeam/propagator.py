@@ -242,8 +242,7 @@ def free_propagator(grid, medium, length):
     """Propagator with the pump off: a diagonal walk-off phase per bin.
 
     a_S of bin n picks up exp(i kappa_S d_n length) and a_I^+ picks up
-    exp(-i kappa_I d_n length).  Negative lengths are allowed (used to strip
-    accumulated phases).
+    exp(-i kappa_I d_n length).  Negative lengths are allowed.
     """
     d = grid.detunings
     if medium.sgvm():

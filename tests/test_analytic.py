@@ -21,7 +21,6 @@ from twinbeam import (
     demodulate_poling,
     flip_matrix,
     general_block_route,
-    general_split_basis,
     qpm_poling,
     structure_checks,
     subspace_overlaps,
@@ -29,7 +28,9 @@ from twinbeam import (
     symmetrized_eig_route,
     two_mode_rearrange,
 )
-from twinbeam.analytic import _reduced, canonical_factors
+from twinbeam.analytic import (
+    _exchange_unitary, _reduced, _walkoff_unitary, canonical_factors,
+)
 from twinbeam.blochmessiah import embed_unitary
 from twinbeam.errors import RegimeError
 from twinbeam.numerics import expm, sym_eig
@@ -71,45 +72,66 @@ def compare_routes(result, decomp_ref, r_tol=1e-8, ov_tol=1e-8):
 
 # ---------------------------------------------------------------- block reduction
 
+def split(basis, Q):
+    """(upper-left block, worst off-block entry, lower-right block) of basis^T Q basis."""
+    T = basis.T @ Q @ basis
+    h = T.shape[0] // 2
+    off = max(float(np.max(np.abs(T[:h, h:]))), float(np.max(np.abs(T[h:, :h]))))
+    return T[:h, :h], off, T[h:, h:]
+
+
+@pytest.mark.parametrize("unitary", [_walkoff_unitary, _exchange_unitary],
+                         ids=["walkoff", "exchange"])
+def test_splitting_bases_are_embedded_unitaries(unitary):
+    W = unitary(N)
+    np.testing.assert_allclose(W.conj().T @ W, np.eye(2 * N), atol=1e-15)
+    B = embed_unitary(W)
+    assert np.max(np.abs(B.T @ B - np.eye(4 * N))) < 1e-14
+    # a real block factor R lifts to the complex factor W R
+    R = np.random.default_rng(5).normal(size=(2 * N, 2 * N))
+    lifted = B @ np.block([[R, np.zeros_like(R)], [np.zeros_like(R), R]])
+    np.testing.assert_allclose(lifted, embed_unitary(W @ R), atol=1e-14)
+
+
 def test_block_reduce_sgvm_closed_form(sgvm):
     grid, pump, medium = sgvm
     m = build_coupled_matrices(grid, pump, medium)
-    red = block_reduce(m)
-    assert red.kind == "sgvm"
+    block = block_reduce(m)
     np.testing.assert_array_equal(
-        red.block, np.block([[-m.F, m.G], [-m.G, -m.F]])
+        block, np.block([[-m.F, m.G], [-m.G, -m.F]])
     )
-    dim = 4 * N
-    assert np.max(np.abs(red.basis.T @ red.basis - np.eye(dim))) < 1e-14
     Q = build_generator(m)
-    T = red.basis.T @ Q @ red.basis
-    h = 2 * N
-    np.testing.assert_allclose(T[:h, :h], red.block, atol=1e-12)
-    np.testing.assert_allclose(T[h:, h:], -red.block.T, atol=1e-12)
-    assert np.max(np.abs(T[:h, h:])) < 1e-12 * np.max(np.abs(Q))
-    assert np.max(np.abs(T[h:, :h])) < 1e-12 * np.max(np.abs(Q))
+    C, off, lower = split(embed_unitary(_walkoff_unitary(N)), Q)
+    np.testing.assert_allclose(C, block, atol=1e-12)
+    np.testing.assert_allclose(lower, -block.T, atol=1e-12)
+    assert off < 1e-12 * np.max(np.abs(Q))
 
 
 def test_block_reduce_sgvm_free_limit(sgvm):
     grid, _, medium = sgvm
     m = build_coupled_matrices(grid, PumpSpec(g0=0.0), medium)
-    red = block_reduce(m)
     G = m.G
-    np.testing.assert_array_equal(red.block, np.block([
+    np.testing.assert_array_equal(block_reduce(m), np.block([
         [np.zeros((N, N)), G], [-G, np.zeros((N, N))]
     ]))
 
 
 def test_block_reduce_general_blocks(skew):
     grid, pump, medium = skew
-    red = block_reduce(build_coupled_matrices(grid, pump, medium))
-    assert red.kind == "general"
-    C = red.block
+    m = build_coupled_matrices(grid, pump, medium)
+    C = block_reduce(m)
     # diagonal blocks antisymmetric, off-diagonal block symmetric and shared
     assert np.max(np.abs(C[:N, :N] + C[:N, :N].T)) == 0.0
     assert np.max(np.abs(C[N:, N:] + C[N:, N:].T)) == 0.0
     np.testing.assert_array_equal(C[:N, N:], C[N:, :N].T)
     np.testing.assert_array_equal(C[:N, N:], C[:N, N:].T)
+    # the closed form is the exchange-basis reduction of the 4N generator
+    Q = build_generator(m)
+    reduced, off, lower = split(embed_unitary(_exchange_unitary(N)), Q)
+    scale = np.max(np.abs(Q))
+    assert np.max(np.abs(C - reduced)) <= 1e-14 * scale
+    assert np.max(np.abs(lower + C.T)) <= 1e-14 * scale
+    assert off <= 1e-14 * scale
 
 
 def test_block_reduce_general_needs_even_pump(skew):
@@ -118,6 +140,18 @@ def test_block_reduce_general_needs_even_pump(skew):
     with pytest.raises(RegimeError) as err:
         block_reduce(m)
     assert err.value.residual > 1e-3
+
+
+def test_block_reduce_residual_is_the_off_block_residual(skew):
+    # the structural residual equals the largest off-block entry (or the
+    # lower-right defect) of the 4N generator in the exchange basis
+    grid, _, medium = skew
+    m = build_coupled_matrices(grid, skewed_pump(), medium)
+    C, off, lower = split(embed_unitary(_exchange_unitary(N)), build_generator(m))
+    expected = max(off, float(np.max(np.abs(lower + C.T))))
+    with pytest.raises(RegimeError) as err:
+        block_reduce(m)
+    assert err.value.residual == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------- routes
@@ -263,17 +297,18 @@ def test_exchange_block_is_the_reduced_domain_product(n, sigma, g0, mismatch, do
     poling = Poling(domains)
     expected = np.eye(2 * n)
     for width, sign in domains:
-        block = block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign)).block
+        block = block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign))
         expected = expm(width * block) @ expected
     prop = compose(grid, pump, medium, poling)
-    X, B, M, K = _reduced(prop, grid, pump, medium, poling)
+    X, W, M, K = _reduced(prop, grid, pump, medium, poling)
     assert K is None
-    np.testing.assert_array_equal(B, general_split_basis(n))
+    np.testing.assert_array_equal(W, _exchange_unitary(n))
     scale = max(1.0, float(np.max(np.abs(expected))))
     assert np.max(np.abs(X @ M - expected)) <= 1e-12 * scale
-    T = B.T @ prop.matrix @ B
-    h = 2 * n
-    assert max(np.max(np.abs(T[:h, h:])), np.max(np.abs(T[h:, :h]))) <= 1e-12 * scale
+    # C-hat read off the complex matrix is the 4N propagator in the basis
+    C_hat, off, _ = split(embed_unitary(W), prop.matrix)
+    assert np.max(np.abs(X @ M - C_hat)) <= 1e-12 * scale
+    assert off <= 1e-12 * scale
 
 
 def test_general_block_route_rejects_sgvm(sgvm):
@@ -291,11 +326,10 @@ def test_canonical_factors_inverts_small_lambdas():
         return q * (np.diag(r) / np.abs(np.diag(r)))
 
     lam_raw = np.array([2.0, 0.4, 1.0, 3.0])
-    O_raw = embed_unitary(haar(4))
-    Ot_raw = embed_unitary(haar(4))
+    Z_raw, Zt_raw = haar(4), haar(4)
     D = np.diag(np.concatenate([lam_raw, 1.0 / lam_raw]))
-    S = O_raw @ D @ Ot_raw.T
-    result = canonical_factors(O_raw, lam_raw, Ot_raw)
+    S = embed_unitary(Z_raw) @ D @ embed_unitary(Zt_raw).T
+    result = canonical_factors(Z_raw, lam_raw, Zt_raw)
     np.testing.assert_allclose(np.sort(result.lam), [1.0, 2.0, 2.5, 3.0],
                                atol=1e-12)
     assert np.all(np.diff(result.lam) <= 0)

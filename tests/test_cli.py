@@ -192,12 +192,21 @@ def test_flip_overlap_matches_raw_decomposition(tmp_path, cfg):
     ("simulate", base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
                              options={"remove_free_phase": True}), 1),
     ("sweep-gain", base_config(pump={"target_NS": 0.5}, pass_mode="double"), 3),
-], ids=["simulate-sgvm-double-tuned", "simulate-skew-free-phase", "sweep-gain-3"])
+    ("verify", base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
+                           pass_mode="double"), 1),
+    ("verify", base_config(grid={"N": 21, "half_width": 5.0}, pump={"g0": 0.8},
+                           pass_mode="double",
+                           poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
+                                   "pmf_width": 4.0}), 2),
+], ids=["simulate-sgvm-double-tuned", "simulate-skew-free-phase", "sweep-gain-3",
+        "verify-skew-double", "verify-sgvm-matched-double"])
 def test_the_4n_matrix_is_built_once_per_decomposition(
         tmp_path, matrix_builds, command, cfg, builds):
-    # tuning, photon counts and free-phase stripping read the complex
-    # matrix; only the factorization of each decomposed propagator (and the
-    # symplectic residual of the same one) needs the 4N view
+    # tuning, photon counts, free-phase stripping, the reduced blocks of the
+    # analytic routes and the zero-gain check read the complex matrix; only
+    # the factorization of each decomposed propagator (and the symplectic
+    # checks of the same one) needs the 4N view.  On a matched SGVM double
+    # pass verify adds the SVD route's check against the double-pass matrix.
     rc, _ = run(tmp_path, cfg, command, "--points", "3") if command == "sweep-gain" \
         else run(tmp_path, cfg, command)
     assert rc == 0
