@@ -12,10 +12,10 @@ propagator.compose builds:
 
 * In the SGVM regime (H = -G), W = (1/sqrt 2) [[I, -iI], [-iI, I]] is the
   walk-off basis, C = [[-F, G], [-G, -F]] and the reduced propagator A-hat
-  is Propagator.block.  For any poling the SVD of A-hat gives the factors
-  directly.  The return trip is the adjoint of the pass, so the matched
-  double pass has block A-hat^T A-hat, symmetric positive definite: input
-  equals output modes.
+  is embed_unitary(M), M the N x N Bogoliubov matrix.  For any poling the
+  SVD of A-hat gives the factors directly.  The return trip is the adjoint
+  of the pass, so the matched double pass has block A-hat^T A-hat,
+  symmetric positive definite: input equals output modes.
 
 * Away from SGVM, W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]] (J the bin
   exchange) is the exchange basis.  It splits the generator, with
@@ -40,12 +40,10 @@ RegimeError carrying the violated residual.
 import numpy as np
 
 from . import numerics
-from .blochmessiah import (
-    BlochMessiahResult, _polish_unitary, checked_factors, embed_unitary,
-)
+from .blochmessiah import BlochMessiahResult, _polish_unitary, checked_factors
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices, flip_matrix
-from .propagator import compose
+from .propagator import compose, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
@@ -105,8 +103,8 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
     factors (a quarter rotation in the mode's (X, P) plane), which swaps the
     mode's lam and 1/lam slots without changing the product; modes are then
     stably sorted by descending lam.  Factors are polished to exact unitaries
-    and embedded on the way out; when Z_tilde_raw is Z_raw, once, and the
-    result's O_tilde is its O.
+    on the way out; when Z_tilde_raw is Z_raw, once, and the result's
+    Z_tilde is its Z.
     """
     lam = np.asarray(lam_raw, dtype=float).copy()
     h = lam.size
@@ -121,11 +119,11 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
     def factor(raw, context):
         U = np.array(raw, dtype=complex)
         U[:, flip] *= 1j
-        return embed_unitary(_polish_unitary(U[:, order], context))
+        return _polish_unitary(U[:, order], context)
 
-    O = factor(Z_raw, "active factor")
-    O_tilde = O if Z_tilde_raw is Z_raw else factor(Z_tilde_raw, "passive factor")
-    return BlochMessiahResult(O=O, lam=lam[order], O_tilde=O_tilde)
+    Z = factor(Z_raw, "active factor")
+    Z_tilde = Z if Z_tilde_raw is Z_raw else factor(Z_tilde_raw, "passive factor")
+    return BlochMessiahResult(Z=Z, lam=lam[order], Z_tilde=Z_tilde)
 
 
 def _require_sgvm(medium, route):
@@ -141,17 +139,19 @@ def _require_sgvm(medium, route):
 def _reduced(prop, grid, pump, medium, poling):
     """(X, W, M = X block, K) of a composed propagator in its regime's basis W.
 
-    SGVM: X the half-swap, W the walk-off basis, block A-hat = prop.block and
-    K the exchange pair, which commutes with M.  Otherwise: X = diag(J, J),
-    W the exchange basis, block C-hat = Re(V^H T V) and K None; raises
-    RegimeError (with the residual) when a domain generator of the poling
-    does not split in the exchange basis.
+    SGVM: X the half-swap, W the walk-off basis, block A-hat the
+    embed_unitary of the Bogoliubov matrix and K the exchange pair, which
+    commutes with M.  Otherwise: X = diag(J, J), W the exchange basis, block
+    C-hat = Re(V^H T V) and K None; raises RegimeError (with the residual)
+    when a domain generator of the poling does not split in the exchange
+    basis.
     """
     n = grid.n
     i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
     if prop.sgvm:
         X = np.block([[z, i], [i, z]])
-        return X, _walkoff_unitary(n), X @ prop.block, np.block([[z, j], [j, z]])
+        return (X, _walkoff_unitary(n), X @ embed_unitary(prop.bogoliubov),
+                np.block([[z, j], [j, z]]))
     for sign in {s for _, s in poling.domains}:
         block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign))
     W = _exchange_unitary(n)
@@ -221,7 +221,7 @@ def svd_route(grid, pump, medium, poling, double=False, prop=None):
     _require_sgvm(medium, "SVD route")
     prop = prop or compose(grid, pump, medium, poling)
     W = _walkoff_unitary(grid.n)
-    left, s, right = numerics.svd(prop.block)
+    left, s, right = numerics.svd(embed_unitary(prop.bogoliubov))
     if double:
         S = prop.return_trip().after(prop).matrix
         return _factors(W, right, s**2, right, S, "SVD route")
@@ -282,9 +282,8 @@ def structure_checks(grid, pump, medium, poling, prop=None):
     prop is the forward pass when the caller has already composed it.
     """
     matrices = build_coupled_matrices(grid, pump, medium, sign=1)
-    j = flip_matrix(grid.n)
     F = matrices.F
-    f_resid = float(np.max(np.abs(F - j @ F @ j)))
+    f_resid = float(np.max(np.abs(F - F[::-1, ::-1])))
     report = {
         "f_max": float(np.max(np.abs(F))),
         "f_centrosymmetry_residual": f_resid,

@@ -3,9 +3,11 @@
 Factors a symplectic propagator as S = O D O-tilde^T with O, O-tilde
 orthogonal symplectic and D = diag(lam, 1/lam), then rearranges the
 doubly-degenerate spectrum into independent two-mode squeezers, one signal
-mode paired with one idler mode each.  A Decomposition stores only lam, r and
-the complex mode matrices U_out, U_in; the 4N real factors and each
-squeezer's gauged input/output modes are derived from them on demand.
+mode paired with one idler mode each.  A BlochMessiahResult stores lam and
+the complex 2N unitaries Z, Z_tilde with O = embed_unitary(Z) and
+O_tilde = embed_unitary(Z_tilde); a Decomposition stores only lam, r and the
+complex mode matrices U_out, U_in.  The 4N real factors and each squeezer's
+gauged input/output modes are derived from them on demand.
 
 The factorization route is polar: P = (S S^T)^{1/2} is diagonalized by an
 orthogonal symplectic O = [[X, -Y], [Y, X]] built from the unitary Z = X + iY,
@@ -30,11 +32,13 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
-from .propagator import compose, double_pass, free_path, symplectic_residual
+from .propagator import (
+    compose, double_pass, embed_unitary, free_path, symplectic_residual,
+)
 
 __all__ = [
     "BlochMessiahResult", "SchmidtMode", "Decomposition", "bloch_messiah",
-    "two_mode_rearrange", "embed_unitary", "pair_mixer", "decompose",
+    "two_mode_rearrange", "pair_mixer", "decompose",
     "checked_factors", "tune_gain", "solve_increasing",
 ]
 
@@ -67,13 +71,14 @@ BRACKET_DOUBLINGS = 60
 class BlochMessiahResult:
     """S = O diag(lam, 1/lam) O_tilde^T, lam descending, lam >= 1.
 
-    residuals is filled in by checked_factors once the factors are checked
-    against S.
+    Z and Z_tilde are the complex 2N unitaries with O = embed_unitary(Z) and
+    O_tilde = embed_unitary(Z_tilde).  residuals is filled in by
+    checked_factors once the factors are checked against S.
     """
 
-    O: np.ndarray
+    Z: np.ndarray
     lam: np.ndarray
-    O_tilde: np.ndarray
+    Z_tilde: np.ndarray
     residuals: Optional[dict] = None
 
     def D(self):
@@ -81,7 +86,7 @@ class BlochMessiahResult:
 
     def reconstruct(self):
         d = np.concatenate([self.lam, 1.0 / self.lam])
-        return (self.O * d) @ self.O_tilde.T
+        return (embed_unitary(self.Z) * d) @ embed_unitary(self.Z_tilde).T
 
 
 def checked_factors(result, S, context):
@@ -89,15 +94,23 @@ def checked_factors(result, S, context):
 
     residuals holds the reconstruction residual relative to max(1, max|S|),
     then the orthogonality and symplectic residual of O and of O_tilde (one
-    computation, reported under both names, when O_tilde is O).
+    computation, reported under both names, when Z_tilde is Z).  Both come
+    from complex 2N products: embed_unitary is multiplicative, embed(Z)^T =
+    embed(Z^H) and Omega = embed(-iI), so with O = embed(Z)
+        O^T O - I = embed(Z^H Z - I),  O Omega O^T - Omega = embed(-i (Z Z^H - I)),
+    and max|embed(E)| = max|embed(-iE)| = max(max|Re E|, max|Im E|).
     Raises DecompositionError when one exceeds RECON_RTOL or FACTOR_TOL.
     """
-    eye = np.eye(S.shape[0])
     residuals = {"reconstruction": float(np.max(np.abs(result.reconstruct() - S)))
                  / max(1.0, float(np.max(np.abs(S))))}
-    for name, M in (("O", result.O), ("O_tilde", result.O_tilde)):
-        if name == "O" or M is not result.O:  # else O_tilde reuses O's pair
-            pair = float(np.max(np.abs(M.T @ M - eye))), symplectic_residual(M)
+
+    def defect(gram):  # max|embed_unitary(gram - I)|
+        gram[np.diag_indices_from(gram)] -= 1.0
+        return float(max(np.max(np.abs(gram.real)), np.max(np.abs(gram.imag))))
+
+    for name, Z in (("O", result.Z), ("O_tilde", result.Z_tilde)):
+        if name == "O" or Z is not result.Z:  # else O_tilde reuses O's pair
+            pair = defect(Z.conj().T @ Z), defect(Z @ Z.conj().T)
         residuals[name + "_orthogonal"], residuals[name + "_symplectic"] = pair
     for name, value in residuals.items():
         limit = RECON_RTOL if name == "reconstruction" else FACTOR_TOL
@@ -106,17 +119,6 @@ def checked_factors(result, S, context):
                 "%s: %s residual %.3e exceeds %.1e" % (context, name, value, limit)
             )
     return replace(result, residuals=residuals)
-
-
-def embed_unitary(Z):
-    """Real orthogonal symplectic [[X, -Y], [Y, X]] from a unitary Z = X + iY."""
-    X, Y = Z.real, Z.imag
-    return np.block([[X, -Y], [Y, X]])
-
-
-def _complex_rep(O, h):
-    """Inverse of embed_unitary for an exactly embedded matrix."""
-    return O[:h, :h] + 1j * O[h:, :h]
 
 
 def _complex_rep_avg(M, h):
@@ -211,10 +213,8 @@ def bloch_messiah(S):
     if embed_defect > 1e-6:
         raise DecompositionError("passive factor is far from orthogonal symplectic "
                                  "(defect %.3e)" % embed_defect)
-    O_tilde = embed_unitary(_polish_unitary(Z_tilde, "passive factor"))
-
-    return checked_factors(BlochMessiahResult(O=O, lam=lam, O_tilde=O_tilde), S,
-                           "generic route")
+    Z_tilde = _polish_unitary(Z_tilde, "passive factor")
+    return checked_factors(BlochMessiahResult(Z, lam, Z_tilde), S, "generic route")
 
 
 def pair_mixer(n_pairs):
@@ -246,8 +246,7 @@ def two_mode_rearrange(bm):
     degenerate pairs (not a twin-beam propagator).
     """
     lam = bm.lam
-    h = lam.size
-    if h % 2:
+    if lam.size % 2:
         raise DecompositionError("odd active dimension cannot pair into squeezers")
     a, b = lam[0::2], lam[1::2]
     defect = np.abs(a - b) / np.maximum(1.0, np.maximum(a, b))
@@ -257,20 +256,16 @@ def two_mode_rearrange(bm):
             "lam spectrum is not doubly degenerate at pair %d: %r vs %r"
             % (k, a[k], b[k])
         )
-    U_out = _mix_pairs(_complex_rep(bm.O, h))
-    U_in = _mix_pairs(_complex_rep(bm.O_tilde, h))
     r = 0.5 * (np.log(a) + np.log(b))
     r[r < R_CLAMP] = 0.0
-    return U_out, U_in, r
+    return _mix_pairs(bm.Z), _mix_pairs(bm.Z_tilde), r
 
 
 @dataclass(frozen=True)
 class SchmidtMode:
     """One squeezer mode function on the stacked (signal, idler) bin space."""
 
-    k: int                    # squeezer index, 0-based, descending r
     beam: str                 # "signal" or "idler"
-    direction: str            # "in" or "out"
     r: float
     amplitudes: np.ndarray    # complex, length 2N
     mixed: bool
@@ -335,7 +330,7 @@ class Decomposition:
             sig, idl, s_sig, s_idl = idl, sig, s_idl, s_sig
         mixed = max(1.0 - s_sig, s_idl) > MIX_TOL
         return tuple(
-            SchmidtMode(k=k, beam=beam, direction=direction, r=float(self.r[k]),
+            SchmidtMode(beam=beam, r=float(self.r[k]),
                         amplitudes=_gauge_fix(u, n, beam), mixed=mixed)
             for beam, u in (("signal", sig), ("idler", idl)))
 

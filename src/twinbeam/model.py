@@ -298,16 +298,14 @@ class CoupledMatrices:
     """Discretized coupling matrices of the equations of motion.
 
     G, H are the diagonal walk-off phase matrices of signal and idler; F is
-    the (signed) pump-mediated coupling.  sign and g0 record the poling
-    orientation and peak gain the F entries were built with; sgvm records
-    whether H = -G holds by construction so downstream code can take the
-    block fast path.
+    the (signed) pump-mediated coupling.  g0 records the peak gain the F
+    entries were built with; sgvm records whether H = -G holds by
+    construction so downstream code can take the block fast path.
     """
 
     G: np.ndarray
     H: np.ndarray
     F: np.ndarray
-    sign: int
     sgvm: bool
     g0: float
 
@@ -344,7 +342,7 @@ def build_coupled_matrices(grid, pump, medium, sign=1):
         F = sign * (grid.spacing / np.sqrt(2.0 * np.pi)) * pump_amplitude(
             pump, pump.center + sums
         )
-    return CoupledMatrices(G=G, H=H, F=F, sign=sign, sgvm=is_sgvm, g0=float(pump.g0))
+    return CoupledMatrices(G=G, H=H, F=F, sgvm=is_sgvm, g0=float(pump.g0))
 
 
 def build_generator(matrices):

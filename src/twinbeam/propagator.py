@@ -23,10 +23,13 @@ exchanged.  So a double pass costs one domain product, and for SGVM it is
 the Hermitian M^H M, whose input and output modes coincide.
 
 Only these complex matrices are built and multiplied, and photon numbers
-are read off them.  The 4N x 4N real symplectic matrix on the quadratures
-(X_S, X_I, P_S, P_I) is an export view assembled from the real and imaginary
-parts of the N x N blocks; it feeds the generic factorization, the
-symplectic residual and the matrix files.
+are read off them.  A complex matrix Z = X + iY acts on real and imaginary
+parts as embed_unitary(Z) = [[X, -Y], [Y, X]], the one bridge to real views
+(a unitary Z embeds as an orthogonal symplectic matrix).  The 4N x 4N real
+symplectic matrix on the quadratures (X_S, X_I, P_S, P_I) is the embedding
+of the 2N matrix on (a_S, a_I^+) with the P_I rows and columns negated; it
+feeds the generic factorization, the symplectic residual and the matrix
+files.
 """
 
 from dataclasses import dataclass
@@ -41,7 +44,7 @@ from .model import build_coupled_matrices
 __all__ = [
     "Propagator", "segment_propagator", "compose", "double_pass",
     "free_propagator", "free_path", "symplectic_form", "symplectic_residual",
-    "mean_photons", "save_matrix", "load_matrix",
+    "embed_unitary", "mean_photons", "save_matrix", "load_matrix",
 ]
 
 # Relative agreement required between poling total width and medium length.
@@ -71,6 +74,12 @@ def symplectic_residual(S):
     return float(max(P.max(), -P.min()))
 
 
+def embed_unitary(Z):
+    """Real [[X, -Y], [Y, X]] of a complex Z = X + iY; orthogonal symplectic for a unitary Z."""
+    X, Y = Z.real, Z.imag
+    return np.block([[X, -Y], [Y, X]])
+
+
 @dataclass(frozen=True)
 class Propagator:
     """Complex Bogoliubov propagator of one device.
@@ -80,8 +89,7 @@ class Propagator:
     compose by multiplying these complex matrices (`after`) and count
     photons on them (`mean_photons`).  matrix is the 4N x 4N real symplectic
     export, built on first use for the generic factorization and the
-    symplectic checks; block is the 2N real representation of M that the
-    SGVM oracles in analytic work on.
+    symplectic checks.
     """
 
     bogoliubov: np.ndarray
@@ -110,36 +118,24 @@ class Propagator:
         # [[A, B], [C, D]] -> [[D^H, -B^H], [-C^H, A^H]]
         return Propagator(np.block([[T[n:, n:], -T[n:, :n]], [-T[:n, n:], T[:n, :n]]]), n)
 
-    @property
-    def block(self):
-        """SGVM only: the 2N real representation [[Re M, -Im M], [Im M, Re M]]."""
-        if not self.sgvm:
-            return None
-        M = self.bogoliubov
-        return np.block([[M.real, -M.imag], [M.imag, M.real]])
-
     @cached_property
     def matrix(self):
         """The 4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I).
 
-        Built from the N x N complex blocks of a_S -> A a_S + B a_I^+ and
-        a_I^+ -> C a_S + D a_I^+.
+        (a_S, a_I^+) has real part (X_S, X_I) and imaginary part (P_S, -P_I),
+        so this is embed_unitary of the 2N matrix on (a_S, a_I^+) with the
+        P_I row and column blocks negated.
         """
         n, T = self.n, self.bogoliubov
         if self.sgvm:
             # a_S - i a_I^+ evolves by conj(M), a_S + i a_I^+ by M^{-T}.
             down, up = T.conj(), np.linalg.inv(T).T
-            A = D = 0.5 * (up + down)
-            B = 0.5j * (up - down)
-            C = -B
-        else:
-            A, B, C, D = T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
-        return np.block([
-            [A.real, B.real, -A.imag, B.imag],
-            [C.real, D.real, -C.imag, D.imag],
-            [A.imag, B.imag, A.real, -B.real],
-            [-C.imag, -D.imag, -C.real, D.real],
-        ])
+            A, B = 0.5 * (up + down), 0.5j * (up - down)
+            T = np.block([[A, B], [-B, A]])
+        S = embed_unitary(T)
+        S[3 * n:] *= -1.0
+        S[:, 3 * n:] *= -1.0
+        return S
 
     def mean_photons(self):
         """mean_photons(self.matrix, n), read off the complex matrix.

@@ -40,10 +40,9 @@ def haar(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def make_mode(amplitudes, beam="signal", k=0, direction="out", r=0.3):
-    return SchmidtMode(k=k, beam=beam, direction=direction, r=r,
-                      amplitudes=np.asarray(amplitudes, dtype=complex),
-                      mixed=False)
+def make_mode(amplitudes, beam="signal", r=0.3):
+    return SchmidtMode(beam=beam, r=r, amplitudes=np.asarray(amplitudes, dtype=complex),
+                       mixed=False)
 
 
 # ---------------------------------------------------------------- fidelities
@@ -104,8 +103,8 @@ def test_flip_overlap_reduces_schmidt_modes_to_their_beam():
     own = rand_vec(rng, N)
     stacked_in = np.concatenate([own, np.zeros(N)])
     stacked_out = np.concatenate([own[::-1], np.zeros(N)])
-    m_in = make_mode(stacked_in, direction="in")
-    m_out = make_mode(stacked_out, direction="out")
+    m_in = make_mode(stacked_in)
+    m_out = make_mode(stacked_out)
     assert abs(flip_overlap(m_in, m_out) - 1.0) < 1e-14
 
 

@@ -31,16 +31,16 @@ from twinbeam import (
 from twinbeam import blochmessiah, propagator
 from twinbeam.blochmessiah import (
     FACTOR_TOL,
+    BlochMessiahResult,
+    checked_factors,
     R_CLAMP,
     RECON_RTOL,
-    _complex_rep,
     _polish_unitary,
-    embed_unitary,
     pair_mixer,
     solve_increasing,
 )
 from twinbeam.errors import ConfigError, ContractError, DecompositionError
-from twinbeam.propagator import free_path
+from twinbeam.propagator import embed_unitary, free_path
 
 N = 9
 L = 1.0
@@ -75,8 +75,8 @@ def test_identity_decomposes_to_identity():
     # the bin basis itself
     for n in (1, 2, 9, 21):
         bm = bloch_messiah(np.eye(4 * n))
-        np.testing.assert_array_equal(bm.O, np.eye(4 * n))
-        np.testing.assert_array_equal(bm.O_tilde, np.eye(4 * n))
+        np.testing.assert_array_equal(embed_unitary(bm.Z), np.eye(4 * n))
+        np.testing.assert_array_equal(embed_unitary(bm.Z_tilde), np.eye(4 * n))
         np.testing.assert_array_equal(bm.lam, np.ones(2 * n))
 
 
@@ -142,7 +142,44 @@ def test_reconstruct_matches_the_dense_diagonal_product_bitwise(setup):
     for S in (paired_symplectic([0.7, 0.2], np.random.default_rng(5))[0],
               compose(grid, pump, skew, poling).matrix):
         bm = bloch_messiah(S)
-        assert np.array_equal(bm.reconstruct(), bm.O @ bm.D() @ bm.O_tilde.T)
+        O, O_tilde = embed_unitary(bm.Z), embed_unitary(bm.Z_tilde)
+        assert np.array_equal(bm.reconstruct(), O @ bm.D() @ O_tilde.T)
+
+
+def noisy_factors(rng, h=8, noise=1e-11):
+    """A BlochMessiahResult on Haar unitaries carrying non-unitary noise of max size noise."""
+    def noisy():
+        P = rng.normal(size=(h, h)) + 1j * rng.normal(size=(h, h))
+        return haar_unitary(h, rng) + noise * P / np.max(np.abs(P))
+    lam = np.repeat(np.exp(np.linspace(0.9, 0.0, h // 2)), 2)
+    return BlochMessiahResult(Z=noisy(), lam=lam, Z_tilde=noisy())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factor_residuals_are_the_4n_residuals_of_the_embedding(seed):
+    # embed(Z)^T embed(Z) - I = embed(Z^H Z - I) and the symplectic defect of
+    # embed(Z) is embed(-i (Z Z^H - I)); at noise 1e-11 the Gram products'
+    # own roundoff (~2e-16) is ~2e-5 of the residual, while the two Gram
+    # products of one Z differ by percents, so swapping them fails
+    bm = noisy_factors(np.random.default_rng(seed))
+    residuals = checked_factors(bm, bm.reconstruct(), "noisy factors").residuals
+    assert residuals["reconstruction"] < 1e-15
+    for name, Z in (("O", bm.Z), ("O_tilde", bm.Z_tilde)):
+        O = embed_unitary(Z)
+        orthogonal = float(np.max(np.abs(O.T @ O - np.eye(O.shape[0]))))
+        symplectic = propagator.symplectic_residual(O)
+        assert 1e-12 < orthogonal < FACTOR_TOL
+        np.testing.assert_allclose(residuals[name + "_orthogonal"], orthogonal, rtol=1e-4)
+        np.testing.assert_allclose(residuals[name + "_symplectic"], symplectic, rtol=1e-4)
+        assert abs(orthogonal - symplectic) > 1e-2 * orthogonal
+
+
+def test_checked_factors_forms_no_4n_residual(monkeypatch):
+    bm = noisy_factors(np.random.default_rng(7))
+    spy = counted(propagator.symplectic_residual)
+    monkeypatch.setattr(blochmessiah, "symplectic_residual", spy)
+    checked_factors(bm, bm.reconstruct(), "noisy factors")
+    assert spy.calls == 0
 
 
 def test_known_squeezer_recovered():
@@ -231,8 +268,8 @@ def test_rearrange_preserves_product(setup):
     h = bm.lam.size
     U_out, U_in, _ = two_mode_rearrange(bm)
     B = pair_mixer(h // 2)
-    np.testing.assert_allclose(U_out, _complex_rep(bm.O, h) @ B, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(U_in, _complex_rep(bm.O_tilde, h) @ B, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(U_out, bm.Z @ B, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(U_in, bm.Z_tilde @ B, rtol=0, atol=1e-15)
 
     rng = np.random.default_rng(5)
     S, _ = paired_symplectic([0.8, 0.3], rng)
@@ -241,8 +278,8 @@ def test_rearrange_preserves_product(setup):
     assert np.all(np.diff(r) <= 0)
     # the rearranged factors with the mixed core give back the same S
     W = embed_unitary(pair_mixer(bm.lam.size // 2))
-    O_w = bm.O @ W
-    Ot_w = bm.O_tilde @ W
+    O_w = embed_unitary(bm.Z) @ W
+    Ot_w = embed_unitary(bm.Z_tilde) @ W
     np.testing.assert_allclose(O_w @ (W.T @ bm.D() @ W) @ Ot_w.T, S, atol=1e-9)
     np.testing.assert_allclose(np.repeat(np.exp(r), 2), bm.lam, atol=1e-10)
 
@@ -303,8 +340,8 @@ def test_decomposition_factors_undo_the_pair_mixing(setup):
     S = compose(grid, pump, medium, qpm_poling(L, 2 * L / 9))
     d = decompose(S, grid)
     bm = bloch_messiah(S.matrix)
-    np.testing.assert_allclose(d.O, bm.O, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(d.O_tilde, bm.O_tilde, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(d.O, embed_unitary(bm.Z), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(d.O_tilde, embed_unitary(bm.Z_tilde), rtol=0, atol=1e-15)
 
 
 def test_decompose_modes_unitary_and_single_beam(setup):

@@ -438,8 +438,8 @@ def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
         "generator_hamiltonian", "propagator_symplectic", "photon_balance",
         "bm_reconstruction", "bm_O_orthogonal", "bm_O_symplectic",
         "bm_O_tilde_orthogonal", "bm_O_tilde_symplectic", "lam_pair_degeneracy",
-        "route_r_agreement", "route_mode_overlap", "structure_f_centrosymmetry",
-        "block_propagator_symmetry", "flip_classes_balanced",
+        "route_r_agreement", "route_mode_overlap", "block_propagator_symmetry",
+        "flip_classes_balanced",
         "double_pass_zero_gain_free",
     ]
 

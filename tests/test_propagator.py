@@ -32,6 +32,7 @@ from twinbeam import (
 from twinbeam import numerics, propagator
 from twinbeam.errors import ConfigError
 from twinbeam.numerics import expm
+from twinbeam.propagator import embed_unitary
 
 N = 11
 L = 1.0
@@ -95,14 +96,14 @@ def test_segment_block_route_agrees_with_full_exponential(sgvm):
     full = expm(0.3 * build_generator(m))
     assert np.max(np.abs(S.matrix - full)) < 1e-10
     np.testing.assert_allclose(
-        S.block, expm(0.3 * np.block([[-m.F, m.G], [-m.G, -m.F]])), atol=1e-12
+        embed_unitary(S.bogoliubov), expm(0.3 * np.block([[-m.F, m.G], [-m.G, -m.F]])),
+        atol=1e-12
     )
 
 
-def test_segment_nonsgvm_has_no_block(skew):
+def test_segment_nonsgvm_is_symplectic(skew):
     grid, pump, medium = skew
     S = segment_propagator(build_coupled_matrices(grid, pump, medium), 0.5)
-    assert S.block is None
     assert symplectic_residual(S.matrix) < 1e-10
 
 
@@ -133,6 +134,33 @@ def test_compose_single_domain_is_plain_exponential(sgvm):
     S = compose(grid, pump, medium, Poling.unpoled(L))
     m = build_coupled_matrices(grid, pump, medium)
     np.testing.assert_allclose(S.matrix, expm(L * build_generator(m)), atol=1e-11)
+
+
+def sixteen_block_matrix(prop):
+    """The 4N quadrature matrix assembled block by block from (A, B, C, D)."""
+    n, T = prop.n, prop.bogoliubov
+    if prop.sgvm:
+        down, up = T.conj(), np.linalg.inv(T).T
+        A = D = 0.5 * (up + down)
+        B = 0.5j * (up - down)
+        C = -B
+    else:
+        A, B, C, D = T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
+    return np.block([
+        [A.real, B.real, -A.imag, B.imag],
+        [C.real, D.real, -C.imag, D.imag],
+        [A.imag, B.imag, A.real, -B.real],
+        [-C.imag, -D.imag, -C.real, D.real],
+    ])
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("case", ["sgvm", "skew"])
+def test_matrix_is_the_sign_flipped_embedding_bitwise(request, case, double):
+    grid, pump, medium = request.getfixturevalue(case)
+    build = double_pass if double else compose
+    prop = build(grid, pump, medium, readme_grating())
+    assert prop.matrix.tobytes() == sixteen_block_matrix(prop).tobytes()
 
 
 def test_compose_split_domain_commutes(sgvm):
@@ -326,7 +354,8 @@ def test_double_pass_block_product(sgvm):
     S = double_pass(grid, pump, medium, poling)
     first = compose(grid, pump, medium, poling)
     second = compose(grid, pump, medium.swapped(), poling)
-    np.testing.assert_allclose(S.block, second.block @ first.block, atol=1e-10)
+    np.testing.assert_allclose(embed_unitary(S.bogoliubov), embed_unitary(
+        second.bogoliubov) @ embed_unitary(first.bogoliubov), atol=1e-10)
     np.testing.assert_allclose(S.matrix, second.matrix @ first.matrix, atol=1e-10)
     assert symplectic_residual(S.matrix) < 1e-9
 
