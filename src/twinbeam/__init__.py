@@ -31,8 +31,7 @@ from .model import (
 )
 from .propagator import (
     Propagator, compose, double_pass, free_propagator, load_matrix,
-    mean_photons, save_matrix, segment_propagator, symplectic_form,
-    symplectic_residual,
+    mean_photons, segment_propagator, symplectic_residual,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +52,6 @@ __all__ = [
     "flip_matrix", "load_poling", "pmf", "pump_amplitude", "qpm_poling",
     "save_poling",
     "Propagator", "compose", "double_pass", "free_propagator",
-    "load_matrix", "mean_photons", "save_matrix", "segment_propagator",
-    "symplectic_form", "symplectic_residual",
+    "load_matrix", "mean_photons", "segment_propagator", "symplectic_residual",
     "__version__",
 ]

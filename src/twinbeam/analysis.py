@@ -86,7 +86,6 @@ class SweepResult:
     """Gain-robustness sweep: second-pass gain varied around the matched point."""
 
     base_g0: float
-    base_target: float
     points: List[SweepPoint]
 
     def to_csv(self, path):
@@ -117,10 +116,14 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     and span[1] * base_target, searching up from [0, 1].  The scale axis is
     sampled linearly in between.  Each point records the photon number, the
     first-squeezer input/output fidelity, and the top of the r spectrum.
+    Raises ConfigError unless base_target exceeds the tolerance 1e-6 * max(1, base_target).
     """
     if points < 1:
         raise ConfigError("sweep needs at least one point")
     tol = 1e-6 * max(1.0, base_target)
+    if not base_target > tol:
+        raise ConfigError("base target %g photons is within the sweep tolerance %g "
+                          "of zero" % (base_target, tol))
     g0, _ = tune_gain(grid, pump, medium, poling, base_target, double=True, tol=tol)
     pump_base = replace(pump, g0=g0)
     # Only the return pass depends on the scale: the tuned forward pass is
@@ -137,9 +140,7 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     s_hi, _ = solve_increasing(ns_at, span[1] * base_target, 0.0, 1.0, tol)
     # The equal-gain point is the reference (identical passes), so for an odd
     # point count the ladder is built as two half-ramps meeting at scale 1.
-    if points == 1:
-        scales = np.array([s_lo])
-    elif points % 2 and s_lo < 1.0 < s_hi:
+    if points % 2 and s_lo < 1.0 < s_hi:
         half = (points - 1) // 2
         scales = np.concatenate([
             np.linspace(s_lo, 1.0, half + 1),
@@ -163,7 +164,7 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
             results = list(pool.map(run_point, scales))
     else:
         results = [run_point(s) for s in scales]
-    return SweepResult(base_g0=g0, base_target=float(base_target), points=results)
+    return SweepResult(base_g0=g0, points=results)
 
 
 def subspace_overlaps(U_a, U_b, values, value_rtol=1e-6, active=None):

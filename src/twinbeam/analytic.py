@@ -144,7 +144,8 @@ def _reduced(prop, grid, pump, medium, poling):
     commutes with M.  Otherwise: X = diag(J, J), W the exchange basis, block
     C-hat = Re(V^H T V) and K None; raises RegimeError (with the residual)
     when a domain generator of the poling does not split in the exchange
-    basis.
+    basis, checked once on the sign +1 matrices (negating F moves neither the
+    residual nor its scale; G, H alone always split, so sign 0 needs none).
     """
     n = grid.n
     i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
@@ -152,8 +153,8 @@ def _reduced(prop, grid, pump, medium, poling):
         X = np.block([[z, i], [i, z]])
         return (X, _walkoff_unitary(n), X @ embed_unitary(prop.bogoliubov),
                 np.block([[z, j], [j, z]]))
-    for sign in {s for _, s in poling.domains}:
-        block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign))
+    if poling.signs.any():
+        block_reduce(build_coupled_matrices(grid, pump, medium, sign=1))
     W = _exchange_unitary(n)
     V = np.vstack([W[:n], W[n:].conj()])  # T acts on a_I^+, not a_I
     X = np.block([[j, z], [z, j]])

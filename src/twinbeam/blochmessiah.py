@@ -81,9 +81,6 @@ class BlochMessiahResult:
     Z_tilde: np.ndarray
     residuals: Optional[dict] = None
 
-    def D(self):
-        return np.diag(np.concatenate([self.lam, 1.0 / self.lam]))
-
     def reconstruct(self):
         d = np.concatenate([self.lam, 1.0 / self.lam])
         return (embed_unitary(self.Z) * d) @ embed_unitary(self.Z_tilde).T

@@ -370,7 +370,7 @@ def _svg_plot(points, path, xlabel, ylabel):
         fh.write("\n")
 
 
-def cmd_sweep_gain(cfg, out_dir, jobs=1, points=21):
+def cmd_sweep_gain(cfg, out_dir, jobs, points):
     if not cfg.double:
         raise ConfigError("sweep-gain needs a double-pass configuration")
     if jobs < 1:
@@ -378,8 +378,6 @@ def cmd_sweep_gain(cfg, out_dir, jobs=1, points=21):
     base = cfg.target_ns
     if base is None:
         base, _ = _build_propagator(cfg, cfg.pump).mean_photons()
-        if base <= 0:
-            raise ConfigError("configured gain produces no photons to sweep around")
     result = gain_variation_sweep(
         cfg.grid, cfg.pump, cfg.medium, cfg.sim_poling,
         base_target=base, points=points, jobs=jobs,
@@ -402,7 +400,7 @@ def _check(checks, name, value, threshold, ok=None):
     })
 
 
-def cmd_verify(cfg, out_dir, propagator_path=None):
+def cmd_verify(cfg, out_dir, propagator_path):
     checks = []
     grid, medium = cfg.grid, cfg.medium
     pump, _ = _resolve_pump(cfg)
@@ -506,7 +504,7 @@ def cmd_verify(cfg, out_dir, propagator_path=None):
     return report
 
 
-def cmd_poling(cfg, out_dir, action, dk_max=None, dk_points=801):
+def cmd_poling(cfg, out_dir, action, dk_max, dk_points):
     device = cfg.device_poling
     if action == "gen":
         path = os.path.join(out_dir, "poling.txt")

@@ -73,11 +73,6 @@ class FrequencyGrid:
         """Bin spacing Delta-omega = 2 delta / (N - 1)."""
         return 2.0 * self.half_width / (self.n - 1)
 
-    @property
-    def omegas(self):
-        """Absolute frequencies center + detunings."""
-        return self.center + self.detunings
-
 
 def build_grid(n, center=0.0, half_width=1.0):
     """Construct a FrequencyGrid; see FrequencyGrid for the exactness guarantee."""
@@ -168,10 +163,6 @@ class PumpSpec:
             raise ConfigError("pump amplitude g0 must be finite and real")
         if isinstance(self.envelope, str) and self.envelope != "gaussian":
             raise ConfigError("unknown pump envelope %r" % (self.envelope,))
-
-    def scaled(self, factor):
-        """Same pump with g0 multiplied by factor (used for second-pass gain)."""
-        return PumpSpec(self.center, self.sigma, self.g0 * factor, self.envelope)
 
     @property
     def frequency_symmetric(self):

@@ -28,11 +28,10 @@ parts as embed_unitary(Z) = [[X, -Y], [Y, X]], the one bridge to real views
 (a unitary Z embeds as an orthogonal symplectic matrix).  The 4N x 4N real
 symplectic matrix on the quadratures (X_S, X_I, P_S, P_I) is the embedding
 of the 2N matrix on (a_S, a_I^+) with the P_I rows and columns negated; it
-feeds the generic factorization, the symplectic residual and the matrix
-files.
+feeds the generic factorization and the symplectic residual.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -43,23 +42,12 @@ from .model import build_coupled_matrices
 
 __all__ = [
     "Propagator", "segment_propagator", "compose", "double_pass",
-    "free_propagator", "free_path", "symplectic_form", "symplectic_residual",
-    "embed_unitary", "mean_photons", "save_matrix", "load_matrix",
+    "free_propagator", "free_path", "symplectic_residual", "embed_unitary",
+    "mean_photons", "load_matrix",
 ]
 
 # Relative agreement required between poling total width and medium length.
 LENGTH_MATCH_RTOL = 1e-9
-
-
-def symplectic_form(dim):
-    """Omega = [[0, I], [-I, 0]] for an even total dimension."""
-    if dim % 2:
-        raise ConfigError("symplectic dimension must be even, got %d" % dim)
-    h = dim // 2
-    omega = np.zeros((dim, dim))
-    omega[:h, h:] = np.eye(h)
-    omega[h:, :h] = -np.eye(h)
-    return omega
 
 
 def symplectic_residual(S):
@@ -230,7 +218,7 @@ def double_pass(grid, pump, medium, poling, gain2_scale=1.0, first=None):
     """
     first = first or compose(grid, pump, medium, poling)
     back = first if gain2_scale == 1.0 else compose(
-        grid, pump.scaled(gain2_scale), medium, poling)
+        grid, replace(pump, g0=pump.g0 * gain2_scale), medium, poling)
     return back.return_trip().after(first)
 
 
@@ -257,18 +245,8 @@ def free_path(grid, medium, double=False):
     return path
 
 
-def save_matrix(M, path):
-    """Text dump: `rows cols` header then one row per line, full precision."""
-    M = np.asarray(M)
-    with open(path, "w") as fh:
-        fh.write("%d %d\n" % M.shape)
-        for row in M:
-            fh.write(" ".join(repr(float(x)) for x in row))
-            fh.write("\n")
-
-
 def load_matrix(path):
-    """Read a matrix file written by save_matrix."""
+    """Read a matrix file: a `rows cols` header line, then one row of numbers per line."""
     try:
         with open(path) as fh:
             header = fh.readline().split()

@@ -1,5 +1,7 @@
 """Diagnostics: fidelities, overlaps, the gain sweep, and the low-gain oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,20 @@ from twinbeam import (
     MediumSpec,
     Poling,
     PumpSpec,
+    apodized_poling,
     build_grid,
     compose,
+    decompose,
+    default_half_width,
+    demodulate_poling,
+    double_pass,
     flip_overlap,
     gain_variation_sweep,
     lowgain_jsa_oracle,
     mode_fidelity,
+    qpm_poling,
     subspace_overlaps,
+    tune_gain,
 )
 from twinbeam import analysis, propagator
 from twinbeam.blochmessiah import SchmidtMode
@@ -225,6 +234,53 @@ def test_gain_variation_sweep_rejects_empty():
     grid, pump, medium = small_setup()
     with pytest.raises(ConfigError):
         gain_variation_sweep(grid, pump, medium, Poling.unpoled(L), points=0)
+
+
+@pytest.mark.parametrize("base_target", [0.0, 5e-7, -1.0])
+def test_gain_variation_sweep_rejects_a_target_within_its_tolerance(base_target):
+    # no matched point to sweep around: the tuned gain would be 0
+    grid, pump, medium = small_setup()
+    with pytest.raises(ConfigError, match="within the sweep tolerance 1e-06 of zero"):
+        gain_variation_sweep(grid, pump, medium, Poling.unpoled(L),
+                             base_target=base_target)
+
+
+@pytest.mark.parametrize("points", [4, 1])
+def test_gain_variation_sweep_even_point_count_hits_both_endpoints(points):
+    # an even ladder has no scale-1 midpoint: one linear ramp between the
+    # ends; a single point is the lower end
+    grid, pump, medium = small_setup()
+    sweep = gain_variation_sweep(grid, pump, medium, Poling.unpoled(L),
+                                 base_target=0.5, span=(0.5, 1.5), points=points)
+    scales = np.array([p.gain2_scale for p in sweep.points])
+    ns = np.array([p.mean_ns for p in sweep.points])
+    assert scales.size == points and 1.0 not in scales
+    assert abs(ns[0] - 0.25) <= 1e-6
+    if points > 1:
+        np.testing.assert_allclose(np.diff(scales), (scales[-1] - scales[0]) / 3,
+                                   rtol=1e-12)
+        assert abs(ns[-1] - 0.75) <= 1e-6
+
+
+@pytest.mark.parametrize("target", [1e-3, 1.0, 50.0, 5000.0])
+def test_perfect_inline_squeezing_holds_across_gain(target):
+    # matched walk-off: the double pass returns the first squeezer to its input
+    # mode at any gain and for any grating; a 40% mismatch breaks that
+    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
+    grid, pump = build_grid(51, 0.0, default_half_width(medium)), PumpSpec()
+    apodized = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+    cases = [(medium, apodized), (medium, Poling.unpoled(L)),
+             (medium, qpm_poling(L, 2 * L / 9)),
+             (MediumSpec.from_walkoffs(8.0, -4.8, L), apodized)]
+    fidelities = []
+    for m, poling in cases:
+        g0, _ = tune_gain(grid, pump, m, poling, target, double=True,
+                          tol=1e-6 * max(1.0, target))
+        decomp = decompose(double_pass(grid, replace(pump, g0=g0), m, poling), grid)
+        fidelities.append(mode_fidelity(decomp.pair_modes(0, "out")[0],
+                                        decomp.pair_modes(0, "in")[0]))
+    assert min(fidelities[:3]) >= 1.0 - 1e-6
+    assert fidelities[3] < 0.99
 
 
 # ---------------------------------------------------------------- low-gain oracle

@@ -28,6 +28,7 @@ from twinbeam import (
     symmetrized_eig_route,
     two_mode_rearrange,
 )
+from twinbeam import analytic
 from twinbeam.analytic import (
     _exchange_unitary, _reduced, _walkoff_unitary, canonical_factors,
 )
@@ -274,6 +275,31 @@ def test_general_block_route_needs_even_pump(skew):
     with pytest.raises(RegimeError) as err:
         general_block_route(grid, skewed_pump(), medium, Poling.unpoled(L))
     assert err.value.residual == report["block_symmetry_residual"]
+
+
+def test_reduced_checks_the_exchange_basis_once(monkeypatch, skew):
+    # negating F moves neither the off-block residual nor its scale, and a
+    # sign-0 domain always splits: one guard on the sign +1 matrices serves
+    # a two-sign poling, and a dead poling needs none
+    grid, pump, medium = skew
+    qpm, lopsided = qpm_poling(L, 2 * L / 9), skewed_pump()
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["sign"])
+        return build_coupled_matrices(*args, **kwargs)
+
+    monkeypatch.setattr(analytic, "build_coupled_matrices", counting)
+    for poling, signs in ((qpm, [1]), (Poling([(L, 0)]), [])):
+        built.clear()
+        _reduced(compose(grid, pump, medium, poling), grid, pump, medium, poling)
+        assert built == signs
+    with pytest.raises(RegimeError) as err:
+        _reduced(compose(grid, lopsided, medium, qpm), grid, lopsided, medium, qpm)
+    for sign in (1, -1):
+        with pytest.raises(RegimeError) as ref:
+            block_reduce(build_coupled_matrices(grid, lopsided, medium, sign=sign))
+        assert ref.value.residual == err.value.residual
 
 
 @settings(max_examples=40, deadline=None)

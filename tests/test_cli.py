@@ -10,11 +10,12 @@ import pytest
 
 import twinbeam
 from twinbeam import (
-    apodized_poling, compose, decompose, double_pass, flip_overlap, load_poling,
-    numerics, qpm_poling, save_matrix,
+    apodized_poling, compose, decompose, default_half_width, double_pass, flip_overlap,
+    load_poling, numerics, qpm_poling,
 )
 from twinbeam.blochmessiah import FACTOR_TOL, PAIR_RTOL, RECON_RTOL
 from twinbeam.cli import PHOTON_BALANCE_TOL, load_config, main
+from twinbeam.errors import DecompositionError
 
 # velocities matching walk-offs (+8, -8) at pump velocity 0.1
 SGVM_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 0.5, "L": 1.0}
@@ -213,6 +214,19 @@ def test_the_4n_matrix_is_built_once_per_decomposition(
     assert len(matrix_builds) == builds
 
 
+def test_grid_half_width_defaults_to_default_half_width(tmp_path):
+    # sigma 1.3 on walk-off 8: 5 sigma max(1, 1 / (kappa sigma L)) = 6.5
+    cfg = base_config(grid={"N": 9}, pump={"g0": 1.0, "sigma": 1.3})
+    rc_a, out_a = run(tmp_path, cfg, "simulate", name="a.json", outname="a")
+    width = default_half_width(load_config(tmp_path / "a.json").medium, 1.3)
+    assert width == pytest.approx(6.5)
+    cfg["grid"]["half_width"] = width
+    rc_b, out_b = run(tmp_path, cfg, "simulate", name="b.json", outname="b")
+    assert rc_a == rc_b == 0
+    for name in ("summary.json", "modes.csv"):
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
 # ---------------------------------------------------------------- config errors
 
 @pytest.mark.parametrize("cfg", [
@@ -393,6 +407,32 @@ def test_sweep_gain_outputs(tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+def test_sweep_gain_fixed_g0_centers_on_its_photon_number(tmp_path):
+    cfg = base_config(pump={"g0": 0.8}, pass_mode="double")
+    rc, out = run(tmp_path, cfg, "sweep-gain", "--points", "3")
+    assert rc == 0
+    run_cfg = load_config(tmp_path / "run.json")
+    base, _ = double_pass(run_cfg.grid, run_cfg.pump, run_cfg.medium,
+                          run_cfg.sim_poling).mean_photons()
+    tol = 1e-6 * max(1.0, base)
+    rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert float(rows[1][0]) == 1.0
+    ns = [float(row[1]) for row in rows]
+    for got, scale in zip(ns, (0.5, 1.0, 1.5)):
+        assert abs(got - scale * base) <= tol
+
+
+def test_sweep_gain_zero_gain_fixed_g0_exits_2(tmp_path, capsys):
+    # roundoff leaves the zero-gain double pass ~1e-29 photons, not 0
+    rc, out = run(tmp_path, base_config(pump={"g0": 0.0}, pass_mode="double"),
+                  "sweep-gain", "--points", "3")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: base target ")
+    assert "within the sweep tolerance 1e-06 of zero" in err
+    assert not (out / "sweep.csv").exists()
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_passes_on_sound_config(tmp_path):
@@ -413,6 +453,22 @@ def test_verify_passes_on_sound_config(tmp_path):
     assert thresholds["bm_O_orthogonal"] == FACTOR_TOL
     assert thresholds["lam_pair_degeneracy"] == PAIR_RTOL
     assert thresholds["photon_balance"] == PHOTON_BALANCE_TOL
+
+
+def test_verify_reports_a_failed_decomposition(tmp_path, monkeypatch):
+    # the factorization's error becomes one failed check, and the route
+    # comparison, which needs the factorization, is skipped
+    def failing(prop, grid):
+        raise DecompositionError("pairing failed")
+
+    monkeypatch.setattr(twinbeam.cli, "decompose", failing)
+    rc, out = run(tmp_path, base_config(), "verify")
+    assert rc == 3
+    report = json.loads((out / "verify.json").read_text())
+    assert report["failed"] == ["bm_decomposition"]
+    names = [c["name"] for c in report["checks"]]
+    assert not [name for name in names if name.startswith(("route_", "lam_"))]
+    assert report["checks"][names.index("bm_decomposition")]["value"] == "pairing failed"
 
 
 @pytest.mark.parametrize("pass_mode", ["single", "double"])
@@ -470,7 +526,7 @@ def test_verify_composes_the_forward_pass_once(tmp_path, monkeypatch, pass_mode,
 
 def test_verify_rejects_tampered_propagator(tmp_path):
     M = np.diag([2.0] * 4 + [1.0] * 4)  # not symplectic
-    save_matrix(M, tmp_path / "prop.txt")
+    np.savetxt(tmp_path / "prop.txt", M, header="%d %d" % M.shape, comments="")
     cfg = base_config()
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))

@@ -48,11 +48,6 @@ def test_grid_mirror_symmetry_is_exact():
         assert g.detunings.size == n
 
 
-def test_grid_omegas_offset():
-    g = build_grid(5, 2.0, 1.0)
-    np.testing.assert_allclose(g.omegas, 2.0 + g.detunings)
-
-
 def test_build_grid_rejects_bad_sizes():
     with pytest.raises(ConfigError):
         build_grid(2, 0.0, 1.0)
@@ -83,11 +78,6 @@ def test_pump_amplitude_even_about_center():
     np.testing.assert_array_equal(
         pump_amplitude(p, p.center + x), pump_amplitude(p, p.center - x)
     )
-
-
-def test_pump_scaled():
-    p = PumpSpec(g0=1.5).scaled(2.0)
-    assert p.g0 == 3.0
 
 
 def test_pump_rejects_bad_inputs():
