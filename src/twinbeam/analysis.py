@@ -17,7 +17,7 @@ from . import numerics
 from .blochmessiah import SchmidtMode, decompose, solve_increasing, tune_gain
 from .errors import ConfigError
 from .model import pmf, pump_amplitude
-from .propagator import compose, double_pass
+from .propagator import double_pass
 
 __all__ = [
     "mode_fidelity", "flip_overlap", "SweepPoint", "SweepResult",
@@ -85,7 +85,6 @@ class SweepPoint:
 class SweepResult:
     """Gain-robustness sweep: second-pass gain varied around the matched point."""
 
-    base_g0: float
     points: List[SweepPoint]
 
     def to_csv(self, path):
@@ -124,11 +123,11 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     if not base_target > tol:
         raise ConfigError("base target %g photons is within the sweep tolerance %g "
                           "of zero" % (base_target, tol))
-    g0, _ = tune_gain(grid, pump, medium, poling, base_target, double=True, tol=tol)
+    # Only the return pass depends on the scale: the forward pass tuning
+    # composed at the root is paired with each scaled return trip.
+    g0, _, first = tune_gain(grid, pump, medium, poling, base_target, double=True,
+                             tol=tol, return_pass=True)
     pump_base = replace(pump, g0=g0)
-    # Only the return pass depends on the scale: the tuned forward pass is
-    # built once and paired with each scaled return trip.
-    first = compose(grid, pump_base, medium, poling)
 
     @functools.lru_cache(maxsize=None)
     def ns_at(scale):
@@ -164,7 +163,7 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
             results = list(pool.map(run_point, scales))
     else:
         results = [run_point(s) for s in scales]
-    return SweepResult(base_g0=g0, points=results)
+    return SweepResult(points=results)
 
 
 def subspace_overlaps(U_a, U_b, values, value_rtol=1e-6, active=None):

@@ -136,7 +136,7 @@ def _require_sgvm(medium, route):
         )
 
 
-def _reduced(prop, grid, pump, medium, poling):
+def _reduced(prop, grid, pump, medium, poling, matrices=None):
     """(X, W, M = X block, K) of a composed propagator in its regime's basis W.
 
     SGVM: X the half-swap, W the walk-off basis, block A-hat the
@@ -146,6 +146,7 @@ def _reduced(prop, grid, pump, medium, poling):
     when a domain generator of the poling does not split in the exchange
     basis, checked once on the sign +1 matrices (negating F moves neither the
     residual nor its scale; G, H alone always split, so sign 0 needs none).
+    matrices are those sign +1 matrices when the caller has built them.
     """
     n = grid.n
     i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
@@ -154,7 +155,7 @@ def _reduced(prop, grid, pump, medium, poling):
         return (X, _walkoff_unitary(n), X @ embed_unitary(prop.bogoliubov),
                 np.block([[z, j], [j, z]]))
     if poling.signs.any():
-        block_reduce(build_coupled_matrices(grid, pump, medium, sign=1))
+        block_reduce(matrices or build_coupled_matrices(grid, pump, medium, sign=1))
     W = _exchange_unitary(n)
     V = np.vstack([W[:n], W[n:].conj()])  # T acts on a_I^+, not a_I
     X = np.block([[j, z], [z, j]])
@@ -210,21 +211,22 @@ def symmetrized_eig_route(grid, pump, medium, poling):
     return _symmetric_factors(X, W, M, prop.matrix, "symmetrized eigenproblem route")
 
 
-def svd_route(grid, pump, medium, poling, double=False, prop=None):
+def svd_route(grid, pump, medium, poling, double=False, prop=None, total=None):
     """Factorization through the SVD of the 2N block propagator (SGVM, any poling).
 
     Single pass: A-hat = M D V^T maps directly onto the factors with raw
     spectrum (D, 1/D).  Matched double pass: the return trip is the adjoint,
     so the total block is A-hat^T A-hat = V D^2 V^T, symmetric positive
     definite, and input and output factors coincide (perfect inline squeezer).
-    prop is the forward pass when the caller has already composed it.
+    prop is the forward pass and total the matched double pass, the one
+    the factors are checked against, when the caller has already built them.
     """
     _require_sgvm(medium, "SVD route")
     prop = prop or compose(grid, pump, medium, poling)
     W = _walkoff_unitary(grid.n)
     left, s, right = numerics.svd(embed_unitary(prop.bogoliubov))
     if double:
-        S = prop.return_trip().after(prop).matrix
+        S = (total or prop.return_trip().after(prop)).matrix
         return _factors(W, right, s**2, right, S, "SVD route")
     return _factors(W, left, s, right, prop.matrix, "SVD route")
 
@@ -274,15 +276,16 @@ def _flip_classes(w, V, K, rtol=1e-8):
     return n_even, n_odd
 
 
-def structure_checks(grid, pump, medium, poling, prop=None):
+def structure_checks(grid, pump, medium, poling, prop=None, matrices=None):
     """Symmetry diagnostics of the model, returned as a JSON-able dict.
 
     Reports the centrosymmetry residual of F, the symmetry residual of the
     block propagator in the applicable reduced basis, and the flip-parity
     class sizes of the symmetric block spectrum (expected to split evenly).
-    prop is the forward pass when the caller has already composed it.
+    prop is the forward pass and matrices the sign +1 coupling matrices
+    when the caller has already built them.
     """
-    matrices = build_coupled_matrices(grid, pump, medium, sign=1)
+    matrices = matrices or build_coupled_matrices(grid, pump, medium, sign=1)
     F = matrices.F
     f_resid = float(np.max(np.abs(F - F[::-1, ::-1])))
     report = {
@@ -295,7 +298,7 @@ def structure_checks(grid, pump, medium, poling, prop=None):
     }
     prop = prop or compose(grid, pump, medium, poling)
     try:
-        _, _, M, K = _reduced(prop, grid, pump, medium, poling)
+        _, _, M, K = _reduced(prop, grid, pump, medium, poling, matrices)
     except RegimeError as exc:
         report["block_symmetry_residual"] = exc.residual
         return report

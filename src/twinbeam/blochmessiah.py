@@ -25,6 +25,7 @@ products a step, in place of an SVD; it refuses an input with ||Z^H Z - I||_F
 >= 0.75, beyond which the steps need not converge.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -63,7 +64,7 @@ POLISH_TOL = 1e-14
 POLISH_STEPS = 8
 # Beam-support leakage above this marks a mode pair as mixed.
 MIX_TOL = 1e-6
-# Doublings of the upper end allowed while bracketing a target.
+# Steps up allowed while bracketing a target.
 BRACKET_DOUBLINGS = 60
 
 
@@ -356,65 +357,124 @@ def decompose(prop, grid):
 
 
 def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
-              tol=1e-4):
+              tol=1e-4, return_pass=False):
     """Find g0 such that the mean signal photon number hits the target.
 
     The photon number is increasing in g0 and exactly 0 at g0 = 0, so
     solve_increasing searches up from [0, max(|g0|, 1)] without building a
-    propagator at zero gain.  Returns (g0, achieved); a zero target gives
-    (0.0, 0.0).  Each evaluation reads the photon number off the complex
-    Bogoliubov matrix (Propagator.mean_photons): no 4N matrix and no mode
-    decomposition is built.
+    propagator at zero gain; its first two steps scale the latest gain by
+    _spectral_scale.  Photon numbers are read off the complex Bogoliubov
+    matrix.  Returns (g0, achieved), (0.0, 0.0) for a target within tol of
+    zero; return_pass appends the forward pass composed at g0 (None at 0).
     """
     if not (target >= 0):
         raise ConfigError("target photon number must be nonnegative")
+    passes = {}  # g0: (forward pass, evaluated pass); the root is one of the last two
 
     def photons(g0):
         if g0 == 0.0:
             return 0.0
         p = replace(pump, g0=g0)
-        prop = (double_pass(grid, p, medium, poling, gain2_scale=gain2_scale)
-                if double else compose(grid, p, medium, poling))
+        first = compose(grid, p, medium, poling)
+        prop = double_pass(grid, p, medium, poling, gain2_scale=gain2_scale,
+                           first=first) if double else first
+        passes[g0] = first, prop
+        for old in list(passes)[:-2]:
+            del passes[old]
         return prop.mean_photons()[0]
 
-    return solve_increasing(photons, target, 0.0, max(abs(pump.g0), 1.0), tol)
+    g0, achieved = solve_increasing(
+        photons, target, 0.0, max(abs(pump.g0), 1.0), tol,
+        guess=lambda g: g * _spectral_scale(passes[g][1], target))
+    return (g0, achieved, passes.get(g0, (None,))[0]) if return_pass else (g0, achieved)
 
 
-def solve_increasing(fn, target, lo, hi, tol):
-    """Root of fn(x) = target for fn increasing on [lo, infinity).
+def _spectral_scale(prop, target):
+    """The x with sum_k sinh^2(x r_k) = target > 0, r_k the squeezing of prop.
 
-    Doubles hi, moving lo up behind it, until fn(hi) >= target, then narrows
-    the bracket by false position with the Illinois rule: an end that stays
-    put for two steps in a row has its value halved.  Returns (x, fn(x))
-    for the first point within tol of the target.  Raises ContractError
-    when the target lies below fn(lo), when BRACKET_DOUBLINGS doublings do
-    not reach it, or when the next point does not fall strictly inside the
-    bracket (a stall).
+    r_k = |log s_k(M)| in SGVM media, else asinh s_k(B), B the upper right N
+    block, so sum_k sinh^2 r_k is prop's photon number.  The sum reaches the
+    target by x0 = asinh(sqrt(target)) / max r_k, so solving on [0, x0] with
+    each term divided by the target cannot overflow.  Infinite when x0 is.
     """
-    f_lo, f_hi = fn(lo), fn(hi)
+    n, T = prop.n, prop.bogoliubov
+    s = np.linalg.svd(T if prop.sgvm else T[:n, n:], compute_uv=False)
+    r = np.abs(np.log(s)) if prop.sgvm else np.arcsinh(s)
+    amp, r_max = math.sqrt(target), float(np.max(r))
+    x0 = math.asinh(amp) / r_max if r_max > 0.0 else math.inf
+    if not math.isfinite(x0):
+        return x0
+    return solve_increasing(lambda x: float(np.sum((np.sinh(x * r) / amp) ** 2)),
+                            1.0, 0.0, x0, 1e-9)[0]
+
+
+def _cut(a, b, target, wa=1.0, wb=1.0):
+    """x where the line through a, b = (x, fn(x)) meets the target.
+
+    In (log x, log fn) when all these and the target are positive (exact for
+    a power law), else in (x, fn); wa, wb weight the residuals.  None when
+    the weighted residuals are equal.
+    """
+    f = math.log if min(*a, *b, target) > 0.0 else float
+    ua, va, ub, vb, vt = map(f, (*a, *b, target))
+    da, db = wa * (va - vt), wb * (vb - vt)
+    if da == db:
+        return None
+    u = ub + db * (ua - ub) / (db - da)
+    return u if f is float else math.exp(min(u, 709.0))
+
+
+def solve_increasing(fn, target, lo, hi, tol, guess=None):
+    """Root of fn(x) = target for fn increasing on [lo, infinity), hi > max(lo, 0).
+
+    Steps from lo and hi to where the secant through the last two points
+    meets the target (_cut); guess(x), if given, proposes the first two
+    steps instead, each from the latest point x.  Below the target a step
+    moves up at most 16-fold, else (or from within tol) doubles.  Once
+    bracketed, a step that leaves the bracket or follows one that did not
+    halve the residual gives way to false position between the ends with
+    the Illinois rule: an end that stays put twice in a row has its residual
+    weight halved.  Returns (x, fn(x)) for the first point within tol of the
+    target (the bracket's lower end first).  Raises ContractError when the
+    target lies below fn(lo), when BRACKET_DOUBLINGS steps up do not reach
+    it, or when false position stalls at an end.
+    """
+    f_lo = fn(lo)
     if f_lo > target:
         raise ContractError("target %g below the value %g at %g" % (target, f_lo, lo))
+    if abs(f_lo - target) <= tol:
+        return lo, f_lo
+    prev, (x, fx), guesses = (lo, f_lo), (hi, fn(hi)), 2 if guess else 0
     for _ in range(BRACKET_DOUBLINGS):
-        if f_hi >= target:
+        if fx >= target:
             break
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        f_hi = fn(hi)
-    if not f_hi >= target:
-        raise ContractError("bracket end %g stays below the target %g" % (hi, target))
-    x, fx = (lo, f_lo) if abs(f_lo - target) <= tol else (hi, f_hi)
-    # d_prev is the previous step's residual: same sign twice halves the
-    # value at the end that stayed.  Each step moves one end strictly
-    # inside the bracket, so the loop ends.
-    d_lo, d_hi, d_prev = f_lo - target, f_hi - target, 0.0
-    while abs(fx - target) > tol:
-        x = hi - d_hi * (hi - lo) / (d_hi - d_lo)
-        if not lo < x < hi:
-            raise ContractError("search stalled in [%r, %r] (target %g)" % (lo, hi, target))
-        fx = fn(x)
-        d = fx - target
-        if d < 0:
-            lo, d_lo, d_hi = x, d, d_hi * (0.5 if d_prev < 0 else 1.0)
+        if guesses:
+            step, guesses = guess(x), guesses - 1
         else:
-            hi, d_hi, d_lo = x, d, d_lo * (0.5 if d_prev > 0 else 1.0)
-        d_prev = d
+            step = _cut(prev, (x, fx), target) if abs(fx - target) > tol else None
+        step = min(step, 16.0 * x) if step is not None and step > x else 2.0 * x
+        prev, lo, f_lo = (x, fx), x, fx
+        x, fx = step, fn(step)
+    if not fx >= target:
+        raise ContractError("bracket end %g stays below the target %g" % (x, target))
+    if abs(f_lo - target) <= tol:
+        return lo, f_lo
+    # Each step moves one end strictly inside the bracket, so the loop ends.
+    hi, f_hi, w_lo, w_hi, slow = x, fx, 1.0, 1.0, False
+    while abs(fx - target) > tol:
+        if guesses:
+            step, guesses = guess(x), guesses - 1
+        else:
+            step = None if slow else _cut(prev, (x, fx), target)
+        if step is None or not lo < step < hi:
+            step = _cut((lo, f_lo), (hi, f_hi), target, w_lo, w_hi)
+            if not lo < step < hi:
+                raise ContractError("search stalled in [%r, %r] (target %g)"
+                                    % (lo, hi, target))
+        prev, (x, fx) = (x, fx), (step, fn(step))
+        slow = abs(fx - target) > 0.5 * abs(prev[1] - target)
+        if fx < target:
+            lo, f_lo, w_lo, w_hi = x, fx, 1.0, w_hi * (0.5 if prev[1] < target else 1.0)
+        else:
+            hi, f_hi, w_hi, w_lo = x, fx, 1.0, w_lo * (0.5 if prev[1] >= target else 1.0)
     return x, fx

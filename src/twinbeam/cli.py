@@ -229,22 +229,22 @@ def load_config(path):
 
 
 def _resolve_pump(cfg):
-    """Pump with a concrete g0 (tuned when the config gives a target)."""
-    if cfg.target_ns is None:
-        return cfg.pump, None
-    g0, achieved = tune_gain(
-        cfg.grid, cfg.pump, cfg.medium, cfg.sim_poling, cfg.target_ns,
-        double=cfg.double, gain2_scale=cfg.gain2_scale,
-        tol=1e-6 * max(1.0, cfg.target_ns),
-    )
-    return replace(cfg.pump, g0=g0), achieved
+    """(pump with a concrete g0, achieved N_S or None, forward pass, device pass).
 
-
-def _build_propagator(cfg, pump, first=None):
-    if cfg.double:
-        return double_pass(cfg.grid, pump, cfg.medium, cfg.sim_poling,
-                           gain2_scale=cfg.gain2_scale, first=first)
-    return first or compose(cfg.grid, pump, cfg.medium, cfg.sim_poling)
+    A target tunes g0, and the forward pass tuning composed there is reused.
+    """
+    pump, achieved, first = cfg.pump, None, None
+    if cfg.target_ns is not None:
+        g0, achieved, first = tune_gain(
+            cfg.grid, cfg.pump, cfg.medium, cfg.sim_poling, cfg.target_ns,
+            double=cfg.double, gain2_scale=cfg.gain2_scale,
+            tol=1e-6 * max(1.0, cfg.target_ns), return_pass=True,
+        )
+        pump = replace(cfg.pump, g0=g0)
+    first = first or compose(cfg.grid, pump, cfg.medium, cfg.sim_poling)
+    prop = double_pass(cfg.grid, pump, cfg.medium, cfg.sim_poling,
+                       gain2_scale=cfg.gain2_scale, first=first) if cfg.double else first
+    return pump, achieved, first, prop
 
 
 def _write_json(path, obj):
@@ -273,8 +273,7 @@ def _modes_csv(path, decomp):
 
 
 def cmd_simulate(cfg, out_dir):
-    pump, achieved = _resolve_pump(cfg)
-    prop = _build_propagator(cfg, pump)
+    pump, achieved, _, prop = _resolve_pump(cfg)
     ns, ni = prop.mean_photons()
     # flip overlaps read the raw modes, fidelities and modes.csv the stripped ones
     raw = decompose(prop, cfg.grid)
@@ -296,7 +295,7 @@ def cmd_simulate(cfg, out_dir):
     summary = {
         "mean_NS": float(ns),
         "mean_NI": float(ni),
-        "symplectic_residual": symplectic_residual(prop.matrix),
+        "symplectic_residual": prop.symplectic_residual(),
         "reconstruction_residual": decomp.residuals["reconstruction"],
         "r": [sq["r"] for sq in squeezers],
         "squeezers": squeezers,
@@ -377,7 +376,7 @@ def cmd_sweep_gain(cfg, out_dir, jobs, points):
         raise ConfigError("--jobs must be at least 1, got %d" % jobs)
     base = cfg.target_ns
     if base is None:
-        base, _ = _build_propagator(cfg, cfg.pump).mean_photons()
+        base, _ = _resolve_pump(cfg)[3].mean_photons()
     result = gain_variation_sweep(
         cfg.grid, cfg.pump, cfg.medium, cfg.sim_poling,
         base_target=base, points=points, jobs=jobs,
@@ -403,7 +402,8 @@ def _check(checks, name, value, threshold, ok=None):
 def cmd_verify(cfg, out_dir, propagator_path):
     checks = []
     grid, medium = cfg.grid, cfg.medium
-    pump, _ = _resolve_pump(cfg)
+    # one forward pass for the double pass, the SVD route and structure_checks
+    pump, _, first, prop = _resolve_pump(cfg)
     n = grid.n
 
     matrices = build_coupled_matrices(grid, pump, medium, sign=1)
@@ -421,9 +421,6 @@ def cmd_verify(cfg, out_dir, propagator_path):
     _check(checks, "generator_hamiltonian", float(np.max(np.abs(oq - oq.T))),
            1e-14 * max(1.0, float(np.max(np.abs(Q)))))
 
-    # one forward pass for the double pass, the SVD route and structure_checks
-    first = compose(grid, pump, medium, cfg.sim_poling)
-    prop = _build_propagator(cfg, pump, first)
     S = prop.matrix
     smax = float(np.max(np.abs(S)))
     _check(checks, "propagator_symplectic", symplectic_residual(S),
@@ -451,7 +448,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
     if medium.sgvm() and decomp is not None and (
             not cfg.double or cfg.gain2_scale == 1.0):
         route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double,
-                          prop=first)
+                          prop=first, total=prop)
         r_gen = np.log(decomp.lam)
         r_route = np.log(route.lam)
         _check(checks, "route_r_agreement",
@@ -466,7 +463,8 @@ def cmd_verify(cfg, out_dir, propagator_path):
             worst = min(worst, overlap)
         _check(checks, "route_mode_overlap", 1.0 - worst, 1e-8)
 
-    report_struct = structure_checks(grid, pump, medium, cfg.sim_poling, prop=first)
+    report_struct = structure_checks(grid, pump, medium, cfg.sim_poling, prop=first,
+                                     matrices=matrices)
     # X A-hat is symmetric only when the propagation poling reads the same
     # reversed; other polings keep the residual under "structure" only.
     if medium.sgvm() and cfg.sim_poling == cfg.sim_poling.reversed_():

@@ -106,6 +106,16 @@ class Propagator:
         # [[A, B], [C, D]] -> [[D^H, -B^H], [-C^H, A^H]]
         return Propagator(np.block([[T[n:, n:], -T[n:, :n]], [-T[:n, n:], T[:n, :n]]]), n)
 
+    def _pair_matrix(self):
+        """The 2N matrix on (a_S, a_I^+); in SGVM media assembled from M."""
+        T = self.bogoliubov
+        if self.sgvm:
+            # a_S - i a_I^+ evolves by conj(M), a_S + i a_I^+ by M^{-T}.
+            down, up = T.conj(), np.linalg.inv(T).T
+            A, B = 0.5 * (up + down), 0.5j * (up - down)
+            T = np.block([[A, B], [-B, A]])
+        return T
+
     @cached_property
     def matrix(self):
         """The 4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I).
@@ -114,16 +124,22 @@ class Propagator:
         so this is embed_unitary of the 2N matrix on (a_S, a_I^+) with the
         P_I row and column blocks negated.
         """
-        n, T = self.n, self.bogoliubov
-        if self.sgvm:
-            # a_S - i a_I^+ evolves by conj(M), a_S + i a_I^+ by M^{-T}.
-            down, up = T.conj(), np.linalg.inv(T).T
-            A, B = 0.5 * (up + down), 0.5j * (up - down)
-            T = np.block([[A, B], [-B, A]])
-        S = embed_unitary(T)
+        n = self.n
+        S = embed_unitary(self._pair_matrix())
         S[3 * n:] *= -1.0
         S[:, 3 * n:] *= -1.0
         return S
+
+    def symplectic_residual(self):
+        """symplectic_residual(self.matrix), read off the 2N matrix T.
+
+        matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
+        is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma.
+        """
+        T, sigma = self._pair_matrix(), np.repeat([1.0, -1.0], self.n)
+        E = (T * sigma) @ T.conj().T
+        E.flat[::2 * self.n + 1] -= sigma
+        return float(max(np.max(np.abs(E.real)), np.max(np.abs(E.imag))))
 
     def mean_photons(self):
         """mean_photons(self.matrix, n), read off the complex matrix.
@@ -168,6 +184,19 @@ def segment_propagator(matrices, dz):
     return Propagator(E, G.shape[0])
 
 
+def _opposite_sign(E, n):
+    """The domain exponential of E's width for the opposite poling sign.
+
+    Negating F maps the generator K to Sigma K Sigma, Sigma = diag(I, -I), so
+    E to Sigma E Sigma, bitwise; in SGVM media it maps -F - iG to F - iG =
+    -conj(-F - iG), so M to conj(M)^-1, which is equal to roundoff.
+    """
+    if E.shape[0] == n:
+        return np.linalg.inv(E.conj())
+    sigma = np.repeat([1.0, -1.0], n)
+    return sigma[:, None] * E * sigma
+
+
 def compose(grid, pump, medium, poling):
     """Total propagator of one pass through the poled medium.
 
@@ -177,7 +206,9 @@ def compose(grid, pump, medium, poling):
     later @ earlier, carrying an odd last block up unchanged.  A block is
     keyed by the run of domains it spans, so a run that recurs at an aligned
     position is multiplied once per level: a periodic grating of m domains
-    takes about log2(m) products, the 169-domain apodized grating 36.
+    takes about log2(m) products, the 169-domain apodized grating 36.  A
+    domain whose width recurs with the opposite sign takes its exponential
+    from that one (_opposite_sign) instead of a second expm.
     """
     if abs(poling.length - medium.length) > LENGTH_MATCH_RTOL * max(
         poling.length, medium.length
@@ -190,7 +221,11 @@ def compose(grid, pump, medium, poling):
     matrices = {}
     segments = {}
     for width, sign in domains:
-        if (width, sign) not in segments:
+        if (width, sign) in segments:
+            continue
+        if sign and (width, -sign) in segments:
+            segments[width, sign] = _opposite_sign(segments[width, -sign], grid.n)
+        else:
             if sign not in matrices:
                 matrices[sign] = build_coupled_matrices(grid, pump, medium, sign=sign)
             segments[width, sign] = segment_propagator(matrices[sign], width).bogoliubov

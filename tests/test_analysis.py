@@ -26,7 +26,7 @@ from twinbeam import (
     subspace_overlaps,
     tune_gain,
 )
-from twinbeam import analysis, propagator
+from twinbeam import analysis, blochmessiah, propagator
 from twinbeam.blochmessiah import SchmidtMode
 from twinbeam.errors import ConfigError
 
@@ -190,18 +190,24 @@ def test_gain_variation_sweep_small():
 def test_gain_variation_sweep_builds_the_forward_pass_once(monkeypatch):
     # each sweep point pairs the one tuned forward pass with its return trip
     grid, pump, medium = small_setup()
-    g0s = []
+    g0s, tuned = [], []
 
     def counting_compose(grid, pump, medium, poling):
         g0s.append(pump.g0)
         return compose(grid, pump, medium, poling)
 
+    def recording_tune_gain(*args, **kwargs):
+        tuned.append(tune_gain(*args, **kwargs))
+        return tuned[-1]
+
     monkeypatch.setattr(propagator, "compose", counting_compose)
-    monkeypatch.setattr(analysis, "compose", counting_compose)
+    monkeypatch.setattr(blochmessiah, "compose", counting_compose)
+    monkeypatch.setattr(analysis, "tune_gain", recording_tune_gain)
     sweep = gain_variation_sweep(grid, pump, medium, Poling.unpoled(L),
                                  base_target=0.5, span=(0.5, 1.5), points=5)
-    # at most one tuning evaluation lands on the tuned gain, plus the sweep's
-    assert g0s.count(sweep.base_g0) <= 2
+    # the sweep reuses the pass tuning composed at the tuned gain
+    (g0, _, _), = tuned
+    assert sweep.points and g0s.count(g0) == 1
 
 
 def test_gain_variation_sweep_threaded_matches_serial():

@@ -13,6 +13,7 @@ from twinbeam import (
     Decomposition,
     MediumSpec,
     Poling,
+    Propagator,
     PumpSpec,
     bloch_messiah,
     apodized_poling,
@@ -515,11 +516,93 @@ def test_tune_gain_evaluation_count(monkeypatch, matrix_builds, poling, double):
     _, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
                             double=double, tol=5e-6)
     assert abs(achieved - 5.0) <= 5e-6
-    assert blochmessiah.compose.calls + blochmessiah.double_pass.calls <= 14
+    # each evaluation composes one forward pass, and a matched double pass
+    # turns it into its return trip
+    assert blochmessiah.compose.calls <= 8
+    assert blochmessiah.double_pass.calls == (blochmessiah.compose.calls if double else 0)
     # one domain product per evaluation, single or double pass
-    assert blochmessiah.compose.calls + propagator.compose.calls <= 14
+    assert blochmessiah.compose.calls + propagator.compose.calls <= 8
     # photons are read off the complex matrix: no 4N view is built
     assert matrix_builds == []
+
+
+def _counting_passes(monkeypatch):
+    """A list that grows by one entry (the gain) per forward pass tune_gain composes."""
+    gains = []
+
+    def counting(grid, pump, medium, poling):
+        gains.append(pump.g0)
+        return compose(grid, pump, medium, poling)
+
+    monkeypatch.setattr(blochmessiah, "compose", counting)
+    return gains
+
+
+def test_tune_gain_readme_config_pass_count(monkeypatch):
+    # the README device at N = 101 took 11 passes with doubling and Illinois
+    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
+    grid = build_grid(101, 0.0, default_half_width(medium))
+    poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+    gains = _counting_passes(monkeypatch)
+    g0, achieved, first = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
+                                    double=True, tol=5e-6, return_pass=True)
+    assert abs(achieved - 5.0) <= 5e-6
+    assert len(gains) <= 7
+    # the pass handed back is the forward pass at the root
+    assert gains[-1] == g0
+    root = compose(grid, PumpSpec(g0=g0), medium, poling)
+    np.testing.assert_array_equal(first.bogoliubov, root.bogoliubov)
+
+
+def test_tune_gain_pass_count_over_devices_and_targets(monkeypatch):
+    # 40 cases: unpoled and apodized, SGVM and 40% walk-off mismatch, single
+    # and double pass, N_S from 1e-3 to 1e3; doubling and Illinois took 507
+    # passes, 24 at worst
+    apodized = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+    gains = _counting_passes(monkeypatch)
+    for poling in (Poling.unpoled(L), apodized):
+        for kappa_i in (-8.0, -4.8):
+            medium = MediumSpec.from_walkoffs(8.0, kappa_i, L)
+            grid = build_grid(21, 0.0, default_half_width(medium))
+            for double in (False, True):
+                for target in (1e-3, 0.5, 5.0, 50.0, 1000.0):
+                    tol = 1e-6 * max(1.0, target)
+                    _, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling,
+                                            target, double=double, tol=tol)
+                    assert abs(achieved - target) <= tol
+    assert len(gains) <= 355
+
+
+@pytest.mark.parametrize("g0, poling, target", [
+    (40.0, Poling.unpoled(L), 0.3),
+    (1.0, qpm_poling(L, 2 * L / 9), 3e4),
+], ids=["trial-far-above", "steep-climb"])
+def test_tune_gain_reaches_targets_where_linear_false_position_stalled(g0, poling, target):
+    # false position on (g0, N_S) crept along a curve this convex until its
+    # point fell on a bracket end ("search stalled")
+    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
+    grid = build_grid(9, 0.0, default_half_width(medium))
+    tol = 1e-6 * max(1.0, target)
+    _, achieved = tune_gain(grid, PumpSpec(g0=g0), medium, poling, target, double=True,
+                            tol=tol)
+    assert abs(achieved - target) <= tol
+
+
+@pytest.mark.parametrize("target", [1e-300, 1e-3, 5.0, 1e300])
+def test_spectral_scale_solves_without_overflow(target):
+    # sum_k sinh^2(x r_k) = target on a known spectrum, at extreme targets
+    r = np.array([0.8, 0.3, 0.05, 0.0])
+    n = r.size
+    T = np.block([[np.diag(np.cosh(r)), np.diag(np.sinh(r))],
+                  [np.diag(np.sinh(r)), np.diag(np.cosh(r))]]).astype(complex)
+    with np.errstate(all="raise"):
+        x = blochmessiah._spectral_scale(Propagator(T, n), target)
+        assert blochmessiah._spectral_scale(Propagator(np.diag(np.exp(-r)), n),
+                                            target) == pytest.approx(x, rel=1e-9)
+    # sinh^2 of the largest term dominates from about N_S = 10 up
+    got = np.sum(np.sinh(x * r[:3]) ** 2) if target < 1e200 else \
+        np.exp(2 * x * r[0] - np.log(4 * target))
+    assert got == pytest.approx(target if target < 1e200 else 1.0, rel=1e-8)
 
 
 def test_tuning_does_not_import_scipy_optimize(tmp_path):

@@ -198,16 +198,16 @@ def test_flip_overlap_matches_raw_decomposition(tmp_path, cfg):
     ("verify", base_config(grid={"N": 21, "half_width": 5.0}, pump={"g0": 0.8},
                            pass_mode="double",
                            poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
-                                   "pmf_width": 4.0}), 2),
+                                   "pmf_width": 4.0}), 1),
 ], ids=["simulate-sgvm-double-tuned", "simulate-skew-free-phase", "sweep-gain-3",
         "verify-skew-double", "verify-sgvm-matched-double"])
 def test_the_4n_matrix_is_built_once_per_decomposition(
         tmp_path, matrix_builds, command, cfg, builds):
     # tuning, photon counts, free-phase stripping, the reduced blocks of the
-    # analytic routes and the zero-gain check read the complex matrix; only
-    # the factorization of each decomposed propagator (and the symplectic
-    # checks of the same one) needs the 4N view.  On a matched SGVM double
-    # pass verify adds the SVD route's check against the double-pass matrix.
+    # analytic routes, the zero-gain check and summary.json's symplectic
+    # residual read the complex matrix; only the factorization of each
+    # decomposed propagator (and verify's symplectic checks and the SVD
+    # route's check of the same one) needs the 4N view.
     rc, _ = run(tmp_path, cfg, command, "--points", "3") if command == "sweep-gain" \
         else run(tmp_path, cfg, command)
     assert rc == 0
@@ -522,6 +522,33 @@ def test_verify_composes_the_forward_pass_once(tmp_path, monkeypatch, pass_mode,
     assert rc == 0
     assert len(calls) == composed
     assert calls[0] == 0.8 and calls[-1] == 0.0
+
+
+@pytest.mark.parametrize("medium, poling", [
+    (SGVM_MEDIUM, {"kind": "qpm", "period": 2.0 / 9.0}),
+    (SKEW_MEDIUM, {"kind": "apodized", "domain_width": 1.0 / 169, "pmf_width": 8.0}),
+], ids=["sgvm-qpm", "skew-apodized"])
+def test_verify_builds_the_coupling_matrices_once_per_pass(tmp_path, monkeypatch,
+                                                           medium, poling):
+    # verify's own sign +1 matrices serve structure_checks and its regime
+    # guard, and each pass derives the sign -1 exponentials from the sign +1
+    # ones: the checks, the forward pass and the zero-gain pass build one set
+    # each (6 and 7 when every step built its own)
+    original = twinbeam.model.build_coupled_matrices
+    signs = []
+
+    def counting(*args, **kwargs):
+        signs.append(kwargs["sign"])
+        return original(*args, **kwargs)
+
+    for module in (twinbeam.cli, twinbeam.propagator, twinbeam.analytic):
+        monkeypatch.setattr(module, "build_coupled_matrices", counting)
+    cfg = base_config(grid={"N": 15}, pump={"sigma": 1.0, "g0": 1.5}, medium=dict(medium),
+                      poling=poling, pass_mode="double",
+                      options={"remove_free_phase": True})
+    rc, _ = run(tmp_path, cfg, "verify")
+    assert rc == 0
+    assert signs == [1, 1, 1]
 
 
 def test_verify_rejects_tampered_propagator(tmp_path):
