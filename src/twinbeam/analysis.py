@@ -6,7 +6,6 @@ the pump-times-PMF pair amplitude alone (no propagation, no factorization),
 used to cross-check the full route in the weak-pump limit.
 """
 
-import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List
@@ -106,7 +105,7 @@ def _first_pair_fidelity(decomp):
 
 
 def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
-                         span=(0.5, 1.5), points=21, jobs=1):
+                         span=(0.5, 1.5), points=21, jobs=1, first=None):
     """Sweep the second-pass gain around the matched double pass.
 
     The base gain is tuned so the equal-gain double pass reaches base_target
@@ -115,6 +114,7 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     and span[1] * base_target, searching up from [0, 1].  The scale axis is
     sampled linearly in between.  Each point records the photon number, the
     first-squeezer input/output fidelity, and the top of the r spectrum.
+    first, if given, is the forward pass at pump.g0, the base gain untuned.
     Raises ConfigError unless base_target exceeds the tolerance 1e-6 * max(1, base_target).
     """
     if points < 1:
@@ -123,20 +123,28 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     if not base_target > tol:
         raise ConfigError("base target %g photons is within the sweep tolerance %g "
                           "of zero" % (base_target, tol))
-    # Only the return pass depends on the scale: the forward pass tuning
-    # composed at the root is paired with each scaled return trip.
-    g0, _, first = tune_gain(grid, pump, medium, poling, base_target, double=True,
-                             tol=tol, return_pass=True)
-    pump_base = replace(pump, g0=g0)
+    # Only the return pass depends on the scale; each is paired with first.
+    if first is None:
+        g0, _, first = tune_gain(grid, pump, medium, poling, base_target, double=True,
+                                 tol=tol, return_pass=True)
+        pump = replace(pump, g0=g0)
+    photons, passes = {}, {}  # passes keeps the latest two, a search's root among them
 
-    @functools.lru_cache(maxsize=None)
     def ns_at(scale):
-        return double_pass(grid, pump_base, medium, poling, gain2_scale=scale,
-                           first=first).mean_photons()[0]
+        if scale not in photons:
+            passes[scale] = double_pass(grid, pump, medium, poling, gain2_scale=scale,
+                                        first=first)
+            photons[scale] = passes[scale].mean_photons()[0]
+            for old in list(passes)[:-2]:
+                del passes[old]
+        return photons[scale]
 
-    # Both searches evaluate scales 0 and 1 first; the cache shares them.
+    # Both searches start at scales 0 and 1; the end points reuse their passes.
     s_lo, _ = solve_increasing(ns_at, span[0] * base_target, 0.0, 1.0, tol)
+    ends = {s_lo: passes.get(s_lo)}
     s_hi, _ = solve_increasing(ns_at, span[1] * base_target, 0.0, 1.0, tol)
+    ends[s_hi] = passes.get(s_hi)
+    passes.clear()
     # The equal-gain point is the reference (identical passes), so for an odd
     # point count the ladder is built as two half-ramps meeting at scale 1.
     if points % 2 and s_lo < 1.0 < s_hi:
@@ -149,8 +157,8 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         scales = np.linspace(s_lo, s_hi, points)
 
     def run_point(scale):
-        prop = double_pass(grid, pump_base, medium, poling, gain2_scale=scale,
-                           first=first)
+        prop = ends.pop(scale, None) or double_pass(grid, pump, medium, poling,
+                                                    gain2_scale=scale, first=first)
         ns, _ = prop.mean_photons()
         decomp = decompose(prop, grid)
         return SweepPoint(

@@ -1,5 +1,8 @@
 """Shared fixtures: one bench-scale configuration reused across the suite.
 
+plain_product, the per-domain reference product for `compose`, lives here
+too, so that the propagator and analytic tests share one copy of it.
+
 Gain tuning and 4N x 4N decompositions at N = 101 are the expensive steps,
 so they are computed lazily and cached for the whole session in BenchLab.
 The individual unit-test modules build their own small (N <= 21) setups and
@@ -13,6 +16,7 @@ the thread controls themselves set their own counts or use subprocesses.
 from dataclasses import replace
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from twinbeam import (
@@ -21,6 +25,7 @@ from twinbeam import (
     Propagator,
     PumpSpec,
     apodized_poling,
+    build_coupled_matrices,
     build_grid,
     compose,
     decompose,
@@ -28,6 +33,7 @@ from twinbeam import (
     demodulate_poling,
     double_pass,
     qpm_poling,
+    segment_propagator,
     tune_gain,
 )
 from twinbeam.numerics import one_blas_thread
@@ -39,6 +45,19 @@ BENCH_L = 1.0
 # modes of a single pass requires (generic greedy gratings are not).
 AP_DOMAINS = 169
 AP_PMF_WIDTH = 8.0
+
+
+def plain_product(grid, pump, medium, poling):
+    """The ordered loop in the original basis: one left-multiplied complex
+    product of `segment_propagator` exponentials per domain."""
+    segments = {}
+    total = np.eye(grid.n if medium.sgvm() else 2 * grid.n)
+    for width, sign in poling.domains:
+        if (width, sign) not in segments:
+            m = build_coupled_matrices(grid, pump, medium, sign=sign)
+            segments[width, sign] = segment_propagator(m, width).bogoliubov
+        total = segments[width, sign] @ total
+    return Propagator(total, grid.n)
 
 
 class BenchLab:

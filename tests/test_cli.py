@@ -21,6 +21,14 @@ from twinbeam.errors import DecompositionError
 SGVM_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 0.5, "L": 1.0}
 # walk-offs (+8, -4.8): a 40% mismatch, outside the SGVM regime
 SKEW_MEDIUM = {"vP": 0.1, "vS": 1.0 / 18.0, "vI": 1.0 / 5.2, "L": 1.0}
+# the README config: 169-domain apodized grating, SGVM double pass
+README_CONFIG = {
+    "grid": {"N": 101, "half_width": 5.0},
+    "pump": {"sigma": 1.0, "target_NS": 5.0},
+    "medium": dict(SGVM_MEDIUM),
+    "poling": {"kind": "apodized", "domain_width": 1.0 / 169, "pmf_width": 8.0},
+    "pass_mode": "double",
+}
 # a tabulated pump spectrum, even about the pump center
 EVEN_TABLE = {"frequencies": [-2.0, 0.0, 2.0], "values": [0.5, 1.0, 0.5]}
 # starts with a UTF-16 byte order mark, which is not UTF-8
@@ -183,6 +191,63 @@ def test_flip_overlap_matches_raw_decomposition(tmp_path, cfg):
         sig_in, _ = raw.pair_modes(sq["k"] - 1, "in")
         assert sq["flip_overlap_signal"] == pytest.approx(
             flip_overlap(sig_in, sig_out), abs=1e-10)
+
+
+def counting_composes(monkeypatch):
+    """A list that grows by the pump g0 of each compose call, from any module."""
+    original = twinbeam.propagator.compose
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].g0)
+        return original(*args, **kwargs)
+
+    for module in (twinbeam.propagator, twinbeam.cli, twinbeam.analytic,
+                   twinbeam.blochmessiah):
+        monkeypatch.setattr(module, "compose", counting)
+    return calls
+
+
+def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch):
+    # one inverse per compose (the opposite-sign exponential) and one per
+    # double pass, shared by its photon count, 4N matrix and residual
+    composes = counting_composes(monkeypatch)
+    inverses, doubles = [], []
+    inv, double = np.linalg.inv, twinbeam.propagator.double_pass
+
+    def counting_inv(a):
+        inverses.append(a.shape)
+        return inv(a)
+
+    def counting_double(*args, **kwargs):
+        doubles.append(args[1].g0)
+        return double(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    for module in (twinbeam.cli, twinbeam.blochmessiah):
+        monkeypatch.setattr(module, "double_pass", counting_double)
+    rc, _ = run(tmp_path, README_CONFIG, "simulate")
+    assert rc == 0
+    assert len(composes) == 5 and len(doubles) == 6
+    assert len(inverses) == len(composes) + len(doubles) == 11
+
+
+@pytest.mark.parametrize("pump, composed", [
+    ({"sigma": 1.0, "target_NS": 5.0}, 25),
+    ({"sigma": 1.0, "g0": 6.28}, 21),
+    ({"sigma": 1.0, "g0": 0.8}, 19),
+], ids=["tuned", "fixed-g0", "fixed-g0-below-1"])
+def test_sweep_gain_composes_each_pass_once(tmp_path, monkeypatch, pump, composed):
+    # The README config at N=31, 11 points.  The endpoint points reuse the
+    # passes their searches end on, and a fixed g0's pass is the base pass,
+    # not tuned again (27, 24 and 24 composes when they were rebuilt).
+    calls = counting_composes(monkeypatch)
+    cfg = dict(README_CONFIG, grid={"N": 31, "half_width": 5.0}, pump=pump)
+    rc, _ = run(tmp_path, cfg, "sweep-gain", "--points", "11")
+    assert rc == 0
+    assert len(calls) == len(set(calls)) == composed
+    if "g0" in pump:
+        assert calls[0] == pump["g0"]
 
 
 @pytest.mark.parametrize("command,cfg,builds", [
@@ -508,16 +573,7 @@ def test_verify_composes_the_forward_pass_once(tmp_path, monkeypatch, pass_mode,
     # the forward pass serves the double pass, the SVD route and the
     # structure checks; the zero-gain check and a detuned return pass add one
     # each (4 and 4 when each step composed its own)
-    original = twinbeam.propagator.compose
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1].g0)
-        return original(*args, **kwargs)
-
-    for module in (twinbeam.propagator, twinbeam.cli, twinbeam.analytic,
-                   twinbeam.blochmessiah):
-        monkeypatch.setattr(module, "compose", counting)
+    calls = counting_composes(monkeypatch)
     rc, _ = run(tmp_path, base_config(pump={"g0": 0.8}, pass_mode=pass_mode), "verify")
     assert rc == 0
     assert len(calls) == composed

@@ -10,6 +10,7 @@ from twinbeam import (
     Poling,
     Propagator,
     PumpSpec,
+    TabulatedEnvelope,
     apodized_poling,
     build_coupled_matrices,
     build_generator,
@@ -27,6 +28,7 @@ from twinbeam import (
     segment_propagator,
     symplectic_residual,
 )
+from conftest import plain_product
 from twinbeam import numerics, propagator
 from twinbeam.errors import ConfigError
 from twinbeam.numerics import expm
@@ -55,18 +57,6 @@ def skew():
 def readme_grating():
     """The 169-domain apodized grating of the README, demodulated."""
     return demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
-
-
-def plain_product(grid, pump, medium, poling):
-    """The ordered loop: one left-multiplied product per domain."""
-    segments = {}
-    total = np.eye(grid.n if medium.sgvm() else 2 * grid.n)
-    for width, sign in poling.domains:
-        if (width, sign) not in segments:
-            m = build_coupled_matrices(grid, pump, medium, sign=sign)
-            segments[width, sign] = segment_propagator(m, width).bogoliubov
-        total = segments[width, sign] @ total
-    return Propagator(total, grid.n)
 
 
 def test_symplectic_form():
@@ -189,31 +179,87 @@ def test_compose_rejects_length_mismatch(sgvm):
         compose(grid, pump, medium, Poling.unpoled(0.5 * L))
 
 
-def segment_generator(grid, pump, medium, sign):
-    """The complex generator segment_propagator exponentiates for one sign."""
+def lopsided_pump(g0=1.0):
+    """A tabulated pump centred off the mirror point: F is not centrosymmetric."""
+    f = np.linspace(-12.0, 12.0, 241)
+    return PumpSpec(g0=g0, envelope=TabulatedEnvelope(f, np.exp(-((f - 1.5) ** 2) / 2.0)))
+
+
+def exchange_generator(grid, pump, medium, sign):
+    """U^H K U for one sign, of real dtype when exactly real, as compose takes it."""
     m = build_coupled_matrices(grid, pump, medium, sign=sign)
-    if m.sgvm:
-        return -m.F - 1j * m.G
-    return 1j * np.block([[m.G, m.F], [-m.F, -m.H]])
+    K = propagator._exchange(propagator._generator(m), grid.n)
+    return K if K.imag.any() else K.real
+
+
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+@pytest.mark.parametrize("sign", [1, 0, -1])
+def test_exchange_generator_is_real_for_an_even_pump(request, regime, sign):
+    # U^H K U = [K + J'KJ' + i (J'K - KJ')] / 2 has the closed form -F - GJ
+    # (SGVM) or [[GJ, -FJ], [-FJ, HJ]], bitwise, and U^H . U inverts it
+    grid, pump, medium = request.getfixturevalue(regime)
+    m = build_coupled_matrices(grid, pump, medium, sign=sign)
+    K = propagator._exchange(propagator._generator(m), grid.n)
+    assert not K.imag.any()
+    GJ, FJ, HJ = m.G[:, ::-1], m.F[:, ::-1], m.H[:, ::-1]
+    closed = -m.F - GJ if m.sgvm else np.block([[GJ, -FJ], [-FJ, HJ]])
+    np.testing.assert_array_equal(K.real, closed)
+    back = propagator._exchange(K, grid.n, -1)
+    assert np.max(np.abs(back - propagator._generator(m))) <= 1e-15 * np.max(np.abs(K))
+
+
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+def test_exchange_generator_of_a_lopsided_pump_is_complex(request, regime):
+    grid, _, medium = request.getfixturevalue(regime)
+    K = exchange_generator(grid, lopsided_pump(), medium, 1)
+    assert K.dtype == np.complex128 and K.imag.any()
 
 
 @pytest.mark.parametrize("regime", ["sgvm", "skew"])
 @pytest.mark.parametrize("width", [L / 169, 2.0 * L / 9.0, L])
 @pytest.mark.parametrize("g0", [0.0, 1.0, 10.0])
 def test_opposite_sign_exponential_matches_expm(request, regime, width, g0):
-    # Sigma E Sigma away from SGVM is the exponential itself; conj(M)^-1 in
-    # SGVM media carries the roundoff of one inverse
+    # compose derives the other sign's exchange-basis exponential: Sigma E
+    # Sigma away from SGVM is the exponential itself; J conj(E)^-1 J in SGVM
+    # media carries the roundoff of one inverse.  The lopsided pump takes
+    # the complex path; its inverse is worse conditioned (the original-basis
+    # conj(M)^-1 of the same table is off by 3.7e-14 at g0 = 10, width L).
     grid, _, medium = request.getfixturevalue(regime)
-    pump = PumpSpec(g0=g0)
-    for sign in (1, -1):
-        E = segment_propagator(build_coupled_matrices(grid, pump, medium, sign=sign),
-                               width).bogoliubov
-        ref = expm(width * segment_generator(grid, pump, medium, -sign))
-        derived = propagator._opposite_sign(E, grid.n)
-        if regime == "skew":
-            np.testing.assert_array_equal(derived, ref)
-        else:
-            assert np.max(np.abs(derived - ref)) <= 1e-14 * np.max(np.abs(ref))
+    for pump, rtol in ((PumpSpec(g0=g0), 1e-14), (lopsided_pump(g0), 1e-13)):
+        for sign in (1, -1):
+            E = expm(width * exchange_generator(grid, pump, medium, sign))
+            ref = expm(width * exchange_generator(grid, pump, medium, -sign))
+            derived = propagator._opposite_sign(E, grid.n)
+            assert derived.dtype == ref.dtype
+            if regime == "skew":
+                np.testing.assert_array_equal(derived, ref)
+            else:
+                assert np.max(np.abs(derived - ref)) <= rtol * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+@pytest.mark.parametrize("g0", [1.0, 10.0])
+@pytest.mark.parametrize("even", [True, False], ids=["even", "lopsided"])
+@pytest.mark.parametrize("poling", [readme_grating(), qpm_poling(L, 2.0 * L / 9.0),
+                                    Poling.unpoled(L)], ids=["apodized-169", "qpm-9", "unpoled"])
+def test_compose_in_the_exchange_basis_matches_the_plain_product(
+        request, monkeypatch, regime, g0, even, poling):
+    # real exponentials and products for the even pump, complex ones for the
+    # lopsided table; either way the original-basis complex product
+    grid, _, medium = request.getfixturevalue(regime)
+    pump = PumpSpec(g0=g0) if even else lopsided_pump(g0)
+    dtypes = set()
+
+    def recording_expm(M):
+        dtypes.add(M.dtype)
+        return expm(M)
+
+    monkeypatch.setattr(numerics, "expm", recording_expm)
+    prop = compose(grid, pump, medium, poling)
+    assert dtypes == {np.dtype(np.float64 if even else np.complex128)}
+    ref = plain_product(grid, pump, medium, poling).bogoliubov
+    assert prop.bogoliubov.dtype == np.complex128
+    assert np.max(np.abs(prop.bogoliubov - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("regime", ["sgvm", "skew"])
