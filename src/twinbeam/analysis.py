@@ -6,6 +6,7 @@ the pump-times-PMF pair amplitude alone (no propagation, no factorization),
 used to cross-check the full route in the weak-pump limit.
 """
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List
@@ -128,23 +129,19 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         g0, _, first = tune_gain(grid, pump, medium, poling, base_target, double=True,
                                  tol=tol, return_pass=True)
         pump = replace(pump, g0=g0)
-    photons, passes = {}, {}  # passes keeps the latest two, a search's root among them
+    last = {}  # the latest pass, handed to the end point its search ends on
 
+    @functools.lru_cache(maxsize=None)
     def ns_at(scale):
-        if scale not in photons:
-            passes[scale] = double_pass(grid, pump, medium, poling, gain2_scale=scale,
-                                        first=first)
-            photons[scale] = passes[scale].mean_photons()[0]
-            for old in list(passes)[:-2]:
-                del passes[old]
-        return photons[scale]
+        last.clear()
+        last[scale] = double_pass(grid, pump, medium, poling, gain2_scale=scale, first=first)
+        return last[scale].mean_photons()[0]
 
-    # Both searches start at scales 0 and 1; the end points reuse their passes.
+    # Both searches evaluate scales 0 and 1 first; the cache shares them.
     s_lo, _ = solve_increasing(ns_at, span[0] * base_target, 0.0, 1.0, tol)
-    ends = {s_lo: passes.get(s_lo)}
+    ends = {s_lo: last.pop(s_lo, None)}
     s_hi, _ = solve_increasing(ns_at, span[1] * base_target, 0.0, 1.0, tol)
-    ends[s_hi] = passes.get(s_hi)
-    passes.clear()
+    ends[s_hi] = last.pop(s_hi, None)
     # The equal-gain point is the reference (identical passes), so for an odd
     # point count the ladder is built as two half-ramps meeting at scale 1.
     if points % 2 and s_lo < 1.0 < s_hi:

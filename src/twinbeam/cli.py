@@ -374,12 +374,13 @@ def cmd_sweep_gain(cfg, out_dir, jobs, points):
         raise ConfigError("sweep-gain needs a double-pass configuration")
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1, got %d" % jobs)
-    base, pump, first = cfg.target_ns, cfg.pump, None
-    if base is None:  # a fixed g0 is the base gain; its pass is not composed again
-        pump, _, first, prop = _resolve_pump(cfg)
+    base, first = cfg.target_ns, None
+    if base is None:  # at equal gains a fixed g0 is the base gain, else it is re-tuned
+        _, _, first, prop = _resolve_pump(cfg)
         base, _ = prop.mean_photons()
+        first = first if cfg.gain2_scale == 1.0 else None
     result = gain_variation_sweep(
-        cfg.grid, pump, cfg.medium, cfg.sim_poling,
+        cfg.grid, cfg.pump, cfg.medium, cfg.sim_poling,
         base_target=base, points=points, jobs=jobs, first=first,
     )
     result.to_csv(os.path.join(out_dir, "sweep.csv"))

@@ -14,18 +14,15 @@ and a_S + i a_I^+ under F + iG, so one N x N complex matrix
 M = expm(dz (-F - iG)) holds the whole domain (the first combination
 evolves by conj(M), the second by M^{-T}).  Each poling domain has
 z-independent coupling matrices and a device is the ordered (left-multiplied)
-product of its domain matrices.  `compose` forms it in the exchange basis
-U = e^{i pi/4} (I - iJ') / sqrt 2 (J' = J, the bin flip, in SGVM media, else
-diag(J, -J)): U^H K U = [K + J'KJ' + i (J'K - KJ')] / 2 by index reversal.
-The paper's device, an even pump on a mirror grid, makes F centrosymmetric
-and G, H anticentrosymmetric, bitwise, so U^H K U is real (-F - GJ in SGVM
-media, [[GJ, -FJ], [-FJ, HJ]] otherwise), as is every exponential and
-product; other tabulated pumps run the same steps in complex.  One transform
-U X U^H gives the complex matrix.  The return trip (domains reversed, v_S
-and v_I exchanged) is the adjoint of the forward pass: M^H for SGVM media,
-and otherwise T^-1 = Sigma T^H Sigma (Sigma = diag(I, -I)) with the beams
-exchanged.  So a double pass costs one domain product, and for SGVM it is
-the Hermitian M^H M, whose input and output modes coincide.
+product of its domain matrices, which `compose` forms in the exchange basis
+U = e^{i pi/4} (I - iJ') / sqrt 2, J' = J (the bin flip) in SGVM media, else
+diag(J, -J).  An even pump on a mirror grid makes F centrosymmetric and G, H
+anticentrosymmetric, bitwise, so U^H K U and every domain product are real;
+other tabulated pumps run in complex.  The return trip (domains reversed,
+v_S and v_I exchanged) is the adjoint of the forward pass: M^H for SGVM
+media, and otherwise T^-1 = Sigma T^H Sigma (Sigma = diag(I, -I)) with the
+beams exchanged.  So a double pass costs one domain product, and for SGVM it
+is the Hermitian M^H M, whose input and output modes coincide.
 
 Photon numbers are read off the complex matrices.  A complex matrix
 Z = X + iY acts on real and imaginary parts as embed_unitary(Z) =
@@ -112,8 +109,7 @@ class Propagator:
         return Propagator(np.block([[T[n:, n:], -T[n:, :n]], [-T[:n, n:], T[:n, :n]]]), n)
 
     @cached_property
-    def _inverse_transpose(self):
-        """M^-T of an SGVM propagator, inverted once for all its readers."""
+    def _inverse_transpose(self):  # M^-T in SGVM media, inverted once for all its readers
         return np.linalg.inv(self.bogoliubov).T
 
     def _pair_matrix(self):
@@ -177,12 +173,9 @@ def mean_photons(S, n):
     return sig / 4.0 - n / 2.0, idl / 4.0 - n / 2.0
 
 
-def _generator(matrices):
+def _generator(m):
     """The complex domain generator on (a_S, a_I^+), or on a_S - i a_I^+ in SGVM media."""
-    G, H, F = matrices.G, matrices.H, matrices.F
-    if matrices.sgvm:
-        return -F - 1j * G
-    return 1j * np.block([[G, F], [-F, -H]])
+    return -m.F - 1j * m.G if m.sgvm else 1j * np.block([[m.G, m.F], [-m.F, -m.H]])
 
 
 def _domain_expm(generator, dz, g0):
@@ -190,8 +183,7 @@ def _domain_expm(generator, dz, g0):
     try:
         return numerics.expm(dz * generator)
     except ContractError as exc:
-        raise ContractError("domain exponential (width %g, g0 = %g): %s"
-                            % (dz, g0, exc)) from exc
+        raise ContractError("domain exponential (width %g, g0 = %g): %s" % (dz, g0, exc)) from exc
 
 
 def segment_propagator(matrices, dz):
@@ -225,17 +217,14 @@ def _opposite_sign(E, n):
 def compose(grid, pump, medium, poling):
     """Total propagator of one pass through the poled medium.
 
-    Domains are exponentiated and multiplied in the exchange basis (see the
-    module docstring), in real arithmetic when the generators are exactly
-    real (a pass then takes 2-3x less time than with complex products; the
-    README lists timings), else in complex.  Later domains multiply from the
-    left.  Domains of equal width and sign share one exponential, and a width
-    that recurs with the opposite sign derives it (_opposite_sign).  The
-    product is reduced pairwise by levels: each level multiplies adjacent
-    aligned pairs, later @ earlier, and carries an odd last block up.  A
-    block is keyed by the run of domains it spans, so a run that recurs at an
-    aligned position is multiplied once per level: a periodic grating of m
-    domains takes about log2(m) products, the 169-domain apodized grating 36.
+    Later domains multiply from the left, in the exchange basis of the module
+    docstring, in real arithmetic when the generators are real.  Domains of
+    equal width and sign share one exponential; the opposite sign's is derived
+    (_opposite_sign).  The product is reduced pairwise by levels, later @
+    earlier, an odd last block carried up.  A block is keyed by the run of
+    domains it spans, so a run that recurs at an aligned position is
+    multiplied once per level: a periodic grating of m domains takes about
+    log2(m) products, the 169-domain apodized grating 36.
     """
     if abs(poling.length - medium.length) > LENGTH_MATCH_RTOL * max(
         poling.length, medium.length
@@ -245,8 +234,7 @@ def compose(grid, pump, medium, poling):
             % (poling.length, medium.length)
         )
     domains = poling.domains
-    generators = {}
-    segments = {}
+    generators, segments = {}, {}
     for width, sign in domains:
         if (width, sign) in segments:
             continue

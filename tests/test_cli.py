@@ -487,6 +487,25 @@ def test_sweep_gain_fixed_g0_centers_on_its_photon_number(tmp_path):
         assert abs(got - scale * base) <= tol
 
 
+@pytest.mark.parametrize("gain2_scale", [0.3, 1.3])
+def test_sweep_gain_fixed_g0_unequal_gains_centers_on_device_photons(tmp_path, gain2_scale):
+    # the device pass has unequal gains, so the equal-gain base gain is
+    # re-tuned to its photon number rather than taken as the fixed g0
+    cfg = base_config(pump={"g0": 0.8},
+                      pass_mode={"kind": "double", "gain2_scale": gain2_scale})
+    rc, out = run(tmp_path, cfg, "sweep-gain", "--points", "3")
+    assert rc == 0
+    run_cfg = load_config(tmp_path / "run.json")
+    base, _ = double_pass(run_cfg.grid, run_cfg.pump, run_cfg.medium, run_cfg.sim_poling,
+                          gain2_scale=gain2_scale).mean_photons()
+    tol = 1e-6 * max(1.0, base)
+    rows = [l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert float(rows[1][0]) == 1.0
+    ns = [float(row[1]) for row in rows]
+    for got, scale in zip(ns, (0.5, 1.0, 1.5)):
+        assert abs(got - scale * base) <= tol
+
+
 def test_sweep_gain_zero_gain_fixed_g0_exits_2(tmp_path, capsys):
     # roundoff leaves the zero-gain double pass ~1e-29 photons, not 0
     rc, out = run(tmp_path, base_config(pump={"g0": 0.0}, pass_mode="double"),
