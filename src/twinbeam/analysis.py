@@ -126,8 +126,8 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
                           "of zero" % (base_target, tol))
     # Only the return pass depends on the scale; each is paired with first.
     if first is None:
-        g0, _, first = tune_gain(grid, pump, medium, poling, base_target, double=True,
-                                 tol=tol, return_pass=True)
+        g0, _, first, _ = tune_gain(grid, pump, medium, poling, base_target,
+                                    double=True, tol=tol, return_pass=True)
         pump = replace(pump, g0=g0)
     last = {}  # the latest pass, handed to the end point its search ends on
 

@@ -365,7 +365,7 @@ def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
     propagator at zero gain; its first two steps scale the latest gain by
     _spectral_scale.  Photon numbers are read off the complex Bogoliubov
     matrix.  Returns (g0, achieved), (0.0, 0.0) for a target within tol of
-    zero; return_pass appends the forward pass composed at g0 (None at 0).
+    zero; return_pass appends the forward and the evaluated pass at g0 (None at 0).
     """
     if not (target >= 0):
         raise ConfigError("target photon number must be nonnegative")
@@ -386,7 +386,7 @@ def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
     g0, achieved = solve_increasing(
         photons, target, 0.0, max(abs(pump.g0), 1.0), tol,
         guess=lambda g: g * _spectral_scale(passes[g][1], target))
-    return (g0, achieved, passes.get(g0, (None,))[0]) if return_pass else (g0, achieved)
+    return (g0, achieved, *passes.get(g0, (None, None))) if return_pass else (g0, achieved)
 
 
 def _spectral_scale(prop, target):

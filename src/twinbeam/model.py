@@ -52,7 +52,7 @@ class FrequencyGrid:
     n: int
     center: float
     half_width: float
-    detunings: np.ndarray = field(repr=False)
+    detunings: np.ndarray = field(repr=False, compare=False)  # derived from the rest
 
     def __init__(self, n, center, half_width):
         n = int(n)
@@ -92,19 +92,21 @@ def default_half_width(medium, sigma=1.0):
     return 5.0 * sigma * max(1.0, 1.0 / x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedEnvelope:
     """Pump spectral envelope sampled on a sum-frequency grid.
 
-    Linear interpolation between samples, zero outside.  frequency_symmetric
-    declares evenness about the pump center and is validated against the
-    samples at construction (the structure results of the flip analysis
-    require an even pump, so the flag must be honest).
+    Linear interpolation between samples, zero outside; tables compare by
+    identity.  frequency_symmetric declares evenness about center (default
+    the table's middle), validated against the samples here since the flip
+    analysis needs an even pump; such a table is read at center + |omega -
+    center|, which makes it even bitwise, as the Gaussian is.
     """
 
     frequencies: np.ndarray
     values: np.ndarray
     frequency_symmetric: bool = False
+    center: Optional[float] = None  # the validated center; None unless symmetric
 
     def __init__(self, frequencies, values, frequency_symmetric=False, center=None):
         try:
@@ -122,8 +124,7 @@ class TabulatedEnvelope:
         if np.any(np.diff(f) <= 0):
             raise ConfigError("tabulated envelope frequencies must be strictly increasing")
         if frequency_symmetric:
-            if center is None:
-                center = 0.5 * (f[0] + f[-1])
+            center = float(0.5 * (f[0] + f[-1]) if center is None else center)
             mirrored = np.interp(2.0 * center - f, f, v, left=0.0, right=0.0)
             tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
             if np.max(np.abs(mirrored - v)) > tol:
@@ -136,8 +137,11 @@ class TabulatedEnvelope:
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "frequency_symmetric", bool(frequency_symmetric))
+        object.__setattr__(self, "center", center if frequency_symmetric else None)
 
     def __call__(self, omega_sum):
+        if self.frequency_symmetric:
+            omega_sum = self.center + np.abs(omega_sum - self.center)
         return np.interp(omega_sum, self.frequencies, self.values, left=0.0, right=0.0)
 
 

@@ -16,12 +16,12 @@ evolves by conj(M), the second by M^{-T}).  Each poling domain has
 z-independent coupling matrices and a device is the ordered (left-multiplied)
 product of its domain matrices, which `compose` forms in the exchange basis
 U = e^{i pi/4} (I - iJ') / sqrt 2, J' = J (the bin flip) in SGVM media, else
-diag(J, -J).  An even pump on a mirror grid makes F centrosymmetric and G, H
-anticentrosymmetric, bitwise, so U^H K U and every domain product are real;
-other tabulated pumps run in complex.  The return trip (domains reversed,
-v_S and v_I exchanged) is the adjoint of the forward pass: M^H for SGVM
-media, and otherwise T^-1 = Sigma T^H Sigma (Sigma = diag(I, -I)) with the
-beams exchanged.  So a double pass costs one domain product, and for SGVM it
+diag(J, -J).  An even pump (the Gaussian or a declared-even table) on a
+mirror grid makes F centrosymmetric and G, H anticentrosymmetric, bitwise,
+so U^H K U and every domain product are real; other pumps run in complex.
+The return trip (domains reversed, v_S and v_I exchanged) is the adjoint of
+the forward pass: M^H for SGVM media, and otherwise T^-1 = Sigma T^H Sigma
+(Sigma = diag(I, -I)) with the beams exchanged.  So a double pass costs one domain product, and for SGVM it
 is the Hermitian M^H M, whose input and output modes coincide.
 
 Photon numbers are read off the complex matrices.  A complex matrix

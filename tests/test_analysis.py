@@ -206,7 +206,7 @@ def test_gain_variation_sweep_builds_the_forward_pass_once(monkeypatch):
     sweep = gain_variation_sweep(grid, pump, medium, Poling.unpoled(L),
                                  base_target=0.5, span=(0.5, 1.5), points=5)
     # the sweep reuses the pass tuning composed at the tuned gain
-    (g0, _, _), = tuned
+    (g0, _, _, _), = tuned
     assert sweep.points and g0s.count(g0) == 1
 
 

@@ -440,6 +440,22 @@ def test_tune_gain_contracts(setup):
         tune_gain(grid, pump, medium, poling, -1.0)
 
 
+@pytest.mark.parametrize("double, gain2_scale", [(False, 1.0), (True, 1.0), (True, 1.3)])
+def test_tune_gain_returns_the_passes_it_evaluated_at_the_root(setup, double, gain2_scale):
+    grid, pump, medium = setup
+    poling = Poling.unpoled(L)
+    assert tune_gain(grid, pump, medium, poling, 0.0, return_pass=True) == (0.0, 0.0, None, None)
+    g0, achieved, first, prop = tune_gain(grid, pump, medium, poling, 0.5, double=double,
+                                          gain2_scale=gain2_scale, return_pass=True)
+    root = PumpSpec(g0=g0)
+    np.testing.assert_array_equal(first.bogoliubov,
+                                  compose(grid, root, medium, poling).bogoliubov)
+    expected = double_pass(grid, root, medium, poling, gain2_scale=gain2_scale,
+                           first=first) if double else first
+    np.testing.assert_array_equal(prop.bogoliubov, expected.bogoliubov)
+    assert prop.mean_photons()[0] == achieved
+
+
 def test_tune_gain_double_pass(setup):
     grid, pump, medium = setup
     g, a = tune_gain(grid, pump, medium, Poling.unpoled(L), 0.5, double=True)
@@ -544,14 +560,17 @@ def test_tune_gain_readme_config_pass_count(monkeypatch):
     grid = build_grid(101, 0.0, default_half_width(medium))
     poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
     gains = _counting_passes(monkeypatch)
-    g0, achieved, first = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
-                                    double=True, tol=5e-6, return_pass=True)
+    g0, achieved, first, prop = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
+                                          double=True, tol=5e-6, return_pass=True)
     assert abs(achieved - 5.0) <= 5e-6
     assert len(gains) <= 7
-    # the pass handed back is the forward pass at the root
+    # the passes handed back are the forward and the double pass at the root
     assert gains[-1] == g0
     root = compose(grid, PumpSpec(g0=g0), medium, poling)
     np.testing.assert_array_equal(first.bogoliubov, root.bogoliubov)
+    np.testing.assert_array_equal(
+        prop.bogoliubov,
+        double_pass(grid, PumpSpec(g0=g0), medium, poling, first=first).bogoliubov)
 
 
 def test_tune_gain_pass_count_over_devices_and_targets(monkeypatch):

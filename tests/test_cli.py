@@ -210,7 +210,9 @@ def counting_composes(monkeypatch):
 
 def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch):
     # one inverse per compose (the opposite-sign exponential) and one per
-    # double pass, shared by its photon count, 4N matrix and residual
+    # double pass, shared by its photon count, 4N matrix and residual; the
+    # device pass is the one tuning evaluated at the root (6 double passes,
+    # and 11 or 17 inverses, when it was built again)
     composes = counting_composes(monkeypatch)
     inverses, doubles = [], []
     inv, double = np.linalg.inv, twinbeam.propagator.double_pass
@@ -226,10 +228,12 @@ def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     for module in (twinbeam.cli, twinbeam.blochmessiah):
         monkeypatch.setattr(module, "double_pass", counting_double)
-    rc, _ = run(tmp_path, README_CONFIG, "simulate")
-    assert rc == 0
-    assert len(composes) == 5 and len(doubles) == 6
-    assert len(inverses) == len(composes) + len(doubles) == 11
+    for pass_mode, composed in (("double", 5), ({"kind": "double", "gain2_scale": 1.3}, 10)):
+        del composes[:], inverses[:], doubles[:]
+        rc, _ = run(tmp_path, dict(README_CONFIG, pass_mode=pass_mode), "simulate")
+        assert rc == 0
+        assert len(composes) == composed and len(doubles) == 5
+        assert len(inverses) == len(composes) + len(doubles) == composed + 5
 
 
 @pytest.mark.parametrize("pump, composed", [
@@ -537,6 +541,20 @@ def test_verify_passes_on_sound_config(tmp_path):
     assert thresholds["bm_O_orthogonal"] == FACTOR_TOL
     assert thresholds["lam_pair_degeneracy"] == PAIR_RTOL
     assert thresholds["photon_balance"] == PHOTON_BALANCE_TOL
+
+
+def test_verify_passes_a_near_even_declared_table(tmp_path):
+    # even to 4e-13, inside the 1e-12 the model accepts: read folded about
+    # its center, F is centrosymmetric bitwise (2.0e-13 off when read as sampled)
+    f = np.linspace(-12.0, 12.0, 241)
+    values = np.exp(-(f ** 2) / 2.0) + 4e-13 * (f < 0.0)
+    envelope = {"frequencies": f.tolist(), "values": values.tolist(),
+                "frequency_symmetric": True}
+    rc, out = run(tmp_path, base_config(pump={"g0": 1.0, "envelope": envelope}), "verify")
+    assert rc == 0
+    checks = json.loads((out / "verify.json").read_text())["checks"]
+    check, = [c for c in checks if c["name"] == "F_centrosymmetric"]
+    assert check["value"] == check["threshold"] == 0.0 and check["pass"]
 
 
 def test_verify_reports_a_failed_decomposition(tmp_path, monkeypatch):

@@ -105,6 +105,36 @@ def test_tabulated_envelope_symmetry_flag_is_validated():
         TabulatedEnvelope([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])  # not increasing
 
 
+def test_declared_even_table_is_read_folded_about_its_center(small_setup):
+    grid, _, medium = small_setup
+    f = np.linspace(-12.0, 12.0, 241)
+    even = TabulatedEnvelope(f, np.exp(-(f ** 2) / 2.0), frequency_symmetric=True)
+    assert even.center == 0.0
+    # between the nodes, where np.interp at s and -s differs in the last bit
+    s = np.linspace(0.0, 12.5, 101)
+    np.testing.assert_array_equal(even(-s), even(s))
+    np.testing.assert_array_equal(even(s), np.interp(s, f, even.values, right=0.0))
+    # a table validated about another center is even about that one only:
+    # nothing symmetrizes it about the pump's, so F stays uneven
+    off = TabulatedEnvelope(np.arange(-2.0, 5.0), [0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0],
+                            frequency_symmetric=True)
+    assert off.center == 1.0 and off(0.5) == off(1.5)
+    F = build_coupled_matrices(grid, PumpSpec(envelope=off), medium).F
+    assert np.max(np.abs(F - F[::-1, ::-1])) > 0.1 * np.max(np.abs(F))
+
+
+def test_value_objects_compare_and_hash():
+    # the derived detunings take no part in comparison; tables compare by identity
+    assert build_grid(5) == build_grid(5) and build_grid(5) != build_grid(7)
+    assert hash(build_grid(5)) == hash(build_grid(5))
+    env = TabulatedEnvelope([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0])
+    twin = TabulatedEnvelope([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0])
+    assert env == env and env != twin
+    assert PumpSpec(envelope=env) == PumpSpec(envelope=env)
+    assert PumpSpec(envelope=env) != PumpSpec(envelope=twin)
+    assert len({PumpSpec(), PumpSpec(), PumpSpec(envelope=env), PumpSpec(envelope=env)}) == 2
+
+
 # ---------------------------------------------------------------- medium
 
 def test_medium_walkoffs_and_sgvm():

@@ -185,6 +185,22 @@ def lopsided_pump(g0=1.0):
     return PumpSpec(g0=g0, envelope=TabulatedEnvelope(f, np.exp(-((f - 1.5) ** 2) / 2.0)))
 
 
+def even_table_pump(g0=1.0):
+    """exp(-f^2 / 2) tabulated and declared even: read folded, so F is centrosymmetric.
+
+    The grid's sums fall between the nodes, where np.interp at +s and -s
+    differs in the last bit.
+    """
+    f = np.linspace(-12.0, 12.0, 240)
+    return PumpSpec(g0=g0, envelope=TabulatedEnvelope(f, np.exp(-(f ** 2) / 2.0),
+                                                      frequency_symmetric=True))
+
+
+# pump builders by test id; "even" is the Gaussian
+PUMPS = {"even": lambda g0=1.0: PumpSpec(g0=g0),
+         "declared-even-table": even_table_pump, "lopsided": lopsided_pump}
+
+
 def exchange_generator(grid, pump, medium, sign):
     """U^H K U for one sign, of real dtype when exactly real, as compose takes it."""
     m = build_coupled_matrices(grid, pump, medium, sign=sign)
@@ -196,16 +212,19 @@ def exchange_generator(grid, pump, medium, sign):
 @pytest.mark.parametrize("sign", [1, 0, -1])
 def test_exchange_generator_is_real_for_an_even_pump(request, regime, sign):
     # U^H K U = [K + J'KJ' + i (J'K - KJ')] / 2 has the closed form -F - GJ
-    # (SGVM) or [[GJ, -FJ], [-FJ, HJ]], bitwise, and U^H . U inverts it
-    grid, pump, medium = request.getfixturevalue(regime)
-    m = build_coupled_matrices(grid, pump, medium, sign=sign)
-    K = propagator._exchange(propagator._generator(m), grid.n)
-    assert not K.imag.any()
-    GJ, FJ, HJ = m.G[:, ::-1], m.F[:, ::-1], m.H[:, ::-1]
-    closed = -m.F - GJ if m.sgvm else np.block([[GJ, -FJ], [-FJ, HJ]])
-    np.testing.assert_array_equal(K.real, closed)
-    back = propagator._exchange(K, grid.n, -1)
-    assert np.max(np.abs(back - propagator._generator(m))) <= 1e-15 * np.max(np.abs(K))
+    # (SGVM) or [[GJ, -FJ], [-FJ, HJ]], bitwise, and U^H . U inverts it; a
+    # declared-even table is as even as the Gaussian
+    grid, gaussian, medium = request.getfixturevalue(regime)
+    for pump in (gaussian, even_table_pump()):
+        m = build_coupled_matrices(grid, pump, medium, sign=sign)
+        np.testing.assert_array_equal(m.F, m.F[::-1, ::-1])
+        K = propagator._exchange(propagator._generator(m), grid.n)
+        assert not K.imag.any()
+        GJ, FJ, HJ = m.G[:, ::-1], m.F[:, ::-1], m.H[:, ::-1]
+        closed = -m.F - GJ if m.sgvm else np.block([[GJ, -FJ], [-FJ, HJ]])
+        np.testing.assert_array_equal(K.real, closed)
+        back = propagator._exchange(K, grid.n, -1)
+        assert np.max(np.abs(back - propagator._generator(m))) <= 1e-15 * np.max(np.abs(K))
 
 
 @pytest.mark.parametrize("regime", ["sgvm", "skew"])
@@ -239,15 +258,17 @@ def test_opposite_sign_exponential_matches_expm(request, regime, width, g0):
 
 @pytest.mark.parametrize("regime", ["sgvm", "skew"])
 @pytest.mark.parametrize("g0", [1.0, 10.0])
-@pytest.mark.parametrize("even", [True, False], ids=["even", "lopsided"])
+@pytest.mark.parametrize("pump", list(PUMPS))
 @pytest.mark.parametrize("poling", [readme_grating(), qpm_poling(L, 2.0 * L / 9.0),
                                     Poling.unpoled(L)], ids=["apodized-169", "qpm-9", "unpoled"])
 def test_compose_in_the_exchange_basis_matches_the_plain_product(
-        request, monkeypatch, regime, g0, even, poling):
-    # real exponentials and products for the even pump, complex ones for the
-    # lopsided table; either way the original-basis complex product
+        request, monkeypatch, regime, g0, pump, poling):
+    # real exponentials and products for the Gaussian and the declared-even
+    # table, complex ones for the lopsided table; either way the
+    # original-basis complex product
     grid, _, medium = request.getfixturevalue(regime)
-    pump = PumpSpec(g0=g0) if even else lopsided_pump(g0)
+    even = pump != "lopsided"
+    pump = PUMPS[pump](g0)
     dtypes = set()
 
     def recording_expm(M):
