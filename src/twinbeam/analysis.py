@@ -7,7 +7,6 @@ used to cross-check the full route in the weak-pump limit.
 """
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List
 
@@ -106,7 +105,7 @@ def _first_pair_fidelity(decomp):
 
 
 def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
-                         span=(0.5, 1.5), points=21, jobs=1, first=None):
+                         span=(0.5, 1.5), points=21, jobs=1, passes=None):
     """Sweep the second-pass gain around the matched double pass.
 
     The base gain is tuned so the equal-gain double pass reaches base_target
@@ -115,7 +114,9 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
     and span[1] * base_target, searching up from [0, 1].  The scale axis is
     sampled linearly in between.  Each point records the photon number, the
     first-squeezer input/output fidelity, and the top of the r spectrum.
-    first, if given, is the forward pass at pump.g0, the base gain untuned.
+    passes, if given, is (forward pass, equal-gain double pass) at pump.g0, the
+    base gain untuned; else tuning hands back the pair it built at the root.
+    The equal-gain pass serves the scale-1 photon count and row.
     Raises ConfigError unless base_target exceeds the tolerance 1e-6 * max(1, base_target).
     """
     if points < 1:
@@ -125,23 +126,26 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         raise ConfigError("base target %g photons is within the sweep tolerance %g "
                           "of zero" % (base_target, tol))
     # Only the return pass depends on the scale; each is paired with first.
-    if first is None:
-        g0, _, first, _ = tune_gain(grid, pump, medium, poling, base_target,
-                                    double=True, tol=tol, return_pass=True)
+    if passes is None:
+        g0, _, *passes = tune_gain(grid, pump, medium, poling, base_target,
+                                   double=True, tol=tol, return_pass=True)
         pump = replace(pump, g0=g0)
-    last = {}  # the latest pass, handed to the end point its search ends on
+    first, matched = passes
+    kept = {1.0: matched}  # passes rows reuse: scale 1's and each search's end
+    last = {}  # the latest pass, kept for the end point its search ends on
 
     @functools.lru_cache(maxsize=None)
     def ns_at(scale):
         last.clear()
-        last[scale] = double_pass(grid, pump, medium, poling, gain2_scale=scale, first=first)
+        last[scale] = kept.get(scale) or double_pass(grid, pump, medium, poling,
+                                                     gain2_scale=scale, first=first)
         return last[scale].mean_photons()[0]
 
     # Both searches evaluate scales 0 and 1 first; the cache shares them.
     s_lo, _ = solve_increasing(ns_at, span[0] * base_target, 0.0, 1.0, tol)
-    ends = {s_lo: last.pop(s_lo, None)}
+    kept.setdefault(s_lo, last.pop(s_lo, None))
     s_hi, _ = solve_increasing(ns_at, span[1] * base_target, 0.0, 1.0, tol)
-    ends[s_hi] = last.pop(s_hi, None)
+    kept.setdefault(s_hi, last.pop(s_hi, None))
     # The equal-gain point is the reference (identical passes), so for an odd
     # point count the ladder is built as two half-ramps meeting at scale 1.
     if points % 2 and s_lo < 1.0 < s_hi:
@@ -154,7 +158,7 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         scales = np.linspace(s_lo, s_hi, points)
 
     def run_point(scale):
-        prop = ends.pop(scale, None) or double_pass(grid, pump, medium, poling,
+        prop = kept.pop(scale, None) or double_pass(grid, pump, medium, poling,
                                                     gain2_scale=scale, first=first)
         ns, _ = prop.mean_photons()
         decomp = decompose(prop, grid)
@@ -164,6 +168,8 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         )
 
     if jobs > 1:
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by a serial sweep
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_point, scales))
     else:

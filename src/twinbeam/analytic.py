@@ -117,9 +117,9 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
     order = np.argsort(-lam, kind="stable")
 
     def factor(raw, context):
-        U = np.array(raw, dtype=complex)
-        U[:, flip] *= 1j
-        return _polish_unitary(U[:, order], context)
+        U = np.asarray(raw, dtype=complex)[:, order]
+        U[:, flip[order]] *= 1j
+        return _polish_unitary(U, context)
 
     Z = factor(Z_raw, "active factor")
     Z_tilde = Z if Z_tilde_raw is Z_raw else factor(Z_tilde_raw, "passive factor")
@@ -168,12 +168,12 @@ def _asymmetry(M):
     return asym, asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M))))
 
 
-def _factors(W, left, lam_raw, right, S, context):
-    """Checked canonical factors of S from real block factors in the basis W;
-    when right is left they share one array."""
+def _factors(W, left, lam_raw, right):
+    """Canonical factors from real block factors in the basis W; when right
+    is left they share one array.  The raw complex factors die here, before
+    the caller checks the result."""
     Z_raw = W @ left
-    Z_tilde_raw = Z_raw if right is left else W @ right
-    return checked_factors(canonical_factors(Z_raw, lam_raw, Z_tilde_raw), S, context)
+    return canonical_factors(Z_raw, lam_raw, Z_raw if right is left else W @ right)
 
 
 def _symmetric_factors(X, W, M, S, context):
@@ -195,7 +195,8 @@ def _symmetric_factors(X, W, M, S, context):
     w, Gamma = numerics.sym_eig(M)
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
-    return _factors(W, (X @ Gamma) * np.sign(w), np.abs(w), Gamma, S, context)
+    return checked_factors(_factors(W, (X @ Gamma) * np.sign(w), np.abs(w), Gamma),
+                           S, context)
 
 
 def symmetrized_eig_route(grid, pump, medium, poling):
@@ -223,12 +224,16 @@ def svd_route(grid, pump, medium, poling, double=False, prop=None, total=None):
     """
     _require_sgvm(medium, "SVD route")
     prop = prop or compose(grid, pump, medium, poling)
-    W = _walkoff_unitary(grid.n)
+    bm = _svd_factors(prop, double)
+    S = (total or prop.return_trip().after(prop)).matrix if double else prop.matrix
+    return checked_factors(bm, S, "SVD route")
+
+
+def _svd_factors(prop, double):
+    """Canonical factors from the SVD of A-hat (see svd_route); the SVD dies here."""
     left, s, right = numerics.svd(embed_unitary(prop.bogoliubov))
-    if double:
-        S = (total or prop.return_trip().after(prop)).matrix
-        return _factors(W, right, s**2, right, S, "SVD route")
-    return _factors(W, left, s, right, prop.matrix, "SVD route")
+    W = _walkoff_unitary(prop.n)
+    return _factors(W, right, s**2, right) if double else _factors(W, left, s, right)
 
 
 def general_block_route(grid, pump, medium, poling):

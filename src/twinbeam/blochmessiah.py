@@ -83,8 +83,11 @@ class BlochMessiahResult:
     residuals: Optional[dict] = None
 
     def reconstruct(self):
-        d = np.concatenate([self.lam, 1.0 / self.lam])
-        return (embed_unitary(self.Z) * d) @ embed_unitary(self.Z_tilde).T
+        d, O = np.concatenate([self.lam, 1.0 / self.lam]), embed_unitary(self.Z)
+        if self.Z_tilde is self.Z:  # one embedding serves both factors
+            return (O * d) @ O.T
+        O *= d
+        return O @ embed_unitary(self.Z_tilde).T
 
 
 def checked_factors(result, S, context):
@@ -99,8 +102,10 @@ def checked_factors(result, S, context):
     and max|embed(E)| = max|embed(-iE)| = max(max|Re E|, max|Im E|).
     Raises DecompositionError when one exceeds RECON_RTOL or FACTOR_TOL.
     """
-    residuals = {"reconstruction": float(np.max(np.abs(result.reconstruct() - S)))
-                 / max(1.0, float(np.max(np.abs(S))))}
+    R = result.reconstruct()
+    R -= S
+    residuals = {"reconstruction": float(np.abs(R, out=R).max())
+                 / max(1.0, float(max(S.max(), -S.min())))}
 
     def defect(gram):  # max|embed_unitary(gram - I)|
         gram[np.diag_indices_from(gram)] -= 1.0
@@ -149,25 +154,13 @@ def _polish_unitary(Z, context):
         E = Z.conj().T @ Z - eye
 
 
-def bloch_messiah(S):
-    """Decompose a symplectic S into O diag(lam, 1/lam) O_tilde^T.
+def _output_factor(S):
+    """(lam, Z): the squeezing lam >= 1, descending, and the unitary Z of O.
 
-    Raises ContractError if S is not symplectic to working tolerance and
-    DecompositionError if the spectrum does not pair reciprocally or a factor
-    fails its residual checks.
+    The eigenvectors of S S^T die here, before the input factor is formed.
     """
-    S = np.asarray(S, dtype=float)
     dim = S.shape[0]
-    if S.shape != (dim, dim) or dim % 2:
-        raise ConfigError("symplectic input must be square with even dimension")
     h = dim // 2
-    smax = float(np.max(np.abs(S)))
-    resid = symplectic_residual(S)
-    if resid > INPUT_SYMPLECTIC_TOL * max(1.0, smax**2):
-        raise ContractError(
-            "input is not symplectic: residual %.3e exceeds tolerance" % resid
-        )
-
     w, V = numerics.sym_eig(S @ S.T)
     if w[0] <= 0:
         raise DecompositionError("S S^T has a non-positive eigenvalue %.3e" % w[0])
@@ -201,17 +194,47 @@ def bloch_messiah(S):
         # cluster, and with no active columns it is the bin basis (S = I
         # yields O = O_tilde = I).
         Z = np.hstack([Z, np.linalg.qr(Z, mode="complete")[0][:, n_above:]])
-    O = embed_unitary(Z)
-    lam = np.concatenate([np.sqrt(w_desc[:n_above]), np.ones(m_unit)])
+    return np.concatenate([np.sqrt(w_desc[:n_above]), np.ones(m_unit)]), Z
 
-    # S = O D O_tilde^T with O orthogonal, so O_tilde = S^T O D^-1.
-    O_tilde_raw = (S.T @ O) / np.concatenate([lam, 1.0 / lam])
-    Z_tilde = _complex_rep_avg(O_tilde_raw, h)
-    embed_defect = float(np.max(np.abs(O_tilde_raw - embed_unitary(Z_tilde))))
+
+def _input_factor(S, Z, lam):
+    """The unpolished Z_tilde of O_tilde = S^T O D^-1 (S = O D O_tilde^T, O orthogonal).
+
+    The raw 4N O_tilde is scaled and compared with its embedding in place,
+    and dies here, before the polish.
+    """
+    O_tilde = S.T @ embed_unitary(Z)
+    O_tilde /= np.concatenate([lam, 1.0 / lam])
+    Z_tilde = _complex_rep_avg(O_tilde, S.shape[0] // 2)
+    defect = embed_unitary(Z_tilde)
+    defect -= O_tilde
+    embed_defect = float(np.abs(defect, out=defect).max())
     if embed_defect > 1e-6:
         raise DecompositionError("passive factor is far from orthogonal symplectic "
                                  "(defect %.3e)" % embed_defect)
-    Z_tilde = _polish_unitary(Z_tilde, "passive factor")
+    return Z_tilde
+
+
+def bloch_messiah(S):
+    """Decompose a symplectic S into O diag(lam, 1/lam) O_tilde^T.
+
+    Raises ContractError if S is not symplectic to working tolerance and
+    DecompositionError if the spectrum does not pair reciprocally or a factor
+    fails its residual checks.
+    """
+    S = np.asarray(S, dtype=float)
+    dim = S.shape[0]
+    if S.shape != (dim, dim) or dim % 2:
+        raise ConfigError("symplectic input must be square with even dimension")
+    smax = float(max(S.max(), -S.min()))
+    resid = symplectic_residual(S)
+    if resid > INPUT_SYMPLECTIC_TOL * max(1.0, smax**2):
+        raise ContractError(
+            "input is not symplectic: residual %.3e exceeds tolerance" % resid
+        )
+
+    lam, Z = _output_factor(S)
+    Z_tilde = _polish_unitary(_input_factor(S, Z, lam), "passive factor")
     return checked_factors(BlochMessiahResult(Z, lam, Z_tilde), S, "generic route")
 
 

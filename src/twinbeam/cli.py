@@ -370,14 +370,14 @@ def cmd_sweep_gain(cfg, out_dir, jobs, points):
         raise ConfigError("sweep-gain needs a double-pass configuration")
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1, got %d" % jobs)
-    base, first = cfg.target_ns, None
+    base, passes = cfg.target_ns, None
     if base is None:  # at equal gains a fixed g0 is the base gain, else it is re-tuned
         _, _, first, prop = _resolve_pump(cfg)
         base, _ = prop.mean_photons()
-        first = first if cfg.gain2_scale == 1.0 else None
+        passes = (first, prop) if cfg.gain2_scale == 1.0 else None
     result = gain_variation_sweep(
         cfg.grid, cfg.pump, cfg.medium, cfg.sim_poling,
-        base_target=base, points=points, jobs=jobs, first=first,
+        base_target=base, points=points, jobs=jobs, passes=passes,
     )
     result.to_csv(os.path.join(out_dir, "sweep.csv"))
     curve = sorted((p.mean_ns, p.fidelity_k1) for p in result.points)
@@ -397,6 +397,15 @@ def _check(checks, name, value, threshold, ok=None):
     })
 
 
+def _hamiltonian_defect(matrices):
+    """(max|Omega Q - (Omega Q)^T|, its threshold) of the 4N generator Q, which dies here."""
+    Q = build_generator(matrices)
+    n2 = Q.shape[0] // 2
+    oq = np.vstack([Q[n2:], -Q[:n2]])  # Omega Q, Omega = [[0, I], [-I, 0]]
+    return (float(np.max(np.abs(oq - oq.T))),
+            1e-14 * max(1.0, float(max(Q.max(), -Q.min()))))
+
+
 def cmd_verify(cfg, out_dir, propagator_path):
     checks = []
     grid, medium = cfg.grid, cfg.medium
@@ -413,13 +422,10 @@ def cmd_verify(cfg, out_dir, propagator_path):
                0.0, ok=np.array_equal(F, F[::-1, ::-1]))
     _check(checks, "G_anticentrosymmetric", float(np.max(np.abs(G[::-1, ::-1] + G))),
            0.0, ok=np.array_equal(G[::-1, ::-1], -G))
-    Q = build_generator(matrices)
-    oq = np.vstack([Q[2 * n:], -Q[:2 * n]])  # Omega Q, Omega = [[0, I], [-I, 0]]
-    _check(checks, "generator_hamiltonian", float(np.max(np.abs(oq - oq.T))),
-           1e-14 * max(1.0, float(np.max(np.abs(Q)))))
+    _check(checks, "generator_hamiltonian", *_hamiltonian_defect(matrices))
 
     S = prop.matrix
-    smax = float(np.max(np.abs(S)))
+    smax = float(max(S.max(), -S.min()))
     _check(checks, "propagator_symplectic", symplectic_residual(S),
            INPUT_SYMPLECTIC_TOL * max(1.0, smax**2))
 

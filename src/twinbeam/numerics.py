@@ -113,19 +113,26 @@ def sym_eig(M):
 
     M must be symmetric up to roundoff, max|M - M^T| <= SYM_TOL max(1,
     max|M|): matrices such as X e^{dz A} are symmetric analytically but carry
-    floating-point asymmetry, so (M + M^T)/2 is decomposed.
+    floating-point asymmetry, so (M + M^T)/2 is decomposed.  An exactly
+    symmetric M (such as S @ S.T, which numpy forms by a symmetric rank-k
+    update) is that average bitwise and goes to the solver as it is; the
+    average of any other M reuses the one array its asymmetry is read from.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ContractError("sym_eig requires a square matrix, got shape %s" % (M.shape,))
     require_finite(M, "sym_eig input")
-    asym = np.max(np.abs(M - M.T)) if M.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    if asym > SYM_TOL * scale:
-        raise ContractError(
-            "sym_eig input asymmetry %.3e exceeds tolerance %.3e" % (asym, SYM_TOL * scale)
-        )
-    w, V = np.linalg.eigh(0.5 * (M + M.T))
+    if not np.array_equal(M, M.T):
+        scale = max(1.0, float(max(M.max(), -M.min())))
+        D = M - M.T
+        asym = float(np.abs(D, out=D).max())
+        if asym > SYM_TOL * scale:
+            raise ContractError(
+                "sym_eig input asymmetry %.3e exceeds tolerance %.3e" % (asym, SYM_TOL * scale)
+            )
+        M = np.add(M, M.T, out=D)
+        M *= 0.5
+    w, V = np.linalg.eigh(M)
     return w, V
 
 

@@ -67,7 +67,12 @@ def symplectic_residual(S):
 def embed_unitary(Z):
     """Real [[X, -Y], [Y, X]] of a complex Z = X + iY; orthogonal symplectic for a unitary Z."""
     X, Y = Z.real, Z.imag
-    return np.block([[X, -Y], [Y, X]])
+    h, w = X.shape
+    E = np.empty((2 * h, 2 * w), dtype=X.dtype)  # filled in place: no block temporaries
+    E[:h, :w] = E[h:, w:] = X
+    E[h:, :w] = Y
+    np.negative(Y, out=E[:h, w:])
+    return E
 
 
 @dataclass(frozen=True)

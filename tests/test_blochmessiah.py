@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from twinbeam import (
     tune_gain,
     two_mode_rearrange,
 )
-from twinbeam import blochmessiah, propagator
+from twinbeam import blochmessiah, numerics, propagator
+from twinbeam.analytic import svd_route
 from twinbeam.blochmessiah import (
     FACTOR_TOL,
     BlochMessiahResult,
@@ -657,3 +659,52 @@ def test_tuning_does_not_import_scipy_optimize(tmp_path):
     # whole simulate run, and verify, sweep-gain and poling eval after it
     # load no scipy module at all
     assert out.split() == ["[]", "[]", "[]"]
+
+
+@pytest.fixture(scope="module")
+def readme_double_pass_n51():
+    """(grid, pump, medium, poling, forward pass, matched double pass) of the
+    README grating at N = 51 and g0 = 6.28; one 4N array is 333 KB."""
+    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
+    grid, pump = build_grid(51, 0.0, 5.0), PumpSpec(g0=6.28)
+    poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+    first = compose(grid, pump, medium, poling)
+    return grid, pump, medium, poling, first, double_pass(grid, pump, medium, poling,
+                                                          first=first)
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes above entry, while fn runs."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("route, arrays", [("decompose", 5.0), ("svd_route", 4.5)])
+def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, arrays):
+    # Measured above entry, the 4N matrix already built: decompose 4.02 arrays
+    # (the check's in-place residual over one scaled embedding, with the
+    # complex factors), svd_route(double=True) 3.66.  They read 7.28 and 5.27
+    # while the eigenvectors, O, S^T O / d and the raw route factors lived
+    # through the check.
+    grid, pump, medium, poling, first, total = readme_double_pass_n51
+    unit = total.matrix.nbytes
+    run = {"decompose": lambda: decompose(total, grid),
+           "svd_route": lambda: svd_route(grid, pump, medium, poling, double=True,
+                                          prop=first, total=total)}[route]
+    assert traced_peak(run) <= arrays * unit
+
+
+def test_sym_eig_decomposes_s_s_transpose_as_its_average_bitwise(readme_double_pass_n51):
+    # numpy forms S @ S.T by a symmetric rank-k update, exactly symmetric, so
+    # passing it to eigh unaveraged gives the eigenpairs of the average
+    S = readme_double_pass_n51[-1].matrix
+    M = S @ S.T
+    assert np.array_equal(M, M.T)
+    w, V = numerics.sym_eig(M)
+    w_avg, V_avg = np.linalg.eigh(0.5 * (M + M.T))
+    assert np.array_equal(w, w_avg) and np.array_equal(V, V_avg)

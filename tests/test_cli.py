@@ -455,6 +455,38 @@ def test_outputs_identical_across_blas_thread_settings(tmp_path, command, cfg, f
 
 # ---------------------------------------------------------------- sweep-gain
 
+@pytest.mark.parametrize("pump", [{"sigma": 1.0, "target_NS": 5.0},
+                                  {"sigma": 1.0, "g0": 6.28}], ids=["tuned", "fixed-g0"])
+def test_sweep_gain_builds_the_equal_gain_pass_once(tmp_path, monkeypatch, pump):
+    # The README config at N=31, 11 points.  Tuning (or a fixed g0's base
+    # pass) builds the scale-1 double pass, and the sweep's scale-1 photon
+    # count and row reuse it (3 builds when both rebuilt it).
+    built = []
+    original = twinbeam.propagator.double_pass
+
+    def recording(*args, **kwargs):
+        built.append((args[1].g0, kwargs.get("gain2_scale", 1.0)))
+        return original(*args, **kwargs)
+
+    for module in (twinbeam.cli, twinbeam.analysis, twinbeam.blochmessiah):
+        monkeypatch.setattr(module, "double_pass", recording)
+    cfg = dict(README_CONFIG, grid={"N": 31, "half_width": 5.0}, pump=pump)
+    rc, out = run(tmp_path, cfg, "sweep-gain", "--points", "11")
+    assert rc == 0
+    assert "\n1.0," in (out / "sweep.csv").read_text()  # the scale-1 row
+    base_g0 = built[-1][0]  # every sweep pass runs at the base gain
+    assert built.count((base_g0, 1.0)) == 1
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # concurrent.futures is imported by a threaded sweep (--jobs > 1) only
+    src = os.path.dirname(os.path.dirname(os.path.abspath(twinbeam.__file__)))
+    code = "import sys, twinbeam.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_sweep_gain_needs_double_pass(tmp_path):
     rc, _ = run(tmp_path, base_config(pump={"target_NS": 0.5}), "sweep-gain")
     assert rc == 2

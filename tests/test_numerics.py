@@ -127,6 +127,10 @@ def test_sym_eig_tolerates_roundoff_asymmetry():
     w, V = numerics.sym_eig(M)
     S = 0.5 * (M + M.T)
     np.testing.assert_allclose(V @ np.diag(w) @ V.T, S, atol=1e-12)
+    # the average is decomposed bitwise, and the input is left as it was
+    w_avg, V_avg = np.linalg.eigh(S)
+    assert np.array_equal(w, w_avg) and np.array_equal(V, V_avg)
+    assert M[1, 0] == 0.5 + 1e-12
 
 
 def test_sym_eig_rejects_asymmetric():
