@@ -28,21 +28,25 @@ When the poling reads the same reversed, X times the reduced propagator is
 symmetric (X the half-swap for SGVM, diag(J, J) otherwise), and the
 factorization drops out of one real symmetric eigenproblem whose
 eigenvalues give the (lam, 1/lam) ladder directly.  A real 2N factor R of
-the reduced block is the complex factor W R of the full propagator.
+the reduced block is the complex factor W R of the full propagator.  W, X
+and the exchange pair are applied by indexing, never as dense products.
 
 All routes return the same BlochMessiahResult contract as the generic
-factorization after a shared canonicalization step, and each checks its
-factors against the 4N Propagator.matrix, so they can be compared against
-the generic route mode by mode.  A route applied outside its regime raises
-RegimeError carrying the violated residual.
+factorization after a shared canonicalization step, so they can be compared
+against the generic route mode by mode.  Each checks its factors against
+the real 2N block it factored, the upper-left block of B^T S B (_checked):
+no route builds the 4N Propagator.matrix.  A route applied outside its
+regime raises RegimeError carrying the violated residual.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .blochmessiah import BlochMessiahResult, _polish_unitary, checked_factors
+from .blochmessiah import BlochMessiahResult, _polish_unitary, _with_residuals
 from .errors import ConfigError, DecompositionError, RegimeError
-from .model import build_coupled_matrices, flip_matrix
+from .model import build_coupled_matrices
 from .propagator import compose, embed_unitary
 
 __all__ = [
@@ -51,19 +55,31 @@ __all__ = [
 ]
 
 BLOCK_TOL = 1e-9
+# The entries of W are +-C and +-iC.
+_C = 1.0 / np.sqrt(2.0)
 
 
-def _walkoff_unitary(n):
-    """W = (1/sqrt 2) [[I, -iI], [-iI, I]]: embed_unitary(W) splits SGVM generators."""
-    i = np.eye(n)
-    return np.block([[i, -1j * i], [-1j * i, i]]) / np.sqrt(2.0)
+class _Basis(NamedTuple):
+    """W = C (P_a - i P_b) and X = P_x, P_r the symmetric row permutation R -> R[r]."""
+
+    a: np.ndarray
+    b: np.ndarray
+    x: np.ndarray
+
+    def full(self, R):  # W @ R; for a real R bitwise the dense product
+        return _C * (R[self.a] - 1j * R[self.b])
+
+    def reduced(self, Z):  # W^H @ Z
+        return _C * (Z[self.a] + 1j * Z[self.b])
 
 
-def _exchange_unitary(n):
-    """W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]]: embed_unitary(W) splits even-pump generators."""
-    a = np.eye(n) - 1j * flip_matrix(n)
-    z = np.zeros((n, n))
-    return np.block([[z, a], [a, z]]) / np.sqrt(2.0)
+def _basis(n, sgvm):
+    """Walk-off basis and half-swap X (SGVM), else exchange basis and X = diag(J, J)."""
+    rows = np.arange(2 * n)
+    swap, reverse = np.roll(rows, n), rows[::-1]
+    if sgvm:
+        return _Basis(rows, swap, swap)
+    return _Basis(swap, reverse, np.roll(reverse, n))
 
 
 def block_reduce(matrices):
@@ -106,6 +122,11 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
     on the way out; when Z_tilde_raw is Z_raw, once, and the result's
     Z_tilde is its Z.
     """
+    return _canonical(Z_raw, lam_raw, Z_tilde_raw)[0]
+
+
+def _canonical(Z_raw, lam_raw, Z_tilde_raw):
+    """(canonical_factors, the orthogonality residuals of Z, Z_tilde from their polish)."""
     lam = np.asarray(lam_raw, dtype=float).copy()
     h = lam.size
     if Z_raw.shape != (h, h) or Z_tilde_raw.shape != (h, h):
@@ -121,9 +142,11 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
         U[:, flip[order]] *= 1j
         return _polish_unitary(U, context)
 
-    Z = factor(Z_raw, "active factor")
-    Z_tilde = Z if Z_tilde_raw is Z_raw else factor(Z_tilde_raw, "passive factor")
-    return BlochMessiahResult(Z=Z, lam=lam[order], Z_tilde=Z_tilde)
+    Z, orthogonal = factor(Z_raw, "active factor")
+    Z_tilde, tilde_orthogonal = (Z, orthogonal) if Z_tilde_raw is Z_raw \
+        else factor(Z_tilde_raw, "passive factor")
+    return (BlochMessiahResult(Z=Z, lam=lam[order], Z_tilde=Z_tilde),
+            (orthogonal, tilde_orthogonal))
 
 
 def _require_sgvm(medium, route):
@@ -137,29 +160,23 @@ def _require_sgvm(medium, route):
 
 
 def _reduced(prop, grid, pump, medium, poling, matrices=None):
-    """(X, W, M = X block, K) of a composed propagator in its regime's basis W.
+    """(basis, block) of a composed propagator in its regime's basis W (_basis).
 
-    SGVM: X the half-swap, W the walk-off basis, block A-hat the
-    embed_unitary of the Bogoliubov matrix and K the exchange pair, which
-    commutes with M.  Otherwise: X = diag(J, J), W the exchange basis, block
-    C-hat = Re(V^H T V) and K None; raises RegimeError (with the residual)
-    when a domain generator of the poling does not split in the exchange
-    basis, checked once on the sign +1 matrices (negating F moves neither the
+    SGVM: block A-hat, the embed_unitary of the Bogoliubov matrix.  Otherwise
+    block C-hat = Re(V^H T V); raises RegimeError (with the residual) when a
+    domain generator of the poling does not split in the exchange basis,
+    checked once on the sign +1 matrices (negating F moves neither the
     residual nor its scale; G, H alone always split, so sign 0 needs none).
     matrices are those sign +1 matrices when the caller has built them.
     """
-    n = grid.n
-    i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
+    n, basis = grid.n, _basis(grid.n, prop.sgvm)
     if prop.sgvm:
-        X = np.block([[z, i], [i, z]])
-        return (X, _walkoff_unitary(n), X @ embed_unitary(prop.bogoliubov),
-                np.block([[z, j], [j, z]]))
+        return basis, embed_unitary(prop.bogoliubov)
     if poling.signs.any():
         block_reduce(matrices or build_coupled_matrices(grid, pump, medium, sign=1))
-    W = _exchange_unitary(n)
+    W = basis.full(np.eye(2 * n))
     V = np.vstack([W[:n], W[n:].conj()])  # T acts on a_I^+, not a_I
-    X = np.block([[j, z], [z, j]])
-    return X, W, X @ (V.conj().T @ prop.bogoliubov @ V).real, None
+    return basis, (V.conj().T @ prop.bogoliubov @ V).real
 
 
 def _asymmetry(M):
@@ -168,22 +185,42 @@ def _asymmetry(M):
     return asym, asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M))))
 
 
-def _factors(W, left, lam_raw, right):
-    """Canonical factors from real block factors in the basis W; when right
+def _factors(basis, left, lam_raw, right):
+    """_canonical factors from real block factors in the basis W; when right
     is left they share one array.  The raw complex factors die here, before
     the caller checks the result."""
-    Z_raw = W @ left
-    return canonical_factors(Z_raw, lam_raw, Z_raw if right is left else W @ right)
+    Z_raw = basis.full(left)
+    return _canonical(Z_raw, lam_raw, Z_raw if right is left else basis.full(right))
 
 
-def _symmetric_factors(X, W, M, S, context):
-    """Factor S through the real symmetric eigenproblem of M = X block.
+def _checked(factors, basis, block, context):
+    """checked_factors of the _canonical factors against the real 2N block, not the 4N S.
+
+    With Y = W^H Z and Y~ = W^H Z_tilde, the upper-left 2N block of B^T O D
+    O_tilde^T B (B = embed_unitary(W)) is Re(Y) Lam Re(Y~)^T + Im(Y) Lam^-1
+    Im(Y~)^T, Lam = diag(lam); the columns canonical_factors turned by i are
+    the imaginary ones.  Its deviation from block is taken relative to
+    max(1, max|block|); the orthogonality residuals are the polish's.
+    """
+    result, orthogonal = factors
+    Y = basis.reduced(result.Z)
+    Yt = Y if result.Z_tilde is result.Z else basis.reduced(result.Z_tilde)
+    R = (Y.real * result.lam) @ Yt.real.T
+    R += (Y.imag / result.lam) @ Yt.imag.T
+    R -= block
+    return _with_residuals(result, float(np.abs(R, out=R).max())
+                           / max(1.0, float(np.max(np.abs(block)))), context, orthogonal)
+
+
+def _symmetric_factors(basis, block, context):
+    """Factor block through the real symmetric eigenproblem of M = X block.
 
     Eigenvalues come in (w, -w) pairs; the left factor absorbs the signs,
     giving block = (X Gamma Sigma) diag|w| Gamma^T, and each |w| appears twice,
     once per sign, which is exactly the two-mode degeneracy of the final
     spectrum.
     """
+    M = block[basis.x]
     asym, symmetric = _asymmetry(M)
     if not symmetric:
         raise RegimeError(
@@ -195,8 +232,8 @@ def _symmetric_factors(X, W, M, S, context):
     w, Gamma = numerics.sym_eig(M)
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
-    return checked_factors(_factors(W, (X @ Gamma) * np.sign(w), np.abs(w), Gamma),
-                           S, context)
+    factors = _factors(basis, Gamma[basis.x] * np.sign(w), np.abs(w), Gamma)
+    return _checked(factors, basis, block, context)
 
 
 def symmetrized_eig_route(grid, pump, medium, poling):
@@ -208,8 +245,8 @@ def symmetrized_eig_route(grid, pump, medium, poling):
     """
     _require_sgvm(medium, "symmetrized eigenproblem route")
     prop = compose(grid, pump, medium, poling)
-    X, W, M, _ = _reduced(prop, grid, pump, medium, poling)
-    return _symmetric_factors(X, W, M, prop.matrix, "symmetrized eigenproblem route")
+    return _symmetric_factors(*_reduced(prop, grid, pump, medium, poling),
+                              "symmetrized eigenproblem route")
 
 
 def svd_route(grid, pump, medium, poling, double=False, prop=None, total=None):
@@ -224,16 +261,11 @@ def svd_route(grid, pump, medium, poling, double=False, prop=None, total=None):
     """
     _require_sgvm(medium, "SVD route")
     prop = prop or compose(grid, pump, medium, poling)
-    bm = _svd_factors(prop, double)
-    S = (total or prop.return_trip().after(prop)).matrix if double else prop.matrix
-    return checked_factors(bm, S, "SVD route")
-
-
-def _svd_factors(prop, double):
-    """Canonical factors from the SVD of A-hat (see svd_route); the SVD dies here."""
+    basis = _basis(prop.n, True)
     left, s, right = numerics.svd(embed_unitary(prop.bogoliubov))
-    W = _walkoff_unitary(prop.n)
-    return _factors(W, right, s**2, right) if double else _factors(W, left, s, right)
+    factors = _factors(basis, right, s**2, right) if double else _factors(basis, left, s, right)
+    device = (total or prop.return_trip().after(prop)) if double else prop
+    return _checked(factors, basis, embed_unitary(device.bogoliubov), "SVD route")
 
 
 def general_block_route(grid, pump, medium, poling):
@@ -253,16 +285,16 @@ def general_block_route(grid, pump, medium, poling):
             residual=0.0,
         )
     prop = compose(grid, pump, medium, poling)
-    X, W, M, _ = _reduced(prop, grid, pump, medium, poling)
-    return _symmetric_factors(X, W, M, prop.matrix, "general block route")
+    return _symmetric_factors(*_reduced(prop, grid, pump, medium, poling),
+                              "general block route")
 
 
-def _flip_classes(w, V, K, rtol=1e-8):
+def _flip_classes(w, V, rtol=1e-8):
     """Count flip-even and flip-odd eigenvectors, cluster by cluster.
 
-    K commutes with the decomposed matrix, so each eigen-cluster splits into
-    K = +1 and K = -1 subspaces whose dimensions follow from the trace of K
-    restricted to the cluster, which is basis independent.
+    The exchange pair K, the 2N reversal, commutes with the decomposed matrix,
+    so each eigen-cluster splits into K = +1 and K = -1 subspaces whose
+    dimensions follow from the trace of K restricted to the cluster.
     """
     n_even = n_odd = 0
     i = 0
@@ -272,7 +304,7 @@ def _flip_classes(w, V, K, rtol=1e-8):
         while j < m and abs(w[j] - w[i]) <= rtol * max(1.0, abs(w[i])):
             j += 1
         sub = V[:, i:j]
-        t = float(np.trace(sub.T @ K @ sub))
+        t = float(np.vdot(sub[::-1], sub))  # trace(sub^T K sub)
         size = j - i
         even = int(round(0.5 * (size + t)))
         n_even += even
@@ -303,13 +335,14 @@ def structure_checks(grid, pump, medium, poling, prop=None, matrices=None):
     }
     prop = prop or compose(grid, pump, medium, poling)
     try:
-        _, _, M, K = _reduced(prop, grid, pump, medium, poling, matrices)
+        basis, block = _reduced(prop, grid, pump, medium, poling, matrices)
     except RegimeError as exc:
         report["block_symmetry_residual"] = exc.residual
         return report
+    M = block[basis.x]
     asym, symmetric = _asymmetry(M)
     report["block_symmetry_residual"] = asym
-    if symmetric and K is not None:
+    if symmetric and prop.sgvm:
         w, V = numerics.sym_eig(M)
-        report["flip_even"], report["flip_odd"] = _flip_classes(w, V, K)
+        report["flip_even"], report["flip_odd"] = _flip_classes(w, V)
     return report

@@ -34,7 +34,8 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
 from .propagator import (
-    compose, double_pass, embed_unitary, free_path, symplectic_residual,
+    Propagator, _embedded_max, compose, double_pass, embed_unitary, free_path,
+    symplectic_residual,
 )
 
 __all__ = [
@@ -90,7 +91,7 @@ class BlochMessiahResult:
         return O @ embed_unitary(self.Z_tilde).T
 
 
-def checked_factors(result, S, context):
+def checked_factors(result, S, context, orthogonal=(None, None)):
     """Attach and enforce the factor residuals of S = O D O_tilde^T.
 
     residuals holds the reconstruction residual relative to max(1, max|S|),
@@ -100,20 +101,27 @@ def checked_factors(result, S, context):
     embed(Z^H) and Omega = embed(-iI), so with O = embed(Z)
         O^T O - I = embed(Z^H Z - I),  O Omega O^T - Omega = embed(-i (Z Z^H - I)),
     and max|embed(E)| = max|embed(-iE)| = max(max|Re E|, max|Im E|).
+    orthogonal holds the orthogonality residuals of O and O_tilde where the
+    polish has measured them on its last Gram (_polish_unitary), else None.
     Raises DecompositionError when one exceeds RECON_RTOL or FACTOR_TOL.
     """
     R = result.reconstruct()
     R -= S
-    residuals = {"reconstruction": float(np.abs(R, out=R).max())
-                 / max(1.0, float(max(S.max(), -S.min())))}
+    return _with_residuals(result, float(np.abs(R, out=R).max())
+                           / max(1.0, float(max(S.max(), -S.min()))), context, orthogonal)
 
-    def defect(gram):  # max|embed_unitary(gram - I)|
+
+def _with_residuals(result, reconstruction, context, orthogonal=(None, None)):
+    """checked_factors given the reconstruction residual."""
+    def gram_defect(gram):  # max|embed_unitary(gram - I)|, I taken off in place
         gram[np.diag_indices_from(gram)] -= 1.0
-        return float(max(np.max(np.abs(gram.real)), np.max(np.abs(gram.imag))))
+        return _embedded_max(gram)
 
-    for name, Z in (("O", result.Z), ("O_tilde", result.Z_tilde)):
+    residuals = {"reconstruction": reconstruction}
+    for name, Z, known in zip(("O", "O_tilde"), (result.Z, result.Z_tilde), orthogonal):
         if name == "O" or Z is not result.Z:  # else O_tilde reuses O's pair
-            pair = defect(Z.conj().T @ Z), defect(Z @ Z.conj().T)
+            H = Z.conj().T
+            pair = (gram_defect(H @ Z) if known is None else known), gram_defect(Z @ H)
         residuals[name + "_orthogonal"], residuals[name + "_symplectic"] = pair
     for name, value in residuals.items():
         limit = RECON_RTOL if name == "reconstruction" else FACTOR_TOL
@@ -132,7 +140,8 @@ def _complex_rep_avg(M, h):
 
 
 def _polish_unitary(Z, context):
-    """Polar (Lowdin) factor Z (Z^H Z)^{-1/2} of a nearly unitary Z, tall or square.
+    """Polar (Lowdin) factor Z (Z^H Z)^{-1/2} of a nearly unitary Z, tall or
+    square, and its orthogonality residual max|embed_unitary(Z^H Z - I)|.
 
     Newton-Schulz steps Z <- Z - Z E / 2, E = Z^H Z - I (two products, the
     error squared), until max|E| <= POLISH_TOL; an input already there comes
@@ -145,7 +154,7 @@ def _polish_unitary(Z, context):
     defect = float(np.linalg.norm(E))
     for step in range(POLISH_STEPS + 1):
         if np.max(np.abs(E), initial=0.0) <= POLISH_TOL:
-            return Z
+            return Z, _embedded_max(E)
         if defect >= 0.75 or step == POLISH_STEPS:
             raise DecompositionError(
                 "%s: candidate unitary does not polish (||Z^H Z - I||_F = %.3e on "
@@ -185,7 +194,7 @@ def _output_factor(S):
     # Active directions: eigenvectors are isotropic per cluster, so their
     # complex forms z_k are orthonormal up to roundoff; a thin polish scrubs it.
     top = V_desc[:, :n_above]
-    Z = _polish_unitary(top[:h, :] + 1j * top[h:, :], "active factor")
+    Z, _ = _polish_unitary(top[:h, :] + 1j * top[h:, :], "active factor")
     if m_unit:
         # The lam < 1 partners of the active directions are i z_k, so the
         # unit cluster's unitary half is exactly the complex complement of
@@ -218,24 +227,30 @@ def _input_factor(S, Z, lam):
 def bloch_messiah(S):
     """Decompose a symplectic S into O diag(lam, 1/lam) O_tilde^T.
 
-    Raises ContractError if S is not symplectic to working tolerance and
-    DecompositionError if the spectrum does not pair reciprocally or a factor
-    fails its residual checks.
+    S is a 4N array or a Propagator; a Propagator's matrix is factored and
+    its cached symplectic_residual guards the input.  Raises ContractError
+    if S is not symplectic to working tolerance and DecompositionError if
+    the spectrum does not pair reciprocally or a factor fails its residual
+    checks.
     """
-    S = np.asarray(S, dtype=float)
-    dim = S.shape[0]
-    if S.shape != (dim, dim) or dim % 2:
-        raise ConfigError("symplectic input must be square with even dimension")
+    if isinstance(S, Propagator):
+        resid, S = S.symplectic_residual(), S.matrix
+    else:
+        S = np.asarray(S, dtype=float)
+        dim = S.shape[0]
+        if S.shape != (dim, dim) or dim % 2:
+            raise ConfigError("symplectic input must be square with even dimension")
+        resid = symplectic_residual(S)
     smax = float(max(S.max(), -S.min()))
-    resid = symplectic_residual(S)
     if resid > INPUT_SYMPLECTIC_TOL * max(1.0, smax**2):
         raise ContractError(
             "input is not symplectic: residual %.3e exceeds tolerance" % resid
         )
 
     lam, Z = _output_factor(S)
-    Z_tilde = _polish_unitary(_input_factor(S, Z, lam), "passive factor")
-    return checked_factors(BlochMessiahResult(Z, lam, Z_tilde), S, "generic route")
+    Z_tilde, orthogonal = _polish_unitary(_input_factor(S, Z, lam), "passive factor")
+    return checked_factors(BlochMessiahResult(Z, lam, Z_tilde), S, "generic route",
+                           (None, orthogonal))
 
 
 def pair_mixer(n_pairs):
@@ -373,7 +388,7 @@ def decompose(prop, grid):
     if grid.n != prop.n:
         raise ConfigError("grid size %d does not match propagator bins %d"
                           % (grid.n, prop.n))
-    bm = bloch_messiah(prop.matrix)
+    bm = bloch_messiah(prop)
     U_out, U_in, r = two_mode_rearrange(bm)
     return Decomposition(grid=grid, lam=bm.lam, r=r, U_out=U_out, U_in=U_in,
                          residuals=bm.residuals)

@@ -33,7 +33,7 @@ from .blochmessiah import (
 from .errors import ConfigError, ContractError, TwinbeamError
 from .model import (
     FrequencyGrid, MediumSpec, Poling, PumpSpec, TabulatedEnvelope,
-    apodized_poling, build_coupled_matrices, build_generator, build_grid,
+    apodized_poling, build_coupled_matrices, build_grid,
     default_half_width, demodulate_poling, load_poling, pmf, qpm_poling,
     save_poling,
 )
@@ -397,13 +397,18 @@ def _check(checks, name, value, threshold, ok=None):
     })
 
 
-def _hamiltonian_defect(matrices):
-    """(max|Omega Q - (Omega Q)^T|, its threshold) of the 4N generator Q, which dies here."""
-    Q = build_generator(matrices)
-    n2 = Q.shape[0] // 2
-    oq = np.vstack([Q[n2:], -Q[:n2]])  # Omega Q, Omega = [[0, I], [-I, 0]]
-    return (float(np.max(np.abs(oq - oq.T))),
-            1e-14 * max(1.0, float(max(Q.max(), -Q.min()))))
+def _hamiltonian_defect(m):
+    """(max|K Sigma + Sigma K^H|, its threshold) of the 2N generator K on (a_S, a_I^+).
+
+    K = iP, P = [[G, F], [-F, -H]] real and Sigma = diag(I, -I), so
+    K Sigma + Sigma K^H = i (P Sigma - Sigma P^T).  Its entries are those of
+    Omega Q - (Omega Q)^T for the 4N generator Q (model.build_generator),
+    and max|Q| = max|P|, so value and threshold are Q's, bitwise.
+    """
+    P = np.block([[m.G, m.F], [-m.F, -m.H]])
+    sigma = np.repeat([1.0, -1.0], m.G.shape[0])
+    return (float(np.max(np.abs(P * sigma - sigma[:, None] * P.T))),
+            1e-14 * max(1.0, float(np.max(np.abs(P)))))
 
 
 def cmd_verify(cfg, out_dir, propagator_path):
@@ -426,7 +431,8 @@ def cmd_verify(cfg, out_dir, propagator_path):
 
     S = prop.matrix
     smax = float(max(S.max(), -S.min()))
-    _check(checks, "propagator_symplectic", symplectic_residual(S),
+    # read off the small form once; decompose's input guard reuses it
+    _check(checks, "propagator_symplectic", prop.symplectic_residual(),
            INPUT_SYMPLECTIC_TOL * max(1.0, smax**2))
 
     ns, ni = mean_photons(S, n)  # the 4N form, independent of prop.mean_photons

@@ -30,7 +30,7 @@ Z = X + iY acts on real and imaginary parts as embed_unitary(Z) =
 orthogonal symplectic matrix).  The 4N x 4N real symplectic matrix on the
 quadratures (X_S, X_I, P_S, P_I) is the embedding of the 2N matrix on
 (a_S, a_I^+) with the P_I rows and columns negated; it feeds the generic
-factorization and the symplectic residual.
+factorization.  Its symplectic residual is read off the complex matrix.
 """
 
 from dataclasses import dataclass, replace
@@ -64,6 +64,12 @@ def symplectic_residual(S):
     return float(max(P.max(), -P.min()))
 
 
+def _embedded_max(E):
+    """max|embed_unitary(E)| = max(max|Re E|, max|Im E|)."""
+    return float(max(np.max(np.abs(E.real), initial=0.0),
+                     np.max(np.abs(E.imag), initial=0.0)))
+
+
 def embed_unitary(Z):
     """Real [[X, -Y], [Y, X]] of a complex Z = X + iY; orthogonal symplectic for a unitary Z."""
     X, Y = Z.real, Z.imag
@@ -82,9 +88,9 @@ class Propagator:
     bogoliubov is the N x N matrix M (SGVM media) or the 2N x 2N matrix on
     (a_S, a_I^+) (all other media); see the module docstring.  Propagators
     compose by multiplying these complex matrices (`after`) and count
-    photons on them (`mean_photons`).  matrix is the 4N x 4N real symplectic
-    export, built on first use for the generic factorization and the
-    symplectic checks.
+    photons on them (`mean_photons`) and their symplectic residual, computed
+    once (`symplectic_residual`).  matrix is the 4N x 4N real symplectic
+    export, built on first use for the generic factorization.
     """
 
     bogoliubov: np.ndarray
@@ -117,40 +123,51 @@ class Propagator:
     def _inverse_transpose(self):  # M^-T in SGVM media, inverted once for all its readers
         return np.linalg.inv(self.bogoliubov).T
 
-    def _pair_matrix(self):
-        """The 2N matrix on (a_S, a_I^+); in SGVM media assembled from M."""
-        T = self.bogoliubov
-        if self.sgvm:
-            # a_S - i a_I^+ evolves by conj(M), a_S + i a_I^+ by M^{-T}.
-            down, up = T.conj(), self._inverse_transpose
-            A, B = 0.5 * (up + down), 0.5j * (up - down)
-            T = np.block([[A, B], [-B, A]])
-        return T
-
     @cached_property
     def matrix(self):
         """The 4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I).
 
         (a_S, a_I^+) has real part (X_S, X_I) and imaginary part (P_S, -P_I),
         so this is embed_unitary of the 2N matrix on (a_S, a_I^+) with the
-        P_I row and column blocks negated.
+        P_I row and column blocks negated.  In SGVM media that 2N matrix is
+        assembled from M: a_S - i a_I^+ evolves by conj(M), a_S + i a_I^+ by
+        M^{-T}.
         """
-        n = self.n
-        S = embed_unitary(self._pair_matrix())
+        n, T = self.n, self.bogoliubov
+        if self.sgvm:
+            down, up = T.conj(), self._inverse_transpose
+            A, B = 0.5 * (up + down), 0.5j * (up - down)
+            T = np.block([[A, B], [-B, A]])
+        S = embed_unitary(T)
         S[3 * n:] *= -1.0
         S[:, 3 * n:] *= -1.0
         return S
 
     def symplectic_residual(self):
-        """symplectic_residual(self.matrix), read off the 2N matrix T.
+        """symplectic_residual(self.matrix), read off the small form once per propagator."""
+        return self._symplectic_residual
 
-        matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
-        is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma.
+    @cached_property
+    def _symplectic_residual(self):
+        """matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
+        is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma, T the 2N matrix.
+
+        In SGVM media E has the blocks H - I, iD, iD and I - H (up to signs),
+        H and D the Hermitian and anti-Hermitian parts of P = M^-T M^T, so one
+        N x N product gives it.
         """
-        T, sigma = self._pair_matrix(), np.repeat([1.0, -1.0], self.n)
-        E = (T * sigma) @ T.conj().T
-        E.flat[::2 * self.n + 1] -= sigma
-        return float(max(np.max(np.abs(E.real)), np.max(np.abs(E.imag))))
+        if self.sgvm:
+            P = self._inverse_transpose @ self.bogoliubov.T
+            Ph = P.conj().T
+            H = 0.5 * (P + Ph)
+            H.flat[::self.n + 1] -= 1.0
+            parts = H, 0.5 * (P - Ph)
+        else:
+            T, sigma = self.bogoliubov, np.repeat([1.0, -1.0], self.n)
+            E = (T * sigma) @ T.conj().T
+            E.flat[::2 * self.n + 1] -= sigma
+            parts = E,
+        return max(_embedded_max(E) for E in parts)
 
     def mean_photons(self):
         """mean_photons(self.matrix, n), read off the complex matrix.

@@ -1,6 +1,8 @@
 """Structure-exploiting routes and symmetry diagnostics, cross-checked against
 the generic factorization on small grids."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,10 +32,8 @@ from twinbeam import (
 )
 from conftest import plain_product
 from twinbeam import analytic
-from twinbeam.analytic import (
-    _exchange_unitary, _reduced, _walkoff_unitary, canonical_factors,
-)
-from twinbeam.errors import RegimeError
+from twinbeam.analytic import _basis, _reduced, canonical_factors
+from twinbeam.errors import DecompositionError, RegimeError
 from twinbeam.numerics import expm, sym_eig
 from twinbeam.propagator import embed_unitary
 
@@ -74,6 +74,19 @@ def compare_routes(result, decomp_ref, r_tol=1e-8, ov_tol=1e-8):
 
 # ---------------------------------------------------------------- block reduction
 
+def walkoff_unitary(n):
+    """Dense W = (1/sqrt 2) [[I, -iI], [-iI, I]], the walk-off basis."""
+    i = np.eye(n)
+    return np.block([[i, -1j * i], [-1j * i, i]]) / np.sqrt(2.0)
+
+
+def exchange_unitary(n):
+    """Dense W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]], the exchange basis."""
+    a = np.eye(n) - 1j * flip_matrix(n)
+    z = np.zeros((n, n))
+    return np.block([[z, a], [a, z]]) / np.sqrt(2.0)
+
+
 def split(basis, Q):
     """(upper-left block, worst off-block entry, lower-right block) of basis^T Q basis."""
     T = basis.T @ Q @ basis
@@ -82,7 +95,7 @@ def split(basis, Q):
     return T[:h, :h], off, T[h:, h:]
 
 
-@pytest.mark.parametrize("unitary", [_walkoff_unitary, _exchange_unitary],
+@pytest.mark.parametrize("unitary", [walkoff_unitary, exchange_unitary],
                          ids=["walkoff", "exchange"])
 def test_splitting_bases_are_embedded_unitaries(unitary):
     W = unitary(N)
@@ -95,6 +108,23 @@ def test_splitting_bases_are_embedded_unitaries(unitary):
     np.testing.assert_allclose(lifted, embed_unitary(W @ R), atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
+@pytest.mark.parametrize("sgvm, unitary", [(True, walkoff_unitary), (False, exchange_unitary)],
+                         ids=["walkoff", "exchange"])
+def test_basis_by_indexing_is_the_dense_product(n, sgvm, unitary):
+    # a real factor lifts to W R bitwise: each entry is one rounded product
+    W, basis = unitary(n), _basis(n, sgvm)
+    np.testing.assert_array_equal(basis.full(np.eye(2 * n)), W)
+    R = np.random.default_rng(n).normal(size=(2 * n, 2 * n))
+    np.testing.assert_array_equal(basis.full(R), W @ R)
+    Z = W @ R
+    np.testing.assert_allclose(basis.reduced(Z), W.conj().T @ Z, rtol=0, atol=1e-14)
+    # X: the half-swap (SGVM) or diag(J, J)
+    J, z = flip_matrix(n), np.zeros((n, n))
+    X = np.block([[z, np.eye(n)], [np.eye(n), z]]) if sgvm else np.block([[J, z], [z, J]])
+    np.testing.assert_array_equal(R[basis.x], X @ R)
+
+
 def test_block_reduce_sgvm_closed_form(sgvm):
     grid, pump, medium = sgvm
     m = build_coupled_matrices(grid, pump, medium)
@@ -103,7 +133,7 @@ def test_block_reduce_sgvm_closed_form(sgvm):
         block, np.block([[-m.F, m.G], [-m.G, -m.F]])
     )
     Q = build_generator(m)
-    C, off, lower = split(embed_unitary(_walkoff_unitary(N)), Q)
+    C, off, lower = split(embed_unitary(walkoff_unitary(N)), Q)
     np.testing.assert_allclose(C, block, atol=1e-12)
     np.testing.assert_allclose(lower, -block.T, atol=1e-12)
     assert off < 1e-12 * np.max(np.abs(Q))
@@ -129,7 +159,7 @@ def test_block_reduce_general_blocks(skew):
     np.testing.assert_array_equal(C[:N, N:], C[:N, N:].T)
     # the closed form is the exchange-basis reduction of the 4N generator
     Q = build_generator(m)
-    reduced, off, lower = split(embed_unitary(_exchange_unitary(N)), Q)
+    reduced, off, lower = split(embed_unitary(exchange_unitary(N)), Q)
     scale = np.max(np.abs(Q))
     assert np.max(np.abs(C - reduced)) <= 1e-14 * scale
     assert np.max(np.abs(lower + C.T)) <= 1e-14 * scale
@@ -149,7 +179,7 @@ def test_block_reduce_residual_is_the_off_block_residual(skew):
     # lower-right defect) of the 4N generator in the exchange basis
     grid, _, medium = skew
     m = build_coupled_matrices(grid, skewed_pump(), medium)
-    C, off, lower = split(embed_unitary(_exchange_unitary(N)), build_generator(m))
+    C, off, lower = split(embed_unitary(exchange_unitary(N)), build_generator(m))
     expected = max(off, float(np.max(np.abs(lower + C.T))))
     with pytest.raises(RegimeError) as err:
         block_reduce(m)
@@ -243,6 +273,69 @@ def test_svd_route_takes_the_composed_forward_pass(sgvm, double):
     assert handed.residuals == own.residuals
 
 
+ROUTES = {
+    "symmetrized": ("sgvm", symmetrized_eig_route, {}),
+    "svd-single": ("sgvm", svd_route, {}),
+    "svd-double": ("sgvm", svd_route, {"double": True}),
+    "general-block": ("skew", general_block_route, {}),
+}
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_analytic_routes_build_no_4n_matrix(request, matrix_builds, name):
+    # each route checks its factors against the 2N block it factored
+    case, route, kwargs = ROUTES[name]
+    grid, pump, medium = request.getfixturevalue(case)
+    result = route(grid, pump, medium, qpm_poling(L, 2 * L / 9), **kwargs)
+    assert result.residuals["reconstruction"] < 1e-13
+    assert matrix_builds == []
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_analytic_route_rejects_a_perturbed_factor_column(request, monkeypatch, name):
+    # the polish restores unitarity, so only the reconstruction can notice
+    case, route, kwargs = ROUTES[name]
+    grid, pump, medium = request.getfixturevalue(case)
+    factors = analytic._factors
+
+    def perturbed(basis, left, lam_raw, right):
+        bent = left.copy()
+        bent[1, 0] += 1e-6
+        return factors(basis, bent, lam_raw, right)
+
+    monkeypatch.setattr(analytic, "_factors", perturbed)
+    with pytest.raises(DecompositionError, match="reconstruction residual"):
+        route(grid, pump, medium, qpm_poling(L, 2 * L / 9), **kwargs)
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_block_reconstruction_is_the_4n_upper_left_block(request, name):
+    # Re(Y) Lam Re(Y~)^T + Im(Y) Lam^-1 Im(Y~)^T against B^T S_rec B formed
+    # densely; noise on Z_tilde (kept below the unitarity limits) makes the
+    # residual a measurable one, and the lam < 1 columns are imaginary
+    case, route, kwargs = ROUTES[name]
+    grid, pump, medium = request.getfixturevalue(case)
+    poling = qpm_poling(L, 2 * L / 9)
+    result = route(grid, pump, medium, poling, **kwargs)
+    prop = compose(grid, pump, medium, poling)
+    if kwargs:
+        prop = prop.return_trip().after(prop)
+    noise = np.random.default_rng(3).normal(size=result.Z.shape)
+    noisy = replace(result, Z_tilde=result.Z_tilde + 1e-11 * noise, residuals=None)
+    basis, block = _reduced(prop, grid, pump, medium, poling)
+    # the route read its unitarity residuals off the polish's last Grams:
+    # the same products on the same arrays as fresh ones
+    fresh = analytic._checked((replace(result, residuals=None), (None, None)),
+                              basis, block, "fresh Grams")
+    assert fresh.residuals == result.residuals
+    checked = analytic._checked((noisy, (None, None)), basis, block, "noisy route")
+    B = embed_unitary(basis.full(np.eye(2 * N)))
+    dense = (B.T @ noisy.reconstruct() @ B)[:2 * N, :2 * N] - block
+    expected = np.max(np.abs(dense)) / max(1.0, np.max(np.abs(block)))
+    assert 1e-12 < expected
+    np.testing.assert_allclose(checked.residuals["reconstruction"], expected, rtol=1e-3)
+
+
 def test_block_propagator_centrosymmetric(sgvm):
     # compose works in the exchange basis, where this holds by construction,
     # so the symmetry is tested on the original-basis plain product
@@ -329,14 +422,14 @@ def test_exchange_block_is_the_reduced_domain_product(n, sigma, g0, mismatch, do
         block = block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign))
         expected = expm(width * block) @ expected
     prop = compose(grid, pump, medium, poling)
-    X, W, M, K = _reduced(prop, grid, pump, medium, poling)
-    assert K is None
-    np.testing.assert_array_equal(W, _exchange_unitary(n))
+    basis, block = _reduced(prop, grid, pump, medium, poling)
+    W = basis.full(np.eye(2 * n))
+    np.testing.assert_array_equal(W, exchange_unitary(n))
     scale = max(1.0, float(np.max(np.abs(expected))))
-    assert np.max(np.abs(X @ M - expected)) <= 1e-12 * scale
+    assert np.max(np.abs(block - expected)) <= 1e-12 * scale
     # C-hat read off the complex matrix is the 4N propagator in the basis
     C_hat, off, _ = split(embed_unitary(W), prop.matrix)
-    assert np.max(np.abs(X @ M - C_hat)) <= 1e-12 * scale
+    assert np.max(np.abs(block - C_hat)) <= 1e-12 * scale
     assert off <= 1e-12 * scale
 
 
@@ -398,6 +491,46 @@ def test_structure_checks_take_the_composed_forward_pass(request, case):
     handed = structure_checks(grid, pump, medium, poling,
                               prop=compose(grid, pump, medium, poling))
     assert handed == structure_checks(grid, pump, medium, poling)
+
+
+def dense_structure(prop, grid, pump, medium, poling):
+    """structure_checks' block fields with X and K applied as dense products."""
+    n = grid.n
+    i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
+    if prop.sgvm:
+        X, K = np.block([[z, i], [i, z]]), np.block([[z, j], [j, z]])
+        M = X @ embed_unitary(prop.bogoliubov)
+    else:
+        W = exchange_unitary(n)
+        V = np.vstack([W[:n], W[n:].conj()])
+        M = np.block([[j, z], [z, j]]) @ (V.conj().T @ prop.bogoliubov @ V).real
+    fields = {"block_symmetry_residual": float(np.max(np.abs(M - M.T))),
+              "flip_even": None, "flip_odd": None}
+    if prop.sgvm:
+        w, V = sym_eig(M)
+        even = odd = k = 0
+        while k < w.size:
+            m = k + 1
+            while m < w.size and abs(w[m] - w[k]) <= 1e-8 * max(1.0, abs(w[k])):
+                m += 1
+            sub = V[:, k:m]
+            e = int(round(0.5 * (m - k + float(np.trace(sub.T @ K @ sub)))))
+            even, odd, k = even + e, odd + m - k - e, m
+        fields.update(flip_even=even, flip_odd=odd)
+    return M, fields
+
+
+@pytest.mark.parametrize("case", ["sgvm", "skew"])
+@pytest.mark.parametrize("poling", [Poling.unpoled(L), qpm_poling(L, 2 * L / 9)],
+                         ids=["unpoled", "qpm"])
+def test_structure_checks_by_indexing_match_the_dense_form_bitwise(request, case, poling):
+    grid, pump, medium = request.getfixturevalue(case)
+    prop = compose(grid, pump, medium, poling)
+    M, fields = dense_structure(prop, grid, pump, medium, poling)
+    basis, block = _reduced(prop, grid, pump, medium, poling)
+    assert np.array_equal(block[basis.x], M)
+    report = structure_checks(grid, pump, medium, poling, prop=prop)
+    assert {key: report[key] for key in fields} == fields
 
 
 def test_structure_checks_flags_asymmetric_pump(sgvm):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,9 +98,11 @@ def test_polish_unitary_matches_the_svd_lowdin_factor(shape, defect):
     E = Z.conj().T @ Z - np.eye(shape[1])
     assert 0.1 * defect < np.max(np.abs(E)) < 10 * defect
     u, _, vh = np.linalg.svd(Z, full_matrices=False)
-    polished = _polish_unitary(Z, "test factor")
+    polished, orthogonal = _polish_unitary(Z, "test factor")
     assert np.max(np.abs(polished - u @ vh)) <= 1e-13
-    assert np.max(np.abs(polished.conj().T @ polished - np.eye(shape[1]))) <= 1e-14
+    # the residual is measured on the returned factor's own Gram, bitwise
+    E = polished.conj().T @ polished - np.eye(shape[1])
+    assert orthogonal == max(np.max(np.abs(E.real)), np.max(np.abs(E.imag))) <= 1e-14
 
 
 @pytest.mark.parametrize("e", [0.74, -0.74])
@@ -110,7 +113,7 @@ def test_polish_unitary_converges_at_the_edge_of_its_guard(e):
     Q1, Q2 = haar_unitary(10, rng), haar_unitary(10, rng)
     s = np.ones(10)
     s[0] = np.sqrt(1.0 + e)
-    polished = _polish_unitary((Q1 * s) @ Q2, "edge factor")
+    polished, _ = _polish_unitary((Q1 * s) @ Q2, "edge factor")
     assert np.max(np.abs(polished - Q1 @ Q2)) <= 1e-13
 
 
@@ -134,7 +137,7 @@ def test_polish_unitary_returns_an_exactly_unitary_input_unchanged():
     phases = np.array([1.0, 1j, -1.0, -1j, 1.0])
     for Z in (np.eye(5, dtype=complex), np.eye(5)[:, ::-1] * phases,
               np.eye(7, 3, dtype=complex), np.zeros((4, 0), dtype=complex)):
-        polished = _polish_unitary(Z, "exact factor")
+        polished, _ = _polish_unitary(Z, "exact factor")
         assert polished is Z
 
 
@@ -184,6 +187,39 @@ def test_checked_factors_forms_no_4n_residual(monkeypatch):
     monkeypatch.setattr(blochmessiah, "symplectic_residual", spy)
     checked_factors(bm, bm.reconstruct(), "noisy factors")
     assert spy.calls == 0
+
+
+@pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
+def test_generic_route_reads_o_tilde_orthogonal_off_the_polish(walkoff_i):
+    # the polish's last E = Z~^H Z~ - I is the Gram checked_factors forms
+    # afresh: the same product on the same array, so bitwise the same value
+    medium = MediumSpec.from_walkoffs(8.0, walkoff_i, L)
+    grid, pump = build_grid(N, 0.0, 5.0), PumpSpec(g0=1.5)
+    prop = double_pass(grid, pump, medium, qpm_poling(L, 2 * L / 9))
+    bm = bloch_messiah(prop)
+    fresh = checked_factors(replace(bm, residuals=None), prop.matrix, "generic route")
+    assert fresh.residuals == bm.residuals
+    assert bm.residuals["O_tilde_orthogonal"] > 0.0
+
+
+def test_bloch_messiah_guards_a_propagator_with_its_cached_residual(monkeypatch):
+    # a Propagator is factored as its matrix, guarded by its own residual; a
+    # raw 4N array keeps the 4N guard
+    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
+    prop = double_pass(build_grid(N, 0.0, 5.0), PumpSpec(g0=1.5), medium,
+                       qpm_poling(L, 2 * L / 9))
+    spy = counted(propagator.symplectic_residual)
+    monkeypatch.setattr(blochmessiah, "symplectic_residual", spy)
+    handed = bloch_messiah(prop)
+    assert spy.calls == 0
+    raw = bloch_messiah(prop.matrix)
+    assert spy.calls == 1
+    for name in ("Z", "lam", "Z_tilde"):
+        np.testing.assert_array_equal(getattr(handed, name), getattr(raw, name))
+    assert handed.residuals == raw.residuals
+    bent = Propagator(np.eye(2 * N) + 1e-3 * np.ones((2 * N, 2 * N)), N)
+    with pytest.raises(ContractError, match="not symplectic"):
+        bloch_messiah(bent)
 
 
 def test_known_squeezer_recovered():

@@ -4,17 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 import twinbeam
 from twinbeam import (
-    apodized_poling, compose, decompose, default_half_width, double_pass, flip_overlap,
-    load_poling, numerics, qpm_poling,
+    MediumSpec, Propagator, PumpSpec, apodized_poling, build_coupled_matrices,
+    build_generator, build_grid, compose, decompose, default_half_width, double_pass,
+    flip_overlap, load_poling, numerics, qpm_poling,
 )
 from twinbeam.blochmessiah import FACTOR_TOL, PAIR_RTOL, RECON_RTOL
-from twinbeam.cli import PHOTON_BALANCE_TOL, load_config, main
+from twinbeam.cli import PHOTON_BALANCE_TOL, _hamiltonian_defect, load_config, main
 from twinbeam.errors import DecompositionError
 
 # velocities matching walk-offs (+8, -8) at pump velocity 0.1
@@ -272,15 +275,83 @@ def test_sweep_gain_composes_each_pass_once(tmp_path, monkeypatch, pump, compose
         "verify-skew-double", "verify-sgvm-matched-double"])
 def test_the_4n_matrix_is_built_once_per_decomposition(
         tmp_path, matrix_builds, command, cfg, builds):
-    # tuning, photon counts, free-phase stripping, the reduced blocks of the
-    # analytic routes, the zero-gain check and summary.json's symplectic
-    # residual read the complex matrix; only the factorization of each
-    # decomposed propagator (and verify's symplectic checks and the SVD
-    # route's check of the same one) needs the 4N view.
+    # tuning, photon counts, free-phase stripping, the analytic routes and
+    # their factor checks, the zero-gain check and every symplectic residual
+    # (summary.json's, verify's and the generic route's input guard) read the
+    # complex matrix; only the factorization of each decomposed propagator
+    # (and verify's 4N photon balance of the same one) needs the 4N view.
     rc, _ = run(tmp_path, cfg, command, "--points", "3") if command == "sweep-gain" \
         else run(tmp_path, cfg, command)
     assert rc == 0
     assert len(matrix_builds) == builds
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("simulate", base_config(grid={"N": 21, "half_width": 5.0},
+                             pump={"target_NS": 2.0}, pass_mode="double",
+                             poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
+                                     "pmf_width": 4.0})),
+    ("verify", base_config(grid={"N": 21, "half_width": 5.0}, pump={"g0": 0.8},
+                           pass_mode="double",
+                           poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
+                                   "pmf_width": 4.0})),
+    ("verify", base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
+                           pass_mode="double")),
+], ids=["simulate-sgvm-double-tuned", "verify-sgvm-matched-double", "verify-skew-double"])
+def test_the_decomposed_pass_residual_is_computed_once(tmp_path, monkeypatch, command, cfg):
+    # summary.json's value, verify's propagator_symplectic check and the
+    # generic route's input guard share one small-form computation, and no
+    # 4N symplectic residual is formed
+    computed, decomposed, dense = [], [], []
+    residual = Propagator._symplectic_residual.func
+
+    def counted(prop):
+        computed.append(prop)
+        return residual(prop)
+
+    cached = cached_property(counted)
+    cached.__set_name__(Propagator, "_symplectic_residual")
+    monkeypatch.setattr(Propagator, "_symplectic_residual", cached)
+    full, decomp = twinbeam.propagator.symplectic_residual, twinbeam.cli.decompose
+
+    def counted_full(S):
+        dense.append(S.shape)
+        return full(S)
+
+    def recording(prop, grid):
+        decomposed.append(prop)
+        return decomp(prop, grid)
+
+    for module in (twinbeam.propagator, twinbeam.blochmessiah, twinbeam.cli):
+        monkeypatch.setattr(module, "symplectic_residual", counted_full)
+    monkeypatch.setattr(twinbeam.cli, "decompose", recording)
+    rc, _ = run(tmp_path, cfg, command)
+    assert rc == 0
+    assert len(decomposed) == 1
+    assert len(computed) == 1 and computed[0] is decomposed[0]
+    assert dense == []
+
+
+@pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
+def test_generator_hamiltonian_is_the_4n_generator_value(walkoff_i):
+    # the 2N form K Sigma + Sigma K^H holds the entries of Omega Q - (Omega Q)^T,
+    # so value and threshold equal build_generator's, also for a defect
+    medium = MediumSpec.from_walkoffs(8.0, walkoff_i, 1.0)
+    m = build_coupled_matrices(build_grid(9, 0.0, 5.0), PumpSpec(g0=1.3), medium)
+    rng = np.random.default_rng(4)
+
+    def reference(m):
+        Q = build_generator(m)
+        h = Q.shape[0] // 2
+        oq = np.vstack([Q[h:], -Q[:h]])  # Omega Q, Omega = [[0, I], [-I, 0]]
+        return float(np.max(np.abs(oq - oq.T))), 1e-14 * max(1.0, float(np.max(np.abs(Q))))
+
+    assert _hamiltonian_defect(m) == reference(m) and reference(m)[0] == 0.0
+    for name in ("F", "G", "H"):
+        bent = replace(m, **{name: getattr(m, name) + 1e-9 * rng.normal(size=m.F.shape)})
+        value, threshold = _hamiltonian_defect(bent)
+        assert (value, threshold) == reference(bent)
+        assert value > threshold
 
 
 def test_grid_half_width_defaults_to_default_half_width(tmp_path):

@@ -1,5 +1,7 @@
 """Segment exponentials, chronological composition, double pass, segment and block reuse."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -292,6 +294,46 @@ def test_symplectic_residual_of_the_2n_form_matches_the_4n_one(request, regime, 
     S = prop.matrix
     assert abs(prop.symplectic_residual() - symplectic_residual(S)) <= \
         1e-15 * max(1.0, np.max(np.abs(S)) ** 2)
+
+
+@pytest.mark.parametrize("g0", [0.5, 3.0, 15.0])
+@pytest.mark.parametrize("defect", [0.0, 1e-7, 1e-7j])
+def test_sgvm_symplectic_residual_from_m_matches_the_2n_blocks(sgvm, g0, defect):
+    # E = T Sigma T^H - Sigma on the assembled 2N matrix against its blocks
+    # H - I and iD read off P = M^-T M^T: equal to roundoff of max|T|^2.  A
+    # cached inverse bent by (I + defect A), A real antisymmetric, makes P - I
+    # anti-Hermitian (defect 1e-7) or Hermitian (1e-7j), so each block counts
+    grid, _, medium = sgvm
+    prop = double_pass(grid, PumpSpec(g0=g0), medium, readme_grating())
+    n, M = grid.n, prop.bogoliubov
+    A = np.random.default_rng(6).normal(size=(n, n))
+    up = (np.eye(n) + defect * (A - A.T)) @ np.linalg.inv(M).T
+    prop.__dict__["_inverse_transpose"] = up
+    down = M.conj()
+    A, B = 0.5 * (up + down), 0.5j * (up - down)
+    T, sigma = np.block([[A, B], [-B, A]]), np.repeat([1.0, -1.0], n)
+    E = (T * sigma) @ T.conj().T - np.diag(sigma)
+    blocks = max(np.max(np.abs(E.real)), np.max(np.abs(E.imag)))
+    assert blocks > abs(defect)
+    assert abs(prop.symplectic_residual() - blocks) <= 1e-15 * max(1.0, np.max(np.abs(T)) ** 2)
+
+
+def test_symplectic_residual_is_computed_once_per_propagator(sgvm, skew, monkeypatch):
+    computed = []
+    residual = Propagator._symplectic_residual.func
+
+    def counted(prop):
+        computed.append(prop)
+        return residual(prop)
+
+    cached = cached_property(counted)
+    cached.__set_name__(Propagator, "_symplectic_residual")
+    monkeypatch.setattr(Propagator, "_symplectic_residual", cached)
+    for grid, pump, medium in (sgvm, skew):
+        prop = compose(grid, pump, medium, readme_grating())
+        assert prop.symplectic_residual() == prop.symplectic_residual()
+        assert computed[-1] is prop
+    assert len(computed) == 2
 
 
 def test_compose_cache_reuse(sgvm, monkeypatch):
