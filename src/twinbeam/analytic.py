@@ -34,9 +34,10 @@ and the exchange pair are applied by indexing, never as dense products.
 All routes return the same BlochMessiahResult contract as the generic
 factorization after a shared canonicalization step, so they can be compared
 against the generic route mode by mode.  Each checks its factors against
-the real 2N block it factored, the upper-left block of B^T S B (_checked):
-no route builds the 4N Propagator.matrix.  A route applied outside its
-regime raises RegimeError carrying the violated residual.
+the real 2N diagonal blocks of B^T S B, the block it factored and its
+inverse transpose (_checked): no route builds the 4N Propagator.matrix.
+A route applied outside its regime raises RegimeError carrying the
+violated residual.
 """
 
 from typing import NamedTuple
@@ -193,27 +194,49 @@ def _factors(basis, left, lam_raw, right):
     return _canonical(Z_raw, lam_raw, Z_raw if right is left else basis.full(right))
 
 
-def _checked(factors, basis, block, context):
-    """checked_factors of the _canonical factors against the real 2N block, not the 4N S.
+def _diagonal_blocks(prop, block):
+    """(block, block^-T), the diagonal blocks of B^T S B, S = prop.matrix.
 
-    With Y = W^H Z and Y~ = W^H Z_tilde, the upper-left 2N block of B^T O D
-    O_tilde^T B (B = embed_unitary(W)) is Re(Y) Lam Re(Y~)^T + Im(Y) Lam^-1
-    Im(Y~)^T, Lam = diag(lam); the columns canonical_factors turned by i are
-    the imaginary ones.  Its deviation from block is taken relative to
-    max(1, max|block|); the orthogonality residuals are the polish's.
+    In SGVM media block = embed_unitary(M), so block^-T = embed_unitary(conj(M^-T))
+    with M^-T cached on prop; otherwise block is inverted.
+    """
+    if prop.sgvm:
+        return block, embed_unitary(prop._inverse_transpose.conj())
+    return block, np.linalg.inv(block).T
+
+
+def _checked(factors, basis, blocks, context):
+    """checked_factors of the _canonical factors against the real 2N blocks, not the 4N S.
+
+    blocks are the diagonal blocks (block, block^-T) of B^T S B, B =
+    embed_unitary(W) (_diagonal_blocks).  With Y = W^H Z, Y~ = W^H Z_tilde
+    and Lam = diag(lam), those of B^T O D O_tilde^T B are
+        Re(Y) Lam Re(Y~)^T + Im(Y) Lam^-1 Im(Y~)^T,
+        Im(Y) Lam Im(Y~)^T + Re(Y) Lam^-1 Re(Y~)^T;
+    the columns canonical_factors turned by i are the imaginary ones, so an
+    error in the lam < 1 directions shows, amplified by lam, in the second.
+    The off-diagonal blocks pair real with imaginary columns and vanish by
+    construction.  The largest deviation is taken relative to max(1, max
+    |block|, max |block^-T|); the orthogonality residuals are the polish's.
     """
     result, orthogonal = factors
+    lam = result.lam
     Y = basis.reduced(result.Z)
     Yt = Y if result.Z_tilde is result.Z else basis.reduced(result.Z_tilde)
-    R = (Y.real * result.lam) @ Yt.real.T
-    R += (Y.imag / result.lam) @ Yt.imag.T
-    R -= block
-    return _with_residuals(result, float(np.abs(R, out=R).max())
-                           / max(1.0, float(np.max(np.abs(block)))), context, orthogonal)
+    parts, tilde_parts = (Y.real, Y.imag), (Yt.real, Yt.imag)
+    worst = 0.0
+    for k, target in enumerate(blocks):  # k = 0 upper-left, 1 lower-right
+        R = (parts[k] * lam) @ tilde_parts[k].T
+        R += (parts[1 - k] / lam) @ tilde_parts[1 - k].T
+        R -= target
+        worst = max(worst, float(np.abs(R, out=R).max()))
+    scale = max(1.0, *(float(np.max(np.abs(target))) for target in blocks))
+    return _with_residuals(result, worst / scale, context, orthogonal)
 
 
-def _symmetric_factors(basis, block, context):
-    """Factor block through the real symmetric eigenproblem of M = X block.
+def _symmetric_factors(prop, basis, block, context):
+    """Factor block, prop's reduced propagator, through the real symmetric
+    eigenproblem of M = X block.
 
     Eigenvalues come in (w, -w) pairs; the left factor absorbs the signs,
     giving block = (X Gamma Sigma) diag|w| Gamma^T, and each |w| appears twice,
@@ -233,7 +256,7 @@ def _symmetric_factors(basis, block, context):
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
     factors = _factors(basis, Gamma[basis.x] * np.sign(w), np.abs(w), Gamma)
-    return _checked(factors, basis, block, context)
+    return _checked(factors, basis, _diagonal_blocks(prop, block), context)
 
 
 def symmetrized_eig_route(grid, pump, medium, poling):
@@ -245,7 +268,7 @@ def symmetrized_eig_route(grid, pump, medium, poling):
     """
     _require_sgvm(medium, "symmetrized eigenproblem route")
     prop = compose(grid, pump, medium, poling)
-    return _symmetric_factors(*_reduced(prop, grid, pump, medium, poling),
+    return _symmetric_factors(prop, *_reduced(prop, grid, pump, medium, poling),
                               "symmetrized eigenproblem route")
 
 
@@ -265,7 +288,8 @@ def svd_route(grid, pump, medium, poling, double=False, prop=None, total=None):
     left, s, right = numerics.svd(embed_unitary(prop.bogoliubov))
     factors = _factors(basis, right, s**2, right) if double else _factors(basis, left, s, right)
     device = (total or prop.return_trip().after(prop)) if double else prop
-    return _checked(factors, basis, embed_unitary(device.bogoliubov), "SVD route")
+    return _checked(factors, basis, _diagonal_blocks(device, embed_unitary(device.bogoliubov)),
+                    "SVD route")
 
 
 def general_block_route(grid, pump, medium, poling):
@@ -285,7 +309,7 @@ def general_block_route(grid, pump, medium, poling):
             residual=0.0,
         )
     prop = compose(grid, pump, medium, poling)
-    return _symmetric_factors(*_reduced(prop, grid, pump, medium, poling),
+    return _symmetric_factors(prop, *_reduced(prop, grid, pump, medium, poling),
                               "general block route")
 
 

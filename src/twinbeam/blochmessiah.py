@@ -111,7 +111,7 @@ def checked_factors(result, S, context, orthogonal=(None, None)):
                            / max(1.0, float(max(S.max(), -S.min()))), context, orthogonal)
 
 
-def _with_residuals(result, reconstruction, context, orthogonal=(None, None)):
+def _with_residuals(result, reconstruction, context, orthogonal):
     """checked_factors given the reconstruction residual."""
     def gram_defect(gram):  # max|embed_unitary(gram - I)|, I taken off in place
         gram[np.diag_indices_from(gram)] -= 1.0

@@ -144,7 +144,10 @@ class Propagator:
         return S
 
     def symplectic_residual(self):
-        """symplectic_residual(self.matrix), read off the small form once per propagator."""
+        """symplectic_residual(self.matrix), read off the small form once per propagator.
+
+        A method over the cached _symplectic_residual, so callers keep the call syntax.
+        """
         return self._symplectic_residual
 
     @cached_property

@@ -309,10 +309,10 @@ def test_analytic_route_rejects_a_perturbed_factor_column(request, monkeypatch, 
 
 
 @pytest.mark.parametrize("name", list(ROUTES))
-def test_block_reconstruction_is_the_4n_upper_left_block(request, name):
-    # Re(Y) Lam Re(Y~)^T + Im(Y) Lam^-1 Im(Y~)^T against B^T S_rec B formed
-    # densely; noise on Z_tilde (kept below the unitarity limits) makes the
-    # residual a measurable one, and the lam < 1 columns are imaginary
+def test_block_reconstruction_is_the_4n_diagonal_blocks(request, name):
+    # both diagonal blocks of B^T S_rec B against their dense forms; noise on
+    # Z_tilde (kept below the unitarity limits) makes the residual a
+    # measurable one, and the lam < 1 columns are imaginary
     case, route, kwargs = ROUTES[name]
     grid, pump, medium = request.getfixturevalue(case)
     poling = qpm_poling(L, 2 * L / 9)
@@ -323,17 +323,49 @@ def test_block_reconstruction_is_the_4n_upper_left_block(request, name):
     noise = np.random.default_rng(3).normal(size=result.Z.shape)
     noisy = replace(result, Z_tilde=result.Z_tilde + 1e-11 * noise, residuals=None)
     basis, block = _reduced(prop, grid, pump, medium, poling)
+    blocks = analytic._diagonal_blocks(prop, block)
+    B = embed_unitary(basis.full(np.eye(2 * N)))
+    target = B.T @ prop.matrix @ B
+    np.testing.assert_allclose(blocks[1], target[2 * N:, 2 * N:], rtol=0, atol=1e-12)
     # the route read its unitarity residuals off the polish's last Grams:
     # the same products on the same arrays as fresh ones
     fresh = analytic._checked((replace(result, residuals=None), (None, None)),
-                              basis, block, "fresh Grams")
+                              basis, blocks, "fresh Grams")
     assert fresh.residuals == result.residuals
-    checked = analytic._checked((noisy, (None, None)), basis, block, "noisy route")
-    B = embed_unitary(basis.full(np.eye(2 * N)))
-    dense = (B.T @ noisy.reconstruct() @ B)[:2 * N, :2 * N] - block
-    expected = np.max(np.abs(dense)) / max(1.0, np.max(np.abs(block)))
+    checked = analytic._checked((noisy, (None, None)), basis, blocks, "noisy route")
+    dense = B.T @ noisy.reconstruct() @ B
+    dense[:2 * N, :2 * N] -= blocks[0]
+    dense[2 * N:, 2 * N:] -= blocks[1]
+    diagonal = max(np.max(np.abs(dense[:2 * N, :2 * N])), np.max(np.abs(dense[2 * N:, 2 * N:])))
+    expected = diagonal / max(1.0, np.max(np.abs(blocks[0])), np.max(np.abs(blocks[1])))
     assert 1e-12 < expected
     np.testing.assert_allclose(checked.residuals["reconstruction"], expected, rtol=1e-3)
+    # the route's factors are real in W up to the columns turned by i, so
+    # the off-diagonal blocks, which pair real with imaginary columns, are
+    # roundoff; the noise above has no such structure
+    off = (B.T @ result.reconstruct() @ B)[:2 * N, 2 * N:]
+    assert np.max(np.abs(off)) < 1e-13 * max(1.0, np.max(np.abs(blocks[0])))
+
+
+def test_block_reconstruction_sees_the_lam_below_one_directions(sgvm):
+    # an error in the imaginary (lam < 1) columns of Y~ = W^H Z_tilde enters
+    # the upper-left block scaled by 1/lam and the lower-right one by lam
+    grid, _, medium = sgvm
+    pump = PumpSpec(g0=10.0)
+    poling = qpm_poling(L, 2 * L / 9)
+    result = svd_route(grid, pump, medium, poling)
+    prop = compose(grid, pump, medium, poling)
+    basis, block = _reduced(prop, grid, pump, medium, poling)
+    blocks = analytic._diagonal_blocks(prop, block)
+    bent = basis.reduced(result.Z_tilde)
+    k = int(np.argmax(np.abs(bent[:, :2].imag).sum(axis=0)))  # the top pair's imaginary column
+    bent[:, k] += 1e-11j * np.random.default_rng(5).normal(size=2 * N)
+    noisy = replace(result, Z_tilde=basis.full(bent), residuals=None)
+    upper = analytic._checked((noisy, (None, None)), basis, blocks[:1], "upper block")
+    both = analytic._checked((noisy, (None, None)), basis, blocks, "both blocks")
+    lam = result.lam[k]
+    assert lam > 3.0
+    assert both.residuals["reconstruction"] > 0.5 * lam**2 * upper.residuals["reconstruction"]
 
 
 def test_block_propagator_centrosymmetric(sgvm):
