@@ -105,47 +105,41 @@ def _first_pair_fidelity(decomp):
 
 
 def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
-                         span=(0.5, 1.5), points=21, jobs=1, passes=None):
+                         span=(0.5, 1.5), points=21, jobs=1):
     """Sweep the second-pass gain around the matched double pass.
 
     The base gain is tuned so the equal-gain double pass reaches base_target
-    signal photons.  solve_increasing then finds the sweep endpoints, the
-    second-pass scales at which the photon number hits span[0] * base_target
-    and span[1] * base_target, searching up from [0, 1].  The scale axis is
-    sampled linearly in between.  Each point records the photon number, the
-    first-squeezer input/output fidelity, and the top of the r spectrum.
-    passes, if given, is (forward pass, equal-gain double pass) at pump.g0, the
-    base gain untuned; else tuning hands back the pair it built at the root.
-    The equal-gain pass serves the scale-1 photon count and row.
+    signal photons; base_target None keeps pump.g0 untuned and takes that
+    pass's photon number as the base.  solve_increasing then finds the sweep
+    endpoints, the second-pass scales at which the photon number hits
+    span[0] * base_target and span[1] * base_target, searching up from
+    [0, 1].  The scale axis is sampled linearly in between.  Each point
+    records the photon number, the first-squeezer input/output fidelity, and
+    the top of the r spectrum.  Every pass pairs the forward pass at the base
+    gain with one return trip, and the searches' and the rows' forward and
+    return passes come from compose's memo, so each scale is composed once.
     Raises ConfigError unless base_target exceeds the tolerance 1e-6 * max(1, base_target).
     """
     if points < 1:
         raise ConfigError("sweep needs at least one point")
+    tuned = base_target is not None
+    if not tuned:
+        base_target, _ = double_pass(grid, pump, medium, poling).mean_photons()
     tol = 1e-6 * max(1.0, base_target)
     if not base_target > tol:
         raise ConfigError("base target %g photons is within the sweep tolerance %g "
                           "of zero" % (base_target, tol))
-    # Only the return pass depends on the scale; each is paired with first.
-    if passes is None:
-        g0, _, *passes = tune_gain(grid, pump, medium, poling, base_target,
-                                   double=True, tol=tol, return_pass=True)
+    if tuned:
+        g0, _ = tune_gain(grid, pump, medium, poling, base_target, double=True, tol=tol)
         pump = replace(pump, g0=g0)
-    first, matched = passes
-    kept = {1.0: matched}  # passes rows reuse: scale 1's and each search's end
-    last = {}  # the latest pass, kept for the end point its search ends on
 
     @functools.lru_cache(maxsize=None)
     def ns_at(scale):
-        last.clear()
-        last[scale] = kept.get(scale) or double_pass(grid, pump, medium, poling,
-                                                     gain2_scale=scale, first=first)
-        return last[scale].mean_photons()[0]
+        return double_pass(grid, pump, medium, poling, gain2_scale=scale).mean_photons()[0]
 
     # Both searches evaluate scales 0 and 1 first; the cache shares them.
     s_lo, _ = solve_increasing(ns_at, span[0] * base_target, 0.0, 1.0, tol)
-    kept.setdefault(s_lo, last.pop(s_lo, None))
     s_hi, _ = solve_increasing(ns_at, span[1] * base_target, 0.0, 1.0, tol)
-    kept.setdefault(s_hi, last.pop(s_hi, None))
     # The equal-gain point is the reference (identical passes), so for an odd
     # point count the ladder is built as two half-ramps meeting at scale 1.
     if points % 2 and s_lo < 1.0 < s_hi:
@@ -158,8 +152,7 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         scales = np.linspace(s_lo, s_hi, points)
 
     def run_point(scale):
-        prop = kept.pop(scale, None) or double_pass(grid, pump, medium, poling,
-                                                    gain2_scale=scale, first=first)
+        prop = double_pass(grid, pump, medium, poling, gain2_scale=scale)
         ns, _ = prop.mean_photons()
         decomp = decompose(prop, grid)
         return SweepPoint(

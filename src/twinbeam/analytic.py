@@ -48,7 +48,7 @@ from . import numerics
 from .blochmessiah import BlochMessiahResult, _polish_unitary, _with_residuals
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
-from .propagator import compose, embed_unitary
+from .propagator import compose, double_pass, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
@@ -160,21 +160,21 @@ def _require_sgvm(medium, route):
         )
 
 
-def _reduced(prop, grid, pump, medium, poling, matrices=None):
-    """(basis, block) of a composed propagator in its regime's basis W (_basis).
+def _reduced(grid, pump, medium, poling):
+    """(basis, block) of the composed pass in its regime's basis W (_basis).
 
     SGVM: block A-hat, the embed_unitary of the Bogoliubov matrix.  Otherwise
     block C-hat = Re(V^H T V); raises RegimeError (with the residual) when a
     domain generator of the poling does not split in the exchange basis,
     checked once on the sign +1 matrices (negating F moves neither the
     residual nor its scale; G, H alone always split, so sign 0 needs none).
-    matrices are those sign +1 matrices when the caller has built them.
     """
+    prop = compose(grid, pump, medium, poling)
     n, basis = grid.n, _basis(grid.n, prop.sgvm)
     if prop.sgvm:
         return basis, embed_unitary(prop.bogoliubov)
     if poling.signs.any():
-        block_reduce(matrices or build_coupled_matrices(grid, pump, medium, sign=1))
+        block_reduce(build_coupled_matrices(grid, pump, medium, sign=1))
     W = basis.full(np.eye(2 * n))
     V = np.vstack([W[:n], W[n:].conj()])  # T acts on a_I^+, not a_I
     return basis, (V.conj().T @ prop.bogoliubov @ V).real
@@ -234,15 +234,16 @@ def _checked(factors, basis, blocks, context):
     return _with_residuals(result, worst / scale, context, orthogonal)
 
 
-def _symmetric_factors(prop, basis, block, context):
-    """Factor block, prop's reduced propagator, through the real symmetric
-    eigenproblem of M = X block.
+def _symmetric_factors(grid, pump, medium, poling, context):
+    """Factor block, the composed pass's reduced propagator, through the real
+    symmetric eigenproblem of M = X block.
 
     Eigenvalues come in (w, -w) pairs; the left factor absorbs the signs,
     giving block = (X Gamma Sigma) diag|w| Gamma^T, and each |w| appears twice,
     once per sign, which is exactly the two-mode degeneracy of the final
     spectrum.
     """
+    basis, block = _reduced(grid, pump, medium, poling)
     M = block[basis.x]
     asym, symmetric = _asymmetry(M)
     if not symmetric:
@@ -256,6 +257,7 @@ def _symmetric_factors(prop, basis, block, context):
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
     factors = _factors(basis, Gamma[basis.x] * np.sign(w), np.abs(w), Gamma)
+    prop = compose(grid, pump, medium, poling)
     return _checked(factors, basis, _diagonal_blocks(prop, block), context)
 
 
@@ -267,27 +269,24 @@ def symmetrized_eig_route(grid, pump, medium, poling):
     uniform domain or an odd-count alternating grating.
     """
     _require_sgvm(medium, "symmetrized eigenproblem route")
-    prop = compose(grid, pump, medium, poling)
-    return _symmetric_factors(prop, *_reduced(prop, grid, pump, medium, poling),
-                              "symmetrized eigenproblem route")
+    return _symmetric_factors(grid, pump, medium, poling, "symmetrized eigenproblem route")
 
 
-def svd_route(grid, pump, medium, poling, double=False, prop=None, total=None):
+def svd_route(grid, pump, medium, poling, double=False):
     """Factorization through the SVD of the 2N block propagator (SGVM, any poling).
 
     Single pass: A-hat = M D V^T maps directly onto the factors with raw
     spectrum (D, 1/D).  Matched double pass: the return trip is the adjoint,
     so the total block is A-hat^T A-hat = V D^2 V^T, symmetric positive
     definite, and input and output factors coincide (perfect inline squeezer).
-    prop is the forward pass and total the matched double pass, the one
-    the factors are checked against, when the caller has already built them.
+    The factors are checked against that device, composed from the memo.
     """
     _require_sgvm(medium, "SVD route")
-    prop = prop or compose(grid, pump, medium, poling)
+    prop = compose(grid, pump, medium, poling)
     basis = _basis(prop.n, True)
     left, s, right = numerics.svd(embed_unitary(prop.bogoliubov))
     factors = _factors(basis, right, s**2, right) if double else _factors(basis, left, s, right)
-    device = (total or prop.return_trip().after(prop)) if double else prop
+    device = double_pass(grid, pump, medium, poling) if double else prop
     return _checked(factors, basis, _diagonal_blocks(device, embed_unitary(device.bogoliubov)),
                     "SVD route")
 
@@ -308,9 +307,7 @@ def general_block_route(grid, pump, medium, poling):
             "medium is SGVM; use the SGVM routes for the reduced comparison",
             residual=0.0,
         )
-    prop = compose(grid, pump, medium, poling)
-    return _symmetric_factors(prop, *_reduced(prop, grid, pump, medium, poling),
-                              "general block route")
+    return _symmetric_factors(grid, pump, medium, poling, "general block route")
 
 
 def _flip_classes(w, V, rtol=1e-8):
@@ -337,17 +334,15 @@ def _flip_classes(w, V, rtol=1e-8):
     return n_even, n_odd
 
 
-def structure_checks(grid, pump, medium, poling, prop=None, matrices=None):
+def structure_checks(grid, pump, medium, poling):
     """Symmetry diagnostics of the model, returned as a JSON-able dict.
 
     Reports the centrosymmetry residual of F, the symmetry residual of the
     block propagator in the applicable reduced basis, and the flip-parity
-    class sizes of the symmetric block spectrum (expected to split evenly).
-    prop is the forward pass and matrices the sign +1 coupling matrices
-    when the caller has already built them.
+    class sizes of the symmetric block spectrum (expected to split evenly),
+    on the forward pass compose builds (or has memoized).
     """
-    matrices = matrices or build_coupled_matrices(grid, pump, medium, sign=1)
-    F = matrices.F
+    F = build_coupled_matrices(grid, pump, medium, sign=1).F
     f_resid = float(np.max(np.abs(F - F[::-1, ::-1])))
     report = {
         "f_max": float(np.max(np.abs(F))),
@@ -357,16 +352,15 @@ def structure_checks(grid, pump, medium, poling, prop=None, matrices=None):
         "flip_even": None,
         "flip_odd": None,
     }
-    prop = prop or compose(grid, pump, medium, poling)
     try:
-        basis, block = _reduced(prop, grid, pump, medium, poling, matrices)
+        basis, block = _reduced(grid, pump, medium, poling)
     except RegimeError as exc:
         report["block_symmetry_residual"] = exc.residual
         return report
     M = block[basis.x]
     asym, symmetric = _asymmetry(M)
     report["block_symmetry_residual"] = asym
-    if symmetric and prop.sgvm:
+    if symmetric and report["sgvm"]:
         w, V = numerics.sym_eig(M)
         report["flip_even"], report["flip_odd"] = _flip_classes(w, V)
     return report

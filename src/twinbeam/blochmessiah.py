@@ -395,36 +395,28 @@ def decompose(prop, grid):
 
 
 def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
-              tol=1e-4, return_pass=False):
+              tol=1e-4):
     """Find g0 such that the mean signal photon number hits the target.
 
     The photon number is increasing in g0 and exactly 0 at g0 = 0, so
     solve_increasing searches up from [0, max(|g0|, 1)] without building a
     propagator at zero gain; its first two steps scale the latest gain by
-    _spectral_scale.  Photon numbers are read off the complex Bogoliubov
-    matrix.  Returns (g0, achieved), (0.0, 0.0) for a target within tol of
-    zero; return_pass appends the forward and the evaluated pass at g0 (None at 0).
+    _spectral_scale of the pass just evaluated, composed again from the
+    memo.  Photon numbers are read off the complex Bogoliubov matrix.
+    Returns (g0, achieved), (0.0, 0.0) for a target within tol of zero.
     """
     if not (target >= 0):
         raise ConfigError("target photon number must be nonnegative")
-    passes = {}  # g0: (forward pass, evaluated pass); the root is one of the last two
 
-    def photons(g0):
-        if g0 == 0.0:
-            return 0.0
+    def device(g0):
         p = replace(pump, g0=g0)
-        first = compose(grid, p, medium, poling)
-        prop = double_pass(grid, p, medium, poling, gain2_scale=gain2_scale,
-                           first=first) if double else first
-        passes[g0] = first, prop
-        for old in list(passes)[:-2]:
-            del passes[old]
-        return prop.mean_photons()[0]
+        return double_pass(grid, p, medium, poling, gain2_scale=gain2_scale) if double \
+            else compose(grid, p, medium, poling)
 
-    g0, achieved = solve_increasing(
-        photons, target, 0.0, max(abs(pump.g0), 1.0), tol,
-        guess=lambda g: g * _spectral_scale(passes[g][1], target))
-    return (g0, achieved, *passes.get(g0, (None, None))) if return_pass else (g0, achieved)
+    return solve_increasing(
+        lambda g0: device(g0).mean_photons()[0] if g0 else 0.0,
+        target, 0.0, max(abs(pump.g0), 1.0), tol,
+        guess=lambda g: g * _spectral_scale(device(g), target))
 
 
 def _spectral_scale(prop, target):

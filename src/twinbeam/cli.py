@@ -46,6 +46,8 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 # Relative signal/idler photon-number imbalance allowed by verify.
 PHOTON_BALANCE_TOL = 1e-8
+# Empties compose's memo; bound at import, as a wrapper over compose has no cache_clear.
+_clear_compose_memo = compose.cache_clear
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,8 @@ def _number(obj, key, context, default=None, positive=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("%s.%s must be a number" % (context, key))
+    if not abs(v) <= sys.float_info.max:  # JSON's Infinity and NaN, or too large an integer
+        raise ConfigError("%s.%s must be finite" % (context, key))
     if positive and not (v > 0):
         raise ConfigError("%s.%s must be positive" % (context, key))
     return float(v)
@@ -108,9 +112,7 @@ def _build_poling(cfg, medium, base_dir):
         width = _number(cfg, "domain_width", "poling", positive=True)
         pw = cfg.get("pmf_width")
         if pw is not None:
-            if isinstance(pw, bool) or not isinstance(pw, (int, float)) or pw <= 0:
-                raise ConfigError("poling.pmf_width must be a positive number or null")
-            pw = float(pw)
+            pw = _number(cfg, "pmf_width", "poling", positive=True)
         device = apodized_poling(L, width, pw)
         # The grating alternates at the QPM carrier; the degenerate-operation
         # model sees the slow orientation profile, so propagation uses the
@@ -224,23 +226,18 @@ def load_config(path):
 
 
 def _resolve_pump(cfg):
-    """(pump with a concrete g0, achieved N_S or None, forward pass, device pass).
-
-    A target tunes g0, and the two passes tuning evaluated there are reused.
-    """
-    pump, achieved, first, prop = cfg.pump, None, None, None
+    """(pump with a concrete g0, achieved N_S or None, device pass); a target tunes g0."""
+    pump, achieved = cfg.pump, None
     if cfg.target_ns is not None:
-        g0, achieved, first, prop = tune_gain(
+        g0, achieved = tune_gain(
             cfg.grid, cfg.pump, cfg.medium, cfg.sim_poling, cfg.target_ns,
             double=cfg.double, gain2_scale=cfg.gain2_scale,
-            tol=1e-6 * max(1.0, cfg.target_ns), return_pass=True,
+            tol=1e-6 * max(1.0, cfg.target_ns),
         )
         pump = replace(cfg.pump, g0=g0)
-    if prop is None:  # a fixed g0, or a zero root
-        first = compose(cfg.grid, pump, cfg.medium, cfg.sim_poling)
-        prop = double_pass(cfg.grid, pump, cfg.medium, cfg.sim_poling,
-                           gain2_scale=cfg.gain2_scale, first=first) if cfg.double else first
-    return pump, achieved, first, prop
+    prop = double_pass(cfg.grid, pump, cfg.medium, cfg.sim_poling, cfg.gain2_scale) \
+        if cfg.double else compose(cfg.grid, pump, cfg.medium, cfg.sim_poling)
+    return pump, achieved, prop
 
 
 def _write_json(path, obj):
@@ -269,7 +266,7 @@ def _modes_csv(path, decomp):
 
 
 def cmd_simulate(cfg, out_dir):
-    pump, achieved, _, prop = _resolve_pump(cfg)
+    pump, achieved, prop = _resolve_pump(cfg)
     ns, ni = prop.mean_photons()
     # flip overlaps read the raw modes, fidelities and modes.csv the stripped ones
     raw = decompose(prop, cfg.grid)
@@ -370,14 +367,12 @@ def cmd_sweep_gain(cfg, out_dir, jobs, points):
         raise ConfigError("sweep-gain needs a double-pass configuration")
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1, got %d" % jobs)
-    base, passes = cfg.target_ns, None
-    if base is None:  # at equal gains a fixed g0 is the base gain, else it is re-tuned
-        _, _, first, prop = _resolve_pump(cfg)
-        base, _ = prop.mean_photons()
-        passes = (first, prop) if cfg.gain2_scale == 1.0 else None
-    result = gain_variation_sweep(
+    base = cfg.target_ns
+    if base is None and cfg.gain2_scale != 1.0:  # the sweep tunes its equal gains to this
+        base, _ = _resolve_pump(cfg)[2].mean_photons()
+    result = gain_variation_sweep(  # base None: a fixed g0 is the base gain
         cfg.grid, cfg.pump, cfg.medium, cfg.sim_poling,
-        base_target=base, points=points, jobs=jobs, passes=passes,
+        base_target=base, points=points, jobs=jobs,
     )
     result.to_csv(os.path.join(out_dir, "sweep.csv"))
     curve = sorted((p.mean_ns, p.fidelity_k1) for p in result.points)
@@ -414,8 +409,7 @@ def _hamiltonian_defect(m):
 def cmd_verify(cfg, out_dir, propagator_path):
     checks = []
     grid, medium = cfg.grid, cfg.medium
-    # one forward pass for the double pass, the SVD route and structure_checks
-    pump, _, first, prop = _resolve_pump(cfg)
+    pump, _, prop = _resolve_pump(cfg)
     n = grid.n
 
     matrices = build_coupled_matrices(grid, pump, medium, sign=1)
@@ -456,8 +450,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
 
     if medium.sgvm() and decomp is not None and (
             not cfg.double or cfg.gain2_scale == 1.0):
-        route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double,
-                          prop=first, total=prop)
+        route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double)
         r_gen = np.log(decomp.lam)
         r_route = np.log(route.lam)
         _check(checks, "route_r_agreement",
@@ -472,8 +465,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
             worst = min(worst, overlap)
         _check(checks, "route_mode_overlap", 1.0 - worst, 1e-8)
 
-    report_struct = structure_checks(grid, pump, medium, cfg.sim_poling, prop=first,
-                                     matrices=matrices)
+    report_struct = structure_checks(grid, pump, medium, cfg.sim_poling)
     # X A-hat is symmetric only when the propagation poling reads the same
     # reversed; other polings keep the residual under "structure" only.
     if medium.sgvm() and cfg.sim_poling == cfg.sim_poling.reversed_():
@@ -569,6 +561,7 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _clear_compose_memo()  # no pass composed before this command reaches its files
     try:
         with one_blas_thread():
             cfg = load_config(args.config)

@@ -17,8 +17,9 @@ Quadrature ordering is (X_S, X_I, P_S, P_I), each block of length N.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -358,6 +359,15 @@ def build_generator(matrices):
     ])
 
 
+def _tile(length, width):
+    """Whole domains of the width filling length, then a remainder above 1e-12 length."""
+    count = length / width + 1e-9
+    if not count < sys.maxsize:
+        raise ConfigError("length L = %g holds too many domains to count" % length)
+    rem = length - int(count) * width
+    return [width] * int(count) + ([rem] if rem > 1e-12 * length else [])
+
+
 def qpm_poling(length, period):
     """Alternating +1/-1 domains of width period/2 (quasi-phase matching).
 
@@ -369,12 +379,7 @@ def qpm_poling(length, period):
         raise ConfigError("poling period must be positive")
     if length < period:
         raise ConfigError("length %g shorter than one poling period %g" % (length, period))
-    half = 0.5 * period
-    n_full = int(np.floor(length / half + 1e-9))
-    rem = length - n_full * half
-    widths = [half] * n_full
-    if rem > 1e-12 * length:
-        widths.append(rem)
+    widths = _tile(length, 0.5 * period)
     if len(widths) % 2 == 0:
         widths[-2:] = [widths[-2] + widths[-1]]
     signs = [1 if p % 2 == 0 else -1 for p in range(len(widths))]
@@ -406,11 +411,7 @@ def apodized_poling(length, domain_width, pmf_width=None):
         raise ConfigError("domain_width must be positive")
     if length < domain_width:
         raise ConfigError("length shorter than one domain")
-    n_full = int(np.floor(length / domain_width + 1e-9))
-    rem = length - n_full * domain_width
-    widths = [domain_width] * n_full
-    if rem > 1e-12 * length:
-        widths.append(rem)
+    widths = _tile(length, domain_width)
     edges = np.concatenate([[0.0], np.cumsum(widths)])
     dk_bar = np.pi / domain_width
 

@@ -11,10 +11,14 @@ do not touch the lab; the acceptance module leans on it heavily.
 The whole session runs on one OpenBLAS thread, as every command-line run
 does: at these matrix orders threading costs more than it saves.  Tests of
 the thread controls themselves set their own counts or use subprocesses.
+
+Each test starts with an empty `compose` memo, so that what it counts or
+spies on is its own work, not a pass an earlier test left behind.
 """
 
+import sys
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from twinbeam import (
     segment_propagator,
     tune_gain,
 )
+from twinbeam import cli, propagator
 from twinbeam.numerics import one_blas_thread
 
 BENCH_N = 101
@@ -129,9 +134,36 @@ def _one_blas_thread():
         yield
 
 
+@pytest.fixture(autouse=True)
+def _empty_compose_memo():
+    compose.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def lab():
     return BenchLab()
+
+
+@pytest.fixture()
+def compose_evaluations(monkeypatch):
+    """A list that grows by the pump g0 of each pass `compose` evaluates.
+
+    Memo hits are not evaluations: compose is rebuilt as a memo of the same
+    size around a counting copy of the function it memoizes, and rebound in
+    every twinbeam module that holds it; `cli.main` clears the new memo.
+    """
+    evaluations, original = [], propagator.compose
+
+    def counting(grid, pump, medium, poling):
+        evaluations.append(pump.g0)
+        return original.__wrapped__(grid, pump, medium, poling)
+
+    memoized = lru_cache(maxsize=propagator.COMPOSE_MEMO)(counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("twinbeam") and getattr(module, "compose", None) is original:
+            monkeypatch.setattr(module, "compose", memoized)
+    monkeypatch.setattr(cli, "_clear_compose_memo", memoized.cache_clear)
+    return evaluations
 
 
 @pytest.fixture()

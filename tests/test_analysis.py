@@ -13,7 +13,6 @@ from twinbeam import (
     PumpSpec,
     apodized_poling,
     build_grid,
-    compose,
     decompose,
     default_half_width,
     demodulate_poling,
@@ -26,7 +25,7 @@ from twinbeam import (
     subspace_overlaps,
     tune_gain,
 )
-from twinbeam import analysis, blochmessiah, propagator
+from twinbeam import analysis
 from twinbeam.blochmessiah import SchmidtMode
 from twinbeam.errors import ConfigError
 
@@ -187,27 +186,35 @@ def test_gain_variation_sweep_small():
     assert all(p.fidelity_k1 <= 1.0 + 1e-12 for p in sweep.points)
 
 
-def test_gain_variation_sweep_builds_the_forward_pass_once(monkeypatch):
+def test_gain_variation_sweep_builds_the_forward_pass_once(monkeypatch, compose_evaluations):
     # each sweep point pairs the one tuned forward pass with its return trip
     grid, pump, medium = small_setup()
-    g0s, tuned = [], []
-
-    def counting_compose(grid, pump, medium, poling):
-        g0s.append(pump.g0)
-        return compose(grid, pump, medium, poling)
+    tuned = []
 
     def recording_tune_gain(*args, **kwargs):
         tuned.append(tune_gain(*args, **kwargs))
         return tuned[-1]
 
-    monkeypatch.setattr(propagator, "compose", counting_compose)
-    monkeypatch.setattr(blochmessiah, "compose", counting_compose)
     monkeypatch.setattr(analysis, "tune_gain", recording_tune_gain)
     sweep = gain_variation_sweep(grid, pump, medium, Poling.unpoled(L),
                                  base_target=0.5, span=(0.5, 1.5), points=5)
-    # the sweep reuses the pass tuning composed at the tuned gain
-    (g0, _, _, _), = tuned
-    assert sweep.points and g0s.count(g0) == 1
+    # the sweep's passes at the tuned gain are the one tuning composed there
+    (g0, _), = tuned
+    assert sweep.points and compose_evaluations.count(g0) == 1
+
+
+def test_gain_variation_sweep_keeps_a_fixed_gain_untuned(monkeypatch):
+    # base_target None: the base is the photon number at pump.g0, below 1 too
+    grid, pump, medium = small_setup()
+    poling = Poling.unpoled(L)
+    monkeypatch.setattr(analysis, "tune_gain", None)  # never called
+    for g0 in (0.4, 1.3):
+        base = replace(pump, g0=g0)
+        sweep = gain_variation_sweep(grid, base, medium, poling, base_target=None,
+                                     span=(0.9, 1.1), points=3)
+        matched = double_pass(grid, base, medium, poling).mean_photons()[0]
+        assert sweep.points[1].gain2_scale == 1.0
+        assert sweep.points[1].mean_ns == matched
 
 
 def test_gain_variation_sweep_threaded_matches_serial():

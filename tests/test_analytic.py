@@ -262,15 +262,16 @@ def test_svd_route_double_pass_factors_coincide(sgvm):
 
 
 @pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
-def test_svd_route_takes_the_composed_forward_pass(sgvm, double):
+def test_svd_route_composes_the_forward_pass_once(sgvm, double, compose_evaluations):
+    # a second route on the same device finds its pass in the memo
     grid, pump, medium = sgvm
     poling = demodulate_poling(apodized_poling(L, L / 12, pmf_width=4.0))
     own = svd_route(grid, pump, medium, poling, double=double)
-    handed = svd_route(grid, pump, medium, poling, double=double,
-                       prop=compose(grid, pump, medium, poling))
+    again = svd_route(grid, pump, medium, poling, double=double)
+    assert compose_evaluations == [pump.g0]
     for name in ("Z", "lam", "Z_tilde"):
-        np.testing.assert_array_equal(getattr(handed, name), getattr(own, name))
-    assert handed.residuals == own.residuals
+        np.testing.assert_array_equal(getattr(again, name), getattr(own, name))
+    assert again.residuals == own.residuals
 
 
 ROUTES = {
@@ -318,11 +319,12 @@ def test_block_reconstruction_is_the_4n_diagonal_blocks(request, name):
     poling = qpm_poling(L, 2 * L / 9)
     result = route(grid, pump, medium, poling, **kwargs)
     prop = compose(grid, pump, medium, poling)
-    if kwargs:
+    basis, block = _reduced(grid, pump, medium, poling)
+    if kwargs:  # the matched double pass's block, read off as _reduced reads an SGVM pass
         prop = prop.return_trip().after(prop)
+        block = embed_unitary(prop.bogoliubov)
     noise = np.random.default_rng(3).normal(size=result.Z.shape)
     noisy = replace(result, Z_tilde=result.Z_tilde + 1e-11 * noise, residuals=None)
-    basis, block = _reduced(prop, grid, pump, medium, poling)
     blocks = analytic._diagonal_blocks(prop, block)
     B = embed_unitary(basis.full(np.eye(2 * N)))
     target = B.T @ prop.matrix @ B
@@ -355,7 +357,7 @@ def test_block_reconstruction_sees_the_lam_below_one_directions(sgvm):
     poling = qpm_poling(L, 2 * L / 9)
     result = svd_route(grid, pump, medium, poling)
     prop = compose(grid, pump, medium, poling)
-    basis, block = _reduced(prop, grid, pump, medium, poling)
+    basis, block = _reduced(grid, pump, medium, poling)
     blocks = analytic._diagonal_blocks(prop, block)
     bent = basis.reduced(result.Z_tilde)
     k = int(np.argmax(np.abs(bent[:, :2].imag).sum(axis=0)))  # the top pair's imaginary column
@@ -420,10 +422,10 @@ def test_reduced_checks_the_exchange_basis_once(monkeypatch, skew):
     monkeypatch.setattr(analytic, "build_coupled_matrices", counting)
     for poling, signs in ((qpm, [1]), (Poling([(L, 0)]), [])):
         built.clear()
-        _reduced(compose(grid, pump, medium, poling), grid, pump, medium, poling)
+        _reduced(grid, pump, medium, poling)
         assert built == signs
     with pytest.raises(RegimeError) as err:
-        _reduced(compose(grid, lopsided, medium, qpm), grid, lopsided, medium, qpm)
+        _reduced(grid, lopsided, medium, qpm)
     for sign in (1, -1):
         with pytest.raises(RegimeError) as ref:
             block_reduce(build_coupled_matrices(grid, lopsided, medium, sign=sign))
@@ -454,7 +456,7 @@ def test_exchange_block_is_the_reduced_domain_product(n, sigma, g0, mismatch, do
         block = block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign))
         expected = expm(width * block) @ expected
     prop = compose(grid, pump, medium, poling)
-    basis, block = _reduced(prop, grid, pump, medium, poling)
+    basis, block = _reduced(grid, pump, medium, poling)
     W = basis.full(np.eye(2 * n))
     np.testing.assert_array_equal(W, exchange_unitary(n))
     scale = max(1.0, float(np.max(np.abs(expected))))
@@ -517,12 +519,13 @@ def test_structure_checks_skew_medium(skew):
 
 
 @pytest.mark.parametrize("case", ["sgvm", "skew"])
-def test_structure_checks_take_the_composed_forward_pass(request, case):
+def test_structure_checks_compose_the_forward_pass_once(request, case, compose_evaluations):
+    # after a route or a command composed the pass, the checks find it in the memo
     grid, pump, medium = request.getfixturevalue(case)
     poling = qpm_poling(L, 2 * L / 9)
-    handed = structure_checks(grid, pump, medium, poling,
-                              prop=compose(grid, pump, medium, poling))
-    assert handed == structure_checks(grid, pump, medium, poling)
+    report = structure_checks(grid, pump, medium, poling)
+    assert report == structure_checks(grid, pump, medium, poling)
+    assert compose_evaluations == [pump.g0]
 
 
 def dense_structure(prop, grid, pump, medium, poling):
@@ -559,9 +562,9 @@ def test_structure_checks_by_indexing_match_the_dense_form_bitwise(request, case
     grid, pump, medium = request.getfixturevalue(case)
     prop = compose(grid, pump, medium, poling)
     M, fields = dense_structure(prop, grid, pump, medium, poling)
-    basis, block = _reduced(prop, grid, pump, medium, poling)
+    basis, block = _reduced(grid, pump, medium, poling)
     assert np.array_equal(block[basis.x], M)
-    report = structure_checks(grid, pump, medium, poling, prop=prop)
+    report = structure_checks(grid, pump, medium, poling)
     assert {key: report[key] for key in fields} == fields
 
 

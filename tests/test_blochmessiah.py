@@ -480,18 +480,19 @@ def test_tune_gain_contracts(setup):
 
 
 @pytest.mark.parametrize("double, gain2_scale", [(False, 1.0), (True, 1.0), (True, 1.3)])
-def test_tune_gain_returns_the_passes_it_evaluated_at_the_root(setup, double, gain2_scale):
+def test_tune_gain_leaves_its_root_pass_in_the_memo(setup, compose_evaluations, double,
+                                                    gain2_scale):
+    # the device at the root, composed again, is the pass tuning evaluated
+    # last: no new evaluation, and its photon number is the one returned
     grid, pump, medium = setup
     poling = Poling.unpoled(L)
-    assert tune_gain(grid, pump, medium, poling, 0.0, return_pass=True) == (0.0, 0.0, None, None)
-    g0, achieved, first, prop = tune_gain(grid, pump, medium, poling, 0.5, double=double,
-                                          gain2_scale=gain2_scale, return_pass=True)
+    g0, achieved = tune_gain(grid, pump, medium, poling, 0.5, double=double,
+                             gain2_scale=gain2_scale)
+    evaluated = list(compose_evaluations)
     root = PumpSpec(g0=g0)
-    np.testing.assert_array_equal(first.bogoliubov,
-                                  compose(grid, root, medium, poling).bogoliubov)
-    expected = double_pass(grid, root, medium, poling, gain2_scale=gain2_scale,
-                           first=first) if double else first
-    np.testing.assert_array_equal(prop.bogoliubov, expected.bogoliubov)
+    prop = double_pass(grid, root, medium, poling, gain2_scale=gain2_scale) if double \
+        else compose(grid, root, medium, poling)
+    assert compose_evaluations == evaluated and g0 in evaluated
     assert prop.mean_photons()[0] == achieved
 
 
@@ -560,64 +561,37 @@ def test_solve_increasing_reports_a_stall():
     Poling.unpoled(L),
     demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0)),
 ], ids=["unpoled", "apodized"])
-def test_tune_gain_evaluation_count(monkeypatch, matrix_builds, poling, double):
+def test_tune_gain_evaluation_count(matrix_builds, compose_evaluations, poling, double):
     medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
     grid = build_grid(21, 0.0, default_half_width(medium))
-    for name in ("compose", "double_pass"):
-        monkeypatch.setattr(blochmessiah, name,
-                            counted(getattr(blochmessiah, name)))
-    # the domain products double_pass builds inside the propagator module
-    monkeypatch.setattr(propagator, "compose", counted(propagator.compose))
     _, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
                             double=double, tol=5e-6)
     assert abs(achieved - 5.0) <= 5e-6
-    # each evaluation composes one forward pass, and a matched double pass
-    # turns it into its return trip
-    assert blochmessiah.compose.calls <= 8
-    assert blochmessiah.double_pass.calls == (blochmessiah.compose.calls if double else 0)
-    # one domain product per evaluation, single or double pass
-    assert blochmessiah.compose.calls + propagator.compose.calls <= 8
+    # one domain product per evaluation, single or double pass: a matched
+    # double pass and the steps' spectral guesses find the pass in the memo
+    assert len(compose_evaluations) <= 8
     # photons are read off the complex matrix: no 4N view is built
     assert matrix_builds == []
 
 
-def _counting_passes(monkeypatch):
-    """A list that grows by one entry (the gain) per forward pass tune_gain composes."""
-    gains = []
-
-    def counting(grid, pump, medium, poling):
-        gains.append(pump.g0)
-        return compose(grid, pump, medium, poling)
-
-    monkeypatch.setattr(blochmessiah, "compose", counting)
-    return gains
-
-
-def test_tune_gain_readme_config_pass_count(monkeypatch):
+def test_tune_gain_readme_config_pass_count(compose_evaluations):
     # the README device at N = 101 took 11 passes with doubling and Illinois
     medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
     grid = build_grid(101, 0.0, default_half_width(medium))
     poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
-    gains = _counting_passes(monkeypatch)
-    g0, achieved, first, prop = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
-                                          double=True, tol=5e-6, return_pass=True)
+    g0, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
+                             double=True, tol=5e-6)
     assert abs(achieved - 5.0) <= 5e-6
-    assert len(gains) <= 7
-    # the passes handed back are the forward and the double pass at the root
-    assert gains[-1] == g0
-    root = compose(grid, PumpSpec(g0=g0), medium, poling)
-    np.testing.assert_array_equal(first.bogoliubov, root.bogoliubov)
-    np.testing.assert_array_equal(
-        prop.bogoliubov,
-        double_pass(grid, PumpSpec(g0=g0), medium, poling, first=first).bogoliubov)
+    assert len(compose_evaluations) <= 7
+    assert compose_evaluations[-1] == g0  # the root is the last pass evaluated
 
 
-def test_tune_gain_pass_count_over_devices_and_targets(monkeypatch):
+def test_tune_gain_pass_count_over_devices_and_targets(compose_evaluations):
     # 40 cases: unpoled and apodized, SGVM and 40% walk-off mismatch, single
     # and double pass, N_S from 1e-3 to 1e3; doubling and Illinois took 507
-    # passes, 24 at worst
+    # passes, 24 at worst.  Each case starts from an empty memo, so the count
+    # is of the passes each search evaluates, not of those cases share.
     apodized = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
-    gains = _counting_passes(monkeypatch)
     for poling in (Poling.unpoled(L), apodized):
         for kappa_i in (-8.0, -4.8):
             medium = MediumSpec.from_walkoffs(8.0, kappa_i, L)
@@ -625,10 +599,11 @@ def test_tune_gain_pass_count_over_devices_and_targets(monkeypatch):
             for double in (False, True):
                 for target in (1e-3, 0.5, 5.0, 50.0, 1000.0):
                     tol = 1e-6 * max(1.0, target)
+                    propagator.compose.cache_clear()
                     _, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling,
                                             target, double=double, tol=tol)
                     assert abs(achieved - target) <= tol
-    assert len(gains) <= 355
+    assert len(compose_evaluations) <= 355
 
 
 @pytest.mark.parametrize("g0, poling, target", [
@@ -700,14 +675,12 @@ def test_tuning_does_not_import_scipy_optimize(tmp_path):
 
 @pytest.fixture(scope="module")
 def readme_double_pass_n51():
-    """(grid, pump, medium, poling, forward pass, matched double pass) of the
-    README grating at N = 51 and g0 = 6.28; one 4N array is 333 KB."""
+    """(grid, pump, medium, poling, matched double pass) of the README grating
+    at N = 51 and g0 = 6.28; one 4N array is 333 KB."""
     medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
     grid, pump = build_grid(51, 0.0, 5.0), PumpSpec(g0=6.28)
     poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
-    first = compose(grid, pump, medium, poling)
-    return grid, pump, medium, poling, first, double_pass(grid, pump, medium, poling,
-                                                          first=first)
+    return grid, pump, medium, poling, double_pass(grid, pump, medium, poling)
 
 
 def traced_peak(fn):
@@ -728,11 +701,11 @@ def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, a
     # complex factors), svd_route(double=True) 3.66.  They read 7.28 and 5.27
     # while the eigenvectors, O, S^T O / d and the raw route factors lived
     # through the check.
-    grid, pump, medium, poling, first, total = readme_double_pass_n51
+    grid, pump, medium, poling, total = readme_double_pass_n51
     unit = total.matrix.nbytes
+    compose(grid, pump, medium, poling)  # the forward pass svd_route reads
     run = {"decompose": lambda: decompose(total, grid),
-           "svd_route": lambda: svd_route(grid, pump, medium, poling, double=True,
-                                          prop=first, total=total)}[route]
+           "svd_route": lambda: svd_route(grid, pump, medium, poling, double=True)}[route]
     assert traced_peak(run) <= arrays * unit
 
 

@@ -196,27 +196,27 @@ def test_flip_overlap_matches_raw_decomposition(tmp_path, cfg):
             flip_overlap(sig_in, sig_out), abs=1e-10)
 
 
-def counting_composes(monkeypatch):
-    """A list that grows by the pump g0 of each compose call, from any module."""
-    original = twinbeam.propagator.compose
-    calls = []
+def test_each_command_starts_with_an_empty_compose_memo(tmp_path):
+    # a pass composed earlier in the process, perhaps under another BLAS
+    # thread count, is composed again rather than read from the memo
+    cfg = base_config()
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    loaded = load_config(tmp_path / "run.json")
+    args = loaded.grid, loaded.pump, loaded.medium, loaded.sim_poling
+    for command in ("simulate", "verify"):
+        earlier = compose(*args)
+        rc, _ = run(tmp_path, cfg, command)
+        assert rc == 0
+        assert compose(*args) is not earlier  # the command's own pass
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].g0)
-        return original(*args, **kwargs)
 
-    for module in (twinbeam.propagator, twinbeam.cli, twinbeam.analytic,
-                   twinbeam.blochmessiah):
-        monkeypatch.setattr(module, "compose", counting)
-    return calls
-
-
-def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch):
-    # one inverse per compose (the opposite-sign exponential) and one per
-    # double pass, shared by its photon count, 4N matrix and residual; the
-    # device pass is the one tuning evaluated at the root (6 double passes,
-    # and 11 or 17 inverses, when it was built again)
-    composes = counting_composes(monkeypatch)
+def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch,
+                                                          compose_evaluations):
+    # one inverse per composed pass (the opposite-sign exponential) and one
+    # per double pass whose photons are read, shared by its photon count, 4N
+    # matrix and residual: the 5 tuning evaluations and the device pass,
+    # formed again at the root from the memo.  The two spectral guesses form
+    # their double pass again too, and read no photons.
     inverses, doubles = [], []
     inv, double = np.linalg.inv, twinbeam.propagator.double_pass
 
@@ -232,11 +232,11 @@ def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch
     for module in (twinbeam.cli, twinbeam.blochmessiah):
         monkeypatch.setattr(module, "double_pass", counting_double)
     for pass_mode, composed in (("double", 5), ({"kind": "double", "gain2_scale": 1.3}, 10)):
-        del composes[:], inverses[:], doubles[:]
+        del compose_evaluations[:], inverses[:], doubles[:]
         rc, _ = run(tmp_path, dict(README_CONFIG, pass_mode=pass_mode), "simulate")
         assert rc == 0
-        assert len(composes) == composed and len(doubles) == 5
-        assert len(inverses) == len(composes) + len(doubles) == composed + 5
+        assert len(compose_evaluations) == composed and len(doubles) == 5 + 2 + 1
+        assert len(inverses) == composed + 5 + 1
 
 
 @pytest.mark.parametrize("pump, composed", [
@@ -244,17 +244,17 @@ def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch
     ({"sigma": 1.0, "g0": 6.28}, 21),
     ({"sigma": 1.0, "g0": 0.8}, 19),
 ], ids=["tuned", "fixed-g0", "fixed-g0-below-1"])
-def test_sweep_gain_composes_each_pass_once(tmp_path, monkeypatch, pump, composed):
-    # The README config at N=31, 11 points.  The endpoint points reuse the
-    # passes their searches end on, and a fixed g0's pass is the base pass,
-    # not tuned again (27, 24 and 24 composes when they were rebuilt).
-    calls = counting_composes(monkeypatch)
+def test_sweep_gain_composes_each_pass_once(tmp_path, compose_evaluations, pump, composed):
+    # The README config at N=31, 11 points.  The endpoint rows and the
+    # scale-1 row find their passes in the memo, and a fixed g0's pass is the
+    # base pass, not tuned again (27, 24 and 24 composes when they were
+    # rebuilt).
     cfg = dict(README_CONFIG, grid={"N": 31, "half_width": 5.0}, pump=pump)
     rc, _ = run(tmp_path, cfg, "sweep-gain", "--points", "11")
     assert rc == 0
-    assert len(calls) == len(set(calls)) == composed
+    assert len(compose_evaluations) == len(set(compose_evaluations)) == composed
     if "g0" in pump:
-        assert calls[0] == pump["g0"]
+        assert compose_evaluations[0] == pump["g0"]
 
 
 @pytest.mark.parametrize("command,cfg,builds", [
@@ -405,6 +405,34 @@ def test_bad_configs_exit_2(tmp_path, capsys, cfg):
     assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+INF, NAN = float("inf"), float("nan")
+APODIZED_01 = {"kind": "apodized", "domain_width": 0.1, "pmf_width": 8.0}
+
+
+@pytest.mark.parametrize("cfg, named", [
+    (base_config(pump={"target_NS": INF}), "pump.target_NS"),
+    (base_config(medium=dict(SGVM_MEDIUM, L=INF), poling=APODIZED_01), "medium.L"),
+    (base_config(medium=dict(SGVM_MEDIUM, L=1e308), poling=APODIZED_01), "L = 1e+308"),
+    (base_config(grid={"N": 9, "half_width": INF}), "grid.half_width"),
+    (base_config(pump={"g0": 1.0, "sigma": INF}), "pump.sigma"),
+    (base_config(medium=dict(SGVM_MEDIUM, L=1e308), poling={"kind": "qpm", "period": 0.2}),
+     "L = 1e+308"),
+    (base_config(pass_mode={"kind": "double", "gain2_scale": NAN}), "pass_mode.gain2_scale"),
+    (base_config(poling=dict(APODIZED_01, pmf_width=NAN)), "poling.pmf_width"),
+    (base_config(pump={"g0": 10 ** 400}), "pump.g0"),
+], ids=["target-inf", "L-inf", "L-1e308-apodized", "half-width-inf", "sigma-inf",
+        "L-1e308-qpm", "gain2-scale-nan", "pmf-width-nan", "g0-huge-integer"])
+def test_non_finite_numbers_exit_2(tmp_path, capsys, cfg, named):
+    # JSON's Infinity and NaN, and a grating whose domain count overflows:
+    # tuning "converged" at g0 = 0, int(inf) and expm of inf escaped as
+    # exit 0, 1 and 3
+    rc, out = run(tmp_path, cfg, "simulate")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and named in err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("args,flag", [
     (["poling", "eval", "--dk-points", "-5"], "--dk-points"),
     (["poling", "eval", "--dk-points", "0"], "--dk-points"),
@@ -528,10 +556,12 @@ def test_outputs_identical_across_blas_thread_settings(tmp_path, command, cfg, f
 
 @pytest.mark.parametrize("pump", [{"sigma": 1.0, "target_NS": 5.0},
                                   {"sigma": 1.0, "g0": 6.28}], ids=["tuned", "fixed-g0"])
-def test_sweep_gain_builds_the_equal_gain_pass_once(tmp_path, monkeypatch, pump):
+def test_sweep_gain_composes_the_equal_gain_pass_once(tmp_path, monkeypatch,
+                                                      compose_evaluations, pump):
     # The README config at N=31, 11 points.  Tuning (or a fixed g0's base
-    # pass) builds the scale-1 double pass, and the sweep's scale-1 photon
-    # count and row reuse it (3 builds when both rebuilt it).
+    # pass) composes the pass at the base gain; the sweep's scale-1 photon
+    # count and row find it in the memo and form their N x N double-pass
+    # product again from it.
     built = []
     original = twinbeam.propagator.double_pass
 
@@ -546,7 +576,8 @@ def test_sweep_gain_builds_the_equal_gain_pass_once(tmp_path, monkeypatch, pump)
     assert rc == 0
     assert "\n1.0," in (out / "sweep.csv").read_text()  # the scale-1 row
     base_g0 = built[-1][0]  # every sweep pass runs at the base gain
-    assert built.count((base_g0, 1.0)) == 1
+    assert compose_evaluations.count(base_g0) == 1
+    assert built.count((base_g0, 1.0)) == 3
 
 
 def test_importing_the_cli_loads_no_thread_pool():
@@ -709,27 +740,28 @@ def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
     ("double", 2),
     ({"kind": "double", "gain2_scale": 1.3}, 3),
 ], ids=["matched", "detuned"])
-def test_verify_composes_the_forward_pass_once(tmp_path, monkeypatch, pass_mode, composed):
+def test_verify_composes_the_forward_pass_once(tmp_path, compose_evaluations, pass_mode,
+                                               composed):
     # the forward pass serves the double pass, the SVD route and the
     # structure checks; the zero-gain check and a detuned return pass add one
     # each (4 and 4 when each step composed its own)
-    calls = counting_composes(monkeypatch)
     rc, _ = run(tmp_path, base_config(pump={"g0": 0.8}, pass_mode=pass_mode), "verify")
     assert rc == 0
-    assert len(calls) == composed
-    assert calls[0] == 0.8 and calls[-1] == 0.0
+    assert len(compose_evaluations) == composed
+    assert compose_evaluations[0] == 0.8 and compose_evaluations[-1] == 0.0
 
 
-@pytest.mark.parametrize("medium, poling", [
-    (SGVM_MEDIUM, {"kind": "qpm", "period": 2.0 / 9.0}),
-    (SKEW_MEDIUM, {"kind": "apodized", "domain_width": 1.0 / 169, "pmf_width": 8.0}),
+@pytest.mark.parametrize("medium, poling, built", [
+    (SGVM_MEDIUM, {"kind": "qpm", "period": 2.0 / 9.0}, 4),
+    (SKEW_MEDIUM, {"kind": "apodized", "domain_width": 1.0 / 169, "pmf_width": 8.0}, 5),
 ], ids=["sgvm-qpm", "skew-apodized"])
 def test_verify_builds_the_coupling_matrices_once_per_pass(tmp_path, monkeypatch,
-                                                           medium, poling):
-    # verify's own sign +1 matrices serve structure_checks and its regime
-    # guard, and each pass derives the sign -1 exponentials from the sign +1
-    # ones: the checks, the forward pass and the zero-gain pass build one set
-    # each (6 and 7 when every step built its own)
+                                                           medium, poling, built):
+    # each pass derives the sign -1 exponentials from the sign +1 ones: the
+    # checks, structure_checks' F, the forward pass and the zero-gain pass
+    # build one set each, and off SGVM the exchange-basis regime guard one
+    # more (6 and 7 when every step built its own, 3 and 3 when verify's own
+    # matrices were handed to structure_checks and its guard)
     original = twinbeam.model.build_coupled_matrices
     signs = []
 
@@ -744,7 +776,7 @@ def test_verify_builds_the_coupling_matrices_once_per_pass(tmp_path, monkeypatch
                       options={"remove_free_phase": True})
     rc, _ = run(tmp_path, cfg, "verify")
     assert rc == 0
-    assert signs == [1, 1, 1]
+    assert signs == [1] * built
 
 
 def test_verify_rejects_tampered_propagator(tmp_path):

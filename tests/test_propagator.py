@@ -544,18 +544,45 @@ def test_return_trip_is_the_reversed_swapped_pass(n, kappa_s, mismatch, g0, scal
 @pytest.mark.parametrize("regime", ["sgvm", "skew"])
 @pytest.mark.parametrize("gain2_scale, pumps", [(1.0, [1.0]), (0.7, [1.0, 0.7])],
                          ids=["matched", "detuned"])
-def test_double_pass_domain_products(monkeypatch, request, regime, gain2_scale, pumps):
-    # a matched double pass reuses its forward product for the return trip
+def test_double_pass_domain_products(request, compose_evaluations, regime, gain2_scale, pumps):
+    # a matched double pass finds its return pass, the forward one, in the memo
     grid, pump, medium = request.getfixturevalue(regime)
-    built = []
-
-    def counting_compose(grid, pump, medium, poling):
-        built.append(pump.g0)
-        return compose(grid, pump, medium, poling)
-
-    monkeypatch.setattr(propagator, "compose", counting_compose)
     double_pass(grid, pump, medium, qpm_poling(L, 2.0 * L / 9.0), gain2_scale=gain2_scale)
-    assert built == pumps
+    assert compose_evaluations == pumps
+
+
+def test_compose_returns_the_memoized_pass_for_equal_arguments(sgvm):
+    grid, pump, medium = sgvm
+    poling = qpm_poling(L, 2.0 * L / 9.0)
+    prop = compose(grid, pump, medium, poling)
+    # equal-valued frozen arguments built anew find the same pass
+    again = compose(build_grid(N, 0.0, 5.0), PumpSpec(g0=1.0),
+                    MediumSpec.from_walkoffs(8.0, -8.0, L), qpm_poling(L, 2.0 * L / 9.0))
+    assert again is prop
+    assert compose.cache_info().misses == 1
+
+
+def test_a_memoized_pass_is_read_only(sgvm):
+    prop = compose(*sgvm, qpm_poling(L, 2.0 * L / 9.0))
+    before = prop.bogoliubov.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        prop.bogoliubov[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        prop.bogoliubov *= 2.0
+    np.testing.assert_array_equal(compose(*sgvm, qpm_poling(L, 2.0 * L / 9.0)).bogoliubov,
+                                  before)
+
+
+def test_equal_valued_tables_do_not_share_a_memo_entry(sgvm):
+    # tables compare by identity, so a pass is memoized per table object
+    grid, _, medium = sgvm
+    f = np.linspace(-12.0, 12.0, 241)
+    tables = [TabulatedEnvelope(f, np.exp(-(f ** 2) / 2.0), frequency_symmetric=True)
+              for _ in range(2)]
+    a, b = (compose(grid, PumpSpec(g0=1.0, envelope=t), medium, Poling.unpoled(L))
+            for t in tables)
+    assert a is not b and compose.cache_info().misses == 2
+    np.testing.assert_array_equal(a.bogoliubov, b.bogoliubov)
 
 
 def test_mean_photons_zero_and_known_squeezer():
