@@ -1,28 +1,26 @@
 """Structure-exploiting decomposition routes and symmetry diagnostics.
 
 The generic factorization in blochmessiah works for any symplectic input.
-The routes here instead use the block structure of the twin-beam generator.
-A fixed 2N unitary W on the complex amplitudes (a_S, a_I) embeds as an
-orthogonal symplectic 4N basis B = embed_unitary(W) that splits every domain
-generator Q into B^T Q B = diag(C, -C^T), so the composed propagator splits
-the same way and its upper-left 2N block is a reduced propagator.  The
-blocks C have closed forms in the coupling matrices, and the reduced
-propagators are read off the complex Bogoliubov matrix that
-propagator.compose builds:
+The routes here use the block structure of the twin-beam generator: a fixed
+2N unitary W on (a_S, a_I) embeds as an orthogonal symplectic 4N basis
+B = embed_unitary(W) that splits every domain generator Q into
+B^T Q B = diag(C, -C^T), so the composed propagator splits the same way and
+its upper-left 2N block is a reduced propagator.  The blocks C have closed
+forms in the coupling matrices (block_reduce):
 
 * In the SGVM regime (H = -G), W = (1/sqrt 2) [[I, -iI], [-iI, I]] is the
   walk-off basis, C = [[-F, G], [-G, -F]] and the reduced propagator A-hat
-  is embed_unitary(M), M the N x N Bogoliubov matrix.  For any poling the
-  SVD of A-hat gives the factors directly.  The return trip is the adjoint
-  of the pass, so the matched double pass has block A-hat^T A-hat,
-  symmetric positive definite: input equals output modes.
+  is embed_unitary(M), M the N x N Bogoliubov view of the composed pass.
+  For any poling the SVD of A-hat gives the factors directly.  The return
+  trip is the adjoint of the pass, so the matched double pass has block
+  A-hat^T A-hat, symmetric positive definite: input equals output modes.
 
 * Away from SGVM, W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]] (J the bin
   exchange) is the exchange basis.  It splits the generator, with
   C = [[H J, -F J], [-F J, G J]], whenever F is centrosymmetric and G, H
   anticentrosymmetric (an even pump on a mirror grid).  The reduced
-  propagator is C-hat = Re(V^H T V), T the 2N Bogoliubov matrix on
-  (a_S, a_I^+) and V the rows of W with the idler rows conjugated.
+  propagator C-hat is the stored exchange-basis matrix with its beam halves
+  swapped (_reduced); no original-basis view is formed.
 
 When the poling reads the same reversed, X times the reduced propagator is
 symmetric (X the half-swap for SGVM, diag(J, J) otherwise), and the
@@ -31,13 +29,12 @@ eigenvalues give the (lam, 1/lam) ladder directly.  A real 2N factor R of
 the reduced block is the complex factor W R of the full propagator.  W, X
 and the exchange pair are applied by indexing, never as dense products.
 
-All routes return the same BlochMessiahResult contract as the generic
-factorization after a shared canonicalization step, so they can be compared
-against the generic route mode by mode.  Each checks its factors against
-the real 2N diagonal blocks of B^T S B, the block it factored and its
-inverse transpose (_checked): no route builds the 4N Propagator.matrix.
-A route applied outside its regime raises RegimeError carrying the
-violated residual.
+All routes return the BlochMessiahResult contract of the generic route
+after a shared canonicalization, so the two compare mode by mode.  Each
+checks its factors against the real 2N diagonal blocks of B^T S B, the
+block it factored and its inverse transpose (_checked), never the 4N
+Propagator.matrix.  A route outside its regime raises RegimeError carrying
+the violated residual.
 """
 
 from typing import NamedTuple
@@ -48,7 +45,7 @@ from . import numerics
 from .blochmessiah import BlochMessiahResult, _polish_unitary, _with_residuals
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
-from .propagator import compose, double_pass, embed_unitary
+from .propagator import _exchange, compose, double_pass, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
@@ -164,20 +161,20 @@ def _reduced(grid, pump, medium, poling):
     """(basis, block) of the composed pass in its regime's basis W (_basis).
 
     SGVM: block A-hat, the embed_unitary of the Bogoliubov matrix.  Otherwise
-    block C-hat = Re(V^H T V); raises RegimeError (with the residual) when a
+    C-hat = Re(V^H T V), V the rows of W with the idler rows conjugated (T
+    acts on a_I^+), and V = e^{-i pi/4} U P (U the exchange basis, P the beam
+    swap) makes it Re(P X P).  Raises RegimeError (with the residual) when a
     domain generator of the poling does not split in the exchange basis,
     checked once on the sign +1 matrices (negating F moves neither the
     residual nor its scale; G, H alone always split, so sign 0 needs none).
     """
     prop = compose(grid, pump, medium, poling)
-    n, basis = grid.n, _basis(grid.n, prop.sgvm)
+    basis = _basis(grid.n, prop.sgvm)
     if prop.sgvm:
         return basis, embed_unitary(prop.bogoliubov)
     if poling.signs.any():
         block_reduce(build_coupled_matrices(grid, pump, medium, sign=1))
-    W = basis.full(np.eye(2 * n))
-    V = np.vstack([W[:n], W[n:].conj()])  # T acts on a_I^+, not a_I
-    return basis, (V.conj().T @ prop.bogoliubov @ V).real
+    return basis, prop.exchange[basis.a][:, basis.a].real
 
 
 def _asymmetry(M):
@@ -197,11 +194,11 @@ def _factors(basis, left, lam_raw, right):
 def _diagonal_blocks(prop, block):
     """(block, block^-T), the diagonal blocks of B^T S B, S = prop.matrix.
 
-    In SGVM media block = embed_unitary(M), so block^-T = embed_unitary(conj(M^-T))
-    with M^-T cached on prop; otherwise block is inverted.
+    In SGVM media block = embed_unitary(M), so block^-T = embed_unitary(conj(M^-T)),
+    M^-T = U^H X^-T U with X^-T cached on prop; otherwise block is inverted.
     """
     if prop.sgvm:
-        return block, embed_unitary(prop._inverse_transpose.conj())
+        return block, embed_unitary(_exchange(prop._inverse_transpose, prop.n).conj())
     return block, np.linalg.inv(block).T
 
 

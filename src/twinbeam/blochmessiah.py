@@ -34,7 +34,7 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
 from .propagator import (
-    Propagator, _embedded_max, compose, double_pass, embed_unitary, free_path,
+    Propagator, _embedded_max, _free_phases, compose, double_pass, embed_unitary,
     symplectic_residual,
 )
 
@@ -132,13 +132,6 @@ def _with_residuals(result, reconstruction, context, orthogonal):
     return replace(result, residuals=residuals)
 
 
-def _complex_rep_avg(M, h):
-    """Complex representative of a nearly embedded matrix, block-averaged."""
-    X = 0.5 * (M[:h, :h] + M[h:, h:])
-    Y = 0.5 * (M[h:, :h] - M[:h, h:])
-    return X + 1j * Y
-
-
 def _polish_unitary(Z, context):
     """Polar (Lowdin) factor Z (Z^H Z)^{-1/2} of a nearly unitary Z, tall or
     square, and its orthogonality residual max|embed_unitary(Z^H Z - I)|.
@@ -214,7 +207,9 @@ def _input_factor(S, Z, lam):
     """
     O_tilde = S.T @ embed_unitary(Z)
     O_tilde /= np.concatenate([lam, 1.0 / lam])
-    Z_tilde = _complex_rep_avg(O_tilde, S.shape[0] // 2)
+    h = S.shape[0] // 2  # Z_tilde: the complex representative, block-averaged
+    Z_tilde = (0.5 * (O_tilde[:h, :h] + O_tilde[h:, h:])
+               + 0.5j * (O_tilde[h:, :h] - O_tilde[:h, h:]))
     defect = embed_unitary(Z_tilde)
     defect -= O_tilde
     embed_defect = float(np.abs(defect, out=defect).max())
@@ -260,11 +255,7 @@ def pair_mixer(n_pairs):
     degenerate lam pair of single-mode squeezers into one two-mode squeezer.
     two_mode_rearrange applies it column pair by column pair (_mix_pairs).
     """
-    w = np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0)
-    B = np.zeros((2 * n_pairs, 2 * n_pairs), dtype=complex)
-    for k in range(n_pairs):
-        B[2 * k:2 * k + 2, 2 * k:2 * k + 2] = w
-    return B
+    return np.kron(np.eye(n_pairs), np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0))
 
 
 def _mix_pairs(U):
@@ -341,7 +332,7 @@ class Decomposition:
         The free path P (over both passes when double) is diagonal and passive,
         so P^H S = (P^H O) D O_tilde^T: only each bin's row of U_out turns back.
         """
-        n, p = self.grid.n, np.diag(free_path(self.grid, medium, double).bogoliubov)
+        n, p = self.grid.n, _free_phases(self.grid, medium, medium.length, double)
         # (a_S, a_I) turn by (conj M, M) for SGVM media, else by (p_S, conj p_I+)
         phase = np.concatenate([p.conj(), p] if p.size == n else [p[:n], p[n:].conj()])
         return replace(self, U_out=phase.conj()[:, None] * self.U_out)
@@ -402,7 +393,7 @@ def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
     solve_increasing searches up from [0, max(|g0|, 1)] without building a
     propagator at zero gain; its first two steps scale the latest gain by
     _spectral_scale of the pass just evaluated, composed again from the
-    memo.  Photon numbers are read off the complex Bogoliubov matrix.
+    memo.  Photon numbers are read off the exchange-basis matrix.
     Returns (g0, achieved), (0.0, 0.0) for a target within tol of zero.
     """
     if not (target >= 0):
@@ -422,20 +413,22 @@ def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
 def _spectral_scale(prop, target):
     """The x with sum_k sinh^2(x r_k) = target > 0, r_k the squeezing of prop.
 
-    r_k = |log s_k(M)| in SGVM media, else asinh s_k(B), B the upper right N
-    block, so sum_k sinh^2 r_k is prop's photon number.  The sum reaches the
-    target by x0 = asinh(sqrt(target)) / max r_k, so solving on [0, x0] with
-    each term divided by the target cannot overflow.  Infinite when x0 is.
+    r_k = |log s_k(X)| in SGVM media, else asinh s_k(B), B the upper right N
+    block of X, so sum_k sinh^2 r_k is prop's photon number.  The sum reaches
+    the target by x0 = asinh(sqrt(target)) / max r_k, so solving on [0, x0]
+    with each term divided by the target cannot overflow (roundoff-sized r_k
+    underflow to zero).  Infinite when x0 is.
     """
-    n, T = prop.n, prop.bogoliubov
-    s = np.linalg.svd(T if prop.sgvm else T[:n, n:], compute_uv=False)
+    n, X = prop.n, prop.exchange
+    s = np.linalg.svd(X if prop.sgvm else X[:n, n:], compute_uv=False)
     r = np.abs(np.log(s)) if prop.sgvm else np.arcsinh(s)
     amp, r_max = math.sqrt(target), float(np.max(r))
     x0 = math.asinh(amp) / r_max if r_max > 0.0 else math.inf
     if not math.isfinite(x0):
         return x0
-    return solve_increasing(lambda x: float(np.sum((np.sinh(x * r) / amp) ** 2)),
-                            1.0, 0.0, x0, 1e-9)[0]
+    with np.errstate(under="ignore"):
+        return solve_increasing(lambda x: float(np.sum((np.sinh(x * r) / amp) ** 2)),
+                                1.0, 0.0, x0, 1e-9)[0]
 
 
 def _cut(a, b, target, wa=1.0, wb=1.0):

@@ -480,7 +480,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
     if cfg.double:
         zero = double_pass(grid, replace(pump, g0=0.0), medium, cfg.sim_poling)
         _check(checks, "double_pass_zero_gain_free", float(np.max(np.abs(
-            zero.bogoliubov - free_path(grid, medium, double=True).bogoliubov))), 1e-12)
+            zero.exchange - free_path(grid, medium, double=True).exchange))), 1e-12)
 
     if propagator_path is not None:
         M = load_matrix(propagator_path)

@@ -17,7 +17,6 @@ Quadrature ordering is (X_S, X_I, P_S, P_I), each block of length N.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
@@ -34,6 +33,9 @@ __all__ = [
 ]
 
 CENTER_MATCH_RTOL = 1e-12
+# Whole domains a generated grating may have: building one takes about
+# 150 bytes and 0.8 us per domain, so this caps it near 150 MB and 1 s.
+MAX_DOMAINS = 10 ** 6
 
 
 def flip_matrix(n):
@@ -362,8 +364,9 @@ def build_generator(matrices):
 def _tile(length, width):
     """Whole domains of the width filling length, then a remainder above 1e-12 length."""
     count = length / width + 1e-9
-    if not count < sys.maxsize:
-        raise ConfigError("length L = %g holds too many domains to count" % length)
+    if not count < MAX_DOMAINS + 1:
+        raise ConfigError("length L = %g holds %.3g domains of width %g, more than the "
+                          "%d a grating may have" % (length, count, width, MAX_DOMAINS))
     rem = length - int(count) * width
     return [width] * int(count) + ([rem] if rem > 1e-12 * length else [])
 

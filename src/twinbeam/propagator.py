@@ -7,31 +7,30 @@ equations of motion read
     d a_S / dz   =  i G a_S + i F a_I^+
     d a_I^+ / dz = -i F a_S - i H a_I^+
 
-so a uniform domain of width dz propagates by expm(dz * K) with the 2N x 2N
-complex generator K = i [[G, F], [-F, -H]].  In the SGVM regime (H = -G)
-this splits further: a_S - i a_I^+ evolves under the N x N generator -F + iG
-and a_S + i a_I^+ under F + iG, so one N x N complex matrix
-M = expm(dz (-F - iG)) holds the whole domain (the first combination
-evolves by conj(M), the second by M^{-T}).  Each poling domain has
-z-independent coupling matrices and a device is the ordered (left-multiplied)
-product of its domain matrices, which `compose` forms in the exchange basis
-U = e^{i pi/4} (I - iJ') / sqrt 2, J' = J (the bin flip) in SGVM media, else
-diag(J, -J).  An even pump (the Gaussian or a declared-even table) on a
-mirror grid makes F centrosymmetric and G, H anticentrosymmetric, bitwise,
-so U^H K U and every domain product are real; other pumps run in complex.
-The return trip (domains reversed, v_S and v_I exchanged) is the adjoint of
-the forward pass: M^H for SGVM media, and otherwise T^-1 = Sigma T^H Sigma
-(Sigma = diag(I, -I)) with the beams exchanged.  So a double pass costs one domain product, and for SGVM it
-is the Hermitian M^H M, whose input and output modes coincide.
+so a uniform domain of width dz propagates by expm(dz * K), K = i [[G, F],
+[-F, -H]].  In the SGVM regime (H = -G) a_S - i a_I^+ evolves by conj(M) and
+a_S + i a_I^+ by M^{-T}, M = expm(dz (-F - iG)), so the N x N M holds the
+domain.  This original-basis matrix T (M, else the 2N matrix on
+(a_S, a_I^+)) is the Bogoliubov matrix.
 
-Photon numbers are read off the complex matrices.  A complex matrix
-Z = X + iY acts on real and imaginary parts as embed_unitary(Z) =
-[[X, -Y], [Y, X]], the one bridge to real views (a unitary Z embeds as an
-orthogonal symplectic matrix).  The 4N x 4N real symplectic matrix on the
-quadratures (X_S, X_I, P_S, P_I) is the embedding of the 2N matrix on
-(a_S, a_I^+) with the P_I rows and columns negated; it feeds the generic
-factorization.  Its symplectic residual is read off the complex matrix.
-`compose` memoizes its passes, so a caller that needs one composes it again.
+A Propagator stores one matrix, X = U^H T U in the exchange basis
+U = e^{i pi/4} (I - iJ') / sqrt 2, J' = J (the bin flip) in SGVM media, else
+diag(J, -J).  U is unitary and block-diagonal per beam, so photon numbers
+and squeezing spectra are read off X.  An even pump on a mirror grid makes
+F centrosymmetric and G, H anticentrosymmetric, bitwise, so U^H K U, every
+domain exponential and product, and X are real; other pumps run in complex.
+A device is the ordered (left-multiplied) product of its domains, which
+`compose` forms.  The return trip (domains reversed, v_S and v_I exchanged)
+is the adjoint of the pass: M^H, so X^H, in SGVM media, else Sigma P T^H P
+Sigma (Sigma = diag(I, -I), P the beam swap), which U^H Sigma P U = iK (K the
+2N index reversal) turns into K X^H K.  So a double pass costs one domain
+product.  T itself (`bogoliubov`) is a view formed once per propagator, for
+the 4N export and the analytic routes.  embed_unitary(Z) = [[Re Z, -Im Z],
+[Im Z, Re Z]] is the one bridge from complex matrices to real views; the
+4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I) is the embedding of
+the 2N matrix on (a_S, a_I^+) with the P_I rows and columns negated.  Cached
+arrays are read-only and `compose` memoizes its passes, so a caller that
+needs one composes it again.
 """
 
 from dataclasses import dataclass, replace
@@ -86,47 +85,61 @@ def embed_unitary(Z):
     return E
 
 
+def _frozen(a):
+    """a, made read-only where it is built."""
+    a.setflags(write=False)
+    return a
+
+
+def _real_if_exact(X):
+    """X of real dtype when its imaginary part is exactly zero."""
+    return X if X.imag.any() else X.real
+
+
 @dataclass(frozen=True)
 class Propagator:
-    """Complex Bogoliubov propagator of one device.
+    """Bogoliubov propagator of one device: exchange is X = U^H T U (module docstring).
 
-    bogoliubov is the N x N matrix M (SGVM media) or the 2N x 2N matrix on
-    (a_S, a_I^+) (all other media); see the module docstring.  Propagators
-    compose by multiplying these complex matrices (`after`) and count
-    photons on them (`mean_photons`) and their symplectic residual, computed
-    once (`symplectic_residual`).  matrix is the 4N x 4N real symplectic
-    export, built on first use for the generic factorization.
+    Propagators compose by multiplying X (`after`) and count photons on it;
+    their symplectic residual is computed once.  bogoliubov (T) and matrix
+    (the 4N x 4N real symplectic export) are built on first use.
     """
 
-    bogoliubov: np.ndarray
+    exchange: np.ndarray
     n: int
 
     def __post_init__(self):
-        if self.bogoliubov.shape not in ((self.n, self.n), (2 * self.n, 2 * self.n)):
-            raise ContractError(
-                "Bogoliubov matrix shape %r does not match n=%d"
-                % (self.bogoliubov.shape, self.n)
-            )
+        if self.exchange.shape not in ((self.n, self.n), (2 * self.n, 2 * self.n)):
+            raise ContractError("Bogoliubov matrix shape %r does not match n=%d"
+                                % (self.exchange.shape, self.n))
+
+    @classmethod
+    def from_bogoliubov(cls, T, n):
+        """The propagator of an original-basis matrix T, real dtype when U^H T U is."""
+        return cls(_real_if_exact(_exchange(np.asarray(T), n)), n)
 
     @property
     def sgvm(self):
-        return self.bogoliubov.shape[0] == self.n
+        return self.exchange.shape[0] == self.n
 
     def after(self, earlier):
         """The propagator of `earlier` followed by this one."""
-        return Propagator(self.bogoliubov @ earlier.bogoliubov, self.n)
+        return Propagator(self.exchange @ earlier.exchange, self.n)
 
     def return_trip(self):
-        """This pass traversed backwards: domains reversed, v_S and v_I exchanged."""
-        n, T = self.n, self.bogoliubov.conj().T
-        if self.sgvm:
-            return Propagator(T, n)
-        # [[A, B], [C, D]] -> [[D^H, -B^H], [-C^H, A^H]]
-        return Propagator(np.block([[T[n:, n:], -T[n:, :n]], [-T[:n, n:], T[:n, :n]]]), n)
+        """This pass traversed backwards: X^H in SGVM media, else K X^H K (module docstring)."""
+        back = self.exchange.conj().T
+        return Propagator(back if self.sgvm else np.ascontiguousarray(back[::-1, ::-1]),
+                          self.n)
 
     @cached_property
-    def _inverse_transpose(self):  # M^-T in SGVM media, inverted once for all its readers
-        return np.linalg.inv(self.bogoliubov).T
+    def bogoliubov(self):
+        """The original-basis matrix T = U X U^H."""
+        return _frozen(_exchange(self.exchange, self.n, -1))
+
+    @cached_property
+    def _inverse_transpose(self):  # X^-T in SGVM media, inverted once for all its readers
+        return _frozen(np.linalg.inv(self.exchange).T)
 
     @cached_property
     def matrix(self):
@@ -134,61 +147,54 @@ class Propagator:
 
         (a_S, a_I^+) has real part (X_S, X_I) and imaginary part (P_S, -P_I),
         so this is embed_unitary of the 2N matrix on (a_S, a_I^+) with the
-        P_I row and column blocks negated.  In SGVM media that 2N matrix is
-        assembled from M: a_S - i a_I^+ evolves by conj(M), a_S + i a_I^+ by
-        M^{-T}.
+        P_I row and column blocks negated, assembled in SGVM media from
+        conj(M) and M^{-T} (module docstring).
         """
         n, T = self.n, self.bogoliubov
         if self.sgvm:
-            down, up = T.conj(), self._inverse_transpose
+            down, up = T.conj(), _exchange(self._inverse_transpose, n)  # U is symmetric
             A, B = 0.5 * (up + down), 0.5j * (up - down)
             T = np.block([[A, B], [-B, A]])
         S = embed_unitary(T)
         S[3 * n:] *= -1.0
         S[:, 3 * n:] *= -1.0
-        return S
+        return _frozen(S)
 
     def symplectic_residual(self):
-        """symplectic_residual(self.matrix), read off the small form once per propagator.
-
-        A method over the cached _symplectic_residual, so callers keep the call syntax.
-        """
+        """symplectic_residual(self.matrix), read off X once per propagator (cached)."""
         return self._symplectic_residual
 
     @cached_property
     def _symplectic_residual(self):
         """matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
-        is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma, T the 2N matrix.
-
-        In SGVM media E has the blocks H - I, iD, iD and I - H (up to signs),
-        H and D the Hermitian and anti-Hermitian parts of P = M^-T M^T, so one
-        N x N product gives it.
+        is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma = U (X Sigma X^H -
+        Sigma) U^H, T the 2N matrix.  In SGVM media E has the blocks H - I, iD,
+        iD and I - H (up to signs), H and D the Hermitian and anti-Hermitian
+        parts of P = M^-T M^T = U^H X^-T X^T U: one N x N product.
         """
+        n, X = self.n, self.exchange
         if self.sgvm:
-            P = self._inverse_transpose @ self.bogoliubov.T
+            P = _exchange(self._inverse_transpose @ X.T, n)
             Ph = P.conj().T
             H = 0.5 * (P + Ph)
-            H.flat[::self.n + 1] -= 1.0
+            H.flat[::n + 1] -= 1.0
             parts = H, 0.5 * (P - Ph)
         else:
-            T, sigma = self.bogoliubov, np.repeat([1.0, -1.0], self.n)
-            E = (T * sigma) @ T.conj().T
-            E.flat[::2 * self.n + 1] -= sigma
-            parts = E,
+            sigma = np.repeat([1.0, -1.0], n)
+            E = (X * sigma) @ X.conj().T
+            E.flat[::2 * n + 1] -= sigma
+            parts = _exchange(E, n, -1),
         return max(_embedded_max(E) for E in parts)
 
     def mean_photons(self):
-        """mean_photons(self.matrix, n), read off the complex matrix.
-
-        A beam with rows [A B] holds (||A||_F^2 + ||B||_F^2 - N) / 2.  For SGVM
-        media (A, B from M as in matrix) Re tr(M^-1 M) = N turns that into
-        ||M^-T - conj M||_F^2 / 4, which subtracts no N.
-        """
-        n, T = self.n, self.bogoliubov
+        """mean_photons(self.matrix, n), read off X: a beam with rows [A B] of T
+        (or of X) holds (||A||_F^2 + ||B||_F^2 - N) / 2, in SGVM media (A, B from
+        M as in matrix) ||M^-T - conj M||_F^2 / 4 = ||X^-T - conj X||_F^2 / 4."""
+        n, X = self.n, self.exchange
         if self.sgvm:
-            ns = float(np.linalg.norm(self._inverse_transpose - T.conj()) ** 2) / 4.0
+            ns = float(np.linalg.norm(self._inverse_transpose - X.conj()) ** 2) / 4.0
             return ns, ns
-        return tuple(float(np.linalg.norm(rows) ** 2 - n) / 2.0 for rows in (T[:n], T[n:]))
+        return tuple(float(np.linalg.norm(rows) ** 2 - n) / 2.0 for rows in (X[:n], X[n:]))
 
 
 def mean_photons(S, n):
@@ -220,7 +226,8 @@ def segment_propagator(matrices, dz):
     """Propagator of one uniform domain of width dz: expm(dz * generator)."""
     if not (dz > 0):
         raise ConfigError("segment width must be positive")
-    return Propagator(_domain_expm(_generator(matrices), dz, matrices.g0), matrices.G.shape[0])
+    return Propagator.from_bogoliubov(_domain_expm(_generator(matrices), dz, matrices.g0),
+                                      matrices.G.shape[0])
 
 
 def _exchange(X, n, sign=1):
@@ -248,15 +255,15 @@ def _opposite_sign(E, n):
 def compose(grid, pump, medium, poling):
     """Total propagator of one pass through the poled medium, memoized.
 
-    Later domains multiply from the left, in the exchange basis of the module
-    docstring, in real arithmetic when the generators are real.  Domains of
-    equal width and sign share one exponential; the opposite sign's is derived
-    (_opposite_sign).  The product is reduced pairwise by levels, later @
-    earlier, an odd last block carried up.  A block is keyed by the run of
-    domains it spans, so a run that recurs at an aligned position is
-    multiplied once per level: a periodic grating of m domains takes about
-    log2(m) products, the 169-domain apodized grating 36.  Equal (frozen)
-    arguments return the same Propagator, its Bogoliubov matrix read-only.
+    Later domains multiply from the left, in the exchange basis, in real
+    arithmetic when the generators are real.  Domains of equal width and sign
+    share one exponential; the opposite sign's is derived (_opposite_sign).
+    The product is reduced pairwise by levels, later @ earlier, an odd last
+    block carried up.  A block is keyed by the run of domains it spans, so a
+    run that recurs at an aligned position is multiplied once per level: a
+    periodic grating of m domains takes about log2(m) products, the
+    169-domain apodized grating 36.  The last product is the pass's X; equal
+    (frozen) arguments return the same Propagator.
     """
     if abs(poling.length - medium.length) > LENGTH_MATCH_RTOL * max(
         poling.length, medium.length
@@ -275,8 +282,7 @@ def compose(grid, pump, medium, poling):
         else:
             if sign not in generators:
                 m = build_coupled_matrices(grid, pump, medium, sign=sign)
-                K = _exchange(_generator(m), grid.n)
-                generators[sign] = K if K.imag.any() else K.real  # real dtype when exactly real
+                generators[sign] = _real_if_exact(_exchange(_generator(m), grid.n))
             segments[width, sign] = _domain_expm(generators[sign], width, pump.g0)
     level = [segments[d] for d in domains]
     span = 1
@@ -290,9 +296,7 @@ def compose(grid, pump, medium, poling):
             paired.append(products[key])
         level = paired + level[2 * len(paired):]
         span *= 2
-    total = _exchange(level[0], grid.n, -1)
-    total.setflags(write=False)
-    return Propagator(total, grid.n)
+    return Propagator(_frozen(level[0]), grid.n)
 
 
 def double_pass(grid, pump, medium, poling, gain2_scale=1.0):
@@ -306,27 +310,28 @@ def double_pass(grid, pump, medium, poling, gain2_scale=1.0):
     return back.return_trip().after(first)
 
 
-def free_propagator(grid, medium, length):
-    """Propagator with the pump off: a diagonal walk-off phase per bin.
-
-    a_S of bin n picks up exp(i kappa_S d_n length) and a_I^+ picks up
-    exp(-i kappa_I d_n length).  Negative lengths are allowed.
-    """
+def _free_phases(grid, medium, length, double=False):
+    """The pump-off Bogoliubov matrix's diagonal: a_S of bin n picks up
+    exp(i kappa_S d_n length), a_I^+ exp(-i kappa_I d_n length) (M the first
+    N); when double, times that of a second pass with v_S and v_I exchanged."""
     d = grid.detunings
+    if double:
+        return _free_phases(grid, medium.swapped(), length) * _free_phases(grid, medium, length)
     if medium.sgvm():
-        return Propagator(np.diag(np.exp(-1j * medium.kappa_signal * d * length)), grid.n)
-    return Propagator(np.diag(np.concatenate([
-        np.exp(1j * medium.kappa_signal * d * length),
-        np.exp(-1j * medium.kappa_idler * d * length),
-    ])), grid.n)
+        return np.exp(-1j * medium.kappa_signal * d * length)
+    return np.concatenate([np.exp(1j * medium.kappa_signal * d * length),
+                           np.exp(-1j * medium.kappa_idler * d * length)])
+
+
+def free_propagator(grid, medium, length):
+    """Propagator with the pump off (_free_phases), X real; negative lengths are allowed."""
+    return Propagator.from_bogoliubov(np.diag(_free_phases(grid, medium, length)), grid.n)
 
 
 def free_path(grid, medium, double=False):
     """Free propagator over one pass, or over both passes of a double pass."""
-    path = free_propagator(grid, medium, medium.length)
-    if double:
-        path = free_propagator(grid, medium.swapped(), medium.length).after(path)
-    return path
+    phases = _free_phases(grid, medium, medium.length, double)
+    return Propagator.from_bogoliubov(np.diag(phases), grid.n)
 
 
 def load_matrix(path):

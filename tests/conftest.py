@@ -62,7 +62,7 @@ def plain_product(grid, pump, medium, poling):
             m = build_coupled_matrices(grid, pump, medium, sign=sign)
             segments[width, sign] = segment_propagator(m, width).bogoliubov
         total = segments[width, sign] @ total
-    return Propagator(total, grid.n)
+    return Propagator.from_bogoliubov(total, grid.n)
 
 
 class BenchLab:
@@ -166,17 +166,29 @@ def compose_evaluations(monkeypatch):
     return evaluations
 
 
-@pytest.fixture()
-def matrix_builds(monkeypatch):
-    """A list that grows by one entry (the bin count) per Propagator.matrix build."""
+def _counted_builds(monkeypatch, name):
+    """A list that grows by one entry (the bin count) per build of the cached
+    Propagator property `name`."""
     builds = []
-    build = Propagator.matrix.func
+    build = getattr(Propagator, name).func
 
     def counted(prop):
         builds.append(prop.n)
         return build(prop)
 
     cached = cached_property(counted)
-    cached.__set_name__(Propagator, "matrix")
-    monkeypatch.setattr(Propagator, "matrix", cached)
+    cached.__set_name__(Propagator, name)
+    monkeypatch.setattr(Propagator, name, cached)
     return builds
+
+
+@pytest.fixture()
+def matrix_builds(monkeypatch):
+    """A list that grows by one entry (the bin count) per Propagator.matrix build."""
+    return _counted_builds(monkeypatch, "matrix")
+
+
+@pytest.fixture()
+def view_formations(monkeypatch):
+    """A list that grows by one entry per Propagator.bogoliubov formation."""
+    return _counted_builds(monkeypatch, "bogoliubov")

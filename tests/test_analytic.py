@@ -529,16 +529,15 @@ def test_structure_checks_compose_the_forward_pass_once(request, case, compose_e
 
 
 def dense_structure(prop, grid, pump, medium, poling):
-    """structure_checks' block fields with X and K applied as dense products."""
+    """structure_checks' block fields with X, K and the beam swap P applied as
+    dense products; away from SGVM the block is P X P, X the stored matrix."""
     n = grid.n
     i, z, j = np.eye(n), np.zeros((n, n)), flip_matrix(n)
+    X, K = np.block([[z, i], [i, z]]), np.block([[z, j], [j, z]])
     if prop.sgvm:
-        X, K = np.block([[z, i], [i, z]]), np.block([[z, j], [j, z]])
         M = X @ embed_unitary(prop.bogoliubov)
     else:
-        W = exchange_unitary(n)
-        V = np.vstack([W[:n], W[n:].conj()])
-        M = np.block([[j, z], [z, j]]) @ (V.conj().T @ prop.bogoliubov @ V).real
+        M = np.block([[j, z], [z, j]]) @ (X @ prop.exchange @ X).real
     fields = {"block_symmetry_residual": float(np.max(np.abs(M - M.T))),
               "flip_even": None, "flip_odd": None}
     if prop.sgvm:
@@ -566,6 +565,23 @@ def test_structure_checks_by_indexing_match_the_dense_form_bitwise(request, case
     assert np.array_equal(block[basis.x], M)
     report = structure_checks(grid, pump, medium, poling)
     assert {key: report[key] for key in fields} == fields
+
+
+@pytest.mark.parametrize("poling", [Poling.unpoled(L), qpm_poling(L, 2 * L / 9),
+                                    demodulate_poling(apodized_poling(L, L / 169, 8.0))],
+                         ids=["unpoled", "qpm", "apodized-169"])
+@pytest.mark.parametrize("g0", [1.0, 5.0])
+def test_reduced_block_matches_the_dense_exchange_product(skew, poling, g0):
+    # V = e^{-i pi/4} U P, so Re(V^H T V) is the stored X with its beam
+    # halves swapped; V the rows of the dense W, the idler rows conjugated
+    grid, _, medium = skew
+    pump = PumpSpec(g0=g0)
+    _, block = _reduced(grid, pump, medium, poling)
+    n, W = grid.n, exchange_unitary(grid.n)
+    V = np.vstack([W[:n], W[n:].conj()])  # T acts on a_I^+, not a_I
+    ref = V.conj().T @ compose(grid, pump, medium, poling).bogoliubov @ V
+    assert np.max(np.abs(ref.imag)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(block - ref.real)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_structure_checks_flags_asymmetric_pump(sgvm):

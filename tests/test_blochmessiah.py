@@ -218,7 +218,7 @@ def test_bloch_messiah_guards_a_propagator_with_its_cached_residual(monkeypatch)
     for name in ("Z", "lam", "Z_tilde"):
         np.testing.assert_array_equal(getattr(handed, name), getattr(raw, name))
     assert handed.residuals == raw.residuals
-    bent = Propagator(np.eye(2 * N) + 1e-3 * np.ones((2 * N, 2 * N)), N)
+    bent = Propagator.from_bogoliubov(np.eye(2 * N) + 1e-3 * np.ones((2 * N, 2 * N)), N)
     with pytest.raises(ContractError, match="not symplectic"):
         bloch_messiah(bent)
 
@@ -629,9 +629,10 @@ def test_spectral_scale_solves_without_overflow(target):
     T = np.block([[np.diag(np.cosh(r)), np.diag(np.sinh(r))],
                   [np.diag(np.sinh(r)), np.diag(np.cosh(r))]]).astype(complex)
     with np.errstate(all="raise"):
-        x = blochmessiah._spectral_scale(Propagator(T, n), target)
-        assert blochmessiah._spectral_scale(Propagator(np.diag(np.exp(-r)), n),
-                                            target) == pytest.approx(x, rel=1e-9)
+        x = blochmessiah._spectral_scale(Propagator.from_bogoliubov(T, n), target)
+        assert blochmessiah._spectral_scale(
+            Propagator.from_bogoliubov(np.diag(np.exp(-r)), n),
+            target) == pytest.approx(x, rel=1e-9)
     # sinh^2 of the largest term dominates from about N_S = 10 up
     got = np.sum(np.sinh(x * r[:3]) ** 2) if target < 1e200 else \
         np.exp(2 * x * r[0] - np.log(4 * target))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import cached_property
 
@@ -239,6 +240,49 @@ def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch
         assert len(inverses) == composed + 5 + 1
 
 
+def test_readme_commands_run_real_arithmetic_and_form_the_view_per_device(
+        tmp_path, monkeypatch, view_formations, compose_evaluations):
+    # tuning, photon counts and the device pass run no complex exponential or
+    # inverse and build no complex Propagator before decompose, which forms
+    # the original-basis view once; the sweep forms it once per row, and
+    # verify no more often than it composes a pass
+    dtypes, decomposing = [], []
+    decompose_ = twinbeam.cli.decompose
+
+    def recording(what, fn, array=np.asarray):
+        def wrapper(arg):
+            if not decomposing:
+                dtypes.append((what, array(arg).dtype.kind))
+            return fn(arg)
+        return wrapper
+
+    def entering(prop, grid):
+        decomposing.append(prop)
+        return decompose_(prop, grid)
+
+    monkeypatch.setattr(numerics, "expm", recording("expm", numerics.expm))
+    monkeypatch.setattr(np.linalg, "inv", recording("inv", np.linalg.inv))
+    monkeypatch.setattr(Propagator, "__post_init__", recording(
+        "Propagator", Propagator.__post_init__, lambda prop: prop.exchange))
+    monkeypatch.setattr(twinbeam.cli, "decompose", entering)
+    rc, _ = run(tmp_path, README_CONFIG, "simulate")
+    assert rc == 0
+    assert {what for what, _ in dtypes} == {"expm", "inv", "Propagator"}
+    assert {kind for _, kind in dtypes} == {"f"}
+    assert len(decomposing) == 1 and view_formations == [101]
+
+    del view_formations[:], decomposing[:]
+    cfg = dict(README_CONFIG, grid={"N": 31, "half_width": 5.0})
+    rc, _ = run(tmp_path, cfg, "sweep-gain", "--points", "11")
+    assert rc == 0
+    assert len(view_formations) == 11
+
+    del view_formations[:], compose_evaluations[:]
+    rc, _ = run(tmp_path, README_CONFIG, "verify")
+    assert rc == 0
+    assert 0 < len(view_formations) <= len(compose_evaluations) == 6
+
+
 @pytest.mark.parametrize("pump, composed", [
     ({"sigma": 1.0, "target_NS": 5.0}, 25),
     ({"sigma": 1.0, "g0": 6.28}, 21),
@@ -431,6 +475,21 @@ def test_non_finite_numbers_exit_2(tmp_path, capsys, cfg, named):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and named in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("poling", [{"kind": "qpm", "period": 0.2},
+                                    {"kind": "apodized", "domain_width": 0.1}],
+                         ids=["qpm", "apodized"])
+def test_a_grating_of_too_many_domains_exits_2_before_allocating(tmp_path, capsys, poling):
+    # 1e18 domains: the domain list raised an uncaught MemoryError (exit 1)
+    tracemalloc.start()
+    rc, _ = run(tmp_path, base_config(medium=dict(SGVM_MEDIUM, L=1e17), poling=poling),
+                "simulate")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rc == 2
+    assert "L = 1e+17 holds 1e+18 domains" in capsys.readouterr().err
+    assert peak < 10e6
 
 
 @pytest.mark.parametrize("args,flag", [

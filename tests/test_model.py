@@ -22,6 +22,7 @@ from twinbeam import (
     qpm_poling,
     save_poling,
 )
+from twinbeam import model
 from twinbeam.errors import ConfigError
 from twinbeam.numerics import expm
 
@@ -296,6 +297,16 @@ def test_poling_validation():
         Poling([])
     p = Poling([(1.0, 1), (0.5, -1)])
     assert p.reversed_().domains == ((0.5, -1), (1.0, 1))
+
+
+def test_generated_gratings_are_capped_at_max_domains(monkeypatch):
+    # the count is checked before any domain list is allocated
+    monkeypatch.setattr(model, "MAX_DOMAINS", 10)
+    assert len(qpm_poling(1.0, 0.2).domains) == 9
+    assert len(apodized_poling(1.0, 0.1).domains) == 10
+    for build in (lambda: qpm_poling(1.1, 0.2), lambda: apodized_poling(1.1, 0.1)):
+        with pytest.raises(ConfigError, match="L = 1.1 holds 11 domains of width 0.1"):
+            build()
 
 
 def test_apodized_constant_target_reduces_to_qpm():

@@ -1,5 +1,6 @@
 """Segment exponentials, chronological composition, double pass, segment and block reuse."""
 
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -132,7 +133,7 @@ def sixteen_block_matrix(prop):
     """The 4N quadrature matrix assembled block by block from (A, B, C, D)."""
     n, T = prop.n, prop.bogoliubov
     if prop.sgvm:
-        down, up = T.conj(), np.linalg.inv(T).T
+        down, up = T.conj(), propagator._exchange(np.linalg.inv(prop.exchange).T, n)
         A = D = 0.5 * (up + down)
         B = 0.5j * (up - down)
         C = -B
@@ -287,10 +288,17 @@ def test_compose_in_the_exchange_basis_matches_the_plain_product(
 
 @pytest.mark.parametrize("regime", ["sgvm", "skew"])
 @pytest.mark.parametrize("g0", [0.5, 3.0, 15.0])
-def test_symplectic_residual_of_the_2n_form_matches_the_4n_one(request, regime, g0):
-    # summary.json reads it off the 2N matrix: equal to roundoff of max|S|^2
+@pytest.mark.parametrize("defect", [0.0, 1e-7])
+def test_symplectic_residual_of_the_2n_form_matches_the_4n_one(request, regime, g0, defect):
+    # summary.json reads it off X: equal to roundoff of max|S|^2.  A 2N
+    # matrix bent by (I + defect A), A real antisymmetric, has a residual
+    # far above roundoff (an N x N M stays symplectic however it is bent)
     grid, _, medium = request.getfixturevalue(regime)
     prop = double_pass(grid, PumpSpec(g0=g0), medium, readme_grating())
+    if defect:
+        A = np.random.default_rng(7).normal(size=prop.exchange.shape)
+        prop = Propagator.from_bogoliubov(
+            (np.eye(len(A)) + defect * (A - A.T)) @ prop.bogoliubov, grid.n)
     S = prop.matrix
     assert abs(prop.symplectic_residual() - symplectic_residual(S)) <= \
         1e-15 * max(1.0, np.max(np.abs(S)) ** 2)
@@ -301,14 +309,16 @@ def test_symplectic_residual_of_the_2n_form_matches_the_4n_one(request, regime, 
 def test_sgvm_symplectic_residual_from_m_matches_the_2n_blocks(sgvm, g0, defect):
     # E = T Sigma T^H - Sigma on the assembled 2N matrix against its blocks
     # H - I and iD read off P = M^-T M^T: equal to roundoff of max|T|^2.  A
-    # cached inverse bent by (I + defect A), A real antisymmetric, makes P - I
-    # anti-Hermitian (defect 1e-7) or Hermitian (1e-7j), so each block counts
+    # cached inverse X^-T bent by (I + defect A), A real antisymmetric, makes
+    # P - I anti-Hermitian (defect 1e-7) or Hermitian (1e-7j), so each block
+    # counts; M^-T = U^H X^-T U carries the bend to the original basis
     grid, _, medium = sgvm
     prop = double_pass(grid, PumpSpec(g0=g0), medium, readme_grating())
     n, M = grid.n, prop.bogoliubov
     A = np.random.default_rng(6).normal(size=(n, n))
-    up = (np.eye(n) + defect * (A - A.T)) @ np.linalg.inv(M).T
-    prop.__dict__["_inverse_transpose"] = up
+    bent = (np.eye(n) + defect * (A - A.T)) @ np.linalg.inv(prop.exchange).T
+    prop.__dict__["_inverse_transpose"] = bent
+    up = propagator._exchange(bent, n)
     down = M.conj()
     A, B = 0.5 * (up + down), 0.5j * (up - down)
     T, sigma = np.block([[A, B], [-B, A]]), np.repeat([1.0, -1.0], n)
@@ -562,15 +572,63 @@ def test_compose_returns_the_memoized_pass_for_equal_arguments(sgvm):
     assert compose.cache_info().misses == 1
 
 
-def test_a_memoized_pass_is_read_only(sgvm):
-    prop = compose(*sgvm, qpm_poling(L, 2.0 * L / 9.0))
-    before = prop.bogoliubov.copy()
-    with pytest.raises(ValueError, match="read-only"):
-        prop.bogoliubov[0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        prop.bogoliubov *= 2.0
-    np.testing.assert_array_equal(compose(*sgvm, qpm_poling(L, 2.0 * L / 9.0)).bogoliubov,
-                                  before)
+@pytest.mark.parametrize("case", ["sgvm", "skew"])
+def test_a_memoized_pass_is_read_only(request, case):
+    # a write into the 4N matrix, the inverse or the original-basis view of
+    # a memoized pass used to leak into the next equal compose
+    grid, pump, medium = request.getfixturevalue(case)
+    prop = compose(grid, pump, medium, qpm_poling(L, 2.0 * L / 9.0))
+    names = ("exchange", "bogoliubov", "matrix", "_inverse_transpose")
+    before = {name: getattr(prop, name).copy() for name in names}
+    for name in names:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prop, name)[0, 0] = 7.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(prop, name)[...] *= 2.0
+    again = compose(grid, pump, medium, qpm_poling(L, 2.0 * L / 9.0))
+    for name in names:
+        np.testing.assert_array_equal(getattr(again, name), before[name])
+
+
+def original_return_trip(T, n):
+    """The return trip in the original basis: M^H for an N x N M, else
+    [[A, B], [C, D]] -> [[D^H, -B^H], [-C^H, A^H]]."""
+    H = T.conj().T
+    if len(T) == n:
+        return H
+    return np.block([[H[n:, n:], -H[n:, :n]], [-H[:n, n:], H[:n, :n]]])
+
+
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+@pytest.mark.parametrize("pump", list(PUMPS))
+@pytest.mark.parametrize("gain2_scale", [1.0, 1.3])
+def test_return_trip_matches_the_original_basis_adjoint(request, regime, pump, gain2_scale):
+    # X^H (SGVM) or K X^H K is U^H (the original-basis return trip) U, real
+    # when X is; the double pass is that trip of the second pass after the
+    # first, in either basis
+    grid, _, medium = request.getfixturevalue(regime)
+    even = pump != "lopsided"
+    pump = PUMPS[pump](3.0)
+    first = compose(grid, pump, medium, readme_grating())
+    back = first.return_trip()
+    assert back.exchange.dtype == np.dtype(np.float64 if even else np.complex128)
+    ref = propagator._exchange(original_return_trip(first.bogoliubov, grid.n), grid.n)
+    assert np.max(np.abs(back.exchange - ref)) <= 1e-14 * np.max(np.abs(ref))
+    second = compose(grid, replace(pump, g0=pump.g0 * gain2_scale), medium, readme_grating())
+    ref = original_return_trip(second.bogoliubov, grid.n) @ first.bogoliubov
+    got = double_pass(grid, pump, medium, readme_grating(), gain2_scale).bogoliubov
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pump", list(PUMPS))
+@pytest.mark.parametrize("g0", [1.0, 10.0])
+def test_derived_inverse_transpose_matches_the_inverted_view(sgvm, pump, g0):
+    # M^-T = U^H X^-T U, U symmetric, against inv(M).T of the original-basis view
+    grid, _, medium = sgvm
+    prop = double_pass(grid, PUMPS[pump](g0), medium, readme_grating())
+    ref = np.linalg.inv(prop.bogoliubov).T
+    got = propagator._exchange(prop._inverse_transpose, grid.n)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_equal_valued_tables_do_not_share_a_memo_entry(sgvm):
@@ -603,14 +661,16 @@ def test_mean_photons_zero_and_known_squeezer():
 
 @settings(max_examples=40, deadline=None)
 @given(g0=st.floats(1.0, 4.0), walkoff_i=st.sampled_from([-8.0, -4.8]),
-       double=st.booleans())
-@example(g0=4.0, walkoff_i=-8.0, double=True)
-def test_propagator_photons_match_the_4n_count(g0, walkoff_i, double):
-    # the photon numbers read off the complex matrix are those of its 4N
-    # view; the 4N count subtracts N/2 from sums of order N, so it carries
-    # ~N eps absolute error, and g0 >= 1 keeps that below 1e-12 relative
+       double=st.booleans(), pump=st.sampled_from(sorted(PUMPS)))
+@example(g0=4.0, walkoff_i=-8.0, double=True, pump="even")
+@example(g0=1.0, walkoff_i=-4.8, double=False, pump="lopsided")
+def test_propagator_photons_match_the_4n_count(g0, walkoff_i, double, pump):
+    # the photon numbers read off X are those of its 4N view (U is unitary
+    # and block-diagonal per beam), for real and complex X; the 4N count
+    # subtracts N/2 from sums of order N, so it carries ~N eps absolute
+    # error, and g0 >= 1 keeps that below 1e-12 relative
     medium = MediumSpec.from_walkoffs(8.0, walkoff_i, L)
-    grid, pump = build_grid(N, 0.0, 5.0), PumpSpec(g0=g0)
+    grid, pump = build_grid(N, 0.0, 5.0), PUMPS[pump](g0)
     poling = qpm_poling(L, 2.0 * L / 9.0)
     prop = double_pass(grid, pump, medium, poling) if double \
         else compose(grid, pump, medium, poling)
