@@ -13,7 +13,8 @@ forms in the coupling matrices (block_reduce):
   is embed_unitary(M), M the N x N Bogoliubov view of the composed pass.
   For any poling the SVD of A-hat gives the factors directly.  The return
   trip is the adjoint of the pass, so the matched double pass has block
-  A-hat^T A-hat, symmetric positive definite: input equals output modes.
+  A-hat^T A-hat, symmetric positive definite: input equals output modes;
+  its blocks are formed from the forward pass's, no double pass is composed.
 
 * Away from SGVM, W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]] (J the bin
   exchange) is the exchange basis.  It splits the generator, with
@@ -29,6 +30,7 @@ eigenvalues give the (lam, 1/lam) ladder directly.  A real 2N factor R of
 the reduced block is the complex factor W R of the full propagator.  W, X
 and the exchange pair are applied by indexing, never as dense products.
 
+Each route composes its pass once and reads its block once (_reduced).
 All routes return the BlochMessiahResult contract of the generic route
 after a shared canonicalization, so the two compare mode by mode.  Each
 checks its factors against the real 2N diagonal blocks of B^T S B, the
@@ -45,7 +47,7 @@ from . import numerics
 from .blochmessiah import BlochMessiahResult, _polish_unitary, _with_residuals
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
-from .propagator import _exchange, compose, double_pass, embed_unitary
+from .propagator import _exchange, compose, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
@@ -147,18 +149,18 @@ def _canonical(Z_raw, lam_raw, Z_tilde_raw):
             (orthogonal, tilde_orthogonal))
 
 
-def _require_sgvm(medium, route):
-    if not medium.sgvm():
+def _require_regime(medium, sgvm, route):
+    """RegimeError, carrying the relative kappa mismatch, unless medium.sgvm() is sgvm."""
+    if medium.sgvm() != sgvm:
         ks, ki = medium.kappa_signal, medium.kappa_idler
         resid = abs(ks + ki) / max(abs(ks), abs(ki), 1e-300)
-        raise RegimeError(
-            "%s needs the SGVM regime; kappa mismatch %.3e relative" % (route, resid),
-            residual=resid,
-        )
+        regime = "the SGVM regime" if sgvm else "a medium outside the SGVM regime"
+        raise RegimeError("%s needs %s; kappa mismatch %.3e relative" % (route, regime, resid),
+                          residual=resid)
 
 
 def _reduced(grid, pump, medium, poling):
-    """(basis, block) of the composed pass in its regime's basis W (_basis).
+    """(pass, basis, block): the composed pass, read in its regime's basis W (_basis).
 
     SGVM: block A-hat, the embed_unitary of the Bogoliubov matrix.  Otherwise
     C-hat = Re(V^H T V), V the rows of W with the idler rows conjugated (T
@@ -171,16 +173,17 @@ def _reduced(grid, pump, medium, poling):
     prop = compose(grid, pump, medium, poling)
     basis = _basis(grid.n, prop.sgvm)
     if prop.sgvm:
-        return basis, embed_unitary(prop.bogoliubov)
+        return prop, basis, embed_unitary(prop.bogoliubov)
     if poling.signs.any():
         block_reduce(build_coupled_matrices(grid, pump, medium, sign=1))
-    return basis, prop.exchange[basis.a][:, basis.a].real
+    return prop, basis, prop.exchange[basis.a][:, basis.a].real
 
 
-def _asymmetry(M):
-    """max |M - M^T|, and whether it is within BLOCK_TOL of max(1, max |M|)."""
+def _symmetrized(basis, block):
+    """(M = X block, max |M - M^T|, whether that is within BLOCK_TOL of max(1, max |M|))."""
+    M = block[basis.x]
     asym = float(np.max(np.abs(M - M.T)))
-    return asym, asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M))))
+    return M, asym, asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M))))
 
 
 def _factors(basis, left, lam_raw, right):
@@ -240,9 +243,8 @@ def _symmetric_factors(grid, pump, medium, poling, context):
     once per sign, which is exactly the two-mode degeneracy of the final
     spectrum.
     """
-    basis, block = _reduced(grid, pump, medium, poling)
-    M = block[basis.x]
-    asym, symmetric = _asymmetry(M)
+    prop, basis, block = _reduced(grid, pump, medium, poling)
+    M, asym, symmetric = _symmetrized(basis, block)
     if not symmetric:
         raise RegimeError(
             "%s: X times the reduced propagator is not symmetric (residual "
@@ -254,7 +256,6 @@ def _symmetric_factors(grid, pump, medium, poling, context):
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
     factors = _factors(basis, Gamma[basis.x] * np.sign(w), np.abs(w), Gamma)
-    prop = compose(grid, pump, medium, poling)
     return _checked(factors, basis, _diagonal_blocks(prop, block), context)
 
 
@@ -265,7 +266,7 @@ def symmetrized_eig_route(grid, pump, medium, poling):
     the half-swap; this holds for palindromic polings such as a single
     uniform domain or an odd-count alternating grating.
     """
-    _require_sgvm(medium, "symmetrized eigenproblem route")
+    _require_regime(medium, True, "symmetrized eigenproblem route")
     return _symmetric_factors(grid, pump, medium, poling, "symmetrized eigenproblem route")
 
 
@@ -276,16 +277,16 @@ def svd_route(grid, pump, medium, poling, double=False):
     spectrum (D, 1/D).  Matched double pass: the return trip is the adjoint,
     so the total block is A-hat^T A-hat = V D^2 V^T, symmetric positive
     definite, and input and output factors coincide (perfect inline squeezer).
-    The factors are checked against that device, composed from the memo.
+    The factors are checked against that device's diagonal blocks, for the
+    double pass A-hat^T A-hat and its inverse transpose, the Gram of A-hat^-T.
     """
-    _require_sgvm(medium, "SVD route")
-    prop = compose(grid, pump, medium, poling)
-    basis = _basis(prop.n, True)
-    left, s, right = numerics.svd(embed_unitary(prop.bogoliubov))
-    factors = _factors(basis, right, s**2, right) if double else _factors(basis, left, s, right)
-    device = double_pass(grid, pump, medium, poling) if double else prop
-    return _checked(factors, basis, _diagonal_blocks(device, embed_unitary(device.bogoliubov)),
-                    "SVD route")
+    _require_regime(medium, True, "SVD route")
+    prop, basis, block = _reduced(grid, pump, medium, poling)
+    left, s, right = numerics.svd(block)
+    blocks = _diagonal_blocks(prop, block)
+    if double:  # one factor, V, on both sides
+        left, s, blocks = right, s**2, tuple(b.T @ b for b in blocks)
+    return _checked(_factors(basis, left, s, right), basis, blocks, "SVD route")
 
 
 def general_block_route(grid, pump, medium, poling):
@@ -299,11 +300,7 @@ def general_block_route(grid, pump, medium, poling):
     canonicalization folds them into the degenerate pairs of the final
     spectrum.
     """
-    if medium.sgvm():
-        raise RegimeError(
-            "medium is SGVM; use the SGVM routes for the reduced comparison",
-            residual=0.0,
-        )
+    _require_regime(medium, False, "general block route")
     return _symmetric_factors(grid, pump, medium, poling, "general block route")
 
 
@@ -350,12 +347,11 @@ def structure_checks(grid, pump, medium, poling):
         "flip_odd": None,
     }
     try:
-        basis, block = _reduced(grid, pump, medium, poling)
+        _, basis, block = _reduced(grid, pump, medium, poling)
     except RegimeError as exc:
         report["block_symmetry_residual"] = exc.residual
         return report
-    M = block[basis.x]
-    asym, symmetric = _asymmetry(M)
+    M, asym, symmetric = _symmetrized(basis, block)
     report["block_symmetry_residual"] = asym
     if symmetric and report["sgvm"]:
         w, V = numerics.sym_eig(M)

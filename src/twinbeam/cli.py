@@ -39,7 +39,7 @@ from .model import (
 )
 from .numerics import one_blas_thread
 from .propagator import (
-    compose, double_pass, free_path, load_matrix, mean_photons, symplectic_residual,
+    compose, double_pass, free_propagator, load_matrix, mean_photons, symplectic_residual,
 )
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -63,7 +63,6 @@ class RunConfig:
     double: bool
     gain2_scale: float
     remove_free_phase: bool
-    output_dir: Optional[str]
 
 
 def _check_keys(obj, allowed, required, context):
@@ -209,19 +208,15 @@ def load_config(path):
         raise ConfigError("pass_mode: gain2_scale only applies to double")
 
     ocfg = raw.get("options", {})
-    _check_keys(ocfg, {"remove_free_phase", "output_dir"}, set(), "options")
+    _check_keys(ocfg, {"remove_free_phase"}, set(), "options")
     remove_free_phase = ocfg.get("remove_free_phase", False)
     if not isinstance(remove_free_phase, bool):
         raise ConfigError("options.remove_free_phase must be a boolean")
-    output_dir = ocfg.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError("options.output_dir must be a string")
 
     return RunConfig(
         grid=grid, pump=pump, target_ns=target_ns, medium=medium,
         device_poling=device, sim_poling=sim, double=double,
         gain2_scale=gain2_scale, remove_free_phase=remove_free_phase,
-        output_dir=output_dir,
     )
 
 
@@ -479,8 +474,9 @@ def cmd_verify(cfg, out_dir, propagator_path):
 
     if cfg.double:
         zero = double_pass(grid, replace(pump, g0=0.0), medium, cfg.sim_poling)
-        _check(checks, "double_pass_zero_gain_free", float(np.max(np.abs(
-            zero.exchange - free_path(grid, medium, double=True).exchange))), 1e-12)
+        free = free_propagator(grid, medium, medium.length, double=True)
+        _check(checks, "double_pass_zero_gain_free",
+               float(np.max(np.abs(zero.exchange - free.exchange))), 1e-12)
 
     if propagator_path is not None:
         M = load_matrix(propagator_path)
@@ -565,7 +561,7 @@ def main(argv=None):
     try:
         with one_blas_thread():
             cfg = load_config(args.config)
-            out_dir = args.out or cfg.output_dir or "."
+            out_dir = args.out or "."
             os.makedirs(out_dir, exist_ok=True)
             if args.command == "simulate":
                 cmd_simulate(cfg, out_dir)

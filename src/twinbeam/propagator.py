@@ -25,12 +25,13 @@ is the adjoint of the pass: M^H, so X^H, in SGVM media, else Sigma P T^H P
 Sigma (Sigma = diag(I, -I), P the beam swap), which U^H Sigma P U = iK (K the
 2N index reversal) turns into K X^H K.  So a double pass costs one domain
 product.  T itself (`bogoliubov`) is a view formed once per propagator, for
-the 4N export and the analytic routes.  embed_unitary(Z) = [[Re Z, -Im Z],
-[Im Z, Re Z]] is the one bridge from complex matrices to real views; the
-4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I) is the embedding of
-the 2N matrix on (a_S, a_I^+) with the P_I rows and columns negated.  Cached
-arrays are read-only and `compose` memoizes its passes, so a caller that
-needs one composes it again.
+the 4N export outside SGVM media and the SGVM analytic routes; the SGVM
+export reads conj(M) = U^H conj(X) U and M^-T off X.  embed_unitary(Z) =
+[[Re Z, -Im Z], [Im Z, Re Z]] is the one bridge from complex matrices to
+real views; the 4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I) is
+the embedding of the 2N matrix on (a_S, a_I^+) with the P_I rows and
+columns negated.  Cached arrays are read-only and `compose` memoizes its
+passes, so a caller that needs one composes it again.
 """
 
 from dataclasses import dataclass, replace
@@ -44,7 +45,7 @@ from .model import build_coupled_matrices
 
 __all__ = [
     "Propagator", "segment_propagator", "compose", "double_pass",
-    "free_propagator", "free_path", "symplectic_residual", "embed_unitary",
+    "free_propagator", "symplectic_residual", "embed_unitary",
     "mean_photons", "load_matrix",
 ]
 
@@ -150,11 +151,13 @@ class Propagator:
         P_I row and column blocks negated, assembled in SGVM media from
         conj(M) and M^{-T} (module docstring).
         """
-        n, T = self.n, self.bogoliubov
-        if self.sgvm:
-            down, up = T.conj(), _exchange(self._inverse_transpose, n)  # U is symmetric
+        n = self.n
+        if self.sgvm:  # U is symmetric, so conj(M) = U^H conj(X) U
+            down, up = _exchange(self.exchange.conj(), n), _exchange(self._inverse_transpose, n)
             A, B = 0.5 * (up + down), 0.5j * (up - down)
             T = np.block([[A, B], [-B, A]])
+        else:
+            T = self.bogoliubov
         S = embed_unitary(T)
         S[3 * n:] *= -1.0
         S[:, 3 * n:] *= -1.0
@@ -246,7 +249,7 @@ def _opposite_sign(E, n):
     U = J conj(U^H X U) J, so E to J conj(E)^-1 J, equal to roundoff.
     """
     if E.shape[0] == n:
-        return np.linalg.inv(E.conj())[::-1, ::-1]
+        return np.ascontiguousarray(np.linalg.inv(E.conj())[::-1, ::-1])
     sigma = np.repeat([1.0, -1.0], n)
     return sigma[:, None] * E * sigma
 
@@ -323,14 +326,10 @@ def _free_phases(grid, medium, length, double=False):
                            np.exp(-1j * medium.kappa_idler * d * length)])
 
 
-def free_propagator(grid, medium, length):
-    """Propagator with the pump off (_free_phases), X real; negative lengths are allowed."""
-    return Propagator.from_bogoliubov(np.diag(_free_phases(grid, medium, length)), grid.n)
-
-
-def free_path(grid, medium, double=False):
-    """Free propagator over one pass, or over both passes of a double pass."""
-    phases = _free_phases(grid, medium, medium.length, double)
+def free_propagator(grid, medium, length, double=False):
+    """Propagator with the pump off over length, or over both passes of a double
+    pass when double (_free_phases); X real, negative lengths allowed."""
+    phases = _free_phases(grid, medium, length, double)
     return Propagator.from_bogoliubov(np.diag(phases), grid.n)
 
 

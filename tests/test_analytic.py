@@ -318,14 +318,16 @@ def test_block_reconstruction_is_the_4n_diagonal_blocks(request, name):
     grid, pump, medium = request.getfixturevalue(case)
     poling = qpm_poling(L, 2 * L / 9)
     result = route(grid, pump, medium, poling, **kwargs)
-    prop = compose(grid, pump, medium, poling)
-    basis, block = _reduced(grid, pump, medium, poling)
-    if kwargs:  # the matched double pass's block, read off as _reduced reads an SGVM pass
+    prop, basis, block = _reduced(grid, pump, medium, poling)
+    blocks = analytic._diagonal_blocks(prop, block)
+    if kwargs:  # the matched double pass's blocks A^T A and A^-1 A^-T, as the route builds them
+        blocks = tuple(b.T @ b for b in blocks)
         prop = prop.return_trip().after(prop)
-        block = embed_unitary(prop.bogoliubov)
+        composed = analytic._diagonal_blocks(prop, embed_unitary(prop.bogoliubov))
+        for built, reference in zip(blocks, composed):
+            assert np.max(np.abs(built - reference)) <= 1e-14 * np.max(np.abs(reference))
     noise = np.random.default_rng(3).normal(size=result.Z.shape)
     noisy = replace(result, Z_tilde=result.Z_tilde + 1e-11 * noise, residuals=None)
-    blocks = analytic._diagonal_blocks(prop, block)
     B = embed_unitary(basis.full(np.eye(2 * N)))
     target = B.T @ prop.matrix @ B
     np.testing.assert_allclose(blocks[1], target[2 * N:, 2 * N:], rtol=0, atol=1e-12)
@@ -357,7 +359,7 @@ def test_block_reconstruction_sees_the_lam_below_one_directions(sgvm):
     poling = qpm_poling(L, 2 * L / 9)
     result = svd_route(grid, pump, medium, poling)
     prop = compose(grid, pump, medium, poling)
-    basis, block = _reduced(grid, pump, medium, poling)
+    _, basis, block = _reduced(grid, pump, medium, poling)
     blocks = analytic._diagonal_blocks(prop, block)
     bent = basis.reduced(result.Z_tilde)
     k = int(np.argmax(np.abs(bent[:, :2].imag).sum(axis=0)))  # the top pair's imaginary column
@@ -456,7 +458,7 @@ def test_exchange_block_is_the_reduced_domain_product(n, sigma, g0, mismatch, do
         block = block_reduce(build_coupled_matrices(grid, pump, medium, sign=sign))
         expected = expm(width * block) @ expected
     prop = compose(grid, pump, medium, poling)
-    basis, block = _reduced(grid, pump, medium, poling)
+    _, basis, block = _reduced(grid, pump, medium, poling)
     W = basis.full(np.eye(2 * n))
     np.testing.assert_array_equal(W, exchange_unitary(n))
     scale = max(1.0, float(np.max(np.abs(expected))))
@@ -561,7 +563,7 @@ def test_structure_checks_by_indexing_match_the_dense_form_bitwise(request, case
     grid, pump, medium = request.getfixturevalue(case)
     prop = compose(grid, pump, medium, poling)
     M, fields = dense_structure(prop, grid, pump, medium, poling)
-    basis, block = _reduced(grid, pump, medium, poling)
+    _, basis, block = _reduced(grid, pump, medium, poling)
     assert np.array_equal(block[basis.x], M)
     report = structure_checks(grid, pump, medium, poling)
     assert {key: report[key] for key in fields} == fields
@@ -576,7 +578,7 @@ def test_reduced_block_matches_the_dense_exchange_product(skew, poling, g0):
     # halves swapped; V the rows of the dense W, the idler rows conjugated
     grid, _, medium = skew
     pump = PumpSpec(g0=g0)
-    _, block = _reduced(grid, pump, medium, poling)
+    _, _, block = _reduced(grid, pump, medium, poling)
     n, W = grid.n, exchange_unitary(grid.n)
     V = np.vstack([W[:n], W[n:].conj()])  # T acts on a_I^+, not a_I
     ref = V.conj().T @ compose(grid, pump, medium, poling).bogoliubov @ V

@@ -44,7 +44,7 @@ from twinbeam.blochmessiah import (
     solve_increasing,
 )
 from twinbeam.errors import ConfigError, ContractError, DecompositionError
-from twinbeam.propagator import embed_unitary, free_path
+from twinbeam.propagator import embed_unitary
 
 N = 9
 L = 1.0
@@ -432,7 +432,7 @@ def test_remove_free_phase_keeps_spectrum():
         # a matched SGVM double pass has (to roundoff) no free phase
         moved = np.max(np.abs(stripped.U_out - raw.U_out))
         assert moved < 1e-14 if double and walkoff_i == -8.0 else moved > 1e-3
-        F = free_path(grid, medium, double).matrix
+        F = free_propagator(grid, medium, L, double).matrix
         d = np.concatenate([stripped.lam, 1.0 / stripped.lam])
         np.testing.assert_allclose((stripped.O * d) @ stripped.O_tilde.T,
                                    F.T @ S.matrix, atol=1e-12)

@@ -240,12 +240,23 @@ def test_readme_simulate_inverts_each_sgvm_propagator_once(tmp_path, monkeypatch
         assert len(inverses) == composed + 5 + 1
 
 
+# 40% walk-off mismatch at a fixed gain, free phase stripped: the generic path
+MISMATCH_CONFIG = dict(README_CONFIG, pump={"sigma": 1.0, "g0": 2.5}, medium=dict(SKEW_MEDIUM),
+                       options={"remove_free_phase": True})
+
+
+@pytest.mark.parametrize("cfg, before, views, composed", [
+    (README_CONFIG, {"expm", "inv", "Propagator"}, (0, 0, 1), 6),
+    (MISMATCH_CONFIG, {"expm", "Propagator"}, (1, 11, 1), 2),
+], ids=["readme", "mismatch-40pct"])
 def test_readme_commands_run_real_arithmetic_and_form_the_view_per_device(
-        tmp_path, monkeypatch, view_formations, compose_evaluations):
+        tmp_path, monkeypatch, view_formations, compose_evaluations, cfg, before, views,
+        composed):
     # tuning, photon counts and the device pass run no complex exponential or
-    # inverse and build no complex Propagator before decompose, which forms
-    # the original-basis view once; the sweep forms it once per row, and
-    # verify no more often than it composes a pass
+    # inverse and build no complex Propagator before decompose.  views counts
+    # the original-basis views simulate, an 11-row sweep and verify form: in
+    # the SGVM regime only verify's analytic routes form one, on the memoized
+    # forward pass; away from it the 4N export of each decomposed device does
     dtypes, decomposing = [], []
     decompose_ = twinbeam.cli.decompose
 
@@ -265,22 +276,22 @@ def test_readme_commands_run_real_arithmetic_and_form_the_view_per_device(
     monkeypatch.setattr(Propagator, "__post_init__", recording(
         "Propagator", Propagator.__post_init__, lambda prop: prop.exchange))
     monkeypatch.setattr(twinbeam.cli, "decompose", entering)
-    rc, _ = run(tmp_path, README_CONFIG, "simulate")
+    rc, _ = run(tmp_path, cfg, "simulate")
     assert rc == 0
-    assert {what for what, _ in dtypes} == {"expm", "inv", "Propagator"}
+    assert {what for what, _ in dtypes} == before
     assert {kind for _, kind in dtypes} == {"f"}
-    assert len(decomposing) == 1 and view_formations == [101]
+    assert len(decomposing) == 1 and len(view_formations) == views[0]
 
     del view_formations[:], decomposing[:]
-    cfg = dict(README_CONFIG, grid={"N": 31, "half_width": 5.0})
-    rc, _ = run(tmp_path, cfg, "sweep-gain", "--points", "11")
+    small = dict(cfg, grid={"N": 31, "half_width": 5.0})
+    rc, _ = run(tmp_path, small, "sweep-gain", "--points", "11")
     assert rc == 0
-    assert len(view_formations) == 11
+    assert len(view_formations) == views[1]
 
     del view_formations[:], compose_evaluations[:]
-    rc, _ = run(tmp_path, README_CONFIG, "verify")
+    rc, _ = run(tmp_path, cfg, "verify")
     assert rc == 0
-    assert 0 < len(view_formations) <= len(compose_evaluations) == 6
+    assert len(view_formations) == views[2] and len(compose_evaluations) == composed
 
 
 @pytest.mark.parametrize("pump, composed", [
@@ -447,6 +458,16 @@ def test_bad_configs_exit_2(tmp_path, capsys, cfg):
         rc, _ = run(tmp_path, cfg, "simulate")
     assert rc == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_an_output_dir_option_exits_2_and_is_named(tmp_path, capsys):
+    # --out is the one way to choose the output directory
+    rc, out = run(tmp_path, base_config(options={"output_dir": str(tmp_path / "elsewhere")}),
+                  "simulate")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: options: unknown keys") and "output_dir" in err
+    assert not (out / "summary.json").exists() and not (tmp_path / "elsewhere").exists()
 
 
 INF, NAN = float("inf"), float("nan")
