@@ -97,13 +97,6 @@ class SweepResult:
                 ))
 
 
-def _first_pair_fidelity(decomp):
-    """Fidelity of the first squeezer's input vs output signal mode."""
-    sig_out, _ = decomp.pair_modes(0, "out")
-    sig_in, _ = decomp.pair_modes(0, "in")
-    return mode_fidelity(sig_out, sig_in)
-
-
 def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
                          span=(0.5, 1.5), points=21, jobs=1):
     """Sweep the second-pass gain around the matched double pass.
@@ -155,10 +148,9 @@ def gain_variation_sweep(grid, pump, medium, poling, base_target=5.0,
         prop = double_pass(grid, pump, medium, poling, gain2_scale=scale)
         ns, _ = prop.mean_photons()
         decomp = decompose(prop, grid)
-        return SweepPoint(
-            gain2_scale=float(scale), mean_ns=float(ns),
-            fidelity_k1=_first_pair_fidelity(decomp), r=decomp.r.copy(),
-        )
+        sig_out, sig_in = (decomp.pair_modes(0, d)[0] for d in ("out", "in"))
+        return SweepPoint(gain2_scale=float(scale), mean_ns=float(ns),
+                          fidelity_k1=mode_fidelity(sig_out, sig_in), r=decomp.r.copy())
 
     if jobs > 1:
         from concurrent.futures import ThreadPoolExecutor  # not loaded by a serial sweep
@@ -227,8 +219,7 @@ def lowgain_jsa_oracle(grid, pump, medium, poling):
     """
     d = grid.detunings
     dk = medium.kappa_signal * d[:, None] + medium.kappa_idler * d[None, :]
-    sums = pump.center + (d[:, None] + d[None, :])
-    J = pmf(poling, dk) * pump_amplitude(pump, sums)
+    J = pmf(poling, dk) * pump_amplitude(pump, d[:, None] + d[None, :])
     scale = np.linalg.norm(J)
     if scale == 0.0:
         raise ConfigError("pair amplitude is identically zero")

@@ -46,8 +46,10 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 # Relative signal/idler photon-number imbalance allowed by verify.
 PHOTON_BALANCE_TOL = 1e-8
-# Empties compose's memo; bound at import, as a wrapper over compose has no cache_clear.
+# Empty the memos of compose and build_coupled_matrices; bound at import, as a
+# wrapper over either has no cache_clear.
 _clear_compose_memo = compose.cache_clear
+_clear_matrices_memo = build_coupled_matrices.cache_clear
 
 
 @dataclass(frozen=True)
@@ -150,12 +152,13 @@ def load_config(path):
 
     mcfg = raw["medium"]
     _check_keys(mcfg, {"vP", "vS", "vI", "L"}, {"vP", "vS", "vI", "L"}, "medium")
-    medium = MediumSpec(
-        v_pump=_number(mcfg, "vP", "medium", positive=True),
-        v_signal=_number(mcfg, "vS", "medium", positive=True),
-        v_idler=_number(mcfg, "vI", "medium", positive=True),
-        length=_number(mcfg, "L", "medium", positive=True),
-    )
+    inverse = {}  # walk-offs kappa_j = 1/v_j - 1/v_P are finite when these are
+    for key in ("vP", "vS", "vI"):
+        inverse[key] = 1.0 / _number(mcfg, key, "medium", positive=True)
+        if np.isinf(inverse[key]):
+            raise ConfigError("medium.%s = %r makes the walk-offs infinite" % (key, mcfg[key]))
+    medium = MediumSpec(inverse["vS"] - inverse["vP"], inverse["vI"] - inverse["vP"],
+                        _number(mcfg, "L", "medium", positive=True))
 
     pcfg = raw["pump"]
     _check_keys(pcfg, {"sigma", "g0", "target_NS", "envelope"}, set(), "pump")
@@ -170,7 +173,7 @@ def load_config(path):
         if not isinstance(symmetric, bool):
             raise ConfigError("pump.envelope.frequency_symmetric must be a boolean")
         envelope = TabulatedEnvelope(envelope["frequencies"], envelope["values"],
-                                     frequency_symmetric=symmetric, center=0.0)
+                                     frequency_symmetric=symmetric)
     elif envelope != "gaussian":
         raise ConfigError("pump.envelope must be \"gaussian\" or a table object")
     target_ns = None
@@ -181,7 +184,7 @@ def load_config(path):
         g0 = _number(pcfg, "g0", "pump")
         if g0 < 0:
             raise ConfigError("pump.g0 must be nonnegative")
-    pump = PumpSpec(center=0.0, sigma=sigma, g0=g0, envelope=envelope)
+    pump = PumpSpec(sigma=sigma, g0=g0, envelope=envelope)
 
     gcfg = raw["grid"]
     _check_keys(gcfg, {"N", "half_width"}, {"N"}, "grid")
@@ -192,7 +195,7 @@ def load_config(path):
         half_width = _number(gcfg, "half_width", "grid", positive=True)
     else:
         half_width = default_half_width(medium, sigma)
-    grid = build_grid(n, center=0.0, half_width=half_width)
+    grid = build_grid(n, half_width=half_width)
 
     device, sim = _build_poling(raw["poling"], medium, base_dir)
 
@@ -241,23 +244,21 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
-def _modes_csv(path, decomp):
-    grid = decomp.grid
+def _modes_csv(path, grid, pairs):
+    """One row per bin of each mode of the (k, direction, (signal, idler)) pairs."""
     # "bin,omega_detuning" is the same for every mode; format it once.
     bins = ["%d,%r" % (b + 1, x) for b, x in enumerate(grid.detunings.tolist())]
     with open(path, "w") as fh:
         fh.write("k,beam,direction,bin,omega_detuning,re,im,r_k\n")
-        for k in decomp.active_pairs():
-            for direction in ("in", "out"):
-                sig, idl = decomp.pair_modes(k, direction)
-                for mode in (sig, idl):
-                    amps = mode.beam_amplitudes(grid.n)
-                    head = "%d,%s,%s," % (k + 1, mode.beam, direction)
-                    tail = ",%r\n" % float(mode.r)
-                    fh.write("".join(
-                        "%s%s,%r,%r%s" % (head, b, re, im, tail)
-                        for b, re, im in zip(bins, amps.real.tolist(), amps.imag.tolist())
-                    ))
+        for k, direction, modes in pairs:
+            for mode in modes:
+                amps = mode.beam_amplitudes(grid.n)
+                head = "%d,%s,%s," % (k + 1, mode.beam, direction)
+                tail = ",%r\n" % float(mode.r)
+                fh.write("".join(
+                    "%s%s,%r,%r%s" % (head, b, re, im, tail)
+                    for b, re, im in zip(bins, amps.real.tolist(), amps.imag.tolist())
+                ))
 
 
 def cmd_simulate(cfg, out_dir):
@@ -268,16 +269,18 @@ def cmd_simulate(cfg, out_dir):
     decomp = raw.without_free_phase(cfg.medium, cfg.double) \
         if cfg.remove_free_phase else raw
 
-    squeezers = []
+    squeezers, pairs = [], []
     for k in decomp.active_pairs():
-        sig_out, idl_out = decomp.pair_modes(k, "out")
-        sig_in, idl_in = decomp.pair_modes(k, "in")
+        sig_in, idl_in = modes_in = decomp.pair_modes(k, "in")
+        sig_out, idl_out = modes_out = decomp.pair_modes(k, "out")
+        pairs += [(k, "in", modes_in), (k, "out", modes_out)]
+        raw_out = sig_out if raw is decomp else raw.pair_modes(k, "out")[0]
         squeezers.append({
             "k": k + 1,
             "r": float(decomp.r[k]),
             "fidelity_signal": mode_fidelity(sig_out, sig_in),
             "fidelity_idler": mode_fidelity(idl_out, idl_in),
-            "flip_overlap_signal": flip_overlap(sig_in, raw.pair_modes(k, "out")[0]),
+            "flip_overlap_signal": flip_overlap(sig_in, raw_out),
             "mixed": sig_out.mixed or sig_in.mixed,
         })
     summary = {
@@ -297,7 +300,7 @@ def cmd_simulate(cfg, out_dir):
         "remove_free_phase": cfg.remove_free_phase,
     }
     _write_json(os.path.join(out_dir, "summary.json"), summary)
-    _modes_csv(os.path.join(out_dir, "modes.csv"), decomp)
+    _modes_csv(os.path.join(out_dir, "modes.csv"), decomp.grid, pairs)
     return summary
 
 
@@ -558,6 +561,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     _clear_compose_memo()  # no pass composed before this command reaches its files
+    _clear_matrices_memo()
     try:
         with one_blas_thread():
             cfg = load_config(args.config)

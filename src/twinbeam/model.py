@@ -1,14 +1,16 @@
 """Physical problem construction.
 
 Builds the ingredients of the twin-beam model: mirror-symmetric frequency
-grids, pump spectra, medium (group-velocity) parameters, poling
+grids, pump spectra, media (signal and idler walk-offs), poling
 configurations g(z), and from them the discretized coupling matrices G, H, F
 and the quadrature-basis generator Q of the equations of motion.
 
 Conventions
 -----------
-hbar = 1.  Frequencies are handled as detunings from the degenerate central
-frequency; the natural unit system takes the pump bandwidth sigma = 1 and
+hbar = 1.  Frequencies are detunings from the degenerate point (signal and
+idler at omega-bar, the pump at 2 omega-bar), the model's one frequency
+origin, and a medium enters only through its walk-offs kappa_j = 1/v_j -
+1/v_P.  The natural unit system takes the pump bandwidth sigma = 1 and
 lengths such that kappa*sigma*L is the dimensionless walk-off.  The pump
 prefactor (nonlinearity, pump power, photon energy) is collapsed into the
 single real scalar g0.
@@ -18,7 +20,8 @@ Quadrature ordering is (X_S, X_I, P_S, P_I), each block of length N.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple, Union
+from functools import lru_cache
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -32,10 +35,18 @@ __all__ = [
     "load_poling", "flip_matrix",
 ]
 
-CENTER_MATCH_RTOL = 1e-12
+# Coupling-matrix sets kept: one per gain of a double pass, which verify and
+# the analytic routes read again.
+MATRICES_MEMO = 2
 # Whole domains a generated grating may have: building one takes about
 # 150 bytes and 0.8 us per domain, so this caps it near 150 MB and 1 s.
 MAX_DOMAINS = 10 ** 6
+
+
+def _frozen(a):
+    """a, made read-only where it is built."""
+    a.setflags(write=False)
+    return a
 
 
 def flip_matrix(n):
@@ -45,7 +56,7 @@ def flip_matrix(n):
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform grid of N signal/idler detunings, mirror symmetric about the center.
+    """Uniform grid of N signal/idler detunings, mirror symmetric about zero.
 
     Detunings are built from integer index arithmetic, d_i = k_i * (delta/(N-1))
     with integer k_i = 2i - (N-1), so that d_i + d_{N-1-i} = 0 holds exactly in
@@ -53,23 +64,19 @@ class FrequencyGrid:
     """
 
     n: int
-    center: float
     half_width: float
     detunings: np.ndarray = field(repr=False, compare=False)  # derived from the rest
 
-    def __init__(self, n, center, half_width):
+    def __init__(self, n, half_width):
         n = int(n)
         if n < 3:
             raise ConfigError("frequency grid needs N >= 3, got %d" % n)
         if not (half_width > 0):
             raise ConfigError("frequency grid half_width must be positive")
         k = 2 * np.arange(n) - (n - 1)
-        d = k * (float(half_width) / (n - 1))
-        d.setflags(write=False)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "center", float(center))
         object.__setattr__(self, "half_width", float(half_width))
-        object.__setattr__(self, "detunings", d)
+        object.__setattr__(self, "detunings", _frozen(k * (float(half_width) / (n - 1))))
 
     @property
     def spacing(self):
@@ -77,9 +84,9 @@ class FrequencyGrid:
         return 2.0 * self.half_width / (self.n - 1)
 
 
-def build_grid(n, center=0.0, half_width=1.0):
+def build_grid(n, half_width=1.0):
     """Construct a FrequencyGrid; see FrequencyGrid for the exactness guarantee."""
-    return FrequencyGrid(n, center, half_width)
+    return FrequencyGrid(n, half_width)
 
 
 def default_half_width(medium, sigma=1.0):
@@ -97,21 +104,20 @@ def default_half_width(medium, sigma=1.0):
 
 @dataclass(frozen=True, eq=False)
 class TabulatedEnvelope:
-    """Pump spectral envelope sampled on a sum-frequency grid.
+    """Pump spectral envelope sampled on a sum-frequency detuning grid.
 
     Linear interpolation between samples, zero outside; tables compare by
-    identity.  frequency_symmetric declares evenness about center (default
-    the table's middle), validated against the samples here since the flip
-    analysis needs an even pump; such a table is read at center + |omega -
-    center|, which makes it even bitwise, as the Gaussian is.
+    identity.  frequency_symmetric declares evenness about zero detuning,
+    validated against the samples here since the flip analysis needs an
+    even pump; such a table is read at |omega|, which makes it even
+    bitwise, as the Gaussian is.
     """
 
     frequencies: np.ndarray
     values: np.ndarray
     frequency_symmetric: bool = False
-    center: Optional[float] = None  # the validated center; None unless symmetric
 
-    def __init__(self, frequencies, values, frequency_symmetric=False, center=None):
+    def __init__(self, frequencies, values, frequency_symmetric=False):
         try:
             f, v = np.asarray(frequencies), np.asarray(values)
         except ValueError as exc:
@@ -127,38 +133,33 @@ class TabulatedEnvelope:
         if np.any(np.diff(f) <= 0):
             raise ConfigError("tabulated envelope frequencies must be strictly increasing")
         if frequency_symmetric:
-            center = float(0.5 * (f[0] + f[-1]) if center is None else center)
-            mirrored = np.interp(2.0 * center - f, f, v, left=0.0, right=0.0)
+            mirrored = np.interp(-f, f, v, left=0.0, right=0.0)
             tol = 1e-12 * max(1.0, float(np.max(np.abs(v))))
             if np.max(np.abs(mirrored - v)) > tol:
                 raise ConfigError(
                     "tabulated envelope declared frequency_symmetric but samples are not "
-                    "even about %r" % center
+                    "even about zero detuning"
                 )
-        f.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "frequencies", _frozen(f))
+        object.__setattr__(self, "values", _frozen(v))
         object.__setattr__(self, "frequency_symmetric", bool(frequency_symmetric))
-        object.__setattr__(self, "center", center if frequency_symmetric else None)
 
     def __call__(self, omega_sum):
         if self.frequency_symmetric:
-            omega_sum = self.center + np.abs(omega_sum - self.center)
+            omega_sum = np.abs(omega_sum)
         return np.interp(omega_sum, self.frequencies, self.values, left=0.0, right=0.0)
 
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pump pulse: center frequency (= 2 omega-bar for the degenerate process),
-    bandwidth sigma, dimensionless peak gain g0, and spectral envelope.
+    """Pump pulse: bandwidth sigma, dimensionless peak gain g0, and spectral
+    envelope, centered at twice the degenerate signal/idler frequency.
 
     envelope is either the string "gaussian" or a TabulatedEnvelope.  g0 is
     real by assumption (the model takes gamma * beta_P real); it absorbs the
     nonlinearity and pump-power prefactors, so only g0 * envelope is physical.
     """
 
-    center: float = 0.0
     sigma: float = 1.0
     g0: float = 1.0
     envelope: Union[str, TabulatedEnvelope] = "gaussian"
@@ -174,77 +175,50 @@ class PumpSpec:
     @property
     def frequency_symmetric(self):
         if isinstance(self.envelope, str):
-            return True  # gaussian is even about the center by construction
+            return True  # gaussian is even by construction
         return self.envelope.frequency_symmetric
 
 
 def pump_amplitude(pump, omega_sum):
-    """Pump spectral amplitude at the given (absolute) sum frequency.
+    """Pump spectral amplitude at the given sum-frequency detuning.
 
-    Gaussian: g0 * (pi sigma^2)^(-1/4) * exp(-(omega_sum - center)^2 / (2 sigma^2)).
+    Gaussian: g0 * (pi sigma^2)^(-1/4) * exp(-omega_sum^2 / (2 sigma^2)).
     Tabulated: g0 * linear interpolation, zero outside the table.
     """
     omega_sum = np.asarray(omega_sum, dtype=float)
     if isinstance(pump.envelope, str):
         norm = (np.pi * pump.sigma**2) ** (-0.25)
-        detuning = omega_sum - pump.center
-        return pump.g0 * norm * np.exp(-(detuning**2) / (2.0 * pump.sigma**2))
+        return pump.g0 * norm * np.exp(-(omega_sum**2) / (2.0 * pump.sigma**2))
     return pump.g0 * pump.envelope(omega_sum)
 
 
 @dataclass(frozen=True)
 class MediumSpec:
-    """Nonlinear medium: group velocities of pump/signal/idler and length L.
+    """Nonlinear medium: signal and idler walk-offs kappa_j = 1/v_j - 1/v_P
+    and length L.
 
-    Walk-offs are inverse-velocity differences kappa_j = 1/v_j - 1/v_P.  The
-    SGVM regime has kappa_S = -kappa_I: signal and idler walk off from the
-    pump at equal and opposite rates.
+    The SGVM regime has kappa_S = -kappa_I: signal and idler walk off from
+    the pump at equal and opposite rates.
     """
 
-    v_pump: float
-    v_signal: float
-    v_idler: float
+    kappa_signal: float
+    kappa_idler: float
     length: float
 
     def __post_init__(self):
-        for name in ("v_pump", "v_signal", "v_idler"):
-            if not (getattr(self, name) > 0):
-                raise ConfigError("%s must be positive" % name)
+        if not (np.isfinite(self.kappa_signal) and np.isfinite(self.kappa_idler)):
+            raise ConfigError("medium walk-offs must be finite")
         if not (self.length > 0):
             raise ConfigError("medium length must be positive")
-
-    @property
-    def kappa_signal(self):
-        return 1.0 / self.v_signal - 1.0 / self.v_pump
-
-    @property
-    def kappa_idler(self):
-        return 1.0 / self.v_idler - 1.0 / self.v_pump
 
     def sgvm(self):
         """True when kappa_S = -kappa_I within 1e-12 relative."""
         ks, ki = self.kappa_signal, self.kappa_idler
-        scale = max(abs(ks), abs(ki))
-        if scale == 0.0:
-            return True
-        return abs(ks + ki) <= 1e-12 * scale
+        return abs(ks + ki) <= 1e-12 * max(abs(ks), abs(ki))
 
     def swapped(self):
-        """Medium with signal and idler velocities exchanged (second pass)."""
-        return MediumSpec(self.v_pump, self.v_idler, self.v_signal, self.length)
-
-    @classmethod
-    def from_walkoffs(cls, kappa_signal, kappa_idler, length, v_pump=0.1):
-        """Build a medium from walk-offs; v_pump sets the overall velocity scale."""
-        inv_p = 1.0 / v_pump
-        inv_s = inv_p + kappa_signal
-        inv_i = inv_p + kappa_idler
-        if inv_s <= 0 or inv_i <= 0:
-            raise ConfigError(
-                "walk-offs too large for v_pump=%g: inverse velocities must stay positive"
-                % v_pump
-            )
-        return cls(v_pump, 1.0 / inv_s, 1.0 / inv_i, length)
+        """Medium with signal and idler walk-offs exchanged (second pass)."""
+        return MediumSpec(self.kappa_idler, self.kappa_signal, self.length)
 
 
 @dataclass(frozen=True)
@@ -308,26 +282,20 @@ class CoupledMatrices:
     g0: float
 
 
+@lru_cache(maxsize=MATRICES_MEMO)
 def build_coupled_matrices(grid, pump, medium, sign=1):
-    """Build G, H, F on the grid for one poling orientation.
+    """Build G, H, F on the grid for one poling orientation, memoized.
 
-    G_nn = kappa_S * (omega_n - center); H_nn = kappa_I * (omega_n - center);
+    G_nn = kappa_S * omega_n; H_nn = kappa_I * omega_n;
     F_nm = sign * (dw / sqrt(2 pi)) * pump_amplitude(omega_n + omega_m).
 
-    The pump center must equal twice the grid center (degenerate operation).
     F is evaluated on detuning sums so that an even pump gives exact
-    centrosymmetry, J F J = F, bitwise.
+    centrosymmetry, J F J = F, bitwise.  The arrays are read-only: equal
+    (frozen) arguments return the same matrices.
     """
     sign = int(sign)
     if sign not in (-1, 0, 1):
         raise ConfigError("poling sign must be -1, 0 or +1")
-    two_center = 2.0 * grid.center
-    scale = max(1.0, abs(pump.center), abs(two_center))
-    if abs(pump.center - two_center) > CENTER_MATCH_RTOL * scale:
-        raise ConfigError(
-            "pump center %r does not match twice the grid center %r"
-            % (pump.center, two_center)
-        )
     d = grid.detunings
     G = np.diag(medium.kappa_signal * d)
     is_sgvm = medium.sgvm()
@@ -337,10 +305,9 @@ def build_coupled_matrices(grid, pump, medium, sign=1):
         F = np.zeros((grid.n, grid.n))
     else:
         sums = d[:, None] + d[None, :]
-        F = sign * (grid.spacing / np.sqrt(2.0 * np.pi)) * pump_amplitude(
-            pump, pump.center + sums
-        )
-    return CoupledMatrices(G=G, H=H, F=F, sgvm=is_sgvm, g0=float(pump.g0))
+        F = sign * (grid.spacing / np.sqrt(2.0 * np.pi)) * pump_amplitude(pump, sums)
+    return CoupledMatrices(G=_frozen(G), H=_frozen(H), F=_frozen(F), sgvm=is_sgvm,
+                           g0=float(pump.g0))
 
 
 def build_generator(matrices):

@@ -20,7 +20,7 @@ and squeezing spectra are read off X.  An even pump on a mirror grid makes
 F centrosymmetric and G, H anticentrosymmetric, bitwise, so U^H K U, every
 domain exponential and product, and X are real; other pumps run in complex.
 A device is the ordered (left-multiplied) product of its domains, which
-`compose` forms.  The return trip (domains reversed, v_S and v_I exchanged)
+`compose` forms.  The return trip (domains reversed, walk-offs exchanged)
 is the adjoint of the pass: M^H, so X^H, in SGVM media, else Sigma P T^H P
 Sigma (Sigma = diag(I, -I), P the beam swap), which U^H Sigma P U = iK (K the
 2N index reversal) turns into K X^H K.  So a double pass costs one domain
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigError, ContractError
-from .model import build_coupled_matrices
+from .model import _frozen, build_coupled_matrices
 
 __all__ = [
     "Propagator", "segment_propagator", "compose", "double_pass",
@@ -84,12 +84,6 @@ def embed_unitary(Z):
     E[h:, :w] = Y
     np.negative(Y, out=E[:h, w:])
     return E
-
-
-def _frozen(a):
-    """a, made read-only where it is built."""
-    a.setflags(write=False)
-    return a
 
 
 def _real_if_exact(X):
@@ -316,7 +310,7 @@ def double_pass(grid, pump, medium, poling, gain2_scale=1.0):
 def _free_phases(grid, medium, length, double=False):
     """The pump-off Bogoliubov matrix's diagonal: a_S of bin n picks up
     exp(i kappa_S d_n length), a_I^+ exp(-i kappa_I d_n length) (M the first
-    N); when double, times that of a second pass with v_S and v_I exchanged."""
+    N); when double, times that of a second pass with the walk-offs exchanged."""
     d = grid.detunings
     if double:
         return _free_phases(grid, medium.swapped(), length) * _free_phases(grid, medium, length)

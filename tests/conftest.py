@@ -12,8 +12,9 @@ The whole session runs on one OpenBLAS thread, as every command-line run
 does: at these matrix orders threading costs more than it saves.  Tests of
 the thread controls themselves set their own counts or use subprocesses.
 
-Each test starts with an empty `compose` memo, so that what it counts or
-spies on is its own work, not a pass an earlier test left behind.
+Each test starts with empty `compose` and `build_coupled_matrices` memos,
+so that what it counts or spies on is its own work, not a pass or a set of
+coupling matrices an earlier test left behind.
 """
 
 import sys
@@ -74,10 +75,10 @@ class BenchLab:
     """
 
     def __init__(self):
-        self.medium = MediumSpec.from_walkoffs(8.0, -8.0, BENCH_L)
-        self.medium_skew = MediumSpec.from_walkoffs(8.0, -4.8, BENCH_L)
-        self.grid = build_grid(BENCH_N, 0.0, default_half_width(self.medium))
-        self.pump = PumpSpec(center=0.0, sigma=1.0, g0=1.0)
+        self.medium = MediumSpec(8.0, -8.0, BENCH_L)
+        self.medium_skew = MediumSpec(8.0, -4.8, BENCH_L)
+        self.grid = build_grid(BENCH_N, default_half_width(self.medium))
+        self.pump = PumpSpec(sigma=1.0, g0=1.0)
         self.device_grating = apodized_poling(
             BENCH_L, BENCH_L / AP_DOMAINS, pmf_width=AP_PMF_WIDTH
         )
@@ -135,8 +136,9 @@ def _one_blas_thread():
 
 
 @pytest.fixture(autouse=True)
-def _empty_compose_memo():
+def _empty_memos():
     compose.cache_clear()
+    build_coupled_matrices.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -126,7 +126,7 @@ def test_5_decomposition_contracts_on_all_configs(lab):
 
 def test_6_analytic_routes_match_generic(lab):
     skew_medium = lab.medium_skew
-    skew_pump = PumpSpec(center=0.0, sigma=1.0, g0=2.0)
+    skew_pump = PumpSpec(sigma=1.0, g0=2.0)
     runs = [
         ("symmetrized unpoled", lambda: symmetrized_eig_route(
             lab.grid, lab.pump_at("unpoled"), lab.medium,

@@ -34,8 +34,8 @@ L = 1.0
 
 
 def small_setup(g0=1.0):
-    return build_grid(N, 0.0, 5.0), PumpSpec(g0=g0), \
-        MediumSpec.from_walkoffs(8.0, -8.0, L)
+    return build_grid(N, 5.0), PumpSpec(g0=g0), \
+        MediumSpec(8.0, -8.0, L)
 
 
 def rand_vec(rng, n):
@@ -279,12 +279,12 @@ def test_gain_variation_sweep_even_point_count_hits_both_endpoints(points):
 def test_perfect_inline_squeezing_holds_across_gain(target):
     # matched walk-off: the double pass returns the first squeezer to its input
     # mode at any gain and for any grating; a 40% mismatch breaks that
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
-    grid, pump = build_grid(51, 0.0, default_half_width(medium)), PumpSpec()
+    medium = MediumSpec(8.0, -8.0, L)
+    grid, pump = build_grid(51, default_half_width(medium)), PumpSpec()
     apodized = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
     cases = [(medium, apodized), (medium, Poling.unpoled(L)),
              (medium, qpm_poling(L, 2 * L / 9)),
-             (MediumSpec.from_walkoffs(8.0, -4.8, L), apodized)]
+             (MediumSpec(8.0, -4.8, L), apodized)]
     fidelities = []
     for m, poling in cases:
         g0, _ = tune_gain(grid, pump, m, poling, target, double=True,

@@ -43,14 +43,14 @@ L = 1.0
 
 @pytest.fixture()
 def sgvm():
-    return build_grid(N, 0.0, 5.0), PumpSpec(g0=1.0), \
-        MediumSpec.from_walkoffs(8.0, -8.0, L)
+    return build_grid(N, 5.0), PumpSpec(g0=1.0), \
+        MediumSpec(8.0, -8.0, L)
 
 
 @pytest.fixture()
 def skew():
-    return build_grid(N, 0.0, 5.0), PumpSpec(g0=1.0), \
-        MediumSpec.from_walkoffs(8.0, -4.8, L)
+    return build_grid(N, 5.0), PumpSpec(g0=1.0), \
+        MediumSpec(8.0, -4.8, L)
 
 
 def skewed_pump():
@@ -448,9 +448,9 @@ def test_reduced_checks_the_exchange_basis_once(monkeypatch, skew):
 def test_exchange_block_is_the_reduced_domain_product(n, sigma, g0, mismatch, domains):
     # The oracles read C-hat off the composed propagator; the reference is the
     # ordered product of the per-domain exchange-basis exponentials.
-    medium = MediumSpec.from_walkoffs(8.0, -8.0 * (1.0 - mismatch),
+    medium = MediumSpec(8.0, -8.0 * (1.0 - mismatch),
                                       sum(w for w, _ in domains))
-    grid = build_grid(n, 0.0, 5.0)
+    grid = build_grid(n, 5.0)
     pump = PumpSpec(sigma=sigma, g0=g0)
     poling = Poling(domains)
     expected = np.eye(2 * n)

@@ -68,8 +68,8 @@ def paired_symplectic(r_values, rng):
 
 @pytest.fixture()
 def setup():
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
-    grid = build_grid(N, 0.0, 5.0)
+    medium = MediumSpec(8.0, -8.0, L)
+    grid = build_grid(N, 5.0)
     pump = PumpSpec(g0=1.0)
     return grid, pump, medium
 
@@ -144,7 +144,7 @@ def test_polish_unitary_returns_an_exactly_unitary_input_unchanged():
 
 def test_reconstruct_matches_the_dense_diagonal_product_bitwise(setup):
     grid, pump, _ = setup
-    skew = MediumSpec.from_walkoffs(8.0, -4.8, L)
+    skew = MediumSpec(8.0, -4.8, L)
     poling = demodulate_poling(apodized_poling(L, L / 12, pmf_width=4.0))
     for S in (paired_symplectic([0.7, 0.2], np.random.default_rng(5))[0],
               compose(grid, pump, skew, poling).matrix):
@@ -194,8 +194,8 @@ def test_checked_factors_forms_no_4n_residual(monkeypatch):
 def test_generic_route_reads_o_tilde_orthogonal_off_the_polish(walkoff_i):
     # the polish's last E = Z~^H Z~ - I is the Gram checked_factors forms
     # afresh: the same product on the same array, so bitwise the same value
-    medium = MediumSpec.from_walkoffs(8.0, walkoff_i, L)
-    grid, pump = build_grid(N, 0.0, 5.0), PumpSpec(g0=1.5)
+    medium = MediumSpec(8.0, walkoff_i, L)
+    grid, pump = build_grid(N, 5.0), PumpSpec(g0=1.5)
     prop = double_pass(grid, pump, medium, qpm_poling(L, 2 * L / 9))
     bm = bloch_messiah(prop)
     fresh = checked_factors(replace(bm, residuals=None), prop.matrix, "generic route")
@@ -206,8 +206,8 @@ def test_generic_route_reads_o_tilde_orthogonal_off_the_polish(walkoff_i):
 def test_bloch_messiah_guards_a_propagator_with_its_cached_residual(monkeypatch):
     # a Propagator is factored as its matrix, guarded by its own residual; a
     # raw 4N array keeps the 4N guard
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
-    prop = double_pass(build_grid(N, 0.0, 5.0), PumpSpec(g0=1.5), medium,
+    medium = MediumSpec(8.0, -8.0, L)
+    prop = double_pass(build_grid(N, 5.0), PumpSpec(g0=1.5), medium,
                        qpm_poling(L, 2 * L / 9))
     spy = counted(propagator.symplectic_residual)
     monkeypatch.setattr(blochmessiah, "symplectic_residual", spy)
@@ -343,7 +343,7 @@ def test_zero_squeezing_pairs_are_clamped(setup):
 def three_bin_decomposition(U):
     """Three squeezers on a 3-bin grid with U as both mode matrices."""
     r = np.array([1.0, 0.5, 0.2])
-    return Decomposition(grid=build_grid(3, 0.0, 5.0), lam=np.repeat(np.exp(r), 2),
+    return Decomposition(grid=build_grid(3, 5.0), lam=np.repeat(np.exp(r), 2),
                          r=r, U_out=U, U_in=U, residuals={})
 
 
@@ -419,9 +419,9 @@ def test_remove_free_phase_keeps_spectrum():
     # stripping the free path P only turns the rows of U_out: the spectrum,
     # the input modes and the residuals of the raw factorization stay bitwise,
     # and the factors now reconstruct P^-1 S = F^T S
-    grid, pump, poling = build_grid(N, 0.0, 5.0), PumpSpec(g0=1.0), Poling.unpoled(L)
+    grid, pump, poling = build_grid(N, 5.0), PumpSpec(g0=1.0), Poling.unpoled(L)
     for walkoff_i, double in ((-8.0, False), (-8.0, True), (-4.8, False), (-4.8, True)):
-        medium = MediumSpec.from_walkoffs(8.0, walkoff_i, L)
+        medium = MediumSpec(8.0, walkoff_i, L)
         S = double_pass(grid, pump, medium, poling) if double \
             else compose(grid, pump, medium, poling)
         raw = decompose(S, grid)
@@ -442,7 +442,7 @@ def test_decompose_grid_mismatch(setup):
     grid, pump, medium = setup
     S = compose(grid, pump, medium, Poling.unpoled(L))
     with pytest.raises(ConfigError):
-        decompose(S, build_grid(11, 0.0, 5.0))
+        decompose(S, build_grid(11, 5.0))
 
 
 def test_photon_sum_rule(setup):
@@ -562,8 +562,8 @@ def test_solve_increasing_reports_a_stall():
     demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0)),
 ], ids=["unpoled", "apodized"])
 def test_tune_gain_evaluation_count(matrix_builds, compose_evaluations, poling, double):
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
-    grid = build_grid(21, 0.0, default_half_width(medium))
+    medium = MediumSpec(8.0, -8.0, L)
+    grid = build_grid(21, default_half_width(medium))
     _, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
                             double=double, tol=5e-6)
     assert abs(achieved - 5.0) <= 5e-6
@@ -576,8 +576,8 @@ def test_tune_gain_evaluation_count(matrix_builds, compose_evaluations, poling, 
 
 def test_tune_gain_readme_config_pass_count(compose_evaluations):
     # the README device at N = 101 took 11 passes with doubling and Illinois
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
-    grid = build_grid(101, 0.0, default_half_width(medium))
+    medium = MediumSpec(8.0, -8.0, L)
+    grid = build_grid(101, default_half_width(medium))
     poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
     g0, achieved = tune_gain(grid, PumpSpec(g0=1.0), medium, poling, 5.0,
                              double=True, tol=5e-6)
@@ -594,8 +594,8 @@ def test_tune_gain_pass_count_over_devices_and_targets(compose_evaluations):
     apodized = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
     for poling in (Poling.unpoled(L), apodized):
         for kappa_i in (-8.0, -4.8):
-            medium = MediumSpec.from_walkoffs(8.0, kappa_i, L)
-            grid = build_grid(21, 0.0, default_half_width(medium))
+            medium = MediumSpec(8.0, kappa_i, L)
+            grid = build_grid(21, default_half_width(medium))
             for double in (False, True):
                 for target in (1e-3, 0.5, 5.0, 50.0, 1000.0):
                     tol = 1e-6 * max(1.0, target)
@@ -613,8 +613,8 @@ def test_tune_gain_pass_count_over_devices_and_targets(compose_evaluations):
 def test_tune_gain_reaches_targets_where_linear_false_position_stalled(g0, poling, target):
     # false position on (g0, N_S) crept along a curve this convex until its
     # point fell on a bracket end ("search stalled")
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
-    grid = build_grid(9, 0.0, default_half_width(medium))
+    medium = MediumSpec(8.0, -8.0, L)
+    grid = build_grid(9, default_half_width(medium))
     tol = 1e-6 * max(1.0, target)
     _, achieved = tune_gain(grid, PumpSpec(g0=g0), medium, poling, target, double=True,
                             tol=tol)
@@ -644,8 +644,8 @@ def test_tuning_does_not_import_scipy_optimize(tmp_path):
     code = (
         "import sys, twinbeam\n"
         "from twinbeam import MediumSpec, Poling, PumpSpec, build_grid, tune_gain\n"
-        "medium = MediumSpec.from_walkoffs(8.0, -8.0, 1.0)\n"
-        "tune_gain(build_grid(9, 0.0, 5.0), PumpSpec(g0=1.0), medium,\n"
+        "medium = MediumSpec(8.0, -8.0, 1.0)\n"
+        "tune_gain(build_grid(9, 5.0), PumpSpec(g0=1.0), medium,\n"
         "          Poling.unpoled(1.0), 1.0, double=True)\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
         "import json\n"
@@ -678,8 +678,8 @@ def test_tuning_does_not_import_scipy_optimize(tmp_path):
 def readme_double_pass_n51():
     """(grid, pump, medium, poling, matched double pass) of the README grating
     at N = 51 and g0 = 6.28; one 4N array is 333 KB."""
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
-    grid, pump = build_grid(51, 0.0, 5.0), PumpSpec(g0=6.28)
+    medium = MediumSpec(8.0, -8.0, L)
+    grid, pump = build_grid(51, 5.0), PumpSpec(g0=6.28)
     poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
     return grid, pump, medium, poling, double_pass(grid, pump, medium, poling)
 

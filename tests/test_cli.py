@@ -17,7 +17,7 @@ from twinbeam import (
     build_generator, build_grid, compose, decompose, default_half_width, double_pass,
     flip_overlap, load_poling, numerics, qpm_poling,
 )
-from twinbeam.blochmessiah import FACTOR_TOL, PAIR_RTOL, RECON_RTOL
+from twinbeam.blochmessiah import FACTOR_TOL, PAIR_RTOL, RECON_RTOL, Decomposition
 from twinbeam.cli import PHOTON_BALANCE_TOL, _hamiltonian_defect, load_config, main
 from twinbeam.errors import DecompositionError
 
@@ -245,6 +245,36 @@ MISMATCH_CONFIG = dict(README_CONFIG, pump={"sigma": 1.0, "g0": 2.5}, medium=dic
                        options={"remove_free_phase": True})
 
 
+def test_verify_builds_the_device_coupling_matrices_once(tmp_path):
+    # compose, verify's own checks and the analytic structure checks read the
+    # device pump's sign +1 matrices from one memo; the other evaluation is
+    # the zero-gain double pass.  Each command starts with the memo empty.
+    cfg = dict(MISMATCH_CONFIG, grid={"N": 31, "half_width": 5.0})
+    for _ in range(2):
+        rc, _ = run(tmp_path, cfg, "verify")
+        assert rc == 0
+        assert build_coupled_matrices.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("remove_free_phase, per_squeezer", [(False, 2), (True, 3)])
+def test_simulate_derives_each_squeezers_modes_once(tmp_path, monkeypatch,
+                                                    remove_free_phase, per_squeezer):
+    # the summary and modes.csv share each squeezer's in and out modes; only
+    # a stripped free phase needs the raw output signal mode as well
+    calls, pair_modes = [], Decomposition.pair_modes
+
+    def counting(decomp, k, direction):
+        calls.append((k, direction))
+        return pair_modes(decomp, k, direction)
+
+    monkeypatch.setattr(Decomposition, "pair_modes", counting)
+    cfg = base_config(pump={"g0": 1.5}, options={"remove_free_phase": remove_free_phase})
+    rc, out = run(tmp_path, cfg, "simulate")
+    assert rc == 0
+    active = len(read_summary(out)["squeezers"])
+    assert active > 0 and len(calls) == per_squeezer * active
+
+
 @pytest.mark.parametrize("cfg, before, views, composed", [
     (README_CONFIG, {"expm", "inv", "Propagator"}, (0, 0, 1), 6),
     (MISMATCH_CONFIG, {"expm", "Propagator"}, (1, 11, 1), 2),
@@ -391,8 +421,8 @@ def test_the_decomposed_pass_residual_is_computed_once(tmp_path, monkeypatch, co
 def test_generator_hamiltonian_is_the_4n_generator_value(walkoff_i):
     # the 2N form K Sigma + Sigma K^H holds the entries of Omega Q - (Omega Q)^T,
     # so value and threshold equal build_generator's, also for a defect
-    medium = MediumSpec.from_walkoffs(8.0, walkoff_i, 1.0)
-    m = build_coupled_matrices(build_grid(9, 0.0, 5.0), PumpSpec(g0=1.3), medium)
+    medium = MediumSpec(8.0, walkoff_i, 1.0)
+    m = build_coupled_matrices(build_grid(9, 5.0), PumpSpec(g0=1.3), medium)
     rng = np.random.default_rng(4)
 
     def reference(m):
@@ -485,12 +515,14 @@ APODIZED_01 = {"kind": "apodized", "domain_width": 0.1, "pmf_width": 8.0}
     (base_config(pass_mode={"kind": "double", "gain2_scale": NAN}), "pass_mode.gain2_scale"),
     (base_config(poling=dict(APODIZED_01, pmf_width=NAN)), "poling.pmf_width"),
     (base_config(pump={"g0": 10 ** 400}), "pump.g0"),
+    (base_config(medium=dict(SGVM_MEDIUM, vS=5e-324)), "medium.vS"),
 ], ids=["target-inf", "L-inf", "L-1e308-apodized", "half-width-inf", "sigma-inf",
-        "L-1e308-qpm", "gain2-scale-nan", "pmf-width-nan", "g0-huge-integer"])
+        "L-1e308-qpm", "gain2-scale-nan", "pmf-width-nan", "g0-huge-integer",
+        "vS-subnormal"])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, cfg, named):
-    # JSON's Infinity and NaN, and a grating whose domain count overflows:
-    # tuning "converged" at g0 = 0, int(inf) and expm of inf escaped as
-    # exit 0, 1 and 3
+    # JSON's Infinity and NaN, a grating whose domain count overflows, and a
+    # subnormal velocity whose inverse overflows: tuning "converged" at
+    # g0 = 0, int(inf) and expm of inf escaped as exit 0, 1 and 3
     rc, out = run(tmp_path, cfg, "simulate")
     assert rc == 2
     err = capsys.readouterr().err

@@ -36,7 +36,7 @@ def test_flip_matrix():
 # ---------------------------------------------------------------- grid
 
 def test_build_grid_three_bins():
-    g = build_grid(3, 0.0, 1.0)
+    g = build_grid(3, 1.0)
     np.testing.assert_array_equal(g.detunings, [-1.0, 0.0, 1.0])
     assert g.spacing == 1.0
 
@@ -44,29 +44,29 @@ def test_build_grid_three_bins():
 def test_grid_mirror_symmetry_is_exact():
     # d_i + d_{N-1-i} = 0 bitwise, by integer index construction
     for n in (3, 16, 101, 501):
-        g = build_grid(n, 0.0, 3.7)
+        g = build_grid(n, 3.7)
         assert np.all(g.detunings + g.detunings[::-1] == 0.0)
         assert g.detunings.size == n
 
 
 def test_build_grid_rejects_bad_sizes():
     with pytest.raises(ConfigError):
-        build_grid(2, 0.0, 1.0)
+        build_grid(2, 1.0)
     with pytest.raises(ConfigError):
-        build_grid(5, 0.0, 0.0)
+        build_grid(5, 0.0)
 
 
 def test_default_half_width():
-    strong = MediumSpec.from_walkoffs(8.0, -8.0, 1.0)
+    strong = MediumSpec(8.0, -8.0, 1.0)
     assert default_half_width(strong) == 5.0
-    weak = MediumSpec.from_walkoffs(0.5, -0.5, 1.0)
+    weak = MediumSpec(0.5, -0.5, 1.0)
     assert default_half_width(weak) == pytest.approx(10.0)
 
 
 # ---------------------------------------------------------------- pump
 
 def test_pump_amplitude_peak_and_width():
-    p = PumpSpec(center=0.0, sigma=1.0, g0=1.0)
+    p = PumpSpec(sigma=1.0, g0=1.0)
     peak = (np.pi * 1.0) ** (-0.25)
     assert pump_amplitude(p, 0.0) == pytest.approx(peak, rel=1e-15)
     assert pump_amplitude(p, 1.0) == pytest.approx(peak * np.exp(-0.5), rel=1e-14)
@@ -74,11 +74,9 @@ def test_pump_amplitude_peak_and_width():
 
 
 def test_pump_amplitude_even_about_center():
-    p = PumpSpec(center=3.0, sigma=0.7, g0=2.0)
+    p = PumpSpec(sigma=0.7, g0=2.0)
     x = np.linspace(0.0, 5.0, 11)
-    np.testing.assert_array_equal(
-        pump_amplitude(p, p.center + x), pump_amplitude(p, p.center - x)
-    )
+    np.testing.assert_array_equal(pump_amplitude(p, x), pump_amplitude(p, -x))
 
 
 def test_pump_rejects_bad_inputs():
@@ -92,7 +90,7 @@ def test_pump_rejects_bad_inputs():
 
 def test_tabulated_envelope_interpolation():
     env = TabulatedEnvelope([-1.0, 0.0, 1.0], [0.0, 2.0, 0.0])
-    p = PumpSpec(center=0.0, sigma=1.0, g0=0.5, envelope=env)
+    p = PumpSpec(sigma=1.0, g0=0.5, envelope=env)
     assert pump_amplitude(p, 0.5) == pytest.approx(0.5 * 1.0)
     assert pump_amplitude(p, 3.0) == 0.0  # zero outside the table
     assert not p.frequency_symmetric
@@ -106,22 +104,18 @@ def test_tabulated_envelope_symmetry_flag_is_validated():
         TabulatedEnvelope([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])  # not increasing
 
 
-def test_declared_even_table_is_read_folded_about_its_center(small_setup):
-    grid, _, medium = small_setup
+def test_declared_even_table_is_read_folded_about_its_center():
     f = np.linspace(-12.0, 12.0, 241)
     even = TabulatedEnvelope(f, np.exp(-(f ** 2) / 2.0), frequency_symmetric=True)
-    assert even.center == 0.0
     # between the nodes, where np.interp at s and -s differs in the last bit
     s = np.linspace(0.0, 12.5, 101)
     np.testing.assert_array_equal(even(-s), even(s))
     np.testing.assert_array_equal(even(s), np.interp(s, f, even.values, right=0.0))
-    # a table validated about another center is even about that one only:
-    # nothing symmetrizes it about the pump's, so F stays uneven
-    off = TabulatedEnvelope(np.arange(-2.0, 5.0), [0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0],
-                            frequency_symmetric=True)
-    assert off.center == 1.0 and off(0.5) == off(1.5)
-    F = build_coupled_matrices(grid, PumpSpec(envelope=off), medium).F
-    assert np.max(np.abs(F - F[::-1, ::-1])) > 0.1 * np.max(np.abs(F))
+    # evenness is about zero detuning, the degenerate point: a table even
+    # about another frequency is rejected
+    with pytest.raises(ConfigError, match="even about zero"):
+        TabulatedEnvelope(np.arange(-2.0, 5.0), [0.0, 1.0, 2.0, 3.0, 2.0, 1.0, 0.0],
+                          frequency_symmetric=True)
 
 
 def test_value_objects_compare_and_hash():
@@ -139,37 +133,36 @@ def test_value_objects_compare_and_hash():
 # ---------------------------------------------------------------- medium
 
 def test_medium_walkoffs_and_sgvm():
-    m = MediumSpec.from_walkoffs(8.0, -8.0, 1.0)
+    m = MediumSpec(8.0, -8.0, 1.0)
     assert m.kappa_signal == pytest.approx(8.0, rel=1e-12)
     assert m.kappa_idler == pytest.approx(-8.0, rel=1e-12)
     assert m.sgvm()
-    assert not MediumSpec.from_walkoffs(8.0, -4.8, 1.0).sgvm()
+    assert not MediumSpec(8.0, -4.8, 1.0).sgvm()
 
 
 def test_medium_swapped():
-    m = MediumSpec(0.1, 0.05, 0.5, 2.0)
+    m = MediumSpec(8.0, -4.8, 2.0)
     s = m.swapped()
-    assert (s.v_signal, s.v_idler) == (m.v_idler, m.v_signal)
-    assert s.v_pump == m.v_pump and s.length == m.length
+    assert (s.kappa_signal, s.kappa_idler) == (m.kappa_idler, m.kappa_signal)
+    assert s.length == m.length
 
 
 def test_medium_rejects_bad_inputs():
     with pytest.raises(ConfigError):
-        MediumSpec(0.1, -0.05, 0.5, 1.0)
+        MediumSpec(np.nan, -8.0, 1.0)
     with pytest.raises(ConfigError):
-        MediumSpec(0.1, 0.05, 0.5, 0.0)
+        MediumSpec(8.0, -np.inf, 1.0)
     with pytest.raises(ConfigError):
-        # walk-off so negative the inverse idler velocity crosses zero
-        MediumSpec.from_walkoffs(8.0, -11.0, 1.0, v_pump=0.1)
+        MediumSpec(8.0, -8.0, 0.0)
 
 
 # ---------------------------------------------------------------- coupling matrices
 
 @pytest.fixture()
 def small_setup():
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, 1.0)
-    grid = build_grid(9, 0.0, 5.0)
-    pump = PumpSpec(center=0.0, sigma=1.0, g0=1.0)
+    medium = MediumSpec(8.0, -8.0, 1.0)
+    grid = build_grid(9, 5.0)
+    pump = PumpSpec(sigma=1.0, g0=1.0)
     return grid, pump, medium
 
 
@@ -190,7 +183,7 @@ def test_coupled_matrices_zero_cases(small_setup):
     grid, pump, medium = small_setup
     off = build_coupled_matrices(grid, PumpSpec(g0=0.0), medium)
     np.testing.assert_array_equal(off.F, 0.0)
-    matched = MediumSpec(0.1, 0.1, 0.5, 1.0)  # v_S = v_P, so no signal walk-off
+    matched = MediumSpec(0.0, 8.0, 1.0)  # v_S = v_P, so no signal walk-off
     np.testing.assert_array_equal(
         build_coupled_matrices(grid, pump, matched).G, 0.0
     )
@@ -217,10 +210,16 @@ def test_coupled_matrices_sign_flip(small_setup):
     np.testing.assert_array_equal(minus.G, plus.G)
 
 
-def test_center_mismatch_rejected(small_setup):
-    grid, _, medium = small_setup
-    with pytest.raises(ConfigError):
-        build_coupled_matrices(grid, PumpSpec(center=0.1), medium)
+def test_coupled_matrices_are_memoized_and_read_only(small_setup):
+    # equal (frozen) arguments return the same matrices, which no reader may
+    # change under the next
+    grid, pump, medium = small_setup
+    m = build_coupled_matrices(grid, pump, medium, sign=1)
+    assert build_coupled_matrices(grid, PumpSpec(sigma=1.0, g0=1.0), medium, sign=1) is m
+    assert build_coupled_matrices.cache_info().misses == 1
+    for a in (m.G, m.H, m.F):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
 
 
 def test_generator_layout_and_hamiltonian_property(small_setup):

@@ -83,8 +83,8 @@ def test_expm_matches_scipy(norm, dtype):
     (-8.0, 201, 1.5, 1.0 / 9),     # QPM domain at N = 201, 1-norm ~4.6
 ], ids=["readme-sgvm", "skew-2n", "qpm-n201"])
 def test_expm_matches_scipy_on_domain_generators(walkoff_idler, n, g0, width):
-    medium = MediumSpec.from_walkoffs(8.0, walkoff_idler, 1.0)
-    grid = build_grid(n, 0.0, default_half_width(medium))
+    medium = MediumSpec(8.0, walkoff_idler, 1.0)
+    grid = build_grid(n, default_half_width(medium))
     m = build_coupled_matrices(grid, PumpSpec(g0=g0), medium)
     K = -m.F - 1j * m.G if m.sgvm else 1j * np.block([[m.G, m.F], [-m.F, -m.H]])
     assert expm_rel_to_scipy(width * K) <= 1e-13

@@ -43,16 +43,16 @@ L = 1.0
 
 @pytest.fixture()
 def sgvm():
-    medium = MediumSpec.from_walkoffs(8.0, -8.0, L)
-    grid = build_grid(N, 0.0, 5.0)
+    medium = MediumSpec(8.0, -8.0, L)
+    grid = build_grid(N, 5.0)
     pump = PumpSpec(g0=1.0)
     return grid, pump, medium
 
 
 @pytest.fixture()
 def skew():
-    medium = MediumSpec.from_walkoffs(8.0, -4.8, L)
-    grid = build_grid(N, 0.0, 5.0)
+    medium = MediumSpec(8.0, -4.8, L)
+    grid = build_grid(N, 5.0)
     pump = PumpSpec(g0=1.0)
     return grid, pump, medium
 
@@ -168,8 +168,8 @@ def test_compose_order_is_chronological(sgvm):
     grid, pump, medium = sgvm
     p1 = Poling([(0.4, 1)])
     p2 = Poling([(0.6, -1)])
-    m1 = MediumSpec(medium.v_pump, medium.v_signal, medium.v_idler, 0.4)
-    m2 = MediumSpec(medium.v_pump, medium.v_signal, medium.v_idler, 0.6)
+    m1 = MediumSpec(medium.kappa_signal, medium.kappa_idler, 0.4)
+    m2 = MediumSpec(medium.kappa_signal, medium.kappa_idler, 0.6)
     S1 = compose(grid, pump, m1, p1).matrix
     S2 = compose(grid, pump, m2, p2).matrix
     both = compose(grid, pump, medium, Poling([(0.4, 1), (0.6, -1)])).matrix
@@ -389,10 +389,10 @@ _words = st.lists(
          domains=[(0.05, 1), (0.05, -1), (0.05, 1), (0.02, 0)] * 5)
 def test_compose_matches_product_of_quadrature_exponentials(
         n, kappa_s, mismatch, g0, domains):
-    medium = MediumSpec.from_walkoffs(
+    medium = MediumSpec(
         kappa_s, -kappa_s * (1.0 - mismatch), sum(w for w, _ in domains))
     assert medium.sgvm() == (mismatch == 0.0)
-    grid = build_grid(n, 0.0, 5.0)
+    grid = build_grid(n, 5.0)
     pump = PumpSpec(g0=g0)
     poling = Poling(domains)
     prop = compose(grid, pump, medium, poling)
@@ -413,8 +413,8 @@ def test_compose_matches_product_of_quadrature_exponentials(
 def test_compose_matches_plain_loop_at_high_gain(request, regime):
     # roundoff of the pairwise reduction stays relative at N_S ~ 1e3
     medium = request.getfixturevalue(regime)[2]
-    grid = build_grid(21, 0.0, default_half_width(medium))
-    pump = PumpSpec(center=0.0, sigma=1.0, g0=25.0)
+    grid = build_grid(21, default_half_width(medium))
+    pump = PumpSpec(sigma=1.0, g0=25.0)
     prop = compose(grid, pump, medium, readme_grating())
     assert 3e2 < prop.mean_photons()[0] < 3e4
     ref = plain_product(grid, pump, medium, readme_grating()).bogoliubov
@@ -449,8 +449,8 @@ def test_squeezer_floor_hides_product_order(skew):
     # Below the floor a squeezer's modes are roundoff; at or above it,
     # reordering the domain product leaves the reported squeezers unchanged.
     _, _, medium = skew
-    grid = build_grid(31, 0.0, default_half_width(medium))
-    pump = PumpSpec(center=0.0, sigma=1.0, g0=5.0)
+    grid = build_grid(31, default_half_width(medium))
+    pump = PumpSpec(sigma=1.0, g0=5.0)
     flips = []
     for single in (compose(grid, pump, medium, readme_grating()),
                    plain_product(grid, pump, medium, readme_grating())):
@@ -489,7 +489,7 @@ def test_free_propagator_contracts(sgvm):
 def test_double_pass_zero_gain_is_two_free_passes(sgvm):
     grid, _, medium = sgvm
     cases = [(grid, Poling.unpoled(L)),
-             (build_grid(201, 0.0, 5.0), qpm_poling(L, 2.0 * L / 9.0))]
+             (build_grid(201, 5.0), qpm_poling(L, 2.0 * L / 9.0))]
     for grid, poling in cases:
         S = double_pass(grid, PumpSpec(g0=0.0), medium, poling)
         expected = free_propagator(grid, medium.swapped(), L).matrix @ \
@@ -540,9 +540,9 @@ def test_return_trip_is_the_reversed_swapped_pass(n, kappa_s, mismatch, g0, scal
     # domains reversed, signal and idler velocities exchanged
     poling = Poling(domains)
     assume(poling != poling.reversed_())
-    medium = MediumSpec.from_walkoffs(
+    medium = MediumSpec(
         kappa_s, -kappa_s * (1.0 - mismatch), poling.length)
-    grid = build_grid(n, 0.0, 5.0)
+    grid = build_grid(n, 5.0)
     pump = PumpSpec(g0=g0 * scale)
     back = compose(grid, pump, medium, poling).return_trip()
     expected = compose(grid, pump, medium.swapped(), poling.reversed_())
@@ -566,8 +566,8 @@ def test_compose_returns_the_memoized_pass_for_equal_arguments(sgvm):
     poling = qpm_poling(L, 2.0 * L / 9.0)
     prop = compose(grid, pump, medium, poling)
     # equal-valued frozen arguments built anew find the same pass
-    again = compose(build_grid(N, 0.0, 5.0), PumpSpec(g0=1.0),
-                    MediumSpec.from_walkoffs(8.0, -8.0, L), qpm_poling(L, 2.0 * L / 9.0))
+    again = compose(build_grid(N, 5.0), PumpSpec(g0=1.0),
+                    MediumSpec(8.0, -8.0, L), qpm_poling(L, 2.0 * L / 9.0))
     assert again is prop
     assert compose.cache_info().misses == 1
 
@@ -669,8 +669,8 @@ def test_propagator_photons_match_the_4n_count(g0, walkoff_i, double, pump):
     # and block-diagonal per beam), for real and complex X; the 4N count
     # subtracts N/2 from sums of order N, so it carries ~N eps absolute
     # error, and g0 >= 1 keeps that below 1e-12 relative
-    medium = MediumSpec.from_walkoffs(8.0, walkoff_i, L)
-    grid, pump = build_grid(N, 0.0, 5.0), PUMPS[pump](g0)
+    medium = MediumSpec(8.0, walkoff_i, L)
+    grid, pump = build_grid(N, 5.0), PUMPS[pump](g0)
     poling = qpm_poling(L, 2.0 * L / 9.0)
     prop = double_pass(grid, pump, medium, poling) if double \
         else compose(grid, pump, medium, poling)
