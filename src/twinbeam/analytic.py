@@ -87,19 +87,20 @@ def block_reduce(matrices):
 
     embed_unitary(W)^T Q embed_unitary(W) = diag(C, -C^T).  SGVM input gives
     [[-F, G], [-G, -F]] in the walk-off basis; otherwise [[H J, -F J],
-    [-F J, G J]] in the exchange basis, which needs J F J = F, J G J = -G and
-    J H J = -H.  Half the largest violation is the generator's off-block
-    residual in that basis; above BLOCK_TOL * max(1, max|F|, |G|, |H|)
-    RegimeError is raised with it, e.g. for a pump without frequency symmetry.
+    [-F J, G J]] in the exchange basis, which needs J F J = F, g[::-1] = -g and
+    h[::-1] = -h (G = diag(g), H = diag(h)).  Half the largest violation is
+    the generator's off-block residual in that basis; above BLOCK_TOL *
+    max(1, max|F|, |g|, |h|) RegimeError is raised with it, e.g. for a pump
+    without frequency symmetry.
     """
-    F, G, H = matrices.F, matrices.G, matrices.H
+    F, g, h = matrices.F, matrices.g, matrices.h
+    G = np.diag(g)
     if matrices.sgvm:
         return np.block([[-F, G], [-G, -F]])
     # J M J reverses rows and columns, M J reverses columns: both exact.
     off = 0.5 * max(float(np.max(np.abs(F[::-1, ::-1] - F))),
-                    float(np.max(np.abs(G[::-1, ::-1] + G))),
-                    float(np.max(np.abs(H[::-1, ::-1] + H))))
-    scale = max(1.0, *(float(np.max(np.abs(M))) for M in (F, G, H)))
+                    float(np.max(np.abs(g[::-1] + g))), float(np.max(np.abs(h[::-1] + h))))
+    scale = max(1.0, *(float(np.max(np.abs(M))) for M in (F, g, h)))
     if off > BLOCK_TOL * scale:
         raise RegimeError(
             "generator does not block-diagonalize in the exchange basis "
@@ -107,7 +108,7 @@ def block_reduce(matrices):
             residual=off,
         )
     FJ = -F[:, ::-1]
-    return np.block([[H[:, ::-1], FJ], [FJ, G[:, ::-1]]])
+    return np.block([[np.diag(h)[:, ::-1], FJ], [FJ, G[:, ::-1]]])
 
 
 def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):

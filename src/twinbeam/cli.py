@@ -394,14 +394,14 @@ def _hamiltonian_defect(m):
     """(max|K Sigma + Sigma K^H|, its threshold) of the 2N generator K on (a_S, a_I^+).
 
     K = iP, P = [[G, F], [-F, -H]] real and Sigma = diag(I, -I), so
-    K Sigma + Sigma K^H = i (P Sigma - Sigma P^T).  Its entries are those of
-    Omega Q - (Omega Q)^T for the 4N generator Q (model.build_generator),
-    and max|Q| = max|P|, so value and threshold are Q's, bitwise.
+    K Sigma + Sigma K^H = i (P Sigma - Sigma P^T), whose blocks are G - G^T,
+    H - H^T and -(F - F^T): with G = diag(g), H = diag(h) only the last is
+    nonzero.  Its entries are those of Omega Q - (Omega Q)^T for the 4N
+    generator Q (model.build_generator), and max|Q| = max|P| = max(|F|, |g|,
+    |h|), so value and threshold are Q's, bitwise.
     """
-    P = np.block([[m.G, m.F], [-m.F, -m.H]])
-    sigma = np.repeat([1.0, -1.0], m.G.shape[0])
-    return (float(np.max(np.abs(P * sigma - sigma[:, None] * P.T))),
-            1e-14 * max(1.0, float(np.max(np.abs(P)))))
+    return (float(np.max(np.abs(m.F - m.F.T))),
+            1e-14 * max(1.0, *(float(np.max(np.abs(a))) for a in (m.F, m.g, m.h))))
 
 
 def cmd_verify(cfg, out_dir, propagator_path):
@@ -411,14 +411,14 @@ def cmd_verify(cfg, out_dir, propagator_path):
     n = grid.n
 
     matrices = build_coupled_matrices(grid, pump, medium, sign=1)
-    F, G = matrices.F, matrices.G
+    F, g = matrices.F, matrices.g
     _check(checks, "F_symmetric", float(np.max(np.abs(F - F.T))), 0.0,
            ok=np.array_equal(F, F.T))
     if pump.frequency_symmetric:
         _check(checks, "F_centrosymmetric", float(np.max(np.abs(F - F[::-1, ::-1]))),
                0.0, ok=np.array_equal(F, F[::-1, ::-1]))
-    _check(checks, "G_anticentrosymmetric", float(np.max(np.abs(G[::-1, ::-1] + G))),
-           0.0, ok=np.array_equal(G[::-1, ::-1], -G))
+    _check(checks, "G_anticentrosymmetric", float(np.max(np.abs(g[::-1] + g))),
+           0.0, ok=np.array_equal(g[::-1], -g))
     _check(checks, "generator_hamiltonian", *_hamiltonian_defect(matrices))
 
     S = prop.matrix

@@ -2,8 +2,9 @@
 
 Builds the ingredients of the twin-beam model: mirror-symmetric frequency
 grids, pump spectra, media (signal and idler walk-offs), poling
-configurations g(z), and from them the discretized coupling matrices G, H, F
-and the quadrature-basis generator Q of the equations of motion.
+configurations g(z), and from them the discretized coupling model (walk-off
+vectors g, h and pump coupling F) and the quadrature-basis generator Q of the
+equations of motion.
 
 Conventions
 -----------
@@ -41,6 +42,10 @@ MATRICES_MEMO = 2
 # Whole domains a generated grating may have: building one takes about
 # 150 bytes and 0.8 us per domain, so this caps it near 150 MB and 1 s.
 MAX_DOMAINS = 10 ** 6
+# Largest walk-off phase max(|kappa_S|, |kappa_I|) * half_width * L: the
+# error of verify's zero-gain double pass, up to 3.4e-16 * phase, first
+# fails its absolute 1e-12 near 4e3.
+MAX_WALKOFF_PHASE = 1e3
 
 
 def _frozen(a):
@@ -269,14 +274,15 @@ class Poling:
 class CoupledMatrices:
     """Discretized coupling matrices of the equations of motion.
 
-    G, H are the diagonal walk-off phase matrices of signal and idler; F is
-    the (signed) pump-mediated coupling.  g0 records the peak gain the F
-    entries were built with; sgvm records whether H = -G holds by
+    g, h are the walk-off phases kappa_S * omega_n and kappa_I * omega_n of
+    signal and idler per bin, the diagonals of the walk-off matrices G, H; F
+    is the (signed) pump-mediated coupling.  g0 records the peak gain the F
+    entries were built with; sgvm records whether h = -g holds by
     construction so downstream code can take the block fast path.
     """
 
-    G: np.ndarray
-    H: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
     F: np.ndarray
     sgvm: bool
     g0: float
@@ -284,42 +290,50 @@ class CoupledMatrices:
 
 @lru_cache(maxsize=MATRICES_MEMO)
 def build_coupled_matrices(grid, pump, medium, sign=1):
-    """Build G, H, F on the grid for one poling orientation, memoized.
+    """Build g, h, F on the grid for one poling orientation, memoized.
 
-    G_nn = kappa_S * omega_n; H_nn = kappa_I * omega_n;
+    g_n = kappa_S * omega_n; h_n = kappa_I * omega_n;
     F_nm = sign * (dw / sqrt(2 pi)) * pump_amplitude(omega_n + omega_m).
 
     F is evaluated on detuning sums so that an even pump gives exact
     centrosymmetry, J F J = F, bitwise.  The arrays are read-only: equal
-    (frozen) arguments return the same matrices.
+    (frozen) arguments return the same matrices.  A walk-off phase
+    max(|g|, |h|) * L = max(|kappa_S|, |kappa_I|) * half_width * L above
+    MAX_WALKOFF_PHASE is a ConfigError.
     """
     sign = int(sign)
     if sign not in (-1, 0, 1):
         raise ConfigError("poling sign must be -1, 0 or +1")
+    # in Python floats, which overflow to inf without a warning
+    kappa = float(max(abs(medium.kappa_signal), abs(medium.kappa_idler)))
+    phase = kappa * grid.half_width * medium.length
+    if not phase <= MAX_WALKOFF_PHASE:
+        raise ConfigError("walk-off phase max(|kappa_S|, |kappa_I|) * grid.half_width * L of "
+                          "medium.vS, vI, vP at half_width %g and L %g is %.3g, above the limit "
+                          "%g" % (grid.half_width, medium.length, phase, MAX_WALKOFF_PHASE))
     d = grid.detunings
-    G = np.diag(medium.kappa_signal * d)
+    g = medium.kappa_signal * d
     is_sgvm = medium.sgvm()
-    # -G exactly for SGVM media, so their block structure holds bitwise
-    H = -G if is_sgvm else np.diag(medium.kappa_idler * d)
+    # -g exactly for SGVM media, so their block structure holds bitwise
+    h = -g if is_sgvm else medium.kappa_idler * d
     if sign == 0 or pump.g0 == 0.0:
         F = np.zeros((grid.n, grid.n))
     else:
         sums = d[:, None] + d[None, :]
         F = sign * (grid.spacing / np.sqrt(2.0 * np.pi)) * pump_amplitude(pump, sums)
-    return CoupledMatrices(G=_frozen(G), H=_frozen(H), F=_frozen(F), sgvm=is_sgvm,
+    return CoupledMatrices(g=_frozen(g), h=_frozen(h), F=_frozen(F), sgvm=is_sgvm,
                            g0=float(pump.g0))
 
 
 def build_generator(matrices):
     """Quadrature-basis generator of d r / dz, r = (X_S, X_I, P_S, P_I).
 
-    Q = [[0, 0, -G, F], [0, 0, F, -H], [G, F, 0, 0], [F, H, 0, 0]].
-    Omega Q is symmetric (Hamiltonian property), which is what makes every
-    segment propagator symplectic.
+    Q = [[0, 0, -G, F], [0, 0, F, -H], [G, F, 0, 0], [F, H, 0, 0]] with
+    G = diag(g), H = diag(h).  Omega Q is symmetric (Hamiltonian property),
+    which is what makes every segment propagator symplectic.
     """
-    G, H, F = matrices.G, matrices.H, matrices.F
-    n = G.shape[0]
-    Z = np.zeros((n, n))
+    G, H, F = np.diag(matrices.g), np.diag(matrices.h), matrices.F
+    Z = np.zeros_like(F)
     return np.block([
         [Z, Z, -G, F],
         [Z, Z, F, -H],

@@ -208,7 +208,8 @@ def mean_photons(S, n):
 
 def _generator(m):
     """The complex domain generator on (a_S, a_I^+), or on a_S - i a_I^+ in SGVM media."""
-    return -m.F - 1j * m.G if m.sgvm else 1j * np.block([[m.G, m.F], [-m.F, -m.H]])
+    G = np.diag(m.g)
+    return -m.F - 1j * G if m.sgvm else 1j * np.block([[G, m.F], [-m.F, -np.diag(m.h)]])
 
 
 def _domain_expm(generator, dz, g0):
@@ -224,7 +225,7 @@ def segment_propagator(matrices, dz):
     if not (dz > 0):
         raise ConfigError("segment width must be positive")
     return Propagator.from_bogoliubov(_domain_expm(_generator(matrices), dz, matrices.g0),
-                                      matrices.G.shape[0])
+                                      matrices.F.shape[0])
 
 
 def _exchange(X, n, sign=1):

@@ -130,7 +130,7 @@ def test_block_reduce_sgvm_closed_form(sgvm):
     m = build_coupled_matrices(grid, pump, medium)
     block = block_reduce(m)
     np.testing.assert_array_equal(
-        block, np.block([[-m.F, m.G], [-m.G, -m.F]])
+        block, np.block([[-m.F, np.diag(m.g)], [-np.diag(m.g), -m.F]])
     )
     Q = build_generator(m)
     C, off, lower = split(embed_unitary(walkoff_unitary(N)), Q)
@@ -142,7 +142,7 @@ def test_block_reduce_sgvm_closed_form(sgvm):
 def test_block_reduce_sgvm_free_limit(sgvm):
     grid, _, medium = sgvm
     m = build_coupled_matrices(grid, PumpSpec(g0=0.0), medium)
-    G = m.G
+    G = np.diag(m.g)
     np.testing.assert_array_equal(block_reduce(m), np.block([
         [np.zeros((N, N)), G], [-G, np.zeros((N, N))]
     ]))

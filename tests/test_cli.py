@@ -420,7 +420,9 @@ def test_the_decomposed_pass_residual_is_computed_once(tmp_path, monkeypatch, co
 @pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
 def test_generator_hamiltonian_is_the_4n_generator_value(walkoff_i):
     # the 2N form K Sigma + Sigma K^H holds the entries of Omega Q - (Omega Q)^T,
-    # so value and threshold equal build_generator's, also for a defect
+    # so value and threshold equal build_generator's, also for a defect: a bent
+    # F is caught, and bent walk-offs, diagonal by construction, move only the
+    # threshold
     medium = MediumSpec(8.0, walkoff_i, 1.0)
     m = build_coupled_matrices(build_grid(9, 5.0), PumpSpec(g0=1.3), medium)
     rng = np.random.default_rng(4)
@@ -432,11 +434,15 @@ def test_generator_hamiltonian_is_the_4n_generator_value(walkoff_i):
         return float(np.max(np.abs(oq - oq.T))), 1e-14 * max(1.0, float(np.max(np.abs(Q))))
 
     assert _hamiltonian_defect(m) == reference(m) and reference(m)[0] == 0.0
-    for name in ("F", "G", "H"):
-        bent = replace(m, **{name: getattr(m, name) + 1e-9 * rng.normal(size=m.F.shape)})
+    bent = replace(m, F=m.F + 1e-9 * rng.normal(size=m.F.shape))
+    value, threshold = _hamiltonian_defect(bent)
+    assert (value, threshold) == reference(bent)
+    assert value > threshold
+    for name in ("g", "h"):
+        bent = replace(m, **{name: 2.0 * getattr(m, name) + 1e-9 * rng.normal(size=m.g.shape)})
         value, threshold = _hamiltonian_defect(bent)
         assert (value, threshold) == reference(bent)
-        assert value > threshold
+        assert value == 0.0 and threshold > _hamiltonian_defect(m)[1]
 
 
 def test_grid_half_width_defaults_to_default_half_width(tmp_path):
@@ -543,6 +549,23 @@ def test_a_grating_of_too_many_domains_exits_2_before_allocating(tmp_path, capsy
     assert rc == 2
     assert "L = 1e+17 holds 1e+18 domains" in capsys.readouterr().err
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+@pytest.mark.parametrize("mismatch", [0.0, 0.4], ids=["sgvm", "mismatch-40pct"])
+@pytest.mark.parametrize("ratio,code", [(0.999, 0), (1.001, 2)], ids=["inside", "past"])
+def test_the_walkoff_phase_limit_exits_2_just_past_it(tmp_path, capsys, command, mismatch,
+                                                      ratio, code):
+    # kappa_S * half_width * L = ratio * MAX_WALKOFF_PHASE, kappa_I = -(1 - mismatch) kappa_S
+    kappa = ratio * twinbeam.model.MAX_WALKOFF_PHASE / 5.0
+    pace = 1.5 * kappa  # 1/vP, so every inverse velocity stays positive
+    medium = {"vP": 1 / pace, "vS": 1 / (pace + kappa),
+              "vI": 1 / (pace - (1 - mismatch) * kappa), "L": 1.0}
+    rc, _ = run(tmp_path, base_config(medium=medium), command)
+    assert rc == code
+    if code:
+        err = capsys.readouterr().err
+        assert "medium.vS, vI, vP" in err and "above the limit 1000" in err
 
 
 @pytest.mark.parametrize("args,flag", [

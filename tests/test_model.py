@@ -170,8 +170,8 @@ def test_coupled_matrices_values(small_setup):
     grid, pump, medium = small_setup
     m = build_coupled_matrices(grid, pump, medium)
     d = grid.detunings
-    np.testing.assert_array_equal(np.diag(m.G), medium.kappa_signal * d)
-    np.testing.assert_array_equal(m.H, -m.G)  # SGVM gives H = -G bitwise
+    np.testing.assert_array_equal(m.g, medium.kappa_signal * d)
+    np.testing.assert_array_equal(m.h, -m.g)  # SGVM gives h = -g bitwise
     expected = grid.spacing / np.sqrt(2 * np.pi) * pump_amplitude(
         pump, d[:, None] + d[None, :]
     )
@@ -185,7 +185,7 @@ def test_coupled_matrices_zero_cases(small_setup):
     np.testing.assert_array_equal(off.F, 0.0)
     matched = MediumSpec(0.0, 8.0, 1.0)  # v_S = v_P, so no signal walk-off
     np.testing.assert_array_equal(
-        build_coupled_matrices(grid, pump, matched).G, 0.0
+        build_coupled_matrices(grid, pump, matched).g, 0.0
     )
     dead = build_coupled_matrices(grid, pump, medium, sign=0)
     np.testing.assert_array_equal(dead.F, 0.0)
@@ -199,7 +199,7 @@ def test_f_symmetries(small_setup):
     # persymmetry F_{n,m} = F_{N-m+1,N-n+1}: gaussian pump on a mirror grid
     assert np.max(np.abs(m.F - J @ m.F.T @ J)) == 0.0
     assert np.max(np.abs(m.F - J @ m.F @ J)) <= 1e-14 * np.max(np.abs(m.F))
-    np.testing.assert_array_equal(J @ m.G @ J, -m.G)
+    np.testing.assert_array_equal(m.g[::-1], -m.g)
 
 
 def test_coupled_matrices_sign_flip(small_setup):
@@ -207,7 +207,7 @@ def test_coupled_matrices_sign_flip(small_setup):
     plus = build_coupled_matrices(grid, pump, medium, sign=1)
     minus = build_coupled_matrices(grid, pump, medium, sign=-1)
     np.testing.assert_array_equal(minus.F, -plus.F)
-    np.testing.assert_array_equal(minus.G, plus.G)
+    np.testing.assert_array_equal(minus.g, plus.g)
 
 
 def test_coupled_matrices_are_memoized_and_read_only(small_setup):
@@ -217,9 +217,28 @@ def test_coupled_matrices_are_memoized_and_read_only(small_setup):
     m = build_coupled_matrices(grid, pump, medium, sign=1)
     assert build_coupled_matrices(grid, PumpSpec(sigma=1.0, g0=1.0), medium, sign=1) is m
     assert build_coupled_matrices.cache_info().misses == 1
-    for a in (m.G, m.H, m.F):
+    for a in (m.g, m.h, m.F):
         with pytest.raises(ValueError):
-            a[0, 0] = 1.0
+            a[...] = 1.0
+
+
+def test_a_memoized_set_is_f_and_two_walkoff_vectors():
+    # the walk-offs are diagonal, so F is the set's one N x N array
+    n = 101
+    m = build_coupled_matrices(build_grid(n, 5.0), PumpSpec(g0=1.0), MediumSpec(8.0, -4.8, 1.0))
+    arrays = [a for a in vars(m).values() if isinstance(a, np.ndarray)]
+    assert [a.shape for a in arrays] == [(n,), (n,), (n, n)]
+    assert not any(a.flags.writeable for a in arrays)
+    assert sum(a.nbytes for a in arrays) == 8 * (n * n + 2 * n)
+
+
+@pytest.mark.parametrize("kappa_signal", [1.0001 * model.MAX_WALKOFF_PHASE / 5.0, 1e308,
+                                          -1e308], ids=["just-past", "inf", "-inf"])
+def test_a_walkoff_phase_past_the_limit_is_a_config_error(kappa_signal):
+    # the phase is |kappa_S| * 5.0 here, and one that overflows is caught too
+    with pytest.raises(ConfigError, match="walk-off phase .* above the limit 1000"):
+        build_coupled_matrices(build_grid(9, 5.0), PumpSpec(g0=1.0),
+                               MediumSpec(kappa_signal, 1.0, 1.0))
 
 
 def test_generator_layout_and_hamiltonian_property(small_setup):
@@ -227,12 +246,12 @@ def test_generator_layout_and_hamiltonian_property(small_setup):
     m = build_coupled_matrices(grid, pump, medium)
     Q = build_generator(m)
     n = grid.n
-    Z = np.zeros((n, n))
+    Z, G, H = np.zeros((n, n)), np.diag(m.g), np.diag(m.h)
     expected = np.block([
-        [Z, Z, -m.G, m.F],
-        [Z, Z, m.F, -m.H],
-        [m.G, m.F, Z, Z],
-        [m.F, m.H, Z, Z],
+        [Z, Z, -G, m.F],
+        [Z, Z, m.F, -H],
+        [G, m.F, Z, Z],
+        [m.F, H, Z, Z],
     ])
     np.testing.assert_array_equal(Q, expected)
     eye = np.eye(2 * n)

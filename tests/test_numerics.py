@@ -86,7 +86,8 @@ def test_expm_matches_scipy_on_domain_generators(walkoff_idler, n, g0, width):
     medium = MediumSpec(8.0, walkoff_idler, 1.0)
     grid = build_grid(n, default_half_width(medium))
     m = build_coupled_matrices(grid, PumpSpec(g0=g0), medium)
-    K = -m.F - 1j * m.G if m.sgvm else 1j * np.block([[m.G, m.F], [-m.F, -m.H]])
+    G, H = np.diag(m.g), np.diag(m.h)
+    K = -m.F - 1j * G if m.sgvm else 1j * np.block([[G, m.F], [-m.F, -H]])
     assert expm_rel_to_scipy(width * K) <= 1e-13
 
 

@@ -89,7 +89,8 @@ def test_segment_block_route_agrees_with_full_exponential(sgvm):
     full = expm(0.3 * build_generator(m))
     assert np.max(np.abs(S.matrix - full)) < 1e-10
     np.testing.assert_allclose(
-        embed_unitary(S.bogoliubov), expm(0.3 * np.block([[-m.F, m.G], [-m.G, -m.F]])),
+        embed_unitary(S.bogoliubov),
+        expm(0.3 * np.block([[-m.F, np.diag(m.g)], [-np.diag(m.g), -m.F]])),
         atol=1e-12
     )
 
@@ -223,7 +224,7 @@ def test_exchange_generator_is_real_for_an_even_pump(request, regime, sign):
         np.testing.assert_array_equal(m.F, m.F[::-1, ::-1])
         K = propagator._exchange(propagator._generator(m), grid.n)
         assert not K.imag.any()
-        GJ, FJ, HJ = m.G[:, ::-1], m.F[:, ::-1], m.H[:, ::-1]
+        GJ, FJ, HJ = np.diag(m.g)[:, ::-1], m.F[:, ::-1], np.diag(m.h)[:, ::-1]
         closed = -m.F - GJ if m.sgvm else np.block([[GJ, -FJ], [-FJ, HJ]])
         np.testing.assert_array_equal(K.real, closed)
         back = propagator._exchange(K, grid.n, -1)
