@@ -25,10 +25,15 @@ __all__ = [
 ]
 
 
-def _as_vector(u):
-    if isinstance(u, SchmidtMode):
-        return u.amplitudes
-    return np.asarray(u)
+def _vectors(u, v, what):
+    """The amplitude vectors of two modes (raw vectors or SchmidtModes of one beam)."""
+    if isinstance(u, SchmidtMode) and isinstance(v, SchmidtMode) and u.beam != v.beam:
+        raise ConfigError("%s compares modes of one beam, got %s vs %s"
+                          % (what, u.beam, v.beam))
+    a, b = (np.asarray(m.amplitudes if isinstance(m, SchmidtMode) else m) for m in (u, v))
+    if a.shape != b.shape:
+        raise ConfigError("mode shapes differ: %r vs %r" % (a.shape, b.shape))
+    return a, b
 
 
 def _unit(v, what):
@@ -41,13 +46,11 @@ def _unit(v, what):
 def mode_fidelity(u, v):
     """|<u, v>|^2 between unit-normalized mode vectors.
 
-    Accepts raw complex vectors or SchmidtMode objects (full stacked
-    amplitudes are used).  Symmetric in its arguments and invariant under
+    Accepts raw complex vectors or SchmidtMode objects of one beam (their
+    own-beam amplitudes).  Symmetric in its arguments and invariant under
     global phases of either mode.
     """
-    a, b = _as_vector(u), _as_vector(v)
-    if a.shape != b.shape:
-        raise ConfigError("mode shapes differ: %r vs %r" % (a.shape, b.shape))
+    a, b = _vectors(u, v, "mode fidelity")
     a, b = _unit(a, "first mode"), _unit(b, "second mode")
     return float(np.abs(np.vdot(a, b)) ** 2)
 
@@ -55,19 +58,9 @@ def mode_fidelity(u, v):
 def flip_overlap(u_in, u_out):
     """|sum_n (J u_out)_n (u_in)_n^*|^2: fidelity against the bin-reversed output.
 
-    Both modes must live on the same beam; SchmidtMode inputs are reduced to
-    their own-beam amplitudes first.
+    Both modes must live on the same beam.
     """
-    if isinstance(u_in, SchmidtMode) and isinstance(u_out, SchmidtMode):
-        if u_in.beam != u_out.beam:
-            raise ConfigError(
-                "flip overlap compares modes of one beam, got %s vs %s"
-                % (u_in.beam, u_out.beam)
-            )
-    a, b = (np.asarray(u.beam_amplitudes(u.amplitudes.size // 2)
-                       if isinstance(u, SchmidtMode) else u) for u in (u_in, u_out))
-    if a.shape != b.shape:
-        raise ConfigError("mode shapes differ: %r vs %r" % (a.shape, b.shape))
+    a, b = _vectors(u_in, u_out, "flip overlap")
     a, b = _unit(a, "input mode"), _unit(b, "output mode")
     return float(np.abs(np.sum(b[::-1] * np.conj(a))) ** 2)
 

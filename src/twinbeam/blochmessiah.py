@@ -229,7 +229,7 @@ def bloch_messiah(S):
     checks.
     """
     if isinstance(S, Propagator):
-        resid, S = S.symplectic_residual(), S.matrix
+        resid, S = S.symplectic_residual, S.matrix
     else:
         S = np.asarray(S, dtype=float)
         dim = S.shape[0]
@@ -290,16 +290,12 @@ def two_mode_rearrange(bm):
 
 @dataclass(frozen=True)
 class SchmidtMode:
-    """One squeezer mode function on the stacked (signal, idler) bin space."""
+    """One squeezer mode function on the N frequency bins of its own beam."""
 
     beam: str                 # "signal" or "idler"
     r: float
-    amplitudes: np.ndarray    # complex, length 2N
+    amplitudes: np.ndarray    # complex, length N
     mixed: bool
-
-    def beam_amplitudes(self, n):
-        """The N amplitudes on this mode's own beam."""
-        return self.amplitudes[:n] if self.beam == "signal" else self.amplitudes[n:]
 
 
 @dataclass(frozen=True)
@@ -344,34 +340,30 @@ class Decomposition:
     def pair_modes(self, k, direction):
         """(signal_mode, idler_mode) of squeezer k, direction "out" or "in".
 
-        The column heavier on the signal bins is the signal mode; both are
-        mixed when either column leaks more than MIX_TOL onto the other beam.
+        The column heavier on the signal bins is the signal mode, and each
+        mode keeps its column's N amplitudes on its own beam; both are mixed
+        when either column leaks more than MIX_TOL onto the other beam.
         """
         if direction not in ("out", "in") or not 0 <= k < self.r.size:
             raise ConfigError("no such squeezer: k=%r direction=%r" % (k, direction))
         n = self.grid.n
         U = self.U_out if direction == "out" else self.U_in
-        sig, idl = U[:, 2 * k].copy(), U[:, 2 * k + 1].copy()
+        sig, idl = U[:, 2 * k], U[:, 2 * k + 1]
         s_sig, s_idl = (float(np.sum(np.abs(u[:n]) ** 2)) for u in (sig, idl))
         if s_sig < s_idl:
             sig, idl, s_sig, s_idl = idl, sig, s_idl, s_sig
         mixed = max(1.0 - s_sig, s_idl) > MIX_TOL
-        return tuple(
-            SchmidtMode(beam=beam, r=float(self.r[k]),
-                        amplitudes=_gauge_fix(u, n, beam), mixed=mixed)
-            for beam, u in (("signal", sig), ("idler", idl)))
+        return (SchmidtMode("signal", float(self.r[k]), _gauge_fix(sig[:n]), mixed),
+                SchmidtMode("idler", float(self.r[k]), _gauge_fix(idl[n:]), mixed))
 
 
-def _gauge_fix(u, n, beam):
-    """Rotate the column phase so its central beam amplitude is real positive."""
-    sl = u[:n] if beam == "signal" else u[n:]
-    c = (n - 1) // 2
-    anchor = sl[c]
-    if abs(anchor) <= 1e-12 * np.linalg.norm(sl):
-        anchor = sl[int(np.argmax(np.abs(sl)))]
-    if abs(anchor) == 0.0:
-        return u
-    return u * (abs(anchor) / anchor)
+def _gauge_fix(u):
+    """A copy of u turned in phase so its central amplitude, else (when that
+    is negligible) its largest, is real positive."""
+    anchor = u[(u.size - 1) // 2]
+    if abs(anchor) <= 1e-12 * np.linalg.norm(u):
+        anchor = u[int(np.argmax(np.abs(u)))]
+    return u * (abs(anchor) / anchor) if anchor else u.copy()
 
 
 def decompose(prop, grid):

@@ -252,7 +252,7 @@ def _modes_csv(path, grid, pairs):
         fh.write("k,beam,direction,bin,omega_detuning,re,im,r_k\n")
         for k, direction, modes in pairs:
             for mode in modes:
-                amps = mode.beam_amplitudes(grid.n)
+                amps = mode.amplitudes
                 head = "%d,%s,%s," % (k + 1, mode.beam, direction)
                 tail = ",%r\n" % float(mode.r)
                 fh.write("".join(
@@ -286,7 +286,7 @@ def cmd_simulate(cfg, out_dir):
     summary = {
         "mean_NS": float(ns),
         "mean_NI": float(ni),
-        "symplectic_residual": prop.symplectic_residual(),
+        "symplectic_residual": prop.symplectic_residual,
         "reconstruction_residual": decomp.residuals["reconstruction"],
         "r": [sq["r"] for sq in squeezers],
         "squeezers": squeezers,
@@ -424,7 +424,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
     S = prop.matrix
     smax = float(max(S.max(), -S.min()))
     # read off the small form once; decompose's input guard reuses it
-    _check(checks, "propagator_symplectic", prop.symplectic_residual(),
+    _check(checks, "propagator_symplectic", prop.symplectic_residual,
            INPUT_SYMPLECTIC_TOL * max(1.0, smax**2))
 
     ns, ni = mean_photons(S, n)  # the 4N form, independent of prop.mean_photons

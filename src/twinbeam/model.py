@@ -43,8 +43,9 @@ MATRICES_MEMO = 2
 # 150 bytes and 0.8 us per domain, so this caps it near 150 MB and 1 s.
 MAX_DOMAINS = 10 ** 6
 # Largest walk-off phase max(|kappa_S|, |kappa_I|) * half_width * L: the
-# error of verify's zero-gain double pass, up to 3.4e-16 * phase, first
-# fails its absolute 1e-12 near 4e3.
+# error of verify's zero-gain double pass, up to about 1.7e-16 * phase (4e-17
+# * phase in SGVM media, stored with kappa_I = -kappa_S exactly), first fails
+# its absolute 1e-12 near 6e3.
 MAX_WALKOFF_PHASE = 1e3
 
 
@@ -203,7 +204,9 @@ class MediumSpec:
     and length L.
 
     The SGVM regime has kappa_S = -kappa_I: signal and idler walk off from
-    the pump at equal and opposite rates.
+    the pump at equal and opposite rates.  Walk-offs opposite within 1e-12
+    relative are stored as SGVM, kappa_I = -kappa_S exactly, so every reader
+    sees one regime and its bitwise structure.
     """
 
     kappa_signal: float
@@ -215,11 +218,13 @@ class MediumSpec:
             raise ConfigError("medium walk-offs must be finite")
         if not (self.length > 0):
             raise ConfigError("medium length must be positive")
+        ks, ki = self.kappa_signal, self.kappa_idler
+        if abs(ks + ki) <= 1e-12 * max(abs(ks), abs(ki)):
+            object.__setattr__(self, "kappa_idler", -ks)
 
     def sgvm(self):
-        """True when kappa_S = -kappa_I within 1e-12 relative."""
-        ks, ki = self.kappa_signal, self.kappa_idler
-        return abs(ks + ki) <= 1e-12 * max(abs(ks), abs(ki))
+        """True when kappa_I = -kappa_S, as stored (__post_init__)."""
+        return self.kappa_idler == -self.kappa_signal
 
     def swapped(self):
         """Medium with signal and idler walk-offs exchanged (second pass)."""
@@ -277,8 +282,8 @@ class CoupledMatrices:
     g, h are the walk-off phases kappa_S * omega_n and kappa_I * omega_n of
     signal and idler per bin, the diagonals of the walk-off matrices G, H; F
     is the (signed) pump-mediated coupling.  g0 records the peak gain the F
-    entries were built with; sgvm records whether h = -g holds by
-    construction so downstream code can take the block fast path.
+    entries were built with; sgvm records that the medium is SGVM, so that
+    h = -g bitwise, and downstream code can take the block fast path.
     """
 
     g: np.ndarray
@@ -312,16 +317,13 @@ def build_coupled_matrices(grid, pump, medium, sign=1):
                           "medium.vS, vI, vP at half_width %g and L %g is %.3g, above the limit "
                           "%g" % (grid.half_width, medium.length, phase, MAX_WALKOFF_PHASE))
     d = grid.detunings
-    g = medium.kappa_signal * d
-    is_sgvm = medium.sgvm()
-    # -g exactly for SGVM media, so their block structure holds bitwise
-    h = -g if is_sgvm else medium.kappa_idler * d
+    g, h = medium.kappa_signal * d, medium.kappa_idler * d
     if sign == 0 or pump.g0 == 0.0:
         F = np.zeros((grid.n, grid.n))
     else:
         sums = d[:, None] + d[None, :]
         F = sign * (grid.spacing / np.sqrt(2.0 * np.pi)) * pump_amplitude(pump, sums)
-    return CoupledMatrices(g=_frozen(g), h=_frozen(h), F=_frozen(F), sgvm=is_sgvm,
+    return CoupledMatrices(g=_frozen(g), h=_frozen(h), F=_frozen(F), sgvm=medium.sgvm(),
                            g0=float(pump.g0))
 
 

@@ -157,13 +157,11 @@ class Propagator:
         S[:, 3 * n:] *= -1.0
         return _frozen(S)
 
-    def symplectic_residual(self):
-        """symplectic_residual(self.matrix), read off X once per propagator (cached)."""
-        return self._symplectic_residual
-
     @cached_property
-    def _symplectic_residual(self):
-        """matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
+    def symplectic_residual(self):
+        """symplectic_residual(self.matrix), read off X once per propagator.
+
+        matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
         is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma = U (X Sigma X^H -
         Sigma) U^H, T the 2N matrix.  In SGVM media E has the blocks H - I, iD,
         iD and I - H (up to signs), H and D the Hermitian and anti-Hermitian

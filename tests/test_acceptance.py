@@ -175,8 +175,8 @@ def test_7_lowgain_matches_pair_amplitude_oracle(lab):
         sig, idl = decomp.pair_modes(k, "out")
         worst_fid = min(
             worst_fid,
-            mode_fidelity(sig.beam_amplitudes(BENCH_N), oracle.signal_modes[:, k]),
-            mode_fidelity(idl.beam_amplitudes(BENCH_N), oracle.idler_modes[:, k]),
+            mode_fidelity(sig.amplitudes, oracle.signal_modes[:, k]),
+            mode_fidelity(idl.amplitudes, oracle.idler_modes[:, k]),
         )
     rn = decomp.r[:kmax] / np.linalg.norm(decomp.r[:kmax])
     cn = c[:kmax] / np.linalg.norm(c[:kmax])

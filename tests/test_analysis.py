@@ -106,22 +106,28 @@ def test_flip_overlap_manual_formula():
     assert abs(flip_overlap(a, b) - expect) < 1e-14
 
 
-def test_flip_overlap_reduces_schmidt_modes_to_their_beam():
+def test_flip_overlap_reads_schmidt_modes_own_beam_amplitudes():
     rng = np.random.default_rng(17)
     own = rand_vec(rng, N)
-    stacked_in = np.concatenate([own, np.zeros(N)])
-    stacked_out = np.concatenate([own[::-1], np.zeros(N)])
-    m_in = make_mode(stacked_in)
-    m_out = make_mode(stacked_out)
+    m_in = make_mode(own)
+    m_out = make_mode(own[::-1])
     assert abs(flip_overlap(m_in, m_out) - 1.0) < 1e-14
 
 
 def test_flip_overlap_rejects_beam_mismatch():
     rng = np.random.default_rng(19)
-    a = np.concatenate([rand_vec(rng, N), np.zeros(N)])
-    b = np.concatenate([np.zeros(N), rand_vec(rng, N)])
+    a, b = rand_vec(rng, N), rand_vec(rng, N)
     with pytest.raises(ConfigError):
         flip_overlap(make_mode(a, beam="signal"), make_mode(b, beam="idler"))
+
+
+def test_mode_fidelity_rejects_beam_mismatch():
+    # each mode holds its own beam's N amplitudes, so a signal and an idler
+    # mode of one shape no longer overlap by zero through disjoint support
+    rng = np.random.default_rng(23)
+    a, b = rand_vec(rng, N), rand_vec(rng, N)
+    with pytest.raises(ConfigError, match="one beam"):
+        mode_fidelity(make_mode(a, beam="signal"), make_mode(b, beam="idler"))
 
 
 # ---------------------------------------------------------------- subspace overlaps

@@ -348,13 +348,14 @@ def three_bin_decomposition(U):
 
 
 def test_pair_modes_identity_factor_gives_bin_basis():
+    # a mode is its column's own-beam slice: squeezers 0 and 2 pair two
+    # columns of one beam, so each holds one empty mode
+    expected = [([1, 0, 0], [0, 0, 0]), ([0, 0, 1], [1, 0, 0]), ([0, 0, 0], [0, 0, 1])]
     d = three_bin_decomposition(np.eye(6, dtype=complex))
-    for k in range(3):
+    for k, own in enumerate(expected):
         for direction in ("out", "in"):
-            for m in d.pair_modes(k, direction):
-                one_hot = np.zeros(6)
-                one_hot[np.argmax(np.abs(m.amplitudes))] = 1.0
-                np.testing.assert_allclose(m.amplitudes, one_hot, atol=1e-15)
+            for m, amplitudes in zip(d.pair_modes(k, direction), own):
+                np.testing.assert_allclose(m.amplitudes, amplitudes, atol=1e-15)
 
 
 def test_pair_modes_flags_cross_beam_support():
@@ -377,6 +378,26 @@ def test_pair_modes_rejects_unknown_squeezer():
             d.pair_modes(k, direction)
 
 
+@pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
+def test_pair_modes_are_gauged_own_beam_slices_of_their_columns(walkoff_i):
+    grid, c = build_grid(N, 5.0), (N - 1) // 2
+    medium = MediumSpec(8.0, walkoff_i, L)
+    d = decompose(compose(grid, PumpSpec(g0=1.0), medium, Poling.unpoled(L)), grid)
+    assert d.active_pairs()
+    for k in d.active_pairs():
+        for direction, U in (("out", d.U_out), ("in", d.U_in)):
+            modes = d.pair_modes(k, direction)
+            for m, own in zip(modes, (U[:N, 2 * k:2 * k + 2], U[N:, 2 * k:2 * k + 2])):
+                assert m.amplitudes.shape == (N,)
+                column = own[:, int(np.argmax(np.linalg.norm(own, axis=0)))]
+                phase = np.vdot(column, m.amplitudes)
+                assert abs(abs(phase) - 1.0) <= 1e-12
+                np.testing.assert_allclose(m.amplitudes, phase * column, rtol=0, atol=1e-14)
+                amps = m.amplitudes
+                anchor = amps[c] if abs(amps[c]) > 1e-12 else amps[np.argmax(np.abs(amps))]
+                assert anchor.real > 0.0 and abs(anchor.imag) <= 1e-15
+
+
 def test_decomposition_factors_undo_the_pair_mixing(setup):
     grid, pump, medium = setup
     S = compose(grid, pump, medium, qpm_poling(L, 2 * L / 9))
@@ -396,8 +417,8 @@ def test_decompose_modes_unitary_and_single_beam(setup):
         for direction in ("out", "in"):
             sig, idl = d.pair_modes(k, direction)
             assert not (sig.mixed or idl.mixed)
-            assert np.sum(np.abs(sig.beam_amplitudes(N)) ** 2) > 1.0 - 1e-6
-            assert np.sum(np.abs(idl.beam_amplitudes(N)) ** 2) > 1.0 - 1e-6
+            assert np.sum(np.abs(sig.amplitudes) ** 2) > 1.0 - 1e-6
+            assert np.sum(np.abs(idl.amplitudes) ** 2) > 1.0 - 1e-6
             np.testing.assert_allclose(np.linalg.norm(sig.amplitudes), 1.0,
                                        atol=1e-12)
 
@@ -409,7 +430,7 @@ def test_gauge_anchor_is_real_nonnegative(setup):
     for k in d.active_pairs():
         sig, idl = d.pair_modes(k, "out")
         for m in (sig, idl):
-            anchor = m.beam_amplitudes(N)[c]
+            anchor = m.amplitudes[c]
             if abs(anchor) > 1e-10:
                 assert anchor.imag == pytest.approx(0.0, abs=1e-12)
                 assert anchor.real >= 0.0

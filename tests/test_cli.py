@@ -96,7 +96,7 @@ def test_modes_csv_bytes_match_per_element_formatting(tmp_path):
     for k in decomp.active_pairs():
         for direction in ("in", "out"):
             for mode in decomp.pair_modes(k, direction):
-                amps = mode.beam_amplitudes(grid.n)
+                amps = mode.amplitudes
                 for b in range(grid.n):
                     rows.append("%d,%s,%s,%d,%s,%s,%s,%s\n" % (
                         k + 1, mode.beam, direction, b + 1,
@@ -388,15 +388,15 @@ def test_the_decomposed_pass_residual_is_computed_once(tmp_path, monkeypatch, co
     # generic route's input guard share one small-form computation, and no
     # 4N symplectic residual is formed
     computed, decomposed, dense = [], [], []
-    residual = Propagator._symplectic_residual.func
+    residual = Propagator.symplectic_residual.func
 
     def counted(prop):
         computed.append(prop)
         return residual(prop)
 
     cached = cached_property(counted)
-    cached.__set_name__(Propagator, "_symplectic_residual")
-    monkeypatch.setattr(Propagator, "_symplectic_residual", cached)
+    cached.__set_name__(Propagator, "symplectic_residual")
+    monkeypatch.setattr(Propagator, "symplectic_residual", cached)
     full, decomp = twinbeam.propagator.symplectic_residual, twinbeam.cli.decompose
 
     def counted_full(S):
@@ -869,6 +869,17 @@ def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
         "flip_classes_balanced",
         "double_pass_zero_gain_free",
     ]
+
+
+def test_verify_passes_walkoffs_opposite_to_the_sgvm_tolerance(tmp_path):
+    # vS to 13 digits: kappa_S + kappa_I = -1.4e-12, inside the SGVM
+    # tolerance, so the medium is stored SGVM and the zero-gain double pass
+    # meets the free phases of kappa_I = -kappa_S (7.2e-12 before)
+    cfg = dict(README_CONFIG, medium=dict(SGVM_MEDIUM, vS=0.05555555555556))
+    rc, out = run(tmp_path, cfg, "verify")
+    assert rc == 0
+    checks = {c["name"]: c for c in json.loads((out / "verify.json").read_text())["checks"]}
+    assert checks["double_pass_zero_gain_free"]["value"] <= 1e-13
 
 
 @pytest.mark.parametrize("pass_mode, composed", [

@@ -140,6 +140,28 @@ def test_medium_walkoffs_and_sgvm():
     assert not MediumSpec(8.0, -4.8, 1.0).sgvm()
 
 
+def test_medium_within_the_sgvm_tolerance_is_stored_sgvm():
+    snapped, exact = MediumSpec(8.0, -8.0 * (1 + 5e-13), 1.0), MediumSpec(8.0, -8.0, 1.0)
+    assert snapped == exact and hash(snapped) == hash(exact)
+    assert snapped.kappa_idler == -8.0 and snapped.sgvm()
+
+
+def test_medium_outside_the_sgvm_tolerance_keeps_its_walkoffs():
+    kappa_i = -8.0 * (1 + 2e-12)
+    m = MediumSpec(8.0, kappa_i, 1.0)
+    assert m.kappa_idler == kappa_i and not m.sgvm()
+
+
+def test_swapped_snapped_medium_is_sgvm():
+    # kappa_S of vS = 0.05555555555556 at vP = 0.1, and kappa_I 1.8e-13
+    # relative away from -kappa_S
+    m = MediumSpec(1 / 0.05555555555556 - 10.0, -8.0, 1.0)
+    s = m.swapped()
+    assert m.kappa_idler == -m.kappa_signal != -8.0
+    assert s.kappa_idler == -s.kappa_signal and s.sgvm()
+    assert s.swapped() == m
+
+
 def test_medium_swapped():
     m = MediumSpec(8.0, -4.8, 2.0)
     s = m.swapped()

@@ -301,7 +301,7 @@ def test_symplectic_residual_of_the_2n_form_matches_the_4n_one(request, regime, 
         prop = Propagator.from_bogoliubov(
             (np.eye(len(A)) + defect * (A - A.T)) @ prop.bogoliubov, grid.n)
     S = prop.matrix
-    assert abs(prop.symplectic_residual() - symplectic_residual(S)) <= \
+    assert abs(prop.symplectic_residual - symplectic_residual(S)) <= \
         1e-15 * max(1.0, np.max(np.abs(S)) ** 2)
 
 
@@ -326,23 +326,23 @@ def test_sgvm_symplectic_residual_from_m_matches_the_2n_blocks(sgvm, g0, defect)
     E = (T * sigma) @ T.conj().T - np.diag(sigma)
     blocks = max(np.max(np.abs(E.real)), np.max(np.abs(E.imag)))
     assert blocks > abs(defect)
-    assert abs(prop.symplectic_residual() - blocks) <= 1e-15 * max(1.0, np.max(np.abs(T)) ** 2)
+    assert abs(prop.symplectic_residual - blocks) <= 1e-15 * max(1.0, np.max(np.abs(T)) ** 2)
 
 
 def test_symplectic_residual_is_computed_once_per_propagator(sgvm, skew, monkeypatch):
     computed = []
-    residual = Propagator._symplectic_residual.func
+    residual = Propagator.symplectic_residual.func
 
     def counted(prop):
         computed.append(prop)
         return residual(prop)
 
     cached = cached_property(counted)
-    cached.__set_name__(Propagator, "_symplectic_residual")
-    monkeypatch.setattr(Propagator, "_symplectic_residual", cached)
+    cached.__set_name__(Propagator, "symplectic_residual")
+    monkeypatch.setattr(Propagator, "symplectic_residual", cached)
     for grid, pump, medium in (sgvm, skew):
         prop = compose(grid, pump, medium, readme_grating())
-        assert prop.symplectic_residual() == prop.symplectic_residual()
+        assert prop.symplectic_residual == prop.symplectic_residual
         assert computed[-1] is prop
     assert len(computed) == 2
 
