@@ -385,7 +385,7 @@ def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
     solve_increasing searches up from [0, max(|g0|, 1)] without building a
     propagator at zero gain; its first two steps scale the latest gain by
     _spectral_scale of the pass just evaluated, composed again from the
-    memo.  Photon numbers are read off the exchange-basis matrix.
+    memo.  Photon numbers are read off the pass's pair form.
     Returns (g0, achieved), (0.0, 0.0) for a target within tol of zero.
     """
     if not (target >= 0):
@@ -405,16 +405,15 @@ def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,
 def _spectral_scale(prop, target):
     """The x with sum_k sinh^2(x r_k) = target > 0, r_k the squeezing of prop.
 
-    r_k = |log s_k(X)| in SGVM media, else asinh s_k(B), B the upper right N
-    block of X, so sum_k sinh^2 r_k is prop's photon number.  The sum reaches
-    the target by x0 = asinh(sqrt(target)) / max r_k, so solving on [0, x0]
-    with each term divided by the target cannot overflow (roundoff-sized r_k
-    underflow to zero).  Infinite when x0 is.
+    The singular values of X are e^{+-r_k}: each r_k = |log s(X)| appears once
+    in SGVM media (X is N x N) and twice otherwise, so the sum over s(X)
+    weighted by w = N / len(X) is prop's photon number at x = 1.  It reaches
+    the target by x0 = asinh(sqrt(target / w)) / max r_k, so solving on
+    [0, x0] with each term divided by target / w cannot overflow
+    (roundoff-sized r_k underflow to zero).  Infinite when x0 is.
     """
-    n, X = prop.n, prop.exchange
-    s = np.linalg.svd(X if prop.sgvm else X[:n, n:], compute_uv=False)
-    r = np.abs(np.log(s)) if prop.sgvm else np.arcsinh(s)
-    amp, r_max = math.sqrt(target), float(np.max(r))
+    r = np.abs(np.log(np.linalg.svd(prop.exchange, compute_uv=False)))
+    amp, r_max = math.sqrt(target * r.size / prop.n), float(np.max(r))
     x0 = math.asinh(amp) / r_max if r_max > 0.0 else math.inf
     if not math.isfinite(x0):
         return x0

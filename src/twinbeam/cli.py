@@ -30,7 +30,7 @@ from .blochmessiah import (
     FACTOR_TOL, INPUT_SYMPLECTIC_TOL, PAIR_RTOL, RECON_RTOL, decompose, tune_gain,
     two_mode_rearrange,
 )
-from .errors import ConfigError, ContractError, TwinbeamError
+from .errors import ConfigError, ContractError, DecompositionError, TwinbeamError
 from .model import (
     FrequencyGrid, MediumSpec, Poling, PumpSpec, TabulatedEnvelope,
     apodized_poling, build_coupled_matrices, build_grid,
@@ -255,10 +255,9 @@ def _modes_csv(path, grid, pairs):
                 amps = mode.amplitudes
                 head = "%d,%s,%s," % (k + 1, mode.beam, direction)
                 tail = ",%r\n" % float(mode.r)
-                fh.write("".join(
-                    "%s%s,%r,%r%s" % (head, b, re, im, tail)
-                    for b, re, im in zip(bins, amps.real.tolist(), amps.imag.tolist())
-                ))
+                rows = map(",".join, zip(bins, map(repr, amps.real.tolist()),
+                                         map(repr, amps.imag.tolist())))
+                fh.write(head + (tail + head).join(rows) + tail)
 
 
 def cmd_simulate(cfg, out_dir):
@@ -273,6 +272,13 @@ def cmd_simulate(cfg, out_dir):
     for k in decomp.active_pairs():
         sig_in, idl_in = modes_in = decomp.pair_modes(k, "in")
         sig_out, idl_out = modes_out = decomp.pair_modes(k, "out")
+        for mode, direction in zip(modes_in + modes_out, ("in", "in", "out", "out")):
+            kept = float(np.linalg.norm(mode.amplitudes) ** 2)
+            if kept <= 0.5:  # as when both columns of the pair lie on one beam
+                raise DecompositionError(
+                    "squeezer %d (r = %.6g): its %s %s mode keeps %.3e of its norm on "
+                    "its own beam (cross-beam leakage %.3e)"
+                    % (k + 1, mode.r, direction, mode.beam, kept, 1.0 - kept))
         pairs += [(k, "in", modes_in), (k, "out", modes_out)]
         raw_out = sig_out if raw is decomp else raw.pair_modes(k, "out")[0]
         squeezers.append({

@@ -24,14 +24,15 @@ A device is the ordered (left-multiplied) product of its domains, which
 is the adjoint of the pass: M^H, so X^H, in SGVM media, else Sigma P T^H P
 Sigma (Sigma = diag(I, -I), P the beam swap), which U^H Sigma P U = iK (K the
 2N index reversal) turns into K X^H K.  So a double pass costs one domain
-product.  T itself (`bogoliubov`) is a view formed once per propagator, for
-the 4N export outside SGVM media and the SGVM analytic routes; the SGVM
-export reads conj(M) = U^H conj(X) U and M^-T off X.  embed_unitary(Z) =
-[[Re Z, -Im Z], [Im Z, Re Z]] is the one bridge from complex matrices to
-real views; the 4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I) is
-the embedding of the 2N matrix on (a_S, a_I^+) with the P_I rows and
-columns negated.  Cached arrays are read-only and `compose` memoizes its
-passes, so a caller that needs one composes it again.
+product.  The 4N export, symplectic residual and photon numbers read the 2N
+matrix on (a_S, a_I^+) as Y = U^H T U (`pair_form`): X outside SGVM media,
+in them [[J P J, J Q], [Q J, P]], P, Q = (conj X +- X^-T) / 2.  T itself
+(`bogoliubov`) is a view formed once per propagator, for the SGVM analytic
+routes.  embed_unitary(Z) = [[Re Z, -Im Z], [Im Z, Re Z]] is the one bridge
+from complex matrices to real views; the 4N x 4N real symplectic matrix on
+(X_S, X_I, P_S, P_I) is the embedding of the 2N matrix on (a_S, a_I^+) with
+the P_I rows and columns negated.  Cached arrays are read-only and
+`compose` memoizes its passes, so a caller that needs one composes it again.
 """
 
 from dataclasses import dataclass, replace
@@ -95,9 +96,9 @@ def _real_if_exact(X):
 class Propagator:
     """Bogoliubov propagator of one device: exchange is X = U^H T U (module docstring).
 
-    Propagators compose by multiplying X (`after`) and count photons on it;
-    their symplectic residual is computed once.  bogoliubov (T) and matrix
-    (the 4N x 4N real symplectic export) are built on first use.
+    Propagators compose by multiplying X (`after`).  Photon numbers, the
+    symplectic residual (computed once) and matrix (the 4N x 4N real
+    symplectic export, built on first use) read the pair form Y.
     """
 
     exchange: np.ndarray
@@ -136,60 +137,50 @@ class Propagator:
     def _inverse_transpose(self):  # X^-T in SGVM media, inverted once for all its readers
         return _frozen(np.linalg.inv(self.exchange).T)
 
+    def pair_form(self):
+        """Y = U^H T U, T the 2N matrix on (a_S, a_I^+), formed on each call:
+        X away from SGVM media, in them index reversals of P, Q (module docstring)."""
+        if not self.sgvm:
+            return self.exchange
+        down, up = self.exchange.conj(), self._inverse_transpose
+        P, Q = 0.5 * (down + up), 0.5 * (down - up)
+        return np.block([[P[::-1, ::-1], Q[::-1]], [Q[:, ::-1], P]])
+
     @cached_property
     def matrix(self):
         """The 4N x 4N real symplectic matrix on (X_S, X_I, P_S, P_I).
 
         (a_S, a_I^+) has real part (X_S, X_I) and imaginary part (P_S, -P_I),
-        so this is embed_unitary of the 2N matrix on (a_S, a_I^+) with the
-        P_I row and column blocks negated, assembled in SGVM media from
-        conj(M) and M^{-T} (module docstring).
+        so this is embed_unitary of T = U Y U^H (Y = pair_form()) with the
+        P_I row and column blocks negated.
         """
         n = self.n
-        if self.sgvm:  # U is symmetric, so conj(M) = U^H conj(X) U
-            down, up = _exchange(self.exchange.conj(), n), _exchange(self._inverse_transpose, n)
-            A, B = 0.5 * (up + down), 0.5j * (up - down)
-            T = np.block([[A, B], [-B, A]])
-        else:
-            T = self.bogoliubov
-        S = embed_unitary(T)
+        S = embed_unitary(_exchange(self.pair_form(), n, -1))
         S[3 * n:] *= -1.0
         S[:, 3 * n:] *= -1.0
         return _frozen(S)
 
     @cached_property
     def symplectic_residual(self):
-        """symplectic_residual(self.matrix), read off X once per propagator.
+        """symplectic_residual(self.matrix), read off pair_form() once per propagator.
 
         matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
-        is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma = U (X Sigma X^H -
-        Sigma) U^H, T the 2N matrix.  In SGVM media E has the blocks H - I, iD,
-        iD and I - H (up to signs), H and D the Hermitian and anti-Hermitian
-        parts of P = M^-T M^T = U^H X^-T X^T U: one N x N product.
+        is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma = U (Y Sigma Y^H -
+        Sigma) U^H: Sigma commutes with U.
         """
-        n, X = self.n, self.exchange
-        if self.sgvm:
-            P = _exchange(self._inverse_transpose @ X.T, n)
-            Ph = P.conj().T
-            H = 0.5 * (P + Ph)
-            H.flat[::n + 1] -= 1.0
-            parts = H, 0.5 * (P - Ph)
-        else:
-            sigma = np.repeat([1.0, -1.0], n)
-            E = (X * sigma) @ X.conj().T
-            E.flat[::2 * n + 1] -= sigma
-            parts = _exchange(E, n, -1),
-        return max(_embedded_max(E) for E in parts)
+        n, Y = self.n, self.pair_form()
+        sigma = np.repeat([1.0, -1.0], n)
+        E = (Y * sigma) @ Y.conj().T
+        E.flat[::2 * n + 1] -= sigma
+        return _embedded_max(_exchange(E, n, -1))
 
     def mean_photons(self):
-        """mean_photons(self.matrix, n), read off X: a beam with rows [A B] of T
-        (or of X) holds (||A||_F^2 + ||B||_F^2 - N) / 2, in SGVM media (A, B from
-        M as in matrix) ||M^-T - conj M||_F^2 / 4 = ||X^-T - conj X||_F^2 / 4."""
-        n, X = self.n, self.exchange
-        if self.sgvm:
-            ns = float(np.linalg.norm(self._inverse_transpose - X.conj()) ** 2) / 4.0
-            return ns, ns
-        return tuple(float(np.linalg.norm(rows) ** 2 - n) / 2.0 for rows in (X[:n], X[n:]))
+        """mean_photons(self.matrix, n), read off Y = pair_form(): a beam with
+        rows [A B] of T holds (||A||_F^2 + ||B||_F^2 - N) / 2 = ||B||_F^2, as
+        A A^H - B B^H = I, and U is unitary per beam, so the squared norms of
+        Y's off-diagonal blocks, with no cancellation."""
+        n, Y = self.n, self.pair_form()
+        return tuple(float(np.linalg.norm(B) ** 2) for B in (Y[:n, n:], Y[n:, :n]))
 
 
 def mean_photons(S, n):

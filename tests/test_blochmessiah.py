@@ -660,6 +660,45 @@ def test_spectral_scale_solves_without_overflow(target):
     assert got == pytest.approx(target if target < 1e200 else 1.0, rel=1e-8)
 
 
+def two_formula_sum(prop, target):
+    """sum_k sinh^2(x r_k) / target as _spectral_scale had it: r_k = |log s(X)|
+    in SGVM media, else asinh s(B), B the upper right N block of X."""
+    n, X = prop.n, prop.exchange
+    s = np.linalg.svd(X if prop.sgvm else X[:n, n:], compute_uv=False)
+    r = np.abs(np.log(s)) if prop.sgvm else np.arcsinh(s)
+    return lambda x: float(np.sum(np.sinh(x * r) ** 2)) / target
+
+
+@pytest.mark.parametrize("kappa_i, g0", [(-8.0, 6.28), (-4.8, 2.5)],
+                         ids=["readme", "mismatch-40pct"])
+@pytest.mark.parametrize("target", [0.5, 5.0, 50.0])
+def test_spectral_scale_reads_one_formula_in_both_regimes(monkeypatch, kappa_i, g0, target):
+    # the README double pass and the 40% mismatch one at N = 101: the 2N
+    # singular values e^{+-r_k} of X, weighted by 1/2, give the sum the N
+    # values sinh r_k of its upper right block gave, to 1e-12 at every point
+    # the search visits.  The roots agree to the search's stopping
+    # tolerance, 1e-9 on the sum: the bracket ends differ away from SGVM
+    medium = MediumSpec(8.0, kappa_i, L)
+    poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+    prop = double_pass(build_grid(101, 5.0), PumpSpec(g0=g0), medium, poling)
+    assert prop.sgvm == (kappa_i == -8.0)
+    visited, solve = [], blochmessiah.solve_increasing
+
+    def recording(fn, *args):
+        def spy(x):
+            visited.append((x, fn(x)))
+            return visited[-1][1]
+        return solve(spy, *args)
+
+    monkeypatch.setattr(blochmessiah, "solve_increasing", recording)
+    x = blochmessiah._spectral_scale(prop, target)
+    old = two_formula_sum(prop, target)
+    assert len(visited) > 3
+    for at, value in visited:
+        assert value == pytest.approx(old(at), rel=1e-12)
+    assert x == pytest.approx(solve(old, 1.0, 0.0, 2.0 * x, 1e-9)[0], rel=1e-9)
+
+
 def test_tuning_does_not_import_scipy_optimize(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(blochmessiah.__file__)))
     code = (

@@ -275,18 +275,39 @@ def test_simulate_derives_each_squeezers_modes_once(tmp_path, monkeypatch,
     assert active > 0 and len(calls) == per_squeezer * active
 
 
+def test_simulate_exits_3_when_a_squeezer_is_cut_to_an_empty_mode(tmp_path, monkeypatch,
+                                                                   capsys):
+    # with the bin basis as both factors, squeezer 1's two columns lie on the
+    # signal beam, so its idler mode is cut to nothing: a numerical fault,
+    # not a configuration error
+    decompose_ = twinbeam.cli.decompose
+
+    def one_beam(prop, grid):
+        eye = np.eye(2 * grid.n, dtype=complex)
+        return replace(decompose_(prop, grid), U_out=eye, U_in=eye)
+
+    monkeypatch.setattr(twinbeam.cli, "decompose", one_beam)
+    rc, _ = run(tmp_path, base_config(pump={"g0": 1.5}), "simulate")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("contract violation: squeezer 1 (r = ")
+    assert "in idler mode keeps 0.000e+00 of its norm" in err
+    assert "(cross-beam leakage 1.000e+00)" in err
+
+
 @pytest.mark.parametrize("cfg, before, views, composed", [
     (README_CONFIG, {"expm", "inv", "Propagator"}, (0, 0, 1), 6),
-    (MISMATCH_CONFIG, {"expm", "Propagator"}, (1, 11, 1), 2),
+    (MISMATCH_CONFIG, {"expm", "Propagator"}, (0, 0, 0), 2),
 ], ids=["readme", "mismatch-40pct"])
 def test_readme_commands_run_real_arithmetic_and_form_the_view_per_device(
         tmp_path, monkeypatch, view_formations, compose_evaluations, cfg, before, views,
         composed):
     # tuning, photon counts and the device pass run no complex exponential or
     # inverse and build no complex Propagator before decompose.  views counts
-    # the original-basis views simulate, an 11-row sweep and verify form: in
-    # the SGVM regime only verify's analytic routes form one, on the memoized
-    # forward pass; away from it the 4N export of each decomposed device does
+    # the cached original-basis views simulate, an 11-row sweep and verify
+    # form: in the SGVM regime only verify's analytic routes form one, on the
+    # memoized forward pass; away from it none, as the 4N export reads the
+    # pair form
     dtypes, decomposing = [], []
     decompose_ = twinbeam.cli.decompose
 

@@ -131,15 +131,11 @@ def test_compose_single_domain_is_plain_exponential(sgvm):
 
 
 def sixteen_block_matrix(prop):
-    """The 4N quadrature matrix assembled block by block from (A, B, C, D)."""
-    n, T = prop.n, prop.bogoliubov
-    if prop.sgvm:
-        down, up = T.conj(), propagator._exchange(np.linalg.inv(prop.exchange).T, n)
-        A = D = 0.5 * (up + down)
-        B = 0.5j * (up - down)
-        C = -B
-    else:
-        A, B, C, D = T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
+    """The 4N quadrature matrix assembled block by block from (A, B, C, D) of
+    the 2N matrix T = U Y U^H, Y the pair form."""
+    n = prop.n
+    T = propagator._exchange(prop.pair_form(), n, -1)
+    A, B, C, D = T[:n, :n], T[:n, n:], T[n:, :n], T[n:, n:]
     return np.block([
         [A.real, B.real, -A.imag, B.imag],
         [C.real, D.real, -C.imag, D.imag],
@@ -305,24 +301,56 @@ def test_symplectic_residual_of_the_2n_form_matches_the_4n_one(request, regime, 
         1e-15 * max(1.0, np.max(np.abs(S)) ** 2)
 
 
+def sgvm_assembly(prop):
+    """The SGVM 2N matrix on (a_S, a_I^+) assembled as [[A, B], [-B, A]],
+    A, B = (M^-T + conj M) / 2, i (M^-T - conj M) / 2, from conj M = U^H conj(X) U
+    and M^-T = U^H X^-T U (U symmetric): the 4N export's former SGVM form."""
+    n = prop.n
+    down = propagator._exchange(prop.exchange.conj(), n)
+    up = propagator._exchange(prop._inverse_transpose, n)
+    A, B = 0.5 * (up + down), 0.5j * (up - down)
+    return np.block([[A, B], [-B, A]])
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("pump", ["even", "lopsided"])
+@pytest.mark.parametrize("g0", [1.0, 6.28])
+def test_pair_form_is_the_exchanged_sgvm_assembly(sgvm, pump, double, g0):
+    # Y = [[J P J, J Q], [Q J, P]], built by index reversals, against U^H T U
+    # of the assembly; real for an even pump
+    grid, _, medium = sgvm
+    build = double_pass if double else compose
+    prop = build(grid, PUMPS[pump](g0), medium, readme_grating())
+    T = sgvm_assembly(prop)
+    Y = prop.pair_form()
+    assert Y.dtype == prop.exchange.dtype and Y.shape == T.shape
+    assert np.max(np.abs(Y - propagator._exchange(T, grid.n))) <= \
+        1e-15 * max(1.0, np.max(np.abs(T)))
+
+
+def test_pair_form_is_x_away_from_sgvm_and_formed_per_call(sgvm, skew):
+    prop = compose(*skew, readme_grating())
+    assert prop.pair_form() is prop.exchange
+    prop = compose(*sgvm, readme_grating())
+    assert prop.pair_form() is not prop.pair_form()
+    assert "pair_form" not in vars(prop)
+
+
 @pytest.mark.parametrize("g0", [0.5, 3.0, 15.0])
 @pytest.mark.parametrize("defect", [0.0, 1e-7, 1e-7j])
 def test_sgvm_symplectic_residual_from_m_matches_the_2n_blocks(sgvm, g0, defect):
-    # E = T Sigma T^H - Sigma on the assembled 2N matrix against its blocks
-    # H - I and iD read off P = M^-T M^T: equal to roundoff of max|T|^2.  A
-    # cached inverse X^-T bent by (I + defect A), A real antisymmetric, makes
-    # P - I anti-Hermitian (defect 1e-7) or Hermitian (1e-7j), so each block
-    # counts; M^-T = U^H X^-T U carries the bend to the original basis
+    # E = T Sigma T^H - Sigma on the assembled 2N matrix against the one read
+    # off the pair form: equal to roundoff of max|T|^2.  A cached inverse X^-T
+    # bent by (I + defect A), A real antisymmetric, makes M^-T M^T - I
+    # anti-Hermitian (defect 1e-7) or Hermitian (1e-7j), so both kinds of
+    # block of E count; both forms read the bent inverse
     grid, _, medium = sgvm
     prop = double_pass(grid, PumpSpec(g0=g0), medium, readme_grating())
-    n, M = grid.n, prop.bogoliubov
+    n = grid.n
     A = np.random.default_rng(6).normal(size=(n, n))
     bent = (np.eye(n) + defect * (A - A.T)) @ np.linalg.inv(prop.exchange).T
     prop.__dict__["_inverse_transpose"] = bent
-    up = propagator._exchange(bent, n)
-    down = M.conj()
-    A, B = 0.5 * (up + down), 0.5j * (up - down)
-    T, sigma = np.block([[A, B], [-B, A]]), np.repeat([1.0, -1.0], n)
+    T, sigma = sgvm_assembly(prop), np.repeat([1.0, -1.0], n)
     E = (T * sigma) @ T.conj().T - np.diag(sigma)
     blocks = max(np.max(np.abs(E.real)), np.max(np.abs(E.imag)))
     assert blocks > abs(defect)
@@ -666,7 +694,7 @@ def test_mean_photons_zero_and_known_squeezer():
 @example(g0=4.0, walkoff_i=-8.0, double=True, pump="even")
 @example(g0=1.0, walkoff_i=-4.8, double=False, pump="lopsided")
 def test_propagator_photons_match_the_4n_count(g0, walkoff_i, double, pump):
-    # the photon numbers read off X are those of its 4N view (U is unitary
+    # the photon numbers read off Y are those of its 4N view (U is unitary
     # and block-diagonal per beam), for real and complex X; the 4N count
     # subtracts N/2 from sums of order N, so it carries ~N eps absolute
     # error, and g0 >= 1 keeps that below 1e-12 relative
@@ -679,6 +707,43 @@ def test_propagator_photons_match_the_4n_count(g0, walkoff_i, double, pump):
     ref_s, ref_i = mean_photons(prop.matrix, N)
     assert ns == pytest.approx(ref_s, rel=1e-12)
     assert ni == pytest.approx(ref_i, rel=1e-12)
+
+
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("g0", [3e-3, 1.0, 6.28])
+def test_photons_are_the_cross_beam_power_of_the_4n_matrix(request, regime, double, g0):
+    # N_S from about 1e-7 (g0 3e-3) to 5.  Half the squared norm of the 4N
+    # matrix's signal rows in its idler columns is ||T_SI||_F^2, as the pair
+    # form's block is, to 1e-12 at any gain.  The 4N count subtracts N/2 from
+    # sums of order N: it differs by tr(E_SS) / 2, E = T Sigma T^H - Sigma,
+    # so by at most N times the symplectic residual plus the sums' roundoff
+    grid, _, medium = request.getfixturevalue(regime)
+    build = double_pass if double else compose
+    prop = build(grid, PumpSpec(g0=g0), medium, readme_grating())
+    n, S = grid.n, prop.matrix
+    signal, idler = np.r_[:n, 2 * n:3 * n], np.r_[n:2 * n, 3 * n:4 * n]
+    got = prop.mean_photons()
+    power = [0.5 * np.sum(S[np.ix_(rows, cols)] ** 2)
+             for rows, cols in ((signal, idler), (idler, signal))]
+    assert got == pytest.approx(power, rel=1e-12, abs=0.0)
+    slack = n * (prop.symplectic_residual + 8 * np.finfo(float).eps)
+    for ns, ref in zip(got, mean_photons(S, n)):
+        assert abs(ns - ref) <= 1e-12 * ref + slack
+
+
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+def test_low_gain_photons_follow_the_quadratic_law(request, regime, double):
+    # N_S = a g0^2 (1 + O(g0^2)), about 1e-12 at g0 = 1e-5: doubling g0
+    # quadruples it to 1e-7 (the SGVM block Q = (conj X - X^-T) / 2 loses
+    # some digits); the 4N count's ratio misses 4 by up to 0.07 here
+    grid, _, medium = request.getfixturevalue(regime)
+    build = double_pass if double else compose
+    low, high = (build(grid, PumpSpec(g0=g0), medium, readme_grating()).mean_photons()
+                 for g0 in (1e-5, 2e-5))
+    assert 1e-13 < low[0] < 1e-11
+    assert np.divide(high, low) == pytest.approx([4.0, 4.0], rel=1e-7)
 
 
 def test_matrix_file_round_trip(tmp_path):
