@@ -1,9 +1,10 @@
 """Structure-exploiting decomposition routes and symmetry diagnostics.
 
-The generic factorization in blochmessiah works for any symplectic input.
-The routes here use the block structure of the twin-beam generator: a fixed
-2N unitary W on (a_S, a_I) embeds as an orthogonal symplectic 4N basis
-B = embed_unitary(W) that splits every domain generator Q into
+The factorization in blochmessiah works for any twin-beam propagator (in
+its pair form) and any symplectic 4N array.  The routes here use the block
+structure of the twin-beam generator: a fixed 2N unitary W on (a_S, a_I)
+embeds as an orthogonal symplectic 4N basis B = embed_unitary(W) that
+splits every domain generator Q into
 B^T Q B = diag(C, -C^T), so the composed propagator splits the same way and
 its upper-left 2N block is a reduced propagator.  The blocks C have closed
 forms in the coupling matrices (block_reduce):
@@ -31,7 +32,7 @@ the reduced block is the complex factor W R of the full propagator.  W, X
 and the exchange pair are applied by indexing, never as dense products.
 
 Each route composes its pass once and reads its block once (_reduced).
-All routes return the BlochMessiahResult contract of the generic route
+All routes return the BlochMessiahResult contract of bloch_messiah
 after a shared canonicalization, so the two compare mode by mode.  Each
 checks its factors against the real 2N diagonal blocks of B^T S B, the
 block it factored and its inverse transpose (_checked), never the 4N

@@ -9,9 +9,31 @@ O_tilde = embed_unitary(Z_tilde); a Decomposition stores only lam, r and the
 complex mode matrices U_out, U_in.  The 4N real factors and each squeezer's
 gauged input/output modes are derived from them on demand.
 
-The factorization route is polar: P = (S S^T)^{1/2} is diagonalized by an
-orthogonal symplectic O = [[X, -Y], [Y, X]] built from the unitary Z = X + iY,
-and since O is orthogonal the input factor is O-tilde = S^T O D^{-1}.  The
+A Propagator is factored in its 2N pair form Y = U^H T U (propagator module
+docstring), real for an even pump.  Signal couples only to the idler's
+conjugate, so Y = diag(Q_S, Q_I) [[ch, sh], [sh, ch]] diag(P_S, P_I)^H with
+one N x N unitary per beam and side, ch = cosh r, sh = sinh r (Christ et
+al., NJP 15, 053038 (2013)).  The route is polar: the Gram Y Y^H has the
+eigenvalues e^{+-2 r_k}, with eigenvectors (Q_S e_k, +-Q_I e_k) / sqrt 2.
+Y Sigma Y^H = Sigma, so Sigma = diag(I, -I) maps each eigenspace above 1 onto
+its partner below, and each beam half of an active eigenvector w_k holds half
+its weight, in degenerate clusters too: sqrt 2 times its halves are the
+active columns of Q_S and Q_I, and those of Y^H w_k / e^{r_k} are the
+columns of P_S and P_I.  The unit cluster (r = 0) is each beam's complement
+of its active columns, one N x N QR per beam, mapped to the input side by
+the beam's own diagonal block of Y^H; its cross-beam part, roundoff, is
+checked.  Each N x N factor is polished, and the factors are checked in the
+small form: Y against its four N x N blocks, and Q^H Q - I and Q Q^H - I of
+each factor under the names of O and O_tilde.  Squeezer k's signal mode is
+U_S Q_S e_k and its idler mode i conj(U_I Q_I e_k), U_S,I = e^{i pi/4} (I -+
+iJ) / sqrt 2, index maps only.  The matched SGVM double pass is a perfect
+inline squeezer: its exchange matrix is X_f^T X_f, so Y is symmetric
+positive definite and its input factors equal its output factors.
+
+A raw 4N array takes the same polar route on S S^T, the independent oracle
+of the pair route: P = (S S^T)^{1/2} is diagonalized by an orthogonal
+symplectic O = [[X, -Y], [Y, X]] built from the unitary Z = X + iY, and
+since O is orthogonal the input factor is O-tilde = S^T O D^{-1}.  The
 eigenvectors of S S^T above lam = 1 give the active columns z_k of Z; a
 dense symmetric solver mixes them freely inside degenerate clusters, which is
 harmless because each cluster subspace is isotropic in any basis.  Their
@@ -19,8 +41,9 @@ partners below lam = 1 are i z_k, so the unit cluster's unitary half is the
 complex complement of span{z_k}: Z is completed by a QR of its active
 columns, with no factorization of the cluster itself.  A thin unitary polish
 of the active columns and a full one of O-tilde scrub the remaining roundoff
-so both factors meet tight orthogonality and symplectic residuals.  The
-polish is a Newton-Schulz iteration to the polar (Lowdin) factor, two
+so both factors meet tight orthogonality and symplectic residuals.
+
+The polish is a Newton-Schulz iteration to the polar (Lowdin) factor, two
 products a step, in place of an SVD; it refuses an input with ||Z^H Z - I||_F
 >= 0.75, beyond which the steps need not converge.
 """
@@ -34,8 +57,8 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
 from .propagator import (
-    Propagator, _embedded_max, _free_phases, compose, double_pass, embed_unitary,
-    symplectic_residual,
+    Propagator, _embedded_max, _exchange, _free_phases, compose, double_pass,
+    embed_unitary, symplectic_residual,
 )
 
 __all__ = [
@@ -113,23 +136,31 @@ def checked_factors(result, S, context, orthogonal=(None, None)):
 
 def _with_residuals(result, reconstruction, context, orthogonal):
     """checked_factors given the reconstruction residual."""
-    def gram_defect(gram):  # max|embed_unitary(gram - I)|, I taken off in place
-        gram[np.diag_indices_from(gram)] -= 1.0
-        return _embedded_max(gram)
-
     residuals = {"reconstruction": reconstruction}
     for name, Z, known in zip(("O", "O_tilde"), (result.Z, result.Z_tilde), orthogonal):
         if name == "O" or Z is not result.Z:  # else O_tilde reuses O's pair
             H = Z.conj().T
-            pair = (gram_defect(H @ Z) if known is None else known), gram_defect(Z @ H)
+            pair = (_gram_defect(H @ Z) if known is None else known), _gram_defect(Z @ H)
         residuals[name + "_orthogonal"], residuals[name + "_symplectic"] = pair
+    return replace(result, residuals=_enforced(residuals, context))
+
+
+def _gram_defect(gram):
+    """max|embed_unitary(gram - I)|, I taken off in place."""
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return _embedded_max(gram)
+
+
+def _enforced(residuals, context):
+    """residuals, once none exceeds its limit: RECON_RTOL for the reconstruction,
+    PAIRING_RTOL for the pairing, else FACTOR_TOL.  Raises DecompositionError."""
     for name, value in residuals.items():
-        limit = RECON_RTOL if name == "reconstruction" else FACTOR_TOL
+        limit = {"reconstruction": RECON_RTOL, "pairing": PAIRING_RTOL}.get(name, FACTOR_TOL)
         if value > limit:
             raise DecompositionError(
                 "%s: %s residual %.3e exceeds %.1e" % (context, name, value, limit)
             )
-    return replace(result, residuals=residuals)
+    return residuals
 
 
 def _polish_unitary(Z, context):
@@ -156,37 +187,42 @@ def _polish_unitary(Z, context):
         E = Z.conj().T @ Z - eye
 
 
+def _spectrum(w, gram):
+    """(number of eigenvalues above the unit cluster, pairing defect) of an
+    ascending Gram spectrum w of a symplectic matrix, named gram in errors.
+
+    The spectrum is closed under w -> 1/w, so w * w[::-1] - 1 is roundoff;
+    raises DecompositionError when its largest magnitude exceeds PAIRING_RTOL
+    or when the clusters above and below 1 + -UNIT_CTOL differ in size.
+    """
+    if w[0] <= 0:
+        raise DecompositionError("%s has a non-positive eigenvalue %.3e" % (gram, w[0]))
+    worst = float(np.max(np.abs(w * w[::-1] - 1.0)))
+    if worst > PAIRING_RTOL:
+        raise DecompositionError(
+            "eigenvalues of %s do not pair reciprocally (worst defect %.3e)" % (gram, worst)
+        )
+    n_above = int(np.sum(w > 1.0 + UNIT_CTOL))
+    n_below = int(np.sum(w < 1.0 - UNIT_CTOL))
+    if n_above != n_below:
+        raise DecompositionError(
+            "unit-cluster imbalance: %d eigenvalues above 1, %d below" % (n_above, n_below)
+        )
+    return n_above, worst
+
+
 def _output_factor(S):
     """(lam, Z): the squeezing lam >= 1, descending, and the unitary Z of O.
 
     The eigenvectors of S S^T die here, before the input factor is formed.
     """
-    dim = S.shape[0]
-    h = dim // 2
     w, V = numerics.sym_eig(S @ S.T)
-    if w[0] <= 0:
-        raise DecompositionError("S S^T has a non-positive eigenvalue %.3e" % w[0])
-    products = w * w[::-1]
-    worst = float(np.max(np.abs(products - 1.0)))
-    if worst > PAIRING_RTOL:
-        raise DecompositionError(
-            "eigenvalues of S S^T do not pair reciprocally (worst defect %.3e)" % worst
-        )
-
-    w_desc = w[::-1]
-    V_desc = V[:, ::-1]
-    n_above = int(np.sum(w_desc > 1.0 + UNIT_CTOL))
-    n_below = int(np.sum(w_desc < 1.0 - UNIT_CTOL))
-    if n_above != n_below:
-        raise DecompositionError(
-            "unit-cluster imbalance: %d eigenvalues above 1, %d below" % (n_above, n_below)
-        )
-    n_unit = dim - n_above - n_below
-    m_unit = n_unit // 2
+    n_above = _spectrum(w, "S S^T")[0]
+    m_unit = S.shape[0] // 2 - n_above
 
     # Active directions: eigenvectors are isotropic per cluster, so their
     # complex forms z_k are orthonormal up to roundoff; a thin polish scrubs it.
-    top = V_desc[:, :n_above]
+    h, top = S.shape[0] // 2, V[:, ::-1][:, :n_above]
     Z, _ = _polish_unitary(top[:h, :] + 1j * top[h:, :], "active factor")
     if m_unit:
         # The lam < 1 partners of the active directions are i z_k, so the
@@ -196,7 +232,7 @@ def _output_factor(S):
         # cluster, and with no active columns it is the bin basis (S = I
         # yields O = O_tilde = I).
         Z = np.hstack([Z, np.linalg.qr(Z, mode="complete")[0][:, n_above:]])
-    return np.concatenate([np.sqrt(w_desc[:n_above]), np.ones(m_unit)]), Z
+    return np.concatenate([np.sqrt(w[::-1][:n_above]), np.ones(m_unit)]), Z
 
 
 def _input_factor(S, Z, lam):
@@ -219,29 +255,99 @@ def _input_factor(S, Z, lam):
     return Z_tilde
 
 
-def bloch_messiah(S):
-    """Decompose a symplectic S into O diag(lam, 1/lam) O_tilde^T.
-
-    S is a 4N array or a Propagator; a Propagator's matrix is factored and
-    its cached symplectic_residual guards the input.  Raises ContractError
-    if S is not symplectic to working tolerance and DecompositionError if
-    the spectrum does not pair reciprocally or a factor fails its residual
-    checks.
-    """
-    if isinstance(S, Propagator):
-        resid, S = S.symplectic_residual, S.matrix
-    else:
-        S = np.asarray(S, dtype=float)
-        dim = S.shape[0]
-        if S.shape != (dim, dim) or dim % 2:
-            raise ConfigError("symplectic input must be square with even dimension")
-        resid = symplectic_residual(S)
-    smax = float(max(S.max(), -S.min()))
-    if resid > INPUT_SYMPLECTIC_TOL * max(1.0, smax**2):
+def _guard(resid, smax):
+    """ContractError unless the symplectic residual is within
+    INPUT_SYMPLECTIC_TOL max(1, max|S|^2), S the 4N matrix; smax() returns
+    max|S| and is called only for a residual above INPUT_SYMPLECTIC_TOL."""
+    if resid > INPUT_SYMPLECTIC_TOL and resid > INPUT_SYMPLECTIC_TOL * max(1.0, smax()**2):
         raise ContractError(
             "input is not symplectic: residual %.3e exceeds tolerance" % resid
         )
 
+
+def _pair_factors(prop):
+    """bloch_messiah of a Propagator, read off its 2N pair form Y (module docstring).
+
+    residuals holds the reconstruction of Y relative to max(1, max|Y|), the
+    largest orthogonality (Q^H Q - I) and symplectic (Q Q^H - I) residuals of
+    the two beams' output factors Q under the names of O, of the input
+    factors P under those of O_tilde, and the Gram spectrum's pairing defect.
+    """
+    n, Y = prop.n, prop.pair_form()
+    _guard(prop.symplectic_residual, lambda: _embedded_max(_exchange(Y, n, -1)))
+    Yh = Y.conj().T
+    w, V = numerics.sym_eig(Y @ Yh)
+    k, pairing = _spectrum(w, "Y Y^H")
+    top = V[:, ::-1][:, :k]
+    lam = np.concatenate([np.sqrt(w[::-1][:k]), np.ones(n - k)])
+    # each beam half of an active eigenvector holds half its weight
+    out = math.sqrt(2.0) * top
+    into = (math.sqrt(2.0) / lam[:k]) * (Yh @ top)
+    beams = (np.s_[:n], np.s_[n:])
+    residuals = dict.fromkeys(("reconstruction", "O_orthogonal", "O_symplectic",
+                               "O_tilde_orthogonal", "O_tilde_symplectic"), 0.0)
+    factors = []
+    for name, own, other in (("signal", *beams), ("idler", *beams[::-1])):
+        # the unit cluster: the complement of the active columns, and its
+        # input columns through the beam's own block, with no squeezing
+        Q = np.linalg.qr(out[own], mode="complete")[0][:, k:]
+        leak = _embedded_max(Yh[other, own] @ Q)
+        if leak > 1e-6:
+            raise DecompositionError("%s unit cluster leaks onto the other beam "
+                                     "(defect %.3e)" % (name, leak))
+        for key, F in (("O", np.hstack([out[own], Q])),
+                       ("O_tilde", np.hstack([into[own], Yh[own, own] @ Q]))):
+            F, orthogonal = _polish_unitary(F, "%s %s factor" % (name, key))
+            symplectic = _gram_defect(F @ F.conj().T)
+            residuals[key + "_orthogonal"] = max(residuals[key + "_orthogonal"], orthogonal)
+            residuals[key + "_symplectic"] = max(residuals[key + "_symplectic"], symplectic)
+            factors.append(F)
+    QS, PS, QI, PI = factors
+    ch, sh = 0.5 * (lam + 1.0 / lam), 0.5 * (lam - 1.0 / lam)
+    worst = 0.0
+    for rows, cols, Q, P, d in ((0, 0, QS, PS, ch), (0, 1, QS, PI, sh),
+                                (1, 0, QI, PS, sh), (1, 1, QI, PI, ch)):
+        R = (Q * d) @ P.conj().T
+        R -= Y[beams[rows], beams[cols]]
+        worst = max(worst, float(np.abs(R).max()))
+    residuals["reconstruction"] = worst / max(1.0, float(np.abs(Y).max()))
+    residuals["pairing"] = pairing
+    return BlochMessiahResult(_paired_modes(QS, QI), np.repeat(lam, 2),
+                              _paired_modes(PS, PI), _enforced(residuals, "pair route"))
+
+
+def _paired_modes(QS, QI):
+    """The complex 2N unitary Z whose pair mixing (_mix_pairs) puts squeezer
+    k's signal mode U_S Q_S e_k in column 2k and its idler mode
+    i conj(U_I Q_I e_k) in column 2k + 1, U_S,I = e^{i pi/4} (I -+ iJ) / sqrt 2."""
+    n = QS.shape[0]
+    phase = complex(0.5, 0.5)  # e^{i pi/4} / sqrt 2
+    signal = phase * (QS - 1j * QS[::-1])
+    idler = (phase * (QI + 1j * QI[::-1])).conj()
+    Z = np.empty((2 * n, 2 * n), dtype=complex)
+    Z[:n, 0::2], Z[:n, 1::2] = signal, -1j * signal
+    Z[n:, 0::2], Z[n:, 1::2] = idler, 1j * idler
+    Z *= math.sqrt(0.5)
+    return Z
+
+
+def bloch_messiah(S):
+    """Decompose a symplectic S into O diag(lam, 1/lam) O_tilde^T.
+
+    S is a Propagator, factored in its 2N pair form and guarded by its cached
+    symplectic_residual (_pair_factors), or a 4N array, factored through the
+    eigenproblem of S S^T and guarded by its 4N residual; the 4N route is the
+    independent oracle of the pair route.  Raises ContractError if S is not
+    symplectic to working tolerance and DecompositionError if the spectrum
+    does not pair reciprocally or a factor fails its residual checks.
+    """
+    if isinstance(S, Propagator):
+        return _pair_factors(S)
+    S = np.asarray(S, dtype=float)
+    dim = S.shape[0]
+    if S.shape != (dim, dim) or dim % 2:
+        raise ConfigError("symplectic input must be square with even dimension")
+    _guard(symplectic_residual(S), lambda: float(max(S.max(), -S.min())))
     lam, Z = _output_factor(S)
     Z_tilde, orthogonal = _polish_unitary(_input_factor(S, Z, lam), "passive factor")
     return checked_factors(BlochMessiahResult(Z, lam, Z_tilde), S, "generic route",
@@ -310,7 +416,7 @@ class Decomposition:
     r: np.ndarray
     U_out: np.ndarray
     U_in: np.ndarray
-    residuals: dict           # checked_factors residuals of the factorized matrix
+    residuals: dict           # bloch_messiah's residuals of the factored propagator
 
     @property
     def O(self):

@@ -109,28 +109,30 @@ def expm(M):
 
 
 def sym_eig(M):
-    """(w, V) with M = V diag(w) V^T, w ascending, V orthonormal columns.
+    """(w, V) with M = V diag(w) V^H, w ascending, V orthonormal columns.
 
-    M must be symmetric up to roundoff, max|M - M^T| <= SYM_TOL max(1,
-    max|M|): matrices such as X e^{dz A} are symmetric analytically but carry
-    floating-point asymmetry, so (M + M^T)/2 is decomposed.  An exactly
-    symmetric M (such as S @ S.T, which numpy forms by a symmetric rank-k
-    update) is that average bitwise and goes to the solver as it is; the
-    average of any other M reuses the one array its asymmetry is read from.
+    M is real symmetric or complex Hermitian up to roundoff, max|M - M^H| <=
+    SYM_TOL max(1, max|M|): matrices such as X e^{dz A} are symmetric
+    analytically but carry floating-point asymmetry, so (M + M^H)/2 is
+    decomposed.  An exactly symmetric M (such as S @ S.T, which numpy forms
+    by a symmetric rank-k update) is that average bitwise and goes to the
+    solver as it is; the average of any other M reuses the one array its
+    asymmetry is read from.  V is complex exactly when M is.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ContractError("sym_eig requires a square matrix, got shape %s" % (M.shape,))
     require_finite(M, "sym_eig input")
-    if not np.array_equal(M, M.T):
-        scale = max(1.0, float(max(M.max(), -M.min())))
-        D = M - M.T
-        asym = float(np.abs(D, out=D).max())
+    H = M.conj().T
+    if not np.array_equal(M, H):
+        scale = max(1.0, float(np.abs(M).max()))
+        D = M - H
+        asym = float(np.abs(D).max())
         if asym > SYM_TOL * scale:
             raise ContractError(
                 "sym_eig input asymmetry %.3e exceeds tolerance %.3e" % (asym, SYM_TOL * scale)
             )
-        M = np.add(M, M.T, out=D)
+        M = np.add(M, H, out=D)
         M *= 0.5
     w, V = np.linalg.eigh(M)
     return w, V

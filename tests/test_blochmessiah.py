@@ -17,6 +17,7 @@ from twinbeam import (
     Poling,
     Propagator,
     PumpSpec,
+    TabulatedEnvelope,
     bloch_messiah,
     apodized_poling,
     build_grid,
@@ -28,6 +29,7 @@ from twinbeam import (
     free_propagator,
     mean_photons,
     qpm_poling,
+    subspace_overlaps,
     tune_gain,
     two_mode_rearrange,
 )
@@ -196,16 +198,16 @@ def test_generic_route_reads_o_tilde_orthogonal_off_the_polish(walkoff_i):
     # afresh: the same product on the same array, so bitwise the same value
     medium = MediumSpec(8.0, walkoff_i, L)
     grid, pump = build_grid(N, 5.0), PumpSpec(g0=1.5)
-    prop = double_pass(grid, pump, medium, qpm_poling(L, 2 * L / 9))
-    bm = bloch_messiah(prop)
-    fresh = checked_factors(replace(bm, residuals=None), prop.matrix, "generic route")
+    S = double_pass(grid, pump, medium, qpm_poling(L, 2 * L / 9)).matrix
+    bm = bloch_messiah(S)
+    fresh = checked_factors(replace(bm, residuals=None), S, "generic route")
     assert fresh.residuals == bm.residuals
     assert bm.residuals["O_tilde_orthogonal"] > 0.0
 
 
 def test_bloch_messiah_guards_a_propagator_with_its_cached_residual(monkeypatch):
-    # a Propagator is factored as its matrix, guarded by its own residual; a
-    # raw 4N array keeps the 4N guard
+    # a Propagator is factored in its pair form, guarded by its own residual;
+    # a raw 4N array keeps the 4N guard and route, and the two agree
     medium = MediumSpec(8.0, -8.0, L)
     prop = double_pass(build_grid(N, 5.0), PumpSpec(g0=1.5), medium,
                        qpm_poling(L, 2 * L / 9))
@@ -215,9 +217,9 @@ def test_bloch_messiah_guards_a_propagator_with_its_cached_residual(monkeypatch)
     assert spy.calls == 0
     raw = bloch_messiah(prop.matrix)
     assert spy.calls == 1
-    for name in ("Z", "lam", "Z_tilde"):
-        np.testing.assert_array_equal(getattr(handed, name), getattr(raw, name))
-    assert handed.residuals == raw.residuals
+    np.testing.assert_allclose(handed.lam, raw.lam, rtol=1e-12)
+    np.testing.assert_allclose(handed.reconstruct(), prop.matrix, rtol=0, atol=1e-13)
+    assert set(handed.residuals) == set(raw.residuals) | {"pairing"}
     bent = Propagator.from_bogoliubov(np.eye(2 * N) + 1e-3 * np.ones((2 * N, 2 * N)), N)
     with pytest.raises(ContractError, match="not symplectic"):
         bloch_messiah(bent)
@@ -402,9 +404,90 @@ def test_decomposition_factors_undo_the_pair_mixing(setup):
     grid, pump, medium = setup
     S = compose(grid, pump, medium, qpm_poling(L, 2 * L / 9))
     d = decompose(S, grid)
-    bm = bloch_messiah(S.matrix)
+    bm = bloch_messiah(S)
     np.testing.assert_allclose(d.O, embed_unitary(bm.Z), rtol=0, atol=1e-15)
     np.testing.assert_allclose(d.O_tilde, embed_unitary(bm.Z_tilde), rtol=0, atol=1e-15)
+
+
+def matches_the_4n_oracle(prop, grid):
+    """decompose(prop), checked against the 4N route on prop.matrix: r to
+    1e-12, each active squeezer's mode subspaces, in and out, to 1 - overlap
+    <= 1e-12, and d.O D d.O_tilde^T = S within RECON_RTOL of max(1, max|S|)."""
+    d = decompose(prop, grid)
+    S = prop.matrix
+    U_out, U_in, r = two_mode_rearrange(bloch_messiah(S))
+    assert np.max(np.abs(d.r - r)) <= 1e-12
+    active = np.repeat(r > 0.0, 2)
+    for mine, oracle in ((d.U_out, U_out), (d.U_in, U_in)):
+        for _, overlap in subspace_overlaps(mine, oracle, np.repeat(r, 2), active=active):
+            assert 1.0 - overlap <= 1e-12
+    D = np.concatenate([d.lam, 1.0 / d.lam])
+    recon = np.max(np.abs((d.O * D) @ d.O_tilde.T - S)) / max(1.0, np.max(np.abs(S)))
+    assert recon <= RECON_RTOL
+    return d
+
+
+@pytest.mark.parametrize("name, double", [(name, False) for name in ("apodized", "unpoled", "qpm")]
+                         + [(name, True) for name in ("apodized", "unpoled", "qpm", "skew")])
+def test_pair_route_matches_the_4n_oracle_on_the_acceptance_configs(lab, name, double):
+    d = matches_the_4n_oracle(lab.propagator(name, double=double), lab.grid)
+    assert d.r[0] > 1.0
+
+
+LOPSIDED = np.linspace(-12.0, 12.0, 241)
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("kappa_i, g0", [(-8.0, 3.0), (-4.8, 1.5)], ids=["sgvm", "skew"])
+def test_pair_route_matches_the_4n_oracle_for_a_lopsided_pump(kappa_i, g0, double):
+    # a pump without frequency symmetry: the pair form is complex
+    envelope = TabulatedEnvelope(LOPSIDED, np.exp(-((LOPSIDED - 1.5) ** 2) / 2.0))
+    grid, medium, pump = build_grid(31, 5.0), MediumSpec(8.0, kappa_i, L), \
+        PumpSpec(g0=g0, envelope=envelope)
+    poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+    prop = (double_pass if double else compose)(grid, pump, medium, poling)
+    assert np.iscomplexobj(prop.pair_form())
+    assert matches_the_4n_oracle(prop, grid).active_pairs()
+
+
+@pytest.mark.parametrize("kappa_i", [-8.0, -4.8], ids=["sgvm", "skew"])
+def test_pair_route_at_zero_gain_is_passive(kappa_i):
+    grid = build_grid(N, 5.0)
+    prop = compose(grid, PumpSpec(g0=0.0), MediumSpec(8.0, kappa_i, L),
+                   qpm_poling(L, 2 * L / 9))
+    d = matches_the_4n_oracle(prop, grid)
+    assert not d.active_pairs()
+    np.testing.assert_array_equal(d.lam, np.ones(2 * N))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_pair_route_matches_the_4n_oracle_inside_degenerate_clusters(dtype):
+    # Y = diag(Q_S, Q_I) [[ch, sh], [sh, ch]] diag(P_S, P_I)^H with r = 0.8
+    # three times, 0.3 twice and four passive modes: the eigensolver mixes
+    # each cluster freely, and each beam half still holds half its weight
+    rng = np.random.default_rng(11)
+    r = np.array([0.8, 0.8, 0.8, 0.3, 0.3, 0.0, 0.0, 0.0, 0.0])
+
+    def factor():
+        U = haar_unitary(N, rng)
+        return U if dtype is complex else np.linalg.qr(rng.normal(size=(N, N)))[0]
+
+    (QS, QI, PS, PI), ch, sh = (factor() for _ in range(4)), np.cosh(r), np.sinh(r)
+    Y = np.block([[(QS * ch) @ PS.conj().T, (QS * sh) @ PI.conj().T],
+                  [(QI * sh) @ PS.conj().T, (QI * ch) @ PI.conj().T]])
+    d = matches_the_4n_oracle(Propagator(Y, N), build_grid(N, 5.0))
+    np.testing.assert_allclose(d.r, r, rtol=0, atol=1e-14)
+
+
+def test_pair_route_reaches_g0_30_with_the_4n_route():
+    # the N = 61 README medium, single pass: r_1 = 5.20, Gram eigenvalues
+    # up to e^10.4, where both routes still pair their spectra
+    medium = MediumSpec(8.0, -8.0, L)
+    grid = build_grid(61, default_half_width(medium))
+    poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+    d = matches_the_4n_oracle(compose(grid, PumpSpec(sigma=1.0, g0=30.0), medium, poling),
+                              grid)
+    assert 5.19 < d.r[0] < 5.21
 
 
 def test_decompose_modes_unitary_and_single_beam(setup):
@@ -755,13 +838,13 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("route, arrays", [("decompose", 5.0), ("svd_route", 4.5)])
+@pytest.mark.parametrize("route, arrays", [("decompose", 3.5), ("svd_route", 4.5)])
 def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, arrays):
-    # Measured above entry, the 4N matrix already built: decompose 4.02 arrays
-    # (the check's in-place residual over one scaled embedding, with the
-    # complex factors), svd_route(double=True) 3.66.  They read 7.28 and 5.27
-    # while the eigenvectors, O, S^T O / d and the raw route factors lived
-    # through the check.
+    # Measured above entry, the 4N matrix already built: decompose 2.91 arrays
+    # (the pair route's complex 2N factors and mode matrices, each half an
+    # array), svd_route(double=True) 3.86.  decompose read 4.02 on the 4N
+    # route, and 7.28 while its eigenvectors, O and S^T O / d lived through
+    # the check.
     grid, pump, medium, poling, total = readme_double_pass_n51
     unit = total.matrix.nbytes
     compose(grid, pump, medium, poling)  # the forward pass svd_route reads

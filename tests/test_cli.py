@@ -367,10 +367,10 @@ def test_sweep_gain_composes_each_pass_once(tmp_path, compose_evaluations, pump,
     ("simulate", base_config(grid={"N": 21, "half_width": 5.0},
                              pump={"target_NS": 2.0}, pass_mode="double",
                              poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
-                                     "pmf_width": 4.0}), 1),
+                                     "pmf_width": 4.0}), 0),
     ("simulate", base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
-                             options={"remove_free_phase": True}), 1),
-    ("sweep-gain", base_config(pump={"target_NS": 0.5}, pass_mode="double"), 3),
+                             options={"remove_free_phase": True}), 0),
+    ("sweep-gain", base_config(pump={"target_NS": 0.5}, pass_mode="double"), 0),
     ("verify", base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
                            pass_mode="double"), 1),
     ("verify", base_config(grid={"N": 21, "half_width": 5.0}, pump={"g0": 0.8},
@@ -379,13 +379,13 @@ def test_sweep_gain_composes_each_pass_once(tmp_path, compose_evaluations, pump,
                                    "pmf_width": 4.0}), 1),
 ], ids=["simulate-sgvm-double-tuned", "simulate-skew-free-phase", "sweep-gain-3",
         "verify-skew-double", "verify-sgvm-matched-double"])
-def test_the_4n_matrix_is_built_once_per_decomposition(
+def test_only_verify_builds_the_4n_matrix(
         tmp_path, matrix_builds, command, cfg, builds):
-    # tuning, photon counts, free-phase stripping, the analytic routes and
-    # their factor checks, the zero-gain check and every symplectic residual
-    # (summary.json's, verify's and the generic route's input guard) read the
-    # complex matrix; only the factorization of each decomposed propagator
-    # (and verify's 4N photon balance of the same one) needs the 4N view.
+    # tuning, photon counts, the factorization (in the pair form),
+    # free-phase stripping, the analytic routes and their factor checks, the
+    # zero-gain check and every symplectic residual (summary.json's, verify's
+    # and the factorization's input guard) read the 2N matrix; only verify's
+    # 4N photon balance, the independent count, needs the 4N view.
     rc, _ = run(tmp_path, cfg, command, "--points", "3") if command == "sweep-gain" \
         else run(tmp_path, cfg, command)
     assert rc == 0
@@ -406,7 +406,7 @@ def test_the_4n_matrix_is_built_once_per_decomposition(
 ], ids=["simulate-sgvm-double-tuned", "verify-sgvm-matched-double", "verify-skew-double"])
 def test_the_decomposed_pass_residual_is_computed_once(tmp_path, monkeypatch, command, cfg):
     # summary.json's value, verify's propagator_symplectic check and the
-    # generic route's input guard share one small-form computation, and no
+    # factorization's input guard share one small-form computation, and no
     # 4N symplectic residual is formed
     computed, decomposed, dense = [], [], []
     residual = Propagator.symplectic_residual.func

@@ -139,6 +139,36 @@ def test_sym_eig_rejects_asymmetric():
         numerics.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def hermitian(rng, n=6, roundoff=0.0):
+    """A random complex Hermitian matrix, plus anti-Hermitian noise of size roundoff."""
+    A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    B = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return 0.5 * (A + A.conj().T) + roundoff * 0.5 * (B - B.conj().T)
+
+
+@pytest.mark.parametrize("roundoff", [0.0, 1e-13])
+def test_sym_eig_keeps_a_hermitian_input_complex(recwarn, roundoff):
+    # a complex input is decomposed as the average (M + M^H) / 2, never cut
+    # to its real part (which numpy would do with only a ComplexWarning)
+    M = hermitian(np.random.default_rng(3), roundoff=roundoff)
+    w, V = numerics.sym_eig(M)
+    w_ref, V_ref = np.linalg.eigh(0.5 * (M + M.conj().T))
+    np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.abs(V.conj().T @ V_ref), np.eye(6), atol=1e-12)
+    np.testing.assert_allclose((V * w) @ V.conj().T, M, atol=1e-12)
+    assert not [rec for rec in recwarn
+                if issubclass(rec.category, np.exceptions.ComplexWarning)]
+
+
+def test_sym_eig_rejects_non_hermitian_complex_input():
+    M = hermitian(np.random.default_rng(4))
+    M[0, 1] += 1e-6j  # complex symmetric parts pass a real M^T check: this fails M^H
+    with pytest.raises(ContractError, match="asymmetry"):
+        numerics.sym_eig(M)
+    with pytest.raises(ContractError, match="asymmetry"):
+        numerics.sym_eig(np.array([[1.0, 1j], [1j, 1.0]]))
+
+
 def test_svd_identity():
     U, s, V = numerics.svd(np.eye(3))
     np.testing.assert_allclose(s, np.ones(3))
