@@ -1,13 +1,14 @@
 """Bloch-Messiah structure of twin-beam propagators.
 
 Factors a symplectic propagator as S = O D O-tilde^T with O, O-tilde
-orthogonal symplectic and D = diag(lam, 1/lam), then rearranges the
-doubly-degenerate spectrum into independent two-mode squeezers, one signal
-mode paired with one idler mode each.  A BlochMessiahResult stores lam and
-the complex 2N unitaries Z, Z_tilde with O = embed_unitary(Z) and
-O_tilde = embed_unitary(Z_tilde); a Decomposition stores only lam, r and the
-complex mode matrices U_out, U_in.  The 4N real factors and each squeezer's
-gauged input/output modes are derived from them on demand.
+orthogonal symplectic and D = diag(lam, 1/lam) into two-mode squeezers, one
+signal mode paired with one idler mode each.  A Propagator gives a
+Decomposition: lam, r and, per side, one N x N mode matrix per beam whose
+column k is squeezer k's mode; the 2N mode matrices, the 4N real factors and
+the gauged modes are derived on demand.  A raw 4N array gives a
+BlochMessiahResult: lam and the complex 2N unitaries Z, Z_tilde with O =
+embed_unitary(Z), O_tilde = embed_unitary(Z_tilde), whose doubly-degenerate
+spectrum two_mode_rearrange mixes into squeezers.
 
 A Propagator is factored in its 2N pair form Y = U^H T U (propagator module
 docstring), real for an even pump.  Signal couples only to the idler's
@@ -73,7 +74,8 @@ INPUT_SYMPLECTIC_TOL = 1e-9
 PAIRING_RTOL = 1e-6
 # Width of the lam = 1 cluster treated as passive (on lam^2).
 UNIT_CTOL = 1e-9
-# Degeneracy tolerance for the two-mode pairing of the lam spectrum.
+# Degeneracy tolerance of two_mode_rearrange's pairing of a lam spectrum (the
+# 4N and analytic routes), and verify's limit on the pair route's Gram pairing.
 PAIR_RTOL = 1e-8
 # Residual allowances on the recovered factors and the reconstruction.
 FACTOR_TOL = 1e-9
@@ -86,8 +88,6 @@ R_CLAMP = 1e-6
 # Unitary polish target max|Z^H Z - I|, and its step cap (seven suffice).
 POLISH_TOL = 1e-14
 POLISH_STEPS = 8
-# Beam-support leakage above this marks a mode pair as mixed.
-MIX_TOL = 1e-6
 # Steps up allowed while bracketing a target.
 BRACKET_DOUBLINGS = 60
 
@@ -312,34 +312,29 @@ def _pair_factors(prop):
         worst = max(worst, float(np.abs(R).max()))
     residuals["reconstruction"] = worst / max(1.0, float(np.abs(Y).max()))
     residuals["pairing"] = pairing
-    return BlochMessiahResult(_paired_modes(QS, QI), np.repeat(lam, 2),
-                              _paired_modes(PS, PI), _enforced(residuals, "pair route"))
+    r = np.log(lam)
+    r[r < R_CLAMP] = 0.0
+    return Decomposition(np.repeat(lam, 2), r, _beam_modes(QS, QI), _beam_modes(PS, PI),
+                         _enforced(residuals, "pair route"))
 
 
-def _paired_modes(QS, QI):
-    """The complex 2N unitary Z whose pair mixing (_mix_pairs) puts squeezer
-    k's signal mode U_S Q_S e_k in column 2k and its idler mode
-    i conj(U_I Q_I e_k) in column 2k + 1, U_S,I = e^{i pi/4} (I -+ iJ) / sqrt 2."""
-    n = QS.shape[0]
+def _beam_modes(QS, QI):
+    """(U_S Q_S, i conj(U_I Q_I)), U_S,I = e^{i pi/4} (I -+ iJ) / sqrt 2: column
+    k holds squeezer k's signal and idler mode."""
     phase = complex(0.5, 0.5)  # e^{i pi/4} / sqrt 2
-    signal = phase * (QS - 1j * QS[::-1])
-    idler = (phase * (QI + 1j * QI[::-1])).conj()
-    Z = np.empty((2 * n, 2 * n), dtype=complex)
-    Z[:n, 0::2], Z[:n, 1::2] = signal, -1j * signal
-    Z[n:, 0::2], Z[n:, 1::2] = idler, 1j * idler
-    Z *= math.sqrt(0.5)
-    return Z
+    return phase * (QS - 1j * QS[::-1]), 1j * (phase * (QI + 1j * QI[::-1])).conj()
 
 
 def bloch_messiah(S):
     """Decompose a symplectic S into O diag(lam, 1/lam) O_tilde^T.
 
     S is a Propagator, factored in its 2N pair form and guarded by its cached
-    symplectic_residual (_pair_factors), or a 4N array, factored through the
-    eigenproblem of S S^T and guarded by its 4N residual; the 4N route is the
-    independent oracle of the pair route.  Raises ContractError if S is not
-    symplectic to working tolerance and DecompositionError if the spectrum
-    does not pair reciprocally or a factor fails its residual checks.
+    symplectic_residual into a Decomposition (_pair_factors), or a 4N array,
+    factored through the eigenproblem of S S^T and guarded by its 4N residual
+    into a BlochMessiahResult; the 4N route is the independent oracle of the
+    pair route.  Raises ContractError if S is not symplectic to working
+    tolerance and DecompositionError if the spectrum does not pair
+    reciprocally or a factor fails its residual checks.
     """
     if isinstance(S, Propagator):
         return _pair_factors(S)
@@ -401,22 +396,32 @@ class SchmidtMode:
     beam: str                 # "signal" or "idler"
     r: float
     amplitudes: np.ndarray    # complex, length N
-    mixed: bool
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Two-mode squeezer structure of one propagator, stored once.
+    """Two-mode squeezer structure of one propagator, stored per beam.
 
-    O, O_tilde and pair_modes are derived from U_out and U_in on each access.
+    modes_out and modes_in are the (signal, idler) N x N complex mode matrices
+    of each side, column k squeezer k's mode on its own beam's bins; U_out,
+    U_in, O, O_tilde and pair_modes are derived from them on each access.
     """
 
-    grid: object
-    lam: np.ndarray
-    r: np.ndarray
-    U_out: np.ndarray
-    U_in: np.ndarray
+    lam: np.ndarray           # 2N: each squeezer's e^{r_k} twice
+    r: np.ndarray             # N, descending, every r < R_CLAMP set to 0
+    modes_out: tuple
+    modes_in: tuple
     residuals: dict           # bloch_messiah's residuals of the factored propagator
+
+    @property
+    def U_out(self):
+        """The output modes in two_mode_rearrange's 2N layout (_interleaved)."""
+        return _interleaved(self.modes_out)
+
+    @property
+    def U_in(self):
+        """The input modes in two_mode_rearrange's 2N layout (_interleaved)."""
+        return _interleaved(self.modes_in)
 
     @property
     def O(self):
@@ -428,39 +433,42 @@ class Decomposition:
         """Input factor of S = O D O_tilde^T, from U_in as O is from U_out."""
         return embed_unitary(_mix_pairs(self.U_in.conj()).conj())
 
-    def without_free_phase(self, medium, double=False):
+    def without_free_phase(self, grid, medium, double=False):
         """This structure with the free walk-off phases stripped from the output.
 
         The free path P (over both passes when double) is diagonal and passive,
-        so P^H S = (P^H O) D O_tilde^T: only each bin's row of U_out turns back.
+        so P^H S = (P^H O) D O_tilde^T: only each bin's row of the output mode
+        matrices turns back.  Raises ConfigError for a grid of another size.
         """
-        n, p = self.grid.n, _free_phases(self.grid, medium, medium.length, double)
+        n, p = self.r.size, _free_phases(grid, medium, medium.length, double)
+        if grid.n != n:
+            raise ConfigError("grid size %d does not match decomposition bins %d" % (grid.n, n))
         # (a_S, a_I) turn by (conj M, M) for SGVM media, else by (p_S, conj p_I+)
-        phase = np.concatenate([p.conj(), p] if p.size == n else [p[:n], p[n:].conj()])
-        return replace(self, U_out=phase.conj()[:, None] * self.U_out)
+        back = np.concatenate([p, p.conj()] if p.size == n else [p[:n].conj(), p[n:]])
+        sig, idl = self.modes_out
+        return replace(self, modes_out=(back[:n, None] * sig, back[n:, None] * idl))
 
     def active_pairs(self):
-        """Squeezers with r > 0; two_mode_rearrange sets every r < R_CLAMP to 0."""
+        """Squeezers with r > 0; bloch_messiah sets every r < R_CLAMP to 0."""
         return [k for k, r in enumerate(self.r) if r > 0.0]
 
     def pair_modes(self, k, direction):
-        """(signal_mode, idler_mode) of squeezer k, direction "out" or "in".
-
-        The column heavier on the signal bins is the signal mode, and each
-        mode keeps its column's N amplitudes on its own beam; both are mixed
-        when either column leaks more than MIX_TOL onto the other beam.
-        """
+        """(signal_mode, idler_mode) of squeezer k, direction "out" or "in":
+        the gauge-fixed column k of each beam's mode matrix."""
         if direction not in ("out", "in") or not 0 <= k < self.r.size:
             raise ConfigError("no such squeezer: k=%r direction=%r" % (k, direction))
-        n = self.grid.n
-        U = self.U_out if direction == "out" else self.U_in
-        sig, idl = U[:, 2 * k], U[:, 2 * k + 1]
-        s_sig, s_idl = (float(np.sum(np.abs(u[:n]) ** 2)) for u in (sig, idl))
-        if s_sig < s_idl:
-            sig, idl, s_sig, s_idl = idl, sig, s_idl, s_sig
-        mixed = max(1.0 - s_sig, s_idl) > MIX_TOL
-        return (SchmidtMode("signal", float(self.r[k]), _gauge_fix(sig[:n]), mixed),
-                SchmidtMode("idler", float(self.r[k]), _gauge_fix(idl[n:]), mixed))
+        r, modes = float(self.r[k]), self.modes_out if direction == "out" else self.modes_in
+        return tuple(SchmidtMode(b, r, _gauge_fix(U[:, k])) for b, U in zip(("signal", "idler"), modes))
+
+
+def _interleaved(modes):
+    """Signal column k in rows :N of column 2k, idler column k in rows N: of
+    column 2k + 1, exact zeros elsewhere."""
+    sig, idl = modes
+    n = sig.shape[0]
+    U = np.zeros((2 * n, 2 * n), dtype=complex)
+    U[:n, 0::2], U[n:, 1::2] = sig, idl
+    return U
 
 
 def _gauge_fix(u):
@@ -473,14 +481,11 @@ def _gauge_fix(u):
 
 
 def decompose(prop, grid):
-    """Squeezer structure of a Propagator built on the given grid."""
+    """Squeezer structure (bloch_messiah) of a Propagator built on the given grid."""
     if grid.n != prop.n:
         raise ConfigError("grid size %d does not match propagator bins %d"
                           % (grid.n, prop.n))
-    bm = bloch_messiah(prop)
-    U_out, U_in, r = two_mode_rearrange(bm)
-    return Decomposition(grid=grid, lam=bm.lam, r=r, U_out=U_out, U_in=U_in,
-                         residuals=bm.residuals)
+    return bloch_messiah(prop)
 
 
 def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,

@@ -122,7 +122,7 @@ class BenchLab:
         if key not in self._decomp:
             if remove_free_phase:
                 self._decomp[key] = self.decomp(name, double, target).without_free_phase(
-                    self.medium_for(name), double)
+                    self.grid, self.medium_for(name), double)
             else:
                 self._decomp[key] = decompose(self.propagator(name, double, target),
                                               self.grid)

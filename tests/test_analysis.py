@@ -49,8 +49,7 @@ def haar(rng, n):
 
 
 def make_mode(amplitudes, beam="signal", r=0.3):
-    return SchmidtMode(beam=beam, r=r, amplitudes=np.asarray(amplitudes, dtype=complex),
-                       mixed=False)
+    return SchmidtMode(beam=beam, r=r, amplitudes=np.asarray(amplitudes, dtype=complex))
 
 
 # ---------------------------------------------------------------- fidelities

@@ -28,6 +28,7 @@ from twinbeam import (
     double_pass,
     free_propagator,
     mean_photons,
+    mode_fidelity,
     qpm_poling,
     subspace_overlaps,
     tune_gain,
@@ -218,7 +219,9 @@ def test_bloch_messiah_guards_a_propagator_with_its_cached_residual(monkeypatch)
     raw = bloch_messiah(prop.matrix)
     assert spy.calls == 1
     np.testing.assert_allclose(handed.lam, raw.lam, rtol=1e-12)
-    np.testing.assert_allclose(handed.reconstruct(), prop.matrix, rtol=0, atol=1e-13)
+    d = np.concatenate([handed.lam, 1.0 / handed.lam])
+    np.testing.assert_allclose((handed.O * d) @ handed.O_tilde.T, prop.matrix, rtol=0,
+                               atol=1e-13)
     assert set(handed.residuals) == set(raw.residuals) | {"pairing"}
     bent = Propagator.from_bogoliubov(np.eye(2 * N) + 1e-3 * np.ones((2 * N, 2 * N)), N)
     with pytest.raises(ContractError, match="not symplectic"):
@@ -342,39 +345,33 @@ def test_zero_squeezing_pairs_are_clamped(setup):
     )
 
 
-def three_bin_decomposition(U):
-    """Three squeezers on a 3-bin grid with U as both mode matrices."""
+def three_bin_decomposition(signal, idler):
+    """Three squeezers on a 3-bin grid with (signal, idler) as both sides' mode matrices."""
     r = np.array([1.0, 0.5, 0.2])
-    return Decomposition(grid=build_grid(3, 5.0), lam=np.repeat(np.exp(r), 2),
-                         r=r, U_out=U, U_in=U, residuals={})
+    return Decomposition(lam=np.repeat(np.exp(r), 2), r=r, modes_out=(signal, idler),
+                         modes_in=(signal, idler), residuals={})
 
 
 def test_pair_modes_identity_factor_gives_bin_basis():
-    # a mode is its column's own-beam slice: squeezers 0 and 2 pair two
-    # columns of one beam, so each holds one empty mode
-    expected = [([1, 0, 0], [0, 0, 0]), ([0, 0, 1], [1, 0, 0]), ([0, 0, 0], [0, 0, 1])]
-    d = three_bin_decomposition(np.eye(6, dtype=complex))
-    for k, own in enumerate(expected):
+    # squeezer k pairs signal bin k with idler bin 2 - k; each mode is its
+    # beam's column k, and U_out, U_in interleave the two beams' columns
+    eye = np.eye(3, dtype=complex)
+    d = three_bin_decomposition(eye, eye[::-1])
+    interleaved = np.zeros((6, 6))
+    interleaved[[0, 1, 2], [0, 2, 4]] = interleaved[[5, 4, 3], [1, 3, 5]] = 1.0
+    for k in range(3):
         for direction in ("out", "in"):
-            for m, amplitudes in zip(d.pair_modes(k, direction), own):
-                np.testing.assert_allclose(m.amplitudes, amplitudes, atol=1e-15)
-
-
-def test_pair_modes_flags_cross_beam_support():
-    n = 3
-    U = np.eye(2 * n, dtype=complex)
-    # squeezer 0's first column straddles the beams equally
-    U[:, 0] = 0.0
-    U[0, 0] = U[n, 0] = 1.0 / np.sqrt(2.0)
-    U[:, 1] = 0.0
-    U[1, 1] = 1.0
-    d = three_bin_decomposition(U)
-    for direction in ("out", "in"):
-        assert all(m.mixed for m in d.pair_modes(0, direction))
+            sig, idl = d.pair_modes(k, direction)
+            assert (sig.beam, idl.beam) == ("signal", "idler")
+            np.testing.assert_array_equal(sig.amplitudes, eye[k])
+            np.testing.assert_array_equal(idl.amplitudes, eye[2 - k])
+    for U in (d.U_out, d.U_in):
+        np.testing.assert_array_equal(U, interleaved)
 
 
 def test_pair_modes_rejects_unknown_squeezer():
-    d = three_bin_decomposition(np.eye(6, dtype=complex))
+    eye = np.eye(3, dtype=complex)
+    d = three_bin_decomposition(eye, eye)
     for k, direction in ((-1, "out"), (d.r.size, "in"), (0, "both")):
         with pytest.raises(ConfigError):
             d.pair_modes(k, direction)
@@ -382,31 +379,48 @@ def test_pair_modes_rejects_unknown_squeezer():
 
 @pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
 def test_pair_modes_are_gauged_own_beam_slices_of_their_columns(walkoff_i):
+    # pair_modes(k, direction) is the gauge-fixed column k of each beam's matrix
     grid, c = build_grid(N, 5.0), (N - 1) // 2
     medium = MediumSpec(8.0, walkoff_i, L)
     d = decompose(compose(grid, PumpSpec(g0=1.0), medium, Poling.unpoled(L)), grid)
     assert d.active_pairs()
     for k in d.active_pairs():
-        for direction, U in (("out", d.U_out), ("in", d.U_in)):
-            modes = d.pair_modes(k, direction)
-            for m, own in zip(modes, (U[:N, 2 * k:2 * k + 2], U[N:, 2 * k:2 * k + 2])):
+        for direction, modes in (("out", d.modes_out), ("in", d.modes_in)):
+            for m, U in zip(d.pair_modes(k, direction), modes):
                 assert m.amplitudes.shape == (N,)
-                column = own[:, int(np.argmax(np.linalg.norm(own, axis=0)))]
-                phase = np.vdot(column, m.amplitudes)
+                phase = np.vdot(U[:, k], m.amplitudes)
                 assert abs(abs(phase) - 1.0) <= 1e-12
-                np.testing.assert_allclose(m.amplitudes, phase * column, rtol=0, atol=1e-14)
+                np.testing.assert_allclose(m.amplitudes, phase * U[:, k], rtol=0, atol=1e-14)
                 amps = m.amplitudes
                 anchor = amps[c] if abs(amps[c]) > 1e-12 else amps[np.argmax(np.abs(amps))]
                 assert anchor.real > 0.0 and abs(anchor.imag) <= 1e-15
 
 
+@pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
+def test_decomposition_stores_each_beams_modes_once(walkoff_i):
+    # four N x N mode matrices, half the entries of two 2N mode matrices;
+    # the 2N layouts derived from them are exactly zero off the beam pattern
+    n = 51
+    grid, medium = build_grid(n, 5.0), MediumSpec(8.0, walkoff_i, L)
+    d = decompose(compose(grid, PumpSpec(g0=1.0), medium, qpm_poling(L, 2 * L / 9)), grid)
+    stored = d.modes_out + d.modes_in
+    assert all(U.shape == (n, n) and U.dtype == complex for U in stored)
+    assert sum(U.size for U in stored) == 4 * n**2
+    for U, (signal, idler) in ((d.U_out, d.modes_out), (d.U_in, d.modes_in)):
+        np.testing.assert_array_equal(U[:n, 0::2], signal)
+        np.testing.assert_array_equal(U[n:, 1::2], idler)
+        assert not U[n:, 0::2].any() and not U[:n, 1::2].any()
+
+
 def test_decomposition_factors_undo_the_pair_mixing(setup):
+    # O and O_tilde are the interleaved mode matrices times pair_mixer^-1
     grid, pump, medium = setup
     S = compose(grid, pump, medium, qpm_poling(L, 2 * L / 9))
     d = decompose(S, grid)
-    bm = bloch_messiah(S)
-    np.testing.assert_allclose(d.O, embed_unitary(bm.Z), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(d.O_tilde, embed_unitary(bm.Z_tilde), rtol=0, atol=1e-15)
+    B = pair_mixer(N)
+    np.testing.assert_allclose(d.O, embed_unitary(d.U_out @ B.conj().T), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(d.O_tilde, embed_unitary(d.U_in @ B.conj().T), rtol=0,
+                               atol=1e-15)
 
 
 def matches_the_4n_oracle(prop, grid):
@@ -499,7 +513,6 @@ def test_decompose_modes_unitary_and_single_beam(setup):
     for k in d.active_pairs():
         for direction in ("out", "in"):
             sig, idl = d.pair_modes(k, direction)
-            assert not (sig.mixed or idl.mixed)
             assert np.sum(np.abs(sig.amplitudes) ** 2) > 1.0 - 1e-6
             assert np.sum(np.abs(idl.amplitudes) ** 2) > 1.0 - 1e-6
             np.testing.assert_allclose(np.linalg.norm(sig.amplitudes), 1.0,
@@ -520,26 +533,43 @@ def test_gauge_anchor_is_real_nonnegative(setup):
 
 
 def test_remove_free_phase_keeps_spectrum():
-    # stripping the free path P only turns the rows of U_out: the spectrum,
-    # the input modes and the residuals of the raw factorization stay bitwise,
-    # and the factors now reconstruct P^-1 S = F^T S
+    # stripping the free path P only turns the rows of the output modes: the
+    # spectrum, the input modes and the residuals of the raw factorization
+    # stay bitwise, and the factors now reconstruct P^-1 S = F^T S
     grid, pump, poling = build_grid(N, 5.0), PumpSpec(g0=1.0), Poling.unpoled(L)
     for walkoff_i, double in ((-8.0, False), (-8.0, True), (-4.8, False), (-4.8, True)):
         medium = MediumSpec(8.0, walkoff_i, L)
         S = double_pass(grid, pump, medium, poling) if double \
             else compose(grid, pump, medium, poling)
         raw = decompose(S, grid)
-        stripped = raw.without_free_phase(medium, double)
+        stripped = raw.without_free_phase(grid, medium, double)
         for name in ("lam", "r", "U_in"):
             np.testing.assert_array_equal(getattr(stripped, name), getattr(raw, name))
-        assert stripped.residuals == raw.residuals
+        assert stripped.residuals == raw.residuals and stripped.modes_in is raw.modes_in
         # a matched SGVM double pass has (to roundoff) no free phase
-        moved = np.max(np.abs(stripped.U_out - raw.U_out))
+        moved = max(np.max(np.abs(a - b)) for a, b in zip(stripped.modes_out, raw.modes_out))
         assert moved < 1e-14 if double and walkoff_i == -8.0 else moved > 1e-3
         F = free_propagator(grid, medium, L, double).matrix
         d = np.concatenate([stripped.lam, 1.0 / stripped.lam])
         np.testing.assert_allclose((stripped.O * d) @ stripped.O_tilde.T,
                                    F.T @ S.matrix, atol=1e-12)
+    with pytest.raises(ConfigError, match="grid size 11"):
+        raw.without_free_phase(build_grid(11, 5.0), medium, double)
+
+
+def test_readme_library_sketch_runs_as_its_comments_say(capsys):
+    # the README's library example, executed as written: r is descending and
+    # the double pass's input signal mode is its output signal mode
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        readme = fh.read()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    exec(sketch.split("```", 1)[0], namespace)
+    dec, sig_in, sig_out = namespace["dec"], namespace["sig_in"], namespace["sig_out"]
+    assert capsys.readouterr().out.startswith("[")
+    assert dec.r[0] > 0.0 and np.all(np.diff(dec.r) <= 0.0)
+    assert (sig_in.beam, sig_out.beam) == ("signal", "signal")
+    assert mode_fidelity(sig_in, sig_out) >= 1.0 - 1e-9
 
 
 def test_decompose_grid_mismatch(setup):
@@ -838,15 +868,21 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("route, arrays", [("decompose", 3.5), ("svd_route", 4.5)])
+@pytest.mark.parametrize("route, arrays", [("decompose", 2.0), ("svd_route", 4.5)])
 def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, arrays):
-    # Measured above entry, the 4N matrix already built: decompose 2.91 arrays
-    # (the pair route's complex 2N factors and mode matrices, each half an
-    # array), svd_route(double=True) 3.86.  decompose read 4.02 on the 4N
-    # route, and 7.28 while its eigenvectors, O and S^T O / d lived through
-    # the check.
+    # Measured above entry, the 4N matrix and the pass's cached symplectic
+    # residual already built: decompose 1.73 arrays (each beam's N x N
+    # factors and mode matrices; the bound leaves 15%), svd_route(double=True)
+    # 3.86.  Building the residual alone reads 2.72, and decompose read 2.91
+    # when it built it.  decompose read 2.51 with pair-mixed 2N mode
+    # matrices, 4.02 on the 4N route, and 7.28 while its eigenvectors, O and
+    # S^T O / d lived through the check.
     grid, pump, medium, poling, total = readme_double_pass_n51
     unit = total.matrix.nbytes
+    if route == "decompose":
+        fresh = Propagator(total.exchange, total.n)
+        assert traced_peak(lambda: fresh.symplectic_residual) <= 3.0 * unit
+        assert total.symplectic_residual < 1e-9
     compose(grid, pump, medium, poling)  # the forward pass svd_route reads
     run = {"decompose": lambda: decompose(total, grid),
            "svd_route": lambda: svd_route(grid, pump, medium, poling, double=True)}[route]
