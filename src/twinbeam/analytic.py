@@ -12,10 +12,12 @@ forms in the coupling matrices (block_reduce):
 * In the SGVM regime (H = -G), W = (1/sqrt 2) [[I, -iI], [-iI, I]] is the
   walk-off basis, C = [[-F, G], [-G, -F]] and the reduced propagator A-hat
   is embed_unitary(M), M the N x N Bogoliubov view of the composed pass.
-  For any poling the SVD of A-hat gives the factors directly.  The return
-  trip is the adjoint of the pass, so the matched double pass has block
-  A-hat^T A-hat, symmetric positive definite: input equals output modes;
-  its blocks are formed from the forward pass's, no double pass is composed.
+  For any poling the SVD M = P s Q^H gives the factors directly, as A-hat =
+  embed(P) diag(s, s) embed(Q)^T, so svd_route works at N x N and forms the
+  2N factors last.  The return trip is the adjoint of the pass, so the
+  matched double pass has block embed(M^H M) = embed(Q s^2 Q^H): input =
+  output = Q of the forward pass; its blocks are formed from the forward
+  pass's, no double pass is composed.
 
 * Away from SGVM, W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]] (J the bin
   exchange) is the exchange basis.  It splits the generator, with
@@ -31,13 +33,14 @@ eigenvalues give the (lam, 1/lam) ladder directly.  A real 2N factor R of
 the reduced block is the complex factor W R of the full propagator.  W, X
 and the exchange pair are applied by indexing, never as dense products.
 
-Each route composes its pass once and reads its block once (_reduced).
-All routes return the BlochMessiahResult contract of bloch_messiah
-after a shared canonicalization, so the two compare mode by mode.  Each
-checks its factors against the real 2N diagonal blocks of B^T S B, the
-block it factored and its inverse transpose (_checked), never the 4N
-Propagator.matrix.  A route outside its regime raises RegimeError carrying
-the violated residual.
+Each route composes its pass once and reads its block once (_reduced, or
+M for svd_route).  All routes return the BlochMessiahResult contract of
+bloch_messiah after the same canonicalization, so the two compare mode by
+mode.  The eigenproblem routes check their factors against the real 2N
+diagonal blocks of B^T S B, the block they factored and its inverse
+transpose (_checked); svd_route checks the N x N equivalents; none reads
+the 4N Propagator.matrix.  A route outside its regime raises RegimeError
+carrying the violated residual.
 """
 
 from typing import NamedTuple
@@ -48,7 +51,7 @@ from . import numerics
 from .blochmessiah import BlochMessiahResult, _polish_unitary, _with_residuals
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
-from .propagator import _exchange, compose, embed_unitary
+from .propagator import _embedded_max, _exchange, compose, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
@@ -128,7 +131,8 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
 
 
 def _canonical(Z_raw, lam_raw, Z_tilde_raw):
-    """(canonical_factors, the orthogonality residuals of Z, Z_tilde from their polish)."""
+    """(canonical_factors, the orthogonality residuals of Z, Z_tilde from their
+    polish, lam_raw in the canonical order)."""
     lam = np.asarray(lam_raw, dtype=float).copy()
     h = lam.size
     if Z_raw.shape != (h, h) or Z_tilde_raw.shape != (h, h):
@@ -148,7 +152,7 @@ def _canonical(Z_raw, lam_raw, Z_tilde_raw):
     Z_tilde, tilde_orthogonal = (Z, orthogonal) if Z_tilde_raw is Z_raw \
         else factor(Z_tilde_raw, "passive factor")
     return (BlochMessiahResult(Z=Z, lam=lam[order], Z_tilde=Z_tilde),
-            (orthogonal, tilde_orthogonal))
+            (orthogonal, tilde_orthogonal), np.asarray(lam_raw, dtype=float)[order])
 
 
 def _require_regime(medium, sgvm, route):
@@ -193,7 +197,7 @@ def _factors(basis, left, lam_raw, right):
     is left they share one array.  The raw complex factors die here, before
     the caller checks the result."""
     Z_raw = basis.full(left)
-    return _canonical(Z_raw, lam_raw, Z_raw if right is left else basis.full(right))
+    return _canonical(Z_raw, lam_raw, Z_raw if right is left else basis.full(right))[:2]
 
 
 def _diagonal_blocks(prop, block):
@@ -273,22 +277,50 @@ def symmetrized_eig_route(grid, pump, medium, poling):
 
 
 def svd_route(grid, pump, medium, poling, double=False):
-    """Factorization through the SVD of the 2N block propagator (SGVM, any poling).
+    """Factorization through the SVD of the N x N Bogoliubov view M (SGVM, any poling).
 
-    Single pass: A-hat = M D V^T maps directly onto the factors with raw
-    spectrum (D, 1/D).  Matched double pass: the return trip is the adjoint,
-    so the total block is A-hat^T A-hat = V D^2 V^T, symmetric positive
-    definite, and input and output factors coincide (perfect inline squeezer).
-    The factors are checked against that device's diagonal blocks, for the
-    double pass A-hat^T A-hat and its inverse transpose, the Gram of A-hat^-T.
+    The block A-hat is embed_unitary(M), so M = P s Q^H gives A-hat =
+    embed(P) diag(s, s) embed(Q)^T and every step stays N x N.  Single pass:
+    the raw spectrum is s, once per real column.  Matched double pass: the
+    return trip is the adjoint, so the block is embed(M^H M) =
+    embed(Q s^2 Q^H): input = output = Q of the forward pass (the perfect
+    inline squeezer).  P and Q are canonicalized at N x N (_canonical: sorted
+    by lam = max(s, 1/s), a column turned by i where s < 1, polished), which
+    leaves P s Q^H as it is.  _checked's two diagonal blocks become P s Q^H -
+    M and P s^-1 Q^H - M^-H (double pass: Q s^+-2 Q^H against M^H M and M^-1
+    M^-H), relative to max(1, their embedded max), and the orthogonality and
+    symplectic residuals of Z those of P^H P and P P^H.  The 2N factors are
+    built last, by index maps (_walkoff_factor).
     """
     _require_regime(medium, True, "SVD route")
-    prop, basis, block = _reduced(grid, pump, medium, poling)
-    left, s, right = numerics.svd(block)
-    blocks = _diagonal_blocks(prop, block)
-    if double:  # one factor, V, on both sides
-        left, s, blocks = right, s**2, tuple(b.T @ b for b in blocks)
-    return _checked(_factors(basis, left, s, right), basis, blocks, "SVD route")
+    prop = compose(grid, pump, medium, poling)
+    M = prop.bogoliubov
+    left, s, right = numerics.svd(M)
+    targets = (M, _exchange(prop._inverse_transpose, prop.n).conj())  # M, M^-H
+    if double:  # one factor, Q, on both sides
+        left, s, targets = right, s**2, tuple(T.conj().T @ T for T in targets)
+    result, orthogonal, d = _canonical(left, s, right)
+    P, Q = result.Z, result.Z_tilde
+    worst = max(_embedded_max((P * e) @ Q.conj().T - T) for e, T in zip((d, 1.0 / d), targets))
+    scale = max(1.0, *(_embedded_max(T) for T in targets))
+    residuals = _with_residuals(result, worst / scale, "SVD route", orthogonal).residuals
+    sign = np.where(d < 1.0, -_C, _C)
+    Z = _walkoff_factor(P, sign)
+    return BlochMessiahResult(Z, np.repeat(result.lam, 2),
+                              Z if Q is P else _walkoff_factor(Q, sign), residuals)
+
+
+def _walkoff_factor(P, sign):
+    """The 2N factor W embed_unitary(P0) = C [[conj P0, -i conj P0], [-i P0, P0]]
+    (W the walk-off basis) of an N x N factor, columns k and N + k at 2k and
+    2k + 1, both turned by i where _canonical turned column k of P = P0 (or
+    i P0).  In terms of P the idler rows keep that form and the signal rows
+    change sign where it turned, so sign is -C there and C elsewhere."""
+    n = P.shape[0]
+    Z = np.empty((2 * n, 2 * n), dtype=complex)
+    Z[:n, 0::2], Z[n:, 1::2] = P.conj() * sign, _C * P
+    Z[:n, 1::2], Z[n:, 0::2] = -1j * Z[:n, 0::2], -1j * Z[n:, 1::2]
+    return Z
 
 
 def general_block_route(grid, pump, medium, poling):

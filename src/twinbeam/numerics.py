@@ -5,7 +5,7 @@ scaling-and-squaring Pade method, written out here so that numpy is the only
 runtime dependency), symmetric eigendecomposition and SVD.  The wrappers
 pin down the conventions the rest of the package relies on -- finite input
 only, ascending eigenvalues, descending singular values, ``V`` returned such
-that ``M = U @ diag(s) @ V.T`` -- and enforce the symmetry tolerance for
+that ``M = U @ diag(s) @ V^H`` -- and enforce the symmetry tolerance for
 eigendecompositions of analytically-symmetric matrices that carry roundoff.
 
 ``one_blas_thread`` runs a block with every loaded OpenBLAS pool on one
@@ -139,9 +139,9 @@ def sym_eig(M):
 
 
 def svd(M):
-    """Singular value decomposition ``M = U @ diag(s) @ V.T``.
+    """Singular value decomposition ``M = U @ diag(s) @ V^H`` (V^T for a real M).
 
-    Returns (U, s, V) with s nonnegative descending and V (not V^T) holding
+    Returns (U, s, V) with s nonnegative descending and V (not V^H) holding
     right singular vectors as columns.
     """
     M = np.asarray(M)

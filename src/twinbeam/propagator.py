@@ -166,13 +166,23 @@ class Propagator:
 
         matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
         is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma = U (Y Sigma Y^H -
-        Sigma) U^H: Sigma commutes with U.
+        Sigma) U^H: Sigma commutes with U.  U is block-diagonal per beam, so a
+        beam's block row of U E U^H needs only that block row of E; each is
+        formed in turn, by _exchange(E, n, -1)'s operations, so the value is
+        bitwise the one of the whole E.
         """
         n, Y = self.n, self.pair_form()
-        sigma = np.repeat([1.0, -1.0], n)
-        E = (Y * sigma) @ Y.conj().T
-        E.flat[::2 * n + 1] -= sigma
-        return _embedded_max(_exchange(E, n, -1))
+        sigma, bins, worst = np.repeat([1.0, -1.0], n), np.arange(n), 0.0
+        flip, Yh = np.arange(2 * n).reshape(2, n)[:, ::-1].ravel(), Y.conj().T
+        for beam, s in enumerate((1.0, -1.0)):
+            E = (Y[beam * n:(beam + 1) * n] * sigma) @ Yh
+            E[bins, beam * n + bins] -= s
+            XJ = E[:, flip] * sigma
+            D = s * E[::-1] - XJ
+            E = 0.5 * (E + s * XJ[::-1])
+            del XJ  # before the complex temporaries
+            worst = max(worst, _embedded_max(E - 0.5j * D))
+        return worst
 
     def mean_photons(self):
         """mean_photons(self.matrix, n), read off Y = pair_form(): a beam with

@@ -31,7 +31,7 @@ from twinbeam import (
     two_mode_rearrange,
 )
 from conftest import plain_product
-from twinbeam import analytic
+from twinbeam import analytic, numerics
 from twinbeam.analytic import _basis, _reduced, canonical_factors
 from twinbeam.errors import DecompositionError, RegimeError
 from twinbeam.numerics import expm, sym_eig
@@ -261,6 +261,50 @@ def test_svd_route_double_pass_factors_coincide(sgvm):
     assert result.residuals["O_tilde_symplectic"] == result.residuals["O_symplectic"]
 
 
+def svd_route_2n(grid, pump, medium, poling, double=False):
+    """svd_route in its 2N form: the real SVD of A-hat = embed_unitary(M),
+    factored and checked as real 2N blocks in the walk-off basis."""
+    prop, basis, block = _reduced(grid, pump, medium, poling)
+    left, s, right = numerics.svd(block)
+    blocks = analytic._diagonal_blocks(prop, block)
+    if double:
+        left, s, blocks = right, s**2, tuple(b.T @ b for b in blocks)
+    return analytic._checked(analytic._factors(basis, left, s, right), basis, blocks, "2N form")
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("pump", [PumpSpec(g0=1.5), PumpSpec(g0=6.0),
+                                  replace(skewed_pump(), g0=1.5)],
+                         ids=["g0-1.5", "g0-6", "lopsided"])
+@pytest.mark.parametrize("kind", ["qpm", "apodized"])
+def test_svd_route_n_form_matches_the_2n_form(monkeypatch, kind, pump, double):
+    # one N x N SVD gives what the 2N real SVD gave: spectrum, product and
+    # active mode subspaces, at N = 51
+    grid, medium = build_grid(51, 5.0), MediumSpec(8.0, -8.0, L)
+    poling = qpm_poling(L, 2 * L / 9) if kind == "qpm" \
+        else demodulate_poling(apodized_poling(L, L / 12, pmf_width=4.0))
+    shapes, svd = [], numerics.svd
+
+    def spy(M):
+        shapes.append(M.shape)
+        return svd(M)
+
+    monkeypatch.setattr(numerics, "svd", spy)
+    result = svd_route(grid, pump, medium, poling, double=double)
+    assert shapes == [(51, 51)]
+    reference = svd_route_2n(grid, pump, medium, poling, double=double)
+    assert (result.Z_tilde is result.Z) == double
+    np.testing.assert_allclose(result.lam, reference.lam, rtol=1e-13, atol=0)
+    S = reference.reconstruct()
+    assert np.max(np.abs(result.reconstruct() - S)) <= 1e-13 * max(1.0, np.max(np.abs(S)))
+    (U_out, U_in, r), (V_out, V_in, _) = two_mode_rearrange(result), two_mode_rearrange(reference)
+    active = np.repeat(r > 1e-6, 2)
+    assert active.any()
+    for U, V in ((U_out, V_out), (U_in, V_in)):
+        for _, overlap in subspace_overlaps(U, V, np.repeat(r, 2), active=active):
+            assert overlap >= 1.0 - 1e-12
+
+
 @pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
 def test_svd_route_composes_the_forward_pass_once(sgvm, double, compose_evaluations):
     # a second route on the same device finds its pass in the memo
@@ -297,14 +341,22 @@ def test_analytic_route_rejects_a_perturbed_factor_column(request, monkeypatch, 
     # the polish restores unitarity, so only the reconstruction can notice
     case, route, kwargs = ROUTES[name]
     grid, pump, medium = request.getfixturevalue(case)
-    factors = analytic._factors
+    factors, svd = analytic._factors, numerics.svd
 
     def perturbed(basis, left, lam_raw, right):
         bent = left.copy()
         bent[1, 0] += 1e-6
         return factors(basis, bent, lam_raw, right)
 
-    monkeypatch.setattr(analytic, "_factors", perturbed)
+    def bent_svd(M):  # svd_route's N x N factors: the one it places in Z
+        P, s, Q = svd(M)
+        (Q if kwargs else P)[1, 0] += 1e-6
+        return P, s, Q
+
+    if route is svd_route:
+        monkeypatch.setattr(numerics, "svd", bent_svd)
+    else:
+        monkeypatch.setattr(analytic, "_factors", perturbed)
     with pytest.raises(DecompositionError, match="reconstruction residual"):
         route(grid, pump, medium, qpm_poling(L, 2 * L / 9), **kwargs)
 
@@ -331,11 +383,19 @@ def test_block_reconstruction_is_the_4n_diagonal_blocks(request, name):
     B = embed_unitary(basis.full(np.eye(2 * N)))
     target = B.T @ prop.matrix @ B
     np.testing.assert_allclose(blocks[1], target[2 * N:, 2 * N:], rtol=0, atol=1e-12)
-    # the route read its unitarity residuals off the polish's last Grams:
-    # the same products on the same arrays as fresh ones
     fresh = analytic._checked((replace(result, residuals=None), (None, None)),
                               basis, blocks, "fresh Grams")
-    assert fresh.residuals == result.residuals
+    if route is svd_route:
+        # checked on its N x N factors before Z is built from them: the 2N
+        # check of Z agrees to roundoff (at most 9.1e-16 measured for N = 9
+        # to 201, g0 up to 10, QPM, unpoled and apodized gratings)
+        assert list(fresh.residuals) == list(result.residuals)
+        for key, value in result.residuals.items():
+            assert abs(value - fresh.residuals[key]) <= 2e-15
+    else:
+        # the route read its unitarity residuals off the polish's last Grams:
+        # the same products on the same arrays as fresh ones
+        assert fresh.residuals == result.residuals
     checked = analytic._checked((noisy, (None, None)), basis, blocks, "noisy route")
     dense = B.T @ noisy.reconstruct() @ B
     dense[:2 * N, :2 * N] -= blocks[0]

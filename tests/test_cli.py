@@ -18,7 +18,10 @@ from twinbeam import (
     flip_overlap, load_poling, numerics, qpm_poling,
 )
 from twinbeam.blochmessiah import FACTOR_TOL, PAIR_RTOL, RECON_RTOL, Decomposition
-from twinbeam.cli import PHOTON_BALANCE_TOL, _hamiltonian_defect, load_config, main
+from twinbeam.cli import (
+    PHOTON_BALANCE_TOL, _clear_compose_memo, _clear_matrices_memo, _hamiltonian_defect,
+    load_config, main,
+)
 from twinbeam.errors import DecompositionError
 
 # velocities matching walk-offs (+8, -8) at pump velocity 0.1
@@ -812,6 +815,26 @@ def test_verify_passes_on_sound_config(tmp_path):
     assert thresholds["bm_O_orthogonal"] == FACTOR_TOL
     assert thresholds["lam_pair_degeneracy"] == PAIR_RTOL
     assert thresholds["photon_balance"] == PHOTON_BALANCE_TOL
+
+
+def test_verify_peak_memory_in_4n_arrays(tmp_path):
+    # The N = 51 README double pass at g0 = 1.5, traced above entry with empty
+    # memos: 3.46 4N arrays (the bound leaves 15%).  verify read 5.73 when
+    # svd_route factored the real 2N embedding of M and the routes were
+    # compared through 2N interleaved mode matrices.
+    cfg = dict(README_CONFIG, grid={"N": 51, "half_width": 5.0}, pump={"sigma": 1.0, "g0": 1.5})
+    assert run(tmp_path, cfg, "verify")[0] == 0  # imports and first-call caches
+    _clear_compose_memo()
+    _clear_matrices_memo()
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rc, _ = run(tmp_path, cfg, "verify")
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 3.98 * (4 * 51) ** 2 * 8
 
 
 def test_verify_passes_a_near_even_declared_table(tmp_path):

@@ -301,6 +301,28 @@ def test_symplectic_residual_of_the_2n_form_matches_the_4n_one(request, regime, 
         1e-15 * max(1.0, np.max(np.abs(S)) ** 2)
 
 
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+@pytest.mark.parametrize("pump", ["even", "lopsided"])
+@pytest.mark.parametrize("defect", [0.0, 1e-7])
+def test_symplectic_residual_by_block_rows_is_the_whole_exchange_bitwise(request, regime,
+                                                                          pump, defect):
+    # U E U^H formed one beam's block row at a time against _exchange of the
+    # whole 2N E: the same value bit for bit, so summary.json does not move
+    grid, _, medium = request.getfixturevalue(regime)
+    prop = double_pass(grid, PUMPS[pump](3.0), medium, readme_grating())
+    if defect:
+        A = np.random.default_rng(8).normal(size=prop.exchange.shape)
+        prop = Propagator.from_bogoliubov(
+            (np.eye(len(A)) + defect * (A - A.T)) @ prop.bogoliubov, grid.n)
+    n, Y = grid.n, prop.pair_form()
+    sigma = np.repeat([1.0, -1.0], n)
+    E = (Y * sigma) @ Y.conj().T
+    E.flat[::2 * n + 1] -= sigma
+    whole = propagator._embedded_max(propagator._exchange(E, n, -1))
+    assert whole > 0.0
+    assert prop.symplectic_residual == whole
+
+
 def sgvm_assembly(prop):
     """The SGVM 2N matrix on (a_S, a_I^+) assembled as [[A, B], [-B, A]],
     A, B = (M^-T + conj M) / 2, i (M^-T - conj M) / 2, from conj M = U^H conj(X) U
