@@ -14,22 +14,37 @@ A Propagator is factored in its 2N pair form Y = U^H T U (propagator module
 docstring), real for an even pump.  Signal couples only to the idler's
 conjugate, so Y = diag(Q_S, Q_I) [[ch, sh], [sh, ch]] diag(P_S, P_I)^H with
 one N x N unitary per beam and side, ch = cosh r, sh = sinh r (Christ et
-al., NJP 15, 053038 (2013)).  The route is polar: the Gram Y Y^H has the
-eigenvalues e^{+-2 r_k}, with eigenvectors (Q_S e_k, +-Q_I e_k) / sqrt 2.
-Y Sigma Y^H = Sigma, so Sigma = diag(I, -I) maps each eigenspace above 1 onto
-its partner below, and each beam half of an active eigenvector w_k holds half
-its weight, in degenerate clusters too: sqrt 2 times its halves are the
-active columns of Q_S and Q_I, and those of Y^H w_k / e^{r_k} are the
-columns of P_S and P_I.  The unit cluster (r = 0) is each beam's complement
-of its active columns, one N x N QR per beam, mapped to the input side by
-the beam's own diagonal block of Y^H; its cross-beam part, roundoff, is
-checked.  Each N x N factor is polished, and the factors are checked in the
-small form: Y against its four N x N blocks, and Q^H Q - I and Q Q^H - I of
-each factor under the names of O and O_tilde.  Squeezer k's signal mode is
-U_S Q_S e_k and its idler mode i conj(U_I Q_I e_k), U_S,I = e^{i pi/4} (I -+
-iJ) / sqrt 2, index maps only.  The matched SGVM double pass is a perfect
-inline squeezer: its exchange matrix is X_f^T X_f, so Y is symmetric
-positive definite and its input factors equal its output factors.
+al., NJP 15, 053038 (2013)).  Away from SGVM media the route is polar: the
+Gram Y Y^H has the eigenvalues e^{+-2 r_k}, with eigenvectors (Q_S e_k,
++-Q_I e_k) / sqrt 2.  Y Sigma Y^H = Sigma, so Sigma = diag(I, -I) maps each
+eigenspace above 1 onto its partner below, and each beam half of an active
+eigenvector w_k holds half its weight, in degenerate clusters too: sqrt 2
+times its halves are the active columns of Q_S and Q_I, and those of Y^H
+w_k / e^{r_k} are the columns of P_S and P_I.  The unit cluster (r = 0) is
+each beam's complement of its active columns, one N x N QR per beam, mapped
+to the input side by the beam's own diagonal block of Y^H; its cross-beam
+part, roundoff, is checked.  Each N x N factor is polished, and the factors
+are checked in the small form: Y against its four N x N blocks, and Q^H Q -
+I and Q Q^H - I of each factor under the names of O and O_tilde.
+
+In SGVM media the exchange matrix X is N x N and Y = [[J P J, J Q], [Q J,
+P]] with P, Q = (conj X +- X^-T) / 2, that is Y = D H diag(conj X, X^-T) H D
+with D = diag(J, I) and H = [[I, I], [I, -I]] / sqrt 2.  So conj X = A
+diag(s) B^H, which makes X^-T = A diag(1/s) B^H, gives, with rho = log s,
+    Y = diag(J A, A) [[cosh rho, sinh rho], [sinh rho, cosh rho]] diag(J B, B)^H:
+Q_S = J A, Q_I = A sgn(rho), P_S = J B, P_I = B sgn(rho) and r = |rho|.
+A comes from two N x N Gram eigenproblems, conj X conj X^H for its columns
+with s > 1 and X^-T (X^-T)^H for those with s < 1, so every r_k is read off
+a Gram eigenvalue above 1, and the two spectra merged must pair
+reciprocally; the unit cluster is the complement of the active columns.  B
+is conj X^H A / s where s >= 1 and s (X^-T)^H A where s < 1.  A and B are
+polished and checked in the same terms: conj X and X^-T rebuilt, and A's
+residuals under the names of O, B's under those of O_tilde.  Squeezer k's
+signal mode is U_S Q_S e_k and its idler mode i conj(U_I Q_I e_k), U_S,I =
+e^{i pi/4} (I -+ iJ) / sqrt 2, index maps only.  The matched SGVM double
+pass is a perfect inline squeezer: X = X_f^T X_f is symmetric positive
+definite (X_f^H X_f, Hermitian, for a lopsided pump), so A = B and its
+input modes equal its output modes.
 
 A raw 4N array takes the same polar route on S S^T, the independent oracle
 of the pair route: P = (S S^T)^{1/2} is diagonalized by an orthogonal
@@ -268,13 +283,26 @@ def _guard(resid, smax):
 def _pair_factors(prop):
     """bloch_messiah of a Propagator, read off its 2N pair form Y (module docstring).
 
-    residuals holds the reconstruction of Y relative to max(1, max|Y|), the
-    largest orthogonality (Q^H Q - I) and symplectic (Q Q^H - I) residuals of
-    the two beams' output factors Q under the names of O, of the input
-    factors P under those of O_tilde, and the Gram spectrum's pairing defect.
+    SGVM passes are factored at N x N through X (_exchange_factors), others
+    through the 2N Gram Y Y^H (_gram_factors).  residuals holds the relative
+    reconstruction residual, the largest orthogonality (Q^H Q - I) and
+    symplectic (Q Q^H - I) residuals of the output factors under the names
+    of O, of the input factors under those of O_tilde, and the Gram
+    spectrum's pairing defect.
     """
+    n = prop.n
+    _guard(prop.symplectic_residual, lambda: _embedded_max(_exchange(prop.pair_form(), n, -1)))
+    lam, (QS, QI, PS, PI), residuals = (_exchange_factors if prop.sgvm else _gram_factors)(prop)
+    r = np.log(lam)
+    r[r < R_CLAMP] = 0.0
+    return Decomposition(np.repeat(lam, 2), r, _beam_modes(QS, QI), _beam_modes(PS, PI),
+                         _enforced(residuals, "pair route"))
+
+
+def _gram_factors(prop):
+    """(lam, (Q_S, Q_I, P_S, P_I), residuals) from the eigenproblem of the 2N
+    Gram Y Y^H; the reconstruction is Y's, relative to max(1, max|Y|)."""
     n, Y = prop.n, prop.pair_form()
-    _guard(prop.symplectic_residual, lambda: _embedded_max(_exchange(Y, n, -1)))
     Yh = Y.conj().T
     w, V = numerics.sym_eig(Y @ Yh)
     k, pairing = _spectrum(w, "Y Y^H")
@@ -312,10 +340,52 @@ def _pair_factors(prop):
         worst = max(worst, float(np.abs(R).max()))
     residuals["reconstruction"] = worst / max(1.0, float(np.abs(Y).max()))
     residuals["pairing"] = pairing
-    r = np.log(lam)
-    r[r < R_CLAMP] = 0.0
-    return Decomposition(np.repeat(lam, 2), r, _beam_modes(QS, QI), _beam_modes(PS, PI),
-                         _enforced(residuals, "pair route"))
+    return lam, (QS, QI, PS, PI), residuals
+
+
+def _exchange_factors(prop):
+    """(lam, (Q_S, Q_I, P_S, P_I), residuals) of an SGVM pass from conj X = A diag(s) B^H.
+
+    The Gram conj X conj X^H gives the columns of A with s > 1 and that of
+    X^-T the columns with s < 1, each at an eigenvalue above 1 (s^2 and
+    s^-2); the unit cluster is their complement.  B is conj X^H A / s where
+    s >= 1 and s (X^-T)^H A where s < 1.  residuals: the reconstructions of
+    conj X and X^-T, each relative to max(1, its max entry), A's residuals
+    under the names of O, B's under those of O_tilde, and the pairing defect
+    of the two Gram spectra merged.
+    """
+    n, down, up = prop.n, prop.exchange.conj(), prop._inverse_transpose
+    spectra, active = [], []
+    for M in (down, up):
+        w, V = numerics.sym_eig(M @ M.conj().T)
+        m = int(np.sum(w > 1.0 + UNIT_CTOL))
+        spectra.append(w)
+        active.append((w[::-1][:m], V[:, ::-1][:, :m]))
+    k, pairing = _spectrum(np.sort(np.concatenate(spectra)), "the Gram pair of X")
+    (w_up, V_up), (w_down, V_down) = active
+    w = np.concatenate([w_up, w_down])
+    order = np.argsort(-w, kind="stable")
+    lam = np.concatenate([np.sqrt(w[order]), np.ones(n - k)])
+    grows = np.concatenate([order < w_up.size, np.ones(n - k, bool)])  # s >= 1
+    A = np.hstack([V_up, V_down])[:, order]
+    A, A_orthogonal = _polish_unitary(np.hstack([A, np.linalg.qr(A, mode="complete")[0][:, k:]]),
+                                      "output factor")
+    s = np.where(grows, lam, 1.0 / lam)
+    B = np.empty(A.shape, np.result_type(A, up))
+    B[:, grows] = (prop.exchange.T @ A[:, grows]) / s[grows]  # conj X^H = X^T
+    B[:, ~grows] = (up.conj().T @ A[:, ~grows]) * s[~grows]
+    B, B_orthogonal = _polish_unitary(B, "input factor")
+    worst = 0.0
+    for M, d in ((down, s), (up, 1.0 / s)):
+        R = (A * d) @ B.conj().T
+        R -= M
+        worst = max(worst, float(np.abs(R).max()) / max(1.0, float(np.abs(M).max())))
+    residuals = {"reconstruction": worst,
+                 "O_orthogonal": A_orthogonal, "O_symplectic": _gram_defect(A @ A.conj().T),
+                 "O_tilde_orthogonal": B_orthogonal,
+                 "O_tilde_symplectic": _gram_defect(B @ B.conj().T), "pairing": pairing}
+    sign = np.where(grows, 1.0, -1.0)
+    return lam, (A[::-1], A * sign, B[::-1], B * sign), residuals
 
 
 def _beam_modes(QS, QI):

@@ -169,7 +169,10 @@ class Propagator:
         Sigma) U^H: Sigma commutes with U.  U is block-diagonal per beam, so a
         beam's block row of U E U^H needs only that block row of E; each is
         formed in turn, by _exchange(E, n, -1)'s operations, so the value is
-        bitwise the one of the whole E.
+        bitwise the one of the whole E.  In SGVM media Y is built from X and
+        X^-T, so Y Sigma Y^H = Sigma holds for any invertible X: there this
+        residual, verify's propagator_symplectic and its 4N photon_balance
+        measure only the inversion roundoff, not the pass.
         """
         n, Y = self.n, self.pair_form()
         sigma, bins, worst = np.repeat([1.0, -1.0], n), np.arange(n), 0.0

@@ -493,6 +493,45 @@ def test_pair_route_matches_the_4n_oracle_inside_degenerate_clusters(dtype):
     np.testing.assert_allclose(d.r, r, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_exchange_factors_match_the_4n_oracle_inside_degenerate_clusters(dtype):
+    # conj X = A diag(s) B^H with r = 0.8 three times and 0.3 twice, each
+    # cluster holding squeezers of both Grams (s above and below 1), and
+    # four passive modes: the N x N route pairs them as the 4N route does
+    rng = np.random.default_rng(12)
+    rho = np.array([0.8, -0.8, 0.8, -0.3, 0.3, 0.0, 0.0, 0.0, 0.0])
+
+    def factor():
+        return haar_unitary(N, rng) if dtype is complex else \
+            np.linalg.qr(rng.normal(size=(N, N)))[0]
+
+    A, B = factor(), factor()
+    X = ((A * np.exp(rho)) @ B.conj().T).conj()
+    d = matches_the_4n_oracle(Propagator(X, N), build_grid(N, 5.0))
+    np.testing.assert_allclose(d.r, np.sort(np.abs(rho))[::-1], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("kappa_i, orders", [(-8.0, [N, N]), (-4.8, [2 * N])],
+                         ids=["sgvm", "skew"])
+def test_pair_route_eigenproblems_are_n_by_n_in_sgvm_media(monkeypatch, kappa_i, orders,
+                                                            double):
+    # an SGVM pass takes the Grams of conj X and X^-T, N x N each, and never
+    # the 2N Gram Y Y^H; a 40%-mismatch pass has no N x N split and keeps it
+    grid, medium = build_grid(N, 5.0), MediumSpec(8.0, kappa_i, L)
+    prop = (double_pass if double else compose)(grid, PumpSpec(g0=1.0), medium,
+                                                qpm_poling(L, 2 * L / 9))
+    calls, sym_eig = [], numerics.sym_eig
+
+    def spy(M):
+        calls.append(M.shape)
+        return sym_eig(M)
+
+    monkeypatch.setattr(numerics, "sym_eig", spy)
+    assert bloch_messiah(prop).active_pairs()
+    assert calls == [(n, n) for n in orders]
+
+
 def test_pair_route_reaches_g0_30_with_the_4n_route():
     # the N = 61 README medium, single pass: r_1 = 5.20, Gram eigenvalues
     # up to e^10.4, where both routes still pair their spectra
@@ -868,18 +907,19 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("route, arrays", [("decompose", 2.0), ("svd_route", 1.83)])
+@pytest.mark.parametrize("route, arrays", [("decompose", 1.17), ("svd_route", 1.83)])
 def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, arrays):
     # Measured above entry, the 4N matrix and the pass's cached symplectic
-    # residual already built: decompose 1.73 arrays (each beam's N x N
-    # factors and mode matrices), svd_route(double=True) 1.59 (N x N SVD,
-    # polish and checks; the 2N Z built last); each bound leaves 15%.
-    # Building the residual alone reads 1.33, one beam's block row of E at a
-    # time (2.72 when E was exchanged whole, and decompose read 2.91 when it
-    # built it).  svd_route read 3.86 on the real SVD of the 2N embedding of
-    # M; decompose read 2.51 with pair-mixed 2N mode matrices, 4.02 on the
-    # 4N route, and 7.28 while its eigenvectors, O and S^T O / d lived
-    # through the check.
+    # residual already built: decompose 1.02 arrays (the N x N Grams of
+    # conj X and X^-T, the two factors A and B, and the mode matrices),
+    # svd_route(double=True) 1.59 (N x N SVD, polish and checks; the 2N Z
+    # built last); each bound leaves 15%.  Building the residual alone reads
+    # 1.33, one beam's block row of E at a time (2.72 when E was exchanged
+    # whole, and decompose read 2.91 when it built it).  decompose read 1.73
+    # on the 2N Gram Y Y^H with each beam's factors, svd_route 3.86 on the
+    # real SVD of the 2N embedding of M; decompose read 2.51 with pair-mixed
+    # 2N mode matrices, 4.02 on the 4N route, and 7.28 while its
+    # eigenvectors, O and S^T O / d lived through the check.
     grid, pump, medium, poling, total = readme_double_pass_n51
     unit = total.matrix.nbytes
     if route == "decompose":
