@@ -38,20 +38,22 @@ M for svd_route).  All routes return the BlochMessiahResult contract of
 bloch_messiah after the same canonicalization, so the two compare mode by
 mode.  The eigenproblem routes check their factors against the real 2N
 diagonal blocks of B^T S B, the block they factored and its inverse
-transpose (_checked); svd_route checks the N x N equivalents; none reads
-the 4N Propagator.matrix.  A route outside its regime raises RegimeError
+transpose (_block_checked); svd_route checks the N x N equivalents; both
+go through blochmessiah's one residual check, and none reads the 4N
+Propagator.matrix.  A route outside its regime raises RegimeError
 carrying the violated residual.
 """
 
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .blochmessiah import BlochMessiahResult, _polish_unitary, _with_residuals
+from .blochmessiah import BlochMessiahResult, _checked, _polish_unitary
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
-from .propagator import _embedded_max, _exchange, compose, embed_unitary
+from .propagator import _exchange, compose, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
@@ -131,8 +133,7 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
 
 
 def _canonical(Z_raw, lam_raw, Z_tilde_raw):
-    """(canonical_factors, the orthogonality residuals of Z, Z_tilde from their
-    polish, lam_raw in the canonical order)."""
+    """(canonical_factors, lam_raw in the canonical order)."""
     lam = np.asarray(lam_raw, dtype=float).copy()
     h = lam.size
     if Z_raw.shape != (h, h) or Z_tilde_raw.shape != (h, h):
@@ -148,11 +149,10 @@ def _canonical(Z_raw, lam_raw, Z_tilde_raw):
         U[:, flip[order]] *= 1j
         return _polish_unitary(U, context)
 
-    Z, orthogonal = factor(Z_raw, "active factor")
-    Z_tilde, tilde_orthogonal = (Z, orthogonal) if Z_tilde_raw is Z_raw \
-        else factor(Z_tilde_raw, "passive factor")
+    Z = factor(Z_raw, "active factor")
+    Z_tilde = Z if Z_tilde_raw is Z_raw else factor(Z_tilde_raw, "passive factor")
     return (BlochMessiahResult(Z=Z, lam=lam[order], Z_tilde=Z_tilde),
-            (orthogonal, tilde_orthogonal), np.asarray(lam_raw, dtype=float)[order])
+            np.asarray(lam_raw, dtype=float)[order])
 
 
 def _require_regime(medium, sgvm, route):
@@ -197,7 +197,7 @@ def _factors(basis, left, lam_raw, right):
     is left they share one array.  The raw complex factors die here, before
     the caller checks the result."""
     Z_raw = basis.full(left)
-    return _canonical(Z_raw, lam_raw, Z_raw if right is left else basis.full(right))[:2]
+    return _canonical(Z_raw, lam_raw, Z_raw if right is left else basis.full(right))[0]
 
 
 def _diagonal_blocks(prop, block):
@@ -211,33 +211,27 @@ def _diagonal_blocks(prop, block):
     return block, np.linalg.inv(block).T
 
 
-def _checked(factors, basis, blocks, context):
-    """checked_factors of the _canonical factors against the real 2N blocks, not the 4N S.
+def _block_checked(result, basis, blocks, context):
+    """result, checked (_checked) against the real 2N blocks, not the 4N S.
 
     blocks are the diagonal blocks (block, block^-T) of B^T S B, B =
     embed_unitary(W) (_diagonal_blocks).  With Y = W^H Z, Y~ = W^H Z_tilde
     and Lam = diag(lam), those of B^T O D O_tilde^T B are
         Re(Y) Lam Re(Y~)^T + Im(Y) Lam^-1 Im(Y~)^T,
-        Im(Y) Lam Im(Y~)^T + Re(Y) Lam^-1 Re(Y~)^T;
-    the columns canonical_factors turned by i are the imaginary ones, so an
-    error in the lam < 1 directions shows, amplified by lam, in the second.
-    The off-diagonal blocks pair real with imaginary columns and vanish by
-    construction.  The largest deviation is taken relative to max(1, max
-    |block|, max |block^-T|); the orthogonality residuals are the polish's.
+        Im(Y) Lam Im(Y~)^T + Re(Y) Lam^-1 Re(Y~)^T,
+    that is [Re Y, Im Y] diag(d) [Re Y~, Im Y~]^T with d = (lam, 1/lam) and
+    d = (1/lam, lam); the columns canonical_factors turned by i are the
+    imaginary ones, so an error in the lam < 1 directions shows, amplified
+    by lam, in the second.  The off-diagonal blocks pair real with imaginary
+    columns and vanish by construction.  The factor residuals are those of Z
+    and Z_tilde.
     """
-    result, orthogonal = factors
+    L, R = (np.hstack([Y.real, Y.imag])
+            for Y in (basis.reduced(result.Z), basis.reduced(result.Z_tilde)))
     lam = result.lam
-    Y = basis.reduced(result.Z)
-    Yt = Y if result.Z_tilde is result.Z else basis.reduced(result.Z_tilde)
-    parts, tilde_parts = (Y.real, Y.imag), (Yt.real, Yt.imag)
-    worst = 0.0
-    for k, target in enumerate(blocks):  # k = 0 upper-left, 1 lower-right
-        R = (parts[k] * lam) @ tilde_parts[k].T
-        R += (parts[1 - k] / lam) @ tilde_parts[1 - k].T
-        R -= target
-        worst = max(worst, float(np.abs(R, out=R).max()))
-    scale = max(1.0, *(float(np.max(np.abs(target))) for target in blocks))
-    return _with_residuals(result, worst / scale, context, orthogonal)
+    pieces = [(L, np.concatenate(d), R, target)
+              for d, target in zip(((lam, 1.0 / lam), (1.0 / lam, lam)), blocks)]
+    return replace(result, residuals=_checked(pieces, ((result.Z,), (result.Z_tilde,)), context))
 
 
 def _symmetric_factors(grid, pump, medium, poling, context):
@@ -261,8 +255,8 @@ def _symmetric_factors(grid, pump, medium, poling, context):
     w, Gamma = numerics.sym_eig(M)
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
-    factors = _factors(basis, Gamma[basis.x] * np.sign(w), np.abs(w), Gamma)
-    return _checked(factors, basis, _diagonal_blocks(prop, block), context)
+    result = _factors(basis, Gamma[basis.x] * np.sign(w), np.abs(w), Gamma)
+    return _block_checked(result, basis, _diagonal_blocks(prop, block), context)
 
 
 def symmetrized_eig_route(grid, pump, medium, poling):
@@ -286,11 +280,11 @@ def svd_route(grid, pump, medium, poling, double=False):
     embed(Q s^2 Q^H): input = output = Q of the forward pass (the perfect
     inline squeezer).  P and Q are canonicalized at N x N (_canonical: sorted
     by lam = max(s, 1/s), a column turned by i where s < 1, polished), which
-    leaves P s Q^H as it is.  _checked's two diagonal blocks become P s Q^H -
-    M and P s^-1 Q^H - M^-H (double pass: Q s^+-2 Q^H against M^H M and M^-1
-    M^-H), relative to max(1, their embedded max), and the orthogonality and
-    symplectic residuals of Z those of P^H P and P P^H.  The 2N factors are
-    built last, by index maps (_walkoff_factor).
+    leaves P s Q^H as it is.  _block_checked's two diagonal blocks become
+    P s Q^H - M and P s^-1 Q^H - M^-H (double pass: Q s^+-2 Q^H against M^H M
+    and M^-1 M^-H), checked (_checked) with the factors P and Q in place of
+    Z and Z_tilde.  The 2N factors are built last, by index maps
+    (_walkoff_factor).
     """
     _require_regime(medium, True, "SVD route")
     prop = compose(grid, pump, medium, poling)
@@ -299,11 +293,10 @@ def svd_route(grid, pump, medium, poling, double=False):
     targets = (M, _exchange(prop._inverse_transpose, prop.n).conj())  # M, M^-H
     if double:  # one factor, Q, on both sides
         left, s, targets = right, s**2, tuple(T.conj().T @ T for T in targets)
-    result, orthogonal, d = _canonical(left, s, right)
+    result, d = _canonical(left, s, right)
     P, Q = result.Z, result.Z_tilde
-    worst = max(_embedded_max((P * e) @ Q.conj().T - T) for e, T in zip((d, 1.0 / d), targets))
-    scale = max(1.0, *(_embedded_max(T) for T in targets))
-    residuals = _with_residuals(result, worst / scale, "SVD route", orthogonal).residuals
+    residuals = _checked([(P, e, Q, T) for e, T in zip((d, 1.0 / d), targets)], ((P,), (Q,)),
+                         "SVD route")
     sign = np.where(d < 1.0, -_C, _C)
     Z = _walkoff_factor(P, sign)
     return BlochMessiahResult(Z, np.repeat(result.lam, 2),

@@ -62,6 +62,10 @@ so both factors meet tight orthogonality and symplectic residuals.
 The polish is a Newton-Schulz iteration to the polar (Lowdin) factor, two
 products a step, in place of an SVD; it refuses an input with ||Z^H Z - I||_F
 >= 0.75, beyond which the steps need not converge.
+
+Every route, the analytic ones too, checks its factors in one place
+(_checked) against one limit table (limit), and every Gram spectrum pairs
+reciprocally to PAIR_RTOL, the limit verify reports it against.
 """
 
 import math
@@ -80,19 +84,17 @@ from .propagator import (
 __all__ = [
     "BlochMessiahResult", "SchmidtMode", "Decomposition", "bloch_messiah",
     "two_mode_rearrange", "pair_mixer", "decompose",
-    "checked_factors", "tune_gain", "solve_increasing",
+    "checked_factors", "limit", "tune_gain", "solve_increasing",
 ]
 
 # Relative symplectic-defect allowance on inputs, scaled by max|S|^2.
 INPUT_SYMPLECTIC_TOL = 1e-9
-# Reciprocal-pairing tolerance on eigenvalues of S S^T.
-PAIRING_RTOL = 1e-6
 # Width of the lam = 1 cluster treated as passive (on lam^2).
 UNIT_CTOL = 1e-9
-# Degeneracy tolerance of two_mode_rearrange's pairing of a lam spectrum (the
-# 4N and analytic routes), and verify's limit on the pair route's Gram pairing.
+# Limit on every route's reciprocal pairing of its Gram spectrum (_spectrum),
+# and degeneracy tolerance of two_mode_rearrange's pairing of a lam spectrum.
 PAIR_RTOL = 1e-8
-# Residual allowances on the recovered factors and the reconstruction.
+# Residual allowances on the recovered factors and the reconstruction (limit).
 FACTOR_TOL = 1e-9
 RECON_RTOL = 1e-8
 # Squeezing below this is reported as exactly passive (reordering the domain
@@ -122,65 +124,65 @@ class BlochMessiahResult:
     residuals: Optional[dict] = None
 
     def reconstruct(self):
-        d, O = np.concatenate([self.lam, 1.0 / self.lam]), embed_unitary(self.Z)
-        if self.Z_tilde is self.Z:  # one embedding serves both factors
-            return (O * d) @ O.T
-        O *= d
-        return O @ embed_unitary(self.Z_tilde).T
+        d = np.concatenate([self.lam, 1.0 / self.lam])
+        return (embed_unitary(self.Z) * d) @ embed_unitary(self.Z_tilde).T
 
 
-def checked_factors(result, S, context, orthogonal=(None, None)):
-    """Attach and enforce the factor residuals of S = O D O_tilde^T.
+def limit(name):
+    """The largest value the factor residual name may take: RECON_RTOL for
+    the reconstruction, PAIR_RTOL for the pairing, else FACTOR_TOL."""
+    return {"reconstruction": RECON_RTOL, "pairing": PAIR_RTOL}.get(name, FACTOR_TOL)
 
-    residuals holds the reconstruction residual relative to max(1, max|S|),
-    then the orthogonality and symplectic residual of O and of O_tilde (one
-    computation, reported under both names, when Z_tilde is Z).  Both come
-    from complex 2N products: embed_unitary is multiplicative, embed(Z)^T =
-    embed(Z^H) and Omega = embed(-iI), so with O = embed(Z)
-        O^T O - I = embed(Z^H Z - I),  O Omega O^T - Omega = embed(-i (Z Z^H - I)),
-    and max|embed(E)| = max|embed(-iE)| = max(max|Re E|, max|Im E|).
-    orthogonal holds the orthogonality residuals of O and O_tilde where the
-    polish has measured them on its last Gram (_polish_unitary), else None.
-    Raises DecompositionError when one exceeds RECON_RTOL or FACTOR_TOL.
+
+def _checked(blocks, factors, context, pairing=None):
+    """The residuals of a factorization, once none exceeds its limit(name).
+
+    blocks holds (L, d, R, T), L diag(d) R^H the factored form of T: the
+    reconstruction residual is the largest max|L diag(d) R^H - T| / max(1,
+    max|T|), each block against its own scale.  factors is (the output
+    factors, the input factors), unitaries F whose Gram defects
+    max|F^H F - I| and max|F F^H - I|, the largest on each side, are the
+    orthogonality and symplectic residuals of O and of O_tilde.  pairing,
+    when given, is the Gram spectrum's reciprocal-pairing defect.  Every
+    max|E| is that of E's real embedding, max(max|Re E|, max|Im E|), so a
+    complex residual reads as the 4N one: with O = embed_unitary(Z),
+        O^T O - I = embed(Z^H Z - I),  O Omega O^T - Omega = embed(-i (Z Z^H - I)).
+    Raises DecompositionError, naming context, when one exceeds its limit.
     """
-    R = result.reconstruct()
-    R -= S
-    return _with_residuals(result, float(np.abs(R, out=R).max())
-                           / max(1.0, float(max(S.max(), -S.min()))), context, orthogonal)
-
-
-def _with_residuals(result, reconstruction, context, orthogonal):
-    """checked_factors given the reconstruction residual."""
-    residuals = {"reconstruction": reconstruction}
-    for name, Z, known in zip(("O", "O_tilde"), (result.Z, result.Z_tilde), orthogonal):
-        if name == "O" or Z is not result.Z:  # else O_tilde reuses O's pair
-            H = Z.conj().T
-            pair = (_gram_defect(H @ Z) if known is None else known), _gram_defect(Z @ H)
-        residuals[name + "_orthogonal"], residuals[name + "_symplectic"] = pair
-    return replace(result, residuals=_enforced(residuals, context))
-
-
-def _gram_defect(gram):
-    """max|embed_unitary(gram - I)|, I taken off in place."""
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return _embedded_max(gram)
-
-
-def _enforced(residuals, context):
-    """residuals, once none exceeds its limit: RECON_RTOL for the reconstruction,
-    PAIRING_RTOL for the pairing, else FACTOR_TOL.  Raises DecompositionError."""
+    worst = 0.0
+    for L, d, R, T in blocks:
+        E = (L * d) @ R.conj().T
+        E -= T
+        worst = max(worst, _embedded_max(E) / max(1.0, _embedded_max(T)))
+    residuals = {"reconstruction": worst}
+    for name, side in zip(("O", "O_tilde"), factors):
+        for kind in ("orthogonal", "symplectic"):
+            worst = 0.0
+            for F in side:
+                gram = F.conj().T @ F if kind == "orthogonal" else F @ F.conj().T
+                gram[np.diag_indices_from(gram)] -= 1.0
+                worst = max(worst, _embedded_max(gram))
+            residuals[name + "_" + kind] = worst
+    if pairing is not None:
+        residuals["pairing"] = pairing
     for name, value in residuals.items():
-        limit = {"reconstruction": RECON_RTOL, "pairing": PAIRING_RTOL}.get(name, FACTOR_TOL)
-        if value > limit:
+        if value > limit(name):
             raise DecompositionError(
-                "%s: %s residual %.3e exceeds %.1e" % (context, name, value, limit)
+                "%s: %s residual %.3e exceeds %.1e" % (context, name, value, limit(name))
             )
     return residuals
 
 
+def checked_factors(result, S, context):
+    """result with the residuals (_checked) of S = O D O_tilde^T attached: the
+    4N product against S, and the complex 2N Grams of Z and of Z_tilde."""
+    d = np.concatenate([result.lam, 1.0 / result.lam])
+    blocks = [(embed_unitary(result.Z), d, embed_unitary(result.Z_tilde), S)]
+    return replace(result, residuals=_checked(blocks, ((result.Z,), (result.Z_tilde,)), context))
+
+
 def _polish_unitary(Z, context):
-    """Polar (Lowdin) factor Z (Z^H Z)^{-1/2} of a nearly unitary Z, tall or
-    square, and its orthogonality residual max|embed_unitary(Z^H Z - I)|.
+    """Polar (Lowdin) factor Z (Z^H Z)^{-1/2} of a nearly unitary Z, tall or square.
 
     Newton-Schulz steps Z <- Z - Z E / 2, E = Z^H Z - I (two products, the
     error squared), until max|E| <= POLISH_TOL; an input already there comes
@@ -193,7 +195,7 @@ def _polish_unitary(Z, context):
     defect = float(np.linalg.norm(E))
     for step in range(POLISH_STEPS + 1):
         if np.max(np.abs(E), initial=0.0) <= POLISH_TOL:
-            return Z, _embedded_max(E)
+            return Z
         if defect >= 0.75 or step == POLISH_STEPS:
             raise DecompositionError(
                 "%s: candidate unitary does not polish (||Z^H Z - I||_F = %.3e on "
@@ -207,13 +209,13 @@ def _spectrum(w, gram):
     ascending Gram spectrum w of a symplectic matrix, named gram in errors.
 
     The spectrum is closed under w -> 1/w, so w * w[::-1] - 1 is roundoff;
-    raises DecompositionError when its largest magnitude exceeds PAIRING_RTOL
+    raises DecompositionError when its largest magnitude exceeds PAIR_RTOL
     or when the clusters above and below 1 + -UNIT_CTOL differ in size.
     """
     if w[0] <= 0:
         raise DecompositionError("%s has a non-positive eigenvalue %.3e" % (gram, w[0]))
     worst = float(np.max(np.abs(w * w[::-1] - 1.0)))
-    if worst > PAIRING_RTOL:
+    if worst > PAIR_RTOL:
         raise DecompositionError(
             "eigenvalues of %s do not pair reciprocally (worst defect %.3e)" % (gram, worst)
         )
@@ -224,50 +226,6 @@ def _spectrum(w, gram):
             "unit-cluster imbalance: %d eigenvalues above 1, %d below" % (n_above, n_below)
         )
     return n_above, worst
-
-
-def _output_factor(S):
-    """(lam, Z): the squeezing lam >= 1, descending, and the unitary Z of O.
-
-    The eigenvectors of S S^T die here, before the input factor is formed.
-    """
-    w, V = numerics.sym_eig(S @ S.T)
-    n_above = _spectrum(w, "S S^T")[0]
-    m_unit = S.shape[0] // 2 - n_above
-
-    # Active directions: eigenvectors are isotropic per cluster, so their
-    # complex forms z_k are orthonormal up to roundoff; a thin polish scrubs it.
-    h, top = S.shape[0] // 2, V[:, ::-1][:, :n_above]
-    Z, _ = _polish_unitary(top[:h, :] + 1j * top[h:, :], "active factor")
-    if m_unit:
-        # The lam < 1 partners of the active directions are i z_k, so the
-        # unit cluster's unitary half is exactly the complex complement of
-        # span{z_k}: the trailing columns of a complete QR of Z.  It depends
-        # on the active columns alone, not on how the eigensolver rotated the
-        # cluster, and with no active columns it is the bin basis (S = I
-        # yields O = O_tilde = I).
-        Z = np.hstack([Z, np.linalg.qr(Z, mode="complete")[0][:, n_above:]])
-    return np.concatenate([np.sqrt(w[::-1][:n_above]), np.ones(m_unit)]), Z
-
-
-def _input_factor(S, Z, lam):
-    """The unpolished Z_tilde of O_tilde = S^T O D^-1 (S = O D O_tilde^T, O orthogonal).
-
-    The raw 4N O_tilde is scaled and compared with its embedding in place,
-    and dies here, before the polish.
-    """
-    O_tilde = S.T @ embed_unitary(Z)
-    O_tilde /= np.concatenate([lam, 1.0 / lam])
-    h = S.shape[0] // 2  # Z_tilde: the complex representative, block-averaged
-    Z_tilde = (0.5 * (O_tilde[:h, :h] + O_tilde[h:, h:])
-               + 0.5j * (O_tilde[h:, :h] - O_tilde[:h, h:]))
-    defect = embed_unitary(Z_tilde)
-    defect -= O_tilde
-    embed_defect = float(np.abs(defect, out=defect).max())
-    if embed_defect > 1e-6:
-        raise DecompositionError("passive factor is far from orthogonal symplectic "
-                                 "(defect %.3e)" % embed_defect)
-    return Z_tilde
 
 
 def _guard(resid, smax):
@@ -284,24 +242,21 @@ def _pair_factors(prop):
     """bloch_messiah of a Propagator, read off its 2N pair form Y (module docstring).
 
     SGVM passes are factored at N x N through X (_exchange_factors), others
-    through the 2N Gram Y Y^H (_gram_factors).  residuals holds the relative
-    reconstruction residual, the largest orthogonality (Q^H Q - I) and
-    symplectic (Q Q^H - I) residuals of the output factors under the names
-    of O, of the input factors under those of O_tilde, and the Gram
-    spectrum's pairing defect.
+    through the 2N Gram Y Y^H (_gram_factors); each checks its factors
+    (_checked), with the output factors under the names of O, the input
+    factors under those of O_tilde, and its Gram spectrum's pairing defect.
     """
     n = prop.n
     _guard(prop.symplectic_residual, lambda: _embedded_max(_exchange(prop.pair_form(), n, -1)))
     lam, (QS, QI, PS, PI), residuals = (_exchange_factors if prop.sgvm else _gram_factors)(prop)
     r = np.log(lam)
     r[r < R_CLAMP] = 0.0
-    return Decomposition(np.repeat(lam, 2), r, _beam_modes(QS, QI), _beam_modes(PS, PI),
-                         _enforced(residuals, "pair route"))
+    return Decomposition(np.repeat(lam, 2), r, _beam_modes(QS, QI), _beam_modes(PS, PI), residuals)
 
 
 def _gram_factors(prop):
     """(lam, (Q_S, Q_I, P_S, P_I), residuals) from the eigenproblem of the 2N
-    Gram Y Y^H; the reconstruction is Y's, relative to max(1, max|Y|)."""
+    Gram Y Y^H; the reconstruction is Y's four N x N blocks."""
     n, Y = prop.n, prop.pair_form()
     Yh = Y.conj().T
     w, V = numerics.sym_eig(Y @ Yh)
@@ -312,8 +267,6 @@ def _gram_factors(prop):
     out = math.sqrt(2.0) * top
     into = (math.sqrt(2.0) / lam[:k]) * (Yh @ top)
     beams = (np.s_[:n], np.s_[n:])
-    residuals = dict.fromkeys(("reconstruction", "O_orthogonal", "O_symplectic",
-                               "O_tilde_orthogonal", "O_tilde_symplectic"), 0.0)
     factors = []
     for name, own, other in (("signal", *beams), ("idler", *beams[::-1])):
         # the unit cluster: the complement of the active columns, and its
@@ -323,23 +276,15 @@ def _gram_factors(prop):
         if leak > 1e-6:
             raise DecompositionError("%s unit cluster leaks onto the other beam "
                                      "(defect %.3e)" % (name, leak))
-        for key, F in (("O", np.hstack([out[own], Q])),
-                       ("O_tilde", np.hstack([into[own], Yh[own, own] @ Q]))):
-            F, orthogonal = _polish_unitary(F, "%s %s factor" % (name, key))
-            symplectic = _gram_defect(F @ F.conj().T)
-            residuals[key + "_orthogonal"] = max(residuals[key + "_orthogonal"], orthogonal)
-            residuals[key + "_symplectic"] = max(residuals[key + "_symplectic"], symplectic)
-            factors.append(F)
+        factors += [_polish_unitary(np.hstack([out[own], Q]), "%s O factor" % name),
+                    _polish_unitary(np.hstack([into[own], Yh[own, own] @ Q]),
+                                    "%s O_tilde factor" % name)]
     QS, PS, QI, PI = factors
     ch, sh = 0.5 * (lam + 1.0 / lam), 0.5 * (lam - 1.0 / lam)
-    worst = 0.0
-    for rows, cols, Q, P, d in ((0, 0, QS, PS, ch), (0, 1, QS, PI, sh),
-                                (1, 0, QI, PS, sh), (1, 1, QI, PI, ch)):
-        R = (Q * d) @ P.conj().T
-        R -= Y[beams[rows], beams[cols]]
-        worst = max(worst, float(np.abs(R).max()))
-    residuals["reconstruction"] = worst / max(1.0, float(np.abs(Y).max()))
-    residuals["pairing"] = pairing
+    blocks = [(Q, d, P, Y[beams[rows], beams[cols]])
+              for rows, cols, Q, P, d in ((0, 0, QS, PS, ch), (0, 1, QS, PI, sh),
+                                          (1, 0, QI, PS, sh), (1, 1, QI, PI, ch))]
+    residuals = _checked(blocks, ((QS, QI), (PS, PI)), "pair route", pairing)
     return lam, (QS, QI, PS, PI), residuals
 
 
@@ -349,10 +294,10 @@ def _exchange_factors(prop):
     The Gram conj X conj X^H gives the columns of A with s > 1 and that of
     X^-T the columns with s < 1, each at an eigenvalue above 1 (s^2 and
     s^-2); the unit cluster is their complement.  B is conj X^H A / s where
-    s >= 1 and s (X^-T)^H A where s < 1.  residuals: the reconstructions of
-    conj X and X^-T, each relative to max(1, its max entry), A's residuals
-    under the names of O, B's under those of O_tilde, and the pairing defect
-    of the two Gram spectra merged.
+    s >= 1 and s (X^-T)^H A where s < 1.  residuals (_checked): the
+    reconstructions of conj X and X^-T, A's residuals under the names of O,
+    B's under those of O_tilde, and the pairing defect of the two Gram
+    spectra merged.
     """
     n, down, up = prop.n, prop.exchange.conj(), prop._inverse_transpose
     spectra, active = [], []
@@ -368,22 +313,15 @@ def _exchange_factors(prop):
     lam = np.concatenate([np.sqrt(w[order]), np.ones(n - k)])
     grows = np.concatenate([order < w_up.size, np.ones(n - k, bool)])  # s >= 1
     A = np.hstack([V_up, V_down])[:, order]
-    A, A_orthogonal = _polish_unitary(np.hstack([A, np.linalg.qr(A, mode="complete")[0][:, k:]]),
-                                      "output factor")
+    A = _polish_unitary(np.hstack([A, np.linalg.qr(A, mode="complete")[0][:, k:]]),
+                        "output factor")
     s = np.where(grows, lam, 1.0 / lam)
     B = np.empty(A.shape, np.result_type(A, up))
     B[:, grows] = (prop.exchange.T @ A[:, grows]) / s[grows]  # conj X^H = X^T
     B[:, ~grows] = (up.conj().T @ A[:, ~grows]) * s[~grows]
-    B, B_orthogonal = _polish_unitary(B, "input factor")
-    worst = 0.0
-    for M, d in ((down, s), (up, 1.0 / s)):
-        R = (A * d) @ B.conj().T
-        R -= M
-        worst = max(worst, float(np.abs(R).max()) / max(1.0, float(np.abs(M).max())))
-    residuals = {"reconstruction": worst,
-                 "O_orthogonal": A_orthogonal, "O_symplectic": _gram_defect(A @ A.conj().T),
-                 "O_tilde_orthogonal": B_orthogonal,
-                 "O_tilde_symplectic": _gram_defect(B @ B.conj().T), "pairing": pairing}
+    B = _polish_unitary(B, "input factor")
+    residuals = _checked([(A, s, B, down), (A, 1.0 / s, B, up)], ((A,), (B,)), "pair route",
+                         pairing)
     sign = np.where(grows, 1.0, -1.0)
     return lam, (A[::-1], A * sign, B[::-1], B * sign), residuals
 
@@ -413,10 +351,27 @@ def bloch_messiah(S):
     if S.shape != (dim, dim) or dim % 2:
         raise ConfigError("symplectic input must be square with even dimension")
     _guard(symplectic_residual(S), lambda: float(max(S.max(), -S.min())))
-    lam, Z = _output_factor(S)
-    Z_tilde, orthogonal = _polish_unitary(_input_factor(S, Z, lam), "passive factor")
-    return checked_factors(BlochMessiahResult(Z, lam, Z_tilde), S, "generic route",
-                           (None, orthogonal))
+    h = dim // 2
+    w, V = numerics.sym_eig(S @ S.T)
+    k = _spectrum(w, "S S^T")[0]
+    lam = np.concatenate([np.sqrt(w[::-1][:k]), np.ones(h - k)])
+    # Active directions: eigenvectors are isotropic per cluster, so their
+    # complex forms z_k are orthonormal up to roundoff; a thin polish scrubs it.
+    top = V[:, ::-1][:, :k]
+    Z = _polish_unitary(top[:h] + 1j * top[h:], "active factor")
+    # The unit cluster's unitary half is the complex complement of span{z_k}
+    # (module docstring), whatever the eigensolver did inside the cluster.
+    Z = np.hstack([Z, np.linalg.qr(Z, mode="complete")[0][:, k:]])
+    # O_tilde = S^T O D^-1, O orthogonal, and its complex form, block-averaged
+    O_tilde = S.T @ embed_unitary(Z) / np.concatenate([lam, 1.0 / lam])
+    Z_tilde = (0.5 * (O_tilde[:h, :h] + O_tilde[h:, h:])
+               + 0.5j * (O_tilde[h:, :h] - O_tilde[:h, h:]))
+    embed_defect = float(np.abs(embed_unitary(Z_tilde) - O_tilde).max())
+    if embed_defect > 1e-6:
+        raise DecompositionError("passive factor is far from orthogonal symplectic "
+                                 "(defect %.3e)" % embed_defect)
+    Z_tilde = _polish_unitary(Z_tilde, "passive factor")
+    return checked_factors(BlochMessiahResult(Z, lam, Z_tilde), S, "generic route")
 
 
 def pair_mixer(n_pairs):

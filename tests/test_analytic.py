@@ -252,7 +252,7 @@ def test_svd_route_double_pass_factors_coincide(sgvm):
     poling = demodulate_poling(apodized_poling(L, L / 12, pmf_width=4.0))
     result = svd_route(grid, pump, medium, poling, double=True)
     np.testing.assert_array_equal(result.Z, result.Z_tilde)
-    # one polished factor, its residuals computed once and reported twice
+    # one polished factor on both sides, so equal residuals under both names
     assert list(result.residuals) == [
         "reconstruction", "O_orthogonal", "O_symplectic",
         "O_tilde_orthogonal", "O_tilde_symplectic",
@@ -269,7 +269,8 @@ def svd_route_2n(grid, pump, medium, poling, double=False):
     blocks = analytic._diagonal_blocks(prop, block)
     if double:
         left, s, blocks = right, s**2, tuple(b.T @ b for b in blocks)
-    return analytic._checked(analytic._factors(basis, left, s, right), basis, blocks, "2N form")
+    return analytic._block_checked(analytic._factors(basis, left, s, right), basis, blocks,
+                                   "2N form")
 
 
 @pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
@@ -383,8 +384,8 @@ def test_block_reconstruction_is_the_4n_diagonal_blocks(request, name):
     B = embed_unitary(basis.full(np.eye(2 * N)))
     target = B.T @ prop.matrix @ B
     np.testing.assert_allclose(blocks[1], target[2 * N:, 2 * N:], rtol=0, atol=1e-12)
-    fresh = analytic._checked((replace(result, residuals=None), (None, None)),
-                              basis, blocks, "fresh Grams")
+    fresh = analytic._block_checked(replace(result, residuals=None), basis, blocks,
+                                    "fresh Grams")
     if route is svd_route:
         # checked on its N x N factors before Z is built from them: the 2N
         # check of Z agrees to roundoff (at most 9.1e-16 measured for N = 9
@@ -393,15 +394,14 @@ def test_block_reconstruction_is_the_4n_diagonal_blocks(request, name):
         for key, value in result.residuals.items():
             assert abs(value - fresh.residuals[key]) <= 2e-15
     else:
-        # the route read its unitarity residuals off the polish's last Grams:
-        # the same products on the same arrays as fresh ones
+        # the route's residuals are the same check on the same arrays
         assert fresh.residuals == result.residuals
-    checked = analytic._checked((noisy, (None, None)), basis, blocks, "noisy route")
+    checked = analytic._block_checked(noisy, basis, blocks, "noisy route")
     dense = B.T @ noisy.reconstruct() @ B
-    dense[:2 * N, :2 * N] -= blocks[0]
-    dense[2 * N:, 2 * N:] -= blocks[1]
-    diagonal = max(np.max(np.abs(dense[:2 * N, :2 * N])), np.max(np.abs(dense[2 * N:, 2 * N:])))
-    expected = diagonal / max(1.0, np.max(np.abs(blocks[0])), np.max(np.abs(blocks[1])))
+    # each diagonal block against its own scale
+    expected = max(np.max(np.abs(dense[k:k + 2 * N, k:k + 2 * N] - block))
+                   / max(1.0, np.max(np.abs(block)))
+                   for k, block in zip((0, 2 * N), blocks))
     assert 1e-12 < expected
     np.testing.assert_allclose(checked.residuals["reconstruction"], expected, rtol=1e-3)
     # the route's factors are real in W up to the columns turned by i, so
@@ -425,8 +425,8 @@ def test_block_reconstruction_sees_the_lam_below_one_directions(sgvm):
     k = int(np.argmax(np.abs(bent[:, :2].imag).sum(axis=0)))  # the top pair's imaginary column
     bent[:, k] += 1e-11j * np.random.default_rng(5).normal(size=2 * N)
     noisy = replace(result, Z_tilde=basis.full(bent), residuals=None)
-    upper = analytic._checked((noisy, (None, None)), basis, blocks[:1], "upper block")
-    both = analytic._checked((noisy, (None, None)), basis, blocks, "both blocks")
+    upper = analytic._block_checked(noisy, basis, blocks[:1], "upper block")
+    both = analytic._block_checked(noisy, basis, blocks, "both blocks")
     lam = result.lam[k]
     assert lam > 3.0
     assert both.residuals["reconstruction"] > 0.5 * lam**2 * upper.residuals["reconstruction"]

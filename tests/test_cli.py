@@ -831,6 +831,22 @@ def test_verify_agrees_with_simulate_at_g0_30(tmp_path):
     assert check["value"] < PAIR_RTOL
 
 
+def test_simulate_and_verify_share_one_pairing_limit(tmp_path, capsys):
+    # the same pass at g0 = 40: its Grams pair to 9.0e-8, above PAIR_RTOL,
+    # and simulate and verify hold the pairing to that one limit
+    cfg = dict(README_CONFIG, grid={"N": 61}, pump={"sigma": 1.0, "g0": 40.0},
+               pass_mode="single")
+    capsys.readouterr()
+    assert run(tmp_path, cfg, "simulate")[0] == 3
+    assert "do not pair reciprocally" in capsys.readouterr().err
+    rc, out = run(tmp_path, cfg, "verify")
+    assert rc == 3
+    report = json.loads((out / "verify.json").read_text())
+    assert report["failed"] == ["bm_decomposition"]
+    check, = [c for c in report["checks"] if c["name"] == "bm_decomposition"]
+    assert "do not pair reciprocally" in check["value"]
+
+
 def test_verify_peak_memory_in_4n_arrays(tmp_path):
     # The N = 51 README double pass at g0 = 1.5, traced above entry with empty
     # memos: 2.91 4N arrays (the bound leaves 15%), the 4N export freed once
