@@ -36,21 +36,22 @@ and the exchange pair are applied by indexing, never as dense products.
 Each route composes its pass once and reads its block once (_reduced, or
 M for svd_route).  All routes return the BlochMessiahResult contract of
 bloch_messiah after the same canonicalization, so the two compare mode by
-mode.  The eigenproblem routes check their factors against the real 2N
-diagonal blocks of B^T S B, the block they factored and its inverse
-transpose (_block_checked); svd_route checks the N x N equivalents; both
-go through blochmessiah's one residual check, and none reads the 4N
-Propagator.matrix.  A route outside its regime raises RegimeError
-carrying the violated residual.
+mode.  The eigenproblem routes are test oracles, run by no command: they
+check their 2N factors against the pass's 4N matrix Propagator.matrix with
+checked_factors, the 4N route's check, so the block read, the basis map and
+the factorization are tested against the pass itself.  svd_route, which
+verify runs, checks the N x N equivalents of the diagonal blocks of B^T S B
+and builds no 4N matrix; both go through blochmessiah's one residual check
+(_checked).  A route outside its regime raises RegimeError carrying the
+violated residual.
 """
 
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .blochmessiah import BlochMessiahResult, _checked, _polish_unitary
+from .blochmessiah import BlochMessiahResult, _checked, _polish_unitary, checked_factors
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
 from .propagator import _exchange, compose, embed_unitary
@@ -74,9 +75,6 @@ class _Basis(NamedTuple):
 
     def full(self, R):  # W @ R; for a real R bitwise the dense product
         return _C * (R[self.a] - 1j * R[self.b])
-
-    def reduced(self, Z):  # W^H @ Z
-        return _C * (Z[self.a] + 1j * Z[self.b])
 
 
 def _basis(n, sgvm):
@@ -192,48 +190,6 @@ def _symmetrized(basis, block):
     return M, asym, asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M))))
 
 
-def _factors(basis, left, lam_raw, right):
-    """_canonical factors from real block factors in the basis W; when right
-    is left they share one array.  The raw complex factors die here, before
-    the caller checks the result."""
-    Z_raw = basis.full(left)
-    return _canonical(Z_raw, lam_raw, Z_raw if right is left else basis.full(right))[0]
-
-
-def _diagonal_blocks(prop, block):
-    """(block, block^-T), the diagonal blocks of B^T S B, S = prop.matrix.
-
-    In SGVM media block = embed_unitary(M), so block^-T = embed_unitary(conj(M^-T)),
-    M^-T = U^H X^-T U with X^-T cached on prop; otherwise block is inverted.
-    """
-    if prop.sgvm:
-        return block, embed_unitary(_exchange(prop._inverse_transpose, prop.n).conj())
-    return block, np.linalg.inv(block).T
-
-
-def _block_checked(result, basis, blocks, context):
-    """result, checked (_checked) against the real 2N blocks, not the 4N S.
-
-    blocks are the diagonal blocks (block, block^-T) of B^T S B, B =
-    embed_unitary(W) (_diagonal_blocks).  With Y = W^H Z, Y~ = W^H Z_tilde
-    and Lam = diag(lam), those of B^T O D O_tilde^T B are
-        Re(Y) Lam Re(Y~)^T + Im(Y) Lam^-1 Im(Y~)^T,
-        Im(Y) Lam Im(Y~)^T + Re(Y) Lam^-1 Re(Y~)^T,
-    that is [Re Y, Im Y] diag(d) [Re Y~, Im Y~]^T with d = (lam, 1/lam) and
-    d = (1/lam, lam); the columns canonical_factors turned by i are the
-    imaginary ones, so an error in the lam < 1 directions shows, amplified
-    by lam, in the second.  The off-diagonal blocks pair real with imaginary
-    columns and vanish by construction.  The factor residuals are those of Z
-    and Z_tilde.
-    """
-    L, R = (np.hstack([Y.real, Y.imag])
-            for Y in (basis.reduced(result.Z), basis.reduced(result.Z_tilde)))
-    lam = result.lam
-    pieces = [(L, np.concatenate(d), R, target)
-              for d, target in zip(((lam, 1.0 / lam), (1.0 / lam, lam)), blocks)]
-    return replace(result, residuals=_checked(pieces, ((result.Z,), (result.Z_tilde,)), context))
-
-
 def _symmetric_factors(grid, pump, medium, poling, context):
     """Factor block, the composed pass's reduced propagator, through the real
     symmetric eigenproblem of M = X block.
@@ -241,7 +197,8 @@ def _symmetric_factors(grid, pump, medium, poling, context):
     Eigenvalues come in (w, -w) pairs; the left factor absorbs the signs,
     giving block = (X Gamma Sigma) diag|w| Gamma^T, and each |w| appears twice,
     once per sign, which is exactly the two-mode degeneracy of the final
-    spectrum.
+    spectrum.  The complex factors W R are checked against prop.matrix
+    (checked_factors).
     """
     prop, basis, block = _reduced(grid, pump, medium, poling)
     M, asym, symmetric = _symmetrized(basis, block)
@@ -255,8 +212,8 @@ def _symmetric_factors(grid, pump, medium, poling, context):
     w, Gamma = numerics.sym_eig(M)
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
-    result = _factors(basis, Gamma[basis.x] * np.sign(w), np.abs(w), Gamma)
-    return _block_checked(result, basis, _diagonal_blocks(prop, block), context)
+    result = _canonical(basis.full(Gamma[basis.x] * np.sign(w)), np.abs(w), basis.full(Gamma))[0]
+    return checked_factors(result, prop.matrix, context)
 
 
 def symmetrized_eig_route(grid, pump, medium, poling):
@@ -280,11 +237,11 @@ def svd_route(grid, pump, medium, poling, double=False):
     embed(Q s^2 Q^H): input = output = Q of the forward pass (the perfect
     inline squeezer).  P and Q are canonicalized at N x N (_canonical: sorted
     by lam = max(s, 1/s), a column turned by i where s < 1, polished), which
-    leaves P s Q^H as it is.  _block_checked's two diagonal blocks become
-    P s Q^H - M and P s^-1 Q^H - M^-H (double pass: Q s^+-2 Q^H against M^H M
-    and M^-1 M^-H), checked (_checked) with the factors P and Q in place of
-    Z and Z_tilde.  The 2N factors are built last, by index maps
-    (_walkoff_factor).
+    leaves P s Q^H as it is.  The diagonal blocks of B^T S B, A-hat and
+    A-hat^-T, are checked in their N x N forms, P s Q^H - M and P s^-1 Q^H -
+    M^-H (double pass: Q s^+-2 Q^H against M^H M and M^-1 M^-H), by _checked
+    with the factors P and Q in place of Z and Z_tilde.  The 2N factors are
+    built last, by index maps (_walkoff_factor).
     """
     _require_regime(medium, True, "SVD route")
     prop = compose(grid, pump, medium, poling)

@@ -379,15 +379,8 @@ def pair_mixer(n_pairs):
 
     Applied on the right of the active complex basis, it turns each
     degenerate lam pair of single-mode squeezers into one two-mode squeezer.
-    two_mode_rearrange applies it column pair by column pair (_mix_pairs).
     """
     return np.kron(np.eye(n_pairs), np.array([[1.0, 1.0j], [1.0j, 1.0]]) / np.sqrt(2.0))
-
-
-def _mix_pairs(U):
-    """U @ pair_mixer(U.shape[1] // 2), mixing each column pair (a, b) directly."""
-    a, b = U[:, 0::2], U[:, 1::2]
-    return np.stack([a + 1j * b, 1j * a + b], axis=2).reshape(U.shape) / np.sqrt(2.0)
 
 
 def two_mode_rearrange(bm):
@@ -411,7 +404,8 @@ def two_mode_rearrange(bm):
         )
     r = 0.5 * (np.log(a) + np.log(b))
     r[r < R_CLAMP] = 0.0
-    return _mix_pairs(bm.Z), _mix_pairs(bm.Z_tilde), r
+    w = pair_mixer(lam.size // 2)
+    return bm.Z @ w, bm.Z_tilde @ w, r
 
 
 @dataclass(frozen=True)
@@ -451,12 +445,12 @@ class Decomposition:
     @property
     def O(self):
         """Output factor of S = O D O_tilde^T: U_out times pair_mixer^-1 = its conjugate."""
-        return embed_unitary(_mix_pairs(self.U_out.conj()).conj())
+        return embed_unitary(self.U_out @ pair_mixer(self.r.size).conj())
 
     @property
     def O_tilde(self):
         """Input factor of S = O D O_tilde^T, from U_in as O is from U_out."""
-        return embed_unitary(_mix_pairs(self.U_in.conj()).conj())
+        return embed_unitary(self.U_in @ pair_mixer(self.r.size).conj())
 
     def without_free_phase(self, grid, medium, double=False):
         """This structure with the free walk-off phases stripped from the output.

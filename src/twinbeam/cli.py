@@ -36,7 +36,8 @@ from .model import (
 )
 from .numerics import one_blas_thread
 from .propagator import (
-    compose, double_pass, free_propagator, load_matrix, mean_photons, symplectic_residual,
+    _embedded_max, _exchange, compose, double_pass, free_propagator, load_matrix,
+    symplectic_residual,
 )
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -385,20 +386,6 @@ def _check(checks, name, value, threshold, ok=None):
     })
 
 
-def _hamiltonian_defect(m):
-    """(max|K Sigma + Sigma K^H|, its threshold) of the 2N generator K on (a_S, a_I^+).
-
-    K = iP, P = [[G, F], [-F, -H]] real and Sigma = diag(I, -I), so
-    K Sigma + Sigma K^H = i (P Sigma - Sigma P^T), whose blocks are G - G^T,
-    H - H^T and -(F - F^T): with G = diag(g), H = diag(h) only the last is
-    nonzero.  Its entries are those of Omega Q - (Omega Q)^T for the 4N
-    generator Q (model.build_generator), and max|Q| = max|P| = max(|F|, |g|,
-    |h|), so value and threshold are Q's, bitwise.
-    """
-    return (float(np.max(np.abs(m.F - m.F.T))),
-            1e-14 * max(1.0, *(float(np.max(np.abs(a))) for a in (m.F, m.g, m.h))))
-
-
 def _route_checks(checks, decomp, route):
     """Compare svd_route's factors with the pair route's, beam by beam.
 
@@ -435,18 +422,20 @@ def cmd_verify(cfg, out_dir, propagator_path):
                0.0, ok=np.array_equal(F, F[::-1, ::-1]))
     _check(checks, "G_anticentrosymmetric", float(np.max(np.abs(g[::-1] + g))),
            0.0, ok=np.array_equal(g[::-1], -g))
-    _check(checks, "generator_hamiltonian", *_hamiltonian_defect(matrices))
 
-    # the structure report's transients peak before the 4N matrix exists
     report_struct = structure_checks(grid, pump, medium, cfg.sim_poling)
-    S = prop.matrix
-    smax = float(max(S.max(), -S.min()))
+    # max|S| of the 4N matrix S = embed(T), T = U Y U^H, and each beam's
+    # vacuum photon count (||its rows of Y||_F^2 - N) / 2, the 4N form's
+    # diag(S S^T) count (U is unitary per beam), independent of
+    # prop.mean_photons, which reads only Y's off-diagonal blocks
+    Y = prop.pair_form()
+    smax = _embedded_max(_exchange(Y, n, -1))
     # read off the small form once; decompose's input guard reuses it
     _check(checks, "propagator_symplectic", prop.symplectic_residual,
            INPUT_SYMPLECTIC_TOL * max(1.0, smax**2))
 
-    ns, ni = mean_photons(S, n)  # the 4N form, independent of prop.mean_photons
-    del S, vars(prop)["matrix"]  # nothing below reads the 4N export
+    ns, ni = ((float(np.linalg.norm(Y[rows]) ** 2) - n) / 2 for rows in (np.s_[:n], np.s_[n:]))
+    del Y
     balance = abs(ns - ni) / max(1.0, abs(ns))
     _check(checks, "photon_balance", balance, PHOTON_BALANCE_TOL)
 

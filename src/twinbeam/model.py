@@ -235,7 +235,9 @@ class MediumSpec:
 class Poling:
     """Ordered nonlinear domains (width, orientation sign) describing g(z).
 
-    Signs are -1, 0, +1; zero marks a dead region that propagates freely.
+    Widths and their total are positive and finite; signs are -1, 0, +1
+    (equal to those integers), and zero marks a dead region that propagates
+    freely.
     """
 
     domains: Tuple[Tuple[float, int], ...]
@@ -244,14 +246,16 @@ class Poling:
         cleaned = []
         for width, sign in domains:
             width = float(width)
-            sign = int(sign)
-            if not (width > 0):
-                raise ConfigError("poling domain widths must be positive")
-            if sign not in (-1, 0, 1):
-                raise ConfigError("poling signs must be -1, 0 or +1, got %r" % sign)
-            cleaned.append((width, sign))
+            if not (0 < width < math.inf):
+                raise ConfigError("poling domain widths must be positive and finite, got %r"
+                                  % width)
+            if sign not in (-1, 0, 1):  # 0.7 is not truncated to 0
+                raise ConfigError("poling signs must be -1, 0 or +1, got %r" % (sign,))
+            cleaned.append((width, int(sign)))
         if not cleaned:
             raise ConfigError("poling needs at least one domain")
+        if not math.isfinite(sum(w for w, _ in cleaned)):
+            raise ConfigError("poling total length overflows")
         object.__setattr__(self, "domains", tuple(cleaned))
 
     @property

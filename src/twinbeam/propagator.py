@@ -152,7 +152,8 @@ class Propagator:
 
         (a_S, a_I^+) has real part (X_S, X_I) and imaginary part (P_S, -P_I),
         so this is embed_unitary of T = U Y U^H (Y = pair_form()) with the
-        P_I row and column blocks negated.
+        P_I row and column blocks negated.  No command builds it: it is the
+        tests' reference, and the oracle routes check against it.
         """
         n = self.n
         S = embed_unitary(_exchange(self.pair_form(), n, -1))
@@ -171,7 +172,7 @@ class Propagator:
         formed in turn, by _exchange(E, n, -1)'s operations, so the value is
         bitwise the one of the whole E.  In SGVM media Y is built from X and
         X^-T, so Y Sigma Y^H = Sigma holds for any invertible X: there this
-        residual, verify's propagator_symplectic and its 4N photon_balance
+        residual, verify's propagator_symplectic and its photon_balance
         measure only the inversion roundoff, not the pass.
         """
         n, Y = self.n, self.pair_form()
@@ -197,7 +198,7 @@ class Propagator:
 
 
 def mean_photons(S, n):
-    """Per-beam mean photon numbers (N_signal, N_idler) from vacuum input.
+    """Per-beam mean photon numbers (N_signal, N_idler) of a 4N S from vacuum input.
 
     Vacuum covariance is I/2, so diag(S S^T)/2 holds the quadrature second
     moments and each beam contributes (sum of its X and P diagonals)/4 - N/2.

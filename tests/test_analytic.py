@@ -33,6 +33,7 @@ from twinbeam import (
 from conftest import plain_product
 from twinbeam import analytic, numerics
 from twinbeam.analytic import _basis, _reduced, canonical_factors
+from twinbeam.blochmessiah import checked_factors
 from twinbeam.errors import DecompositionError, RegimeError
 from twinbeam.numerics import expm, sym_eig
 from twinbeam.propagator import embed_unitary
@@ -117,8 +118,6 @@ def test_basis_by_indexing_is_the_dense_product(n, sgvm, unitary):
     np.testing.assert_array_equal(basis.full(np.eye(2 * n)), W)
     R = np.random.default_rng(n).normal(size=(2 * n, 2 * n))
     np.testing.assert_array_equal(basis.full(R), W @ R)
-    Z = W @ R
-    np.testing.assert_allclose(basis.reduced(Z), W.conj().T @ Z, rtol=0, atol=1e-14)
     # X: the half-swap (SGVM) or diag(J, J)
     J, z = flip_matrix(n), np.zeros((n, n))
     X = np.block([[z, np.eye(n)], [np.eye(n), z]]) if sgvm else np.block([[J, z], [z, J]])
@@ -261,16 +260,22 @@ def test_svd_route_double_pass_factors_coincide(sgvm):
     assert result.residuals["O_tilde_symplectic"] == result.residuals["O_symplectic"]
 
 
+def route_pass(grid, pump, medium, poling, double=False):
+    """The pass a route factors: the forward pass, or its matched double pass."""
+    prop = compose(grid, pump, medium, poling)
+    return prop.return_trip().after(prop) if double else prop
+
+
 def svd_route_2n(grid, pump, medium, poling, double=False):
-    """svd_route in its 2N form: the real SVD of A-hat = embed_unitary(M),
-    factored and checked as real 2N blocks in the walk-off basis."""
-    prop, basis, block = _reduced(grid, pump, medium, poling)
+    """svd_route in its 2N form: the real SVD of A-hat = embed_unitary(M) in
+    the walk-off basis, checked against the pass's 4N matrix."""
+    _, basis, block = _reduced(grid, pump, medium, poling)
     left, s, right = numerics.svd(block)
-    blocks = analytic._diagonal_blocks(prop, block)
     if double:
-        left, s, blocks = right, s**2, tuple(b.T @ b for b in blocks)
-    return analytic._block_checked(analytic._factors(basis, left, s, right), basis, blocks,
-                                   "2N form")
+        left, s = right, s**2
+    result = canonical_factors(basis.full(left), s, basis.full(right))
+    return checked_factors(result, route_pass(grid, pump, medium, poling, double).matrix,
+                           "2N form")
 
 
 @pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
@@ -328,26 +333,16 @@ ROUTES = {
 
 
 @pytest.mark.parametrize("name", list(ROUTES))
-def test_analytic_routes_build_no_4n_matrix(request, matrix_builds, name):
-    # each route checks its factors against the 2N block it factored
-    case, route, kwargs = ROUTES[name]
-    grid, pump, medium = request.getfixturevalue(case)
-    result = route(grid, pump, medium, qpm_poling(L, 2 * L / 9), **kwargs)
-    assert result.residuals["reconstruction"] < 1e-13
-    assert matrix_builds == []
-
-
-@pytest.mark.parametrize("name", list(ROUTES))
 def test_analytic_route_rejects_a_perturbed_factor_column(request, monkeypatch, name):
     # the polish restores unitarity, so only the reconstruction can notice
     case, route, kwargs = ROUTES[name]
     grid, pump, medium = request.getfixturevalue(case)
-    factors, svd = analytic._factors, numerics.svd
+    canonical, svd = analytic._canonical, numerics.svd
 
-    def perturbed(basis, left, lam_raw, right):
-        bent = left.copy()
+    def perturbed(Z_raw, lam_raw, Z_tilde_raw):
+        bent = Z_raw.copy()
         bent[1, 0] += 1e-6
-        return factors(basis, bent, lam_raw, right)
+        return canonical(bent, lam_raw, Z_tilde_raw)
 
     def bent_svd(M):  # svd_route's N x N factors: the one it places in Z
         P, s, Q = svd(M)
@@ -357,79 +352,66 @@ def test_analytic_route_rejects_a_perturbed_factor_column(request, monkeypatch, 
     if route is svd_route:
         monkeypatch.setattr(numerics, "svd", bent_svd)
     else:
-        monkeypatch.setattr(analytic, "_factors", perturbed)
+        monkeypatch.setattr(analytic, "_canonical", perturbed)
     with pytest.raises(DecompositionError, match="reconstruction residual"):
         route(grid, pump, medium, qpm_poling(L, 2 * L / 9), **kwargs)
 
 
 @pytest.mark.parametrize("name", list(ROUTES))
-def test_block_reconstruction_is_the_4n_diagonal_blocks(request, name):
-    # both diagonal blocks of B^T S_rec B against their dense forms; noise on
-    # Z_tilde (kept below the unitarity limits) makes the residual a
-    # measurable one, and the lam < 1 columns are imaginary
+def test_route_residuals_are_the_4n_check(request, matrix_builds, name):
+    # the eigenproblem oracles check their factors with checked_factors
+    # against the pass's 4N matrix; svd_route checks the N x N forms of the
+    # diagonal blocks of B^T S B and builds no 4N matrix, and agrees with
+    # the 4N check to roundoff (at most 1.2e-15 measured for N = 9 and 51,
+    # g0 up to 4, QPM, unpoled and apodized gratings; at g0 = 10 up to
+    # 9.3e-14 on a double pass, whose composed 4N matrix and the route's
+    # M^H M differ by roundoff)
     case, route, kwargs = ROUTES[name]
     grid, pump, medium = request.getfixturevalue(case)
     poling = qpm_poling(L, 2 * L / 9)
     result = route(grid, pump, medium, poling, **kwargs)
-    prop, basis, block = _reduced(grid, pump, medium, poling)
-    blocks = analytic._diagonal_blocks(prop, block)
-    if kwargs:  # the matched double pass's blocks A^T A and A^-1 A^-T, as the route builds them
-        blocks = tuple(b.T @ b for b in blocks)
-        prop = prop.return_trip().after(prop)
-        composed = analytic._diagonal_blocks(prop, embed_unitary(prop.bogoliubov))
-        for built, reference in zip(blocks, composed):
-            assert np.max(np.abs(built - reference)) <= 1e-14 * np.max(np.abs(reference))
-    noise = np.random.default_rng(3).normal(size=result.Z.shape)
-    noisy = replace(result, Z_tilde=result.Z_tilde + 1e-11 * noise, residuals=None)
-    B = embed_unitary(basis.full(np.eye(2 * N)))
-    target = B.T @ prop.matrix @ B
-    np.testing.assert_allclose(blocks[1], target[2 * N:, 2 * N:], rtol=0, atol=1e-12)
-    fresh = analytic._block_checked(replace(result, residuals=None), basis, blocks,
-                                    "fresh Grams")
     if route is svd_route:
-        # checked on its N x N factors before Z is built from them: the 2N
-        # check of Z agrees to roundoff (at most 9.1e-16 measured for N = 9
-        # to 201, g0 up to 10, QPM, unpoled and apodized gratings)
-        assert list(fresh.residuals) == list(result.residuals)
+        assert matrix_builds == []
+    assert result.residuals["reconstruction"] < 1e-13
+    S = route_pass(grid, pump, medium, poling, **kwargs).matrix
+    fresh = checked_factors(replace(result, residuals=None), S, "4N check")
+    assert list(fresh.residuals) == list(result.residuals)
+    if route is svd_route:
         for key, value in result.residuals.items():
             assert abs(value - fresh.residuals[key]) <= 2e-15
     else:
-        # the route's residuals are the same check on the same arrays
         assert fresh.residuals == result.residuals
-    checked = analytic._block_checked(noisy, basis, blocks, "noisy route")
-    dense = B.T @ noisy.reconstruct() @ B
-    # each diagonal block against its own scale
-    expected = max(np.max(np.abs(dense[k:k + 2 * N, k:k + 2 * N] - block))
-                   / max(1.0, np.max(np.abs(block)))
-                   for k, block in zip((0, 2 * N), blocks))
-    assert 1e-12 < expected
-    np.testing.assert_allclose(checked.residuals["reconstruction"], expected, rtol=1e-3)
     # the route's factors are real in W up to the columns turned by i, so
-    # the off-diagonal blocks, which pair real with imaginary columns, are
-    # roundoff; the noise above has no such structure
+    # the off-diagonal blocks of B^T S_rec B, which pair real with imaginary
+    # columns, are roundoff
+    B = embed_unitary(_basis(N, medium.sgvm()).full(np.eye(2 * N)))
     off = (B.T @ result.reconstruct() @ B)[:2 * N, 2 * N:]
-    assert np.max(np.abs(off)) < 1e-13 * max(1.0, np.max(np.abs(blocks[0])))
+    assert np.max(np.abs(off)) < 1e-13 * max(1.0, np.max(np.abs(S)))
 
 
-def test_block_reconstruction_sees_the_lam_below_one_directions(sgvm):
+def test_4n_check_sees_the_lam_below_one_directions(sgvm):
     # an error in the imaginary (lam < 1) columns of Y~ = W^H Z_tilde enters
-    # the upper-left block scaled by 1/lam and the lower-right one by lam
+    # the upper-left block of B^T S B scaled by 1/lam and the lower-right one
+    # by lam; the 4N check reads both
     grid, _, medium = sgvm
     pump = PumpSpec(g0=10.0)
     poling = qpm_poling(L, 2 * L / 9)
     result = svd_route(grid, pump, medium, poling)
-    prop = compose(grid, pump, medium, poling)
-    _, basis, block = _reduced(grid, pump, medium, poling)
-    blocks = analytic._diagonal_blocks(prop, block)
-    bent = basis.reduced(result.Z_tilde)
+    S = compose(grid, pump, medium, poling).matrix
+    W = _basis(N, True).full(np.eye(2 * N))
+    bent = W.conj().T @ result.Z_tilde
     k = int(np.argmax(np.abs(bent[:, :2].imag).sum(axis=0)))  # the top pair's imaginary column
     bent[:, k] += 1e-11j * np.random.default_rng(5).normal(size=2 * N)
-    noisy = replace(result, Z_tilde=basis.full(bent), residuals=None)
-    upper = analytic._block_checked(noisy, basis, blocks[:1], "upper block")
-    both = analytic._block_checked(noisy, basis, blocks, "both blocks")
+    noisy = replace(result, Z_tilde=W @ bent, residuals=None)
+    B = embed_unitary(W)
+    E = B.T @ (noisy.reconstruct() - S) @ B
+    upper, lower = (float(np.max(np.abs(E[h, h]))) for h in (np.s_[:2 * N], np.s_[2 * N:]))
     lam = result.lam[k]
     assert lam > 3.0
-    assert both.residuals["reconstruction"] > 0.5 * lam**2 * upper.residuals["reconstruction"]
+    assert lower > 0.5 * lam**2 * upper
+    # |B| has two entries C = 1/sqrt 2 per row, so max|S_rec - S| >= lower / 2
+    checked = checked_factors(noisy, S, "noisy route").residuals["reconstruction"]
+    assert checked * max(1.0, np.max(np.abs(S))) >= 0.5 * lower
 
 
 def test_block_propagator_centrosymmetric(sgvm):

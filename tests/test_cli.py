@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -13,14 +12,12 @@ import pytest
 
 import twinbeam
 from twinbeam import (
-    MediumSpec, Propagator, PumpSpec, apodized_poling, build_coupled_matrices,
-    build_generator, build_grid, compose, decompose, default_half_width, double_pass,
-    flip_overlap, load_poling, numerics, qpm_poling,
+    Propagator, apodized_poling, build_coupled_matrices, compose, decompose,
+    default_half_width, double_pass, flip_overlap, load_poling, numerics, qpm_poling,
 )
 from twinbeam.blochmessiah import FACTOR_TOL, PAIR_RTOL, RECON_RTOL, Decomposition
 from twinbeam.cli import (
-    PHOTON_BALANCE_TOL, _clear_compose_memo, _clear_matrices_memo, _hamiltonian_defect,
-    load_config, main,
+    PHOTON_BALANCE_TOL, _clear_compose_memo, _clear_matrices_memo, load_config, main,
 )
 from twinbeam.errors import DecompositionError
 
@@ -347,33 +344,32 @@ def test_sweep_gain_composes_each_pass_once(tmp_path, compose_evaluations, pump,
         assert compose_evaluations[0] == pump["g0"]
 
 
-@pytest.mark.parametrize("command,cfg,builds", [
+@pytest.mark.parametrize("command,cfg", [
     ("simulate", base_config(grid={"N": 21, "half_width": 5.0},
                              pump={"target_NS": 2.0}, pass_mode="double",
                              poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
-                                     "pmf_width": 4.0}), 0),
+                                     "pmf_width": 4.0})),
     ("simulate", base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
-                             options={"remove_free_phase": True}), 0),
-    ("sweep-gain", base_config(pump={"target_NS": 0.5}, pass_mode="double"), 0),
+                             options={"remove_free_phase": True})),
+    ("sweep-gain", base_config(pump={"target_NS": 0.5}, pass_mode="double")),
     ("verify", base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM),
-                           pass_mode="double"), 1),
+                           pass_mode="double")),
     ("verify", base_config(grid={"N": 21, "half_width": 5.0}, pump={"g0": 0.8},
                            pass_mode="double",
                            poling={"kind": "apodized", "domain_width": 1.0 / 12.0,
-                                   "pmf_width": 4.0}), 1),
+                                   "pmf_width": 4.0})),
 ], ids=["simulate-sgvm-double-tuned", "simulate-skew-free-phase", "sweep-gain-3",
         "verify-skew-double", "verify-sgvm-matched-double"])
-def test_only_verify_builds_the_4n_matrix(
-        tmp_path, matrix_builds, command, cfg, builds):
+def test_no_command_builds_the_4n_matrix(tmp_path, matrix_builds, command, cfg):
     # tuning, photon counts, the factorization (in the pair form),
-    # free-phase stripping, the analytic routes and their factor checks, the
-    # zero-gain check and every symplectic residual (summary.json's, verify's
-    # and the factorization's input guard) read the 2N matrix; only verify's
-    # 4N photon balance, the independent count, needs the 4N view.
+    # free-phase stripping, the SVD route and its factor checks, the
+    # zero-gain check, every symplectic residual (summary.json's, verify's
+    # and the factorization's input guard) and verify's max|S| and photon
+    # balance read the 2N matrix
     rc, _ = run(tmp_path, cfg, command, "--points", "3") if command == "sweep-gain" \
         else run(tmp_path, cfg, command)
     assert rc == 0
-    assert len(matrix_builds) == builds
+    assert matrix_builds == []
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -420,34 +416,6 @@ def test_the_decomposed_pass_residual_is_computed_once(tmp_path, monkeypatch, co
     assert len(decomposed) == 1
     assert len(computed) == 1 and computed[0] is decomposed[0]
     assert dense == []
-
-
-@pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
-def test_generator_hamiltonian_is_the_4n_generator_value(walkoff_i):
-    # the 2N form K Sigma + Sigma K^H holds the entries of Omega Q - (Omega Q)^T,
-    # so value and threshold equal build_generator's, also for a defect: a bent
-    # F is caught, and bent walk-offs, diagonal by construction, move only the
-    # threshold
-    medium = MediumSpec(8.0, walkoff_i, 1.0)
-    m = build_coupled_matrices(build_grid(9, 5.0), PumpSpec(g0=1.3), medium)
-    rng = np.random.default_rng(4)
-
-    def reference(m):
-        Q = build_generator(m)
-        h = Q.shape[0] // 2
-        oq = np.vstack([Q[h:], -Q[:h]])  # Omega Q, Omega = [[0, I], [-I, 0]]
-        return float(np.max(np.abs(oq - oq.T))), 1e-14 * max(1.0, float(np.max(np.abs(Q))))
-
-    assert _hamiltonian_defect(m) == reference(m) and reference(m)[0] == 0.0
-    bent = replace(m, F=m.F + 1e-9 * rng.normal(size=m.F.shape))
-    value, threshold = _hamiltonian_defect(bent)
-    assert (value, threshold) == reference(bent)
-    assert value > threshold
-    for name in ("g", "h"):
-        bent = replace(m, **{name: 2.0 * getattr(m, name) + 1e-9 * rng.normal(size=m.g.shape)})
-        value, threshold = _hamiltonian_defect(bent)
-        assert (value, threshold) == reference(bent)
-        assert value == 0.0 and threshold > _hamiltonian_defect(m)[1]
 
 
 def test_grid_half_width_defaults_to_default_half_width(tmp_path):
@@ -609,6 +577,20 @@ def test_poling_file_length_mismatch_exit_2(tmp_path):
     cfg = base_config(poling={"kind": "file", "path": "long.txt"})
     rc, _ = run(tmp_path, cfg, "simulate")
     assert rc == 2
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("inf 1\n", "widths must be positive and finite"),
+    ("1e308 1\n1e308 -1\n", "total length overflows"),
+], ids=["infinite-width", "overflowing-total"])
+def test_poling_file_with_infinite_length_exit_2(tmp_path, capsys, text, cause):
+    # inf passes the length match (inf > 1e-9 * inf is false) and reached
+    # the domain exponential, which exited 3 on non-finite entries
+    (tmp_path / "grating.txt").write_text(text)
+    cfg = base_config(poling={"kind": "file", "path": "grating.txt"})
+    rc, _ = run(tmp_path, cfg, "simulate")
+    assert rc == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_overflowing_domain_exponential_names_its_stage(tmp_path, capsys):
@@ -849,11 +831,12 @@ def test_simulate_and_verify_share_one_pairing_limit(tmp_path, capsys):
 
 def test_verify_peak_memory_in_4n_arrays(tmp_path):
     # The N = 51 README double pass at g0 = 1.5, traced above entry with empty
-    # memos: 2.91 4N arrays (the bound leaves 15%), the 4N export freed once
-    # its photon balance is read and the pass factored at N x N.  verify read
-    # 3.46 when the export lived to the end and decompose took the 2N Gram
-    # Y Y^H, and 5.73 when svd_route factored the real 2N embedding of M and
-    # the routes were compared through 2N interleaved mode matrices.
+    # memos: 2.90 4N arrays (the bound leaves 15%), with no 4N export built
+    # and the pass factored at N x N.  verify read 2.91 when it built the
+    # export for its photon balance and freed it, 3.46 when the export lived
+    # to the end and decompose took the 2N Gram Y Y^H, and 5.73 when
+    # svd_route factored the real 2N embedding of M and the routes were
+    # compared through 2N interleaved mode matrices.
     cfg = dict(README_CONFIG, grid={"N": 51, "half_width": 5.0}, pump={"sigma": 1.0, "g0": 1.5})
     assert run(tmp_path, cfg, "verify")[0] == 0  # imports and first-call caches
     _clear_compose_memo()
@@ -867,6 +850,34 @@ def test_verify_peak_memory_in_4n_arrays(tmp_path):
         tracemalloc.stop()
     assert rc == 0
     assert peak <= 3.35 * (4 * 51) ** 2 * 8
+
+
+def test_verify_photon_balance_fails_on_unbalanced_idler_rows(tmp_path, monkeypatch):
+    # away from SGVM media the pair form is the stored X; its idler rows
+    # scaled by 1 + e raise the idler count (||Y[N:]||_F^2 - N) / 2 by
+    # ((1 + e)^2 - 1) ||Y[N:]||_F^2 / 2, vacuum part included, which
+    # prop.mean_photons (off-diagonal blocks only) would not read
+    cfg = base_config(grid={"N": 15, "half_width": 5.0}, medium=dict(SKEW_MEDIUM))
+    compose_pass, scale = twinbeam.cli.compose, 1.0 + 1e-6
+
+    def unbalanced(grid, pump, medium, poling):
+        X = compose_pass(grid, pump, medium, poling).exchange.copy()
+        X[grid.n:] *= scale
+        return Propagator(X, grid.n)
+
+    monkeypatch.setattr(twinbeam.cli, "compose", unbalanced)
+    rc, out = run(tmp_path, cfg, "verify")
+    assert rc == 3
+    report = json.loads((out / "verify.json").read_text())
+    assert "photon_balance" in report["failed"]
+    check, = [c for c in report["checks"] if c["name"] == "photon_balance"]
+    run_cfg = load_config(tmp_path / "run.json")
+    prop = compose_pass(run_cfg.grid, run_cfg.pump, run_cfg.medium, run_cfg.sim_poling)
+    ns, ni = prop.mean_photons()
+    idler_rows = 2.0 * ni + 15
+    assert check["value"] == pytest.approx((scale**2 - 1.0) * idler_rows / 2.0 / max(1.0, ns),
+                                           rel=1e-6)
+    assert check["value"] > 100 * PHOTON_BALANCE_TOL
 
 
 def test_verify_passes_a_near_even_declared_table(tmp_path):
@@ -919,7 +930,7 @@ def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
     # every check of an SGVM double pass, in report order
     assert [c["name"] for c in report["checks"]] == [
         "F_symmetric", "F_centrosymmetric", "G_anticentrosymmetric",
-        "generator_hamiltonian", "propagator_symplectic", "photon_balance",
+        "propagator_symplectic", "photon_balance",
         "bm_reconstruction", "bm_O_orthogonal", "bm_O_symplectic",
         "bm_O_tilde_orthogonal", "bm_O_tilde_symplectic", "lam_pair_degeneracy",
         "route_r_agreement", "route_mode_overlap", "block_propagator_symmetry",

@@ -1,5 +1,7 @@
 """Grids, pump spectra, media, poling constructors and the coupling matrices."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -337,6 +339,21 @@ def test_poling_validation():
         Poling([])
     p = Poling([(1.0, 1), (0.5, -1)])
     assert p.reversed_().domains == ((0.5, -1), (1.0, 1))
+    assert Poling([(0.5, 1.0), (0.5, np.int64(-1))]).domains == ((0.5, 1), (0.5, -1))
+
+
+@pytest.mark.parametrize("domains, cause", [
+    ([(np.inf, 1)], "positive and finite"),
+    ([(np.nan, 1)], "positive and finite"),
+    ([(1e308, 1), (1e308, -1)], "total length overflows"),
+    ([(0.5, 0.7)], "signs must be -1, 0 or +1, got 0.7"),
+    ([(0.5, -0.5)], "signs must be -1, 0 or +1"),
+], ids=["infinite-width", "nan-width", "overflowing-total", "fractional-sign",
+        "negative-fractional-sign"])
+def test_poling_rejects_non_finite_lengths_and_fractional_signs(domains, cause):
+    # inf passed the width check and 0.7 was truncated to sign 0
+    with pytest.raises(ConfigError, match=re.escape(cause)):
+        Poling(domains)
 
 
 def test_generated_gratings_are_capped_at_max_domains(monkeypatch):
