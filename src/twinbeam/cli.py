@@ -454,6 +454,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
             not cfg.double or cfg.gain2_scale == 1.0):
         _route_checks(checks, decomp, svd_route(grid, pump, medium, cfg.sim_poling,
                                                 double=cfg.double))
+    del decomp  # nothing below reads it
 
     # X A-hat is symmetric only when the propagation poling reads the same
     # reversed; other polings keep the residual under "structure" only.

@@ -53,8 +53,8 @@ __all__ = [
 # Relative agreement required between poling total width and medium length.
 LENGTH_MATCH_RTOL = 1e-9
 # Passes compose keeps: a sweep's last row composes again the pass its upper
-# search ended on, 22 passes earlier at the default 21 points (24 SGVM passes
-# hold 3.9 MB at N = 101).
+# search ended on, 22 passes earlier at the default 21 points (24 SGVM passes,
+# each a real 101 x 101 X, hold 1.96 MB at N = 101).
 COMPOSE_MEMO = 24
 
 
@@ -263,8 +263,11 @@ def compose(grid, pump, medium, poling):
     block carried up.  A block is keyed by the run of domains it spans, so a
     run that recurs at an aligned position is multiplied once per level: a
     periodic grating of m domains takes about log2(m) products, the
-    169-domain apodized grating 36.  The last product is the pass's X; equal
-    (frozen) arguments return the same Propagator.
+    169-domain apodized grating 36.  The generator and exponential tables
+    are released before the reduction and each block as its pair is
+    multiplied, so it holds only the distinct blocks of two adjacent levels.
+    The last product is the pass's X; equal (frozen) arguments return the
+    same Propagator.
     """
     if abs(poling.length - medium.length) > LENGTH_MATCH_RTOL * max(
         poling.length, medium.length
@@ -286,6 +289,7 @@ def compose(grid, pump, medium, poling):
                 generators[sign] = _real_if_exact(_exchange(_generator(m), grid.n))
             segments[width, sign] = _domain_expm(generators[sign], width, pump.g0)
     level = [segments[d] for d in domains]
+    del generators, segments
     span = 1
     while len(level) > 1:
         products = {}
@@ -295,6 +299,7 @@ def compose(grid, pump, medium, poling):
             if key not in products:
                 products[key] = level[i + 1] @ level[i]
             paired.append(products[key])
+            level[i] = level[i + 1] = None
         level = paired + level[2 * len(paired):]
         span *= 2
     return Propagator(_frozen(level[0]), grid.n)

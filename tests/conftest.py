@@ -1,7 +1,8 @@
 """Shared fixtures: one bench-scale configuration reused across the suite.
 
 plain_product, the per-domain reference product for `compose`, lives here
-too, so that the propagator and analytic tests share one copy of it.
+too, so that the propagator and analytic tests share one copy of it, and so
+does traced_peak, the tracemalloc peak the memory tests bound.
 
 Gain tuning and 4N x 4N decompositions at N = 101 are the expensive steps,
 so they are computed lazily and cached for the whole session in BenchLab.
@@ -18,6 +19,7 @@ coupling matrices an earlier test left behind.
 """
 
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import cached_property, lru_cache
 
@@ -64,6 +66,17 @@ def plain_product(grid, pump, medium, poling):
             segments[width, sign] = segment_propagator(m, width).bogoliubov
         total = segments[width, sign] @ total
     return Propagator.from_bogoliubov(total, grid.n)
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes above entry, while fn runs."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
 
 
 class BenchLab:

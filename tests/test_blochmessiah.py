@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +34,7 @@ from twinbeam import (
     tune_gain,
     two_mode_rearrange,
 )
+from conftest import traced_peak
 from twinbeam import blochmessiah, numerics, propagator
 from twinbeam.analytic import svd_route
 from twinbeam.blochmessiah import (
@@ -939,17 +939,6 @@ def readme_double_pass_n51():
     grid, pump = build_grid(51, 5.0), PumpSpec(g0=6.28)
     poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
     return grid, pump, medium, poling, double_pass(grid, pump, medium, poling)
-
-
-def traced_peak(fn):
-    """The tracemalloc peak, in bytes above entry, while fn runs."""
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("route, arrays", [("decompose", 1.17), ("svd_route", 1.83)])

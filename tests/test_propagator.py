@@ -31,7 +31,7 @@ from twinbeam import (
     segment_propagator,
     symplectic_residual,
 )
-from conftest import plain_product
+from conftest import plain_product, traced_peak
 from twinbeam import numerics, propagator
 from twinbeam.errors import ConfigError
 from twinbeam.numerics import expm
@@ -494,6 +494,20 @@ def test_compose_products_follow_the_poling_structure(sgvm, monkeypatch, poling,
     monkeypatch.setattr(_CountingMatrix, "products", 0)
     compose(grid, pump, medium, poling)
     assert _CountingMatrix.products <= bound
+
+
+@pytest.mark.parametrize("regime, arrays", [("sgvm", 17.5), ("skew", 16.5)])
+def test_compose_peak_memory_in_pass_arrays(request, regime, arrays):
+    # The 169-domain grating at N = 51, traced above entry with the coupling
+    # memo empty, in units of the pass's X: 15.2 in SGVM media, 14.3 at 40%
+    # mismatch (each bound leaves 15%).  Both read 7 more (22.3, 21.3) when
+    # the generator and exponential tables and every block of a level lived
+    # until the next level was built.
+    _, pump, medium = request.getfixturevalue(regime)
+    grid, poling = build_grid(51, 5.0), readme_grating()
+    unit = compose(grid, pump, medium, poling).exchange.nbytes
+    build_coupled_matrices.cache_clear()
+    assert traced_peak(lambda: compose.__wrapped__(grid, pump, medium, poling)) <= arrays * unit
 
 
 def test_squeezer_floor_hides_product_order(skew):
