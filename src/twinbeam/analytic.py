@@ -13,8 +13,9 @@ forms in the coupling matrices (block_reduce):
   walk-off basis, C = [[-F, G], [-G, -F]] and the reduced propagator A-hat
   is embed_unitary(M), M the N x N Bogoliubov view of the composed pass.
   For any poling the SVD M = P s Q^H gives the factors directly, as A-hat =
-  embed(P) diag(s, s) embed(Q)^T, so svd_route works at N x N and forms the
-  2N factors last.  The return trip is the adjoint of the pass, so the
+  embed(P) diag(s, s) embed(Q)^T; svd_route reads it off the SVD of the
+  stored exchange matrix X (M = U X U^H), works at N x N and forms the 2N
+  factors last.  The return trip is the adjoint of the pass, so the
   matched double pass has block embed(M^H M) = embed(Q s^2 Q^H): input =
   output = Q of the forward pass; its blocks are formed from the forward
   pass's, no double pass is composed.
@@ -34,7 +35,7 @@ the reduced block is the complex factor W R of the full propagator.  W, X
 and the exchange pair are applied by indexing, never as dense products.
 
 Each route composes its pass once and reads its block once (_reduced, or
-M for svd_route).  All routes return the BlochMessiahResult contract of
+X for svd_route).  All routes return the BlochMessiahResult contract of
 bloch_messiah after the same canonicalization, so the two compare mode by
 mode.  The eigenproblem routes are test oracles, run by no command: they
 check their 2N factors against the pass's 4N matrix Propagator.matrix with
@@ -54,7 +55,7 @@ from . import numerics
 from .blochmessiah import BlochMessiahResult, _checked, _polish_unitary, checked_factors
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
-from .propagator import _exchange, compose, embed_unitary
+from .propagator import _exchange, _signal_basis, compose, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
@@ -186,8 +187,8 @@ def _reduced(grid, pump, medium, poling):
 def _symmetrized(basis, block):
     """(M = X block, max |M - M^T|, whether that is within BLOCK_TOL of max(1, max |M|))."""
     M = block[basis.x]
-    asym = float(np.max(np.abs(M - M.T)))
-    return M, asym, asym <= BLOCK_TOL * max(1.0, float(np.max(np.abs(M))))
+    asym = numerics._abs_max(M - M.T)
+    return M, asym, asym <= BLOCK_TOL * max(1.0, numerics._abs_max(M))
 
 
 def _symmetric_factors(grid, pump, medium, poling, context):
@@ -235,28 +236,34 @@ def svd_route(grid, pump, medium, poling, double=False):
     the raw spectrum is s, once per real column.  Matched double pass: the
     return trip is the adjoint, so the block is embed(M^H M) =
     embed(Q s^2 Q^H): input = output = Q of the forward pass (the perfect
-    inline squeezer).  P and Q are canonicalized at N x N (_canonical: sorted
-    by lam = max(s, 1/s), a column turned by i where s < 1, polished), which
-    leaves P s Q^H as it is.  The diagonal blocks of B^T S B, A-hat and
-    A-hat^-T, are checked in their N x N forms, P s Q^H - M and P s^-1 Q^H -
-    M^-H (double pass: Q s^+-2 Q^H against M^H M and M^-1 M^-H), by _checked
-    with the factors P and Q in place of Z and Z_tilde.  The 2N factors are
-    built last, by index maps (_walkoff_factor).
+    inline squeezer).  The SVD is taken of the stored X = a s b^H, real for
+    an even pump, and M = U X U^H makes P = U a and Q = U b (U the exchange
+    basis, an index map).  P and Q are canonicalized at N x N (_canonical:
+    sorted by lam = max(s, 1/s), a column turned by i where s < 1,
+    polished), which leaves P s Q^H as it is.  The diagonal blocks of B^T S
+    B, A-hat and A-hat^-T, are checked in their N x N forms, P s Q^H - M and
+    P s^-1 Q^H - M^-H (double pass: Q s^+-2 Q^H against M^H M and M^-1
+    M^-H), by _checked with the factors P and Q in place of Z and Z_tilde.  The 2N factors are
+    built last, by index maps (_walkoff_factor), once the N x N
+    intermediates are freed.
     """
     _require_regime(medium, True, "SVD route")
     prop = compose(grid, pump, medium, poling)
-    M = prop.bogoliubov
-    left, s, right = numerics.svd(M)
-    targets = (M, _exchange(prop._inverse_transpose, prop.n).conj())  # M, M^-H
+    a, s, b = numerics.svd(prop.exchange)
+    left, right = _signal_basis(a), _signal_basis(b)
+    del a, b
+    targets = (prop.bogoliubov, _exchange(prop._inverse_transpose, prop.n).conj())  # M, M^-H
     if double:  # one factor, Q, on both sides
         left, s, targets = right, s**2, tuple(T.conj().T @ T for T in targets)
     result, d = _canonical(left, s, right)
-    P, Q = result.Z, result.Z_tilde
+    del left, right
+    P, Q, lam = result.Z, result.Z_tilde, result.lam
     residuals = _checked([(P, e, Q, T) for e, T in zip((d, 1.0 / d), targets)], ((P,), (Q,)),
                          "SVD route")
+    del targets, result
     sign = np.where(d < 1.0, -_C, _C)
     Z = _walkoff_factor(P, sign)
-    return BlochMessiahResult(Z, np.repeat(result.lam, 2),
+    return BlochMessiahResult(Z, np.repeat(lam, 2),
                               Z if Q is P else _walkoff_factor(Q, sign), residuals)
 
 
@@ -336,6 +343,7 @@ def structure_checks(grid, pump, medium, poling):
         report["block_symmetry_residual"] = exc.residual
         return report
     M, asym, symmetric = _symmetrized(basis, block)
+    del block  # before the 2N eigenproblem
     report["block_symmetry_residual"] = asym
     if symmetric and report["sgvm"]:
         w, V = numerics.sym_eig(M)

@@ -11,10 +11,13 @@ embed_unitary(Z), O_tilde = embed_unitary(Z_tilde), whose doubly-degenerate
 spectrum two_mode_rearrange mixes into squeezers.
 
 A Propagator is factored in its 2N pair form Y = U^H T U (propagator module
-docstring), real for an even pump.  Signal couples only to the idler's
-conjugate, so Y = diag(Q_S, Q_I) [[ch, sh], [sh, ch]] diag(P_S, P_I)^H with
-one N x N unitary per beam and side, ch = cosh r, sh = sinh r (Christ et
-al., NJP 15, 053038 (2013)).  Away from SGVM media the route is polar: the
+docstring), real for an even pump, once its cached symplectic residual
+passes the input guard against max|S| (Propagator.matrix_max); in SGVM
+media both are read at N x N off X, and the residual measures only the
+roundoff of X^-T.  Signal couples only to the idler's conjugate, so
+Y = diag(Q_S, Q_I) [[ch, sh], [sh, ch]] diag(P_S, P_I)^H with one N x N
+unitary per beam and side, ch = cosh r, sh = sinh r (Christ et al., NJP 15,
+053038 (2013)).  Away from SGVM media the route is polar: the
 Gram Y Y^H has the eigenvalues e^{+-2 r_k}, with eigenvectors (Q_S e_k,
 +-Q_I e_k) / sqrt 2.  Y Sigma Y^H = Sigma, so Sigma = diag(I, -I) maps each
 eigenspace above 1 onto its partner below, and each beam half of an active
@@ -77,8 +80,8 @@ import numpy as np
 from . import numerics
 from .errors import ConfigError, ContractError, DecompositionError
 from .propagator import (
-    Propagator, _embedded_max, _exchange, _free_phases, compose, double_pass,
-    embed_unitary, symplectic_residual,
+    _PHASE, Propagator, _embedded_max, _free_phases, _signal_basis, compose,
+    double_pass, embed_unitary, symplectic_residual,
 )
 
 __all__ = [
@@ -246,8 +249,7 @@ def _pair_factors(prop):
     (_checked), with the output factors under the names of O, the input
     factors under those of O_tilde, and its Gram spectrum's pairing defect.
     """
-    n = prop.n
-    _guard(prop.symplectic_residual, lambda: _embedded_max(_exchange(prop.pair_form(), n, -1)))
+    _guard(prop.symplectic_residual, prop.matrix_max)
     lam, (QS, QI, PS, PI), residuals = (_exchange_factors if prop.sgvm else _gram_factors)(prop)
     r = np.log(lam)
     r[r < R_CLAMP] = 0.0
@@ -329,8 +331,7 @@ def _exchange_factors(prop):
 def _beam_modes(QS, QI):
     """(U_S Q_S, i conj(U_I Q_I)), U_S,I = e^{i pi/4} (I -+ iJ) / sqrt 2: column
     k holds squeezer k's signal and idler mode."""
-    phase = complex(0.5, 0.5)  # e^{i pi/4} / sqrt 2
-    return phase * (QS - 1j * QS[::-1]), 1j * (phase * (QI + 1j * QI[::-1])).conj()
+    return _signal_basis(QS), 1j * (_PHASE * (QI + 1j * QI[::-1])).conj()
 
 
 def bloch_messiah(S):
@@ -350,7 +351,7 @@ def bloch_messiah(S):
     dim = S.shape[0]
     if S.shape != (dim, dim) or dim % 2:
         raise ConfigError("symplectic input must be square with even dimension")
-    _guard(symplectic_residual(S), lambda: float(max(S.max(), -S.min())))
+    _guard(symplectic_residual(S), lambda: numerics._abs_max(S))
     h = dim // 2
     w, V = numerics.sym_eig(S @ S.T)
     k = _spectrum(w, "S S^T")[0]

@@ -36,8 +36,7 @@ from .model import (
 )
 from .numerics import one_blas_thread
 from .propagator import (
-    _embedded_max, _exchange, compose, double_pass, free_propagator, load_matrix,
-    symplectic_residual,
+    compose, double_pass, free_propagator, load_matrix, symplectic_residual,
 )
 
 __all__ = ["RunConfig", "load_config", "main"]
@@ -386,21 +385,22 @@ def _check(checks, name, value, threshold, ok=None):
     })
 
 
-def _route_checks(checks, decomp, route):
-    """Compare svd_route's factors with the pair route's, beam by beam.
+def _route_checks(checks, lam, modes_out, route):
+    """Compare svd_route's factors with the pair route's lam and (signal,
+    idler) output modes, beam by beam.
 
     Route squeezer k's signal mode is proportional to conj(p_k) and its idler
     mode to p_k (p_k column k of the SVD factor of M), so sqrt 2 times
     route.Z[:N, 0::2] and route.Z[N:, 1::2] are its per-beam modes.  The route
     dies with this call, before the rest of verify runs.
     """
-    r_gen = np.log(decomp.lam)
+    r_gen = np.log(lam)
     _check(checks, "route_r_agreement",
            float(np.max(np.abs(r_gen - np.log(route.lam)))), 1e-8)
-    n = decomp.r.size
+    n = modes_out[0].shape[0]
     active = np.log(route.lam[0::2]) > 1e-6
     worst = 1.0
-    for own, theirs in zip(decomp.modes_out, (route.Z[:n, 0::2], route.Z[n:, 1::2])):
+    for own, theirs in zip(modes_out, (route.Z[:n, 0::2], route.Z[n:, 1::2])):
         for _, overlap in subspace_overlaps(own, np.sqrt(2.0) * theirs, r_gen[0::2],
                                             active=active):
             worst = min(worst, overlap)
@@ -424,18 +424,18 @@ def cmd_verify(cfg, out_dir, propagator_path):
            0.0, ok=np.array_equal(g[::-1], -g))
 
     report_struct = structure_checks(grid, pump, medium, cfg.sim_poling)
-    # max|S| of the 4N matrix S = embed(T), T = U Y U^H, and each beam's
-    # vacuum photon count (||its rows of Y||_F^2 - N) / 2, the 4N form's
-    # diag(S S^T) count (U is unitary per beam), independent of
-    # prop.mean_photons, which reads only Y's off-diagonal blocks
-    Y = prop.pair_form()
-    smax = _embedded_max(_exchange(Y, n, -1))
+    # max|S| of the 4N matrix S = embed(T), T = U Y U^H, read blockwise, and
+    # each beam's vacuum photon count (||its rows of Y||_F^2 - N) / 2, one N x
+    # 2N row block at a time: the 4N form's diag(S S^T) count (U is unitary
+    # per beam), independent of prop.mean_photons, which reads only Y's
+    # off-diagonal blocks
+    smax = prop.matrix_max()
     # read off the small form once; decompose's input guard reuses it
     _check(checks, "propagator_symplectic", prop.symplectic_residual,
            INPUT_SYMPLECTIC_TOL * max(1.0, smax**2))
 
-    ns, ni = ((float(np.linalg.norm(Y[rows]) ** 2) - n) / 2 for rows in (np.s_[:n], np.s_[n:]))
-    del Y
+    ns, ni = ((float(np.linalg.norm(np.hstack(rows)) ** 2) - n) / 2
+              for rows in prop.pair_blocks())
     balance = abs(ns - ni) / max(1.0, abs(ns))
     _check(checks, "photon_balance", balance, PHOTON_BALANCE_TOL)
 
@@ -450,11 +450,15 @@ def cmd_verify(cfg, out_dir, propagator_path):
         decomp = None
         _check(checks, "bm_decomposition", str(exc), None, ok=False)
 
+    compared = None  # what _route_checks reads of the decomposition, which dies here
     if medium.sgvm() and decomp is not None and (
             not cfg.double or cfg.gain2_scale == 1.0):
-        _route_checks(checks, decomp, svd_route(grid, pump, medium, cfg.sim_poling,
-                                                double=cfg.double))
-    del decomp  # nothing below reads it
+        compared = decomp.lam, decomp.modes_out
+    del decomp
+    if compared is not None:
+        _route_checks(checks, *compared, svd_route(grid, pump, medium, cfg.sim_poling,
+                                                   double=cfg.double))
+    del compared
 
     # X A-hat is symmetric only when the propagation poling reads the same
     # reversed; other polings keep the residual under "structure" only.

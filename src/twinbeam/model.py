@@ -42,6 +42,9 @@ MATRICES_MEMO = 2
 # Whole domains a generated grating may have: building one takes about
 # 150 bytes and 0.8 us per domain, so this caps it near 150 MB and 1 s.
 MAX_DOMAINS = 10 ** 6
+# Frequency bins a grid may have: the N x N matrices of one pass grow as N^2,
+# and one complex N x N array at this limit takes 268 MB.
+MAX_BINS = 4096
 # Largest walk-off phase max(|kappa_S|, |kappa_I|) * half_width * L: the
 # error of verify's zero-gain double pass, up to about 1.7e-16 * phase (4e-17
 # * phase in SGVM media, stored with kappa_I = -kappa_S exactly), first fails
@@ -77,6 +80,9 @@ class FrequencyGrid:
         n = int(n)
         if n < 3:
             raise ConfigError("frequency grid needs N >= 3, got %d" % n)
+        if n > MAX_BINS:
+            raise ConfigError("grid.N = %d is above the limit of %d bins (one complex N x N "
+                              "array would take %.3g MB)" % (n, MAX_BINS, 16e-6 * n * n))
         if not (half_width > 0):
             raise ConfigError("frequency grid half_width must be positive")
         k = 2 * np.arange(n) - (n - 1)
@@ -173,6 +179,13 @@ class PumpSpec:
     def __post_init__(self):
         if not (self.sigma > 0):
             raise ConfigError("pump bandwidth sigma must be positive")
+        try:  # pump_amplitude takes sigma^2 in Python floats, which raise on overflow
+            square = float(self.sigma) ** 2
+        except OverflowError:
+            square = math.inf
+        if not 0.0 < square < math.inf:
+            raise ConfigError("pump.sigma = %r is out of range: its square %s"
+                              % (self.sigma, "overflows" if square else "underflows to 0"))
         if not np.isfinite(self.g0):
             raise ConfigError("pump amplitude g0 must be finite and real")
         if isinstance(self.envelope, str) and self.envelope != "gaussian":

@@ -49,6 +49,12 @@ def require_finite(M, name="matrix"):
         raise ContractError("%s contains non-finite entries" % name)
 
 
+def _abs_max(A):
+    """max|A|; for a real A read as max(A.max(), -A.min()), bitwise the same
+    value with no |A| temporary."""
+    return float(np.abs(A).max() if np.iscomplexobj(A) else max(A.max(), -A.min()))
+
+
 def _pade(A, m):
     """Odd and even parts (U, V) of the degree-m Pade numerator p(A) = V + U.
 
@@ -117,7 +123,8 @@ def sym_eig(M):
     decomposed.  An exactly symmetric M (such as S @ S.T, which numpy forms
     by a symmetric rank-k update) is that average bitwise and goes to the
     solver as it is; the average of any other M reuses the one array its
-    asymmetry is read from.  V is complex exactly when M is.
+    asymmetry is read from, and a real M's max|M| and max|M - M^T| are read
+    with no |.| temporary.  V is complex exactly when M is.
     """
     M = np.asarray(M, dtype=complex if np.iscomplexobj(M) else float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -125,9 +132,9 @@ def sym_eig(M):
     require_finite(M, "sym_eig input")
     H = M.conj().T
     if not np.array_equal(M, H):
-        scale = max(1.0, float(np.abs(M).max()))
+        scale = max(1.0, _abs_max(M))
         D = M - H
-        asym = float(np.abs(D).max())
+        asym = _abs_max(D)
         if asym > SYM_TOL * scale:
             raise ContractError(
                 "sym_eig input asymmetry %.3e exceeds tolerance %.3e" % (asym, SYM_TOL * scale)

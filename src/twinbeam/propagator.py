@@ -24,9 +24,11 @@ A device is the ordered (left-multiplied) product of its domains, which
 is the adjoint of the pass: M^H, so X^H, in SGVM media, else Sigma P T^H P
 Sigma (Sigma = diag(I, -I), P the beam swap), which U^H Sigma P U = iK (K the
 2N index reversal) turns into K X^H K.  So a double pass costs one domain
-product.  The 4N export, symplectic residual and photon numbers read the 2N
-matrix on (a_S, a_I^+) as Y = U^H T U (`pair_form`): X outside SGVM media,
-in them [[J P J, J Q], [Q J, P]], P, Q = (conj X +- X^-T) / 2.  T itself
+product.  The 2N matrix on (a_S, a_I^+) reads as Y = U^H T U: X outside
+SGVM media, in them [[J P J, J Q], [Q J, P]], P, Q = (conj X +- X^-T) / 2.
+Photon numbers, max|S| and the symplectic residual read Y's N x N beam blocks
+(`pair_blocks`), or in SGVM media X and X^-T themselves, so no command
+assembles the 2N Y there; only the 4N export does (`pair_form`).  T itself
 (`bogoliubov`) is a view formed once per propagator, for the SGVM analytic
 routes.  embed_unitary(Z) = [[Re Z, -Im Z], [Im Z, Re Z]] is the one bridge
 from complex matrices to real views; the 4N x 4N real symplectic matrix on
@@ -56,6 +58,8 @@ LENGTH_MATCH_RTOL = 1e-9
 # search ended on, 22 passes earlier at the default 21 points (24 SGVM passes,
 # each a real 101 x 101 X, hold 1.96 MB at N = 101).
 COMPOSE_MEMO = 24
+# e^{i pi/4} / sqrt 2, the phase of the exchange basis U
+_PHASE = complex(0.5, 0.5)
 
 
 def symplectic_residual(S):
@@ -96,9 +100,10 @@ def _real_if_exact(X):
 class Propagator:
     """Bogoliubov propagator of one device: exchange is X = U^H T U (module docstring).
 
-    Propagators compose by multiplying X (`after`).  Photon numbers, the
-    symplectic residual (computed once) and matrix (the 4N x 4N real
-    symplectic export, built on first use) read the pair form Y.
+    Propagators compose by multiplying X (`after`).  Photon numbers, max|S|
+    and the symplectic residual (computed once) read Y's beam blocks, in
+    SGVM media at N x N; matrix (the 4N x 4N real symplectic export, built
+    on first use) reads the assembled pair form Y.
     """
 
     exchange: np.ndarray
@@ -137,14 +142,24 @@ class Propagator:
     def _inverse_transpose(self):  # X^-T in SGVM media, inverted once for all its readers
         return _frozen(np.linalg.inv(self.exchange).T)
 
+    def pair_blocks(self):
+        """Y's beam blocks ((Y_SS, Y_SI), (Y_IS, Y_II)), Y = U^H T U the 2N matrix on
+        (a_S, a_I^+): X's quarters away from SGVM media, in them index reversals of
+        P, Q = (conj X +- X^-T) / 2, N x N each (module docstring)."""
+        n, X = self.n, self.exchange
+        if not self.sgvm:
+            return (X[:n, :n], X[:n, n:]), (X[n:, :n], X[n:, n:])
+        down, up = X.conj(), self._inverse_transpose
+        P, Q = 0.5 * (down + up), 0.5 * (down - up)
+        return (P[::-1, ::-1], Q[::-1]), (Q[:, ::-1], P)
+
     def pair_form(self):
-        """Y = U^H T U, T the 2N matrix on (a_S, a_I^+), formed on each call:
-        X away from SGVM media, in them index reversals of P, Q (module docstring)."""
+        """Y = U^H T U: X away from SGVM media, in them the 2N array assembled
+        from pair_blocks() on each call.  Only matrix reads it there."""
         if not self.sgvm:
             return self.exchange
-        down, up = self.exchange.conj(), self._inverse_transpose
-        P, Q = 0.5 * (down + up), 0.5 * (down - up)
-        return np.block([[P[::-1, ::-1], Q[::-1]], [Q[:, ::-1], P]])
+        (SS, SI), (IS, II) = self.pair_blocks()
+        return np.block([[SS, SI], [IS, II]])
 
     @cached_property
     def matrix(self):
@@ -161,21 +176,49 @@ class Propagator:
         S[:, 3 * n:] *= -1.0
         return _frozen(S)
 
+    def matrix_max(self):
+        """max|matrix| = max(max|Re T|, max|Im T|), read one beam block of Y at a
+        time by _exchange(Y, n, -1)'s elementwise operations: bitwise the value of
+        the whole T, which is never formed."""
+        worst = 0.0
+        for a, row in zip((1.0, -1.0), self.pair_blocks()):
+            for b, B in zip((1.0, -1.0), row):
+                even = 0.5 * (B + a * (B[:, ::-1] * b)[::-1])
+                T = even + (-0.5j) * (a * B[::-1] - B[:, ::-1] * b)
+                worst = max(worst, _embedded_max(T))
+        return worst
+
     @cached_property
     def symplectic_residual(self):
-        """symplectic_residual(self.matrix), read off pair_form() once per propagator.
+        """symplectic_residual(self.matrix), read off X once per propagator.
 
         matrix is R embed_unitary(T) R, R negating P_I, so S Omega S^T - Omega
         is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma = U (Y Sigma Y^H -
-        Sigma) U^H: Sigma commutes with U.  U is block-diagonal per beam, so a
-        beam's block row of U E U^H needs only that block row of E; each is
-        formed in turn, by _exchange(E, n, -1)'s operations, so the value is
-        bitwise the one of the whole E.  In SGVM media Y is built from X and
-        X^-T, so Y Sigma Y^H = Sigma holds for any invertible X: there this
-        residual, verify's propagator_symplectic and its photon_balance
-        measure only the inversion roundoff, not the pass.
+        Sigma) U^H: Sigma commutes with U.  Away from SGVM media Y is X and U
+        is block-diagonal per beam, so a beam's block row of U E U^H needs only
+        that block row of E; each is formed in turn, by _exchange(E, n, -1)'s
+        operations, so the value is bitwise that of the whole E.  In SGVM
+        media Y = D H diag(conj X, X^-T) H D (blochmessiah module docstring),
+        so Y Sigma Y^H - Sigma = D H [[0, Delta], [Delta^H, 0]] H D with
+        Delta = conj(X X^-1) - I.  As U_S J = -i U_I and U_I = i U_S^H, its
+        exchanged beam blocks are +-V_h and +-i V_a, the Hermitian and
+        anti-Hermitian parts of V = U_S^H Delta U_S = _exchange(Delta, n):
+        the residual is the larger max of the two, from one N x N product,
+        the 4N value in exact arithmetic.  Y Sigma Y^H = Sigma holds there
+        for any invertible X: this residual, verify's propagator_symplectic
+        and its photon_balance measure only the inversion roundoff, not the
+        pass.
         """
-        n, Y = self.n, self.pair_form()
+        n = self.n
+        if self.sgvm:
+            K = self.exchange @ self._inverse_transpose.T
+            if np.iscomplexobj(K):
+                np.conjugate(K, out=K)
+            K.flat[::n + 1] -= 1.0
+            W = _exchange(K, n)
+            del K
+            return max(_embedded_max(0.5 * (W + s * W.conj().T)) for s in (1.0, -1.0))
+        Y = self.exchange
         sigma, bins, worst = np.repeat([1.0, -1.0], n), np.arange(n), 0.0
         flip, Yh = np.arange(2 * n).reshape(2, n)[:, ::-1].ravel(), Y.conj().T
         for beam, s in enumerate((1.0, -1.0)):
@@ -189,12 +232,13 @@ class Propagator:
         return worst
 
     def mean_photons(self):
-        """mean_photons(self.matrix, n), read off Y = pair_form(): a beam with
-        rows [A B] of T holds (||A||_F^2 + ||B||_F^2 - N) / 2 = ||B||_F^2, as
-        A A^H - B B^H = I, and U is unitary per beam, so the squared norms of
-        Y's off-diagonal blocks, with no cancellation."""
-        n, Y = self.n, self.pair_form()
-        return tuple(float(np.linalg.norm(B) ** 2) for B in (Y[:n, n:], Y[n:, :n]))
+        """mean_photons(self.matrix, n), read off Y: a beam with rows [A B] of T
+        holds (||A||_F^2 + ||B||_F^2 - N) / 2 = ||B||_F^2, as A A^H - B B^H = I,
+        and U is unitary per beam, so the squared norms of Y's off-diagonal
+        blocks (in SGVM media Q with its rows, then its columns, reversed),
+        with no cancellation.  Each is summed in Y's element order."""
+        (_, SI), (IS, _) = self.pair_blocks()
+        return tuple(float(np.linalg.norm(np.ascontiguousarray(B)) ** 2) for B in (SI, IS))
 
 
 def mean_photons(S, n):
@@ -237,6 +281,12 @@ def _exchange(X, n, sign=1):
     s = np.repeat([1.0, -1.0], n)[:len(X)]  # J' negates a_I^+
     JX, XJ = s[:, None] * X[flip], X[:, flip] * s
     return 0.5 * (X + s[:, None] * XJ[flip]) + (0.5j * sign) * (JX - XJ)
+
+
+def _signal_basis(Q):
+    """U_S Q, U_S = e^{i pi/4} (I - iJ) / sqrt 2 (U in SGVM media): Q's columns
+    taken from the exchange basis to the original one, by index maps."""
+    return _PHASE * (Q - 1j * Q[::-1])
 
 
 def _opposite_sign(E, n):

@@ -344,6 +344,28 @@ def test_sweep_gain_composes_each_pass_once(tmp_path, compose_evaluations, pump,
         assert compose_evaluations[0] == pump["g0"]
 
 
+@pytest.mark.parametrize("cfg, formed", [(README_CONFIG, False), (MISMATCH_CONFIG, True)],
+                         ids=["readme", "mismatch-40pct"])
+@pytest.mark.parametrize("command", ["simulate", "verify", "sweep-gain"])
+def test_no_command_forms_an_sgvm_pair_form(tmp_path, monkeypatch, cfg, formed, command):
+    # at N = 31: in the SGVM regime the residual, photon counts, max|S|, the
+    # photon balance, the factorization and svd_route read X and X^-T at
+    # N x N, so no 2N pair form is assembled; away from it pair_form is the
+    # stored X, which the 2N Gram route reads
+    calls, pair_form = [], Propagator.pair_form
+
+    def counted(prop):
+        calls.append(prop.n)
+        return pair_form(prop)
+
+    monkeypatch.setattr(Propagator, "pair_form", counted)
+    cfg = dict(cfg, grid={"N": 31, "half_width": 5.0})
+    args = ("--points", "3") if command == "sweep-gain" else ()
+    rc, _ = run(tmp_path, cfg, command, *args)
+    assert rc == 0
+    assert bool(calls) == formed
+
+
 @pytest.mark.parametrize("command,cfg", [
     ("simulate", base_config(grid={"N": 21, "half_width": 5.0},
                              pump={"target_NS": 2.0}, pass_mode="double",
@@ -495,13 +517,19 @@ APODIZED_01 = {"kind": "apodized", "domain_width": 0.1, "pmf_width": 8.0}
     (base_config(poling=dict(APODIZED_01, pmf_width=NAN)), "poling.pmf_width"),
     (base_config(pump={"g0": 10 ** 400}), "pump.g0"),
     (base_config(medium=dict(SGVM_MEDIUM, vS=5e-324)), "medium.vS"),
+    (base_config(pump={"g0": 1.0, "sigma": 1e160}), "pump.sigma = 1e+160 is out of range: "
+                                                     "its square overflows"),
+    (base_config(pump={"g0": 1.0, "sigma": 1e-200}), "pump.sigma = 1e-200 is out of range: "
+                                                      "its square underflows to 0"),
 ], ids=["target-inf", "L-inf", "L-1e308-apodized", "half-width-inf", "sigma-inf",
         "L-1e308-qpm", "gain2-scale-nan", "pmf-width-nan", "g0-huge-integer",
-        "vS-subnormal"])
+        "vS-subnormal", "sigma-squared-overflows", "sigma-squared-underflows"])
 def test_non_finite_numbers_exit_2(tmp_path, capsys, cfg, named):
-    # JSON's Infinity and NaN, a grating whose domain count overflows, and a
-    # subnormal velocity whose inverse overflows: tuning "converged" at
-    # g0 = 0, int(inf) and expm of inf escaped as exit 0, 1 and 3
+    # JSON's Infinity and NaN, a grating whose domain count overflows, a
+    # subnormal velocity whose inverse overflows, and a pump sigma whose
+    # Python-float square overflows or underflows to 0: tuning "converged" at
+    # g0 = 0, int(inf) and expm of inf escaped as exit 0, 1 and 3, and
+    # (pi sigma^2)^(-1/4) raised OverflowError and ZeroDivisionError (exit 1)
     rc, out = run(tmp_path, cfg, "simulate")
     assert rc == 2
     err = capsys.readouterr().err
@@ -522,6 +550,19 @@ def test_a_grating_of_too_many_domains_exits_2_before_allocating(tmp_path, capsy
     assert rc == 2
     assert "L = 1e+17 holds 1e+18 domains" in capsys.readouterr().err
     assert peak < 10e6
+
+
+def test_a_grid_above_max_bins_exits_2_before_allocating(tmp_path, capsys):
+    # N = 10^9 was killed out of memory in build_grid; one past the limit
+    # is refused before the detunings exist
+    tracemalloc.start()
+    rc, _ = run(tmp_path, base_config(grid={"N": twinbeam.model.MAX_BINS + 1}), "simulate")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert rc == 2
+    assert "grid.N = %d is above the limit of %d bins" % (
+        twinbeam.model.MAX_BINS + 1, twinbeam.model.MAX_BINS) in capsys.readouterr().err
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("command", ["simulate", "verify"])
@@ -829,12 +870,16 @@ def test_simulate_and_verify_share_one_pairing_limit(tmp_path, capsys):
     assert "do not pair reciprocally" in check["value"]
 
 
-@pytest.mark.parametrize("medium, arrays", [(SGVM_MEDIUM, 3.35), (SKEW_MEDIUM, 4.92)],
+@pytest.mark.parametrize("medium, arrays", [(SGVM_MEDIUM, 2.12), (SKEW_MEDIUM, 4.92)],
                          ids=["sgvm", "skew"])
 def test_verify_peak_memory_in_4n_arrays(tmp_path, medium, arrays):
     # The N = 51 README double pass at g0 = 1.5, traced above entry with empty
-    # memos, with no 4N export built (each bound leaves 15%).  SGVM: 2.90 4N
-    # arrays, the pass factored at N x N.  verify read 2.91 when it built the
+    # memos, with no 4N export built (each bound leaves 15%).  SGVM: 1.84 4N
+    # arrays, every reader of the pass at N x N and svd_route run on the
+    # decomposition's lam and output modes alone; 2.90 when the residual,
+    # max|S| and the photon balance read the 2N pair form, svd_route took
+    # the SVD of the complex M and the whole decomposition lived through
+    # it, the pass factored at N x N.  verify read 2.91 when it built the
     # export for its photon balance and freed it, 3.46 when the export lived
     # to the end and decompose took the 2N Gram Y Y^H, and 5.73 when
     # svd_route factored the real 2N embedding of M and the routes were

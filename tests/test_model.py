@@ -54,6 +54,8 @@ def test_grid_mirror_symmetry_is_exact():
 def test_build_grid_rejects_bad_sizes():
     with pytest.raises(ConfigError):
         build_grid(2, 1.0)
+    with pytest.raises(ConfigError, match="above the limit"):
+        build_grid(model.MAX_BINS + 1, 1.0)
     with pytest.raises(ConfigError):
         build_grid(5, 0.0)
 
@@ -84,6 +86,11 @@ def test_pump_amplitude_even_about_center():
 def test_pump_rejects_bad_inputs():
     with pytest.raises(ConfigError):
         PumpSpec(sigma=0.0)
+    for sigma in (1e160, 1e-200, np.inf):  # sigma^2 overflows or underflows to 0
+        with pytest.raises(ConfigError, match="pump.sigma"):
+            PumpSpec(sigma=sigma)
+    for sigma in (1e150, 1e-150):
+        assert pump_amplitude(PumpSpec(sigma=sigma), 0.0) > 0.0
     with pytest.raises(ConfigError):
         PumpSpec(g0=np.nan)
     with pytest.raises(ConfigError):

@@ -139,6 +139,27 @@ def test_sym_eig_rejects_asymmetric():
         numerics.sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("size", [1e-9, 1e-3])
+def test_sym_eig_reads_a_real_asymmetry_as_the_abs_max(size):
+    # max(A.max(), -A.min()) of a real A is max|A| bitwise, so the reported
+    # asymmetry and the tolerance it is held to are those |.| gave; max|M|
+    # lies on M's negative diagonal, so only -M.min() reads it
+    rng = np.random.default_rng(5)
+    M = -3.0 * np.eye(6) + 1e-14 * rng.normal(size=(6, 6))
+    M[2, 4] -= size
+    asym, scale = float(np.abs(M - M.T).max()), max(1.0, float(np.abs(M).max()))
+    assert M.max() < 1.0 < scale
+    if asym > numerics.SYM_TOL * scale:
+        with pytest.raises(ContractError) as err:
+            numerics.sym_eig(M)
+        assert str(err.value) == "sym_eig input asymmetry %.3e exceeds tolerance %.3e" % (
+            asym, numerics.SYM_TOL * scale)
+    else:
+        w, V = numerics.sym_eig(M)
+        w_avg, V_avg = np.linalg.eigh(0.5 * (M + M.T))
+        assert np.array_equal(w, w_avg) and np.array_equal(V, V_avg)
+
+
 def hermitian(rng, n=6, roundoff=0.0):
     """A random complex Hermitian matrix, plus anti-Hermitian noise of size roundoff."""
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
