@@ -13,12 +13,12 @@ forms in the coupling matrices (block_reduce):
   walk-off basis, C = [[-F, G], [-G, -F]] and the reduced propagator A-hat
   is embed_unitary(M), M the N x N Bogoliubov view of the composed pass.
   For any poling the SVD M = P s Q^H gives the factors directly, as A-hat =
-  embed(P) diag(s, s) embed(Q)^T; svd_route reads it off the SVD of the
-  stored exchange matrix X (M = U X U^H), works at N x N and forms the 2N
-  factors last.  The return trip is the adjoint of the pass, so the
-  matched double pass has block embed(M^H M) = embed(Q s^2 Q^H): input =
-  output = Q of the forward pass; its blocks are formed from the forward
-  pass's, no double pass is composed.
+  embed(P) diag(s, s) embed(Q)^T; svd_route factors and checks the stored
+  exchange matrix X (M = U X U^H) and forms the N x N P and Q last.  The
+  return trip is the adjoint of the pass, so the matched double pass has
+  block embed(M^H M) = embed(Q s^2 Q^H): input = output = Q of the forward
+  pass; its blocks are formed from the forward pass's, no double pass is
+  composed.
 
 * Away from SGVM, W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]] (J the bin
   exchange) is the exchange basis.  It splits the generator, with
@@ -33,6 +33,9 @@ factorization drops out of one real symmetric eigenproblem whose
 eigenvalues give the (lam, 1/lam) ladder directly.  A real 2N factor R of
 the reduced block is the complex factor W R of the full propagator.  W, X
 and the exchange pair are applied by indexing, never as dense products.
+In SGVM media structure_checks reads the flip classes of that block off
+the parity of M, with no eigenproblem: K's two N-dimensional eigenspaces
+(K the 2N reversal) when M = J conj(M) J, as for an even pump, else None.
 
 Each route composes its pass once and reads its block once (_reduced, or
 X for svd_route).  All routes return the BlochMessiahResult contract of
@@ -41,13 +44,15 @@ mode.  The eigenproblem routes are test oracles, run by no command: they
 check their 2N factors against the pass's 4N matrix Propagator.matrix with
 checked_factors, the 4N route's check, so the block read, the basis map and
 the factorization are tested against the pass itself.  svd_route, which
-verify runs, checks the N x N equivalents of the diagonal blocks of B^T S B
-and builds no 4N matrix; both go through blochmessiah's one residual check
-(_checked).  A route outside its regime raises RegimeError carrying the
-violated residual.
+verify runs, checks the exchange-basis equivalents of the diagonal blocks
+of B^T S B at N x N and builds no 4N matrix; both go through
+blochmessiah's one residual check (_checked).  A route outside its regime
+raises RegimeError carrying the violated residual.
 """
 
-from typing import NamedTuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -55,11 +60,11 @@ from . import numerics
 from .blochmessiah import BlochMessiahResult, _checked, _polish_unitary, checked_factors
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
-from .propagator import _exchange, _signal_basis, compose, embed_unitary
+from .propagator import _embedded_max, _exchange, _signal_basis, compose, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
-    "general_block_route", "structure_checks",
+    "RouteFactors", "general_block_route", "structure_checks",
 ]
 
 BLOCK_TOL = 1e-9
@@ -124,34 +129,37 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
     lam < 1 are inverted by multiplying their complex column by i in both
     factors (a quarter rotation in the mode's (X, P) plane), which swaps the
     mode's lam and 1/lam slots without changing the product; modes are then
-    stably sorted by descending lam.  Factors are polished to exact unitaries
-    on the way out; when Z_tilde_raw is Z_raw, once, and the result's
-    Z_tilde is its Z.
+    stably sorted by descending lam (_ladder).  Factors are polished to exact
+    unitaries on the way out; when Z_tilde_raw is Z_raw, once, and the
+    result's Z_tilde is its Z.
     """
-    return _canonical(Z_raw, lam_raw, Z_tilde_raw)[0]
-
-
-def _canonical(Z_raw, lam_raw, Z_tilde_raw):
-    """(canonical_factors, lam_raw in the canonical order)."""
-    lam = np.asarray(lam_raw, dtype=float).copy()
-    h = lam.size
-    if Z_raw.shape != (h, h) or Z_tilde_raw.shape != (h, h):
+    lam, order, turned = _ladder(lam_raw)
+    if Z_raw.shape != (lam.size,) * 2 or Z_tilde_raw.shape != (lam.size,) * 2:
         raise ConfigError("factor shapes do not match the lam vector")
-    if np.any(lam <= 0):
-        raise DecompositionError("raw lam values must be positive")
-    flip = lam < 1.0
-    lam[flip] = 1.0 / lam[flip]
-    order = np.argsort(-lam, kind="stable")
 
     def factor(raw, context):
-        U = np.asarray(raw, dtype=complex)[:, order]
-        U[:, flip[order]] *= 1j
-        return _polish_unitary(U, context)
+        return _polish_unitary(_turned(np.asarray(raw, dtype=complex)[:, order], turned), context)
 
     Z = factor(Z_raw, "active factor")
     Z_tilde = Z if Z_tilde_raw is Z_raw else factor(Z_tilde_raw, "passive factor")
-    return (BlochMessiahResult(Z=Z, lam=lam[order], Z_tilde=Z_tilde),
-            np.asarray(lam_raw, dtype=float)[order])
+    return BlochMessiahResult(Z=Z, lam=lam, Z_tilde=Z_tilde)
+
+
+def _ladder(lam_raw):
+    """(lam, order, turned): lam = max(l, 1/l) of each raw l, stably sorted
+    descending by order, and where the raw l in that order is below 1."""
+    raw = np.asarray(lam_raw, dtype=float)
+    if np.any(raw <= 0):
+        raise DecompositionError("raw lam values must be positive")
+    lam = np.maximum(raw, 1.0 / raw)
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], order, raw[order] < 1.0
+
+
+def _turned(U, turned):
+    """U with its turned columns multiplied by i, in place."""
+    U[:, turned] *= 1j
+    return U
 
 
 def _require_regime(medium, sgvm, route):
@@ -213,7 +221,8 @@ def _symmetric_factors(grid, pump, medium, poling, context):
     w, Gamma = numerics.sym_eig(M)
     if np.min(np.abs(w)) == 0.0:
         raise DecompositionError("singular block propagator")
-    result = _canonical(basis.full(Gamma[basis.x] * np.sign(w)), np.abs(w), basis.full(Gamma))[0]
+    result = canonical_factors(basis.full(Gamma[basis.x] * np.sign(w)), np.abs(w),
+                               basis.full(Gamma))
     return checked_factors(result, prop.matrix, context)
 
 
@@ -229,48 +238,78 @@ def symmetrized_eig_route(grid, pump, medium, poling):
 
 
 def svd_route(grid, pump, medium, poling, double=False):
-    """Factorization through the SVD of the N x N Bogoliubov view M (SGVM, any poling).
+    """Factorization through the SVD of the N x N exchange matrix X (SGVM, any poling).
 
-    The block A-hat is embed_unitary(M), so M = P s Q^H gives A-hat =
-    embed(P) diag(s, s) embed(Q)^T and every step stays N x N.  Single pass:
-    the raw spectrum is s, once per real column.  Matched double pass: the
-    return trip is the adjoint, so the block is embed(M^H M) =
-    embed(Q s^2 Q^H): input = output = Q of the forward pass (the perfect
-    inline squeezer).  The SVD is taken of the stored X = a s b^H, real for
-    an even pump, and M = U X U^H makes P = U a and Q = U b (U the exchange
-    basis, an index map).  P and Q are canonicalized at N x N (_canonical:
-    sorted by lam = max(s, 1/s), a column turned by i where s < 1,
-    polished), which leaves P s Q^H as it is.  The diagonal blocks of B^T S
-    B, A-hat and A-hat^-T, are checked in their N x N forms, P s Q^H - M and
-    P s^-1 Q^H - M^-H (double pass: Q s^+-2 Q^H against M^H M and M^-1
-    M^-H), by _checked with the factors P and Q in place of Z and Z_tilde.  The 2N factors are
-    built last, by index maps (_walkoff_factor), once the N x N
-    intermediates are freed.
+    The block A-hat is embed_unitary(M), M = U X U^H (U the exchange basis,
+    an index map), so X = a s b^H gives A-hat = embed(P) diag(s, s)
+    embed(Q)^T with P = U a and Q = U b.  Single pass: the raw spectrum is
+    s.  Matched double pass: the return trip is the adjoint, so the block
+    is embed(M^H M) = embed(Q s^2 Q^H): input = output = Q (the perfect
+    inline squeezer).  a and b, real for an even pump, are sorted by lam =
+    max(s, 1/s) (_ladder), polished, and checked (_checked) in the exchange
+    basis, where U unitary leaves the residuals those of M: the diagonal
+    blocks of B^T S B as a s b^H - X and a s^-1 b^H - X^-H (double pass: b
+    s^+-2 b^H against X^H X and X^-1 X^-H).  U and the turn by i of each
+    column with s < 1, which leaves product and Grams as they are, are
+    applied last (RouteFactors).
     """
     _require_regime(medium, True, "SVD route")
     prop = compose(grid, pump, medium, poling)
-    a, s, b = numerics.svd(prop.exchange)
-    left, right = _signal_basis(a), _signal_basis(b)
+    # X and X^-H, the conjugate of the cached X^-T (itself for a real X)
+    targets = (prop.exchange, prop._inverse_transpose.conj())
+    a, s, b = numerics.svd(targets[0])
+    if double:  # one factor, b, on both sides
+        a, s, targets = b, s**2, tuple(T.conj().T @ T for T in targets)
+    lam, order, turned = _ladder(s)
+    d = s[order]
+    A = _polish_unitary(a[:, order], "active factor")
+    B = A if double else _polish_unitary(b[:, order], "passive factor")
     del a, b
-    targets = (prop.bogoliubov, _exchange(prop._inverse_transpose, prop.n).conj())  # M, M^-H
-    if double:  # one factor, Q, on both sides
-        left, s, targets = right, s**2, tuple(T.conj().T @ T for T in targets)
-    result, d = _canonical(left, s, right)
-    del left, right
-    P, Q, lam = result.Z, result.Z_tilde, result.lam
-    residuals = _checked([(P, e, Q, T) for e, T in zip((d, 1.0 / d), targets)], ((P,), (Q,)),
+    residuals = _checked([(A, e, B, T) for e, T in zip((d, 1.0 / d), targets)], ((A,), (B,)),
                          "SVD route")
-    del targets, result
-    sign = np.where(d < 1.0, -_C, _C)
-    Z = _walkoff_factor(P, sign)
-    return BlochMessiahResult(Z, np.repeat(lam, 2),
-                              Z if Q is P else _walkoff_factor(Q, sign), residuals)
+    del targets
+    P = _turned(_signal_basis(A), turned)
+    return RouteFactors(P, P if double else _turned(_signal_basis(B), turned),
+                        np.repeat(lam, 2), np.where(turned, -_C, _C), residuals)
+
+
+@dataclass(frozen=True)
+class RouteFactors:
+    """svd_route's result: the BlochMessiahResult contract over the complex
+    N x N factors P and Q of M = P diag(s) Q^H (Q is P for a matched double
+    pass; column k turned by i where s_k < 1).  The 2N Z and Z_tilde are
+    built on first access (_walkoff_factor, sign its column signs), so
+    beam_modes readers never form them.
+    """
+
+    P: np.ndarray
+    Q: np.ndarray
+    lam: np.ndarray
+    sign: np.ndarray
+    residuals: Optional[dict] = None
+
+    reconstruct = BlochMessiahResult.reconstruct
+
+    @cached_property
+    def Z(self):
+        return _walkoff_factor(self.P, self.sign)
+
+    @cached_property
+    def Z_tilde(self):
+        return self.Z if self.Q is self.P else _walkoff_factor(self.Q, self.sign)
+
+    def beam_modes(self, k):
+        """The (signal, idler) modes of the first k squeezers, sqrt 2 times
+        Z[:N, 0:2k:2] and Z[N:, 1:2k:2], read off P: conj(P) and P up to the
+        signs of the turned columns."""
+        P, root2 = self.P[:, :k], np.sqrt(2.0)
+        return root2 * (P.conj() * self.sign[:k]), root2 * (_C * P)
 
 
 def _walkoff_factor(P, sign):
     """The 2N factor W embed_unitary(P0) = C [[conj P0, -i conj P0], [-i P0, P0]]
     (W the walk-off basis) of an N x N factor, columns k and N + k at 2k and
-    2k + 1, both turned by i where _canonical turned column k of P = P0 (or
+    2k + 1, both turned by i where svd_route turned column k of P = P0 (or
     i P0).  In terms of P the idler rows keep that form and the signal rows
     change sign where it turned, so sign is -C there and C elsewhere."""
     n = P.shape[0]
@@ -295,57 +334,41 @@ def general_block_route(grid, pump, medium, poling):
     return _symmetric_factors(grid, pump, medium, poling, "general block route")
 
 
-def _flip_classes(w, V, rtol=1e-8):
-    """Count flip-even and flip-odd eigenvectors, cluster by cluster.
-
-    The exchange pair K, the 2N reversal, commutes with the decomposed matrix,
-    so each eigen-cluster splits into K = +1 and K = -1 subspaces whose
-    dimensions follow from the trace of K restricted to the cluster.
-    """
-    n_even = n_odd = 0
-    i = 0
-    m = w.size
-    while i < m:
-        j = i + 1
-        while j < m and abs(w[j] - w[i]) <= rtol * max(1.0, abs(w[i])):
-            j += 1
-        sub = V[:, i:j]
-        t = float(np.vdot(sub[::-1], sub))  # trace(sub^T K sub)
-        size = j - i
-        even = int(round(0.5 * (size + t)))
-        n_even += even
-        n_odd += size - even
-        i = j
-    return n_even, n_odd
-
-
 def structure_checks(grid, pump, medium, poling):
     """Symmetry diagnostics of the model, returned as a JSON-able dict.
 
     Reports the centrosymmetry residual of F, the symmetry residual of the
     block propagator in the applicable reduced basis, and the flip-parity
-    class sizes of the symmetric block spectrum (expected to split evenly),
-    on the forward pass compose builds (or has memoized).
+    class sizes of the symmetric block, on the forward pass compose builds
+    (or has memoized).  In SGVM media the block X A-hat is [[Im T, Re T],
+    [Re T, -Im T]], T = U X U^H formed here (not cached on the pass): its
+    asymmetry is max(max|Re(T - T^T)|, max|Im(T - T^T)|), bitwise the 2N
+    value, and the flip K, the 2N reversal, commutes with it exactly when T
+    = J conj(T) J (Re T centrosymmetric, Im T anticentrosymmetric), as an
+    even pump makes it bitwise.  The flip classes are then K's two
+    eigenspaces, N each; None when K does not commute (a lopsided pump), when
+    the block is not symmetric, and away from SGVM media.
     """
     F = build_coupled_matrices(grid, pump, medium, sign=1).F
-    f_resid = float(np.max(np.abs(F - F[::-1, ::-1])))
     report = {
         "f_max": float(np.max(np.abs(F))),
-        "f_centrosymmetry_residual": f_resid,
+        "f_centrosymmetry_residual": float(np.max(np.abs(F - F[::-1, ::-1]))),
         "sgvm": bool(medium.sgvm()),
         "block_symmetry_residual": None,
         "flip_even": None,
         "flip_odd": None,
     }
+    if report["sgvm"]:
+        T = _exchange(compose(grid, pump, medium, poling).exchange, grid.n, -1)
+        report["block_symmetry_residual"] = asym = _embedded_max(T - T.T)
+        if asym <= BLOCK_TOL * max(1.0, _embedded_max(T)) and np.array_equal(
+                T, T[::-1, ::-1].conj()):
+            report["flip_even"] = report["flip_odd"] = grid.n
+        return report
     try:
         _, basis, block = _reduced(grid, pump, medium, poling)
     except RegimeError as exc:
         report["block_symmetry_residual"] = exc.residual
         return report
-    M, asym, symmetric = _symmetrized(basis, block)
-    del block  # before the 2N eigenproblem
-    report["block_symmetry_residual"] = asym
-    if symmetric and report["sgvm"]:
-        w, V = numerics.sym_eig(M)
-        report["flip_even"], report["flip_odd"] = _flip_classes(w, V)
+    report["block_symmetry_residual"] = _symmetrized(basis, block)[1]
     return report

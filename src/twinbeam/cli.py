@@ -387,23 +387,21 @@ def _check(checks, name, value, threshold, ok=None):
 
 def _route_checks(checks, lam, modes_out, route):
     """Compare svd_route's factors with the pair route's lam and (signal,
-    idler) output modes, beam by beam.
+    idler) output modes, beam by beam, on the route's active squeezers.
 
     Route squeezer k's signal mode is proportional to conj(p_k) and its idler
-    mode to p_k (p_k column k of the SVD factor of M), so sqrt 2 times
-    route.Z[:N, 0::2] and route.Z[N:, 1::2] are its per-beam modes.  The route
-    dies with this call, before the rest of verify runs.
+    mode to p_k (p_k column k of the route's N x N factor P), read off P by
+    route.beam_modes with no 2N factor formed; the active squeezers lead, as
+    lam is descending.  The route dies with this call, before the rest of
+    verify runs.
     """
     r_gen = np.log(lam)
     _check(checks, "route_r_agreement",
            float(np.max(np.abs(r_gen - np.log(route.lam)))), 1e-8)
-    n = modes_out[0].shape[0]
-    active = np.log(route.lam[0::2]) > 1e-6
-    worst = 1.0
-    for own, theirs in zip(modes_out, (route.Z[:n, 0::2], route.Z[n:, 1::2])):
-        for _, overlap in subspace_overlaps(own, np.sqrt(2.0) * theirs, r_gen[0::2],
-                                            active=active):
-            worst = min(worst, overlap)
+    k = int(np.sum(np.log(route.lam[0::2]) > 1e-6))
+    worst = min((overlap for own, theirs in zip(modes_out, route.beam_modes(k))
+                 for _, overlap in subspace_overlaps(own[:, :k], theirs, r_gen[0:2 * k:2])),
+                default=1.0)
     _check(checks, "route_mode_overlap", 1.0 - worst, 1e-8)
 
 
@@ -450,11 +448,9 @@ def cmd_verify(cfg, out_dir, propagator_path):
         decomp = None
         _check(checks, "bm_decomposition", str(exc), None, ok=False)
 
-    compared = None  # what _route_checks reads of the decomposition, which dies here
-    if medium.sgvm() and decomp is not None and (
-            not cfg.double or cfg.gain2_scale == 1.0):
-        compared = decomp.lam, decomp.modes_out
-    del decomp
+    # what _route_checks reads of the decomposition, which dies here
+    routed = medium.sgvm() and decomp is not None and (not cfg.double or cfg.gain2_scale == 1.0)
+    compared, decomp = (decomp.lam, decomp.modes_out) if routed else None, None
     if compared is not None:
         _route_checks(checks, *compared, svd_route(grid, pump, medium, cfg.sim_poling,
                                                    double=cfg.double))

@@ -29,9 +29,10 @@ SGVM media, in them [[J P J, J Q], [Q J, P]], P, Q = (conj X +- X^-T) / 2.
 Photon numbers, max|S| and the symplectic residual read Y's N x N beam blocks
 (`pair_blocks`), or in SGVM media X and X^-T themselves, so no command
 assembles the 2N Y there; only the 4N export does (`pair_form`).  T itself
-(`bogoliubov`) is a view formed once per propagator, for the SGVM analytic
-routes.  embed_unitary(Z) = [[Re Z, -Im Z], [Im Z, Re Z]] is the one bridge
-from complex matrices to real views; the 4N x 4N real symplectic matrix on
+(`bogoliubov`) is a view formed once per propagator, for the tests and the
+SGVM eigenproblem oracle; no command caches it.  embed_unitary(Z) =
+[[Re Z, -Im Z], [Im Z, Re Z]] is the one bridge from complex matrices to
+real views; the 4N x 4N real symplectic matrix on
 (X_S, X_I, P_S, P_I) is the embedding of the 2N matrix on (a_S, a_I^+) with
 the P_I rows and columns negated.  Cached arrays are read-only and
 `compose` memoizes its passes, so a caller that needs one composes it again.
@@ -75,9 +76,13 @@ def symplectic_residual(S):
 
 
 def _embedded_max(E):
-    """max|embed_unitary(E)| = max(max|Re E|, max|Im E|)."""
-    return float(max(np.max(np.abs(E.real), initial=0.0),
-                     np.max(np.abs(E.imag), initial=0.0)))
+    """max|embed_unitary(E)| = max(max|Re E|, max|Im E|), 0 for an empty E; each
+    part read as max(P.max(), -P.min()), with no |P| temporary and no zero
+    imaginary part for a real E."""
+    worst = 0.0
+    for P in ((E.real, E.imag) if np.iscomplexobj(E) else (E,)) if E.size else ():
+        worst = np.maximum(np.maximum(P.max(), -P.min()), worst)
+    return float(worst)
 
 
 def embed_unitary(Z):
@@ -177,16 +182,12 @@ class Propagator:
         return _frozen(S)
 
     def matrix_max(self):
-        """max|matrix| = max(max|Re T|, max|Im T|), read one beam block of Y at a
-        time by _exchange(Y, n, -1)'s elementwise operations: bitwise the value of
-        the whole T, which is never formed."""
-        worst = 0.0
-        for a, row in zip((1.0, -1.0), self.pair_blocks()):
-            for b, B in zip((1.0, -1.0), row):
-                even = 0.5 * (B + a * (B[:, ::-1] * b)[::-1])
-                T = even + (-0.5j) * (a * B[::-1] - B[:, ::-1] * b)
-                worst = max(worst, _embedded_max(T))
-        return worst
+        """max|matrix| = max(max|Re T|, max|Im T|), read one beam block of T =
+        _exchange(Y, n, -1) at a time, each exchanged with its beams' signs:
+        bitwise the value of the whole T, which is never formed."""
+        return max(_embedded_max(_exchange(B, self.n, -1, (a, b)))
+                   for a, row in zip((1.0, -1.0), self.pair_blocks())
+                   for b, B in zip((1.0, -1.0), row))
 
     @cached_property
     def symplectic_residual(self):
@@ -196,8 +197,8 @@ class Propagator:
         is R embed_unitary(-iE) R with E = T Sigma T^H - Sigma = U (Y Sigma Y^H -
         Sigma) U^H: Sigma commutes with U.  Away from SGVM media Y is X and U
         is block-diagonal per beam, so a beam's block row of U E U^H needs only
-        that block row of E; each is formed in turn, by _exchange(E, n, -1)'s
-        operations, so the value is bitwise that of the whole E.  In SGVM
+        that block row of E; each is formed in turn and exchanged with its
+        beam's signs, so the value is bitwise that of the whole E.  In SGVM
         media Y = D H diag(conj X, X^-T) H D (blochmessiah module docstring),
         so Y Sigma Y^H - Sigma = D H [[0, Delta], [Delta^H, 0]] H D with
         Delta = conj(X X^-1) - I.  As U_S J = -i U_I and U_I = i U_S^H, its
@@ -219,16 +220,11 @@ class Propagator:
             del K
             return max(_embedded_max(0.5 * (W + s * W.conj().T)) for s in (1.0, -1.0))
         Y = self.exchange
-        sigma, bins, worst = np.repeat([1.0, -1.0], n), np.arange(n), 0.0
-        flip, Yh = np.arange(2 * n).reshape(2, n)[:, ::-1].ravel(), Y.conj().T
+        sigma, bins, worst, Yh = np.repeat([1.0, -1.0], n), np.arange(n), 0.0, Y.conj().T
         for beam, s in enumerate((1.0, -1.0)):
             E = (Y[beam * n:(beam + 1) * n] * sigma) @ Yh
             E[bins, beam * n + bins] -= s
-            XJ = E[:, flip] * sigma
-            D = s * E[::-1] - XJ
-            E = 0.5 * (E + s * XJ[::-1])
-            del XJ  # before the complex temporaries
-            worst = max(worst, _embedded_max(E - 0.5j * D))
+            worst = max(worst, _embedded_max(_exchange(E, n, -1, (s, sigma))))
         return worst
 
     def mean_photons(self):
@@ -275,12 +271,31 @@ def segment_propagator(matrices, dz):
                                       matrices.F.shape[0])
 
 
-def _exchange(X, n, sign=1):
-    """U^H X U (sign 1) or U X U^H (sign -1): [X + J'XJ' + sign i (J'X - XJ')] / 2."""
-    flip = np.arange(len(X)).reshape(-1, n)[:, ::-1].ravel()  # each beam's bins reversed
-    s = np.repeat([1.0, -1.0], n)[:len(X)]  # J' negates a_I^+
-    JX, XJ = s[:, None] * X[flip], X[:, flip] * s
-    return 0.5 * (X + s[:, None] * XJ[flip]) + (0.5j * sign) * (JX - XJ)
+def _exchange(X, n, sign=1, signs=None):
+    """U^H X U (sign 1) or U X U^H (sign -1): [X + J'XJ' + sign i (J'X - XJ')] / 2.
+
+    J' reverses each beam's bins (a view) and negates a_I^+; signs = (rows,
+    cols), scalars or one per row or column, default those of a square X,
+    let a block of a larger matrix give that block of its exchange.  Each
+    part P of X adds (P + J'PJ') / 2 to its own part of the result and
+    +-(J'P - PJ') / 2 to the other, in real temporaries: bitwise the complex
+    expression.
+    """
+    rows, cols = signs or (np.repeat([1.0, -1.0], n)[:len(X)],) * 2
+    (b, c), out = (m // n for m in X.shape), np.zeros(X.shape, dtype=complex)
+    rows = np.broadcast_to(rows, b * n).reshape(b, n, 1, 1)
+    cols = np.broadcast_to(cols, c * n).reshape(c, n)
+    PJ, T = np.empty((b, n, c, n)), np.empty((b, n, c, n))
+    for P, own, other, turn in zip((X.real, X.imag) if np.iscomplexobj(X) else (X,),
+                                   (out.real, out.imag), (out.imag, out.real), (sign, -sign)):
+        P = P.reshape(b, n, c, n)
+        np.multiply(P[..., ::-1], cols, out=PJ)
+        np.multiply(PJ[:, ::-1], rows, out=T)  # J'PJ'
+        own += np.multiply(np.add(T, P, out=T), 0.5, out=T).reshape(X.shape)
+        np.multiply(P[:, ::-1], rows, out=T)  # J'P
+        # (J'P - PJ') / 2 where turn > 0, else (PJ' - J'P) / 2
+        other += np.multiply(np.subtract(*(T, PJ)[::turn], out=T), 0.5, out=T).reshape(X.shape)
+    return out
 
 
 def _signal_basis(Q):
@@ -313,7 +328,9 @@ def compose(grid, pump, medium, poling):
     block carried up.  A block is keyed by the run of domains it spans, so a
     run that recurs at an aligned position is multiplied once per level: a
     periodic grating of m domains takes about log2(m) products, the
-    169-domain apodized grating 36.  The generator and exponential tables
+    169-domain apodized grating 36.  At zero gain F = 0 for every sign, so
+    every domain is keyed unpoled: one exponential, and a run of equal widths
+    is one block per level.  The generator and exponential tables
     are released before the reduction and each block as its pair is
     multiplied, so it holds only the distinct blocks of two adjacent levels.
     The last product is the pass's X; equal (frozen) arguments return the
@@ -326,7 +343,7 @@ def compose(grid, pump, medium, poling):
             "poling spans %g but medium length is %g"
             % (poling.length, medium.length)
         )
-    domains = poling.domains
+    domains = poling.domains if pump.g0 else tuple((width, 0) for width, _ in poling.domains)
     generators, segments = {}, {}
     for width, sign in domains:
         if (width, sign) in segments:

@@ -33,7 +33,7 @@ from twinbeam import (
 from conftest import plain_product
 from twinbeam import analytic, numerics
 from twinbeam.analytic import _basis, _reduced, canonical_factors
-from twinbeam.blochmessiah import checked_factors
+from twinbeam.blochmessiah import BlochMessiahResult, checked_factors
 from twinbeam.errors import DecompositionError, RegimeError
 from twinbeam.numerics import expm, sym_eig
 from twinbeam.propagator import embed_unitary
@@ -337,7 +337,7 @@ def test_analytic_route_rejects_a_perturbed_factor_column(request, monkeypatch, 
     # the polish restores unitarity, so only the reconstruction can notice
     case, route, kwargs = ROUTES[name]
     grid, pump, medium = request.getfixturevalue(case)
-    canonical, svd = analytic._canonical, numerics.svd
+    canonical, svd = analytic.canonical_factors, numerics.svd
 
     def perturbed(Z_raw, lam_raw, Z_tilde_raw):
         bent = Z_raw.copy()
@@ -352,7 +352,7 @@ def test_analytic_route_rejects_a_perturbed_factor_column(request, monkeypatch, 
     if route is svd_route:
         monkeypatch.setattr(numerics, "svd", bent_svd)
     else:
-        monkeypatch.setattr(analytic, "_canonical", perturbed)
+        monkeypatch.setattr(analytic, "canonical_factors", perturbed)
     with pytest.raises(DecompositionError, match="reconstruction residual"):
         route(grid, pump, medium, qpm_poling(L, 2 * L / 9), **kwargs)
 
@@ -402,7 +402,7 @@ def test_4n_check_sees_the_lam_below_one_directions(sgvm):
     bent = W.conj().T @ result.Z_tilde
     k = int(np.argmax(np.abs(bent[:, :2].imag).sum(axis=0)))  # the top pair's imaginary column
     bent[:, k] += 1e-11j * np.random.default_rng(5).normal(size=2 * N)
-    noisy = replace(result, Z_tilde=W @ bent, residuals=None)
+    noisy = BlochMessiahResult(result.Z, result.lam, W @ bent)
     B = embed_unitary(W)
     E = B.T @ (noisy.reconstruct() - S) @ B
     upper, lower = (float(np.max(np.abs(E[h, h]))) for h in (np.s_[:2 * N], np.s_[2 * N:]))
@@ -626,6 +626,37 @@ def test_reduced_block_matches_the_dense_exchange_product(skew, poling, g0):
     ref = V.conj().T @ compose(grid, pump, medium, poling).bogoliubov @ V
     assert np.max(np.abs(ref.imag)) <= 1e-14 * np.max(np.abs(ref))
     assert np.max(np.abs(block - ref.real)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("pump", [PumpSpec(g0=1.5), PumpSpec(g0=6.0),
+                                  replace(skewed_pump(), g0=1.5), replace(skewed_pump(), g0=6.0)],
+                         ids=["even-1.5", "even-6", "lopsided-1.5", "lopsided-6"])
+@pytest.mark.parametrize("poling", [Poling.unpoled(L), qpm_poling(L, 2 * L / 9)],
+                         ids=["unpoled", "qpm"])
+def test_flip_classes_are_reported_where_the_flip_commutes(sgvm, pump, poling):
+    # palindromic polings make X A-hat symmetric for any pump; the 2N flip K
+    # commutes with it bitwise for an even pump and not at all for a
+    # lopsided one, whose flip classes are None (the cluster count of the
+    # eigenvectors gave N/N there, or off by rounding)
+    grid, _, medium = sgvm
+    prop = compose(grid, pump, medium, poling)
+    M, fields = dense_structure(prop, grid, pump, medium, poling)
+    z, j = np.zeros((N, N)), flip_matrix(N)
+    K = np.block([[z, j], [j, z]])
+    commutes = np.array_equal(K @ M @ K, M)
+    assert commutes == pump.frequency_symmetric
+    report = structure_checks(grid, pump, medium, poling)
+    assert report["block_symmetry_residual"] == fields["block_symmetry_residual"] <= 1e-10
+    expected = (N, N) if commutes else (None, None)
+    assert (report["flip_even"], report["flip_odd"]) == expected
+
+
+def test_structure_checks_takes_no_2n_eigenproblem(monkeypatch, sgvm):
+    grid, pump, medium = sgvm
+    orders, sym_eig_ = [], numerics.sym_eig
+    monkeypatch.setattr(numerics, "sym_eig", lambda M: orders.append(len(M)) or sym_eig_(M))
+    report = structure_checks(grid, pump, medium, qpm_poling(L, 2 * L / 9))
+    assert report["flip_even"] == N and orders == []
 
 
 def test_structure_checks_flags_asymmetric_pump(sgvm):

@@ -941,14 +941,16 @@ def readme_double_pass_n51():
     return grid, pump, medium, poling, double_pass(grid, pump, medium, poling)
 
 
-@pytest.mark.parametrize("route, arrays", [("decompose", 1.17), ("svd_route", 1.39)])
+@pytest.mark.parametrize("route, arrays", [("decompose", 1.17), ("svd_route", 0.59)])
 def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, arrays):
     # Measured above entry, the 4N matrix and the pass's cached symplectic
     # residual already built: decompose 1.02 arrays (the N x N Grams of
     # conj X and X^-T, the two factors A and B, and the mode matrices),
-    # svd_route(double=True) 1.20 (the N x N SVD of X, polish and checks,
-    # its intermediates freed before the 2N Z is built; 1.58 on the SVD of
-    # the complex view M); each bound leaves 15%.  Building the residual
+    # svd_route(double=True) 0.52 (the real N x N SVD of X, polish and
+    # checks in the exchange basis, and the complex factor P, with no 2N Z
+    # built; 1.22 with the checks against the complex M^H M and M^-1 M^-H
+    # and the 2N Z built last, 1.58 on the SVD of the complex view M); each
+    # bound leaves 15%.  Building the residual
     # alone, X^-T included, reads 0.70, off the N x N conj(X X^-1) - I
     # (1.33 one beam's block row of the 2N pair form's E at a time, 2.72
     # when E was exchanged whole, and decompose read 2.91 when it built

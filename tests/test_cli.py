@@ -276,19 +276,19 @@ def test_simulate_derives_each_squeezers_modes_once(tmp_path, monkeypatch,
     assert active > 0 and len(calls) == per_squeezer * active
 
 
-@pytest.mark.parametrize("cfg, before, views, composed", [
-    (README_CONFIG, {"expm", "inv", "Propagator"}, (0, 0, 1), 6),
-    (MISMATCH_CONFIG, {"expm", "Propagator"}, (0, 0, 0), 2),
+@pytest.mark.parametrize("cfg, before, composed", [
+    (README_CONFIG, {"expm", "inv", "Propagator"}, 6),
+    (MISMATCH_CONFIG, {"expm", "Propagator"}, 2),
 ], ids=["readme", "mismatch-40pct"])
-def test_readme_commands_run_real_arithmetic_and_form_the_view_per_device(
-        tmp_path, monkeypatch, view_formations, compose_evaluations, cfg, before, views,
-        composed):
+def test_readme_commands_run_real_arithmetic_and_form_no_cached_view(
+        tmp_path, monkeypatch, view_formations, compose_evaluations, cfg, before, composed):
     # tuning, photon counts and the device pass run no complex exponential or
-    # inverse and build no complex Propagator before decompose.  views counts
-    # the cached original-basis views simulate, an 11-row sweep and verify
-    # form: in the SGVM regime only verify's analytic routes form one, on the
-    # memoized forward pass; away from it none, as the 4N export reads the
-    # pair form
+    # inverse and build no complex Propagator before decompose.  No command
+    # caches the original-basis view on a pass: simulate and a sweep never
+    # read it, svd_route works in the exchange basis, and structure_checks
+    # forms its own, freed on return, so the memoized forward pass does not
+    # carry it through verify's decomposition (verify formed one when both
+    # analytic routes read the cached view)
     dtypes, decomposing = [], []
     decompose_ = twinbeam.cli.decompose
 
@@ -312,18 +312,16 @@ def test_readme_commands_run_real_arithmetic_and_form_the_view_per_device(
     assert rc == 0
     assert {what for what, _ in dtypes} == before
     assert {kind for _, kind in dtypes} == {"f"}
-    assert len(decomposing) == 1 and len(view_formations) == views[0]
+    assert len(decomposing) == 1
 
-    del view_formations[:], decomposing[:]
     small = dict(cfg, grid={"N": 31, "half_width": 5.0})
     rc, _ = run(tmp_path, small, "sweep-gain", "--points", "11")
     assert rc == 0
-    assert len(view_formations) == views[1]
 
-    del view_formations[:], compose_evaluations[:]
+    del compose_evaluations[:]
     rc, _ = run(tmp_path, cfg, "verify")
     assert rc == 0
-    assert len(view_formations) == views[2] and len(compose_evaluations) == composed
+    assert view_formations == [] and len(compose_evaluations) == composed
 
 
 @pytest.mark.parametrize("pump, composed", [
@@ -870,12 +868,15 @@ def test_simulate_and_verify_share_one_pairing_limit(tmp_path, capsys):
     assert "do not pair reciprocally" in check["value"]
 
 
-@pytest.mark.parametrize("medium, arrays", [(SGVM_MEDIUM, 2.12), (SKEW_MEDIUM, 4.92)],
+@pytest.mark.parametrize("medium, arrays", [(SGVM_MEDIUM, 1.61), (SKEW_MEDIUM, 4.23)],
                          ids=["sgvm", "skew"])
 def test_verify_peak_memory_in_4n_arrays(tmp_path, medium, arrays):
     # The N = 51 README double pass at g0 = 1.5, traced above entry with empty
-    # memos, with no 4N export built (each bound leaves 15%).  SGVM: 1.84 4N
-    # arrays, every reader of the pass at N x N and svd_route run on the
+    # memos, with no 4N export built (each bound leaves 15%).  SGVM: 1.40 4N
+    # arrays, structure_checks and svd_route at N x N in the exchange basis,
+    # with no 2N eigenproblem, no complex route targets or 2N factor and no
+    # view cached on the forward pass; 1.84 with those, every reader of the
+    # pass at N x N and svd_route run on the
     # decomposition's lam and output modes alone; 2.90 when the residual,
     # max|S| and the photon balance read the 2N pair form, svd_route took
     # the SVD of the complex M and the whole decomposition lived through
@@ -883,8 +884,11 @@ def test_verify_peak_memory_in_4n_arrays(tmp_path, medium, arrays):
     # export for its photon balance and freed it, 3.46 when the export lived
     # to the end and decompose took the 2N Gram Y Y^H, and 5.73 when
     # svd_route factored the real 2N embedding of M and the routes were
-    # compared through 2N interleaved mode matrices.  40% mismatch: 4.28,
-    # set by the zero-gain double pass's compose; 6.53 when compose kept
+    # compared through 2N interleaved mode matrices.  40% mismatch: 3.68,
+    # set by the forward pass's compose, now that the zero-gain double pass
+    # takes one unpoled exponential; 4.28 when that pass derived the sign -1
+    # one and multiplied every distinct block of the grating, which set the
+    # peak; 6.53 when compose kept
     # every block of a level until the next level was built and verify kept
     # its decomposition through that pass.
     cfg = dict(README_CONFIG, grid={"N": 51, "half_width": 5.0},
@@ -973,6 +977,42 @@ def test_verify_nonpalindromic_sgvm_poling(tmp_path, pass_mode):
     assert report["structure"]["block_symmetry_residual"] > 1e-3
 
 
+@pytest.mark.parametrize("pass_mode", ["single", "double"])
+def test_sgvm_verify_takes_no_2n_eigenproblem_and_no_2n_route_factor(tmp_path, monkeypatch,
+                                                                     pass_mode):
+    # structure_checks reads the flip classes off T's parity and svd_route
+    # keeps its N x N factors, so decompose's two N x N Grams are verify's
+    # only eigenproblems and no 2N walk-off factor is built
+    orders, factors = [], []
+    sym_eig, walkoff = numerics.sym_eig, twinbeam.analytic._walkoff_factor
+    monkeypatch.setattr(numerics, "sym_eig", lambda M: orders.append(len(M)) or sym_eig(M))
+    monkeypatch.setattr(twinbeam.analytic, "_walkoff_factor",
+                        lambda *args: factors.append(args) or walkoff(*args))
+    cfg = base_config(grid={"N": 15, "half_width": 5.0}, pump={"g0": 1.5},
+                      poling={"kind": "qpm", "period": 2.0 / 9.0}, pass_mode=pass_mode)
+    rc, out = run(tmp_path, cfg, "verify")
+    assert rc == 0
+    assert orders == [15, 15] and factors == []
+    report = json.loads((out / "verify.json").read_text())
+    names = [c["name"] for c in report["checks"]]
+    assert "route_mode_overlap" in names and "flip_classes_balanced" in names
+
+
+def test_verify_lopsided_sgvm_pump_reports_no_flip_classes(tmp_path):
+    # a palindromic grating keeps X A-hat symmetric, but a lopsided pump
+    # breaks the flip parity of T, so there are no flip classes to check
+    f = np.linspace(-12.0, 12.0, 241)
+    envelope = {"frequencies": f.tolist(), "values": np.exp(-((f - 1.5) ** 2) / 2.0).tolist()}
+    cfg = base_config(grid={"N": 15, "half_width": 5.0}, pump={"g0": 1.5, "envelope": envelope},
+                      poling={"kind": "qpm", "period": 2.0 / 9.0}, pass_mode="double")
+    rc, out = run(tmp_path, cfg, "verify")
+    assert rc == 0
+    report = json.loads((out / "verify.json").read_text())
+    names = [c["name"] for c in report["checks"]]
+    assert "block_propagator_symmetry" in names and "flip_classes_balanced" not in names
+    assert report["structure"]["flip_even"] is None and report["structure"]["flip_odd"] is None
+
+
 def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
     cfg = base_config(pump={"g0": 0.8}, pass_mode="double")
     rc, out = run(tmp_path, cfg, "verify")
@@ -1023,9 +1063,10 @@ def test_verify_composes_the_forward_pass_once(tmp_path, compose_evaluations, pa
 def test_verify_builds_the_coupling_matrices_once_per_pass(tmp_path, monkeypatch,
                                                            medium, poling, built):
     # each pass derives the sign -1 exponentials from the sign +1 ones: the
-    # checks, structure_checks' F, the forward pass and the zero-gain pass
-    # build one set each, and off SGVM the exchange-basis regime guard one
-    # more (6 and 7 when every step built its own, 3 and 3 when verify's own
+    # checks, structure_checks' F and the forward pass build one sign +1 set
+    # each, off SGVM the exchange-basis regime guard one more, and the
+    # zero-gain pass, whose domains are all unpoled, one sign 0 set last (6
+    # and 7 when every step built its own, 3 and 3 when verify's own
     # matrices were handed to structure_checks and its guard)
     original = twinbeam.model.build_coupled_matrices
     signs = []
@@ -1041,7 +1082,7 @@ def test_verify_builds_the_coupling_matrices_once_per_pass(tmp_path, monkeypatch
                       options={"remove_free_phase": True})
     rc, _ = run(tmp_path, cfg, "verify")
     assert rc == 0
-    assert signs == [1] * built
+    assert signs == [1] * (built - 1) + [0]
 
 
 def test_verify_rejects_tampered_propagator(tmp_path):

@@ -586,6 +586,27 @@ def test_double_pass_zero_gain_is_two_free_passes(sgvm):
         np.testing.assert_allclose(S.matrix, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+def test_zero_gain_compose_takes_one_unpoled_exponential(request, monkeypatch, regime):
+    # at g0 = 0, F = 0 for every sign, so every domain of the 169-domain
+    # grating is keyed unpoled: one sign 0 coupling set, one exponential, no
+    # derived opposite sign, and the pass is the free propagator to roundoff
+    grid, _, medium = request.getfixturevalue(regime)
+    calls, signs = [], []
+    monkeypatch.setattr(numerics, "expm", lambda M: calls.append(M.shape) or expm(M))
+    original = propagator.build_coupled_matrices
+
+    def counting(*args, **kwargs):
+        signs.append(kwargs["sign"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "build_coupled_matrices", counting)
+    prop = compose(grid, PumpSpec(g0=0.0), medium, readme_grating())
+    assert len(calls) == 1 and signs == [0]
+    free = free_propagator(grid, medium, L)
+    assert np.max(np.abs(prop.exchange - free.exchange)) <= 1e-13
+
+
 def test_double_pass_gain2_zero_turns_second_pass_free(sgvm):
     grid, pump, medium = sgvm
     poling = Poling.unpoled(L)
@@ -804,6 +825,75 @@ def test_low_gain_photons_follow_the_quadratic_law(request, regime, double):
                  for g0 in (1e-5, 2e-5))
     assert 1e-13 < low[0] < 1e-11
     assert np.divide(high, low) == pytest.approx([4.0, 4.0], rel=1e-7)
+
+
+def complex_exchange(X, n, sign=1):
+    """_exchange as the one complex expression [X + J'XJ' + sign i (J'X - XJ')] / 2."""
+    flip = np.arange(len(X)).reshape(-1, n)[:, ::-1].ravel()
+    s = np.repeat([1.0, -1.0], n)[:len(X)]
+    JX, XJ = s[:, None] * X[flip], X[:, flip] * s
+    return 0.5 * (X + s[:, None] * XJ[flip]) + (0.5j * sign) * (JX - XJ)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("beams", [1, 2], ids=["sgvm", "2n"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_exchange_from_the_parts_is_the_complex_expression_bitwise(n, kind, beams, sign):
+    # one complex result filled from X's real and imaginary parts holds the
+    # bits of the complex expression, zeros' signs included (a zero on the
+    # diagonal and exactly centrosymmetric entries make some parts cancel)
+    rng = np.random.default_rng(n + 10 * beams)
+    X = rng.normal(size=(beams * n, beams * n))
+    if kind == "complex":
+        X = X + 1j * rng.normal(size=X.shape)
+    X[0, 0] = 0.0
+    X[1:, 1:] = 0.5 * (X[1:, 1:] + X[1:, 1:][::-1, ::-1])
+    got, ref = propagator._exchange(X, n, sign), complex_exchange(X, n, sign)
+    assert got.dtype == ref.dtype and np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_exchange_of_a_block_with_its_signs_is_that_block_bitwise(kind):
+    # a beam block, or a beam's block row, of a 2N matrix exchanged with its
+    # own signs is that block of the whole exchange: matrix_max and the
+    # symplectic residual read T this way
+    n, rng = 5, np.random.default_rng(3)
+    X = rng.normal(size=(2 * n, 2 * n))
+    if kind == "complex":
+        X = X + 1j * rng.normal(size=X.shape)
+    whole, beams = propagator._exchange(X, n, -1), np.repeat([1.0, -1.0], n)
+    for i, a in enumerate((1.0, -1.0)):
+        rows = np.s_[i * n:(i + 1) * n]
+        got = propagator._exchange(X[rows], n, -1, (a, beams))
+        assert np.array_equal(got.view(np.uint64), whole[rows].view(np.uint64))
+        for j, b in enumerate((1.0, -1.0)):
+            cols = np.s_[j * n:(j + 1) * n]
+            got = propagator._exchange(X[rows, cols], n, -1, (a, b))
+            assert np.array_equal(got.view(np.uint64), whole[rows, cols].view(np.uint64))
+
+
+@pytest.mark.parametrize("pump", [PumpSpec(g0=1.5), lopsided_pump(1.5)], ids=["even", "lopsided"])
+@pytest.mark.parametrize("regime", ["sgvm", "skew"])
+def test_matrix_max_is_the_4n_max_bitwise(request, regime, pump):
+    grid, _, medium = request.getfixturevalue(regime)
+    prop = compose(grid, pump, medium, qpm_poling(L, 2.0 * L / 9.0))
+    assert prop.matrix_max() == float(np.max(np.abs(prop.matrix)))
+
+
+@pytest.mark.parametrize("E", [
+    np.array([[-3.0, 2.5], [0.0, -0.0]]),
+    np.array([[1.0 - 4.0j, -2.0 + 0.5j], [-0.0j, 3.0]]),
+    np.array([[-0.0, 0.0]]),
+    np.zeros((0, 3)),
+    np.zeros((0, 2), dtype=complex),
+], ids=["real", "complex", "signed-zeros", "empty-real", "empty-complex"])
+def test_embedded_max_reads_each_part_bitwise(E):
+    # max(P.max(), -P.min()) per part is max|P| with no |P| temporary: the
+    # value of the |.| form, never -0, and 0 for an empty input
+    ref = float(max(np.max(np.abs(E.real), initial=0.0), np.max(np.abs(E.imag), initial=0.0)))
+    got = propagator._embedded_max(E)
+    assert isinstance(got, float) and got == ref and np.signbit(got) == np.signbit(ref)
 
 
 def test_matrix_file_round_trip(tmp_path):
