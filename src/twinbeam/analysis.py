@@ -16,7 +16,7 @@ from . import numerics
 from .blochmessiah import SchmidtMode, decompose, solve_increasing, tune_gain
 from .errors import ConfigError
 from .model import pmf, pump_amplitude
-from .propagator import double_pass
+from .propagator import double_pass, embed_unitary
 
 __all__ = [
     "mode_fidelity", "flip_overlap", "SweepPoint", "SweepResult",
@@ -161,9 +161,10 @@ def subspace_overlaps(U_a, U_b, values, value_rtol=1e-6, active=None):
     Columns are grouped into clusters of equal `values` (relative tolerance);
     within a cluster the individual columns of the two bases are only defined
     up to unitary mixing, so the comparison uses the singular values of the
-    cross-overlap block: their squared minimum is the worst overlap any mode
-    of the cluster can achieve.  Returns a list of (cluster_indices,
-    min_overlap_squared).  `active` optionally masks columns out entirely.
+    cross-overlap block, read off its real embedding: their squared minimum
+    is the worst overlap any mode of the cluster can achieve.  Returns a
+    list of (cluster_indices, min_overlap_squared).  `active` optionally
+    masks columns out entirely.
     """
     values = np.asarray(values, dtype=float)
     m = values.size
@@ -180,7 +181,9 @@ def subspace_overlaps(U_a, U_b, values, value_rtol=1e-6, active=None):
         idx = [p for p in range(i, j) if active[p]]
         if idx:
             cross = U_a[:, idx].conj().T @ U_b[:, idx]
-            sigma = np.linalg.svd(cross, compute_uv=False)
+            # its real embedding has each of its singular values twice, and
+            # takes no complex LAPACK call
+            sigma = np.linalg.svd(embed_unitary(cross), compute_uv=False)
             out.append((idx, float(sigma[-1] ** 2)))
         i = j
     return out

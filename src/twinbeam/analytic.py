@@ -251,7 +251,7 @@ def svd_route(grid, pump, medium, poling, double=False):
     blocks of B^T S B as a s b^H - X and a s^-1 b^H - X^-H (double pass: b
     s^+-2 b^H against X^H X and X^-1 X^-H).  U and the turn by i of each
     column with s < 1, which leaves product and Grams as they are, are
-    applied last (RouteFactors).
+    applied only when the complex factors are read (RouteFactors).
     """
     _require_regime(medium, True, "SVD route")
     prop = compose(grid, pump, medium, poling)
@@ -261,48 +261,51 @@ def svd_route(grid, pump, medium, poling, double=False):
     if double:  # one factor, b, on both sides
         a, s, targets = b, s**2, tuple(T.conj().T @ T for T in targets)
     lam, order, turned = _ladder(s)
-    d = s[order]
-    A = _polish_unitary(a[:, order], "active factor")
-    B = A if double else _polish_unitary(b[:, order], "passive factor")
-    del a, b
+    d, A, B = s[order], a[:, order], None if double else b[:, order]
+    del a, b  # the SVD's own factors, before the polish
+    A = _polish_unitary(A, "active factor")
+    B = A if double else _polish_unitary(B, "passive factor")
     residuals = _checked([(A, e, B, T) for e, T in zip((d, 1.0 / d), targets)], ((A,), (B,)),
                          "SVD route")
     del targets
-    P = _turned(_signal_basis(A), turned)
-    return RouteFactors(P, P if double else _turned(_signal_basis(B), turned),
-                        np.repeat(lam, 2), np.where(turned, -_C, _C), residuals)
+    return RouteFactors(A, B, np.repeat(lam, 2), np.where(turned, -_C, _C), residuals)
 
 
 @dataclass(frozen=True)
 class RouteFactors:
-    """svd_route's result: the BlochMessiahResult contract over the complex
-    N x N factors P and Q of M = P diag(s) Q^H (Q is P for a matched double
-    pass; column k turned by i where s_k < 1).  The 2N Z and Z_tilde are
-    built on first access (_walkoff_factor, sign its column signs), so
-    beam_modes readers never form them.
+    """svd_route's result: the BlochMessiahResult contract over the sorted,
+    polished exchange-basis factors a and b of X = a diag(s) b^H, real for
+    an even pump (b is a for a matched double pass).  The complex N x N
+    factors P = U a and Q = U b of M = P diag(s) Q^H, column k turned by i
+    where s_k < 1 (sign is -C there, C elsewhere), are formed only inside
+    the 2N Z and Z_tilde (_walkoff_factor), built on first access, and
+    beam_modes, which forms only the columns it returns.
     """
 
-    P: np.ndarray
-    Q: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
     lam: np.ndarray
     sign: np.ndarray
     residuals: Optional[dict] = None
 
     reconstruct = BlochMessiahResult.reconstruct
 
+    def _complex(self, F):  # U F with the turned columns times i: P = U a, Q = U b
+        return _turned(_signal_basis(F), self.sign[:F.shape[1]] < 0)
+
     @cached_property
     def Z(self):
-        return _walkoff_factor(self.P, self.sign)
+        return _walkoff_factor(self._complex(self.a), self.sign)
 
     @cached_property
     def Z_tilde(self):
-        return self.Z if self.Q is self.P else _walkoff_factor(self.Q, self.sign)
+        return self.Z if self.b is self.a else _walkoff_factor(self._complex(self.b), self.sign)
 
     def beam_modes(self, k):
         """The (signal, idler) modes of the first k squeezers, sqrt 2 times
-        Z[:N, 0:2k:2] and Z[N:, 1:2k:2], read off P: conj(P) and P up to the
-        signs of the turned columns."""
-        P, root2 = self.P[:, :k], np.sqrt(2.0)
+        Z[:N, 0:2k:2] and Z[N:, 1:2k:2], read off P's first k columns, formed
+        alone: conj(P) and P up to the signs of the turned columns."""
+        P, root2 = self._complex(self.a[:, :k]), np.sqrt(2.0)
         return root2 * (P.conj() * self.sign[:k]), root2 * (_C * P)
 
 

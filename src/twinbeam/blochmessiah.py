@@ -3,12 +3,13 @@
 Factors a symplectic propagator as S = O D O-tilde^T with O, O-tilde
 orthogonal symplectic and D = diag(lam, 1/lam) into two-mode squeezers, one
 signal mode paired with one idler mode each.  A Propagator gives a
-Decomposition: lam, r and, per side, one N x N mode matrix per beam whose
-column k is squeezer k's mode; the 2N mode matrices, the 4N real factors and
-the gauged modes are derived on demand.  A raw 4N array gives a
-BlochMessiahResult: lam and the complex 2N unitaries Z, Z_tilde with O =
-embed_unitary(Z), O_tilde = embed_unitary(Z_tilde), whose doubly-degenerate
-spectrum two_mode_rearrange mixes into squeezers.
+Decomposition: lam, r and, per side, the exchange-basis factors of its pair
+form below, one N x N factor per beam, real for an even pump; squeezer k's
+complex modes (column k of each beam's mode matrix), the whole mode
+matrices, the 4N real factors and the gauged modes are formed on read.  A
+raw 4N array gives a BlochMessiahResult: lam and the complex 2N unitaries
+Z, Z_tilde with O = embed_unitary(Z), O_tilde = embed_unitary(Z_tilde),
+whose doubly-degenerate spectrum two_mode_rearrange mixes into squeezers.
 
 A Propagator is factored in its 2N pair form Y = U^H T U (propagator module
 docstring), real for an even pump, once its cached symplectic residual
@@ -44,10 +45,10 @@ is conj X^H A / s where s >= 1 and s (X^-T)^H A where s < 1.  A and B are
 polished and checked in the same terms: conj X and X^-T rebuilt, and A's
 residuals under the names of O, B's under those of O_tilde.  Squeezer k's
 signal mode is U_S Q_S e_k and its idler mode i conj(U_I Q_I e_k), U_S,I =
-e^{i pi/4} (I -+ iJ) / sqrt 2, index maps only.  The matched SGVM double
-pass is a perfect inline squeezer: X = X_f^T X_f is symmetric positive
-definite (X_f^H X_f, Hermitian, for a lopsided pump), so A = B and its
-input modes equal its output modes.
+e^{i pi/4} (I -+ iJ) / sqrt 2, index maps only, formed for the columns
+read.  The matched SGVM double pass is a perfect inline squeezer: X =
+X_f^T X_f is symmetric positive definite (X_f^H X_f, Hermitian, for a
+lopsided pump), so A = B and its input modes equal its output modes.
 
 A raw 4N array takes the same polar route on S S^T, the independent oracle
 of the pair route: P = (S S^T)^{1/2} is diagonalized by an orthogonal
@@ -157,6 +158,7 @@ def _checked(blocks, factors, context, pairing=None):
         E = (L * d) @ R.conj().T
         E -= T
         worst = max(worst, _embedded_max(E) / max(1.0, _embedded_max(T)))
+        del E  # before the next block's product
     residuals = {"reconstruction": worst}
     for name, side in zip(("O", "O_tilde"), factors):
         for kind in ("orthogonal", "symplectic"):
@@ -165,6 +167,7 @@ def _checked(blocks, factors, context, pairing=None):
                 gram = F.conj().T @ F if kind == "orthogonal" else F @ F.conj().T
                 gram[np.diag_indices_from(gram)] -= 1.0
                 worst = max(worst, _embedded_max(gram))
+                del gram
             residuals[name + "_" + kind] = worst
     if pairing is not None:
         residuals["pairing"] = pairing
@@ -191,10 +194,12 @@ def _polish_unitary(Z, context):
     error squared), until max|E| <= POLISH_TOL; an input already there comes
     back unchanged.  Raises DecompositionError when ||E||_F >= 0.75 on entry
     (below it every singular value lies in (0.5, sqrt 1.75), where the steps
-    converge) or when POLISH_STEPS steps do not reach POLISH_TOL.
+    converge) or when POLISH_STEPS steps do not reach POLISH_TOL.  The first
+    step copies Z, the later ones step that copy in place.
     """
-    eye = np.eye(Z.shape[1])
-    E = Z.conj().T @ Z - eye
+    E = Z.conj().T @ Z
+    diag = np.diag_indices_from(E)
+    E[diag] -= 1.0
     defect = float(np.linalg.norm(E))
     for step in range(POLISH_STEPS + 1):
         if np.max(np.abs(E), initial=0.0) <= POLISH_TOL:
@@ -203,8 +208,12 @@ def _polish_unitary(Z, context):
             raise DecompositionError(
                 "%s: candidate unitary does not polish (||Z^H Z - I||_F = %.3e on "
                 "entry, %d steps)" % (context, defect, step))
-        Z = Z - 0.5 * (Z @ E)
-        E = Z.conj().T @ Z - eye
+        W = Z @ E
+        W *= 0.5
+        Z = Z - W if step == 0 else np.subtract(Z, W, out=Z)
+        del W
+        np.matmul(Z.conj().T, Z, out=E)
+        E[diag] -= 1.0
 
 
 def _spectrum(w, gram):
@@ -250,10 +259,10 @@ def _pair_factors(prop):
     factors under those of O_tilde, and its Gram spectrum's pairing defect.
     """
     _guard(prop.symplectic_residual, prop.matrix_max)
-    lam, (QS, QI, PS, PI), residuals = (_exchange_factors if prop.sgvm else _gram_factors)(prop)
+    lam, factors, residuals = (_exchange_factors if prop.sgvm else _gram_factors)(prop)
     r = np.log(lam)
     r[r < R_CLAMP] = 0.0
-    return Decomposition(np.repeat(lam, 2), r, _beam_modes(QS, QI), _beam_modes(PS, PI), residuals)
+    return Decomposition(np.repeat(lam, 2), r, factors[:2], factors[2:], residuals)
 
 
 def _gram_factors(prop):
@@ -330,7 +339,9 @@ def _exchange_factors(prop):
 
 def _beam_modes(QS, QI):
     """(U_S Q_S, i conj(U_I Q_I)), U_S,I = e^{i pi/4} (I -+ iJ) / sqrt 2: column
-    k holds squeezer k's signal and idler mode."""
+    k holds squeezer k's signal and idler mode; index maps and elementwise
+    products only, so a column or a vector of factor columns gives those
+    columns bitwise."""
     return _signal_basis(QS), 1j * (_PHASE * (QI + 1j * QI[::-1])).conj()
 
 
@@ -422,16 +433,42 @@ class SchmidtMode:
 class Decomposition:
     """Two-mode squeezer structure of one propagator, stored per beam.
 
-    modes_out and modes_in are the (signal, idler) N x N complex mode matrices
-    of each side, column k squeezer k's mode on its own beam's bins; U_out,
-    U_in, O, O_tilde and pair_modes are derived from them on each access.
+    factors_out and factors_in are the exchange-basis factors (Q_S, Q_I) and
+    (P_S, P_I) of the pair form (module docstring), real for an even pump;
+    phase, when set, turns each output bin (signal bins, then idler bins).
+    The complex (signal, idler) mode matrices modes_out and modes_in, column
+    k squeezer k's mode on its own beam's bins, are formed from them on each
+    access (mode_columns), and U_out, U_in, O and O_tilde from those;
+    pair_modes forms one column of each beam.
     """
 
     lam: np.ndarray           # 2N: each squeezer's e^{r_k} twice
     r: np.ndarray             # N, descending, every r < R_CLAMP set to 0
-    modes_out: tuple
-    modes_in: tuple
+    factors_out: tuple        # (Q_S, Q_I), N x N each
+    factors_in: tuple         # (P_S, P_I), N x N each
     residuals: dict           # bloch_messiah's residuals of the factored propagator
+    phase: Optional[np.ndarray] = None  # 2N, set by without_free_phase
+
+    def mode_columns(self, direction, cols=slice(None)):
+        """(signal, idler) columns cols (an index or a slice) of direction's
+        mode matrices, "out" or "in": the factors' columns taken to the
+        original basis (_beam_modes), on the output side turned by phase."""
+        QS, QI = self.factors_out if direction == "out" else self.factors_in
+        sig, idl = _beam_modes(QS[:, cols], QI[:, cols])
+        if direction == "in" or self.phase is None:
+            return sig, idl
+        n, back = self.r.size, self.phase if sig.ndim == 1 else self.phase[:, None]
+        return back[:n] * sig, back[n:] * idl
+
+    @property
+    def modes_out(self):
+        """The (signal, idler) N x N output mode matrices."""
+        return self.mode_columns("out")
+
+    @property
+    def modes_in(self):
+        """The (signal, idler) N x N input mode matrices."""
+        return self.mode_columns("in")
 
     @property
     def U_out(self):
@@ -458,15 +495,15 @@ class Decomposition:
 
         The free path P (over both passes when double) is diagonal and passive,
         so P^H S = (P^H O) D O_tilde^T: only each bin's row of the output mode
-        matrices turns back.  Raises ConfigError for a grid of another size.
+        matrices turns back, which phase records; the factors are shared.
+        Raises ConfigError for a grid of another size.
         """
         n, p = self.r.size, _free_phases(grid, medium, medium.length, double)
         if grid.n != n:
             raise ConfigError("grid size %d does not match decomposition bins %d" % (grid.n, n))
         # (a_S, a_I) turn by (conj M, M) for SGVM media, else by (p_S, conj p_I+)
         back = np.concatenate([p, p.conj()] if p.size == n else [p[:n].conj(), p[n:]])
-        sig, idl = self.modes_out
-        return replace(self, modes_out=(back[:n, None] * sig, back[n:, None] * idl))
+        return replace(self, phase=back if self.phase is None else back * self.phase)
 
     def active_pairs(self):
         """Squeezers with r > 0; bloch_messiah sets every r < R_CLAMP to 0."""
@@ -474,11 +511,12 @@ class Decomposition:
 
     def pair_modes(self, k, direction):
         """(signal_mode, idler_mode) of squeezer k, direction "out" or "in":
-        the gauge-fixed column k of each beam's mode matrix."""
+        the gauge-fixed column k of each beam's mode matrix, formed alone."""
         if direction not in ("out", "in") or not 0 <= k < self.r.size:
             raise ConfigError("no such squeezer: k=%r direction=%r" % (k, direction))
-        r, modes = float(self.r[k]), self.modes_out if direction == "out" else self.modes_in
-        return tuple(SchmidtMode(b, r, _gauge_fix(U[:, k])) for b, U in zip(("signal", "idler"), modes))
+        r = float(self.r[k])
+        return tuple(SchmidtMode(b, r, _gauge_fix(u))
+                     for b, u in zip(("signal", "idler"), self.mode_columns(direction, k)))
 
 
 def _interleaved(modes):

@@ -385,22 +385,20 @@ def _check(checks, name, value, threshold, ok=None):
     })
 
 
-def _route_checks(checks, lam, modes_out, route):
-    """Compare svd_route's factors with the pair route's lam and (signal,
-    idler) output modes, beam by beam, on the route's active squeezers.
+def _route_checks(checks, decomp, lam, modes):
+    """Compare svd_route's lam and (signal, idler) modes of its active
+    squeezers with the pair route's, beam by beam.
 
     Route squeezer k's signal mode is proportional to conj(p_k) and its idler
-    mode to p_k (p_k column k of the route's N x N factor P), read off P by
-    route.beam_modes with no 2N factor formed; the active squeezers lead, as
-    lam is descending.  The route dies with this call, before the rest of
-    verify runs.
+    mode to p_k (p_k column k of the route's N x N factor P, route.beam_modes);
+    the active squeezers lead, as lam is descending, so the decomposition
+    forms only its first k output mode columns.
     """
-    r_gen = np.log(lam)
-    _check(checks, "route_r_agreement",
-           float(np.max(np.abs(r_gen - np.log(route.lam)))), 1e-8)
-    k = int(np.sum(np.log(route.lam[0::2]) > 1e-6))
-    worst = min((overlap for own, theirs in zip(modes_out, route.beam_modes(k))
-                 for _, overlap in subspace_overlaps(own[:, :k], theirs, r_gen[0:2 * k:2])),
+    r_gen = np.log(decomp.lam)
+    _check(checks, "route_r_agreement", float(np.max(np.abs(r_gen - np.log(lam)))), 1e-8)
+    k = modes[0].shape[1]
+    worst = min((overlap for own, theirs in zip(decomp.mode_columns("out", np.s_[:k]), modes)
+                 for _, overlap in subspace_overlaps(own, theirs, r_gen[0:2 * k:2])),
                 default=1.0)
     _check(checks, "route_mode_overlap", 1.0 - worst, 1e-8)
 
@@ -437,6 +435,14 @@ def cmd_verify(cfg, out_dir, propagator_path):
     balance = abs(ns - ni) / max(1.0, abs(ns))
     _check(checks, "photon_balance", balance, PHOTON_BALANCE_TOL)
 
+    # svd_route runs before the decomposition is held, and only its lam and
+    # its active squeezers' modes outlive it
+    routed = None
+    if medium.sgvm() and (not cfg.double or cfg.gain2_scale == 1.0):
+        route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double)
+        routed = route.lam, route.beam_modes(int(np.sum(np.log(route.lam[0::2]) > 1e-6)))
+        del route
+
     try:
         decomp = decompose(prop, grid)
         # the pair route doubles lam itself: what it can fail on is the
@@ -448,13 +454,11 @@ def cmd_verify(cfg, out_dir, propagator_path):
         decomp = None
         _check(checks, "bm_decomposition", str(exc), None, ok=False)
 
-    # what _route_checks reads of the decomposition, which dies here
-    routed = medium.sgvm() and decomp is not None and (not cfg.double or cfg.gain2_scale == 1.0)
-    compared, decomp = (decomp.lam, decomp.modes_out) if routed else None, None
-    if compared is not None:
-        _route_checks(checks, *compared, svd_route(grid, pump, medium, cfg.sim_poling,
-                                                   double=cfg.double))
-    del compared
+    if routed is not None and decomp is not None:
+        _route_checks(checks, decomp, *routed)
+    # nothing below reads the device pass or its memoized forward pass
+    del routed, decomp, prop
+    _clear_compose_memo()
 
     # X A-hat is symmetric only when the propagation poling reads the same
     # reversed; other polings keep the residual under "structure" only.

@@ -97,8 +97,9 @@ def embed_unitary(Z):
 
 
 def _real_if_exact(X):
-    """X of real dtype when its imaginary part is exactly zero."""
-    return X if X.imag.any() else X.real
+    """X of real dtype when its imaginary part is exactly zero: a contiguous
+    copy of X.real, which neither pins X's complex buffer nor strides."""
+    return X if X.imag.any() else X.real.copy()
 
 
 @dataclass(frozen=True)

@@ -165,6 +165,24 @@ def test_subspace_overlaps_active_mask():
     assert all(ov > 1.0 - 1e-14 for _, ov in out)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_subspace_overlaps_match_the_complex_svd_in_real_arithmetic(monkeypatch, seed):
+    # random complex clusters of width 1-3, each read off the singular values
+    # of its cross block's real embedding, which takes only a real SVD
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(1, 4, size=4)
+    values = np.repeat(np.arange(widths.size, 0, -1.0), widths)
+    U_a, U_b = (haar(rng, 12)[:, :values.size] for _ in range(2))
+    svd, kinds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda M, **kw: kinds.append(M.dtype.kind) or svd(M, **kw))
+    out = subspace_overlaps(U_a, U_b, values)
+    assert kinds and set(kinds) == {"f"}
+    assert [len(idx) for idx, _ in out] == list(widths)
+    for idx, overlap in out:
+        cross = U_a[:, idx].conj().T @ U_b[:, idx]
+        assert abs(overlap - svd(cross, compute_uv=False)[-1] ** 2) <= 1e-15
+
+
 def test_subspace_overlaps_bad_widths():
     with pytest.raises(ConfigError):
         subspace_overlaps(np.eye(3), np.eye(3), [1.0, 2.0])

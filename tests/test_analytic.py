@@ -260,6 +260,22 @@ def test_svd_route_double_pass_factors_coincide(sgvm):
     assert result.residuals["O_tilde_symplectic"] == result.residuals["O_symplectic"]
 
 
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+def test_svd_route_keeps_real_factors_and_forms_complex_ones_on_read(sgvm, double):
+    # an even pump: the route holds its real exchange-basis factors a and b
+    # (b is a for a matched double pass) and no complex array until Z is
+    # read; beam_modes(k), formed from a's first k columns alone, is bitwise
+    # sqrt 2 times Z's beam blocks of the first k squeezers
+    grid, pump, medium = sgvm
+    result = svd_route(grid, pump, medium, qpm_poling(L, 2 * L / 9), double=double)
+    assert result.a.dtype == result.b.dtype == float and (result.b is result.a) == double
+    assert not [v for v in vars(result).values() if np.iscomplexobj(v)]
+    for k in (0, 3, N):
+        signal, idler = result.beam_modes(k)
+        np.testing.assert_array_equal(signal, np.sqrt(2.0) * result.Z[:N, 0:2 * k:2])
+        np.testing.assert_array_equal(idler, np.sqrt(2.0) * result.Z[N:, 1:2 * k:2])
+
+
 def route_pass(grid, pump, medium, poling, double=False):
     """The pass a route factors: the forward pass, or its matched double pass."""
     prop = compose(grid, pump, medium, poling)

@@ -41,14 +41,16 @@ from twinbeam.blochmessiah import (
     FACTOR_TOL,
     BlochMessiahResult,
     checked_factors,
+    POLISH_TOL,
     R_CLAMP,
     RECON_RTOL,
+    _gauge_fix,
     _polish_unitary,
     pair_mixer,
     solve_increasing,
 )
 from twinbeam.errors import ConfigError, ContractError, DecompositionError
-from twinbeam.propagator import embed_unitary
+from twinbeam.propagator import _PHASE, embed_unitary
 
 N = 9
 L = 1.0
@@ -134,6 +136,41 @@ def test_polish_unitary_rejects_far_inputs(monkeypatch):
     monkeypatch.setattr(blochmessiah, "POLISH_STEPS", 1)
     with pytest.raises(DecompositionError, match="slow factor.*1 steps"):
         _polish_unitary(near_unitary((8, 8), 1e-2, rng), "slow factor")
+
+
+def polish_out_of_place(Z):
+    """_polish_unitary's Newton-Schulz steps, each on a new array."""
+    eye = np.eye(Z.shape[1])
+    E = Z.conj().T @ Z - eye
+    while np.max(np.abs(E), initial=0.0) > POLISH_TOL:
+        Z = Z - 0.5 * (Z @ E)
+        E = Z.conj().T @ Z - eye
+    return Z
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("shape", [(16, 16), (24, 6), (51, 51)], ids=["square", "tall", "n51"])
+@pytest.mark.parametrize("defect", [1e-12, 1e-6, 1e-2])
+def test_polish_unitary_steps_its_own_copy_in_place(shape, defect, real):
+    # bitwise the out-of-place steps, and the caller's array is left as it was
+    rng = np.random.default_rng(int(-np.log10(defect)))
+    Z = near_unitary(shape, defect, rng)
+    Z = np.ascontiguousarray(np.linalg.qr(Z.real)[0] + defect * Z.imag) if real else Z
+    given_ = Z.copy()
+    polished = _polish_unitary(Z, "test factor")
+    np.testing.assert_array_equal(Z, given_)
+    assert polished is not Z and polished.dtype == Z.dtype
+    np.testing.assert_array_equal(polished, polish_out_of_place(Z))
+
+
+def test_polish_unitary_peak_memory_in_factors():
+    # a real 101 x 101 factor: the Gram E, one product Z E / 2 and the copy
+    # Z steps in place, with |E| for the stopping test, 3.1 factors above
+    # entry (5.0 when each step formed new Z, Z E, Z E / 2 and E)
+    rng = np.random.default_rng(7)
+    Z = np.linalg.qr(rng.normal(size=(101, 101)))[0] + 1e-6 * rng.normal(size=(101, 101)) / 101
+    _polish_unitary(Z, "warm-up")
+    assert traced_peak(lambda: _polish_unitary(Z, "test factor")) <= 3.5 * Z.nbytes
 
 
 def test_polish_unitary_returns_an_exactly_unitary_input_unchanged():
@@ -345,10 +382,16 @@ def test_zero_squeezing_pairs_are_clamped(setup):
 
 
 def three_bin_decomposition(signal, idler):
-    """Three squeezers on a 3-bin grid with (signal, idler) as both sides' mode matrices."""
-    r = np.array([1.0, 0.5, 0.2])
-    return Decomposition(lam=np.repeat(np.exp(r), 2), r=r, modes_out=(signal, idler),
-                         modes_in=(signal, idler), residuals={})
+    """Three squeezers on a 3-bin grid with (signal, idler) as both sides'
+    mode matrices, stored as the exchange-basis factors Q_S = U_S^H signal
+    and Q_I = U_I^H (i conj idler), U_S,I = e^{i pi/4} (I -+ iJ) / sqrt 2:
+    exact for entries 0 and 1, whose products with e^{+-i pi/4} / sqrt 2 are
+    dyadic."""
+    r, turn = np.array([1.0, 0.5, 0.2]), np.conj(_PHASE)
+    V = 1j * idler.conj()
+    factors = (turn * (signal + 1j * signal[::-1]), turn * (V - 1j * V[::-1]))
+    return Decomposition(lam=np.repeat(np.exp(r), 2), r=r, factors_out=factors,
+                         factors_in=factors, residuals={})
 
 
 def test_pair_modes_identity_factor_gives_bin_basis():
@@ -396,19 +439,52 @@ def test_pair_modes_are_gauged_own_beam_slices_of_their_columns(walkoff_i):
 
 
 @pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
-def test_decomposition_stores_each_beams_modes_once(walkoff_i):
-    # four N x N mode matrices, half the entries of two 2N mode matrices;
-    # the 2N layouts derived from them are exactly zero off the beam pattern
+def test_decomposition_stores_real_factors_and_no_complex_mode_matrix(walkoff_i):
+    # an even pump: four real N x N exchange-basis factors, half the bytes
+    # of four complex mode matrices, and no complex N x N array, raw or
+    # stripped (the free phase is one 2N vector, the factors are shared);
+    # the mode matrices and their 2N layouts are formed on each read, the
+    # layouts exactly zero off the beam pattern
     n = 51
     grid, medium = build_grid(n, 5.0), MediumSpec(8.0, walkoff_i, L)
-    d = decompose(compose(grid, PumpSpec(g0=1.0), medium, qpm_poling(L, 2 * L / 9)), grid)
-    stored = d.modes_out + d.modes_in
-    assert all(U.shape == (n, n) and U.dtype == complex for U in stored)
-    assert sum(U.size for U in stored) == 4 * n**2
-    for U, (signal, idler) in ((d.U_out, d.modes_out), (d.U_in, d.modes_in)):
-        np.testing.assert_array_equal(U[:n, 0::2], signal)
-        np.testing.assert_array_equal(U[n:, 1::2], idler)
-        assert not U[n:, 0::2].any() and not U[:n, 1::2].any()
+    raw = decompose(compose(grid, PumpSpec(g0=1.0), medium, qpm_poling(L, 2 * L / 9)), grid)
+    stripped = raw.without_free_phase(grid, medium)
+    assert stripped.factors_out is raw.factors_out and stripped.factors_in is raw.factors_in
+    assert raw.phase is None and stripped.phase.shape == (2 * n,)
+    for d in (raw, stripped):
+        factors = d.factors_out + d.factors_in
+        assert all(F.shape == (n, n) and F.dtype == float for F in factors)
+        assert sum(F.size for F in factors) == 4 * n**2
+        held = [a for a in vars(d).values() if isinstance(a, np.ndarray)] + list(factors)
+        assert not [a for a in held if np.iscomplexobj(a) and a.ndim == 2]
+        for U, (signal, idler) in ((d.U_out, d.modes_out), (d.U_in, d.modes_in)):
+            assert signal.dtype == idler.dtype == complex
+            np.testing.assert_array_equal(U[:n, 0::2], signal)
+            np.testing.assert_array_equal(U[n:, 1::2], idler)
+            assert not U[n:, 0::2].any() and not U[:n, 1::2].any()
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
+def test_mode_columns_are_the_mode_matrices_columns_bitwise(walkoff_i, double):
+    # pair_modes(k) gauge-fixes column k, formed alone, and mode_columns of
+    # an index or a slice are those columns of modes_out and modes_in,
+    # bitwise, stripped and raw
+    n = 21
+    grid, medium = build_grid(n, 5.0), MediumSpec(8.0, walkoff_i, L)
+    prop = (double_pass if double else compose)(grid, PumpSpec(g0=1.5), medium,
+                                                 qpm_poling(L, 2 * L / 9))
+    raw = decompose(prop, grid)
+    for d in (raw, raw.without_free_phase(grid, medium, double)):
+        for direction, modes in (("out", d.modes_out), ("in", d.modes_in)):
+            for k in range(n):
+                for m, u, U in zip(d.pair_modes(k, direction), d.mode_columns(direction, k),
+                                   modes):
+                    np.testing.assert_array_equal(u, U[:, k])
+                    np.testing.assert_array_equal(m.amplitudes, _gauge_fix(U[:, k]))
+            for k in (0, 5, n):
+                for u, U in zip(d.mode_columns(direction, np.s_[:k]), modes):
+                    np.testing.assert_array_equal(u, U[:, :k])
 
 
 def test_decomposition_factors_undo_the_pair_mixing(setup):
@@ -629,7 +705,9 @@ def test_remove_free_phase_keeps_spectrum():
         stripped = raw.without_free_phase(grid, medium, double)
         for name in ("lam", "r", "U_in"):
             np.testing.assert_array_equal(getattr(stripped, name), getattr(raw, name))
-        assert stripped.residuals == raw.residuals and stripped.modes_in is raw.modes_in
+        assert stripped.residuals == raw.residuals
+        for a, b in zip(stripped.modes_in, raw.modes_in):
+            np.testing.assert_array_equal(a, b)
         # a matched SGVM double pass has (to roundoff) no free phase
         moved = max(np.max(np.abs(a - b)) for a, b in zip(stripped.modes_out, raw.modes_out))
         assert moved < 1e-14 if double and walkoff_i == -8.0 else moved > 1e-3
@@ -941,16 +1019,18 @@ def readme_double_pass_n51():
     return grid, pump, medium, poling, double_pass(grid, pump, medium, poling)
 
 
-@pytest.mark.parametrize("route, arrays", [("decompose", 1.17), ("svd_route", 0.59)])
+@pytest.mark.parametrize("route, arrays", [("decompose", 0.53), ("svd_route", 0.45)])
 def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, arrays):
     # Measured above entry, the 4N matrix and the pass's cached symplectic
-    # residual already built: decompose 1.02 arrays (the N x N Grams of
-    # conj X and X^-T, the two factors A and B, and the mode matrices),
-    # svd_route(double=True) 0.52 (the real N x N SVD of X, polish and
-    # checks in the exchange basis, and the complex factor P, with no 2N Z
-    # built; 1.22 with the checks against the complex M^H M and M^-1 M^-H
-    # and the 2N Z built last, 1.58 on the SVD of the complex view M); each
-    # bound leaves 15%.  Building the residual
+    # residual already built: decompose 0.46 arrays (the N x N Grams of
+    # conj X and X^-T and the real factors A and B, polished in place and
+    # checked one block at a time; 1.02 when it also formed the complex
+    # mode matrices and each polish step and check block a new array),
+    # svd_route(double=True) 0.39 (the real N x N SVD of X, released before
+    # the polish, and checks in the exchange basis, with no complex factor
+    # formed; 0.52 with the complex P built last, 1.22 with the checks
+    # against the complex M^H M and M^-1 M^-H and the 2N Z built last, 1.58
+    # on the SVD of the complex view M); each bound leaves 15%.  Building the residual
     # alone, X^-T included, reads 0.70, off the N x N conj(X X^-1) - I
     # (1.33 one beam's block row of the 2N pair form's E at a time, 2.72
     # when E was exchanged whole, and decompose read 2.91 when it built

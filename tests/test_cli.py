@@ -276,6 +276,56 @@ def test_simulate_derives_each_squeezers_modes_once(tmp_path, monkeypatch,
     assert active > 0 and len(calls) == per_squeezer * active
 
 
+def spy_on_mode_columns(monkeypatch):
+    """The factor shapes each complex mode-column formation starts from: the
+    decomposition's (_beam_modes) and svd_route's (RouteFactors' basis map)."""
+    formed = {"decomposition": [], "route": []}
+    for module, name, key in ((twinbeam.blochmessiah, "_beam_modes", "decomposition"),
+                              (twinbeam.analytic, "_signal_basis", "route")):
+        def spy(Q, *rest, fn=getattr(module, name), key=key):
+            formed[key].append(Q.shape)
+            return fn(Q, *rest)
+
+        monkeypatch.setattr(module, name, spy)
+    return formed
+
+
+# N = 41 on the default grid at g0 = 1.5: 26 of 41 squeezers active (SGVM), 23 at 40% mismatch
+PARTLY_ACTIVE = base_config(grid={"N": 41}, pump={"g0": 1.5},
+                            poling={"kind": "qpm", "period": 2.0 / 9.0})
+
+
+@pytest.mark.parametrize("remove_free_phase, per_squeezer", [(False, 2), (True, 3)])
+@pytest.mark.parametrize("medium", [SGVM_MEDIUM, SKEW_MEDIUM], ids=["sgvm", "skew"])
+def test_simulate_forms_mode_columns_only_of_active_squeezers(tmp_path, monkeypatch, medium,
+                                                              remove_free_phase, per_squeezer):
+    # each active squeezer's in and out columns (and its raw output column
+    # when the free phase is stripped), one column per beam at a time, and
+    # no mode matrix of the passive ones
+    formed = spy_on_mode_columns(monkeypatch)
+    cfg = dict(PARTLY_ACTIVE, medium=dict(medium),
+               options={"remove_free_phase": remove_free_phase})
+    rc, out = run(tmp_path, cfg, "simulate")
+    assert rc == 0
+    active = len(read_summary(out)["squeezers"])
+    assert 0 < active < 41
+    assert formed["decomposition"] == [(41,)] * (per_squeezer * active)
+    assert formed["route"] == []
+
+
+@pytest.mark.parametrize("pass_mode", ["single", "double"])
+def test_verify_route_check_forms_only_the_active_mode_columns(tmp_path, monkeypatch, pass_mode):
+    # svd_route's modes and the decomposition's output modes are formed once,
+    # for the route's k active squeezers only
+    formed = spy_on_mode_columns(monkeypatch)
+    rc, out = run(tmp_path, dict(PARTLY_ACTIVE, pass_mode=pass_mode), "verify")
+    assert rc == 0
+    (n, k), = formed["decomposition"]
+    assert formed["route"] == [(n, k)] and n == 41 and 0 < k < n
+    names = [c["name"] for c in json.loads((out / "verify.json").read_text())["checks"]]
+    assert "route_mode_overlap" in names
+
+
 @pytest.mark.parametrize("cfg, before, composed", [
     (README_CONFIG, {"expm", "inv", "Propagator"}, 6),
     (MISMATCH_CONFIG, {"expm", "Propagator"}, 2),
@@ -868,15 +918,19 @@ def test_simulate_and_verify_share_one_pairing_limit(tmp_path, capsys):
     assert "do not pair reciprocally" in check["value"]
 
 
-@pytest.mark.parametrize("medium, arrays", [(SGVM_MEDIUM, 1.61), (SKEW_MEDIUM, 4.23)],
+@pytest.mark.parametrize("medium, arrays", [(SGVM_MEDIUM, 1.25), (SKEW_MEDIUM, 4.23)],
                          ids=["sgvm", "skew"])
 def test_verify_peak_memory_in_4n_arrays(tmp_path, medium, arrays):
     # The N = 51 README double pass at g0 = 1.5, traced above entry with empty
-    # memos, with no 4N export built (each bound leaves 15%).  SGVM: 1.40 4N
-    # arrays, structure_checks and svd_route at N x N in the exchange basis,
-    # with no 2N eigenproblem, no complex route targets or 2N factor and no
-    # view cached on the forward pass; 1.84 with those, every reader of the
-    # pass at N x N and svd_route run on the
+    # memos, with no 4N export built (each bound leaves 15%).  SGVM: 1.09 4N
+    # arrays, svd_route run before the decomposition and kept as its lam and
+    # active modes, the decomposition stored as real factors and compared
+    # on its first k mode columns, the device pass dropped before the
+    # zero-gain pass; 1.40 when svd_route ran on the decomposition's lam and
+    # complex output modes, structure_checks and svd_route at N x N in the
+    # exchange basis, with no 2N eigenproblem, no complex route targets or
+    # 2N factor and no view cached on the forward pass; 1.84 with those,
+    # every reader of the pass at N x N and svd_route run on the
     # decomposition's lam and output modes alone; 2.90 when the residual,
     # max|S| and the photon balance read the 2N pair form, svd_route took
     # the SVD of the complex M and the whole decomposition lived through

@@ -575,6 +575,19 @@ def test_free_propagator_contracts(sgvm):
                                   np.eye(4 * N))
 
 
+@pytest.mark.parametrize("walkoff_i", [-8.0, -4.8], ids=["sgvm", "skew"])
+def test_real_passes_store_contiguous_real_arrays(walkoff_i):
+    # a free pass (single and double) and a pump-off domain: X of exactly
+    # zero imaginary part is stored as its own C-contiguous float64 array,
+    # not a strided view pinning the complex buffer it was read off
+    grid, medium = build_grid(21, 5.0), MediumSpec(8.0, walkoff_i, L)
+    matrices = build_coupled_matrices(grid, PumpSpec(g0=0.0), medium, sign=1)
+    for prop in (free_propagator(grid, medium, L), free_propagator(grid, medium, L, double=True),
+                 segment_propagator(matrices, L / 9)):
+        X = prop.exchange
+        assert X.dtype == np.float64 and X.flags.c_contiguous and X.base is None
+
+
 def test_double_pass_zero_gain_is_two_free_passes(sgvm):
     grid, _, medium = sgvm
     cases = [(grid, Poling.unpoled(L)),
