@@ -12,13 +12,12 @@ forms in the coupling matrices (block_reduce):
 * In the SGVM regime (H = -G), W = (1/sqrt 2) [[I, -iI], [-iI, I]] is the
   walk-off basis, C = [[-F, G], [-G, -F]] and the reduced propagator A-hat
   is embed_unitary(M), M the N x N Bogoliubov view of the composed pass.
-  For any poling the SVD M = P s Q^H gives the factors directly, as A-hat =
-  embed(P) diag(s, s) embed(Q)^T; svd_route factors and checks the stored
-  exchange matrix X (M = U X U^H) and forms the N x N P and Q last.  The
-  return trip is the adjoint of the pass, so the matched double pass has
-  block embed(M^H M) = embed(Q s^2 Q^H): input = output = Q of the forward
-  pass; its blocks are formed from the forward pass's, no double pass is
-  composed.
+  For any poling one SVD of the exchange matrix X (M = U X U^H, U the
+  exchange basis) gives the factors: svd_route reads conj X = A s B^H, the
+  form decompose reaches through two Gram eigenproblems, and hands it to
+  the same tail.  The return trip is the adjoint of the pass, so the
+  matched double pass has input = output = B of the forward pass, and no
+  double pass is composed.
 
 * Away from SGVM, W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]] (J the bin
   exchange) is the exchange basis.  It splits the generator, with
@@ -38,33 +37,31 @@ the parity of M, with no eigenproblem: K's two N-dimensional eigenspaces
 (K the 2N reversal) when M = J conj(M) J, as for an even pump, else None.
 
 Each route composes its pass once and reads its block once (_reduced, or
-X for svd_route).  All routes return the BlochMessiahResult contract of
-bloch_messiah after the same canonicalization, so the two compare mode by
-mode.  The eigenproblem routes are test oracles, run by no command: they
-check their 2N factors against the pass's 4N matrix Propagator.matrix with
-checked_factors, the 4N route's check, so the block read, the basis map and
-the factorization are tested against the pass itself.  svd_route, which
-verify runs, checks the exchange-basis equivalents of the diagonal blocks
-of B^T S B at N x N and builds no 4N matrix; both go through
-blochmessiah's one residual check (_checked).  A route outside its regime
-raises RegimeError carrying the violated residual.
+X for svd_route).  The eigenproblem routes are test oracles, run by no
+command: they return bloch_messiah's BlochMessiahResult after one shared
+canonicalization and check their 2N factors against the pass's 4N matrix
+with checked_factors, so the block read, the basis map and the
+factorization are tested against the pass itself.  svd_route, which verify
+runs, returns decompose's Decomposition, checked at N x N by the SGVM tail
+(blochmessiah._sgvm_factors) with no 4N matrix built; every route goes
+through blochmessiah's one residual check (_checked), and the routes compare
+mode by mode.  A route outside its regime raises RegimeError carrying the
+violated residual.
 """
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import numerics
-from .blochmessiah import BlochMessiahResult, _checked, _polish_unitary, checked_factors
+from .blochmessiah import BlochMessiahResult, _polish_unitary, _sgvm_factors, checked_factors
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
-from .propagator import _embedded_max, _exchange, _signal_basis, compose, embed_unitary
+from .propagator import _embedded_max, _exchange, compose, embed_unitary
 
 __all__ = [
     "block_reduce", "canonical_factors", "symmetrized_eig_route", "svd_route",
-    "RouteFactors", "general_block_route", "structure_checks",
+    "general_block_route", "structure_checks",
 ]
 
 BLOCK_TOL = 1e-9
@@ -130,8 +127,7 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
     factors (a quarter rotation in the mode's (X, P) plane), which swaps the
     mode's lam and 1/lam slots without changing the product; modes are then
     stably sorted by descending lam (_ladder).  Factors are polished to exact
-    unitaries on the way out; when Z_tilde_raw is Z_raw, once, and the
-    result's Z_tilde is its Z.
+    unitaries on the way out.
     """
     lam, order, turned = _ladder(lam_raw)
     if Z_raw.shape != (lam.size,) * 2 or Z_tilde_raw.shape != (lam.size,) * 2:
@@ -140,9 +136,8 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
     def factor(raw, context):
         return _polish_unitary(_turned(np.asarray(raw, dtype=complex)[:, order], turned), context)
 
-    Z = factor(Z_raw, "active factor")
-    Z_tilde = Z if Z_tilde_raw is Z_raw else factor(Z_tilde_raw, "passive factor")
-    return BlochMessiahResult(Z=Z, lam=lam, Z_tilde=Z_tilde)
+    return BlochMessiahResult(Z=factor(Z_raw, "active factor"), lam=lam,
+                              Z_tilde=factor(Z_tilde_raw, "passive factor"))
 
 
 def _ladder(lam_raw):
@@ -238,88 +233,26 @@ def symmetrized_eig_route(grid, pump, medium, poling):
 
 
 def svd_route(grid, pump, medium, poling, double=False):
-    """Factorization through the SVD of the N x N exchange matrix X (SGVM, any poling).
+    """The Decomposition of a pass from the SVD of its N x N exchange matrix (SGVM, any poling).
 
-    The block A-hat is embed_unitary(M), M = U X U^H (U the exchange basis,
-    an index map), so X = a s b^H gives A-hat = embed(P) diag(s, s)
-    embed(Q)^T with P = U a and Q = U b.  Single pass: the raw spectrum is
-    s.  Matched double pass: the return trip is the adjoint, so the block
-    is embed(M^H M) = embed(Q s^2 Q^H): input = output = Q (the perfect
-    inline squeezer).  a and b, real for an even pump, are sorted by lam =
-    max(s, 1/s) (_ladder), polished, and checked (_checked) in the exchange
-    basis, where U unitary leaves the residuals those of M: the diagonal
-    blocks of B^T S B as a s b^H - X and a s^-1 b^H - X^-H (double pass: b
-    s^+-2 b^H against X^H X and X^-1 X^-H).  U and the turn by i of each
-    column with s < 1, which leaves product and Grams as they are, are
-    applied only when the complex factors are read (RouteFactors).
+    conj X = A diag(s) B^H is the form decompose's SGVM route reaches through
+    two Gram eigenproblems; here one SVD gives it, sorted by lam = max(s,
+    1/s) (_ladder) and polished, and blochmessiah's SGVM tail (_sgvm_factors)
+    checks it against conj X and X^-T and forms the per-beam factors.
+    Matched double pass: the return trip is the adjoint, so conj X_d = conj
+    X^H conj X = B s^2 B^H, input = output = B (the perfect inline squeezer).
     """
     _require_regime(medium, True, "SVD route")
     prop = compose(grid, pump, medium, poling)
-    # X and X^-H, the conjugate of the cached X^-T (itself for a real X)
-    targets = (prop.exchange, prop._inverse_transpose.conj())
-    a, s, b = numerics.svd(targets[0])
-    if double:  # one factor, b, on both sides
-        a, s, targets = b, s**2, tuple(T.conj().T @ T for T in targets)
-    lam, order, turned = _ladder(s)
-    d, A, B = s[order], a[:, order], None if double else b[:, order]
-    del a, b  # the SVD's own factors, before the polish
+    targets = (prop.exchange.conj(), prop._inverse_transpose)  # conj X, X^-T
+    A, s, B = numerics.svd(targets[0])
+    if double:  # one factor, B, on both sides
+        A, s, targets = B, s**2, tuple(T.conj().T @ T for T in targets)
+    lam, order, _ = _ladder(s)
+    s, A, B = s[order], A[:, order], None if double else B[:, order]  # frees the SVD's own
     A = _polish_unitary(A, "active factor")
     B = A if double else _polish_unitary(B, "passive factor")
-    residuals = _checked([(A, e, B, T) for e, T in zip((d, 1.0 / d), targets)], ((A,), (B,)),
-                         "SVD route")
-    del targets
-    return RouteFactors(A, B, np.repeat(lam, 2), np.where(turned, -_C, _C), residuals)
-
-
-@dataclass(frozen=True)
-class RouteFactors:
-    """svd_route's result: the BlochMessiahResult contract over the sorted,
-    polished exchange-basis factors a and b of X = a diag(s) b^H, real for
-    an even pump (b is a for a matched double pass).  The complex N x N
-    factors P = U a and Q = U b of M = P diag(s) Q^H, column k turned by i
-    where s_k < 1 (sign is -C there, C elsewhere), are formed only inside
-    the 2N Z and Z_tilde (_walkoff_factor), built on first access, and
-    beam_modes, which forms only the columns it returns.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    lam: np.ndarray
-    sign: np.ndarray
-    residuals: Optional[dict] = None
-
-    reconstruct = BlochMessiahResult.reconstruct
-
-    def _complex(self, F):  # U F with the turned columns times i: P = U a, Q = U b
-        return _turned(_signal_basis(F), self.sign[:F.shape[1]] < 0)
-
-    @cached_property
-    def Z(self):
-        return _walkoff_factor(self._complex(self.a), self.sign)
-
-    @cached_property
-    def Z_tilde(self):
-        return self.Z if self.b is self.a else _walkoff_factor(self._complex(self.b), self.sign)
-
-    def beam_modes(self, k):
-        """The (signal, idler) modes of the first k squeezers, sqrt 2 times
-        Z[:N, 0:2k:2] and Z[N:, 1:2k:2], read off P's first k columns, formed
-        alone: conj(P) and P up to the signs of the turned columns."""
-        P, root2 = self._complex(self.a[:, :k]), np.sqrt(2.0)
-        return root2 * (P.conj() * self.sign[:k]), root2 * (_C * P)
-
-
-def _walkoff_factor(P, sign):
-    """The 2N factor W embed_unitary(P0) = C [[conj P0, -i conj P0], [-i P0, P0]]
-    (W the walk-off basis) of an N x N factor, columns k and N + k at 2k and
-    2k + 1, both turned by i where svd_route turned column k of P = P0 (or
-    i P0).  In terms of P the idler rows keep that form and the signal rows
-    change sign where it turned, so sign is -C there and C elsewhere."""
-    n = P.shape[0]
-    Z = np.empty((2 * n, 2 * n), dtype=complex)
-    Z[:n, 0::2], Z[n:, 1::2] = P.conj() * sign, _C * P
-    Z[:n, 1::2], Z[n:, 0::2] = -1j * Z[:n, 0::2], -1j * Z[n:, 1::2]
-    return Z
+    return _sgvm_factors(lam, s, A, B, targets, "SVD route")
 
 
 def general_block_route(grid, pump, medium, poling):

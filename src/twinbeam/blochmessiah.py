@@ -6,10 +6,12 @@ signal mode paired with one idler mode each.  A Propagator gives a
 Decomposition: lam, r and, per side, the exchange-basis factors of its pair
 form below, one N x N factor per beam, real for an even pump; squeezer k's
 complex modes (column k of each beam's mode matrix), the whole mode
-matrices, the 4N real factors and the gauged modes are formed on read.  A
-raw 4N array gives a BlochMessiahResult: lam and the complex 2N unitaries
-Z, Z_tilde with O = embed_unitary(Z), O_tilde = embed_unitary(Z_tilde),
-whose doubly-degenerate spectrum two_mode_rearrange mixes into squeezers.
+matrices, the 2N complex and 4N real factors and the gauged modes are
+formed on read.  analytic.svd_route gives one too, through the SGVM tail
+below (_sgvm_factors).  A raw 4N array gives a BlochMessiahResult: lam and
+the complex 2N unitaries Z, Z_tilde with O = embed_unitary(Z), O_tilde =
+embed_unitary(Z_tilde), whose doubly-degenerate spectrum two_mode_rearrange
+mixes into squeezers.
 
 A Propagator is factored in its 2N pair form Y = U^H T U (propagator module
 docstring), real for an even pump, once its cached symplectic residual
@@ -42,7 +44,8 @@ with s > 1 and X^-T (X^-T)^H for those with s < 1, so every r_k is read off
 a Gram eigenvalue above 1, and the two spectra merged must pair
 reciprocally; the unit cluster is the complement of the active columns.  B
 is conj X^H A / s where s >= 1 and s (X^-T)^H A where s < 1.  A and B are
-polished and checked in the same terms: conj X and X^-T rebuilt, and A's
+polished and checked in the same terms (_sgvm_factors, which svd_route
+reaches from one SVD of conj X): conj X and X^-T rebuilt, and A's
 residuals under the names of O, B's under those of O_tilde.  Squeezer k's
 signal mode is U_S Q_S e_k and its idler mode i conj(U_I Q_I e_k), U_S,I =
 e^{i pi/4} (I -+ iJ) / sqrt 2, index maps only, formed for the columns
@@ -202,7 +205,7 @@ def _polish_unitary(Z, context):
     E[diag] -= 1.0
     defect = float(np.linalg.norm(E))
     for step in range(POLISH_STEPS + 1):
-        if np.max(np.abs(E), initial=0.0) <= POLISH_TOL:
+        if numerics._abs_max(E) <= POLISH_TOL:
             return Z
         if defect >= 0.75 or step == POLISH_STEPS:
             raise DecompositionError(
@@ -259,15 +262,20 @@ def _pair_factors(prop):
     factors under those of O_tilde, and its Gram spectrum's pairing defect.
     """
     _guard(prop.symplectic_residual, prop.matrix_max)
-    lam, factors, residuals = (_exchange_factors if prop.sgvm else _gram_factors)(prop)
+    return (_exchange_factors if prop.sgvm else _gram_factors)(prop)
+
+
+def _decomposition(lam, factors, residuals):
+    """The Decomposition of squeezing e^{r_k} = lam (N, descending) with
+    factors ((Q_S, Q_I), (P_S, P_I)); every r < R_CLAMP is set to 0."""
     r = np.log(lam)
     r[r < R_CLAMP] = 0.0
-    return Decomposition(np.repeat(lam, 2), r, factors[:2], factors[2:], residuals)
+    return Decomposition(np.repeat(lam, 2), r, *factors, residuals)
 
 
 def _gram_factors(prop):
-    """(lam, (Q_S, Q_I, P_S, P_I), residuals) from the eigenproblem of the 2N
-    Gram Y Y^H; the reconstruction is Y's four N x N blocks."""
+    """The Decomposition from the eigenproblem of the 2N Gram Y Y^H; the
+    reconstruction is Y's four N x N blocks."""
     n, Y = prop.n, prop.pair_form()
     Yh = Y.conj().T
     w, V = numerics.sym_eig(Y @ Yh)
@@ -296,19 +304,17 @@ def _gram_factors(prop):
               for rows, cols, Q, P, d in ((0, 0, QS, PS, ch), (0, 1, QS, PI, sh),
                                           (1, 0, QI, PS, sh), (1, 1, QI, PI, ch))]
     residuals = _checked(blocks, ((QS, QI), (PS, PI)), "pair route", pairing)
-    return lam, (QS, QI, PS, PI), residuals
+    return _decomposition(lam, ((QS, QI), (PS, PI)), residuals)
 
 
 def _exchange_factors(prop):
-    """(lam, (Q_S, Q_I, P_S, P_I), residuals) of an SGVM pass from conj X = A diag(s) B^H.
+    """The Decomposition of an SGVM pass from conj X = A diag(s) B^H (_sgvm_factors).
 
     The Gram conj X conj X^H gives the columns of A with s > 1 and that of
     X^-T the columns with s < 1, each at an eigenvalue above 1 (s^2 and
     s^-2); the unit cluster is their complement.  B is conj X^H A / s where
-    s >= 1 and s (X^-T)^H A where s < 1.  residuals (_checked): the
-    reconstructions of conj X and X^-T, A's residuals under the names of O,
-    B's under those of O_tilde, and the pairing defect of the two Gram
-    spectra merged.
+    s >= 1 and s (X^-T)^H A where s < 1.  The residuals add the pairing
+    defect of the two Gram spectra merged.
     """
     n, down, up = prop.n, prop.exchange.conj(), prop._inverse_transpose
     spectra, active = [], []
@@ -331,10 +337,23 @@ def _exchange_factors(prop):
     B[:, grows] = (prop.exchange.T @ A[:, grows]) / s[grows]  # conj X^H = X^T
     B[:, ~grows] = (up.conj().T @ A[:, ~grows]) * s[~grows]
     B = _polish_unitary(B, "input factor")
-    residuals = _checked([(A, s, B, down), (A, 1.0 / s, B, up)], ((A,), (B,)), "pair route",
-                         pairing)
-    sign = np.where(grows, 1.0, -1.0)
-    return lam, (A[::-1], A * sign, B[::-1], B * sign), residuals
+    return _sgvm_factors(lam, s, A, B, (down, up), "pair route", pairing)
+
+
+def _sgvm_factors(lam, s, A, B, targets, context, pairing=None):
+    """The Decomposition of conj X = A diag(s) B^H, lam = max(s, 1/s) descending.
+
+    A and B are polished unitaries (B may be A), targets is (conj X, X^-T).
+    _checked rebuilds both from A diag(s^+-1) B^H, with A's residuals under
+    the names of O and B's under those of O_tilde.  The factors are Q_S =
+    J A, Q_I = A sgn, P_S = J B and P_I = B sgn, sgn = -1 where s < 1
+    (module docstring): one tuple for both sides when B is A.
+    """
+    residuals = _checked([(A, s, B, targets[0]), (A, 1.0 / s, B, targets[1])], ((A,), (B,)),
+                         context, pairing)
+    sign = np.where(s < 1.0, -1.0, 1.0)
+    out = (A[::-1], A * sign)
+    return _decomposition(lam, (out, out if B is A else (B[::-1], B * sign)), residuals)
 
 
 def _beam_modes(QS, QI):
@@ -434,12 +453,14 @@ class Decomposition:
     """Two-mode squeezer structure of one propagator, stored per beam.
 
     factors_out and factors_in are the exchange-basis factors (Q_S, Q_I) and
-    (P_S, P_I) of the pair form (module docstring), real for an even pump;
-    phase, when set, turns each output bin (signal bins, then idler bins).
-    The complex (signal, idler) mode matrices modes_out and modes_in, column
-    k squeezer k's mode on its own beam's bins, are formed from them on each
-    access (mode_columns), and U_out, U_in, O and O_tilde from those;
-    pair_modes forms one column of each beam.
+    (P_S, P_I) of the pair form (module docstring), real for an even pump,
+    one tuple when the input modes are the output modes; phase, when set,
+    turns each output bin (signal bins, then idler bins).  The complex
+    (signal, idler) mode matrices modes_out and modes_in, column k squeezer
+    k's mode on its own beam's bins, are formed from them on each access
+    (mode_columns), and U_out, U_in, the BlochMessiahResult factors Z and
+    Z_tilde, O and O_tilde from those; pair_modes forms one column of each
+    beam.
     """
 
     lam: np.ndarray           # 2N: each squeezer's e^{r_k} twice
@@ -481,14 +502,27 @@ class Decomposition:
         return _interleaved(self.modes_in)
 
     @property
+    def Z(self):
+        """The complex 2N output factor, O = embed_unitary(Z): U_out times
+        pair_mixer^-1 = its conjugate."""
+        return self.U_out @ pair_mixer(self.r.size).conj()
+
+    @property
+    def Z_tilde(self):
+        """The complex 2N input factor, from U_in as Z is from U_out."""
+        return self.U_in @ pair_mixer(self.r.size).conj()
+
+    reconstruct = BlochMessiahResult.reconstruct
+
+    @property
     def O(self):
-        """Output factor of S = O D O_tilde^T: U_out times pair_mixer^-1 = its conjugate."""
-        return embed_unitary(self.U_out @ pair_mixer(self.r.size).conj())
+        """Output factor of S = O D O_tilde^T."""
+        return embed_unitary(self.Z)
 
     @property
     def O_tilde(self):
-        """Input factor of S = O D O_tilde^T, from U_in as O is from U_out."""
-        return embed_unitary(self.U_in @ pair_mixer(self.r.size).conj())
+        """Input factor of S = O D O_tilde^T."""
+        return embed_unitary(self.Z_tilde)
 
     def without_free_phase(self, grid, medium, double=False):
         """This structure with the free walk-off phases stripped from the output.

@@ -43,6 +43,8 @@ __all__ = ["RunConfig", "load_config", "main"]
 
 # Relative signal/idler photon-number imbalance allowed by verify.
 PHOTON_BALANCE_TOL = 1e-8
+# Most mismatch points poling eval writes (about 100 MB of pmf.csv).
+MAX_DK_POINTS = 10**6
 # Empty the memos of compose and build_coupled_matrices; bound at import, as a
 # wrapper over either has no cache_clear.
 _clear_compose_memo = compose.cache_clear
@@ -386,13 +388,10 @@ def _check(checks, name, value, threshold, ok=None):
 
 
 def _route_checks(checks, decomp, lam, modes):
-    """Compare svd_route's lam and (signal, idler) modes of its active
-    squeezers with the pair route's, beam by beam.
-
-    Route squeezer k's signal mode is proportional to conj(p_k) and its idler
-    mode to p_k (p_k column k of the route's N x N factor P, route.beam_modes);
-    the active squeezers lead, as lam is descending, so the decomposition
-    forms only its first k output mode columns.
+    """Compare svd_route's lam and (signal, idler) output modes of its k
+    active squeezers with the pair route's, beam by beam: the active
+    squeezers lead, as lam is descending, so the decomposition forms only
+    its first k output mode columns (Decomposition.mode_columns) too.
     """
     r_gen = np.log(decomp.lam)
     _check(checks, "route_r_agreement", float(np.max(np.abs(r_gen - np.log(lam)))), 1e-8)
@@ -409,17 +408,16 @@ def cmd_verify(cfg, out_dir, propagator_path):
     pump, _, prop = _resolve_pump(cfg)
     n = grid.n
 
+    report_struct = structure_checks(grid, pump, medium, cfg.sim_poling)
     matrices = build_coupled_matrices(grid, pump, medium, sign=1)
     F, g = matrices.F, matrices.g
     _check(checks, "F_symmetric", float(np.max(np.abs(F - F.T))), 0.0,
            ok=np.array_equal(F, F.T))
-    if pump.frequency_symmetric:
-        _check(checks, "F_centrosymmetric", float(np.max(np.abs(F - F[::-1, ::-1]))),
-               0.0, ok=np.array_equal(F, F[::-1, ::-1]))
+    if pump.frequency_symmetric:  # max|F - JFJ| of a finite F is 0 exactly when they are equal
+        _check(checks, "F_centrosymmetric", report_struct["f_centrosymmetry_residual"], 0.0)
     _check(checks, "G_anticentrosymmetric", float(np.max(np.abs(g[::-1] + g))),
            0.0, ok=np.array_equal(g[::-1], -g))
 
-    report_struct = structure_checks(grid, pump, medium, cfg.sim_poling)
     # max|S| of the 4N matrix S = embed(T), T = U Y U^H, read blockwise, and
     # each beam's vacuum photon count (||its rows of Y||_F^2 - N) / 2, one N x
     # 2N row block at a time: the 4N form's diag(S S^T) count (U is unitary
@@ -436,12 +434,15 @@ def cmd_verify(cfg, out_dir, propagator_path):
     _check(checks, "photon_balance", balance, PHOTON_BALANCE_TOL)
 
     # svd_route runs before the decomposition is held, and only its lam and
-    # its active squeezers' modes outlive it
+    # its active squeezers' output modes outlive it
     routed = None
     if medium.sgvm() and (not cfg.double or cfg.gain2_scale == 1.0):
         route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double)
-        routed = route.lam, route.beam_modes(int(np.sum(np.log(route.lam[0::2]) > 1e-6)))
+        routed = route.lam, route.mode_columns("out", np.s_[:len(route.active_pairs())])
         del route
+    # nothing below reads a memoized pass (the zero-gain pass composes afresh),
+    # so a double pass's forward pass is not held through the decomposition
+    _clear_compose_memo()
 
     try:
         decomp = decompose(prop, grid)
@@ -456,9 +457,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
 
     if routed is not None and decomp is not None:
         _route_checks(checks, decomp, *routed)
-    # nothing below reads the device pass or its memoized forward pass
-    del routed, decomp, prop
-    _clear_compose_memo()
+    del routed, decomp, prop  # nothing below reads the device pass
 
     # X A-hat is symmetric only when the propagation poling reads the same
     # reversed; other polings keep the residual under "structure" only.
@@ -509,8 +508,9 @@ def cmd_poling(cfg, out_dir, action, dk_max, dk_points):
             dk_max = max(1.5 * np.pi / float(np.min(device.widths)), 40.0 / device.length)
         if not (np.isfinite(dk_max) and dk_max > 0):
             raise ConfigError("--dk-max must be positive and finite, got %r" % dk_max)
-        if dk_points < 2:
-            raise ConfigError("--dk-points must be at least 2, got %d" % dk_points)
+        if not 2 <= dk_points <= MAX_DK_POINTS:
+            raise ConfigError("--dk-points must be between 2 and %d, got %d"
+                              % (MAX_DK_POINTS, dk_points))
         dk = np.linspace(-dk_max, dk_max, dk_points)
         phi = pmf(device, dk)
         path = os.path.join(out_dir, "pmf.csv")

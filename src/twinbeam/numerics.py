@@ -50,9 +50,11 @@ def require_finite(M, name="matrix"):
 
 
 def _abs_max(A):
-    """max|A|; for a real A read as max(A.max(), -A.min()), bitwise the same
-    value with no |A| temporary."""
-    return float(np.abs(A).max() if np.iscomplexobj(A) else max(A.max(), -A.min()))
+    """max|A|, 0 for an empty A; for a real A read as max(A.max(), -A.min()),
+    bitwise the same value with no |A| temporary."""
+    if np.iscomplexobj(A):
+        return float(np.abs(A).max(initial=0.0))
+    return float(max(A.max(initial=0.0), -A.min(initial=0.0)))
 
 
 def _pade(A, m):

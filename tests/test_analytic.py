@@ -262,18 +262,23 @@ def test_svd_route_double_pass_factors_coincide(sgvm):
 
 @pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
 def test_svd_route_keeps_real_factors_and_forms_complex_ones_on_read(sgvm, double):
-    # an even pump: the route holds its real exchange-basis factors a and b
-    # (b is a for a matched double pass) and no complex array until Z is
-    # read; beam_modes(k), formed from a's first k columns alone, is bitwise
-    # sqrt 2 times Z's beam blocks of the first k squeezers
+    # an even pump: the route holds its real exchange-basis factors, one
+    # tuple for both sides on a matched double pass, and no complex array
+    # until its modes are read; the first k output mode columns, formed
+    # alone, are those of the whole mode matrices bitwise, and sqrt 2 times
+    # Z's beam blocks of the first k squeezers
     grid, pump, medium = sgvm
     result = svd_route(grid, pump, medium, qpm_poling(L, 2 * L / 9), double=double)
-    assert result.a.dtype == result.b.dtype == float and (result.b is result.a) == double
+    assert (result.factors_in is result.factors_out) == double
+    assert all(F.dtype == float for F in result.factors_out + result.factors_in)
     assert not [v for v in vars(result).values() if np.iscomplexobj(v)]
+    whole, Z = result.modes_out, result.Z
     for k in (0, 3, N):
-        signal, idler = result.beam_modes(k)
-        np.testing.assert_array_equal(signal, np.sqrt(2.0) * result.Z[:N, 0:2 * k:2])
-        np.testing.assert_array_equal(idler, np.sqrt(2.0) * result.Z[N:, 1:2 * k:2])
+        signal, idler = result.mode_columns("out", np.s_[:k])
+        np.testing.assert_array_equal(signal, whole[0][:, :k])
+        np.testing.assert_array_equal(idler, whole[1][:, :k])
+        np.testing.assert_allclose(signal, np.sqrt(2.0) * Z[:N, 0:2 * k:2], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(idler, np.sqrt(2.0) * Z[N:, 1:2 * k:2], rtol=0, atol=1e-15)
 
 
 def route_pass(grid, pump, medium, poling, double=False):
@@ -315,7 +320,7 @@ def test_svd_route_n_form_matches_the_2n_form(monkeypatch, kind, pump, double):
     result = svd_route(grid, pump, medium, poling, double=double)
     assert shapes == [(51, 51)]
     reference = svd_route_2n(grid, pump, medium, poling, double=double)
-    assert (result.Z_tilde is result.Z) == double
+    assert (result.factors_in is result.factors_out) == double
     np.testing.assert_allclose(result.lam, reference.lam, rtol=1e-13, atol=0)
     S = reference.reconstruct()
     assert np.max(np.abs(result.reconstruct() - S)) <= 1e-13 * max(1.0, np.max(np.abs(S)))

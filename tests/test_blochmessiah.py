@@ -1026,11 +1026,13 @@ def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, a
     # conj X and X^-T and the real factors A and B, polished in place and
     # checked one block at a time; 1.02 when it also formed the complex
     # mode matrices and each polish step and check block a new array),
-    # svd_route(double=True) 0.39 (the real N x N SVD of X, released before
-    # the polish, and checks in the exchange basis, with no complex factor
-    # formed; 0.52 with the complex P built last, 1.22 with the checks
-    # against the complex M^H M and M^-1 M^-H and the 2N Z built last, 1.58
-    # on the SVD of the complex view M); each bound leaves 15%.  Building the residual
+    # svd_route(double=True) 0.39 (the real N x N SVD of conj X, released
+    # before the polish, and decompose's SGVM tail, which checks against
+    # conj X and X^-T and forms no complex factor; the single pass reads
+    # 0.33, one N x N factor above its own tail's 0.27; 0.52 with the
+    # complex P built last, 1.22 with the checks against the complex M^H M
+    # and M^-1 M^-H and the 2N Z built last, 1.58 on the SVD of the complex
+    # view M); each bound leaves 15%.  Building the residual
     # alone, X^-T included, reads 0.70, off the N x N conj(X X^-1) - I
     # (1.33 one beam's block row of the 2N pair form's E at a time, 2.72
     # when E was exchanged whole, and decompose read 2.91 when it built

@@ -277,16 +277,15 @@ def test_simulate_derives_each_squeezers_modes_once(tmp_path, monkeypatch,
 
 
 def spy_on_mode_columns(monkeypatch):
-    """The factor shapes each complex mode-column formation starts from: the
-    decomposition's (_beam_modes) and svd_route's (RouteFactors' basis map)."""
-    formed = {"decomposition": [], "route": []}
-    for module, name, key in ((twinbeam.blochmessiah, "_beam_modes", "decomposition"),
-                              (twinbeam.analytic, "_signal_basis", "route")):
-        def spy(Q, *rest, fn=getattr(module, name), key=key):
-            formed[key].append(Q.shape)
-            return fn(Q, *rest)
+    """The factor shapes each complex mode-column formation (_beam_modes)
+    starts from, the decomposition's and svd_route's alike."""
+    formed, beam_modes = [], twinbeam.blochmessiah._beam_modes
 
-        monkeypatch.setattr(module, name, spy)
+    def spy(QS, QI):
+        formed.append(QS.shape)
+        return beam_modes(QS, QI)
+
+    monkeypatch.setattr(twinbeam.blochmessiah, "_beam_modes", spy)
     return formed
 
 
@@ -309,21 +308,37 @@ def test_simulate_forms_mode_columns_only_of_active_squeezers(tmp_path, monkeypa
     assert rc == 0
     active = len(read_summary(out)["squeezers"])
     assert 0 < active < 41
-    assert formed["decomposition"] == [(41,)] * (per_squeezer * active)
-    assert formed["route"] == []
+    assert formed == [(41,)] * (per_squeezer * active)
 
 
 @pytest.mark.parametrize("pass_mode", ["single", "double"])
 def test_verify_route_check_forms_only_the_active_mode_columns(tmp_path, monkeypatch, pass_mode):
-    # svd_route's modes and the decomposition's output modes are formed once,
-    # for the route's k active squeezers only
+    # svd_route's output modes, then the decomposition's, are formed once
+    # each, for the route's k active squeezers only
     formed = spy_on_mode_columns(monkeypatch)
     rc, out = run(tmp_path, dict(PARTLY_ACTIVE, pass_mode=pass_mode), "verify")
     assert rc == 0
-    (n, k), = formed["decomposition"]
-    assert formed["route"] == [(n, k)] and n == 41 and 0 < k < n
+    route, (n, k) = formed
+    assert route == (n, k) and n == 41 and 0 < k < n
     names = [c["name"] for c in json.loads((out / "verify.json").read_text())["checks"]]
     assert "route_mode_overlap" in names
+
+
+@pytest.mark.parametrize("medium", [SGVM_MEDIUM, SKEW_MEDIUM], ids=["sgvm", "skew"])
+def test_verify_decomposes_a_double_pass_with_the_compose_memo_empty(tmp_path, monkeypatch,
+                                                                     medium):
+    # nothing after svd_route reads a memoized pass, so the forward pass and
+    # its cached X^-T are released before the decomposition
+    sizes, decompose_ = [], twinbeam.cli.decompose
+
+    def entering(prop, grid):
+        sizes.append(compose.cache_info().currsize)
+        return decompose_(prop, grid)
+
+    monkeypatch.setattr(twinbeam.cli, "decompose", entering)
+    cfg = dict(PARTLY_ACTIVE, medium=dict(medium), pass_mode="double")
+    assert run(tmp_path, cfg, "verify")[0] == 0
+    assert sizes == [0]
 
 
 @pytest.mark.parametrize("cfg, before, composed", [
@@ -634,13 +649,14 @@ def test_the_walkoff_phase_limit_exits_2_just_past_it(tmp_path, capsys, command,
     (["poling", "eval", "--dk-points", "-5"], "--dk-points"),
     (["poling", "eval", "--dk-points", "0"], "--dk-points"),
     (["poling", "eval", "--dk-points", "1"], "--dk-points"),
+    (["poling", "eval", "--dk-points", "200000000000000000"], "--dk-points"),
     (["poling", "eval", "--dk-max", "nan"], "--dk-max"),
     (["poling", "eval", "--dk-max", "inf"], "--dk-max"),
     (["poling", "eval", "--dk-max", "0"], "--dk-max"),
     (["poling", "eval", "--dk-max", "-3"], "--dk-max"),
     (["sweep-gain", "--jobs", "0"], "--jobs"),
     (["sweep-gain", "--jobs", "-3"], "--jobs"),
-], ids=["dk-points--5", "dk-points-0", "dk-points-1", "dk-max-nan", "dk-max-inf",
+], ids=["dk-points--5", "dk-points-0", "dk-points-1", "dk-points-2e17", "dk-max-nan", "dk-max-inf",
         "dk-max-0", "dk-max--3", "jobs-0", "jobs--3"])
 def test_bad_flags_exit_2(tmp_path, capsys, args, flag):
     cfg = base_config(pump={"target_NS": 0.5}, pass_mode="double")
@@ -922,11 +938,11 @@ def test_simulate_and_verify_share_one_pairing_limit(tmp_path, capsys):
                          ids=["sgvm", "skew"])
 def test_verify_peak_memory_in_4n_arrays(tmp_path, medium, arrays):
     # The N = 51 README double pass at g0 = 1.5, traced above entry with empty
-    # memos, with no 4N export built (each bound leaves 15%).  SGVM: 1.09 4N
+    # memos, with no 4N export built (each bound leaves 15%).  SGVM: 1.07 4N
     # arrays, svd_route run before the decomposition and kept as its lam and
-    # active modes, the decomposition stored as real factors and compared
-    # on its first k mode columns, the device pass dropped before the
-    # zero-gain pass; 1.40 when svd_route ran on the decomposition's lam and
+    # active output modes, the compose memo cleared before the decomposition,
+    # which is stored as real factors and compared on its first k mode
+    # columns; 1.09 when the memo was cleared after it; 1.40 when svd_route ran on the decomposition's lam and
     # complex output modes, structure_checks and svd_route at N x N in the
     # exchange basis, with no 2N eigenproblem, no complex route targets or
     # 2N factor and no view cached on the forward pass; 1.84 with those,
@@ -1036,12 +1052,12 @@ def test_sgvm_verify_takes_no_2n_eigenproblem_and_no_2n_route_factor(tmp_path, m
                                                                      pass_mode):
     # structure_checks reads the flip classes off T's parity and svd_route
     # keeps its N x N factors, so decompose's two N x N Grams are verify's
-    # only eigenproblems and no 2N walk-off factor is built
+    # only eigenproblems and no 2N mode matrix or factor is built
     orders, factors = [], []
-    sym_eig, walkoff = numerics.sym_eig, twinbeam.analytic._walkoff_factor
+    sym_eig, interleaved = numerics.sym_eig, twinbeam.blochmessiah._interleaved
     monkeypatch.setattr(numerics, "sym_eig", lambda M: orders.append(len(M)) or sym_eig(M))
-    monkeypatch.setattr(twinbeam.analytic, "_walkoff_factor",
-                        lambda *args: factors.append(args) or walkoff(*args))
+    monkeypatch.setattr(twinbeam.blochmessiah, "_interleaved",
+                        lambda *args: factors.append(args) or interleaved(*args))
     cfg = base_config(grid={"N": 15, "half_width": 5.0}, pump={"g0": 1.5},
                       poling={"kind": "qpm", "period": 2.0 / 9.0}, pass_mode=pass_mode)
     rc, out = run(tmp_path, cfg, "verify")

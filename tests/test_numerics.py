@@ -160,6 +160,17 @@ def test_sym_eig_reads_a_real_asymmetry_as_the_abs_max(size):
         assert np.array_equal(w, w_avg) and np.array_equal(V, V_avg)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_abs_max_reads_max_abs_bitwise_and_zero_for_an_empty_array(dtype):
+    # the 4N route polishes an h x 0 active factor when S is passive
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(5, 4)) - 2.0
+    if dtype is complex:
+        A = A + 1j * rng.normal(size=(5, 4))
+    assert numerics._abs_max(A) == float(np.abs(A).max())
+    assert numerics._abs_max(np.empty((7, 0), dtype)) == 0.0
+
+
 def hermitian(rng, n=6, roundoff=0.0):
     """A random complex Hermitian matrix, plus anti-Hermitian noise of size roundoff."""
     A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
