@@ -96,6 +96,8 @@ __all__ = [
 
 # Relative symplectic-defect allowance on inputs, scaled by max|S|^2.
 INPUT_SYMPLECTIC_TOL = 1e-9
+# The max|S| from which max|S|^2, that scale, overflows a float.
+SMAX_LIMIT = math.sqrt(np.finfo(float).max)
 # Width of the lam = 1 cluster treated as passive (on lam^2).
 UNIT_CTOL = 1e-9
 # Limit on every route's reciprocal pairing of its Gram spectrum (_spectrum),
@@ -149,7 +151,8 @@ def _checked(blocks, factors, context, pairing=None):
     max|T|), each block against its own scale.  factors is (the output
     factors, the input factors), unitaries F whose Gram defects
     max|F^H F - I| and max|F F^H - I|, the largest on each side, are the
-    orthogonality and symplectic residuals of O and of O_tilde.  pairing,
+    orthogonality and symplectic residuals of O and of O_tilde (one side
+    object for both: formed once, O_tilde's copied from O's).  pairing,
     when given, is the Gram spectrum's reciprocal-pairing defect.  Every
     max|E| is that of E's real embedding, max(max|Re E|, max|Im E|), so a
     complex residual reads as the 4N one: with O = embed_unitary(Z),
@@ -165,6 +168,9 @@ def _checked(blocks, factors, context, pairing=None):
     residuals = {"reconstruction": worst}
     for name, side in zip(("O", "O_tilde"), factors):
         for kind in ("orthogonal", "symplectic"):
+            if name == "O_tilde" and side is factors[0]:
+                residuals[name + "_" + kind] = residuals["O_" + kind]
+                continue
             worst = 0.0
             for F in side:
                 gram = F.conj().T @ F if kind == "orthogonal" else F @ F.conj().T
@@ -243,11 +249,23 @@ def _spectrum(w, gram):
     return n_above, worst
 
 
+def symplectic_tolerance(smax, name="input"):
+    """INPUT_SYMPLECTIC_TOL max(1, smax^2), the symplectic residual allowed a
+    matrix whose largest entry is smax.  Raises ContractError, naming name
+    and max|S|, for smax >= SMAX_LIMIT or NaN: the square overflows, and so
+    do the products the residual is made of (a gain past what a pass holds)."""
+    if not smax < SMAX_LIMIT:
+        raise ContractError("%s: max|S| = %.3e is too large to check for symplecticity "
+                            "(its square overflows)" % (name, smax))
+    return INPUT_SYMPLECTIC_TOL * max(1.0, smax**2)
+
+
 def _guard(resid, smax):
     """ContractError unless the symplectic residual is within
-    INPUT_SYMPLECTIC_TOL max(1, max|S|^2), S the 4N matrix; smax() returns
-    max|S| and is called only for a residual above INPUT_SYMPLECTIC_TOL."""
-    if resid > INPUT_SYMPLECTIC_TOL and resid > INPUT_SYMPLECTIC_TOL * max(1.0, smax()**2):
+    symplectic_tolerance(max|S|), S the 4N matrix (a NaN residual is not);
+    smax() returns max|S| and is called only for a residual that is not
+    within INPUT_SYMPLECTIC_TOL."""
+    if not (resid <= INPUT_SYMPLECTIC_TOL or resid <= symplectic_tolerance(smax())):
         raise ContractError(
             "input is not symplectic: residual %.3e exceeds tolerance" % resid
         )
@@ -349,8 +367,9 @@ def _sgvm_factors(lam, s, A, B, targets, context, pairing=None):
     J A, Q_I = A sgn, P_S = J B and P_I = B sgn, sgn = -1 where s < 1
     (module docstring): one tuple for both sides when B is A.
     """
-    residuals = _checked([(A, s, B, targets[0]), (A, 1.0 / s, B, targets[1])], ((A,), (B,)),
-                         context, pairing)
+    side = (A,)
+    residuals = _checked([(A, s, B, targets[0]), (A, 1.0 / s, B, targets[1])],
+                         (side, side if B is A else (B,)), context, pairing)
     sign = np.where(s < 1.0, -1.0, 1.0)
     out = (A[::-1], A * sign)
     return _decomposition(lam, (out, out if B is A else (B[::-1], B * sign)), residuals)

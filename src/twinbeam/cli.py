@@ -26,7 +26,7 @@ from .analysis import (
     flip_overlap, gain_variation_sweep, mode_fidelity, subspace_overlaps,
 )
 from .analytic import structure_checks, svd_route
-from .blochmessiah import INPUT_SYMPLECTIC_TOL, decompose, limit, tune_gain
+from .blochmessiah import decompose, limit, symplectic_tolerance, tune_gain
 from .errors import ConfigError, ContractError, TwinbeamError
 from .model import (
     FrequencyGrid, MediumSpec, Poling, PumpSpec, TabulatedEnvelope,
@@ -45,6 +45,10 @@ __all__ = ["RunConfig", "load_config", "main"]
 PHOTON_BALANCE_TOL = 1e-8
 # Most mismatch points poling eval writes (about 100 MB of pmf.csv).
 MAX_DK_POINTS = 10**6
+# Most gain points sweep-gain runs: each composes and decomposes one double
+# pass (about 9 ms at the README's N = 101, so 1.5 min at the limit) and keeps
+# its r spectrum (N floats, 0.33 GB at the limit on model.MAX_BINS bins).
+MAX_SWEEP_POINTS = 10**4
 # Empty the memos of compose and build_coupled_matrices; bound at import, as a
 # wrapper over either has no cache_clear.
 _clear_compose_memo = compose.cache_clear
@@ -362,6 +366,8 @@ def cmd_sweep_gain(cfg, out_dir, jobs, points):
         raise ConfigError("sweep-gain needs a double-pass configuration")
     if jobs < 1:
         raise ConfigError("--jobs must be at least 1, got %d" % jobs)
+    if not 1 <= points <= MAX_SWEEP_POINTS:
+        raise ConfigError("--points must be between 1 and %d, got %d" % (MAX_SWEEP_POINTS, points))
     base = cfg.target_ns
     if base is None and cfg.gain2_scale != 1.0:  # the sweep tunes its equal gains to this
         base, _ = _resolve_pump(cfg)[2].mean_photons()
@@ -379,9 +385,13 @@ def cmd_sweep_gain(cfg, out_dir, jobs, points):
 def _check(checks, name, value, threshold, ok=None):
     if ok is None:
         ok = bool(value <= threshold)
+    if not (value is None or isinstance(value, (bool, str))):
+        value = float(value)
+        if not np.isfinite(value):  # strict JSON has no NaN or Infinity
+            value = repr(value)
     checks.append({
         "name": name,
-        "value": value if value is None or isinstance(value, (bool, str)) else float(value),
+        "value": value,
         "threshold": threshold,
         "pass": bool(ok),
     })
@@ -426,7 +436,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
     smax = prop.matrix_max()
     # read off the small form once; decompose's input guard reuses it
     _check(checks, "propagator_symplectic", prop.symplectic_residual,
-           INPUT_SYMPLECTIC_TOL * max(1.0, smax**2))
+           symplectic_tolerance(smax, "device pass (g0 = %g)" % pump.g0))
 
     ns, ni = ((float(np.linalg.norm(np.hstack(rows)) ** 2) - n) / 2
               for rows in prop.pair_blocks())
@@ -481,9 +491,12 @@ def cmd_verify(cfg, out_dir, propagator_path):
         if M.shape[0] != M.shape[1] or M.shape[0] % 4:
             _check(checks, "file_propagator_shape", "%dx%d" % M.shape, None, ok=False)
         else:
-            resid = symplectic_residual(M)
-            _check(checks, "file_propagator_symplectic", resid,
-                   INPUT_SYMPLECTIC_TOL * max(1.0, float(np.max(np.abs(M))) ** 2))
+            try:
+                tol = symplectic_tolerance(float(np.max(np.abs(M))), propagator_path)
+            except ContractError as exc:
+                _check(checks, "file_propagator_symplectic", str(exc), None, ok=False)
+            else:
+                _check(checks, "file_propagator_symplectic", symplectic_residual(M), tol)
 
     report = {
         "checks": checks,

@@ -146,7 +146,12 @@ class Propagator:
 
     @cached_property
     def _inverse_transpose(self):  # X^-T in SGVM media, inverted once for all its readers
-        return _frozen(np.linalg.inv(self.exchange).T)
+        try:
+            return _frozen(np.linalg.inv(self.exchange).T)
+        except np.linalg.LinAlgError as exc:  # its e^{-r} lost below roundoff of its e^{r}
+            raise ContractError("the pass X (max|X| = %.3e) is singular to working precision: "
+                                "its gain is past what a pass can hold"
+                                % _embedded_max(self.exchange)) from exc
 
     def pair_blocks(self):
         """Y's beam blocks ((Y_SS, Y_SI), (Y_IS, Y_II)), Y = U^H T U the 2N matrix on
@@ -405,7 +410,8 @@ def free_propagator(grid, medium, length, double=False):
 
 
 def load_matrix(path):
-    """Read a matrix file: a `rows cols` header line, then one row of numbers per line."""
+    """Read a matrix file: a `rows cols` header line, then one row of finite
+    numbers per line."""
     try:
         with open(path) as fh:
             header = fh.readline().split()
@@ -419,4 +425,6 @@ def load_matrix(path):
         raise ConfigError(
             "%s: header promises %dx%d but body is %r" % (path, rows, cols, data.shape)
         )
+    if not np.isfinite(data).all():
+        raise ConfigError("%s: entries must be finite" % path)
     return data

@@ -445,16 +445,21 @@ def test_no_command_forms_an_sgvm_pair_form(tmp_path, monkeypatch, cfg, formed, 
                                    "pmf_width": 4.0})),
 ], ids=["simulate-sgvm-double-tuned", "simulate-skew-free-phase", "sweep-gain-3",
         "verify-skew-double", "verify-sgvm-matched-double"])
-def test_no_command_builds_the_4n_matrix(tmp_path, matrix_builds, command, cfg):
+def test_no_command_builds_the_4n_matrix(tmp_path, monkeypatch, matrix_builds, command, cfg):
     # tuning, photon counts, the factorization (in the pair form),
     # free-phase stripping, the SVD route and its factor checks, the
     # zero-gain check, every symplectic residual (summary.json's, verify's
     # and the factorization's input guard) and verify's max|S| and photon
-    # balance read the 2N matrix
+    # balance read the 2N matrix; no command checks factors against a 4N
+    # array either (checked_factors, bound in both modules that call it)
+    checked = []
+    for module in (twinbeam.blochmessiah, twinbeam.analytic):
+        monkeypatch.setattr(module, "checked_factors", lambda *args: checked.append(args[2]))
     rc, _ = run(tmp_path, cfg, command, "--points", "3") if command == "sweep-gain" \
         else run(tmp_path, cfg, command)
     assert rc == 0
     assert matrix_builds == []
+    assert checked == []
 
 
 @pytest.mark.parametrize("command,cfg", [
@@ -656,8 +661,10 @@ def test_the_walkoff_phase_limit_exits_2_just_past_it(tmp_path, capsys, command,
     (["poling", "eval", "--dk-max", "-3"], "--dk-max"),
     (["sweep-gain", "--jobs", "0"], "--jobs"),
     (["sweep-gain", "--jobs", "-3"], "--jobs"),
+    (["sweep-gain", "--points", "0"], "--points"),
+    (["sweep-gain", "--points", "1000000000000000000"], "--points"),
 ], ids=["dk-points--5", "dk-points-0", "dk-points-1", "dk-points-2e17", "dk-max-nan", "dk-max-inf",
-        "dk-max-0", "dk-max--3", "jobs-0", "jobs--3"])
+        "dk-max-0", "dk-max--3", "jobs-0", "jobs--3", "points-0", "points-1e18"])
 def test_bad_flags_exit_2(tmp_path, capsys, args, flag):
     cfg = base_config(pump={"target_NS": 0.5}, pass_mode="double")
     rc, out = run(tmp_path, cfg, *args)
@@ -704,6 +711,24 @@ def test_overflowing_domain_exponential_names_its_stage(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "domain exponential (width 1, g0 = 1e+06)" in err
     assert "expm output contains non-finite entries" in err
+
+
+@pytest.mark.parametrize("pump, cause", [
+    ({"g0": 600.0}, "e+171 is too large to check for symplecticity (its square overflows)"),
+    ({"g0": 1000.0}, "e+287) is singular to working precision"),
+    ({"target_NS": 1e100}, ") is singular to working precision"),
+], ids=["g0-600", "g0-1000", "target-1e100"])
+@pytest.mark.parametrize("command", ["simulate", "verify"])
+def test_a_gain_past_what_a_pass_holds_exits_3_naming_the_cause(tmp_path, capsys, command,
+                                                                pump, cause):
+    # past g0 = 400 the N = 9 pass's max|S|^2 overflowed a Python float and
+    # its X^-1 met an exactly singular pivot: both commands ended in a
+    # traceback (exit 1), where now both fail at the same point
+    rc, _ = run(tmp_path, base_config(pump=pump), command)
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert cause in err
+    assert ("max|S| = " if "square" in cause else "the pass X (max|X| = ") in err
 
 
 # ---------------------------------------------------------------- BLAS threads
@@ -1169,13 +1194,40 @@ def test_verify_rejects_tampered_propagator(tmp_path):
     assert "file_propagator_symplectic" in report["failed"]
 
 
-@pytest.mark.parametrize("body", [None, "4 4\n1 0 0 x\n"], ids=["missing", "non-numeric"])
-def test_verify_unreadable_propagator_exit_2(tmp_path, body):
+@pytest.mark.parametrize("body", [None, "4 4\n1 0 0 x\n", "1 4\n1 0 nan 0\n"],
+                         ids=["missing", "non-numeric", "nan"])
+def test_verify_unreadable_propagator_exit_2(tmp_path, capsys, body):
+    # a nan entry wrote "value": NaN into verify.json, which strict parsers reject
     prop = tmp_path / "prop.txt"
     if body is not None:
         prop.write_text(body)
     rc, _ = run(tmp_path, base_config(), "verify", "--propagator", str(prop))
     assert rc == 2
+    assert str(prop) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry, value", [
+    ("1e200", "max|S| = 1.000e+200 is too large to check for symplecticity"),
+    ("1e154", "inf"),
+], ids=["square-overflows", "residual-overflows"])
+def test_verify_propagator_too_large_to_check_fails_in_strict_json(tmp_path, entry, value):
+    # max|M|^2 of a 1e200 entry overflowed a Python float (exit 1), and the
+    # residual of 1e154 entries, whose square is finite, was written as
+    # Infinity; the check now fails in strict JSON, naming the file when the
+    # square overflows
+    prop = tmp_path / "prop.txt"
+    prop.write_text("4 4\n" + ("%s %s 0 0\n" % (entry, entry)) * 2
+                    + ("0 0 %s %s\n" % (entry, entry)) * 2)
+    rc, out = run(tmp_path, base_config(), "verify", "--propagator", str(prop))
+    assert rc == 3
+
+    def reject(name):
+        raise ValueError(name)
+
+    report = json.loads((out / "verify.json").read_text(), parse_constant=reject)
+    assert report["failed"] == ["file_propagator_symplectic"]
+    check = report["checks"][-1]
+    assert value in check["value"] and (value == "inf" or str(prop) in check["value"])
 
 
 # ---------------------------------------------------------------- poling
