@@ -12,12 +12,14 @@ forms in the coupling matrices (block_reduce):
 * In the SGVM regime (H = -G), W = (1/sqrt 2) [[I, -iI], [-iI, I]] is the
   walk-off basis, C = [[-F, G], [-G, -F]] and the reduced propagator A-hat
   is embed_unitary(M), M the N x N Bogoliubov view of the composed pass.
-  For any poling one SVD of the exchange matrix X (M = U X U^H, U the
-  exchange basis) gives the factors: svd_route reads conj X = A s B^H, the
-  form decompose reaches through two Gram eigenproblems, and hands it to
-  the same tail.  The return trip is the adjoint of the pass, so the
-  matched double pass has input = output = B of the forward pass, and no
-  double pass is composed.
+  For any poling one factorization of the exchange matrix X (M = U X U^H,
+  U the exchange basis) gives the factors: svd_route runs decompose's SGVM
+  front end (blochmessiah._sgvm_factors) on the forward pass, so on a single
+  pass the two are one computation.  The return trip is the adjoint of the
+  pass, so the matched double pass has input = output = B of the forward
+  pass's SVD conj X = A s B^H, and no double pass is composed: an
+  independent factorization of what decompose reads off the Hermitian
+  double pass by one eigenproblem.
 
 * Away from SGVM, W = (1/sqrt 2) [[0, I - iJ], [I - iJ, 0]] (J the bin
   exchange) is the exchange basis.  It splits the generator, with
@@ -42,8 +44,8 @@ command: they return bloch_messiah's BlochMessiahResult after one shared
 canonicalization and check their 2N factors against the pass's 4N matrix
 with checked_factors, so the block read, the basis map and the
 factorization are tested against the pass itself.  svd_route, which verify
-runs, returns decompose's Decomposition, checked at N x N by the SGVM tail
-(blochmessiah._sgvm_factors) with no 4N matrix built; every route goes
+runs, returns decompose's Decomposition, checked at N x N by the SGVM front
+end with no 4N matrix built; every route goes
 through blochmessiah's one residual check (_checked), and the routes compare
 mode by mode.  A route outside its regime raises RegimeError carrying the
 violated residual.
@@ -54,7 +56,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .blochmessiah import BlochMessiahResult, _polish_unitary, _sgvm_factors, checked_factors
+from .blochmessiah import (BlochMessiahResult, _ladder, _polish_unitary, _sgvm_factors,
+                           checked_factors, pass_name)
 from .errors import ConfigError, DecompositionError, RegimeError
 from .model import build_coupled_matrices
 from .propagator import _embedded_max, _exchange, compose, embed_unitary
@@ -140,17 +143,6 @@ def canonical_factors(Z_raw, lam_raw, Z_tilde_raw):
                               Z_tilde=factor(Z_tilde_raw, "passive factor"))
 
 
-def _ladder(lam_raw):
-    """(lam, order, turned): lam = max(l, 1/l) of each raw l, stably sorted
-    descending by order, and where the raw l in that order is below 1."""
-    raw = np.asarray(lam_raw, dtype=float)
-    if np.any(raw <= 0):
-        raise DecompositionError("raw lam values must be positive")
-    lam = np.maximum(raw, 1.0 / raw)
-    order = np.argsort(-lam, kind="stable")
-    return lam[order], order, raw[order] < 1.0
-
-
 def _turned(U, turned):
     """U with its turned columns multiplied by i, in place."""
     U[:, turned] *= 1j
@@ -233,26 +225,17 @@ def symmetrized_eig_route(grid, pump, medium, poling):
 
 
 def svd_route(grid, pump, medium, poling, double=False):
-    """The Decomposition of a pass from the SVD of its N x N exchange matrix (SGVM, any poling).
+    """The Decomposition of a pass from its N x N exchange matrix X (SGVM, any poling).
 
-    conj X = A diag(s) B^H is the form decompose's SGVM route reaches through
-    two Gram eigenproblems; here one SVD gives it, sorted by lam = max(s,
-    1/s) (_ladder) and polished, and blochmessiah's SGVM tail (_sgvm_factors)
-    checks it against conj X and X^-T and forms the per-beam factors.
+    decompose's SGVM front end (blochmessiah._sgvm_factors) on the forward
+    pass, its errors naming the pass as the commands do (pass_name).
     Matched double pass: the return trip is the adjoint, so conj X_d = conj
-    X^H conj X = B s^2 B^H, input = output = B (the perfect inline squeezer).
+    X^H conj X = B s^2 B^H from the SVD conj X = A s B^H of the forward pass,
+    input = output = B (the perfect inline squeezer).
     """
     _require_regime(medium, True, "SVD route")
-    prop = compose(grid, pump, medium, poling)
-    targets = (prop.exchange.conj(), prop._inverse_transpose)  # conj X, X^-T
-    A, s, B = numerics.svd(targets[0])
-    if double:  # one factor, B, on both sides
-        A, s, targets = B, s**2, tuple(T.conj().T @ T for T in targets)
-    lam, order, _ = _ladder(s)
-    s, A, B = s[order], A[:, order], None if double else B[:, order]  # frees the SVD's own
-    A = _polish_unitary(A, "active factor")
-    B = A if double else _polish_unitary(B, "passive factor")
-    return _sgvm_factors(lam, s, A, B, targets, "SVD route")
+    return _sgvm_factors(compose(grid, pump, medium, poling), pass_name(pump.g0, double),
+                         double)
 
 
 def general_block_route(grid, pump, medium, poling):

@@ -17,7 +17,8 @@ A Propagator is factored in its 2N pair form Y = U^H T U (propagator module
 docstring), real for an even pump, once its cached symplectic residual
 passes the input guard against max|S| (Propagator.matrix_max); in SGVM
 media both are read at N x N off X, and the residual measures only the
-roundoff of X^-T.  Signal couples only to the idler's conjugate, so
+roundoff of X^-T.  Errors name the pass (pass_name when a command
+factors it).  Signal couples only to the idler's conjugate, so
 Y = diag(Q_S, Q_I) [[ch, sh], [sh, ch]] diag(P_S, P_I)^H with one N x N
 unitary per beam and side, ch = cosh r, sh = sinh r (Christ et al., NJP 15,
 053038 (2013)).  Away from SGVM media the route is polar: the
@@ -39,19 +40,19 @@ with D = diag(J, I) and H = [[I, I], [I, -I]] / sqrt 2.  So conj X = A
 diag(s) B^H, which makes X^-T = A diag(1/s) B^H, gives, with rho = log s,
     Y = diag(J A, A) [[cosh rho, sinh rho], [sinh rho, cosh rho]] diag(J B, B)^H:
 Q_S = J A, Q_I = A sgn(rho), P_S = J B, P_I = B sgn(rho) and r = |rho|.
-A comes from two N x N Gram eigenproblems, conj X conj X^H for its columns
-with s > 1 and X^-T (X^-T)^H for those with s < 1, so every r_k is read off
-a Gram eigenvalue above 1, and the two spectra merged must pair
-reciprocally; the unit cluster is the complement of the active columns.  B
-is conj X^H A / s where s >= 1 and s (X^-T)^H A where s < 1.  A and B are
-polished and checked in the same terms (_sgvm_factors, which svd_route
-reaches from one SVD of conj X): conj X and X^-T rebuilt, and A's
-residuals under the names of O, B's under those of O_tilde.  Squeezer k's
-signal mode is U_S Q_S e_k and its idler mode i conj(U_I Q_I e_k), U_S,I =
-e^{i pi/4} (I -+ iJ) / sqrt 2, index maps only, formed for the columns
-read.  The matched SGVM double pass is a perfect inline squeezer: X =
-X_f^T X_f is symmetric positive definite (X_f^H X_f, Hermitian, for a
-lopsided pump), so A = B and its input modes equal its output modes.
+conj X is factored directly, with no Gram (whose s^2 would square its
+condition number): one SVD, or one eigenproblem when X is exactly
+Hermitian.  The matched SGVM double pass is a perfect inline squeezer: X =
+X_f^H X_f (double_pass makes it Hermitian bitwise) is positive definite, so
+its eigenvectors are A = B, one factor object, and its input modes are its
+output modes.  The unit cluster, lam within N eps of 1 (the solver's
+roundoff on a unitary X), is read as lam = 1.  A, and B when it is another
+factor, are polished and checked (_sgvm_factors, which svd_route runs too):
+conj X and X^-T rebuilt from A diag(s^+-1) B^H, so X^-T checks the
+reciprocal half of the spectrum, and A's residuals under the names of O,
+B's under those of O_tilde.  Squeezer k's signal mode is U_S Q_S e_k and
+its idler mode i conj(U_I Q_I e_k), U_S,I = e^{i pi/4} (I -+ iJ) / sqrt 2,
+index maps only, formed for the columns read.
 
 A raw 4N array takes the same polar route on S S^T, the independent oracle
 of the pair route: P = (S S^T)^{1/2} is diagonalized by an orthogonal
@@ -71,8 +72,9 @@ products a step, in place of an SVD; it refuses an input with ||Z^H Z - I||_F
 >= 0.75, beyond which the steps need not converge.
 
 Every route, the analytic ones too, checks its factors in one place
-(_checked) against one limit table (limit), and every Gram spectrum pairs
-reciprocally to PAIR_RTOL, the limit verify reports it against.
+(_checked) against one limit table (limit), and every Gram spectrum (none
+in SGVM media) pairs reciprocally to PAIR_RTOL, the limit verify reports it
+against.
 """
 
 import math
@@ -98,7 +100,8 @@ __all__ = [
 INPUT_SYMPLECTIC_TOL = 1e-9
 # The max|S| from which max|S|^2, that scale, overflows a float.
 SMAX_LIMIT = math.sqrt(np.finfo(float).max)
-# Width of the lam = 1 cluster treated as passive (on lam^2).
+# Width of the lam = 1 cluster treated as passive (on lam^2) in a Gram spectrum;
+# an SGVM pass, factored directly, reads lam within N eps of 1 as 1.
 UNIT_CTOL = 1e-9
 # Limit on every route's reciprocal pairing of its Gram spectrum (_spectrum),
 # and degeneracy tolerance of two_mode_rearrange's pairing of a lam spectrum.
@@ -260,27 +263,32 @@ def symplectic_tolerance(smax, name="input"):
     return INPUT_SYMPLECTIC_TOL * max(1.0, smax**2)
 
 
-def _guard(resid, smax):
-    """ContractError unless the symplectic residual is within
+def _guard(resid, smax, name="input"):
+    """ContractError, naming name, unless the symplectic residual is within
     symplectic_tolerance(max|S|), S the 4N matrix (a NaN residual is not);
     smax() returns max|S| and is called only for a residual that is not
     within INPUT_SYMPLECTIC_TOL."""
-    if not (resid <= INPUT_SYMPLECTIC_TOL or resid <= symplectic_tolerance(smax())):
+    if not (resid <= INPUT_SYMPLECTIC_TOL or resid <= symplectic_tolerance(smax(), name)):
         raise ContractError(
-            "input is not symplectic: residual %.3e exceeds tolerance" % resid
+            "%s is not symplectic: residual %.3e exceeds tolerance" % (name, resid)
         )
 
 
-def _pair_factors(prop):
+def pass_name(g0, double):
+    """How the commands name a pass in errors: its kind and pump amplitude."""
+    return "%s pass (g0 = %g)" % ("double" if double else "single", g0)
+
+
+def _pair_factors(prop, name):
     """bloch_messiah of a Propagator, read off its 2N pair form Y (module docstring).
 
-    SGVM passes are factored at N x N through X (_exchange_factors), others
-    through the 2N Gram Y Y^H (_gram_factors); each checks its factors
-    (_checked), with the output factors under the names of O, the input
-    factors under those of O_tilde, and its Gram spectrum's pairing defect.
+    SGVM passes are factored at N x N off X (_sgvm_factors), others through
+    the 2N Gram Y Y^H (_gram_factors); each checks its factors (_checked),
+    with the output factors under the names of O and the input factors
+    under those of O_tilde, and the Gram route its spectrum's pairing defect.
     """
-    _guard(prop.symplectic_residual, prop.matrix_max)
-    return (_exchange_factors if prop.sgvm else _gram_factors)(prop)
+    _guard(prop.symplectic_residual, prop.matrix_max, name)
+    return _sgvm_factors(prop, name) if prop.sgvm else _gram_factors(prop)
 
 
 def _decomposition(lam, factors, residuals):
@@ -325,51 +333,57 @@ def _gram_factors(prop):
     return _decomposition(lam, ((QS, QI), (PS, PI)), residuals)
 
 
-def _exchange_factors(prop):
-    """The Decomposition of an SGVM pass from conj X = A diag(s) B^H (_sgvm_factors).
+def _ladder(lam_raw):
+    """(lam, order, turned): lam = max(l, 1/l) of each raw l, stably sorted
+    descending by order, and where the raw l in that order is below 1."""
+    raw = np.asarray(lam_raw, dtype=float)
+    if np.any(raw <= 0):
+        raise DecompositionError("raw lam values must be positive")
+    lam = np.maximum(raw, 1.0 / raw)
+    order = np.argsort(-lam, kind="stable")
+    return lam[order], order, raw[order] < 1.0
 
-    The Gram conj X conj X^H gives the columns of A with s > 1 and that of
-    X^-T the columns with s < 1, each at an eigenvalue above 1 (s^2 and
-    s^-2); the unit cluster is their complement.  B is conj X^H A / s where
-    s >= 1 and s (X^-T)^H A where s < 1.  The residuals add the pairing
-    defect of the two Gram spectra merged.
+
+def _sgvm_factors(prop, name, double=False):
+    """The Decomposition of an SGVM pass from conj X = A diag(s) B^H (module
+    docstring), or, when double, of its matched double pass from its forward
+    pass prop: conj X^H conj X = B diag(s^2) B^H.
+
+    An exactly Hermitian X takes one eigenproblem, B = A; any other X one
+    SVD.  The pairs are sorted by lam = max(s, 1/s) (_ladder), each distinct
+    factor is polished, and _checked rebuilds conj X and X^-T (of the double
+    pass when double) from A diag(s^+-1) B^H, with A's residuals under the
+    names of O and B's under those of O_tilde.  The factors are Q_S = J A,
+    Q_I = A sgn, P_S = J B and P_I = B sgn, sgn = -1 where s < 1: one tuple
+    for both sides when B is A.  Raises ContractError, naming name, when the
+    smallest singular value of X (eigenvalue, when Hermitian) is within N eps
+    of its largest, so carries no digits: a non-positive eigenvalue, or a
+    pass whose small singular values are lost to roundoff, as the N = 61
+    README single pass at g0 100.
     """
-    n, down, up = prop.n, prop.exchange.conj(), prop._inverse_transpose
-    spectra, active = [], []
-    for M in (down, up):
-        w, V = numerics.sym_eig(M @ M.conj().T)
-        m = int(np.sum(w > 1.0 + UNIT_CTOL))
-        spectra.append(w)
-        active.append((w[::-1][:m], V[:, ::-1][:, :m]))
-    k, pairing = _spectrum(np.sort(np.concatenate(spectra)), "the Gram pair of X")
-    (w_up, V_up), (w_down, V_down) = active
-    w = np.concatenate([w_up, w_down])
-    order = np.argsort(-w, kind="stable")
-    lam = np.concatenate([np.sqrt(w[order]), np.ones(n - k)])
-    grows = np.concatenate([order < w_up.size, np.ones(n - k, bool)])  # s >= 1
-    A = np.hstack([V_up, V_down])[:, order]
-    A = _polish_unitary(np.hstack([A, np.linalg.qr(A, mode="complete")[0][:, k:]]),
-                        "output factor")
-    s = np.where(grows, lam, 1.0 / lam)
-    B = np.empty(A.shape, np.result_type(A, up))
-    B[:, grows] = (prop.exchange.T @ A[:, grows]) / s[grows]  # conj X^H = X^T
-    B[:, ~grows] = (up.conj().T @ A[:, ~grows]) * s[~grows]
-    B = _polish_unitary(B, "input factor")
-    return _sgvm_factors(lam, s, A, B, (down, up), "pair route", pairing)
-
-
-def _sgvm_factors(lam, s, A, B, targets, context, pairing=None):
-    """The Decomposition of conj X = A diag(s) B^H, lam = max(s, 1/s) descending.
-
-    A and B are polished unitaries (B may be A), targets is (conj X, X^-T).
-    _checked rebuilds both from A diag(s^+-1) B^H, with A's residuals under
-    the names of O and B's under those of O_tilde.  The factors are Q_S =
-    J A, Q_I = A sgn, P_S = J B and P_I = B sgn, sgn = -1 where s < 1
-    (module docstring): one tuple for both sides when B is A.
-    """
+    down, up = prop.exchange.conj(), prop._inverse_transpose  # conj X, X^-T
+    if not double and np.array_equal(down, down.conj().T):
+        s, A = numerics.sym_eig(down)
+        B = A
+    else:
+        A, s, B = numerics.svd(down)
+    # the solver's error is about N eps times the largest value, so a smallest
+    # one below that (for a Hermitian X, one that is not positive) is roundoff
+    if not s.min() > len(s) * np.finfo(float).eps * s.max():
+        raise ContractError(
+            "%s: the smallest %s of X, %.3e, is roundoff of its largest, %.3e (below N eps "
+            "times it): its gain is past what a pass can hold"
+            % (name, "eigenvalue" if B is A else "singular value", s.min(), s.max()))
+    if double:
+        A, s, down, up = B, s**2, down.conj().T @ down, up.conj().T @ up
+    lam, order, _ = _ladder(s)
+    lam[lam - 1.0 <= len(s) * np.finfo(float).eps] = 1.0  # the unit cluster, to roundoff
+    s, A, B = s[order], A[:, order], None if B is A else B[:, order]  # frees the solver's own
+    A = _polish_unitary(A, "output factor")
+    B = A if B is None else _polish_unitary(B, "input factor")
     side = (A,)
-    residuals = _checked([(A, s, B, targets[0]), (A, 1.0 / s, B, targets[1])],
-                         (side, side if B is A else (B,)), context, pairing)
+    residuals = _checked([(A, s, B, down), (A, 1.0 / s, B, up)],
+                         (side, side if B is A else (B,)), name)
     sign = np.where(s < 1.0, -1.0, 1.0)
     out = (A[::-1], A * sign)
     return _decomposition(lam, (out, out if B is A else (B[::-1], B * sign)), residuals)
@@ -383,11 +397,12 @@ def _beam_modes(QS, QI):
     return _signal_basis(QS), 1j * (_PHASE * (QI + 1j * QI[::-1])).conj()
 
 
-def bloch_messiah(S):
+def bloch_messiah(S, name="input"):
     """Decompose a symplectic S into O diag(lam, 1/lam) O_tilde^T.
 
     S is a Propagator, factored in its 2N pair form and guarded by its cached
-    symplectic_residual into a Decomposition (_pair_factors), or a 4N array,
+    symplectic_residual into a Decomposition (_pair_factors, its errors
+    naming name), or a 4N array,
     factored through the eigenproblem of S S^T and guarded by its 4N residual
     into a BlochMessiahResult; the 4N route is the independent oracle of the
     pair route.  Raises ContractError if S is not symplectic to working
@@ -395,7 +410,7 @@ def bloch_messiah(S):
     reciprocally or a factor fails its residual checks.
     """
     if isinstance(S, Propagator):
-        return _pair_factors(S)
+        return _pair_factors(S, name)
     S = np.asarray(S, dtype=float)
     dim = S.shape[0]
     if S.shape != (dim, dim) or dim % 2:
@@ -591,12 +606,13 @@ def _gauge_fix(u):
     return u * (abs(anchor) / anchor) if anchor else u.copy()
 
 
-def decompose(prop, grid):
-    """Squeezer structure (bloch_messiah) of a Propagator built on the given grid."""
+def decompose(prop, grid, name="input"):
+    """Squeezer structure (bloch_messiah) of a Propagator built on the given
+    grid, its errors naming name."""
     if grid.n != prop.n:
         raise ConfigError("grid size %d does not match propagator bins %d"
                           % (grid.n, prop.n))
-    return bloch_messiah(prop)
+    return bloch_messiah(prop, name)
 
 
 def tune_gain(grid, pump, medium, poling, target, double=False, gain2_scale=1.0,

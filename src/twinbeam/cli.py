@@ -26,7 +26,7 @@ from .analysis import (
     flip_overlap, gain_variation_sweep, mode_fidelity, subspace_overlaps,
 )
 from .analytic import structure_checks, svd_route
-from .blochmessiah import decompose, limit, symplectic_tolerance, tune_gain
+from .blochmessiah import decompose, limit, pass_name, symplectic_tolerance, tune_gain
 from .errors import ConfigError, ContractError, TwinbeamError
 from .model import (
     FrequencyGrid, MediumSpec, Poling, PumpSpec, TabulatedEnvelope,
@@ -265,9 +265,11 @@ def _modes_csv(path, grid, pairs):
 
 def cmd_simulate(cfg, out_dir):
     pump, achieved, prop = _resolve_pump(cfg)
+    # flip overlaps read the raw modes, fidelities and modes.csv the stripped
+    # ones; decomposed first, as its input guard refuses a pass whose photon
+    # count would overflow
+    raw = decompose(prop, cfg.grid, pass_name(pump.g0, cfg.double))
     ns, ni = prop.mean_photons()
-    # flip overlaps read the raw modes, fidelities and modes.csv the stripped ones
-    raw = decompose(prop, cfg.grid)
     decomp = raw.without_free_phase(cfg.grid, cfg.medium, cfg.double) \
         if cfg.remove_free_phase else raw
 
@@ -416,7 +418,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
     checks = []
     grid, medium = cfg.grid, cfg.medium
     pump, _, prop = _resolve_pump(cfg)
-    n = grid.n
+    n, name = grid.n, pass_name(pump.g0, cfg.double)
 
     report_struct = structure_checks(grid, pump, medium, cfg.sim_poling)
     matrices = build_coupled_matrices(grid, pump, medium, sign=1)
@@ -436,7 +438,7 @@ def cmd_verify(cfg, out_dir, propagator_path):
     smax = prop.matrix_max()
     # read off the small form once; decompose's input guard reuses it
     _check(checks, "propagator_symplectic", prop.symplectic_residual,
-           symplectic_tolerance(smax, "device pass (g0 = %g)" % pump.g0))
+           symplectic_tolerance(smax, name))
 
     ns, ni = ((float(np.linalg.norm(np.hstack(rows)) ** 2) - n) / 2
               for rows in prop.pair_blocks())
@@ -444,20 +446,25 @@ def cmd_verify(cfg, out_dir, propagator_path):
     _check(checks, "photon_balance", balance, PHOTON_BALANCE_TOL)
 
     # svd_route runs before the decomposition is held, and only its lam and
-    # its active squeezers' output modes outlive it
+    # its active squeezers' output modes outlive it; its error, like the
+    # decomposition's, is one failed check
     routed = None
     if medium.sgvm() and (not cfg.double or cfg.gain2_scale == 1.0):
-        route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double)
-        routed = route.lam, route.mode_columns("out", np.s_[:len(route.active_pairs())])
-        del route
+        try:
+            route = svd_route(grid, pump, medium, cfg.sim_poling, double=cfg.double)
+        except ContractError as exc:
+            _check(checks, "route_decomposition", str(exc), None, ok=False)
+        else:
+            routed = route.lam, route.mode_columns("out", np.s_[:len(route.active_pairs())])
+            del route
     # nothing below reads a memoized pass (the zero-gain pass composes afresh),
     # so a double pass's forward pass is not held through the decomposition
     _clear_compose_memo()
 
     try:
-        decomp = decompose(prop, grid)
-        # the pair route doubles lam itself: what it can fail on is the
-        # reciprocal pairing of its Gram spectrum, reported last
+        decomp = decompose(prop, grid, name)
+        # away from SGVM media the pair route doubles lam itself: what it can
+        # fail on is the reciprocal pairing of its Gram spectrum, reported last
         for name, value in decomp.residuals.items():
             _check(checks, "lam_pair_degeneracy" if name == "pairing" else "bm_" + name,
                    value, limit(name))

@@ -64,15 +64,22 @@ _PHASE = complex(0.5, 0.5)
 
 
 def symplectic_residual(S):
-    """max |S Omega S^T - Omega|, zero for an exact symplectic matrix."""
+    """max |S Omega S^T - Omega|, zero for an exact symplectic matrix.
+
+    Each entry of S Omega S^T sums 4N products of at most max|S|^2, so an S
+    past sqrt(float max / 4N) is scaled down to it first and the residual
+    scaled back up in Python floats: one past the largest float reads inf,
+    with no overflow in the product."""
     h, odd = divmod(S.shape[0], 2)
     if odd:
         raise ConfigError("symplectic dimension must be even, got %d" % S.shape[0])
+    scale = max(1.0, numerics._abs_max(S) / (float(np.finfo(float).max) / len(S)) ** 0.5)
+    S = S / scale if scale > 1.0 else S
     # S Omega swaps the column halves, negating one; Omega comes off in place.
     P = np.hstack([-S[:, h:], S[:, :h]]) @ S.T
-    P[:h, h:].flat[::h + 1] -= 1.0
-    P[h:, :h].flat[::h + 1] += 1.0
-    return float(max(P.max(), -P.min()))
+    P[:h, h:].flat[::h + 1] -= 1.0 / scale / scale
+    P[h:, :h].flat[::h + 1] += 1.0 / scale / scale
+    return float(max(P.max(), -P.min())) * scale * scale
 
 
 def _embedded_max(E):
@@ -382,11 +389,16 @@ def double_pass(grid, pump, medium, poling, gain2_scale=1.0):
     """Forward pass followed by its return trip (`Propagator.return_trip`).
 
     gain2_scale multiplies the pump amplitude of the second pass only
-    (imperfect double-pass modeling); at 1.0 both are one memoized pass.
+    (imperfect double-pass modeling); at 1.0 both are one memoized pass, and
+    in SGVM media X_f^H X_f is returned averaged with its adjoint, Hermitian
+    bitwise (a real X_f^T X_f already is, and the average changes no bit).
     """
     first = compose(grid, pump, medium, poling)
     back = compose(grid, replace(pump, g0=pump.g0 * gain2_scale), medium, poling)
-    return back.return_trip().after(first)
+    X = back.return_trip().after(first).exchange
+    if gain2_scale == 1.0 and first.sgvm:  # X_f^H X_f, made Hermitian bitwise
+        X = 0.5 * (X + X.conj().T)
+    return Propagator(X, first.n)
 
 
 def _free_phases(grid, medium, length, double=False):

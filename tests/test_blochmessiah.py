@@ -258,7 +258,7 @@ def test_bloch_messiah_guards_a_propagator_with_its_cached_residual(monkeypatch)
     d = np.concatenate([handed.lam, 1.0 / handed.lam])
     np.testing.assert_allclose((handed.O * d) @ handed.O_tilde.T, prop.matrix, rtol=0,
                                atol=1e-13)
-    assert set(handed.residuals) == set(raw.residuals) | {"pairing"}
+    assert set(handed.residuals) == set(raw.residuals)  # an SGVM pass has no Gram to pair
     bent = Propagator.from_bogoliubov(np.eye(2 * N) + 1e-3 * np.ones((2 * N, 2 * N)), N)
     with pytest.raises(ContractError, match="not symplectic"):
         bloch_messiah(bent)
@@ -521,6 +521,8 @@ def matches_the_4n_oracle(prop, grid):
 def test_pair_route_matches_the_4n_oracle_on_the_acceptance_configs(lab, name, double):
     d = matches_the_4n_oracle(lab.propagator(name, double=double), lab.grid)
     assert d.r[0] > 1.0
+    # a matched SGVM double pass, the README's among them, holds one factor tuple
+    assert (d.factors_in is d.factors_out) == (double and name != "skew")
 
 
 LOPSIDED = np.linspace(-12.0, 12.0, 241)
@@ -537,6 +539,37 @@ def test_pair_route_matches_the_4n_oracle_for_a_lopsided_pump(kappa_i, g0, doubl
     prop = (double_pass if double else compose)(grid, pump, medium, poling)
     assert np.iscomplexobj(prop.pair_form())
     assert matches_the_4n_oracle(prop, grid).active_pairs()
+
+
+@pytest.mark.parametrize("lopsided", [False, True], ids=["even", "lopsided"])
+@pytest.mark.parametrize("kind", ["apodized", "unpoled", "qpm"])
+def test_sgvm_double_pass_is_one_factor_object_only_when_matched(kind, lopsided):
+    # double_pass makes the matched pass X_f^H X_f Hermitian bitwise, so one
+    # eigenproblem gives one factor tuple for both sides; at gain2_scale 0.9
+    # it is not Hermitian and one SVD gives two.  Both match the 4N oracle.
+    envelope = TabulatedEnvelope(LOPSIDED, np.exp(-((LOPSIDED - 1.5) ** 2) / 2.0)) \
+        if lopsided else "gaussian"
+    grid, medium, pump = build_grid(31, 5.0), MediumSpec(8.0, -8.0, L), \
+        PumpSpec(g0=3.0, envelope=envelope)
+    poling = {"apodized": demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0)),
+              "unpoled": Poling.unpoled(L), "qpm": qpm_poling(L, 2 * L / 9)}[kind]
+    for scale in (1.0, 0.9):
+        prop = double_pass(grid, pump, medium, poling, gain2_scale=scale)
+        assert np.iscomplexobj(prop.exchange) == lopsided
+        assert np.array_equal(prop.exchange, prop.exchange.conj().T) == (scale == 1.0)
+        d = matches_the_4n_oracle(prop, grid)
+        assert d.active_pairs()
+        assert (d.factors_in is d.factors_out) == (scale == 1.0)
+
+
+def test_double_pass_average_changes_no_bit_of_a_real_pass():
+    # numpy forms the real X_f^T X_f symmetric, and x + x halved is x
+    grid, medium = build_grid(31, 5.0), MediumSpec(8.0, -8.0, L)
+    poling = demodulate_poling(apodized_poling(L, L / 169, pmf_width=8.0))
+    X = compose(grid, PumpSpec(g0=6.28), medium, poling).exchange
+    assert X.dtype == float
+    np.testing.assert_array_equal(
+        double_pass(grid, PumpSpec(g0=6.28), medium, poling).exchange, X.T @ X)
 
 
 def random_grating(rng, domains):
@@ -615,10 +648,10 @@ def test_pair_route_matches_the_4n_oracle_inside_degenerate_clusters(dtype):
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_exchange_factors_match_the_4n_oracle_inside_degenerate_clusters(dtype):
+def test_sgvm_factors_match_the_4n_oracle_inside_degenerate_clusters(dtype):
     # conj X = A diag(s) B^H with r = 0.8 three times and 0.3 twice, each
-    # cluster holding squeezers of both Grams (s above and below 1), and
-    # four passive modes: the N x N route pairs them as the 4N route does
+    # cluster holding squeezers of both signs of log s (s above and below 1),
+    # and four passive modes: the N x N route pairs them as the 4N route does
     rng = np.random.default_rng(12)
     rho = np.array([0.8, -0.8, 0.8, -0.3, 0.3, 0.0, 0.0, 0.0, 0.0])
 
@@ -633,24 +666,23 @@ def test_exchange_factors_match_the_4n_oracle_inside_degenerate_clusters(dtype):
 
 
 @pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
-@pytest.mark.parametrize("kappa_i, orders", [(-8.0, [N, N]), (-4.8, [2 * N])],
-                         ids=["sgvm", "skew"])
-def test_pair_route_eigenproblems_are_n_by_n_in_sgvm_media(monkeypatch, kappa_i, orders,
-                                                            double):
-    # an SGVM pass takes the Grams of conj X and X^-T, N x N each, and never
-    # the 2N Gram Y Y^H; a 40%-mismatch pass has no N x N split and keeps it
+@pytest.mark.parametrize("kappa_i", [-8.0, -4.8], ids=["sgvm", "skew"])
+def test_pair_route_factors_a_pass_once_at_n_by_n_in_sgvm_media(monkeypatch, kappa_i, double):
+    # a single SGVM pass takes one N x N SVD of conj X and a matched double
+    # pass, Hermitian, one N x N eigenproblem, neither a Gram; a 40%-mismatch
+    # pass has no N x N split and takes the 2N Gram Y Y^H
     grid, medium = build_grid(N, 5.0), MediumSpec(8.0, kappa_i, L)
     prop = (double_pass if double else compose)(grid, PumpSpec(g0=1.0), medium,
                                                 qpm_poling(L, 2 * L / 9))
-    calls, sym_eig = [], numerics.sym_eig
-
-    def spy(M):
-        calls.append(M.shape)
-        return sym_eig(M)
-
-    monkeypatch.setattr(numerics, "sym_eig", spy)
+    calls = []
+    for name in ("sym_eig", "svd"):
+        monkeypatch.setattr(numerics, name, lambda M, fn=getattr(numerics, name), name=name:
+                            calls.append((name, M.shape)) or fn(M))
     assert bloch_messiah(prop).active_pairs()
-    assert calls == [(n, n) for n in orders]
+    if prop.sgvm:
+        assert calls == [("sym_eig" if double else "svd", (N, N))]
+    else:
+        assert calls == [("sym_eig", (2 * N, 2 * N))]
 
 
 def test_pair_route_reaches_g0_30_with_the_4n_route():
@@ -1019,12 +1051,13 @@ def readme_double_pass_n51():
     return grid, pump, medium, poling, double_pass(grid, pump, medium, poling)
 
 
-@pytest.mark.parametrize("route, arrays", [("decompose", 0.53), ("svd_route", 0.45)])
+@pytest.mark.parametrize("route, arrays", [("decompose", 0.23), ("svd_route", 0.45)])
 def test_factorization_peak_memory_in_4n_arrays(readme_double_pass_n51, route, arrays):
     # Measured above entry, the 4N matrix and the pass's cached symplectic
-    # residual already built: decompose 0.46 arrays (the N x N Grams of
-    # conj X and X^-T and the real factors A and B, polished in place and
-    # checked one block at a time; 1.02 when it also formed the complex
+    # residual already built: decompose 0.20 arrays (one eigenproblem of the
+    # Hermitian double pass, its one real factor polished in place and
+    # checked one block at a time; 0.46 with the N x N Grams of conj X and
+    # X^-T and two factors A and B, 1.02 when it also formed the complex
     # mode matrices and each polish step and check block a new array),
     # svd_route(double=True) 0.39 (the real N x N SVD of conj X, released
     # before the polish, and decompose's SGVM tail, which checks against

@@ -331,9 +331,9 @@ def test_verify_decomposes_a_double_pass_with_the_compose_memo_empty(tmp_path, m
     # its cached X^-T are released before the decomposition
     sizes, decompose_ = [], twinbeam.cli.decompose
 
-    def entering(prop, grid):
+    def entering(prop, grid, name):
         sizes.append(compose.cache_info().currsize)
-        return decompose_(prop, grid)
+        return decompose_(prop, grid, name)
 
     monkeypatch.setattr(twinbeam.cli, "decompose", entering)
     cfg = dict(PARTLY_ACTIVE, medium=dict(medium), pass_mode="double")
@@ -364,9 +364,9 @@ def test_readme_commands_run_real_arithmetic_and_form_no_cached_view(
             return fn(arg)
         return wrapper
 
-    def entering(prop, grid):
+    def entering(prop, grid, name):
         decomposing.append(prop)
-        return decompose_(prop, grid)
+        return decompose_(prop, grid, name)
 
     monkeypatch.setattr(numerics, "expm", recording("expm", numerics.expm))
     monkeypatch.setattr(np.linalg, "inv", recording("inv", np.linalg.inv))
@@ -494,9 +494,9 @@ def test_the_decomposed_pass_residual_is_computed_once(tmp_path, monkeypatch, co
         dense.append(S.shape)
         return full(S)
 
-    def recording(prop, grid):
+    def recording(prop, grid, name):
         decomposed.append(prop)
-        return decomp(prop, grid)
+        return decomp(prop, grid, name)
 
     for module in (twinbeam.propagator, twinbeam.blochmessiah, twinbeam.cli):
         monkeypatch.setattr(module, "symplectic_residual", counted_full)
@@ -719,16 +719,20 @@ def test_overflowing_domain_exponential_names_its_stage(tmp_path, capsys):
     ({"target_NS": 1e100}, ") is singular to working precision"),
 ], ids=["g0-600", "g0-1000", "target-1e100"])
 @pytest.mark.parametrize("command", ["simulate", "verify"])
-def test_a_gain_past_what_a_pass_holds_exits_3_naming_the_cause(tmp_path, capsys, command,
-                                                                pump, cause):
+def test_a_gain_past_what_a_pass_holds_exits_3_naming_the_cause(tmp_path, capsys, recwarn,
+                                                                command, pump, cause):
     # past g0 = 400 the N = 9 pass's max|S|^2 overflowed a Python float and
     # its X^-1 met an exactly singular pivot: both commands ended in a
-    # traceback (exit 1), where now both fail at the same point
+    # traceback (exit 1), where now both fail at the same point.  simulate
+    # decomposes before it counts photons, so the guard refuses the g0 = 600
+    # pass before ||Q||_F^2 overflows (a RuntimeWarning)
     rc, _ = run(tmp_path, base_config(pump=pump), command)
     assert rc == 3
     err = capsys.readouterr().err
     assert cause in err
     assert ("max|S| = " if "square" in cause else "the pass X (max|X| = ") in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------- BLAS threads
@@ -925,38 +929,75 @@ def test_verify_passes_on_sound_config(tmp_path):
     thresholds = {c["name"]: c["threshold"] for c in report["checks"]}
     assert thresholds["bm_reconstruction"] == RECON_RTOL
     assert thresholds["bm_O_orthogonal"] == FACTOR_TOL
-    assert thresholds["lam_pair_degeneracy"] == PAIR_RTOL
     assert thresholds["photon_balance"] == PHOTON_BALANCE_TOL
-
-
-def test_verify_agrees_with_simulate_at_g0_30(tmp_path):
-    # the N = 61 README single pass at g0 = 30 (r_1 = 5.20): the Grams of
-    # conj X and X^-T pair to 3.0e-11, where the 2N Gram Y Y^H read 1.5e-8,
-    # above PAIR_RTOL, and verify exited 3 on a run simulate completed
-    cfg = dict(README_CONFIG, grid={"N": 61}, pump={"sigma": 1.0, "g0": 30.0},
-               pass_mode="single")
-    assert run(tmp_path, cfg, "simulate")[0] == 0
-    rc, out = run(tmp_path, cfg, "verify")
+    # an SGVM pass is factored with no Gram, so only a skew pass has a
+    # spectrum to pair, held to the limit the decomposition enforces
+    assert "lam_pair_degeneracy" not in thresholds
+    rc, out = run(tmp_path, base_config(medium=dict(SKEW_MEDIUM)), "verify")
     assert rc == 0
     checks = json.loads((out / "verify.json").read_text())["checks"]
-    check, = [c for c in checks if c["name"] == "lam_pair_degeneracy"]
-    assert check["value"] < PAIR_RTOL
+    assert {c["name"]: c["threshold"] for c in checks}["lam_pair_degeneracy"] == PAIR_RTOL
 
 
-def test_simulate_and_verify_share_one_pairing_limit(tmp_path, capsys):
-    # the same pass at g0 = 40: its Grams pair to 9.0e-8, above PAIR_RTOL,
-    # and simulate and verify hold the pairing to that one limit
-    cfg = dict(README_CONFIG, grid={"N": 61}, pump={"sigma": 1.0, "g0": 40.0},
-               pass_mode="single")
+@pytest.mark.parametrize("pass_mode, g0, expected", [
+    ("single", 40.0, 7.38),
+    ("single", 60.0, 11.82),
+    ("double", 30.0, 10.40),
+    ("single", 100.0, "the smallest singular value of X, "),
+    ("double", 40.0, "reconstruction residual "),
+    ("double", 100.0, "the smallest eigenvalue of X, -"),
+], ids=["single-40", "single-60", "double-30", "single-100", "double-40", "double-100"])
+def test_the_gain_envelope_of_the_n61_readme_grating(tmp_path, capsys, pass_mode, g0,
+                                                   expected):
+    # Factored directly, the N = 61 README pass holds r_1 = 11.8 single (g0
+    # 60) and 10.4 double (g0 30), where the Gram pair of X stopped at g0 40
+    # single and 30 double.  Past that simulate and verify exit 3 with one
+    # message naming the pass, its g0 and the cause: at single g0 100 the
+    # smallest singular value of X is roundoff of its largest, at double g0
+    # 40 the reconstruction exceeds RECON_RTOL (2.0e-8), and at double g0
+    # 100 the Hermitian pass has a negative eigenvalue.  expected is r_1 to the
+    # README table's digits inside, else the start of the cause.
+    cfg = dict(README_CONFIG, grid={"N": 61, "half_width": 5.0},
+               pump={"sigma": 1.0, "g0": g0}, pass_mode=pass_mode)
+    capsys.readouterr()
+    rc, out = run(tmp_path, cfg, "simulate")
+    err = capsys.readouterr().err
+    summary = read_summary(out) if rc == 0 else None
+    rc_verify, out = run(tmp_path, cfg, "verify")
+    report = json.loads((out / "verify.json").read_text())
+    if not isinstance(expected, str):
+        assert rc == rc_verify == 0 and summary["reconstruction_residual"] <= RECON_RTOL
+        assert abs(summary["r"][0] - expected) < 5e-3
+        assert report["failed"] == []
+        assert all(c["value"] <= c["threshold"] for c in report["checks"]
+                   if isinstance(c["value"], float))
+        return
+    assert rc == rc_verify == 3
+    message = err[len("contract violation: "):].rstrip("\n")
+    assert message.startswith("%s pass (g0 = %g): %s" % (pass_mode, g0, expected))
+    values = {c["name"]: c["value"] for c in report["checks"] if not c["pass"]}
+    assert report["failed"][-1] == "bm_decomposition" and values["bm_decomposition"] == message
+    if pass_mode == "single":  # svd_route runs the same front end on the same pass
+        assert report["failed"] == ["route_decomposition", "bm_decomposition"]
+        assert values["route_decomposition"] == message
+
+
+@pytest.mark.parametrize("g0", [50.0, 100.0])
+def test_verify_records_a_failed_svd_route_and_writes_its_report(tmp_path, capsys, g0):
+    # the N = 9 unpoled single pass past its envelope: svd_route's error
+    # escaped verify, which exited 3 with no verify.json and named another
+    # route than simulate; now it is one failed check, with simulate's message
+    cfg = base_config(pump={"g0": g0})
     capsys.readouterr()
     assert run(tmp_path, cfg, "simulate")[0] == 3
-    assert "do not pair reciprocally" in capsys.readouterr().err
+    message = capsys.readouterr().err[len("contract violation: "):].rstrip("\n")
     rc, out = run(tmp_path, cfg, "verify")
     assert rc == 3
     report = json.loads((out / "verify.json").read_text())
-    assert report["failed"] == ["bm_decomposition"]
-    check, = [c for c in report["checks"] if c["name"] == "bm_decomposition"]
-    assert "do not pair reciprocally" in check["value"]
+    assert report["failed"] == ["route_decomposition", "bm_decomposition"]
+    values = {c["name"]: c["value"] for c in report["checks"]}
+    assert values["route_decomposition"] == values["bm_decomposition"] == message
+    assert message.startswith("single pass (g0 = %g): the smallest singular value of X" % g0)
 
 
 @pytest.mark.parametrize("medium, arrays", [(SGVM_MEDIUM, 1.25), (SKEW_MEDIUM, 4.23)],
@@ -1047,7 +1088,7 @@ def test_verify_passes_a_near_even_declared_table(tmp_path):
 def test_verify_reports_a_failed_decomposition(tmp_path, monkeypatch):
     # the factorization's error becomes one failed check, and the route
     # comparison, which needs the factorization, is skipped
-    def failing(prop, grid):
+    def failing(prop, grid, name):
         raise DecompositionError("pairing failed")
 
     monkeypatch.setattr(twinbeam.cli, "decompose", failing)
@@ -1076,8 +1117,9 @@ def test_verify_nonpalindromic_sgvm_poling(tmp_path, pass_mode):
 def test_sgvm_verify_takes_no_2n_eigenproblem_and_no_2n_route_factor(tmp_path, monkeypatch,
                                                                      pass_mode):
     # structure_checks reads the flip classes off T's parity and svd_route
-    # keeps its N x N factors, so decompose's two N x N Grams are verify's
-    # only eigenproblems and no 2N mode matrix or factor is built
+    # keeps its N x N factors, so verify's only eigenproblem is decompose's
+    # one of the Hermitian matched double pass (a single pass takes SVDs),
+    # and no 2N mode matrix or factor is built
     orders, factors = [], []
     sym_eig, interleaved = numerics.sym_eig, twinbeam.blochmessiah._interleaved
     monkeypatch.setattr(numerics, "sym_eig", lambda M: orders.append(len(M)) or sym_eig(M))
@@ -1087,7 +1129,7 @@ def test_sgvm_verify_takes_no_2n_eigenproblem_and_no_2n_route_factor(tmp_path, m
                       poling={"kind": "qpm", "period": 2.0 / 9.0}, pass_mode=pass_mode)
     rc, out = run(tmp_path, cfg, "verify")
     assert rc == 0
-    assert orders == [15, 15] and factors == []
+    assert orders == ([15] if pass_mode == "double" else []) and factors == []
     report = json.loads((out / "verify.json").read_text())
     names = [c["name"] for c in report["checks"]]
     assert "route_mode_overlap" in names and "flip_classes_balanced" in names
@@ -1118,7 +1160,7 @@ def test_verify_double_pass_checks_zero_gain_limit(tmp_path):
         "F_symmetric", "F_centrosymmetric", "G_anticentrosymmetric",
         "propagator_symplectic", "photon_balance",
         "bm_reconstruction", "bm_O_orthogonal", "bm_O_symplectic",
-        "bm_O_tilde_orthogonal", "bm_O_tilde_symplectic", "lam_pair_degeneracy",
+        "bm_O_tilde_orthogonal", "bm_O_tilde_symplectic",
         "route_r_agreement", "route_mode_overlap", "block_propagator_symmetry",
         "flip_classes_balanced",
         "double_pass_zero_gain_free",
@@ -1210,11 +1252,14 @@ def test_verify_unreadable_propagator_exit_2(tmp_path, capsys, body):
     ("1e200", "max|S| = 1.000e+200 is too large to check for symplecticity"),
     ("1e154", "inf"),
 ], ids=["square-overflows", "residual-overflows"])
-def test_verify_propagator_too_large_to_check_fails_in_strict_json(tmp_path, entry, value):
+def test_verify_propagator_too_large_to_check_fails_in_strict_json(tmp_path, capsys, recwarn,
+                                                                   entry, value):
     # max|M|^2 of a 1e200 entry overflowed a Python float (exit 1), and the
     # residual of 1e154 entries, whose square is finite, was written as
     # Infinity; the check now fails in strict JSON, naming the file when the
-    # square overflows
+    # square overflows.  The residual of M / max|M| is read back times
+    # max|M|^2, so it reads inf with no overflow in the 4N product (a
+    # RuntimeWarning)
     prop = tmp_path / "prop.txt"
     prop.write_text("4 4\n" + ("%s %s 0 0\n" % (entry, entry)) * 2
                     + ("0 0 %s %s\n" % (entry, entry)) * 2)
@@ -1228,6 +1273,8 @@ def test_verify_propagator_too_large_to_check_fails_in_strict_json(tmp_path, ent
     assert report["failed"] == ["file_propagator_symplectic"]
     check = report["checks"][-1]
     assert value in check["value"] and (value == "inf" or str(prop) in check["value"])
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # ---------------------------------------------------------------- poling
