@@ -21,18 +21,15 @@ roundoff of X^-T.  Errors name the pass (pass_name when a command
 factors it).  Signal couples only to the idler's conjugate, so
 Y = diag(Q_S, Q_I) [[ch, sh], [sh, ch]] diag(P_S, P_I)^H with one N x N
 unitary per beam and side, ch = cosh r, sh = sinh r (Christ et al., NJP 15,
-053038 (2013)).  Away from SGVM media the route is polar: the
-Gram Y Y^H has the eigenvalues e^{+-2 r_k}, with eigenvectors (Q_S e_k,
-+-Q_I e_k) / sqrt 2.  Y Sigma Y^H = Sigma, so Sigma = diag(I, -I) maps each
-eigenspace above 1 onto its partner below, and each beam half of an active
-eigenvector w_k holds half its weight, in degenerate clusters too: sqrt 2
-times its halves are the active columns of Q_S and Q_I, and those of Y^H
-w_k / e^{r_k} are the columns of P_S and P_I.  The unit cluster (r = 0) is
-each beam's complement of its active columns, one N x N QR per beam, mapped
-to the input side by the beam's own diagonal block of Y^H; its cross-beam
-part, roundoff, is checked.  Each N x N factor is polished, and the factors
-are checked in the small form: Y against its four N x N blocks, and Q^H Q -
-I and Q Q^H - I of each factor under the names of O and O_tilde.
+053038 (2013)).  Away from SGVM media that is one SVD of the signal-idler
+block, Y_SI = Q_S diag(sh) P_I^H (Braunstein, PRA 71, 055801 (2005)), with
+no Gram (whose e^{+-2 r} would square its condition number): r = asinh(sh),
+never acosh(ch), which loses the weak squeezers; ch = sqrt(1 + sh^2); and
+the other two factors follow from the diagonal blocks, P_S = Y_SS^H Q_S / ch
+and Q_I = Y_II P_I / ch, dividing by ch >= 1.  Inside a degenerate cluster
+the SVD's basis is free, and both follow it.  Its full factors hold the
+passive cluster (sh = 0) too, so no complement is formed.  Each N x N
+factor is polished, and Y is rebuilt from its four N x N blocks.
 
 In SGVM media the exchange matrix X is N x N and Y = [[J P J, J Q], [Q J,
 P]] with P, Q = (conj X +- X^-T) / 2, that is Y = D H diag(conj X, X^-T) H D
@@ -54,8 +51,8 @@ B's under those of O_tilde.  Squeezer k's signal mode is U_S Q_S e_k and
 its idler mode i conj(U_I Q_I e_k), U_S,I = e^{i pi/4} (I -+ iJ) / sqrt 2,
 index maps only, formed for the columns read.
 
-A raw 4N array takes the same polar route on S S^T, the independent oracle
-of the pair route: P = (S S^T)^{1/2} is diagonalized by an orthogonal
+A raw 4N array takes the polar route on S S^T, the independent oracle of
+the pair route: P = (S S^T)^{1/2} is diagonalized by an orthogonal
 symplectic O = [[X, -Y], [Y, X]] built from the unitary Z = X + iY, and
 since O is orthogonal the input factor is O-tilde = S^T O D^{-1}.  The
 eigenvectors of S S^T above lam = 1 give the active columns z_k of Z; a
@@ -72,9 +69,10 @@ products a step, in place of an SVD; it refuses an input with ||Z^H Z - I||_F
 >= 0.75, beyond which the steps need not converge.
 
 Every route, the analytic ones too, checks its factors in one place
-(_checked) against one limit table (limit), and every Gram spectrum (none
-in SGVM media) pairs reciprocally to PAIR_RTOL, the limit verify reports it
-against.
+(_checked) against one limit table (limit), naming the block whose
+reconstruction fails.  Only the 4N oracle takes a Gram, whose spectrum pairs
+reciprocally to PAIR_RTOL; verify holds the 2N Gram Y Y^H of a pass away from
+SGVM media to the same limit.
 """
 
 import math
@@ -100,11 +98,13 @@ __all__ = [
 INPUT_SYMPLECTIC_TOL = 1e-9
 # The max|S| from which max|S|^2, that scale, overflows a float.
 SMAX_LIMIT = math.sqrt(np.finfo(float).max)
-# Width of the lam = 1 cluster treated as passive (on lam^2) in a Gram spectrum;
-# an SGVM pass, factored directly, reads lam within N eps of 1 as 1.
+# Width of the lam = 1 cluster treated as passive (on lam^2) in the 4N oracle's
+# Gram spectrum; an SGVM pass, factored directly, reads lam within N eps of 1
+# as 1, and the block route's SVD holds the passive cluster in its factors.
 UNIT_CTOL = 1e-9
-# Limit on every route's reciprocal pairing of its Gram spectrum (_spectrum),
-# and degeneracy tolerance of two_mode_rearrange's pairing of a lam spectrum.
+# Limit on the reciprocal pairing of a Gram spectrum (the 4N oracle's _spectrum,
+# verify's lam_pair_degeneracy), and degeneracy tolerance of
+# two_mode_rearrange's pairing of a lam spectrum.
 PAIR_RTOL = 1e-8
 # Residual allowances on the recovered factors and the reconstruction (limit).
 FACTOR_TOL = 1e-9
@@ -142,32 +142,34 @@ class BlochMessiahResult:
 
 def limit(name):
     """The largest value the factor residual name may take: RECON_RTOL for
-    the reconstruction, PAIR_RTOL for the pairing, else FACTOR_TOL."""
-    return {"reconstruction": RECON_RTOL, "pairing": PAIR_RTOL}.get(name, FACTOR_TOL)
+    the reconstruction, else FACTOR_TOL."""
+    return RECON_RTOL if name == "reconstruction" else FACTOR_TOL
 
 
-def _checked(blocks, factors, context, pairing=None):
+def _checked(blocks, factors, context):
     """The residuals of a factorization, once none exceeds its limit(name).
 
-    blocks holds (L, d, R, T), L diag(d) R^H the factored form of T: the
-    reconstruction residual is the largest max|L diag(d) R^H - T| / max(1,
-    max|T|), each block against its own scale.  factors is (the output
-    factors, the input factors), unitaries F whose Gram defects
+    blocks holds (target, L, d, R, T), L diag(d) R^H the factored form of T,
+    named target: the reconstruction residual is the largest max|L diag(d)
+    R^H - T| / max(1, max|T|), each block against its own scale.  factors is
+    (the output factors, the input factors), unitaries F whose Gram defects
     max|F^H F - I| and max|F F^H - I|, the largest on each side, are the
     orthogonality and symplectic residuals of O and of O_tilde (one side
-    object for both: formed once, O_tilde's copied from O's).  pairing,
-    when given, is the Gram spectrum's reciprocal-pairing defect.  Every
-    max|E| is that of E's real embedding, max(max|Re E|, max|Im E|), so a
-    complex residual reads as the 4N one: with O = embed_unitary(Z),
+    object for both: formed once, O_tilde's copied from O's).  Every max|E|
+    is that of E's real embedding, max(max|Re E|, max|Im E|), so a complex
+    residual reads as the 4N one: with O = embed_unitary(Z),
         O^T O - I = embed(Z^H Z - I),  O Omega O^T - Omega = embed(-i (Z Z^H - I)).
-    Raises DecompositionError, naming context, when one exceeds its limit.
+    Raises DecompositionError, naming context (and, for the reconstruction,
+    the target of the largest residual), when one exceeds its limit.
     """
-    worst = 0.0
-    for L, d, R, T in blocks:
+    worst, worst_target = 0.0, None
+    for target, L, d, R, T in blocks:
         E = (L * d) @ R.conj().T
         E -= T
-        worst = max(worst, _embedded_max(E) / max(1.0, _embedded_max(T)))
+        value = _embedded_max(E) / max(1.0, _embedded_max(T))
         del E  # before the next block's product
+        if worst_target is None or value > worst:
+            worst, worst_target = value, target
     residuals = {"reconstruction": worst}
     for name, side in zip(("O", "O_tilde"), factors):
         for kind in ("orthogonal", "symplectic"):
@@ -181,13 +183,11 @@ def _checked(blocks, factors, context, pairing=None):
                 worst = max(worst, _embedded_max(gram))
                 del gram
             residuals[name + "_" + kind] = worst
-    if pairing is not None:
-        residuals["pairing"] = pairing
     for name, value in residuals.items():
         if value > limit(name):
-            raise DecompositionError(
-                "%s: %s residual %.3e exceeds %.1e" % (context, name, value, limit(name))
-            )
+            of = " of " + worst_target if name == "reconstruction" else ""
+            raise DecompositionError("%s: %s residual %.3e%s exceeds %.1e"
+                                     % (context, name, value, of, limit(name)))
     return residuals
 
 
@@ -195,7 +195,7 @@ def checked_factors(result, S, context):
     """result with the residuals (_checked) of S = O D O_tilde^T attached: the
     4N product against S, and the complex 2N Grams of Z and of Z_tilde."""
     d = np.concatenate([result.lam, 1.0 / result.lam])
-    blocks = [(embed_unitary(result.Z), d, embed_unitary(result.Z_tilde), S)]
+    blocks = [("S", embed_unitary(result.Z), d, embed_unitary(result.Z_tilde), S)]
     return replace(result, residuals=_checked(blocks, ((result.Z,), (result.Z_tilde,)), context))
 
 
@@ -229,8 +229,8 @@ def _polish_unitary(Z, context):
 
 
 def _spectrum(w, gram):
-    """(number of eigenvalues above the unit cluster, pairing defect) of an
-    ascending Gram spectrum w of a symplectic matrix, named gram in errors.
+    """The number of eigenvalues above the unit cluster of an ascending Gram
+    spectrum w of a symplectic matrix, named gram in errors.
 
     The spectrum is closed under w -> 1/w, so w * w[::-1] - 1 is roundoff;
     raises DecompositionError when its largest magnitude exceeds PAIR_RTOL
@@ -249,7 +249,7 @@ def _spectrum(w, gram):
         raise DecompositionError(
             "unit-cluster imbalance: %d eigenvalues above 1, %d below" % (n_above, n_below)
         )
-    return n_above, worst
+    return n_above
 
 
 def symplectic_tolerance(smax, name="input"):
@@ -282,55 +282,41 @@ def pass_name(g0, double):
 def _pair_factors(prop, name):
     """bloch_messiah of a Propagator, read off its 2N pair form Y (module docstring).
 
-    SGVM passes are factored at N x N off X (_sgvm_factors), others through
-    the 2N Gram Y Y^H (_gram_factors); each checks its factors (_checked),
+    SGVM passes are factored at N x N off X (_sgvm_factors), others off Y's
+    signal-idler block (_block_factors); each checks its factors (_checked),
     with the output factors under the names of O and the input factors
-    under those of O_tilde, and the Gram route its spectrum's pairing defect.
+    under those of O_tilde, its errors naming name.
     """
     _guard(prop.symplectic_residual, prop.matrix_max, name)
-    return _sgvm_factors(prop, name) if prop.sgvm else _gram_factors(prop)
+    return _sgvm_factors(prop, name) if prop.sgvm else _block_factors(prop, name)
 
 
-def _decomposition(lam, factors, residuals):
-    """The Decomposition of squeezing e^{r_k} = lam (N, descending) with
-    factors ((Q_S, Q_I), (P_S, P_I)); every r < R_CLAMP is set to 0."""
-    r = np.log(lam)
+def _decomposition(lam, r, factors, residuals):
+    """The Decomposition of squeezing r (N, descending), lam = e^r, with
+    factors ((Q_S, Q_I), (P_S, P_I)); every r < R_CLAMP is set to 0, in place."""
     r[r < R_CLAMP] = 0.0
     return Decomposition(np.repeat(lam, 2), r, *factors, residuals)
 
 
-def _gram_factors(prop):
-    """The Decomposition from the eigenproblem of the 2N Gram Y Y^H; the
-    reconstruction is Y's four N x N blocks."""
-    n, Y = prop.n, prop.pair_form()
-    Yh = Y.conj().T
-    w, V = numerics.sym_eig(Y @ Yh)
-    k, pairing = _spectrum(w, "Y Y^H")
-    top = V[:, ::-1][:, :k]
-    lam = np.concatenate([np.sqrt(w[::-1][:k]), np.ones(n - k)])
-    # each beam half of an active eigenvector holds half its weight
-    out = math.sqrt(2.0) * top
-    into = (math.sqrt(2.0) / lam[:k]) * (Yh @ top)
-    beams = (np.s_[:n], np.s_[n:])
-    factors = []
-    for name, own, other in (("signal", *beams), ("idler", *beams[::-1])):
-        # the unit cluster: the complement of the active columns, and its
-        # input columns through the beam's own block, with no squeezing
-        Q = np.linalg.qr(out[own], mode="complete")[0][:, k:]
-        leak = _embedded_max(Yh[other, own] @ Q)
-        if leak > 1e-6:
-            raise DecompositionError("%s unit cluster leaks onto the other beam "
-                                     "(defect %.3e)" % (name, leak))
-        factors += [_polish_unitary(np.hstack([out[own], Q]), "%s O factor" % name),
-                    _polish_unitary(np.hstack([into[own], Yh[own, own] @ Q]),
-                                    "%s O_tilde factor" % name)]
-    QS, PS, QI, PI = factors
-    ch, sh = 0.5 * (lam + 1.0 / lam), 0.5 * (lam - 1.0 / lam)
-    blocks = [(Q, d, P, Y[beams[rows], beams[cols]])
-              for rows, cols, Q, P, d in ((0, 0, QS, PS, ch), (0, 1, QS, PI, sh),
-                                          (1, 0, QI, PS, sh), (1, 1, QI, PI, ch))]
-    residuals = _checked(blocks, ((QS, QI), (PS, PI)), "pair route", pairing)
-    return _decomposition(lam, ((QS, QI), (PS, PI)), residuals)
+def _block_factors(prop, name):
+    """The Decomposition of a pass away from SGVM media from one SVD of its
+    signal-idler block, Y_SI = Q_S diag(sh) P_I^H (module docstring): r =
+    asinh(sh), ch = sqrt(1 + sh^2), P_S = Y_SS^H Q_S / ch and Q_I = Y_II P_I
+    / ch.  Each factor is polished, and _checked rebuilds Y's four N x N
+    blocks, with Q_S, Q_I under the names of O and P_S, P_I under those of
+    O_tilde; errors name the pass, name.
+    """
+    (SS, SI), (IS, II) = prop.pair_blocks()
+    QS, sh, PI = numerics.svd(SI)
+    ch = np.sqrt(1.0 + sh * sh)
+    QS = _polish_unitary(QS, "%s: output factor Q_S" % name)
+    PI = _polish_unitary(PI, "%s: input factor P_I" % name)
+    PS = _polish_unitary((SS.conj().T @ QS) / ch, "%s: input factor P_S" % name)
+    QI = _polish_unitary((II @ PI) / ch, "%s: output factor Q_I" % name)
+    blocks = [("Y_SS", QS, ch, PS, SS), ("Y_SI", QS, sh, PI, SI),
+              ("Y_IS", QI, sh, PS, IS), ("Y_II", QI, ch, PI, II)]
+    residuals = _checked(blocks, ((QS, QI), (PS, PI)), name)
+    return _decomposition(ch + sh, np.arcsinh(sh), ((QS, QI), (PS, PI)), residuals)
 
 
 def _ladder(lam_raw):
@@ -382,11 +368,12 @@ def _sgvm_factors(prop, name, double=False):
     A = _polish_unitary(A, "output factor")
     B = A if B is None else _polish_unitary(B, "input factor")
     side = (A,)
-    residuals = _checked([(A, s, B, down), (A, 1.0 / s, B, up)],
+    residuals = _checked([("conj X", A, s, B, down), ("X^-T", A, 1.0 / s, B, up)],
                          (side, side if B is A else (B,)), name)
     sign = np.where(s < 1.0, -1.0, 1.0)
     out = (A[::-1], A * sign)
-    return _decomposition(lam, (out, out if B is A else (B[::-1], B * sign)), residuals)
+    return _decomposition(lam, np.log(lam), (out, out if B is A else (B[::-1], B * sign)),
+                          residuals)
 
 
 def _beam_modes(QS, QI):
@@ -418,7 +405,7 @@ def bloch_messiah(S, name="input"):
     _guard(symplectic_residual(S), lambda: numerics._abs_max(S))
     h = dim // 2
     w, V = numerics.sym_eig(S @ S.T)
-    k = _spectrum(w, "S S^T")[0]
+    k = _spectrum(w, "S S^T")
     lam = np.concatenate([np.sqrt(w[::-1][:k]), np.ones(h - k)])
     # Active directions: eigenvectors are isotropic per cluster, so their
     # complex forms z_k are orthonormal up to roundoff; a thin polish scrubs it.
